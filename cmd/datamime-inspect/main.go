@@ -151,7 +151,7 @@ func runReport(args []string) error {
 		enc.SetIndent("", "  ")
 		// A run with no diagnostics writes the literal "null" — still
 		// deterministic, still diffable.
-		if err := enc.Encode(inspect.NewDiagnosticsSummary(run)); err != nil {
+		if err := enc.Encode(report.Health); err != nil {
 			f.Close()
 			return err
 		}

@@ -97,9 +97,9 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 	profiler.Workers = profileWorkers
 
 	// The artifact sink streams events to disk as they happen; the trace
-	// collector retains the full stream in memory (the flight-recorder ring
-	// evicts) for end-of-run trace-event export. Either output wants a
-	// recorder; both can share one.
+	// collector retains the full stream in memory for end-of-run
+	// trace-event export. Either output wants a recorder; both can share
+	// one.
 	var rec *telemetry.Recorder
 	var collector *telemetry.Collector
 	var sinks []func(telemetry.Event)

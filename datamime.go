@@ -215,8 +215,9 @@ func NewEvalCache(capacity int) EvalCache { return service.NewCache(capacity) }
 // or drive it in-process via Submit.
 func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 
-// NewTelemetry builds a telemetry recorder for SearchConfig.Telemetry; the
-// zero TelemetryOptions give a 512-event flight recorder with no sinks.
+// NewTelemetry builds a telemetry recorder for SearchConfig.Telemetry. Events
+// go to TelemetryOptions.OnEvent (e.g. a JSONL artifact sink); the zero
+// options give a recorder that only counts them.
 func NewTelemetry(opts TelemetryOptions) *TelemetryRecorder { return telemetry.New(opts) }
 
 // NewErrorModel returns the default equal-weight Eq. 1 error model.

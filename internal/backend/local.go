@@ -103,7 +103,7 @@ func (l *LocalBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResul
 	var col *telemetry.Collector
 	if req.TraceID != "" {
 		col = &telemetry.Collector{}
-		pr.Telemetry = telemetry.New(telemetry.Options{Capacity: 1, OnEvent: col.Record})
+		pr.Telemetry = telemetry.New(telemetry.Options{OnEvent: col.Record})
 	}
 	bench, err := l.resolve(req)
 	if err != nil {

@@ -188,6 +188,46 @@ type EvalEvent struct {
 	PhaseNS map[string]int64
 }
 
+// TelemetryEvent encodes the iteration as the eval event of the JSONL run
+// artifact and the SSE stream — the one place the eval attribute conventions
+// are written: error/best_error (completed evaluations only), 0/1 flags,
+// sim_cycles, per-metric "emd_*" attribution, per-phase "phase_*_ns"
+// timings, and the skip reason as the message. inspect decodes it. Build it
+// only for an enabled recorder or a sink that wants it: it allocates.
+func (ev EvalEvent) TelemetryEvent() telemetry.Event {
+	attrs := make(map[string]float64, 4+len(ev.Record.Components)+len(ev.PhaseNS))
+	if !ev.Skipped {
+		attrs[telemetry.AttrError] = ev.Record.Error
+		attrs[telemetry.AttrBestError] = ev.Record.BestError
+	}
+	if ev.CacheHit {
+		attrs[telemetry.AttrCacheHit] = 1
+	}
+	if ev.Retried {
+		attrs[telemetry.AttrRetried] = 1
+	}
+	if ev.Replayed {
+		attrs[telemetry.AttrReplayed] = 1
+	}
+	if ev.SimCycles > 0 {
+		attrs[telemetry.AttrSimCycles] = ev.SimCycles
+	}
+	for k, v := range ev.Record.Components {
+		attrs[telemetry.EMDPrefix+k] = v
+	}
+	for ph, ns := range ev.PhaseNS {
+		attrs[telemetry.PhaseNSPrefix+ph+"_ns"] = float64(ns)
+	}
+	return telemetry.Event{
+		Type:    telemetry.TypeEval,
+		Iter:    ev.Record.Iteration,
+		Skipped: ev.Skipped,
+		Msg:     ev.Err,
+		Params:  ev.Record.Params,
+		Attrs:   attrs,
+	}
+}
+
 // Result is the outcome of a search.
 type Result struct {
 	// BestParams is the lowest-error parameter vector, in parameter units.
@@ -405,39 +445,6 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		return r
 	}
 
-	// emitEval publishes one finished iteration to the telemetry recorder
-	// (eval events carry the EMD attribution and phase timings as attrs,
-	// and are what the JSONL artifact replays from).
-	emitEval := func(gi int, r evalResult, ev EvalEvent) {
-		if !rec.Enabled() {
-			return
-		}
-		attrs := make(map[string]float64, 4+len(r.comps)+len(r.phases))
-		if !ev.Skipped {
-			attrs[telemetry.AttrError] = ev.Record.Error
-			attrs[telemetry.AttrBestError] = ev.Record.BestError
-		}
-		if ev.CacheHit {
-			attrs[telemetry.AttrCacheHit] = 1
-		}
-		if ev.Retried {
-			attrs[telemetry.AttrRetried] = 1
-		}
-		if ev.Replayed {
-			attrs[telemetry.AttrReplayed] = 1
-		}
-		if ev.SimCycles > 0 {
-			attrs[telemetry.AttrSimCycles] = ev.SimCycles
-		}
-		for k, v := range r.comps {
-			attrs[telemetry.EMDPrefix+k] = v
-		}
-		for ph, ns := range r.phases {
-			attrs[telemetry.PhaseNSPrefix+ph+"_ns"] = float64(ns)
-		}
-		rec.RecordEval(gi, ev.Skipped, ev.Record.Params, attrs)
-	}
-
 	for it := 0; it < cfg.Iterations; {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -469,9 +476,9 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 						telemetry.AttrJitterLevelMax:   float64(t.MaxJitterLevel),
 					}
 					if diag != nil {
-						gpAttrs[telemetry.DiagLogMarginal] = diag.LogMarginal
-						gpAttrs[telemetry.DiagJitterLevel] = float64(diag.JitterLevel)
-						gpAttrs[telemetry.DiagCondition] = diag.Condition
+						gpAttrs[opt.AttrLogMarginal] = diag.LogMarginal
+						gpAttrs[opt.AttrJitterLevel] = float64(diag.JitterLevel)
+						gpAttrs[opt.AttrCondition] = diag.Condition
 					}
 					rec.RecordSpan(telemetry.PhaseGPFit, it, t.GPFit, gpAttrs)
 					rec.RecordSpan(telemetry.PhaseAcquisition, it, t.Acquisition,
@@ -481,12 +488,12 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 				}
 			}
 			if diag != nil {
-				proposeAttrs[telemetry.DiagChosenEI] = diag.ChosenEI
-				proposeAttrs[telemetry.DiagPoolMeanEI] = diag.PoolMeanEI
+				proposeAttrs[opt.AttrChosenEI] = diag.ChosenEI
+				proposeAttrs[opt.AttrPoolMeanEI] = diag.PoolMeanEI
 				rec.Emit(telemetry.Event{
 					Type:  telemetry.TypeSearchDiagnostics,
 					Iter:  it,
-					Attrs: diagAttrs(*diag),
+					Attrs: diag.Attrs(),
 				})
 			}
 		}
@@ -569,7 +576,9 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 				ev.Record = res.Trace[len(res.Trace)-1]
 			}
 			res.Checkpoint.Entries = append(res.Checkpoint.Entries, ent)
-			emitEval(gi, r, ev)
+			if rec.Enabled() {
+				rec.Emit(ev.TelemetryEvent())
+			}
 			if cfg.OnEval != nil {
 				cfg.OnEval(ev)
 			}
@@ -620,31 +629,6 @@ func iterSeed(seed uint64, it int, retry bool) uint64 {
 		return stats.HashSeed(seed, fmt.Sprintf("retry-%d", it))
 	}
 	return stats.HashSeed(seed, fmt.Sprintf("iter-%d", it))
-}
-
-// diagAttrs flattens one search-health snapshot into telemetry attributes
-// for the TypeSearchDiagnostics artifact/SSE event. Only deterministic
-// model-derived values enter the map — no clocks, no durations — so two
-// identically-seeded runs emit byte-equal diagnostics.
-func diagAttrs(d opt.Diagnostics) map[string]float64 {
-	return map[string]float64{
-		telemetry.DiagLengthScale:  d.LengthScale,
-		telemetry.DiagNoiseFrac:    d.NoiseFrac,
-		telemetry.DiagSignalVar:    d.SignalVar,
-		telemetry.DiagLogMarginal:  d.LogMarginal,
-		telemetry.DiagObservations: float64(d.Observations),
-		telemetry.DiagJitterLevel:  float64(d.JitterLevel),
-		telemetry.DiagCondition:    d.Condition,
-		telemetry.DiagLOORMSE:      d.LOORMSE,
-		telemetry.DiagLOOMaxZ:      d.LOOMaxZ,
-		telemetry.DiagCoverage1:    d.Coverage1,
-		telemetry.DiagCoverage2:    d.Coverage2,
-		telemetry.DiagCandidates:   float64(d.Candidates),
-		telemetry.DiagChosenEI:     d.ChosenEI,
-		telemetry.DiagPoolMeanEI:   d.PoolMeanEI,
-		telemetry.DiagExploitEI:    d.ExploitEI,
-		telemetry.DiagExploreEI:    d.ExploreEI,
-	}
 }
 
 // replayErr reconstructs the recorded error of a skipped checkpoint entry.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"datamime/internal/opt"
 	"datamime/internal/telemetry"
 )
 
@@ -17,7 +18,8 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := telemetry.New(telemetry.Options{Capacity: 4096})
+	var col telemetry.Collector
+	rec := telemetry.New(telemetry.Options{OnEvent: col.Record})
 	cfg := metricSearchConfig(8, 1, 42)
 	cfg.Telemetry = rec
 	cfg.Profiler.Telemetry = rec
@@ -54,7 +56,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	// event.
 	phases := make(map[string]int)
 	evals, diagEvents := 0, 0
-	for _, ev := range rec.Recent() {
+	for _, ev := range col.Events() {
 		switch ev.Type {
 		case telemetry.TypeSpan:
 			phases[ev.Phase]++
@@ -62,7 +64,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 			evals++
 		case telemetry.TypeSearchDiagnostics:
 			diagEvents++
-			if ev.Attrs[telemetry.DiagObservations] == 0 {
+			if opt.DiagnosticsFromAttrs(ev.Attrs).Observations == 0 {
 				t.Fatalf("search.diagnostics event without observations: %+v", ev)
 			}
 		}

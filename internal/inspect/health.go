@@ -14,86 +14,21 @@ import (
 	"strings"
 
 	"datamime/internal/opt"
-	"datamime/internal/telemetry"
 )
 
-// DiagRecord is one iteration's GP search-health snapshot reconstructed
-// from a search.diagnostics artifact event (see opt.Diagnostics for the
-// semantics of each figure).
+// DiagRecord is one iteration's GP search-health snapshot: the
+// opt.Diagnostics of the fit that proposed iteration Iter, whether decoded
+// from a search.diagnostics artifact event or taken off a live trace record.
+// Its JSON is {"iter":N, ...the snapshot's own fields}.
 type DiagRecord struct {
-	Iter         int     `json:"iter"`
-	LengthScale  float64 `json:"length_scale"`
-	NoiseFrac    float64 `json:"noise_frac"`
-	SignalVar    float64 `json:"signal_var"`
-	LogMarginal  float64 `json:"log_marginal"`
-	Observations int     `json:"observations"`
-	JitterLevel  int     `json:"jitter_level"`
-	Condition    float64 `json:"condition"`
-	LOORMSE      float64 `json:"loo_rmse"`
-	LOOMaxZ      float64 `json:"loo_max_z"`
-	Coverage1    float64 `json:"coverage1"`
-	Coverage2    float64 `json:"coverage2"`
-	Candidates   int     `json:"candidates"`
-	ChosenEI     float64 `json:"chosen_ei"`
-	PoolMeanEI   float64 `json:"pool_mean_ei"`
-	ExploitEI    float64 `json:"exploit_ei"`
-	ExploreEI    float64 `json:"explore_ei"`
+	Iter int `json:"iter"`
+	opt.Diagnostics
 }
 
 // AcqGap is the chosen-vs-pool-mean EI spread: how peaked the acquisition
 // surface still is. A gap collapsing toward zero means every candidate
 // looks alike to the optimizer — the stagnation signal.
 func (d DiagRecord) AcqGap() float64 { return d.ChosenEI - d.PoolMeanEI }
-
-// NewDiagRecord wraps a trace-attached opt.Diagnostics as a DiagRecord. It
-// lets callers holding a live convergence trace (the service's job store)
-// build the search-health view without round-tripping through an artifact —
-// trace records carry diagnostics even when telemetry is off.
-func NewDiagRecord(iter int, d opt.Diagnostics) DiagRecord {
-	return DiagRecord{
-		Iter:         iter,
-		LengthScale:  d.LengthScale,
-		NoiseFrac:    d.NoiseFrac,
-		SignalVar:    d.SignalVar,
-		LogMarginal:  d.LogMarginal,
-		Observations: d.Observations,
-		JitterLevel:  d.JitterLevel,
-		Condition:    d.Condition,
-		LOORMSE:      d.LOORMSE,
-		LOOMaxZ:      d.LOOMaxZ,
-		Coverage1:    d.Coverage1,
-		Coverage2:    d.Coverage2,
-		Candidates:   d.Candidates,
-		ChosenEI:     d.ChosenEI,
-		PoolMeanEI:   d.PoolMeanEI,
-		ExploitEI:    d.ExploitEI,
-		ExploreEI:    d.ExploreEI,
-	}
-}
-
-// diagRecord converts one search.diagnostics event back into typed fields.
-func diagRecord(ev telemetry.Event) DiagRecord {
-	a := ev.Attrs
-	return DiagRecord{
-		Iter:         ev.Iter,
-		LengthScale:  a[telemetry.DiagLengthScale],
-		NoiseFrac:    a[telemetry.DiagNoiseFrac],
-		SignalVar:    a[telemetry.DiagSignalVar],
-		LogMarginal:  a[telemetry.DiagLogMarginal],
-		Observations: int(a[telemetry.DiagObservations]),
-		JitterLevel:  int(a[telemetry.DiagJitterLevel]),
-		Condition:    a[telemetry.DiagCondition],
-		LOORMSE:      a[telemetry.DiagLOORMSE],
-		LOOMaxZ:      a[telemetry.DiagLOOMaxZ],
-		Coverage1:    a[telemetry.DiagCoverage1],
-		Coverage2:    a[telemetry.DiagCoverage2],
-		Candidates:   int(a[telemetry.DiagCandidates]),
-		ChosenEI:     a[telemetry.DiagChosenEI],
-		PoolMeanEI:   a[telemetry.DiagPoolMeanEI],
-		ExploitEI:    a[telemetry.DiagExploitEI],
-		ExploreEI:    a[telemetry.DiagExploreEI],
-	}
-}
 
 // Nominal Gaussian band coverages the calibration figures are judged
 // against: P(|z| ≤ 1) and P(|z| ≤ 2).
@@ -103,43 +38,48 @@ const (
 )
 
 // SearchHealth aggregates a run's diagnostics snapshots into the headline
-// model-health figures and a heuristic verdict.
+// model-health figures and a heuristic verdict. It is both what the text and
+// HTML reports render and, through its JSON tags, the machine-readable
+// search-health block of `report -json`, `report -diagnostics` and
+// GET /jobs/{id}/diagnostics. Every figure is derived from the search's own
+// factorizations — no clocks — so two identically-seeded runs produce
+// byte-equal JSON; the CI inspect-gate relies on that.
 type SearchHealth struct {
-	// Records are the per-iteration snapshots, in stream order.
-	Records []DiagRecord
-
+	Snapshots int `json:"snapshots"`
+	// FirstLogMarginal is the first fit's log evidence; FinalLogMarginal
+	// the last, for the trend.
+	FirstLogMarginal float64 `json:"first_log_marginal"`
+	FinalLogMarginal float64 `json:"final_log_marginal"`
 	// MeanCoverage1/MeanCoverage2 average the 1σ/2σ LOO band coverages
 	// over the second half of the snapshots (early fits have too few
 	// observations to judge calibration on).
-	MeanCoverage1 float64
-	MeanCoverage2 float64
-	// FinalLogMarginal is the last fit's log evidence; FirstLogMarginal
-	// the first, for the trend.
-	FirstLogMarginal float64
-	FinalLogMarginal float64
+	MeanCoverage1 float64 `json:"mean_coverage1"`
+	MeanCoverage2 float64 `json:"mean_coverage2"`
 	// MaxJitterLevel and MaxCondition are the worst conditioning any
 	// snapshot reported.
-	MaxJitterLevel int
-	MaxCondition   float64
+	MaxJitterLevel int     `json:"max_jitter_level"`
+	MaxCondition   float64 `json:"max_condition"`
 	// FinalGap and MaxGap track the chosen-vs-pool-mean EI spread.
-	FinalGap float64
-	MaxGap   float64
+	FinalGap float64 `json:"final_acq_gap"`
+	MaxGap   float64 `json:"max_acq_gap"`
 	// ExploreShare is the exploration term's share of the last chosen EI.
-	ExploreShare float64
+	ExploreShare float64 `json:"explore_share"`
 
-	// Verdicts are the heuristic flags raised (empty = healthy).
-	Verdicts []string
+	// Healthy reports that no heuristic flag fired; Verdicts are the flags
+	// raised.
+	Healthy  bool     `json:"healthy"`
+	Verdicts []string `json:"verdicts,omitempty"`
+
+	// Records are the per-iteration snapshots, in stream order.
+	Records []DiagRecord `json:"records,omitempty"`
 }
-
-// Healthy reports whether no heuristic flag fired.
-func (h *SearchHealth) Healthy() bool { return len(h.Verdicts) == 0 }
 
 // VerdictLine renders the verdict as one line.
 func (h *SearchHealth) VerdictLine() string {
 	if h == nil || len(h.Records) == 0 {
 		return "no diagnostics recorded"
 	}
-	if h.Healthy() {
+	if h.Healthy {
 		return "healthy: calibration near nominal, conditioning clean, acquisition surface still informative"
 	}
 	return strings.Join(h.Verdicts, "; ")
@@ -153,6 +93,7 @@ func NewSearchHealth(run *Run) *SearchHealth {
 	}
 	recs := run.Diagnostics
 	h := &SearchHealth{
+		Snapshots:        len(recs),
 		Records:          recs,
 		FirstLogMarginal: recs[0].LogMarginal,
 		FinalLogMarginal: recs[len(recs)-1].LogMarginal,
@@ -181,6 +122,7 @@ func NewSearchHealth(run *Run) *SearchHealth {
 		h.ExploreShare = last.ExploreEI / last.ChosenEI
 	}
 	h.Verdicts = verdicts(h)
+	h.Healthy = len(h.Verdicts) == 0
 	return h
 }
 
@@ -237,7 +179,7 @@ func SimpleRegret(trace []float64) []float64 {
 
 // renderHealthText writes the terminal "search health" section.
 func (r *Report) renderHealthText(b *strings.Builder) {
-	h := NewSearchHealth(r.Run)
+	h := r.Health
 	if h == nil {
 		return
 	}
@@ -271,7 +213,7 @@ func (r *Report) renderHealthText(b *strings.Builder) {
 // calibration-coverage plot against nominal bands, the simple-regret curve,
 // and the hyperparameter / acquisition-gap trajectories, plus the verdict.
 func (r *Report) writeSearchHealthHTML(b *strings.Builder) {
-	h := NewSearchHealth(r.Run)
+	h := r.Health
 	if h == nil {
 		return
 	}
@@ -292,7 +234,7 @@ func (r *Report) writeSearchHealthHTML(b *strings.Builder) {
 	}
 	b.WriteString("<h2>Search health</h2>\n")
 	cls := "sub"
-	if !h.Healthy() {
+	if !h.Healthy {
 		cls = "warn"
 	}
 	fmt.Fprintf(b, "<p class=\"%s\">Verdict: %s.</p>\n", cls, htmlEscape(h.VerdictLine()))

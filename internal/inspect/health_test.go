@@ -16,8 +16,7 @@ import (
 func healthyRecords(n int) []DiagRecord {
 	recs := make([]DiagRecord, n)
 	for i := range recs {
-		recs[i] = DiagRecord{
-			Iter:         6 + i,
+		recs[i] = DiagRecord{Iter: 6 + i, Diagnostics: opt.Diagnostics{
 			LengthScale:  0.4,
 			NoiseFrac:    1e-3,
 			SignalVar:    1.0,
@@ -33,7 +32,7 @@ func healthyRecords(n int) []DiagRecord {
 			PoolMeanEI:   0.1,
 			ExploitEI:    0.3,
 			ExploreEI:    0.1,
-		}
+		}}
 	}
 	return recs
 }
@@ -47,7 +46,7 @@ func TestSearchHealthVerdicts(t *testing.T) {
 		t.Fatal("SearchHealth from a run without diagnostics, want nil")
 	}
 
-	if h := healthOf(healthyRecords(10)); !h.Healthy() {
+	if h := healthOf(healthyRecords(10)); !h.Healthy {
 		t.Fatalf("healthy records flagged: %v", h.Verdicts)
 	}
 
@@ -58,7 +57,7 @@ func TestSearchHealthVerdicts(t *testing.T) {
 		over[i].Coverage2 = 0.6
 	}
 	h := healthOf(over)
-	if h.Healthy() || !strings.Contains(h.VerdictLine(), "overconfident") {
+	if h.Healthy || !strings.Contains(h.VerdictLine(), "overconfident") {
 		t.Fatalf("overconfident records not flagged: %q", h.VerdictLine())
 	}
 
@@ -66,7 +65,7 @@ func TestSearchHealthVerdicts(t *testing.T) {
 	for i := range over {
 		over[i].Observations = 5
 	}
-	if h := healthOf(over); !h.Healthy() {
+	if h := healthOf(over); !h.Healthy {
 		t.Fatalf("calibration judged on too few observations: %v", h.Verdicts)
 	}
 
@@ -74,7 +73,7 @@ func TestSearchHealthVerdicts(t *testing.T) {
 	jittery := healthyRecords(10)
 	jittery[4].JitterLevel = 3
 	h = healthOf(jittery)
-	if h.Healthy() || !strings.Contains(h.VerdictLine(), "ill-conditioned") {
+	if h.Healthy || !strings.Contains(h.VerdictLine(), "ill-conditioned") {
 		t.Fatalf("jitter escalation not flagged: %q", h.VerdictLine())
 	}
 	if h.MaxJitterLevel != 3 {
@@ -91,7 +90,7 @@ func TestSearchHealthVerdicts(t *testing.T) {
 		stale[i].PoolMeanEI = 0.1
 	}
 	h = healthOf(stale)
-	if h.Healthy() || !strings.Contains(h.VerdictLine(), "stagnating") {
+	if h.Healthy || !strings.Contains(h.VerdictLine(), "stagnating") {
 		t.Fatalf("collapsed acquisition gap not flagged: %q", h.VerdictLine())
 	}
 }
@@ -116,15 +115,12 @@ func TestHealthRendersInReports(t *testing.T) {
 	var artifact strings.Builder
 	artifact.WriteString(testArtifact())
 	events := []telemetry.Event{
-		{Type: telemetry.TypeSearchDiagnostics, Job: "job-1", Iter: 4, Attrs: map[string]float64{
-			telemetry.DiagLengthScale: 0.4, telemetry.DiagNoiseFrac: 1e-3,
-			telemetry.DiagLogMarginal: -12.5, telemetry.DiagObservations: 9,
-			telemetry.DiagCondition: 1e4, telemetry.DiagLOORMSE: 0.12,
-			telemetry.DiagLOOMaxZ: 1.6, telemetry.DiagCoverage1: 0.67,
-			telemetry.DiagCoverage2: 0.95, telemetry.DiagCandidates: 512,
-			telemetry.DiagChosenEI: 0.4, telemetry.DiagPoolMeanEI: 0.1,
-			telemetry.DiagExploitEI: 0.3, telemetry.DiagExploreEI: 0.1,
-		}},
+		{Type: telemetry.TypeSearchDiagnostics, Job: "job-1", Iter: 4, Attrs: opt.Diagnostics{
+			LengthScale: 0.4, NoiseFrac: 1e-3, LogMarginal: -12.5, Observations: 9,
+			Condition: 1e4, LOORMSE: 0.12, LOOMaxZ: 1.6, Coverage1: 0.67,
+			Coverage2: 0.95, Candidates: 512, ChosenEI: 0.4, PoolMeanEI: 0.1,
+			ExploitEI: 0.3, ExploreEI: 0.1,
+		}.Attrs()},
 	}
 	if err := telemetry.WriteJSONL(&artifact, events); err != nil {
 		t.Fatal(err)
@@ -166,9 +162,10 @@ func TestHealthRendersInReports(t *testing.T) {
 	}
 }
 
-// TestNewDiagRecordMatchesEventRecord: the trace-side constructor and the
-// artifact-side parser must produce identical records for the same snapshot,
-// or GET /jobs/{id}/diagnostics and report -json would disagree.
+// TestNewDiagRecordMatchesEventRecord: a snapshot taken off a live trace
+// record and the same snapshot decoded from its search.diagnostics artifact
+// event must be identical records, or
+// GET /jobs/{id}/diagnostics and report -json would disagree.
 func TestNewDiagRecordMatchesEventRecord(t *testing.T) {
 	d := opt.Diagnostics{
 		LengthScale: 0.2, NoiseFrac: 1e-2, SignalVar: 2.5, LogMarginal: -7.5,
@@ -176,19 +173,15 @@ func TestNewDiagRecordMatchesEventRecord(t *testing.T) {
 		LOOMaxZ: 2.2, Coverage1: 0.6, Coverage2: 0.9, Candidates: 512,
 		ChosenEI: 0.33, PoolMeanEI: 0.05, ExploitEI: 0.25, ExploreEI: 0.08,
 	}
-	fromTrace := NewDiagRecord(7, d)
-	ev := telemetry.Event{Type: telemetry.TypeSearchDiagnostics, Iter: 7, Attrs: map[string]float64{
-		telemetry.DiagLengthScale: d.LengthScale, telemetry.DiagNoiseFrac: d.NoiseFrac,
-		telemetry.DiagSignalVar: d.SignalVar, telemetry.DiagLogMarginal: d.LogMarginal,
-		telemetry.DiagObservations: float64(d.Observations), telemetry.DiagJitterLevel: float64(d.JitterLevel),
-		telemetry.DiagCondition: d.Condition, telemetry.DiagLOORMSE: d.LOORMSE,
-		telemetry.DiagLOOMaxZ: d.LOOMaxZ, telemetry.DiagCoverage1: d.Coverage1,
-		telemetry.DiagCoverage2: d.Coverage2, telemetry.DiagCandidates: float64(d.Candidates),
-		telemetry.DiagChosenEI: d.ChosenEI, telemetry.DiagPoolMeanEI: d.PoolMeanEI,
-		telemetry.DiagExploitEI: d.ExploitEI, telemetry.DiagExploreEI: d.ExploreEI,
-	}}
-	if fromEvent := diagRecord(ev); fromTrace != fromEvent {
-		t.Fatalf("constructors disagree:\ntrace %+v\nevent %+v", fromTrace, fromEvent)
+	fromTrace := DiagRecord{Iter: 7, Diagnostics: d}
+	run, err := NewRun([]telemetry.Event{
+		{Type: telemetry.TypeSearchDiagnostics, Iter: 7, Attrs: d.Attrs()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Diagnostics) != 1 || run.Diagnostics[0] != fromTrace {
+		t.Fatalf("constructors disagree:\ntrace %+v\nevent %+v", fromTrace, run.Diagnostics)
 	}
 }
 

@@ -305,7 +305,7 @@ func (r *Report) writePhasesHTML(b *strings.Builder) {
 // occupancy bars (reusing the band-strip styling) and the pool's overlap
 // summary. Omitted when the artifact carries no timed simulation spans.
 func (r *Report) writeTimelineHTML(b *strings.Builder) {
-	tl := NewTimeline(r.Run)
+	tl := r.Timeline
 	if len(tl.Workers) == 0 && len(tl.Fleet) == 0 {
 		return
 	}

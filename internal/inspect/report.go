@@ -29,12 +29,24 @@ type Report struct {
 	// profiles it carries quantile-band decompositions; otherwise it falls
 	// back to the artifact's recorded per-metric totals (no bands).
 	Attribution []Attribution
+	// Health is the run's search-health aggregate (nil when the artifact
+	// carries no diagnostics) and Timeline its span-derived utilization
+	// analysis. NewReport computes each once; the text, HTML and JSON
+	// renderers all read these.
+	Health   *SearchHealth
+	Timeline *Timeline
 }
 
 // NewReport assembles a report. profiles may be nil; the eCDF overlays and
 // quantile-band attribution then degrade to what the artifact alone records.
 func NewReport(run *Run, profiles *ProfilesDoc, opts ReportOptions) *Report {
-	r := &Report{Title: opts.Title, Run: run, Profiles: profiles}
+	r := &Report{
+		Title:    opts.Title,
+		Run:      run,
+		Profiles: profiles,
+		Health:   NewSearchHealth(run),
+		Timeline: NewTimeline(run),
+	}
 	if r.Title == "" {
 		if run.Job != "" {
 			r.Title = run.Job
@@ -170,7 +182,7 @@ func (r *Report) RenderText(w io.Writer) error {
 	}
 	r.renderHealthText(&b)
 	r.renderPhasesText(&b)
-	if tl := NewTimeline(run); len(tl.Workers) > 0 || len(tl.Fleet) > 0 {
+	if tl := r.Timeline; len(tl.Workers) > 0 || len(tl.Fleet) > 0 {
 		if len(tl.Workers) > 0 {
 			fmt.Fprintf(&b, "\nprofiler utilization: %d workers, speedup %.2fx, parallel efficiency %s\n",
 				len(tl.Workers), tl.Speedup(), fpct(tl.Efficiency()))

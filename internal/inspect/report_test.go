@@ -2,6 +2,7 @@ package inspect
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -72,12 +73,12 @@ func TestRenderHTMLGolden(t *testing.T) {
 	}
 	html := a.String()
 	for _, want := range []string{
-		"<svg",                    // inline plots
-		"Error attribution",       // ranked table
-		"cpu_util",                // per-metric overlays
-		"class=\"target\"",        // target series
-		"class=\"best\"",          // best series
-		"P(X ≤ x)",                // eCDF axis
+		"<svg",              // inline plots
+		"Error attribution", // ranked table
+		"cpu_util",          // per-metric overlays
+		"class=\"target\"",  // target series
+		"class=\"best\"",    // best series
+		"P(X ≤ x)",          // eCDF axis
 	} {
 		if !strings.Contains(html, want) {
 			t.Errorf("HTML report missing %q", want)
@@ -89,6 +90,31 @@ func TestRenderHTMLGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "report.html", a.Bytes())
+}
+
+// TestFixtureJSONGoldens locks the two machine-readable outputs —
+// `report -json` and `report -diagnostics` — byte for byte on
+// testdata/run.jsonl, a real seeded 16-iteration mem-fb artifact (timed
+// spans from a 2-worker sweep, four search.diagnostics snapshots).
+func TestFixtureJSONGoldens(t *testing.T) {
+	run, err := LoadRunFile(filepath.Join("testdata", "run.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReport(run, nil, ReportOptions{})
+	var summary bytes.Buffer
+	if err := NewRunSummary(r).WriteJSON(&summary); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "run.summary.json", summary.Bytes())
+
+	var diag bytes.Buffer
+	enc := json.NewEncoder(&diag)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r.Health); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "run.diagnostics.json", diag.Bytes())
 }
 
 // TestReportWithoutProfiles: the renderer degrades to artifact totals when

@@ -1,13 +1,12 @@
 package inspect
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
+	"datamime/internal/opt"
 	"datamime/internal/telemetry"
 )
 
@@ -80,66 +79,73 @@ type Run struct {
 	Malformed int
 }
 
+// NewRun builds a Run from in-memory events, in stream order — the same
+// construction LoadRun applies to a file, for callers that already hold the
+// events (the service's job store). Only a structurally broken eval event
+// (no best_error attribute) is an error.
+func NewRun(events []telemetry.Event) (*Run, error) {
+	run := &Run{Phases: make(map[string]PhaseStat)}
+	for i, ev := range events {
+		if err := run.add(ev); err != nil {
+			return nil, fmt.Errorf("inspect: event %d: %w", i, err)
+		}
+	}
+	return run, nil
+}
+
 // LoadRun parses a JSONL run artifact. Malformed lines are skipped and
 // counted (Run.Malformed) rather than failing the load, matching
 // telemetry.ReplayBestTrace's tolerance for mid-write truncation; only I/O
 // errors and structurally broken eval events (valid JSON missing the
 // best_error attribute) are fatal.
 func LoadRun(r io.Reader) (*Run, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	run := &Run{Phases: make(map[string]PhaseStat)}
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var ev telemetry.Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			run.Malformed++
-			continue
-		}
-		if run.Job == "" && ev.Job != "" {
-			run.Job = ev.Job
-		}
-		switch ev.Type {
-		case telemetry.TypeLog:
-			if run.Header == "" && ev.Msg != "" {
-				run.Header = ev.Msg
-			}
-		case telemetry.TypeSpan:
-			st := run.Phases[ev.Phase]
-			st.Count++
-			st.TotalNS += ev.DurNS
-			run.Phases[ev.Phase] = st
-			run.Spans++
-			if ev.TimeNS > 0 {
-				run.SpanLog = append(run.SpanLog, SpanRecord{
-					Phase:   ev.Phase,
-					Iter:    ev.Iter,
-					StartNS: ev.TimeNS - ev.DurNS,
-					EndNS:   ev.TimeNS,
-					Attrs:   ev.Attrs,
-				})
-			} else {
-				run.UnstampedSpans++
-			}
-		case telemetry.TypeEval:
-			rec, err := evalRecord(ev)
-			if err != nil {
-				return nil, fmt.Errorf("inspect: artifact line %d: %w", line, err)
-			}
-			run.Evals = append(run.Evals, rec)
-		case telemetry.TypeSearchDiagnostics:
-			run.Diagnostics = append(run.Diagnostics, diagRecord(ev))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("inspect: reading artifact: %w", err)
+	var err error
+	if run.Malformed, err = telemetry.ScanJSONL(r, run.add); err != nil {
+		return nil, fmt.Errorf("inspect: %w", err)
 	}
 	return run, nil
+}
+
+// add folds one event into the run; event types it does not know are
+// skipped by design.
+func (run *Run) add(ev telemetry.Event) error {
+	if run.Job == "" && ev.Job != "" {
+		run.Job = ev.Job
+	}
+	switch ev.Type {
+	case telemetry.TypeLog:
+		if run.Header == "" && ev.Msg != "" {
+			run.Header = ev.Msg
+		}
+	case telemetry.TypeSpan:
+		st := run.Phases[ev.Phase]
+		st.Count++
+		st.TotalNS += ev.DurNS
+		run.Phases[ev.Phase] = st
+		run.Spans++
+		if ev.TimeNS > 0 {
+			run.SpanLog = append(run.SpanLog, SpanRecord{
+				Phase:   ev.Phase,
+				Iter:    ev.Iter,
+				StartNS: ev.TimeNS - ev.DurNS,
+				EndNS:   ev.TimeNS,
+				Attrs:   ev.Attrs,
+			})
+		} else {
+			run.UnstampedSpans++
+		}
+	case telemetry.TypeEval:
+		rec, err := evalRecord(ev)
+		if err != nil {
+			return err
+		}
+		run.Evals = append(run.Evals, rec)
+	case telemetry.TypeSearchDiagnostics:
+		run.Diagnostics = append(run.Diagnostics,
+			DiagRecord{Iter: ev.Iter, Diagnostics: opt.DiagnosticsFromAttrs(ev.Attrs)})
+	}
+	return nil
 }
 
 // LoadRunFile parses the artifact at path.
@@ -157,7 +163,8 @@ func LoadRunFile(path string) (*Run, error) {
 }
 
 // evalRecord converts one eval event, splitting the attribute conventions
-// (emd_*, phase_*_ns, 0/1 flags) back into typed fields.
+// (emd_*, phase_*_ns, 0/1 flags) back into typed fields — the inverse of
+// core.EvalEvent.TelemetryEvent.
 func evalRecord(ev telemetry.Event) (EvalRecord, error) {
 	rec := EvalRecord{
 		Iter:    ev.Iter,
@@ -166,9 +173,9 @@ func evalRecord(ev telemetry.Event) (EvalRecord, error) {
 		Note:    ev.Msg,
 	}
 	if !ev.Skipped {
-		best, ok := ev.Attrs[telemetry.AttrBestError]
-		if !ok {
-			return rec, fmt.Errorf("eval event without %s", telemetry.AttrBestError)
+		best, err := ev.BestError()
+		if err != nil {
+			return rec, err
 		}
 		rec.BestError = best
 		rec.Error = ev.Attrs[telemetry.AttrError]

@@ -43,55 +43,8 @@ type RunSummary struct {
 	Timeline *TimelineSummary `json:"timeline,omitempty"`
 
 	// Diagnostics is the GP search-health block (present when the artifact
-	// carries search.diagnostics events). Every figure is derived from the
-	// search's own factorizations — no clocks — so two identically-seeded
-	// runs produce byte-equal diagnostics JSON; the CI inspect-gate relies
-	// on that.
-	Diagnostics *DiagnosticsSummary `json:"diagnostics,omitempty"`
-}
-
-// DiagnosticsSummary is the machine-readable search-health block: the
-// SearchHealth aggregates plus the full per-iteration snapshot series, so
-// `report -json` and GET /jobs/{id}/diagnostics consumers get the same data
-// the HTML report plots.
-type DiagnosticsSummary struct {
-	Snapshots        int          `json:"snapshots"`
-	FirstLogMarginal float64      `json:"first_log_marginal"`
-	FinalLogMarginal float64      `json:"final_log_marginal"`
-	MeanCoverage1    float64      `json:"mean_coverage1"`
-	MeanCoverage2    float64      `json:"mean_coverage2"`
-	MaxJitterLevel   int          `json:"max_jitter_level"`
-	MaxCondition     float64      `json:"max_condition"`
-	FinalAcqGap      float64      `json:"final_acq_gap"`
-	MaxAcqGap        float64      `json:"max_acq_gap"`
-	ExploreShare     float64      `json:"explore_share"`
-	Healthy          bool         `json:"healthy"`
-	Verdicts         []string     `json:"verdicts,omitempty"`
-	Records          []DiagRecord `json:"records,omitempty"`
-}
-
-// NewDiagnosticsSummary distills a run's search-health snapshots; nil when
-// the run carries none.
-func NewDiagnosticsSummary(run *Run) *DiagnosticsSummary {
-	h := NewSearchHealth(run)
-	if h == nil {
-		return nil
-	}
-	return &DiagnosticsSummary{
-		Snapshots:        len(h.Records),
-		FirstLogMarginal: h.FirstLogMarginal,
-		FinalLogMarginal: h.FinalLogMarginal,
-		MeanCoverage1:    h.MeanCoverage1,
-		MeanCoverage2:    h.MeanCoverage2,
-		MaxJitterLevel:   h.MaxJitterLevel,
-		MaxCondition:     h.MaxCondition,
-		FinalAcqGap:      h.FinalGap,
-		MaxAcqGap:        h.MaxGap,
-		ExploreShare:     h.ExploreShare,
-		Healthy:          h.Healthy(),
-		Verdicts:         h.Verdicts,
-		Records:          h.Records,
-	}
+	// carries search.diagnostics events).
+	Diagnostics *SearchHealth `json:"diagnostics,omitempty"`
 }
 
 // ComponentSummary is one error component's contribution.
@@ -165,8 +118,8 @@ func NewRunSummary(r *Report) RunSummary {
 			s.PhaseSeconds[name] = float64(run.Phases[name].TotalNS) / 1e9
 		}
 	}
-	s.Diagnostics = NewDiagnosticsSummary(run)
-	if tl := NewTimeline(run); len(tl.Workers) > 0 || len(tl.Fleet) > 0 {
+	s.Diagnostics = r.Health
+	if tl := r.Timeline; len(tl.Workers) > 0 || len(tl.Fleet) > 0 {
 		remoteEvals := 0
 		for _, rs := range tl.Remote {
 			remoteEvals += rs.Evals

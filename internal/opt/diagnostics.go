@@ -16,6 +16,11 @@ import (
 // materialized — the winning Cholesky factor, alpha vector, and EI score
 // pool — so collecting it cannot perturb the proposal stream: an
 // instrumented search is bit-identical to an uninstrumented one.
+//
+// This struct is the only listing of the snapshot's fields: the JSON tags
+// are what reports and endpoints print (inspect.DiagRecord embeds it), and
+// fields() below pairs each field with its artifact attribute key. A new
+// field needs a line here and a row there.
 type Diagnostics struct {
 	// Fit: the grid winner and its evidence.
 	LengthScale  float64 `json:"length_scale"`
@@ -49,6 +54,79 @@ type Diagnostics struct {
 	PoolMeanEI float64 `json:"pool_mean_ei"`
 	ExploitEI  float64 `json:"exploit_ei"`
 	ExploreEI  float64 `json:"explore_ei"`
+}
+
+// Artifact attribute keys other spans reuse: core copies these figures onto
+// the matching gp_fit and propose spans under the same key.
+const (
+	AttrLogMarginal = "gp_log_marginal"
+	AttrJitterLevel = "gp_jitter_level"
+	AttrCondition   = "gp_condition"
+	AttrChosenEI    = "acq_chosen_ei"
+	AttrPoolMeanEI  = "acq_pool_mean_ei"
+)
+
+// diagField pairs one Diagnostics field (exactly one of f, i is set) with
+// the key it travels under in a search.diagnostics event's attributes.
+type diagField struct {
+	key string
+	f   *float64
+	i   *int
+}
+
+// fields is the snapshot's wire table: every field of d with its artifact
+// attribute key. It is the only listing of the keys, and drives both Attrs
+// and DiagnosticsFromAttrs, so the two cannot disagree.
+func (d *Diagnostics) fields() []diagField {
+	return []diagField{
+		{key: "gp_length_scale", f: &d.LengthScale},
+		{key: "gp_noise_frac", f: &d.NoiseFrac},
+		{key: "gp_signal_var", f: &d.SignalVar},
+		{key: AttrLogMarginal, f: &d.LogMarginal},
+		{key: "gp_observations", i: &d.Observations},
+		{key: AttrJitterLevel, i: &d.JitterLevel},
+		{key: AttrCondition, f: &d.Condition},
+		{key: "loo_rmse", f: &d.LOORMSE},
+		{key: "loo_max_z", f: &d.LOOMaxZ},
+		{key: "loo_coverage1", f: &d.Coverage1},
+		{key: "loo_coverage2", f: &d.Coverage2},
+		{key: "acq_candidates", i: &d.Candidates},
+		{key: AttrChosenEI, f: &d.ChosenEI},
+		{key: AttrPoolMeanEI, f: &d.PoolMeanEI},
+		{key: "acq_exploit_ei", f: &d.ExploitEI},
+		{key: "acq_explore_ei", f: &d.ExploreEI},
+	}
+}
+
+// Attrs flattens the snapshot into the attributes of a search.diagnostics
+// artifact/SSE event. Only deterministic model-derived values enter the map
+// — no clocks, no durations — so two identically-seeded runs emit byte-equal
+// diagnostics.
+func (d Diagnostics) Attrs() map[string]float64 {
+	fields := d.fields()
+	attrs := make(map[string]float64, len(fields))
+	for _, fl := range fields {
+		if fl.i != nil {
+			attrs[fl.key] = float64(*fl.i)
+		} else {
+			attrs[fl.key] = *fl.f
+		}
+	}
+	return attrs
+}
+
+// DiagnosticsFromAttrs is the inverse of Attrs; absent keys leave their
+// field zero, so snapshots written by older builds still decode.
+func DiagnosticsFromAttrs(attrs map[string]float64) Diagnostics {
+	var d Diagnostics
+	for _, fl := range d.fields() {
+		if fl.i != nil {
+			*fl.i = int(attrs[fl.key])
+		} else {
+			*fl.f = attrs[fl.key]
+		}
+	}
+	return d
 }
 
 // DiagnosticsReporter is implemented by optimizers that can report

@@ -120,14 +120,15 @@ func (s *Server) indexRun(job *Job) {
 	if s.corpus == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, artifactEvents(job)); err != nil {
-		s.logf("job %s corpus: artifact encode failed: %v", job.ID(), err)
-		return
-	}
-	run, err := inspect.LoadRun(bytes.NewReader(buf.Bytes()))
+	run, events, err := jobRun(job)
 	if err != nil {
 		s.logf("job %s corpus: artifact parse failed: %v", job.ID(), err)
+		return
+	}
+	// The one encode: these are the artifact bytes the corpus stores.
+	var buf bytes.Buffer
+	if err := telemetry.WriteJSONL(&buf, events); err != nil {
+		s.logf("job %s corpus: artifact encode failed: %v", job.ID(), err)
 		return
 	}
 
@@ -136,17 +137,6 @@ func (s *Server) indexRun(job *Job) {
 	started := job.started
 	backendName := job.backend
 	result := job.result
-	// Diagnostics ride on trace records whether or not the job ran with
-	// telemetry; fall back to them when the artifact carries no
-	// search.diagnostics events so model health still reaches the index.
-	if len(run.Diagnostics) == 0 {
-		for _, trec := range job.trace {
-			if trec.Diagnostics != nil {
-				run.Diagnostics = append(run.Diagnostics,
-					inspect.NewDiagRecord(trec.Iteration, *trec.Diagnostics))
-			}
-		}
-	}
 	job.mu.Unlock()
 
 	rec := corpus.Record{
@@ -185,14 +175,14 @@ func (s *Server) indexRun(job *Job) {
 	rec.BusySeconds = float64(tl.BusyNS+tl.FleetBusyNS) / 1e9
 	rec.FleetProcesses = len(tl.Fleet)
 	rec.RemoteShare = tl.RemoteShare()
-	if ds := inspect.NewDiagnosticsSummary(run); ds != nil {
+	if h := inspect.NewSearchHealth(run); h != nil {
 		rec.ModelHealth = &corpus.ModelHealth{
-			Snapshots:        ds.Snapshots,
-			MeanCoverage1:    ds.MeanCoverage1,
-			MeanCoverage2:    ds.MeanCoverage2,
-			FinalLogMarginal: ds.FinalLogMarginal,
-			MaxJitterLevel:   ds.MaxJitterLevel,
-			Healthy:          ds.Healthy,
+			Snapshots:        h.Snapshots,
+			MeanCoverage1:    h.MeanCoverage1,
+			MeanCoverage2:    h.MeanCoverage2,
+			FinalLogMarginal: h.FinalLogMarginal,
+			MaxJitterLevel:   h.MaxJitterLevel,
+			Healthy:          h.Healthy,
 		}
 	}
 

@@ -4,70 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"datamime/internal/core"
 	"datamime/internal/telemetry"
 )
-
-// evalTelemetryEvent converts one core.EvalEvent into the telemetry event
-// that enters the job's event log, carrying the artifact attribute
-// conventions: error/best_error, 0/1 flags, per-metric EMD attribution, and
-// per-phase wall-clock timings.
-func evalTelemetryEvent(jobID string, ev core.EvalEvent) telemetry.Event {
-	attrs := make(map[string]float64, 4+len(ev.Record.Components)+len(ev.PhaseNS))
-	if !ev.Skipped {
-		attrs[telemetry.AttrError] = ev.Record.Error
-		attrs[telemetry.AttrBestError] = ev.Record.BestError
-	}
-	if ev.CacheHit {
-		attrs[telemetry.AttrCacheHit] = 1
-	}
-	if ev.Retried {
-		attrs[telemetry.AttrRetried] = 1
-	}
-	if ev.Replayed {
-		attrs[telemetry.AttrReplayed] = 1
-	}
-	if ev.SimCycles > 0 {
-		attrs[telemetry.AttrSimCycles] = ev.SimCycles
-	}
-	for k, v := range ev.Record.Components {
-		attrs[telemetry.EMDPrefix+k] = v
-	}
-	for ph, ns := range ev.PhaseNS {
-		attrs[telemetry.PhaseNSPrefix+ph+"_ns"] = float64(ns)
-	}
-	return telemetry.Event{
-		Type:    telemetry.TypeEval,
-		Job:     jobID,
-		Iter:    ev.Record.Iteration,
-		TimeNS:  time.Now().UnixNano(),
-		Skipped: ev.Skipped,
-		Msg:     ev.Err,
-		Params:  ev.Record.Params,
-		Attrs:   attrs,
-	}
-}
-
-// evalEventFromRecord synthesizes an eval event from a bare trace record,
-// for artifacts of jobs restored from disk (whose in-memory event log is
-// gone; checkpoints persist the trace but not cache/timing detail).
-func evalEventFromRecord(jobID string, rec core.IterationRecord) telemetry.Event {
-	attrs := make(map[string]float64, 2+len(rec.Components))
-	attrs[telemetry.AttrError] = rec.Error
-	attrs[telemetry.AttrBestError] = rec.BestError
-	for k, v := range rec.Components {
-		attrs[telemetry.EMDPrefix+k] = v
-	}
-	return telemetry.Event{
-		Type:   telemetry.TypeEval,
-		Job:    jobID,
-		Iter:   rec.Iteration,
-		Params: rec.Params,
-		Attrs:  attrs,
-	}
-}
 
 // handleEvents streams a job's telemetry events as Server-Sent Events:
 // one `event: eval` per iteration in iteration order, interleaved with
@@ -150,8 +90,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // artifactEvents assembles a job's complete artifact event sequence: the
 // header log line followed by every recorded event. Jobs restored from disk
-// (no in-memory event log) get eval events synthesized from the
-// checkpoint-rebuilt trace.
+// (whose in-memory event log is gone) get eval events synthesized from the
+// checkpoint-rebuilt trace, which persists results but not cache/timing
+// detail.
 func artifactEvents(j *Job) []telemetry.Event {
 	j.mu.Lock()
 	events := append([]telemetry.Event(nil), j.events...)
@@ -160,7 +101,9 @@ func artifactEvents(j *Job) []telemetry.Event {
 	j.mu.Unlock()
 	if len(events) == 0 {
 		for _, rec := range trace {
-			events = append(events, evalEventFromRecord(j.ID(), rec))
+			ev := core.EvalEvent{Record: rec}.TelemetryEvent()
+			ev.Job = j.ID()
+			events = append(events, ev)
 		}
 	}
 	header := telemetry.Event{

@@ -2,9 +2,11 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +16,7 @@ import (
 
 	"datamime/internal/datagen"
 	"datamime/internal/inspect"
+	"datamime/internal/opt"
 	"datamime/internal/telemetry"
 )
 
@@ -177,7 +180,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 			if err := json.Unmarshal([]byte(fr.data), &ev); err != nil {
 				t.Fatalf("diagnostics frame %q: %v", fr.data, err)
 			}
-			if ev.Attrs[telemetry.DiagObservations] == 0 || ev.Attrs[telemetry.DiagCandidates] == 0 {
+			if d := opt.DiagnosticsFromAttrs(ev.Attrs); d.Observations == 0 || d.Candidates == 0 {
 				t.Fatalf("diagnostics frame incomplete: %+v", ev)
 			}
 		}
@@ -198,7 +201,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	var diag struct {
 		ID          string `json:"id"`
 		State       JobState
-		Diagnostics *inspect.DiagnosticsSummary `json:"diagnostics"`
+		Diagnostics *inspect.SearchHealth `json:"diagnostics"`
 	}
 	if code := httpJSON(t, ts, "GET", "/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
 		t.Fatalf("GET diagnostics = %d", code)
@@ -221,6 +224,73 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	// The gp_* metric families saw the snapshots.
 	if svc.metrics.gpLogMarginal.Value() == 0 && svc.metrics.gpCoverage2.Value() == 0 {
 		t.Fatal("diagnostics metrics never updated")
+	}
+}
+
+// TestDiagnosticsLiveMatchesOffline: for one seeded GP job, the diagnostics
+// block GET /jobs/{id}/diagnostics serves from memory is byte-equal to the
+// search health computed offline from the job's downloaded artifact — and a
+// server without telemetry, whose event log carries no search.diagnostics
+// events and so takes the snapshots off the trace records, serves the same
+// bytes.
+func TestDiagnosticsLiveMatchesOffline(t *testing.T) {
+	liveDiagnostics := func(svc *Server) (block, artifact []byte) {
+		t.Helper()
+		defer svc.Close()
+		ts := httptest.NewServer(svc.Handler())
+		defer ts.Close()
+		var submitted struct {
+			ID string `json:"id"`
+		}
+		if code := httpJSON(t, ts, "POST", "/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
+			t.Fatalf("submit = %d", code)
+		}
+		waitFor(t, "job to succeed", func() bool {
+			var st JobStatus
+			httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+			return st.State == JobSucceeded
+		})
+		var diag struct {
+			Diagnostics json.RawMessage `json:"diagnostics"`
+		}
+		if code := httpJSON(t, ts, "GET", "/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
+			t.Fatalf("GET diagnostics = %d", code)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, diag.Diagnostics); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/artifact")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		artifact, err = io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return compact.Bytes(), artifact
+	}
+
+	live, artifact := liveDiagnostics(newTelemetryServer(t, ""))
+	run, err := inspect.LoadRun(bytes.NewReader(artifact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := json.Marshal(inspect.NewSearchHealth(run))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(offline) == "null" {
+		t.Fatal("the artifact of a GP job carries no diagnostics")
+	}
+	if !bytes.Equal(live, offline) {
+		t.Fatalf("live diagnostics differ from the artifact's:\nlive    %s\noffline %s", live, offline)
+	}
+
+	plain, _ := liveDiagnostics(newTestServer(t, ""))
+	if !bytes.Equal(plain, live) {
+		t.Fatalf("diagnostics differ with telemetry off:\noff %s\non  %s", plain, live)
 	}
 }
 

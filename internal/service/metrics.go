@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"datamime/internal/backend"
+	"datamime/internal/opt"
 	"datamime/internal/telemetry"
 )
 
@@ -307,10 +308,11 @@ func (m *serverMetrics) observeSpan(ev telemetry.Event) {
 // observeDiagnostics feeds one search-health snapshot into the gp_* families.
 // Runs on the search goroutines (the recorder's OnEvent is synchronous).
 func (m *serverMetrics) observeDiagnostics(ev telemetry.Event) {
-	m.gpLogMarginal.Set(ev.Attrs[telemetry.DiagLogMarginal])
-	m.gpCoverage1.Set(ev.Attrs[telemetry.DiagCoverage1])
-	m.gpCoverage2.Set(ev.Attrs[telemetry.DiagCoverage2])
-	if ev.Attrs[telemetry.DiagJitterLevel] > 0 {
+	d := opt.DiagnosticsFromAttrs(ev.Attrs)
+	m.gpLogMarginal.Set(d.LogMarginal)
+	m.gpCoverage1.Set(d.Coverage1)
+	m.gpCoverage2.Set(d.Coverage2)
+	if d.JitterLevel > 0 {
 		m.gpJitterEscalations.Inc()
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 
@@ -102,59 +101,78 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.jobProfiles(j))
 }
 
+// jobRun builds the inspect view of a job from the events the server already
+// holds in memory — the one place a job becomes an *inspect.Run, shared by
+// the report, the diagnostics endpoint and the corpus indexer. It also
+// returns those events, for callers that store them. Diagnostics ride on
+// trace records whether or not the job runs with telemetry, so when the
+// event log carries no search.diagnostics events (telemetry off) the
+// snapshots are taken from the trace instead.
+func jobRun(j *Job) (*inspect.Run, []telemetry.Event, error) {
+	events := artifactEvents(j)
+	run, err := inspect.NewRun(events)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(run.Diagnostics) == 0 {
+		j.mu.Lock()
+		for _, rec := range j.trace {
+			if rec.Diagnostics != nil {
+				run.Diagnostics = append(run.Diagnostics,
+					inspect.DiagRecord{Iter: rec.Iteration, Diagnostics: *rec.Diagnostics})
+			}
+		}
+		j.mu.Unlock()
+	}
+	return run, events, nil
+}
+
 // jobDiagnostics is the GET /jobs/{id}/diagnostics response: the job's
 // search-health summary with the per-iteration snapshot records. Diagnostics
 // is null until the optimizer's first surrogate-backed proposal (random
 // bootstrap iterations, non-GP optimizers), and always for optimizers that
 // never fit a surrogate.
 type jobDiagnostics struct {
-	ID          string                      `json:"id"`
-	State       JobState                    `json:"state"`
-	Diagnostics *inspect.DiagnosticsSummary `json:"diagnostics"`
+	ID          string                `json:"id"`
+	State       JobState              `json:"state"`
+	Diagnostics *inspect.SearchHealth `json:"diagnostics"`
 }
 
 // handleDiagnostics serves GET /jobs/{id}/diagnostics: per-iteration GP
 // search-health records plus the SearchHealth aggregates and verdict. It
-// reads the live convergence trace (diagnostics ride on trace records whether
-// or not the job runs with telemetry), so it works mid-run and after restore.
+// reads the live job (see jobRun), so it works mid-run and with telemetry
+// off.
 func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		return
 	}
+	run, _, err := jobRun(j)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	j.mu.Lock()
 	state := j.state
-	var recs []inspect.DiagRecord
-	for _, rec := range j.trace {
-		if rec.Diagnostics != nil {
-			recs = append(recs, inspect.NewDiagRecord(rec.Iteration, *rec.Diagnostics))
-		}
-	}
 	j.mu.Unlock()
-	run := &inspect.Run{Job: j.ID(), Diagnostics: recs}
 	writeJSON(w, http.StatusOK, jobDiagnostics{
 		ID:          j.ID(),
 		State:       state,
-		Diagnostics: inspect.NewDiagnosticsSummary(run),
+		Diagnostics: inspect.NewSearchHealth(run),
 	})
 }
 
 // handleReport serves GET /jobs/{id}/report: the self-contained HTML run
 // report (convergence plot, quantile-band EMD attribution, target-vs-best
-// eCDF overlays) rendered from the job's artifact and profiles.
+// eCDF overlays) rendered from the job's events and profiles.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		return
 	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, artifactEvents(j)); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	run, err := inspect.LoadRun(&buf)
+	run, _, err := jobRun(j)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

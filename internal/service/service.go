@@ -49,9 +49,6 @@ type Config struct {
 	// events (and therefore /events and /artifact) work either way —
 	// telemetry only adds the phase spans.
 	Telemetry bool
-	// TelemetryRingCapacity bounds each job's flight-recorder ring
-	// (default 512 events). Only meaningful with Telemetry set.
-	TelemetryRingCapacity int
 	// SSEMaxBacklog bounds how many undelivered events a slow /events
 	// subscriber may accumulate before the oldest are dropped (default
 	// 4096). Dropping never blocks the search goroutine; the subscriber
@@ -341,7 +338,7 @@ func (s *Server) runJob(job *Job) {
 	cfg, err := s.buildSearch(ctx, spec)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.endInterrupted(job, ctx)
+			s.endInterrupted(job)
 			return
 		}
 		s.finish(job, JobFailed, err.Error())
@@ -372,7 +369,6 @@ func (s *Server) runJob(job *Job) {
 	}
 	if s.cfg.Telemetry {
 		rec := telemetry.New(telemetry.Options{
-			Capacity: s.cfg.TelemetryRingCapacity,
 			OnEvent: func(ev telemetry.Event) {
 				// Eval events are built uniformly in OnEval below (they
 				// flow with telemetry off too); spans and search-health
@@ -423,7 +419,10 @@ func (s *Server) runJob(job *Job) {
 			job.simCycles += ev.SimCycles
 		}
 		job.mu.Unlock()
-		job.appendEvent(evalTelemetryEvent(job.id, ev))
+		tev := ev.TelemetryEvent()
+		tev.Job = job.id
+		tev.TimeNS = time.Now().UnixNano()
+		job.appendEvent(tev)
 		if !ev.Replayed {
 			if ev.Skipped {
 				s.metrics.skippedTotal.Inc()
@@ -469,7 +468,7 @@ func (s *Server) runJob(job *Job) {
 		s.indexRun(job)
 		s.finish(job, JobSucceeded, "")
 	case ctx.Err() != nil:
-		s.endInterrupted(job, ctx)
+		s.endInterrupted(job)
 	default:
 		s.finish(job, JobFailed, err.Error())
 	}
@@ -477,7 +476,7 @@ func (s *Server) runJob(job *Job) {
 
 // endInterrupted resolves a context-terminated job: client cancels become
 // terminal, server shutdowns re-queue the job (on disk) for the next start.
-func (s *Server) endInterrupted(job *Job, ctx context.Context) {
+func (s *Server) endInterrupted(job *Job) {
 	job.mu.Lock()
 	canceled := job.canceled
 	job.mu.Unlock()
@@ -493,7 +492,6 @@ func (s *Server) endInterrupted(job *Job, ctx context.Context) {
 	s.persist(job)
 	s.logf("job %s interrupted by shutdown; checkpointed at %d iterations",
 		job.id, checkpointed)
-	_ = ctx
 }
 
 // finish moves a job to a terminal state and persists it.

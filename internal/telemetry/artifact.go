@@ -68,27 +68,6 @@ const (
 	AttrCholeskyAppends  = "cholesky_appends"
 	AttrCholeskyRebuilds = "cholesky_rebuilds"
 	AttrJitterLevelMax   = "jitter_level_max"
-	// Diag* keys flatten one opt.Diagnostics snapshot into the Attrs of a
-	// TypeSearchDiagnostics event (and a subset onto the matching
-	// PhaseGPFit/PhasePropose spans). All values are derived read-only from
-	// factorizations the proposal already materialized, so two
-	// identically-seeded runs carry bit-equal values.
-	DiagLengthScale  = "gp_length_scale"
-	DiagNoiseFrac    = "gp_noise_frac"
-	DiagSignalVar    = "gp_signal_var"
-	DiagLogMarginal  = "gp_log_marginal"
-	DiagObservations = "gp_observations"
-	DiagJitterLevel  = "gp_jitter_level"
-	DiagCondition    = "gp_condition"
-	DiagLOORMSE      = "loo_rmse"
-	DiagLOOMaxZ      = "loo_max_z"
-	DiagCoverage1    = "loo_coverage1"
-	DiagCoverage2    = "loo_coverage2"
-	DiagCandidates   = "acq_candidates"
-	DiagChosenEI     = "acq_chosen_ei"
-	DiagPoolMeanEI   = "acq_pool_mean_ei"
-	DiagExploitEI    = "acq_exploit_ei"
-	DiagExploreEI    = "acq_explore_ei"
 	// EMDPrefix prefixes per-component EMD attribution attributes
 	// ("emd_l1d_mpki", "emd_ipc_curve", ...).
 	EMDPrefix = "emd_"
@@ -148,10 +127,48 @@ func ReplayBestTrace(r io.Reader) ([]float64, error) {
 // valid eval event missing best_error is still a hard error, because it
 // means the artifact convention was broken, not the file truncated.
 func ReplayBestTraceStats(r io.Reader) ([]float64, ReplayStats, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var out []float64
 	var st ReplayStats
+	var err error
+	st.Malformed, err = ScanJSONL(r, func(ev Event) error {
+		if ev.Type != TypeEval || ev.Skipped {
+			return nil
+		}
+		best, err := ev.BestError()
+		if err != nil {
+			return err
+		}
+		out = append(out, best)
+		st.Evals++
+		return nil
+	})
+	if err != nil {
+		return nil, st, fmt.Errorf("telemetry: %w", err)
+	}
+	return out, st, nil
+}
+
+// BestError returns a non-skipped eval event's best_error attribute. Its
+// absence is an error: every completed evaluation carries one, so a missing
+// attribute means a writer broke the artifact convention.
+func (ev Event) BestError() (float64, error) {
+	best, ok := ev.Attrs[AttrBestError]
+	if !ok {
+		return 0, fmt.Errorf("eval event without %s", AttrBestError)
+	}
+	return best, nil
+}
+
+// ScanJSONL is the one reader of JSONL artifacts: it calls fn for every line
+// that parses as an Event, in stream order, and returns how many non-empty
+// lines did not parse (usually a tail truncated by a writer that died
+// mid-flush; callers that care should warn when it is nonzero). Unknown
+// event types reach fn like any other, so consumers skip what they do not
+// know. An error from fn stops the scan and is returned with its line
+// number.
+func ScanJSONL(r io.Reader, fn func(Event) error) (malformed int, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -161,21 +178,15 @@ func ReplayBestTraceStats(r io.Reader) ([]float64, ReplayStats, error) {
 		}
 		var ev Event
 		if err := json.Unmarshal(raw, &ev); err != nil {
-			st.Malformed++
+			malformed++
 			continue
 		}
-		if ev.Type != TypeEval || ev.Skipped {
-			continue
+		if err := fn(ev); err != nil {
+			return malformed, fmt.Errorf("artifact line %d: %w", line, err)
 		}
-		best, ok := ev.Attrs[AttrBestError]
-		if !ok {
-			return nil, st, fmt.Errorf("telemetry: artifact line %d: eval event without %s", line, AttrBestError)
-		}
-		out = append(out, best)
-		st.Evals++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, st, fmt.Errorf("telemetry: reading artifact: %w", err)
+		return malformed, fmt.Errorf("reading artifact: %w", err)
 	}
-	return out, st, nil
+	return malformed, nil
 }

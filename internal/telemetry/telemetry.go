@@ -1,8 +1,7 @@
 // Package telemetry is the dependency-free tracing and metrics core behind
 // Datamime's observability: a span recorder with monotonic phase timings, a
-// bounded flight-recorder ring buffer of recent events, a JSONL run-artifact
-// format (see artifact.go), lock-free latency histograms (histogram.go), and
-// a deterministic slog-based line logger (logger.go).
+// JSONL run-artifact format (see artifact.go), lock-free latency histograms
+// (histogram.go), and a deterministic slog-based line logger (logger.go).
 //
 // Telemetry is off by default and near-zero-cost when disabled: every
 // Recorder method is safe on a nil receiver and returns after a single nil
@@ -13,8 +12,8 @@
 package telemetry
 
 import (
-	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -80,11 +79,12 @@ const (
 	// streamed over SSE and appended to the artifact; consumers that don't
 	// know it (inspect.LoadRun, ReplayBestTrace) skip it by design.
 	TypeCorpusRegression = "corpus.regression"
-	// TypeSearchDiagnostics is one iteration's GP search-health snapshot
-	// (opt.Diagnostics flattened into Attrs under the Diag* keys in
-	// artifact.go). Emitted once per surrogate-backed proposal, streamed
-	// over SSE before `done`, and appended to the artifact; like
-	// corpus.regression, consumers that predate it skip it by design.
+	// TypeSearchDiagnostics is one iteration's GP search-health snapshot:
+	// Attrs is opt.Diagnostics.Attrs(), which owns the attribute keys, and
+	// opt.DiagnosticsFromAttrs decodes it. Emitted once per
+	// surrogate-backed proposal, streamed over SSE before `done`, and
+	// appended to the artifact; like corpus.regression, consumers that
+	// predate it skip it by design.
 	TypeSearchDiagnostics = "search.diagnostics"
 )
 
@@ -107,48 +107,31 @@ type Event struct {
 
 // Options configures a Recorder.
 type Options struct {
-	// Capacity bounds the flight-recorder ring (default 512 events).
-	Capacity int
 	// OnEvent, when non-nil, is called synchronously for every event.
 	// Events emitted by one goroutine arrive in emission order; events
 	// from concurrent emitters (parallel evaluations) may interleave.
 	OnEvent func(Event)
-	// Logger, when non-nil, receives every event at Debug level.
-	Logger *slog.Logger
 }
 
 // Recorder collects spans and events. A nil Recorder is valid and disabled:
 // all methods are nil-safe no-ops, so instrumented code needs no branches
 // beyond the receiver check the calls already perform.
 type Recorder struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	full  bool
-	total uint64
-
+	total   atomic.Uint64
 	onEvent func(Event)
-	logger  *slog.Logger
 }
 
 // New builds a Recorder.
 func New(opts Options) *Recorder {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 512
-	}
-	return &Recorder{
-		ring:    make([]Event, opts.Capacity),
-		onEvent: opts.OnEvent,
-		logger:  opts.Logger,
-	}
+	return &Recorder{onEvent: opts.OnEvent}
 }
 
 // Enabled reports whether the recorder records (i.e. is non-nil). Guard
 // attribute-map construction with it so the disabled path allocates nothing.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit records one event: it enters the ring, the OnEvent sink, and the
-// debug logger. Safe on a nil receiver.
+// Emit stamps one event with the wall clock (unless already stamped), counts
+// it, and hands it to the OnEvent sink. Safe on a nil receiver.
 func (r *Recorder) Emit(ev Event) {
 	if r == nil {
 		return
@@ -156,51 +139,18 @@ func (r *Recorder) Emit(ev Event) {
 	if ev.TimeNS == 0 {
 		ev.TimeNS = time.Now().UnixNano()
 	}
-	r.mu.Lock()
-	r.ring[r.next] = ev
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
-	r.total++
-	r.mu.Unlock()
+	r.total.Add(1)
 	if r.onEvent != nil {
 		r.onEvent(ev)
 	}
-	if r.logger != nil {
-		r.logger.Debug("telemetry",
-			slog.String("type", ev.Type), slog.String("phase", ev.Phase),
-			slog.Int("iter", ev.Iter), slog.Int64("dur_ns", ev.DurNS))
-	}
 }
 
-// Recent returns the flight-recorder contents, oldest first. The returned
-// slice is a copy.
-func (r *Recorder) Recent() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.ring[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
-}
-
-// Total returns the number of events emitted over the recorder's lifetime,
-// including ones the ring has since evicted.
+// Total returns the number of events emitted over the recorder's lifetime.
 func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.total.Load()
 }
 
 // Span is an open phase timing started by StartSpan. The zero Span (from a
@@ -250,18 +200,9 @@ func (r *Recorder) RecordSpan(phase string, iter int, d time.Duration, attrs map
 	r.Emit(Event{Type: TypeSpan, Iter: iter, Phase: phase, DurNS: d.Nanoseconds(), Attrs: attrs})
 }
 
-// RecordEval emits an evaluation event for one finished search iteration.
-func (r *Recorder) RecordEval(iter int, skipped bool, params []float64, attrs map[string]float64) {
-	if r == nil {
-		return
-	}
-	r.Emit(Event{Type: TypeEval, Iter: iter, Skipped: skipped, Params: params, Attrs: attrs})
-}
-
 // Collector is an unbounded OnEvent sink that retains every event for
-// end-of-run export (trace-event JSON, artifact rewriting) — unlike the
-// flight-recorder ring, which evicts. Compose its Record method into
-// Options.OnEvent, possibly alongside other sinks.
+// end-of-run export (trace-event JSON, artifact rewriting). Compose its
+// Record method into Options.OnEvent, possibly alongside other sinks.
 type Collector struct {
 	mu     sync.Mutex
 	events []Event

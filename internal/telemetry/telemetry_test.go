@@ -9,35 +9,6 @@ import (
 	"time"
 )
 
-func TestRingBufferEvictsOldestFirst(t *testing.T) {
-	r := New(Options{Capacity: 4})
-	for i := 0; i < 7; i++ {
-		r.Emit(Event{Type: TypeSpan, Iter: i})
-	}
-	if got := r.Total(); got != 7 {
-		t.Fatalf("Total = %d, want 7", got)
-	}
-	recent := r.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("Recent holds %d events, want 4", len(recent))
-	}
-	for i, ev := range recent {
-		if want := 3 + i; ev.Iter != want {
-			t.Fatalf("Recent[%d].Iter = %d, want %d (oldest first)", i, ev.Iter, want)
-		}
-	}
-}
-
-func TestRecentPartialRing(t *testing.T) {
-	r := New(Options{Capacity: 8})
-	r.Emit(Event{Type: TypeEval, Iter: 0})
-	r.Emit(Event{Type: TypeEval, Iter: 1})
-	recent := r.Recent()
-	if len(recent) != 2 || recent[0].Iter != 0 || recent[1].Iter != 1 {
-		t.Fatalf("partial ring Recent = %+v", recent)
-	}
-}
-
 func TestSpanEmitsDuration(t *testing.T) {
 	var got []Event
 	r := New(Options{OnEvent: func(ev Event) { got = append(got, ev) }})
@@ -72,11 +43,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.Emit(Event{Type: TypeLog})
 	r.RecordSpan(PhaseGPFit, 0, time.Second, nil)
-	r.RecordEval(0, false, nil, nil)
 	if d := r.StartSpan(PhaseProfile, 1).End(nil); d != 0 {
 		t.Fatalf("nil span duration = %v, want 0", d)
 	}
-	if r.Recent() != nil || r.Total() != 0 {
+	if r.Total() != 0 {
 		t.Fatal("nil recorder returned state")
 	}
 }
@@ -88,7 +58,7 @@ func TestDisabledSpanNoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := r.StartSpan(PhaseProfile, 7)
 		sp.End(nil)
-		r.RecordEval(7, false, nil, nil)
+		r.RecordSpan(PhaseGPFit, 7, time.Second, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", allocs)
@@ -105,7 +75,7 @@ func BenchmarkDisabledSpan(b *testing.B) {
 }
 
 func BenchmarkEnabledSpan(b *testing.B) {
-	r := New(Options{Capacity: 64})
+	r := New(Options{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sp := r.StartSpan(PhaseProfile, i)
@@ -114,7 +84,7 @@ func BenchmarkEnabledSpan(b *testing.B) {
 }
 
 func TestRecorderConcurrentEmit(t *testing.T) {
-	r := New(Options{Capacity: 16})
+	r := New(Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -128,9 +98,6 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 	wg.Wait()
 	if got := r.Total(); got != 800 {
 		t.Fatalf("Total = %d, want 800", got)
-	}
-	if got := len(r.Recent()); got != 16 {
-		t.Fatalf("Recent = %d events, want 16", got)
 	}
 }
 
@@ -300,7 +267,7 @@ func TestJSONLSinkStreams(t *testing.T) {
 	sink := NewJSONLSink(&buf)
 	r := New(Options{OnEvent: sink})
 	for i := 0; i < 3; i++ {
-		r.RecordEval(i, false, nil, map[string]float64{AttrBestError: float64(i)})
+		r.Emit(Event{Type: TypeEval, Iter: i, Attrs: map[string]float64{AttrBestError: float64(i)}})
 	}
 	trace, err := ReplayBestTrace(&buf)
 	if err != nil {
