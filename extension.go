@@ -65,7 +65,8 @@ func Run(m *Machine, b Benchmark, srv Server, windows int, seed uint64, maxReque
 // into richer profiling.
 type (
 	// Warmable servers pre-touch their dataset before measurement, so
-	// profiles reflect a long-running service's steady state.
+	// profiles reflect a long-running service's steady state. Identically
+	// built servers must emit identical warm events (see workload.Warmable).
 	Warmable = workload.Warmable
 	// Compressible servers report their snapshot compression ratio (the
 	// §III-D extension metric).

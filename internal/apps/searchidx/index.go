@@ -294,6 +294,8 @@ func BuildCorpus(cfg CorpusConfig, layout *trace.CodeLayout, seed uint64) (*Inde
 	}
 	rng := stats.NewRNG(stats.HashSeed(seed, "corpus"))
 	ix := NewIndex(layout)
+	ix.docs = make([]docInfo, 0, cfg.NumDocs)
+	ix.terms = make([]termInfo, 0, cfg.NumTerms)
 	for i := 0; i < cfg.NumDocs; i++ {
 		l := int(cfg.DocLength.Sample(rng))
 		ix.AddDocument(l)
@@ -315,6 +317,7 @@ func BuildCorpus(cfg CorpusConfig, layout *trace.CodeLayout, seed uint64) (*Inde
 			stride = 1
 		}
 		start := rng.IntN(stride)
+		ix.terms[term].postings = make([]Posting, 0, df)
 		for d := start; d < cfg.NumDocs && ix.DocFreq(term) < df; d += stride {
 			tf := uint16(1 + rng.IntN(8))
 			ix.AddPosting(term, uint32(d), tf)

@@ -42,6 +42,9 @@ func NewTable(name string, rowSize int, heap *memsim.Heap, treeCode *trace.CodeR
 	}
 }
 
+// reserve sizes the row slab for a table about to be loaded with n rows.
+func (t *Table) reserve(n int) { t.rows = make([]rowState, 0, n) }
+
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 

@@ -187,6 +187,7 @@ func New(cfg Config, layout *trace.CodeLayout, seed uint64) *Server {
 		}
 	case ModeBidding:
 		s.bids = NewTable("bids", cfg.BidRowBytes, heap, code.btree)
+		s.bids.reserve(cfg.BidItems)
 		for i := 0; i < cfg.BidItems; i++ {
 			s.bids.Insert(null, uint64(i), int64(popRNG.IntN(1000)), 0)
 		}
@@ -210,10 +211,13 @@ func (s *Server) populateTPCC(col trace.Collector, rng *stats.RNG) {
 	s.newOrders = NewTable("new_order", 16, s.heap, c.btree)
 	s.history = NewTable("history", 46, s.heap, c.btree)
 
+	W := s.cfg.Warehouses
+	s.item.reserve(itemCount)
+	s.stock.reserve(W * itemCount)
+	s.customer.reserve(W * districtsPerWarehouse * customersPerDistrict)
 	for i := 0; i < itemCount; i++ {
 		s.item.Insert(col, uint64(i), int64(rng.IntN(10000)), 0)
 	}
-	W := s.cfg.Warehouses
 	s.nextOID = make([]uint64, W*districtsPerWarehouse)
 	for w := 0; w < W; w++ {
 		s.warehouse.Insert(col, uint64(w), 0, 0)

@@ -143,7 +143,7 @@ func TestLLCPartitionIsolation(t *testing.T) {
 	ref := make([]runResult, len(allocs))
 	for i, ways := range allocs {
 		m := sim.NewMachine(pr.Machine, pr.WindowCycles)
-		ref[i] = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows})
+		ref[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, nil, nil)
 	}
 
 	got := make([]runResult, len(allocs))
@@ -153,7 +153,7 @@ func TestLLCPartitionIsolation(t *testing.T) {
 		go func(i, ways int) {
 			defer wg.Done()
 			m := sim.NewMachine(pr.Machine, pr.WindowCycles)
-			got[i] = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows})
+			got[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, nil, nil)
 		}(i, ways)
 	}
 	wg.Wait()

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"datamime/internal/sim"
 	"datamime/internal/stats"
@@ -163,10 +164,12 @@ type Profiler struct {
 	SkipCurves bool
 	// Workers bounds how many of one profile's partition runs (the main run
 	// plus one run per sensitivity-curve point) execute concurrently. Each
-	// run is an independent simulation — fresh dataset, derived seed,
-	// worker-local machine — so results collected by index are bit-for-bit
-	// identical to the serial order. <= 1 runs serially. Workers has no
-	// effect on measured values and is excluded from core.EvalKey.
+	// run has its own server, derived seed and worker-local machine; the
+	// runs share one read-only recording of the dataset warm (see execute),
+	// whose replay leaves the machine a warm from cold would. Results
+	// collected by index are therefore bit-for-bit identical to the serial
+	// order. <= 1 runs serially. Workers has no effect on measured values
+	// and is excluded from core.EvalKey.
 	Workers int
 	// Budget, when non-nil, caps simulation runs in flight across *all*
 	// profilers sharing it — the knob that composes intra-profile Workers
@@ -185,6 +188,10 @@ type Profiler struct {
 	// hosts with fewer CPUs than workers set it; production sweeps never
 	// benefit from more workers than schedulable threads.
 	disableWorkerClamp bool
+	// classicWarm makes every run of a sweep warm its dataset from cold
+	// instead of sharing a warm tape — the reference the taped sweep is
+	// tested against, bit for bit.
+	classicWarm bool
 }
 
 // New returns a Profiler with the defaults used throughout the evaluation.
@@ -277,10 +284,9 @@ func (pr *Profiler) ProfileContext(ctx context.Context, b workload.Benchmark, se
 		return nil, err
 	}
 
-	// Every partition run — the main run and each curve point — is an
-	// independent simulation with its own machine, server, and derived
-	// seed, so the full set can execute on a worker pool and be collected
-	// by index with bit-identical results.
+	// Every partition run — the main run and each curve point — has its
+	// own machine, server, and derived seed, so the full set can execute on
+	// a worker pool and be collected by index with bit-identical results.
 	jobs := make([]runJob, 0, 13)
 	jobs = append(jobs, runJob{ways: 0, windows: pr.Windows})
 	if !pr.SkipCurves {
@@ -411,15 +417,30 @@ func (pr *Profiler) ProfileContext(ctx context.Context, b workload.Benchmark, se
 // shared counter, each reusing one worker-local machine across its jobs.
 // Either way each run holds a Budget token (when one is shared) while the
 // simulation executes.
+//
+// The runs of a sweep warm identical datasets, so they share one warm tape
+// (sim.WarmTape): the first run to reach its warm records what the levels
+// above the LLC did, and every run that warms after that recording is sealed
+// replays it into its own way allocation. Nobody waits for the tape — a pool
+// run that warms while the recording is in progress warms classically — so
+// the serial loop replays all but one warm and a wide pool is never slower
+// than it was.
 func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint64, jobs []runJob, workers int) ([]runResult, error) {
 	results := make([]runResult, len(jobs))
+	var tape *sim.WarmTape
+	if len(jobs) > 1 && !pr.classicWarm {
+		tape = sim.NewWarmTape()
+	}
 	if workers <= 1 {
 		m := sim.NewMachine(pr.Machine, pr.WindowCycles)
 		for i, job := range jobs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			results[i] = pr.runInstrumented(m, b, seed, job, 0)
+			var err error
+			if results[i], err = pr.runInstrumented(m, b, seed, job, 0, tape); err != nil {
+				return nil, err
+			}
 		}
 		return results, nil
 	}
@@ -429,6 +450,8 @@ func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint
 	// runResult is exactly 64 bytes, so workers completing adjacent jobs
 	// write disjoint lines.)
 	next := &paddedCursor{}
+	errs := make([]error, len(jobs))
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -440,19 +463,26 @@ func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint
 			var m *sim.Machine
 			for {
 				i := int(next.n.Add(1)) - 1
-				if i >= len(jobs) || ctx.Err() != nil {
+				if i >= len(jobs) || ctx.Err() != nil || failed.Load() {
 					return
 				}
 				if m == nil {
 					m = sim.NewMachine(pr.Machine, pr.WindowCycles)
 				}
-				results[i] = pr.runInstrumented(m, b, seed, jobs[i], worker)
+				if results[i], errs[i] = pr.runInstrumented(m, b, seed, jobs[i], worker, tape); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return results, nil
 }
@@ -462,19 +492,31 @@ func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint
 // when a budget is actually shared — a nil Budget never waits) and a
 // profile.sim span tagged with the pool worker index and way allocation,
 // the raw material of the per-worker trace timelines and the utilization
-// report. Telemetry never affects which jobs run or in what order, so
-// results stay bit-identical with it on or off.
-func (pr *Profiler) runInstrumented(m *sim.Machine, b workload.Benchmark, seed uint64, job runJob, worker int) runResult {
+// report, and with where the run's time went (build, warm, measure).
+// Telemetry never affects which jobs run or in what order, so results stay
+// bit-identical with it on or off.
+func (pr *Profiler) runInstrumented(m *sim.Machine, b workload.Benchmark, seed uint64, job runJob, worker int, tape *sim.WarmTape) (runResult, error) {
 	if pr.Budget != nil {
 		wait := pr.Telemetry.StartSpan(telemetry.PhaseBudgetWait, 0)
 		pr.Budget.Acquire()
 		wait.End(pr.runAttrs(worker, job))
 		defer pr.Budget.Release()
 	}
+	var ph *runPhases
+	if pr.Telemetry.Enabled() {
+		ph = new(runPhases)
+	}
 	span := pr.Telemetry.StartSpan(telemetry.PhaseSimRun, 0)
-	res := pr.runOn(m, b, seed, job)
-	span.End(pr.runAttrs(worker, job))
-	return res
+	res, err := pr.runOn(m, b, seed, job, tape, ph)
+	attrs := pr.runAttrs(worker, job)
+	if ph != nil {
+		attrs[telemetry.AttrBuildNS] = float64(ph.ns[phaseBuild])
+		attrs[telemetry.AttrWarmNS] = float64(ph.ns[phaseWarm])
+		attrs[telemetry.AttrMeasureNS] = float64(ph.ns[phaseMeasure])
+		attrs[telemetry.AttrWarm] = float64(ph.warm)
+	}
+	span.End(attrs)
+	return res, err
 }
 
 // runAttrs builds the worker/ways attribute map for one run's spans, or nil
@@ -489,12 +531,42 @@ func (pr *Profiler) runAttrs(worker int, job runJob) map[string]float64 {
 	}
 }
 
+// The sub-phases of one run.
+const (
+	phaseBuild = iota
+	phaseWarm
+	phaseMeasure
+)
+
+// runPhases is where one run's time went. runOn fills it when telemetry is
+// on; a nil *runPhases reads no clock.
+type runPhases struct {
+	last time.Time
+	ns   [3]time.Duration
+	warm sim.WarmMode // telemetry.AttrWarm
+}
+
+// lap charges the time since the previous lap to phase.
+func (p *runPhases) lap(phase int) {
+	if p == nil {
+		return
+	}
+	now := time.Now()
+	if !p.last.IsZero() {
+		p.ns[phase] += now.Sub(p.last)
+	}
+	p.last = now
+}
+
 // runOn executes one profiling run on a reused machine: Reset to the cold
 // state, optional LLC partition, fresh server, warmup, then measured
 // windows. Reset is bit-for-bit equivalent to a fresh machine (pinned by
 // internal/sim's reset-equivalence test), so reuse does not perturb
-// measurements.
-func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job runJob) runResult {
+// measurements. With a tape the dataset warm records it, replays it, or —
+// while another run is recording — runs classically; a replay that does not
+// see the recorded event stream fails the run.
+func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job runJob, tape *sim.WarmTape, ph *runPhases) (runResult, error) {
+	ph.lap(phaseBuild)
 	m.Reset()
 	if job.ways > 0 {
 		m.SetLLCPartition(job.ways)
@@ -502,15 +574,30 @@ func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job
 	m.ReserveSamples(job.windows + 1)
 	layout := trace.NewCodeLayout()
 	srv := b.NewServer(layout, stats.HashSeed(seed, "dataset"))
+	ph.lap(phaseBuild)
 	if w, ok := srv.(workload.Warmable); ok {
+		mode := sim.WarmClassic
+		if tape != nil {
+			mode = m.BeginWarm(tape)
+		}
+		if ph != nil {
+			ph.warm = mode
+		}
 		w.WarmDataset(m)
+		if mode != sim.WarmClassic {
+			if err := m.EndWarm(); err != nil {
+				return runResult{}, fmt.Errorf("profile: benchmark %q: warming the %d-way run: %w (identically built servers must emit identical warm events)", b.Name, job.ways, err)
+			}
+		}
 		m.FlushSamples()
+		ph.lap(phaseWarm)
 	}
 	if pr.WarmupWindows > 0 {
 		workload.Run(m, b, srv, pr.WarmupWindows, stats.HashSeed(seed, "warmup"), pr.MaxRequestsPerRun)
 		m.FlushSamples()
 	}
 	res := workload.Run(m, b, srv, job.windows, stats.HashSeed(seed, fmt.Sprintf("measure-%d", job.ways)), pr.MaxRequestsPerRun)
+	ph.lap(phaseMeasure)
 	ratio := 0.0
 	if c, ok := srv.(workload.Compressible); ok {
 		ratio = c.CompressionRatio()
@@ -520,7 +607,7 @@ func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job
 		wall:     append([]sim.WallSample(nil), m.WallSamples()...),
 		requests: res.Requests,
 		ratio:    ratio,
-	}
+	}, nil
 }
 
 // paddedCursor is the sweep's shared job counter, padded to its own cache

@@ -317,3 +317,39 @@ func (c *Cache) Reset() {
 	c.partWays = c.ways
 	c.lruClock = 0
 }
+
+// cacheState is a copy of everything a cache's future behaviour depends on:
+// lines, replacement clock, dueling state and statistics. A warm tape seals
+// one per level above the LLC (tape.go).
+type cacheState struct {
+	lines            []cacheLine
+	gen              uint32 // generation the copied lines are valid under
+	lruClock         uint32
+	accesses, misses uint64
+	psel, brripCount int
+}
+
+// save copies the cache's state into s.
+func (c *Cache) save(s *cacheState) {
+	s.lines = append([]cacheLine(nil), c.lines...)
+	s.gen, s.lruClock = c.gen, c.lruClock
+	s.accesses, s.misses = c.accesses, c.misses
+	s.psel, s.brripCount = c.psel, c.brripCount
+}
+
+// load makes the cache behave exactly as the saved one would. Generations
+// are per cache, so valid lines are re-stamped with this cache's and stale
+// ones erased rather than left to alias it.
+func (c *Cache) load(s *cacheState) {
+	for i, ln := range s.lines {
+		if ln.gen != s.gen {
+			ln = cacheLine{}
+		} else {
+			ln.gen = c.gen
+		}
+		c.lines[i] = ln
+	}
+	c.lruClock = s.lruClock
+	c.accesses, c.misses = s.accesses, s.misses
+	c.psel, c.brripCount = s.psel, s.brripCount
+}

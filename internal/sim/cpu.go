@@ -98,6 +98,10 @@ type Machine struct {
 	lastInstrValid  bool
 	lastDataPageOK  bool
 	lastInstrPageOK bool
+
+	// tape is non-nil between BeginWarm and EndWarm: the kernel walk then
+	// records onto, or replays from, a WarmTape (see tape.go).
+	tape *tapeHead
 }
 
 // NewMachine builds a machine with the given counter-window length in
@@ -180,6 +184,7 @@ func (m *Machine) Reset() {
 	m.wallSamples = m.wallSamples[:0]
 	m.totalBusy, m.totalIdle = 0, 0
 	m.burstMiss = 0
+	m.tape = nil
 	m.syncKernel()
 }
 

@@ -238,6 +238,7 @@ type machKernel struct {
 	coalesceData  bool // same-line elision valid on the data side (LRU L1D)
 	coalesceInstr bool // same-line elision valid on the instruction side
 	hasL3         bool
+	l2HitOut      uint8 // outcome of an L2 hit: private with an L3 below, else the LLC itself
 	tlbPenalty    float64
 	memLatency    float64
 	l1d, l2, l3   kernelLevel
@@ -255,8 +256,10 @@ func (m *Machine) syncKernel() {
 	k.ok = k.l1d.sync(m.l1d) && k.l2.sync(m.l2) && k.l1i.sync(m.l1i) &&
 		k.dtlb.sync(m.dtlb) && k.itlb.sync(m.itlb)
 	k.hasL3 = m.l3 != nil
+	k.l2HitOut = outLLC
 	if k.hasL3 {
 		k.ok = k.ok && k.l3.sync(m.l3)
+		k.l2HitOut = outL2Hit
 	}
 	if uint64(trace.LineSize) != 1<<lineShift {
 		k.ok = false
@@ -289,7 +292,10 @@ func (m *Machine) setScalarPath(on bool) {
 // touches the data TLB in between), so the probe is a guaranteed hit whose
 // re-stamp cannot change LRU recency order. The elided probe still counts
 // as an access so TLB statistics match the scalar walk.
-func (m *Machine) stepData(la uint64) {
+//
+// The returned outcome says what the levels above the LLC did with the line
+// (see tape.go); only a recording warm reads it.
+func (m *Machine) stepData(la uint64) (out uint8) {
 	k := &m.kern
 	if page := la >> k.dtlb.pageLineShift; m.lastDataPageOK && page == m.lastDataPage {
 		m.dtlb.accesses++
@@ -297,35 +303,37 @@ func (m *Machine) stepData(la uint64) {
 		if !k.dtlb.access(la) {
 			m.win.dtlbMiss++
 			m.busy(k.tlbPenalty)
+			out = outTLBMiss
 		}
 		m.lastDataPage = page
 		m.lastDataPageOK = true
 	}
 	if k.l1d.access(la) {
-		return
+		return out
 	}
 	m.win.l1dMiss++
 	if k.l2.access(la) {
 		m.missPenalty(k.l2.latency)
-		return
+		return out | k.l2HitOut
 	}
 	m.win.l2Miss++
 	if k.hasL3 {
 		if k.l3.access(la) {
 			m.missPenalty(k.l3.latency)
-			return
+			return out | outLLC
 		}
 	}
 	m.win.llcMiss++
 	m.win.memBytes += trace.LineSize
 	m.wall.memBytes += trace.LineSize
 	m.missPenalty(k.memLatency)
+	return out | outLLC
 }
 
 // stepInstr walks one instruction line: ITLB, then L1I → L2 → L3 → memory,
 // with the same same-page ITLB elision as stepData (fetch loops sit on one
-// code page for long stretches).
-func (m *Machine) stepInstr(la uint64) {
+// code page for long stretches). It returns the same outcome stepData does.
+func (m *Machine) stepInstr(la uint64) (out uint8) {
 	k := &m.kern
 	if page := la >> k.itlb.pageLineShift; m.lastInstrPageOK && page == m.lastInstrPage {
 		m.itlb.accesses++
@@ -333,29 +341,31 @@ func (m *Machine) stepInstr(la uint64) {
 		if !k.itlb.access(la) {
 			m.win.itlbMiss++
 			m.busy(k.tlbPenalty)
+			out = outTLBMiss
 		}
 		m.lastInstrPage = page
 		m.lastInstrPageOK = true
 	}
 	if k.l1i.access(la) {
-		return
+		return out
 	}
 	m.win.icMiss++
 	if k.l2.access(la) {
 		m.missPenalty(k.l2.latency)
-		return
+		return out | k.l2HitOut
 	}
 	m.win.l2Miss++
 	if k.hasL3 {
 		if k.l3.access(la) {
 			m.missPenalty(k.l3.latency)
-			return
+			return out | outLLC
 		}
 	}
 	m.win.llcMiss++
 	m.win.memBytes += trace.LineSize
 	m.wall.memBytes += trace.LineSize
 	m.missPenalty(k.memLatency)
+	return out | outLLC
 }
 
 // batchData is the batched data-side step: it splits the access into its
@@ -390,8 +400,12 @@ func (m *Machine) batchData(addr uint64, size int) {
 		}
 		first++
 	}
-	for la := first; la <= last; la++ {
-		m.stepData(la)
+	if m.tape != nil {
+		m.tape.data(m, first, last)
+	} else {
+		for la := first; la <= last; la++ {
+			m.stepData(la)
+		}
 	}
 	m.lastDataLine = last
 	m.lastDataValid = true
@@ -430,7 +444,11 @@ func (m *Machine) batchInstr(r *trace.CodeRegion, instrs int) {
 			continue
 		}
 		coalesce = false
-		m.stepInstr(la)
+		if m.tape != nil {
+			m.tape.instr(m, la)
+		} else {
+			m.stepInstr(la)
+		}
 		m.lastInstrLine = la
 		m.lastInstrValid = true
 	}

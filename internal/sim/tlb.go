@@ -120,3 +120,21 @@ func (t *TLB) Reset() {
 	t.accesses, t.misses = 0, 0
 	t.clock = 0
 }
+
+// tlbState is a copy of a TLB's entries, clock and statistics (see
+// cacheState).
+type tlbState struct {
+	entries          []tlbEntry
+	clock            uint32
+	accesses, misses uint64
+}
+
+func (t *TLB) save(s *tlbState) {
+	s.entries = append([]tlbEntry(nil), t.entries...)
+	s.clock, s.accesses, s.misses = t.clock, t.accesses, t.misses
+}
+
+func (t *TLB) load(s *tlbState) {
+	copy(t.entries, s.entries)
+	t.clock, t.accesses, t.misses = s.clock, s.accesses, s.misses
+}

@@ -32,6 +32,15 @@ const (
 	// way allocation it measured (0 = the full-cache main run).
 	AttrWorker = "worker"
 	AttrWays   = "ways"
+	// AttrBuildNS, AttrWarmNS and AttrMeasureNS split a PhaseSimRun span
+	// into its sub-phases — machine reset plus NewServer, WarmDataset, and
+	// the warmup and measured windows — and AttrWarm says how the dataset
+	// was warmed (a sim.WarmMode): 0 classically or not at all, 1 recording
+	// the sweep's warm tape, 2 replaying it.
+	AttrBuildNS   = "build_ns"
+	AttrWarmNS    = "warm_ns"
+	AttrMeasureNS = "measure_ns"
+	AttrWarm      = "warm"
 	// AttrRemoteWorker, AttrRetries, and AttrRemote ride on PhaseRemoteEval
 	// spans and the fleet-churn instants: the dispatcher-assigned integer ID
 	// of the fleet worker involved, how many failed dispatch attempts

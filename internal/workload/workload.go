@@ -128,6 +128,13 @@ func (n *NetworkStack) copyBuf(col trace.Collector, size int, out bool) {
 // servers and Dynaway measures 10 B-cycle intervals; a freshly-constructed
 // simulated server would otherwise spend entire measurement windows taking
 // cold misses, flattening the cache-sensitivity curves).
+//
+// Contract: servers built by the same NewServer with the same seed emit the
+// same warm events in the same order, whatever the collector — a Collector
+// is write-only, so nothing it does can reach the server. The profiler
+// relies on it: the runs of a sweep share one recording of the first run's
+// warm (sim.WarmTape), and a run whose warm differs fails its profile. Do
+// not iterate a Go map while warming.
 type Warmable interface {
 	// WarmDataset touches the resident dataset once, emitting the loads
 	// into col (typically the machine, filling its caches).
