@@ -89,11 +89,7 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 	}
 
 	profiler := datamime.NewProfiler(datamime.Broadwell())
-	profiler.WindowCycles = st.WindowCycles
-	profiler.Windows = st.Windows
-	profiler.WarmupWindows = st.WarmupWindows
-	profiler.CurveWindows = st.CurveWindows
-	profiler.CurvePoints = st.CurvePoints
+	profiler.Spec = st.Spec
 	profiler.Workers = profileWorkers
 
 	// The artifact sink streams events to disk as they happen; the trace

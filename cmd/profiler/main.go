@@ -70,12 +70,7 @@ func run(workloadName, machineName, scheme string, seed uint64, quick bool, prof
 	pr := datamime.NewProfiler(machine)
 	pr.Workers = profileWorkers
 	if quick {
-		st := datamime.QuickSettings()
-		pr.WindowCycles = st.WindowCycles
-		pr.Windows = st.Windows
-		pr.WarmupWindows = st.WarmupWindows
-		pr.CurveWindows = st.CurveWindows
-		pr.CurvePoints = st.CurvePoints
+		pr.Spec = datamime.QuickSettings().Spec
 	}
 	p, err := pr.Profile(bench, seed)
 	if err != nil {

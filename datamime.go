@@ -35,6 +35,7 @@ import (
 	"context"
 	"io"
 
+	"datamime/internal/backend"
 	"datamime/internal/cloning"
 	"datamime/internal/core"
 	"datamime/internal/datagen"
@@ -58,6 +59,9 @@ type (
 	CurvePoint = profile.CurvePoint
 	// Profiler collects profiles on a simulated machine.
 	Profiler = profile.Profiler
+	// ProfileSpec says what a profile measures: the budgets Profiler and
+	// Settings both embed (profiler.Spec = settings.Spec).
+	ProfileSpec = profile.Spec
 	// Benchmark couples a server factory with its offered load.
 	Benchmark = workload.Benchmark
 	// Server is a request-driven application.
@@ -207,7 +211,7 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 // NewEvalCache builds the bounded LRU evaluation cache datamimed shares
 // across jobs; plug it into SearchConfig.Cache so repeated or warm-started
 // searches skip re-simulation (<= 0 selects the default capacity).
-func NewEvalCache(capacity int) EvalCache { return service.NewCache(capacity) }
+func NewEvalCache(capacity int) EvalCache { return backend.NewLRU(capacity) }
 
 // NewService builds the datamimed benchmark-generation service: a bounded
 // worker pool running search jobs with a shared evaluation cache and

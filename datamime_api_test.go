@@ -69,6 +69,16 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestPublicProfilingPipeline(t *testing.T) {
+	// The examples' one-line budget hand-off takes every budget, the warmup
+	// included (copying fields one by one used to keep the full 5).
+	quick := datamime.NewProfiler(datamime.Broadwell())
+	quick.Spec = datamime.QuickSettings().Spec
+	if quick.WarmupWindows != 3 || quick.Spec != (datamime.ProfileSpec{
+		WindowCycles: 200_000, Windows: 16, WarmupWindows: 3, CurveWindows: 3, CurvePoints: 6,
+	}) {
+		t.Fatalf("profiler given QuickSettings().Spec measures %+v", quick.Spec)
+	}
+
 	pr := datamime.NewProfiler(datamime.Broadwell())
 	pr.WindowCycles = 120_000
 	pr.Windows = 6

@@ -155,11 +155,7 @@ func main() {
 	}
 
 	profiler := datamime.NewProfiler(datamime.Broadwell())
-	st := datamime.QuickSettings()
-	profiler.WindowCycles = st.WindowCycles
-	profiler.Windows = st.Windows
-	profiler.CurveWindows = st.CurveWindows
-	profiler.CurvePoints = st.CurvePoints
+	profiler.Spec = datamime.QuickSettings().Spec
 
 	target, err := profiler.Profile(hidden, 99)
 	if err != nil {

@@ -22,13 +22,9 @@ func main() {
 	// 1. Profile the target workload on the generation machine (Broadwell).
 	//    In production this is the only step the service operator performs.
 	profiler := datamime.NewProfiler(datamime.Broadwell())
-	// Reduced budgets so the quickstart finishes in ~a minute; drop these
-	// four lines for paper-fidelity profiling.
-	st := datamime.QuickSettings()
-	profiler.WindowCycles = st.WindowCycles
-	profiler.Windows = st.Windows
-	profiler.CurveWindows = st.CurveWindows
-	profiler.CurvePoints = st.CurvePoints
+	// Reduced budgets so the quickstart finishes in ~a minute; drop this
+	// line for paper-fidelity profiling.
+	profiler.Spec = datamime.QuickSettings().Spec
 
 	target := datamime.MemFB()
 	targetProfile, err := profiler.Profile(target, 1)

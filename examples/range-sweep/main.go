@@ -21,10 +21,7 @@ import "datamime"
 func main() {
 	gen := datamime.MemcachedGenerator()
 	profiler := datamime.NewProfiler(datamime.Broadwell())
-	st := datamime.QuickSettings()
-	profiler.WindowCycles = st.WindowCycles
-	profiler.Windows = st.Windows
-	profiler.WarmupWindows = st.WarmupWindows
+	profiler.Spec = datamime.QuickSettings().Spec
 	profiler.SkipCurves = true // single-metric targeting needs no curves
 
 	fmt.Println("memcached generator: achievable IPC range (asked -> achieved)")

@@ -53,34 +53,20 @@ const (
 )
 
 // ProfilerSpec is the serializable description of a profile.Profiler: the
-// machine by name plus every budget knob that enters core.EvalKey. Workers,
-// Budget, and Telemetry are deliberately absent — they change how fast a
-// profile is measured, never what is measured — so the receiving side is
-// free to pick its own parallelism. Zero-valued fields are meaningful
-// (e.g. WarmupWindows 0) and are always marshaled.
+// machine by name plus what is measured (profile.Spec — every budget knob
+// that enters core.EvalKey, marshaled flat). Workers, Budget, and Telemetry
+// are deliberately absent — they change how fast a profile is measured,
+// never what is measured — so the receiving side is free to pick its own
+// parallelism. Zero-valued fields are meaningful (e.g. WarmupWindows 0) and
+// are always marshaled.
 type ProfilerSpec struct {
-	Machine           string  `json:"machine"`
-	WindowCycles      float64 `json:"window_cycles"`
-	Windows           int     `json:"windows"`
-	WarmupWindows     int     `json:"warmup_windows"`
-	CurveWindows      int     `json:"curve_windows"`
-	CurvePoints       int     `json:"curve_points"`
-	MaxRequestsPerRun int     `json:"max_requests_per_run"`
-	SkipCurves        bool    `json:"skip_curves"`
+	Machine string `json:"machine"`
+	profile.Spec
 }
 
 // SpecOf extracts the wire spec from a profiler.
 func SpecOf(pr *profile.Profiler) ProfilerSpec {
-	return ProfilerSpec{
-		Machine:           pr.Machine.Name,
-		WindowCycles:      pr.WindowCycles,
-		Windows:           pr.Windows,
-		WarmupWindows:     pr.WarmupWindows,
-		CurveWindows:      pr.CurveWindows,
-		CurvePoints:       pr.CurvePoints,
-		MaxRequestsPerRun: pr.MaxRequestsPerRun,
-		SkipCurves:        pr.SkipCurves,
-	}
+	return ProfilerSpec{Machine: pr.Machine.Name, Spec: pr.Spec}
 }
 
 // Profiler reconstructs the profiler a spec describes. Machines resolve by
@@ -92,16 +78,7 @@ func (s ProfilerSpec) Profiler() (*profile.Profiler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &profile.Profiler{
-		Machine:           machine,
-		WindowCycles:      s.WindowCycles,
-		Windows:           s.Windows,
-		WarmupWindows:     s.WarmupWindows,
-		CurveWindows:      s.CurveWindows,
-		CurvePoints:       s.CurvePoints,
-		MaxRequestsPerRun: s.MaxRequestsPerRun,
-		SkipCurves:        s.SkipCurves,
-	}, nil
+	return &profile.Profiler{Machine: machine, Spec: s.Spec}, nil
 }
 
 // EvalRequest is one evaluation, as dispatched to a backend and as POSTed

@@ -141,10 +141,8 @@ func TestProtocolGoldenRequest(t *testing.T) {
 		Params:    []float64{0.5, 3},
 		Seed:      42,
 		Profiler: ProfilerSpec{
-			Machine:      "broadwell",
-			WindowCycles: 60000,
-			Windows:      3,
-			SkipCurves:   true,
+			Machine: "broadwell",
+			Spec:    profile.Spec{WindowCycles: 60000, Windows: 3, SkipCurves: true},
 		},
 		Key:     "k",
 		TraceID: "t1",

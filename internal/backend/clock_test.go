@@ -9,8 +9,8 @@ import (
 // midpoint, the uncertainty half the round trip.
 func TestMidpointOffset(t *testing.T) {
 	cases := []struct {
-		t0, t2, worker  int64
-		offset, uncert  int64
+		t0, t2, worker int64
+		offset, uncert int64
 	}{
 		// Worker 1000ns ahead, 100ns RTT: midpoint 1050, worker reads 2050.
 		{1000, 1100, 2050, 1000, 50},

@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -157,7 +158,7 @@ func (w *Worker) Handler() http.Handler {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		w.reg.WritePrometheus(rw)
 	})
-	return mux
+	return http.MaxBytesHandler(mux, maxEvalRequestBytes)
 }
 
 // Health reports the worker's handshake body. The wall-clock stamp makes
@@ -178,6 +179,11 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	writeWire(rw, http.StatusOK, w.Health())
 }
 
+// maxEvalRequestBytes bounds a request body (Handler wraps the mux). An
+// evaluation is names, a seed, the profiler spec and a few dozen parameters,
+// under 1 KB; 1 MiB leaves room for thousands of parameters.
+const maxEvalRequestBytes = 1 << 20
+
 // handleEvaluate serves one evaluation: admission control, the two-tier
 // cache, then the local backend. Cache hits and fresh measurements are
 // byte-identical by construction, so serving from cache never breaks the
@@ -185,7 +191,12 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeWire(rw, http.StatusBadRequest, wireError{Error: fmt.Sprintf("decoding request: %v", err)})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeWire(rw, status, wireError{Error: fmt.Sprintf("decoding request: %v", err)})
 		return
 	}
 	if err := req.Validate(); err != nil {

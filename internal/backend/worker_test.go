@@ -295,3 +295,21 @@ func TestWorkerMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRejectsOversizeRequest: /v1/evaluate stops reading a body at
+// maxEvalRequestBytes and answers 413 without taking an evaluation slot.
+func TestWorkerRejectsOversizeRequest(t *testing.T) {
+	w, _, ts := newTestWorker(t, WorkerConfig{})
+	body := `{"version":2,"kind":"candidate","generator":"` + strings.Repeat("x", maxEvalRequestBytes) + `"}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize evaluate = %d, want 413", resp.StatusCode)
+	}
+	if h := w.Health(); h.Evals != 0 || h.Inflight != 0 {
+		t.Fatalf("oversize request reached the evaluator: %+v", h)
+	}
+}

@@ -24,11 +24,11 @@ type EvalCache interface {
 }
 
 // EvalKey builds the content address of one evaluation: a hash of the
-// generator identity, the machine, every profiler budget knob, the
-// denormalized parameter vector, and the profiling seed. Two evaluations
-// with equal keys produce bit-identical profiles (the simulator is
-// deterministic), so the profile — not the objective value — is what the
-// cache stores: one cached measurement serves any objective.
+// generator identity, the machine, what is measured (profile.Spec.Key —
+// every budget knob), the denormalized parameter vector, and the profiling
+// seed. Two evaluations with equal keys produce bit-identical profiles (the
+// simulator is deterministic), so the profile — not the objective value —
+// is what the cache stores: one cached measurement serves any objective.
 //
 // Profiler.Workers, Profiler.Budget, and Profiler.Telemetry are
 // deliberately excluded: they control how fast (and how observably) a
@@ -36,9 +36,7 @@ type EvalCache interface {
 // share cache entries.
 func EvalKey(generator string, pr *profile.Profiler, x []float64, seed uint64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "gen=%s|machine=%s|wc=%g|w=%d|warm=%d|cw=%d|cp=%d|max=%d|skip=%t|seed=%d",
-		generator, pr.Machine.Name, pr.WindowCycles, pr.Windows, pr.WarmupWindows,
-		pr.CurveWindows, pr.CurvePoints, pr.MaxRequestsPerRun, pr.SkipCurves, seed)
+	fmt.Fprintf(h, "gen=%s|machine=%s|%s|seed=%d", generator, pr.Machine.Name, pr.Spec.Key(), seed)
 	for _, v := range x {
 		fmt.Fprintf(h, "|%016x", math.Float64bits(v))
 	}

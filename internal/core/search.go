@@ -48,7 +48,7 @@ type SearchConfig struct {
 	// attribution recorded in the trace and checkpoints.
 	Objective Objective
 	// Profiler measures candidates. For MetricObjective sweeps without
-	// curve components, set Profiler.SkipCurves to save time.
+	// curve components, have its Spec skip the curve sweep to save time.
 	Profiler *profile.Profiler
 	// Iterations is the evaluation budget (the paper runs 200).
 	Iterations int
@@ -440,7 +440,7 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		}
 		r := evalResult{prof: prof, e: e, x: x, comps: comps, cacheHit: hit, retried: retried, phases: tm.toMap()}
 		if !hit {
-			r.cycles = estimateCycles(profiler, prof)
+			r.cycles = profiler.Cycles(len(prof.Curve))
 		}
 		return r
 	}
@@ -637,13 +637,6 @@ func replayErr(ent CheckpointEntry) error {
 		return nil
 	}
 	return fmt.Errorf("%s", ent.Err)
-}
-
-// estimateCycles approximates the simulated cycles one fresh profiling run
-// cost, from the windows it closed (warmup + main run + curve points).
-func estimateCycles(pr *profile.Profiler, p *profile.Profile) float64 {
-	windows := pr.WarmupWindows + pr.Windows + len(p.Curve)*pr.CurveWindows
-	return pr.WindowCycles * float64(windows)
 }
 
 // MinEMDTrace extracts the Fig. 10 series from a result: the running

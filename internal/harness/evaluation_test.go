@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"datamime/internal/profile"
 )
 
 // TestFullEvaluationTiny drives every registered experiment end to end at
@@ -16,12 +18,14 @@ func TestFullEvaluationTiny(t *testing.T) {
 		t.Skip("full-evaluation pipeline test")
 	}
 	st := Settings{
-		Iterations:      4,
-		WindowCycles:    100_000,
-		Windows:         6,
-		WarmupWindows:   1,
-		CurveWindows:    2,
-		CurvePoints:     2,
+		Iterations: 4,
+		Spec: profile.Spec{
+			WindowCycles:  100_000,
+			Windows:       6,
+			WarmupWindows: 1,
+			CurveWindows:  2,
+			CurvePoints:   2,
+		},
 		RangePoints:     2,
 		RangeIterations: 3,
 		Parallel:        4,

@@ -18,13 +18,9 @@ import (
 type Settings struct {
 	// Iterations is the search budget per workload (the paper uses 200).
 	Iterations int
-	// WindowCycles, Windows, WarmupWindows, CurveWindows, CurvePoints feed
-	// the profiler.
-	WindowCycles  float64
-	Windows       int
-	WarmupWindows int
-	CurveWindows  int
-	CurvePoints   int
+	// Spec is what every profile of the evaluation measures; a profiler
+	// takes it whole (p.Spec = st.Spec).
+	profile.Spec
 	// RangePoints is the sweep resolution of Fig. 11 (paper: 15).
 	RangePoints int
 	// RangeIterations is the per-point search budget of Fig. 11.
@@ -42,12 +38,14 @@ type Settings struct {
 // Full returns the paper-fidelity settings.
 func Full() Settings {
 	return Settings{
-		Iterations:      200,
-		WindowCycles:    400_000,
-		Windows:         36,
-		WarmupWindows:   5,
-		CurveWindows:    6,
-		CurvePoints:     12,
+		Iterations: 200,
+		Spec: profile.Spec{
+			WindowCycles:  400_000,
+			Windows:       36,
+			WarmupWindows: 5,
+			CurveWindows:  6,
+			CurvePoints:   12,
+		},
 		RangePoints:     15,
 		RangeIterations: 40,
 		Parallel:        4,
@@ -59,12 +57,14 @@ func Full() Settings {
 // experiment structure, smaller numbers.
 func Quick() Settings {
 	return Settings{
-		Iterations:      36,
-		WindowCycles:    200_000,
-		Windows:         16,
-		WarmupWindows:   3,
-		CurveWindows:    3,
-		CurvePoints:     6,
+		Iterations: 36,
+		Spec: profile.Spec{
+			WindowCycles:  200_000,
+			Windows:       16,
+			WarmupWindows: 3,
+			CurveWindows:  3,
+			CurvePoints:   6,
+		},
 		RangePoints:     5,
 		RangeIterations: 10,
 		Parallel:        4,
@@ -100,13 +100,7 @@ func (r *Runner) Settings() Settings { return r.st }
 
 // profiler builds a profiler for the given machine from the settings.
 func (r *Runner) profiler(m sim.MachineConfig) *profile.Profiler {
-	p := profile.New(m)
-	p.WindowCycles = r.st.WindowCycles
-	p.Windows = r.st.Windows
-	p.WarmupWindows = r.st.WarmupWindows
-	p.CurveWindows = r.st.CurveWindows
-	p.CurvePoints = r.st.CurvePoints
-	return p
+	return &profile.Profiler{Machine: m, Spec: r.st.Spec}
 }
 
 // keyLock returns a per-key mutex so expensive computations run once even

@@ -14,7 +14,7 @@ import (
 
 // plotGeom is the fixed geometry of one SVG plot.
 type plotGeom struct {
-	W, H                             float64 // total viewport
+	W, H                               float64 // total viewport
 	MarginL, MarginR, MarginT, MarginB float64
 }
 

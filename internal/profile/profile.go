@@ -138,30 +138,59 @@ func DecodeJSON(data []byte) (*Profile, error) {
 	return &p, nil
 }
 
-// Profiler collects profiles. The zero value is not usable; call New or
-// fill every field.
-type Profiler struct {
-	// Machine is the platform to profile on.
-	Machine sim.MachineConfig
+// Spec says what a profile measures: the budgets that, with the machine and
+// the seed, determine every sample. It is their one listing — Profiler and
+// harness.Settings embed it, Key renders it into core.EvalKey, and its JSON
+// tags are the wire form of backend.ProfilerSpec. Only the job API's "zero
+// keeps the default" override (service.ProfilingSpec) lists the fields
+// again, tied to this struct by a reflection test.
+type Spec struct {
 	// WindowCycles is the counter sampling window (the paper uses 20 M
 	// cycles; the simulated default is smaller, and all metrics are rates,
 	// so distribution shapes are preserved — see DESIGN.md).
-	WindowCycles float64
+	WindowCycles float64 `json:"window_cycles"`
 	// Windows is the number of measured sample windows.
-	Windows int
+	Windows int `json:"windows"`
 	// WarmupWindows run before measurement to warm caches and predictors.
-	WarmupWindows int
+	WarmupWindows int `json:"warmup_windows"`
 	// CurveWindows is the number of windows measured per cache-allocation
 	// point (the paper uses 11 samples per curve point).
-	CurveWindows int
+	CurveWindows int `json:"curve_windows"`
 	// CurvePoints is the number of cache allocations measured, spread
 	// evenly over the machine's partitions (the paper sweeps 1–12 MB).
-	CurvePoints int
+	CurvePoints int `json:"curve_points"`
 	// MaxRequestsPerRun bounds each run; <= 0 uses the driver default.
-	MaxRequestsPerRun int
+	MaxRequestsPerRun int `json:"max_requests_per_run"`
 	// SkipCurves disables the sensitivity-curve measurement (used by the
 	// single-metric range sweeps of Fig. 11, which only target one scalar).
-	SkipCurves bool
+	SkipCurves bool `json:"skip_curves"`
+}
+
+// Key renders the spec as the fragment of core.EvalKey's hash input that
+// says what is measured. Every field must appear: a budget missing here
+// is a stale cache hit — a wrong profile served as a right one.
+func (s Spec) Key() string {
+	return fmt.Sprintf("wc=%g|w=%d|warm=%d|cw=%d|cp=%d|max=%d|skip=%t",
+		s.WindowCycles, s.Windows, s.WarmupWindows, s.CurveWindows,
+		s.CurvePoints, s.MaxRequestsPerRun, s.SkipCurves)
+}
+
+// Cycles approximates the simulated cycles one fresh profiling run costs,
+// from the windows it closes: warmup, the main run, and CurveWindows per
+// measured curve point.
+func (s Spec) Cycles(curvePoints int) float64 {
+	windows := s.WarmupWindows + s.Windows + curvePoints*s.CurveWindows
+	return s.WindowCycles * float64(windows)
+}
+
+// Profiler collects profiles. The zero value is not usable; call New or
+// fill Machine and Spec.
+type Profiler struct {
+	// Machine is the platform to profile on.
+	Machine sim.MachineConfig
+	// Spec is what to measure; its fields read and write as the
+	// profiler's own (pr.Windows).
+	Spec
 	// Workers bounds how many of one profile's partition runs (the main run
 	// plus one run per sensitivity-curve point) execute concurrently. Each
 	// run has its own server, derived seed and worker-local machine; the
@@ -196,14 +225,13 @@ type Profiler struct {
 
 // New returns a Profiler with the defaults used throughout the evaluation.
 func New(machine sim.MachineConfig) *Profiler {
-	return &Profiler{
-		Machine:       machine,
+	return &Profiler{Machine: machine, Spec: Spec{
 		WindowCycles:  400_000,
 		Windows:       36,
 		WarmupWindows: 5,
 		CurveWindows:  6,
 		CurvePoints:   0, // all ways, capped at 12 like the paper's CAT setup
-	}
+	}}
 }
 
 // Validate reports configuration errors.

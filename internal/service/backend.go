@@ -176,7 +176,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	var p profile.Profile
 	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding profile: %w", err))
+		writeError(w, decodeStatus(err), fmt.Errorf("decoding profile: %w", err))
 		return
 	}
 	s.cache.Put(r.PathValue("key"), &p)
@@ -187,7 +187,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWorkerAnnounce(w http.ResponseWriter, r *http.Request) {
 	var reg backend.WorkerRegistration
 	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
+		writeError(w, decodeStatus(err), fmt.Errorf("decoding registration: %w", err))
 		return
 	}
 	id, err := s.dispatcher.RegisterURL(reg)

@@ -34,18 +34,15 @@ type scenarioSpec struct {
 	OnEvalError   string          `json:"on_eval_error"`
 
 	// Profiler budgets change the simulated measurements, so they are
-	// semantic. ProfileWorkers is not mirrored here on purpose.
-	WindowCycles      float64 `json:"window_cycles,omitempty"`
-	Windows           int     `json:"windows,omitempty"`
-	WarmupWindows     int     `json:"warmup_windows,omitempty"`
-	CurveWindows      int     `json:"curve_windows,omitempty"`
-	CurvePoints       int     `json:"curve_points,omitempty"`
-	MaxRequestsPerRun int     `json:"max_requests_per_run,omitempty"`
-	SkipCurves        bool    `json:"skip_curves,omitempty"`
+	// semantic. ProfileWorkers is zeroed (and so omitted) on purpose.
+	ProfilingSpec
 }
 
-// scenarioHash fingerprints the semantic fields of spec, normalizing
-// defaults so "omitted" and "explicitly default" hash equally.
+// scenarioHash fingerprints the semantic fields of spec. The job-level
+// defaults (machine, parallel, optimizer, on_eval_error) are normalized so
+// "omitted" and "explicitly default" hash equally; the profiling budgets
+// are hashed as submitted, so an explicit default budget and an omitted
+// one are different scenarios.
 func scenarioHash(spec JobSpec) string {
 	ss := scenarioSpec{
 		Workload:    spec.Workload,
@@ -82,13 +79,8 @@ func scenarioHash(spec JobSpec) string {
 		}
 	}
 	if p := spec.Profiling; p != nil {
-		ss.WindowCycles = p.WindowCycles
-		ss.Windows = p.Windows
-		ss.WarmupWindows = p.WarmupWindows
-		ss.CurveWindows = p.CurveWindows
-		ss.CurvePoints = p.CurvePoints
-		ss.MaxRequestsPerRun = p.MaxRequestsPerRun
-		ss.SkipCurves = p.SkipCurves
+		ss.ProfilingSpec = *p
+		ss.ProfileWorkers = 0
 	}
 	h, err := corpus.HashJSON(ss)
 	if err != nil {

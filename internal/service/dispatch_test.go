@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datamime/internal/backend"
@@ -225,5 +226,41 @@ func TestServiceFleetHTTP(t *testing.T) {
 	}
 	if _, ok, err := cc.Get(context.Background(), "missing"); ok || err != nil {
 		t.Fatalf("cache miss = (%v, %v)", ok, err)
+	}
+}
+
+// TestOversizeBodiesRejected: every endpoint that decodes a body the server
+// did not write stops reading at its bound and answers 413.
+func TestOversizeBodiesRejected(t *testing.T) {
+	svc := newTestServer(t, "")
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ method, path, field string }{
+		{"POST", "/jobs", "generator"},
+		{"PUT", "/v1/cache/k", "benchmark"},
+		{"POST", "/v1/workers", "url"},
+	} {
+		// Well-formed up to the bound: one string value that runs past it.
+		body := `{"` + tc.field + `":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with %d-byte body = %d, want 413", tc.method, tc.path, len(body), resp.StatusCode)
+		}
+	}
+	if _, ok := svc.Cache().Get("k"); ok {
+		t.Error("oversize PUT reached the cache")
+	}
+	if n := len(svc.Jobs()); n != 0 {
+		t.Errorf("oversize POST /jobs enqueued %d jobs", n)
 	}
 }

@@ -37,9 +37,9 @@ type Federation struct {
 
 // workerScrape is one worker's most recent scrape outcome.
 type workerScrape struct {
-	url  string
-	up   bool
-	at   time.Time
+	url string
+	up  bool
+	at  time.Time
 	// dur is how long the last scrape attempt took (success or failure):
 	// a slow-but-up worker /metrics endpoint is visible through it.
 	dur time.Duration

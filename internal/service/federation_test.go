@@ -185,8 +185,8 @@ func TestServiceFleetEndpoint(t *testing.T) {
 	resp.Body.Close()
 	out := string(data)
 	for _, want := range []string{
-		"datamimed_evaluations_total",   // the coordinator's own registry
-		"datamimed_go_goroutines",       // its runtime health
+		"datamimed_evaluations_total", // the coordinator's own registry
+		"datamimed_go_goroutines",     // its runtime health
 		"# TYPE datamime_worker_up gauge",
 		"datamime_worker_capacity{worker=", // the workers' families, relabeled
 		"datamime_worker_go_goroutines{worker=",

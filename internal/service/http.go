@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -50,6 +51,8 @@ import (
 //	                                    RFC 3339, limit=N most recent)
 //	GET  /v1/corpus/{scenario}/trends   best-error + duration series across
 //	                                    the scenario's runs, with medians
+//
+// A request body past maxBodyBytes is refused with 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/corpus", s.handleCorpus)
@@ -75,7 +78,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	return mux
+	return http.MaxBytesHandler(mux, maxBodyBytes)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -90,12 +93,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds every request body (Handler wraps the mux). The
+// largest legitimate ones carry a profile — a job's inline target, a cache
+// fill — 23 KB of JSON at the Full budgets and ~0.5 KB more per window, so
+// 4 MiB admits profiles of thousands of windows.
+const maxBodyBytes = 4 << 20
+
+// decodeStatus is the status for a body that failed to decode: 413 when it
+// ran past maxBodyBytes, 400 otherwise.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		writeError(w, decodeStatus(err), fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	job, err := s.Submit(spec)

@@ -38,7 +38,10 @@ func (s JobState) terminal() bool {
 }
 
 // ProfilingSpec overrides profiler budget knobs per job; zero fields keep
-// the machine defaults (see profile.New).
+// the machine defaults (see profile.New). It lists profile.Spec's budgets a
+// second time because its omitempty tags and persisted bytes (checkpoints,
+// GET /jobs/{id}) cannot be the always-marshaled wire form;
+// TestSpecFieldsAreCovered holds the two listings together field by field.
 type ProfilingSpec struct {
 	WindowCycles      float64 `json:"window_cycles,omitempty"`
 	Windows           int     `json:"windows,omitempty"`
@@ -351,30 +354,27 @@ func specProfiler(spec JobSpec) (*profile.Profiler, error) {
 	}
 	profiler := profile.New(machine)
 	if p := spec.Profiling; p != nil {
-		if p.WindowCycles > 0 {
-			profiler.WindowCycles = p.WindowCycles
-		}
-		if p.Windows > 0 {
-			profiler.Windows = p.Windows
-		}
-		if p.WarmupWindows > 0 {
-			profiler.WarmupWindows = p.WarmupWindows
-		}
-		if p.CurveWindows > 0 {
-			profiler.CurveWindows = p.CurveWindows
-		}
-		if p.CurvePoints > 0 {
-			profiler.CurvePoints = p.CurvePoints
-		}
-		if p.MaxRequestsPerRun > 0 {
-			profiler.MaxRequestsPerRun = p.MaxRequestsPerRun
-		}
-		profiler.SkipCurves = p.SkipCurves
+		s := &profiler.Spec
+		override(&s.WindowCycles, p.WindowCycles)
+		override(&s.Windows, p.Windows)
+		override(&s.WarmupWindows, p.WarmupWindows)
+		override(&s.CurveWindows, p.CurveWindows)
+		override(&s.CurvePoints, p.CurvePoints)
+		override(&s.MaxRequestsPerRun, p.MaxRequestsPerRun)
+		s.SkipCurves = p.SkipCurves
 		if p.ProfileWorkers > 0 {
 			profiler.Workers = p.ProfileWorkers
 		}
 	}
 	return profiler, nil
+}
+
+// override replaces *dst with a job's budget override; zero (or a negative
+// value) keeps the default.
+func override[T int | float64](dst *T, v T) {
+	if v > 0 {
+		*dst = v
+	}
 }
 
 // buildSearch resolves a spec into a runnable core.SearchConfig. The

@@ -1,3 +1,10 @@
+// Package service wraps Datamime's search loop in a long-running
+// benchmark-generation service: a bounded worker pool executes search jobs
+// submitted over HTTP/JSON, a content-addressed evaluation cache shares
+// profiling work across jobs (and, via /v1/cache, across a worker fleet),
+// per-job JSON checkpoints make every in-flight search resumable after a
+// crash or restart, and a dispatcher can shard candidate evaluations across
+// registered datamime-worker processes. cmd/datamimed is the server binary.
 package service
 
 import (
@@ -89,8 +96,11 @@ type Config struct {
 // Handler, and Close it to shut down (running jobs are checkpointed and
 // re-queued for the next start).
 type Server struct {
-	cfg   Config
-	cache *Cache
+	cfg Config
+	// cache is shared by every job (a resubmitted or warm-started search
+	// re-reads its profiles here) and doubles as the fleet's shared tier,
+	// served to workers at /v1/cache/{key}.
+	cache *backend.LRU
 	gens  map[string]datagen.Generator
 
 	// local is the in-process evaluation backend; dispatcher shards
@@ -147,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		cache:      NewCache(cfg.CacheCapacity),
+		cache:      backend.NewLRU(cfg.CacheCapacity),
 		gens:       make(map[string]datagen.Generator),
 		jobs:       make(map[string]*Job),
 		nextID:     1,
@@ -201,7 +211,7 @@ func (s *Server) generator(name string) (datagen.Generator, error) {
 func (s *Server) Workers() int { return s.cfg.Workers }
 
 // Cache returns the shared evaluation cache.
-func (s *Server) Cache() *Cache { return s.cache }
+func (s *Server) Cache() *backend.LRU { return s.cache }
 
 // Submit validates and enqueues a job, returning its assigned ID.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"datamime/internal/apps/kvstore"
+	"datamime/internal/backend"
 	"datamime/internal/datagen"
 	"datamime/internal/opt"
 	"datamime/internal/profile"
@@ -340,7 +341,7 @@ func runToCompletion(t *testing.T, svc *Server, spec JobSpec) JobStatus {
 
 // TestCacheLRU exercises eviction and stats.
 func TestCacheLRU(t *testing.T) {
-	c := NewCache(2)
+	c := backend.NewLRU(2)
 	prof := &profile.Profile{Benchmark: "dummy"}
 	c.Put("a", prof)
 	c.Put("b", prof)

@@ -83,13 +83,12 @@ type Machine struct {
 	burstMiss int // index of the miss within the current access burst (MLP)
 
 	// kern is the packed batched-access kernel state (see kernel.go); scalar
-	// routes events through the reference walk instead, either because the
-	// configuration is outside the kernel's fast-path envelope or because a
-	// test forced it (forceScalar). lastDataLine/lastInstrLine track the most
-	// recent line touched on each side for same-line coalescing.
+	// routes events through the reference walk instead, which only the
+	// equivalence tests ask for (setScalarPath). lastDataLine/lastInstrLine
+	// track the most recent line touched on each side for same-line
+	// coalescing.
 	kern            machKernel
 	scalar          bool
-	forceScalar     bool
 	lastDataLine    uint64
 	lastInstrLine   uint64
 	lastDataPage    uint64
@@ -254,9 +253,9 @@ func (m *Machine) missPenalty(latency float64) {
 
 // scalarDataAccess walks the data-side hierarchy one line at a time through
 // the general-purpose Cache/TLB methods. It is the reference implementation
-// the batched kernel (kernel.go) must match bit for bit, and the fallback
-// for configurations outside the kernel's fast-path envelope (non-power-of-
-// two set counts, pages smaller than cache lines).
+// the batched kernel (kernel.go) must match bit for bit — a test oracle, not
+// a production path: geometries the kernel cannot walk are a
+// MachineConfig.Validate error.
 func (m *Machine) scalarDataAccess(addr uint64, size int) {
 	if size <= 0 {
 		return

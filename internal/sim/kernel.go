@@ -27,9 +27,11 @@ import "datamime/internal/trace"
 //     cache/TLB access statistics so Stats() match the scalar walk exactly.
 
 // lineShift is log2(trace.LineSize); kernel walks operate on line addresses
-// (byte address >> lineShift). syncKernel refuses the fast path if the two
-// ever disagree.
+// (byte address >> lineShift). The index below is a compile error unless
+// the two agree.
 const lineShift = 6
+
+var _ = [1]struct{}{}[trace.LineSize-1<<lineShift]
 
 // kernelLevel packs one cache level's hot lookup state into a single flat,
 // cache-line-friendly struct: the line slab, the set/tag split, the visible
@@ -50,12 +52,9 @@ type kernelLevel struct {
 	c        *Cache // replacement clocks, dueling state, statistics
 }
 
-// sync packs the level from its cache, reporting whether the flattened walk
-// supports this configuration (power-of-two set count).
-func (lv *kernelLevel) sync(c *Cache) bool {
-	if c == nil || c.setShift < 0 {
-		return false
-	}
+// sync packs the level from its cache, whose set count is a power of two
+// (MachineConfig.Validate).
+func (lv *kernelLevel) sync(c *Cache) {
 	lv.lines = c.lines
 	lv.setMask = c.setMask
 	lv.tagShift = uint8(c.setShift)
@@ -65,7 +64,6 @@ func (lv *kernelLevel) sync(c *Cache) bool {
 	lv.latency = float64(c.cfg.LatencyCyc)
 	lv.drrip = c.isDRRIP
 	lv.c = c
-	return true
 }
 
 // access looks up la (a line address) at this level, updating replacement
@@ -173,12 +171,9 @@ type tlbKernel struct {
 	ways          int
 }
 
-// sync packs the kernel view; false when pages are smaller than cache lines
-// (no real machine — the scalar walk handles it).
-func (k *tlbKernel) sync(t *TLB) bool {
-	if t == nil || t.pageShift < lineShift {
-		return false
-	}
+// sync packs the kernel view of a TLB whose pages are a power-of-two number
+// of cache lines (MachineConfig.Validate); its set count need not be one.
+func (k *tlbKernel) sync(t *TLB) {
 	k.t = t
 	k.entries = t.entries
 	k.setMask = t.setMask
@@ -189,7 +184,6 @@ func (k *tlbKernel) sync(t *TLB) bool {
 	}
 	k.sets = t.sets
 	k.ways = t.ways
-	return true
 }
 
 // access translates the page containing line address la — the fused
@@ -234,7 +228,6 @@ func (k *tlbKernel) access(la uint64) bool {
 // levels laid out contiguously, plus the penalty constants, so one struct
 // walk covers an access end to end without touching the MachineConfig.
 type machKernel struct {
-	ok            bool // flattened path usable for this configuration
 	coalesceData  bool // same-line elision valid on the data side (LRU L1D)
 	coalesceInstr bool // same-line elision valid on the instruction side
 	hasL3         bool
@@ -246,32 +239,33 @@ type machKernel struct {
 	dtlb, itlb    tlbKernel
 }
 
-// syncKernel (re)packs the kernel from the machine's components and decides
-// path eligibility. It runs at construction, after Reset (generation bumps),
-// and after SetLLCPartition (visible-way changes) — the only places
-// structural cache state changes under a Machine. It also invalidates the
-// coalescing trackers: elision claims must never survive a cache flush.
+// syncKernel (re)packs the kernel from the machine's components. Every
+// machine that passed MachineConfig.Validate is on the kernel path; only
+// setScalarPath routes around it. It runs at construction, after Reset
+// (generation bumps), and after SetLLCPartition (visible-way changes) — the
+// only places structural cache state changes under a Machine. It also
+// invalidates the coalescing trackers: elision claims must never survive a
+// cache flush.
 func (m *Machine) syncKernel() {
 	k := &m.kern
-	k.ok = k.l1d.sync(m.l1d) && k.l2.sync(m.l2) && k.l1i.sync(m.l1i) &&
-		k.dtlb.sync(m.dtlb) && k.itlb.sync(m.itlb)
+	k.l1d.sync(m.l1d)
+	k.l2.sync(m.l2)
+	k.l1i.sync(m.l1i)
+	k.dtlb.sync(m.dtlb)
+	k.itlb.sync(m.itlb)
 	k.hasL3 = m.l3 != nil
 	k.l2HitOut = outLLC
 	if k.hasL3 {
-		k.ok = k.ok && k.l3.sync(m.l3)
+		k.l3.sync(m.l3)
 		k.l2HitOut = outL2Hit
-	}
-	if uint64(trace.LineSize) != 1<<lineShift {
-		k.ok = false
 	}
 	// Elision relies on a re-touched MRU line keeping its relative
 	// replacement order, which holds for LRU stamps but not for a DRRIP L1
 	// whose inserted lines sit at distant RRPV until re-touched.
-	k.coalesceData = k.ok && !k.l1d.drrip
-	k.coalesceInstr = k.ok && !k.l1i.drrip
+	k.coalesceData = !k.l1d.drrip
+	k.coalesceInstr = !k.l1i.drrip
 	k.tlbPenalty = m.cfg.TLBPenalty
 	k.memLatency = m.cfg.MemLatency
-	m.scalar = m.forceScalar || !k.ok
 	m.lastDataValid, m.lastInstrValid = false, false
 	m.lastDataPageOK, m.lastInstrPageOK = false, false
 }
@@ -280,7 +274,7 @@ func (m *Machine) syncKernel() {
 // batched-vs-scalar equivalence tests use it to drive both paths over
 // identical streams.
 func (m *Machine) setScalarPath(on bool) {
-	m.forceScalar = on
+	m.scalar = on
 	m.syncKernel()
 }
 

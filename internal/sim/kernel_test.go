@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datamime/internal/trace"
@@ -313,30 +314,46 @@ func TestKernelDisabledOnDRRIPL1(t *testing.T) {
 	}
 }
 
-// TestKernelFallsBackOnExoticConfigs pins the fast-path envelope: non-pow2
-// cache set counts and sub-line page sizes route every event through the
-// scalar reference walk.
-func TestKernelFallsBackOnExoticConfigs(t *testing.T) {
-	nonPow2 := Broadwell()
-	nonPow2.L2 = CacheConfig{Name: "L2", SizeBytes: 96 << 10, Ways: 8, Policy: LRU, LatencyCyc: 12}
-	if got := NewCache(nonPow2.L2).setShift; got >= 0 {
-		t.Fatalf("test config is not exotic: setShift %d", got)
+// TestValidateRejectsExoticGeometry pins the kernel's envelope at the
+// configuration boundary: every Table II machine validates and walks the
+// kernel (Silvermont's 12-set TLBs through its division branch), while a
+// non-power-of-two cache set count or a sub-line page is an error naming the
+// offender — there is no scalar fallback to route it through.
+func TestValidateRejectsExoticGeometry(t *testing.T) {
+	for _, cfg := range []MachineConfig{Broadwell(), Zen2(), Silvermont()} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		if NewMachine(cfg, 1e9).scalar {
+			t.Fatalf("%s: not on the kernel path", cfg.Name)
+		}
 	}
-	m := NewMachine(nonPow2, 1e9)
-	if !m.scalar {
-		t.Fatal("non-power-of-two set count must fall back to the scalar walk")
+	m := NewMachine(Silvermont(), 1e9)
+	if m.kern.dtlb.pow2Sets || m.kern.itlb.pow2Sets || m.kern.dtlb.sets != 12 {
+		t.Fatalf("Silvermont TLBs should take the division branch: %+v", m.kern.dtlb)
 	}
-
-	tinyPages := Broadwell()
-	tinyPages.ITLB.PageBytes = 32 // smaller than a cache line
-	tinyPages.DTLB.PageBytes = 32
-	m = NewMachine(tinyPages, 1e9)
-	if !m.scalar {
-		t.Fatal("sub-line pages must fall back to the scalar walk")
-	}
-	// The fallback must still be a working machine.
 	m.Load(0x2000, 128)
 	if acc, _ := m.l1d.Stats(); acc != 2 {
-		t.Fatalf("scalar fallback walked %d lines, want 2", acc)
+		t.Fatalf("kernel walked %d lines, want 2", acc)
+	}
+
+	wideL3 := Broadwell()
+	wideL3.L3 = &CacheConfig{Name: "L3", SizeBytes: 36 << 20, Ways: 24, Policy: DRRIP, LatencyCyc: 40}
+	tinyPages := Broadwell()
+	tinyPages.DTLB.PageBytes = 32 // smaller than a cache line
+	oddPages := Broadwell()
+	oddPages.ITLB.PageBytes = 3 << 10
+	for _, tc := range []struct {
+		cfg  MachineConfig
+		want string
+	}{
+		{wideL3, "cache L3 has 24576 sets"},
+		{tinyPages, "DTLB has 32-byte pages"},
+		{oddPages, "ITLB has 3072-byte pages"},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate() = %v, want an error containing %q", err, tc.want)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"datamime/internal/trace"
+)
 
 // MachineConfig describes one evaluation platform. The three predefined
 // configurations mirror Table II of the paper: an Intel Broadwell Xeon
@@ -66,6 +70,21 @@ func (c MachineConfig) Validate() error {
 	}
 	if c.Overlap < 0 || c.Overlap >= 1 {
 		return fmt.Errorf("sim: machine %q overlap must be in [0, 1)", c.Name)
+	}
+	// The access kernel splits addresses by shift and mask. (TLB set counts
+	// are free: Silvermont's have 12.)
+	for _, cc := range []*CacheConfig{&c.L1I, &c.L1D, &c.L2, c.L3} {
+		if cc == nil { // no L3
+			continue
+		}
+		if sets := cc.Sets(); sets&(sets-1) != 0 {
+			return fmt.Errorf("sim: machine %q cache %s has %d sets; the set count must be a power of two", c.Name, cc.Name, sets)
+		}
+	}
+	for _, tc := range []TLBConfig{c.ITLB, c.DTLB} {
+		if p := tc.PageBytes; p < trace.LineSize || p&(p-1) != 0 {
+			return fmt.Errorf("sim: machine %q %s has %d-byte pages; the page size must be a power-of-two multiple of the %d-byte line", c.Name, tc.Name, p, trace.LineSize)
+		}
 	}
 	return nil
 }
