@@ -50,20 +50,20 @@ wait_http() { # wait_http URL [PATTERN]
 run_job() {
   local coord=$1 spec=$2 out=$3 id state
   id=$(curl -fs -X POST -H 'Content-Type: application/json' \
-    --data-binary "@$spec" "http://$coord/jobs" | json id)
+    --data-binary "@$spec" "http://$coord/v1/jobs" | json id)
   for _ in $(seq 1 300); do
-    state=$(curl -fs "http://$coord/jobs/$id" | json state)
+    state=$(curl -fs "http://$coord/v1/jobs/$id" | json state)
     case "$state" in
       succeeded) break ;;
       failed|canceled)
         echo "job $id on $coord ended $state:" >&2
-        curl -fs "http://$coord/jobs/$id" >&2
+        curl -fs "http://$coord/v1/jobs/$id" >&2
         return 1 ;;
     esac
     sleep 1
   done
   [ "$state" = succeeded ] || { echo "job $id on $coord timed out in state $state" >&2; return 1; }
-  curl -fs "http://$coord/jobs/$id/artifact" > "$out"
+  curl -fs "http://$coord/v1/jobs/$id/artifact" > "$out"
   echo "$id"
 }
 
@@ -115,7 +115,7 @@ curl -fs "http://$COORD_A/metrics" | grep '^datamime_worker_' || {
   echo "no federated worker metrics in coordinator /metrics" >&2; exit 1; }
 
 echo "== exporting and validating the unified fleet trace"
-curl -fs "http://$COORD_A/jobs/$FLEET_JOB/trace" > fleet-trace.json
+curl -fs "http://$COORD_A/v1/jobs/$FLEET_JOB/trace" > fleet-trace.json
 bin/datamime-inspect timeline -artifact run-fleet.jsonl -trace fleet-trace.json
 grep -q '"fleet worker' fleet-trace.json || {
   echo "fleet trace has no per-worker process tracks" >&2; exit 1; }

@@ -7,7 +7,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,9 +47,7 @@ func runCorpusList(args []string) error {
 	defer c.Close()
 	recs := c.Select(corpus.Filter{Scenario: *scenario, Target: *target, Limit: *limit})
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(recs)
+		return writeJSON(os.Stdout, recs)
 	}
 	fmt.Printf("corpus %s: %d runs", c.Dir(), len(recs))
 	if n := c.Len(); n != len(recs) {
@@ -94,19 +91,7 @@ func runCorpusCompare(args []string) error {
 		return err
 	}
 	d := inspect.DiffRuns(a, b, inspect.DiffOptions{Tolerance: *tol})
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(d); err != nil {
-			return err
-		}
-	} else {
-		printDiff(d, *aID, *bID)
-	}
-	if d.Regressed() || (*exact && !d.Identical()) {
-		return errRegressed
-	}
-	return nil
+	return reportDiff(d, *aID, *bID, *asJSON, *exact)
 }
 
 func runCorpusTrends(args []string) error {
@@ -135,9 +120,7 @@ func runCorpusTrends(args []string) error {
 		trends = append(trends, tr)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(trends); err != nil {
+		if err := writeJSON(os.Stdout, trends); err != nil {
 			return err
 		}
 	} else {
@@ -187,7 +170,7 @@ func openCorpus(dir string) (*corpus.Corpus, error) {
 // printCorpusContext appends the "vs. corpus median" section to the timeline
 // report: where this run's convergence and utilization sit relative to the
 // indexed history of the same scenario.
-func printCorpusContext(tl *inspect.Timeline, run *inspect.Run, dir, scenario string) error {
+func printCorpusContext(report *inspect.Report, dir, scenario string) error {
 	c, err := openCorpus(dir)
 	if err != nil {
 		return err
@@ -216,7 +199,7 @@ func printCorpusContext(tl *inspect.Timeline, run *inspect.Run, dir, scenario st
 		busys[i] = rec.BusySeconds
 	}
 	fmt.Printf("\nvs. corpus median (scenario %s, %d runs):\n", scenario, len(recs))
-	if best, ok := run.Best(); ok {
+	if best := report.Best; report.BestFound {
 		fmt.Printf("  best error   %-22s median %-22s (%+g)\n",
 			fmt.Sprintf("%g", best.BestError),
 			fmt.Sprintf("%g", corpus.Median(errs)),
@@ -224,11 +207,8 @@ func printCorpusContext(tl *inspect.Timeline, run *inspect.Run, dir, scenario st
 	}
 	// Remote-only runs have no local worker lanes, so fall back to the fleet
 	// extent for the wall comparison.
-	wallNS := tl.WallNS
-	if wallNS < tl.FleetWallNS {
-		wallNS = tl.FleetWallNS
-	}
-	wall := float64(wallNS) / 1e9
+	tl := report.Timeline
+	wall := float64(max(tl.WallNS, tl.FleetWallNS)) / 1e9
 	busy := float64(tl.BusyNS+tl.FleetBusyNS) / 1e9
 	fmt.Printf("  span extent  %-22s median %-22s (%+.1fs)\n",
 		fmt.Sprintf("%.2fs", wall),

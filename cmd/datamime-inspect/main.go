@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -118,7 +119,7 @@ func runReport(args []string) error {
 			return err
 		}
 	}
-	report := inspect.NewReport(run, doc, inspect.ReportOptions{Title: *title})
+	report := inspect.NewReport(run, doc, *title)
 	if *asJSON {
 		if err := inspect.NewRunSummary(report).WriteJSON(os.Stdout); err != nil {
 			return err
@@ -147,11 +148,9 @@ func runReport(args []string) error {
 		if err != nil {
 			return err
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
 		// A run with no diagnostics writes the literal "null" — still
 		// deterministic, still diffable.
-		if err := enc.Encode(report.Health); err != nil {
+		if err := writeJSON(f, report.Health); err != nil {
 			f.Close()
 			return err
 		}
@@ -184,19 +183,31 @@ func runDiff(args []string) error {
 		return err
 	}
 	d := inspect.DiffRuns(a, b, inspect.DiffOptions{Tolerance: *tol, ErrorTolerance: *errTol})
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(d); err != nil {
+	return reportDiff(d, *aPath, *bPath, *asJSON, *exact)
+}
+
+// reportDiff prints a diff of the runs named a and b in the selected form
+// and maps its verdict onto the exit code: a regression, or under exact any
+// difference, is errRegressed.
+func reportDiff(d *inspect.RunDiff, a, b string, asJSON, exact bool) error {
+	if asJSON {
+		if err := writeJSON(os.Stdout, d); err != nil {
 			return err
 		}
 	} else {
-		printDiff(d, *aPath, *bPath)
+		printDiff(d, a, b)
 	}
-	if d.Regressed() || (*exact && !d.Identical()) {
+	if d.Regressed() || (exact && !d.Identical()) {
 		return errRegressed
 	}
 	return nil
+}
+
+// writeJSON renders v as indented JSON — the form of every -json output.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func printDiff(d *inspect.RunDiff, aPath, bPath string) {
@@ -227,12 +238,13 @@ func runTimeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	tl := inspect.NewTimeline(run)
+	report := inspect.NewReport(run, nil, "")
+	tl := report.Timeline
 	if err := tl.RenderText(os.Stdout); err != nil {
 		return err
 	}
 	if *corpusDir != "" {
-		if err := printCorpusContext(tl, run, *corpusDir, *scenario); err != nil {
+		if err := printCorpusContext(report, *corpusDir, *scenario); err != nil {
 			return err
 		}
 	}
@@ -277,7 +289,7 @@ func runTail(args []string) error {
 		if *job == "" {
 			return fmt.Errorf("tail: -job (or -url) is required")
 		}
-		url = strings.TrimRight(*server, "/") + "/jobs/" + *job + "/events"
+		url = strings.TrimRight(*server, "/") + "/v1/jobs/" + *job + "/events"
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

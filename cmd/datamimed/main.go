@@ -11,15 +11,15 @@
 //
 // Quickstart:
 //
-//	curl -X POST localhost:8080/jobs -d '{"workload":"mem-fb","iterations":200,"parallel":4,"seed":1}'
-//	curl localhost:8080/jobs/job-1            # status + convergence trace
-//	curl localhost:8080/jobs/job-1/result     # best dataset parameters
-//	curl localhost:8080/jobs/job-1/events     # live SSE event stream
-//	curl localhost:8080/jobs/job-1/artifact   # JSONL run artifact
-//	curl localhost:8080/jobs/job-1/report     # self-contained HTML run report
-//	curl localhost:8080/jobs/job-1/profiles   # target + best profiles (JSON)
-//	curl localhost:8080/jobs/job-1/trace      # Chrome/Perfetto trace-event JSON
-//	curl -X POST localhost:8080/jobs/job-1/cancel
+//	curl -X POST localhost:8080/v1/jobs -d '{"workload":"mem-fb","iterations":200,"parallel":4,"seed":1}'
+//	curl localhost:8080/v1/jobs/job-1            # status + convergence trace
+//	curl localhost:8080/v1/jobs/job-1/result     # best dataset parameters
+//	curl localhost:8080/v1/jobs/job-1/events     # live SSE event stream
+//	curl localhost:8080/v1/jobs/job-1/artifact   # JSONL run artifact
+//	curl localhost:8080/v1/jobs/job-1/report     # self-contained HTML run report
+//	curl localhost:8080/v1/jobs/job-1/profiles   # target + best profiles (JSON)
+//	curl localhost:8080/v1/jobs/job-1/trace      # Chrome/Perfetto trace-event JSON
+//	curl -X POST localhost:8080/v1/jobs/job-1/cancel
 //	curl localhost:8080/v1/corpus             # indexed run history (needs -corpus-dir)
 //	curl localhost:8080/metrics               # Prometheus text metrics
 //
@@ -187,7 +187,7 @@ func run(o options) error {
 		fmt.Printf(", /debug/ exposed")
 	}
 	fmt.Println(")")
-	fmt.Printf("submit a job:  curl -X POST localhost%s/jobs -d '{\"workload\":\"mem-fb\",\"iterations\":200,\"parallel\":4}'\n", portSuffix(o.addr))
+	fmt.Printf("submit a job:  curl -X POST localhost%s/v1/jobs -d '{\"workload\":\"mem-fb\",\"iterations\":200,\"parallel\":4}'\n", portSuffix(o.addr))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

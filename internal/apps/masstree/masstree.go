@@ -290,7 +290,7 @@ func (s *Server) Handle(col trace.Collector, rng *stats.RNG) {
 		if handle, ok := s.tree.Get(col, key); ok {
 			_ = handle
 			col.Load(v.addr, v.size)
-			col.Store(s.txBuf, minInt(v.size+24, 32<<10))
+			col.Store(s.txBuf, min(v.size+24, 32<<10))
 			s.lastRp = v.size + 24
 		}
 		s.lastRq = 40
@@ -303,7 +303,7 @@ func (s *Server) Handle(col trace.Collector, rng *stats.RNG) {
 		s.heap.Free(v.addr, v.size)
 		v.addr = s.heap.Alloc(newSize)
 		v.size = newSize
-		col.Load(s.rxBuf, minInt(newSize+40, 32<<10))
+		col.Load(s.rxBuf, min(newSize+40, 32<<10))
 		col.Store(v.addr, newSize)
 		s.tree.Put(col, key, uint64(idx))
 		s.lastRq = newSize + 40
@@ -336,13 +336,6 @@ func (s *Server) LastMessageSizes() (req, resp int) { return s.lastRq, s.lastRp 
 
 // Stats returns request counters.
 func (s *Server) Stats() (gets, puts int) { return s.gets, s.puts }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // YCSBTarget is the masstree target workload of §V-C: masstree driven with
 // YCSB — a large uniform-ish working set with a 50/50 read/update mix.

@@ -132,8 +132,8 @@ func Build(spec NetSpec, layout *trace.CodeLayout, seed uint64) *Model {
 			}
 		case MaxPool2x2:
 			l = layer{kind: MaxPool2x2, inC: c, outC: c, code: m.code.pool}
-			h = maxInt(h/2, 1)
-			w = maxInt(w/2, 1)
+			h = max(h/2, 1)
+			w = max(w/2, 1)
 		case FC:
 			if flat == 0 {
 				flat = c * h * w
@@ -144,7 +144,7 @@ func Build(spec NetSpec, layout *trace.CodeLayout, seed uint64) *Model {
 			} else if outW == 0 {
 				// Hidden FC width defaults to the flattened input width,
 				// capped so a single layer's parameter count stays bounded.
-				outW = minInt(flat, maxFCWidth)
+				outW = min(flat, maxFCWidth)
 			}
 			l = layer{kind: FC, inC: flat, outC: outW, code: m.code.fc}
 			l.weights = make([]float32, outW*flat)
@@ -171,13 +171,6 @@ func Build(spec NetSpec, layout *trace.CodeLayout, seed uint64) *Model {
 		m.layers = append(m.layers, l)
 	}
 	return m
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NumLayers returns the built stage count (including any implicit
@@ -292,13 +285,13 @@ func Synthesize(p SynthParams) NetSpec {
 			k := down[0]
 			down = down[1:]
 			if k == StridedConv3x3 {
-				c := minInt(chans*2, maxChan)
+				c := min(chans*2, maxChan)
 				layers = append(layers, LayerSpec{Kind: StridedConv3x3, OutChannels: c})
 				chans = c
 			} else {
 				layers = append(layers, LayerSpec{Kind: MaxPool2x2})
 			}
-			hw = maxInt(hw/2, 1)
+			hw = max(hw/2, 1)
 			sinceDown = 0
 			continue
 		}
@@ -321,11 +314,4 @@ func Synthesize(p SynthParams) NetSpec {
 		layers = append(layers, LayerSpec{Kind: FC})
 	}
 	return NetSpec{InputC: 3, InputHW: p.InputHW, Layers: layers, Classes: p.Classes}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -84,7 +84,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cap := cfg.Capacity * cfg.ProfileWorkers; cap > 1 {
 		// One machine-wide budget across concurrent evaluations, so
 		// Capacity × ProfileWorkers goroutines never oversubscribe.
-		local.Budget = profile.NewBudget(maxInt(cfg.Capacity, cfg.ProfileWorkers))
+		local.Budget = profile.NewBudget(max(cfg.Capacity, cfg.ProfileWorkers))
 	}
 	var cc *CacheClient
 	if cfg.Coordinator != "" {
@@ -102,13 +102,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	w.reg = w.buildMetrics()
 	return w
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Name returns the worker's self-reported identity.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"datamime/internal/datagen"
@@ -160,9 +161,9 @@ type IterationRecord struct {
 	Diagnostics *opt.Diagnostics `json:"diagnostics,omitempty"`
 }
 
-// EvalEvent describes one finished iteration for live observers (the
-// datamimed service uses it to grow job traces, metrics, and event
-// streams).
+// EvalEvent describes one finished iteration: live, for OnEval observers
+// (the datamimed service grows job traces, metrics, and event streams from
+// it), and read back from an artifact or SSE frame (inspect.Run.Evals).
 type EvalEvent struct {
 	// Record is the trace record; zero-valued except Iteration when
 	// Skipped.
@@ -192,8 +193,9 @@ type EvalEvent struct {
 // artifact and the SSE stream — the one place the eval attribute conventions
 // are written: error/best_error (completed evaluations only), 0/1 flags,
 // sim_cycles, per-metric "emd_*" attribution, per-phase "phase_*_ns"
-// timings, and the skip reason as the message. inspect decodes it. Build it
-// only for an enabled recorder or a sink that wants it: it allocates.
+// timings, and the skip reason as the message. EvalEventFromTelemetry below
+// is its inverse. Build it only for an enabled recorder or a sink that
+// wants it: it allocates.
 func (ev EvalEvent) TelemetryEvent() telemetry.Event {
 	attrs := make(map[string]float64, 4+len(ev.Record.Components)+len(ev.PhaseNS))
 	if !ev.Skipped {
@@ -226,6 +228,46 @@ func (ev EvalEvent) TelemetryEvent() telemetry.Event {
 		Params:  ev.Record.Params,
 		Attrs:   attrs,
 	}
+}
+
+// EvalEventFromTelemetry is the inverse of TelemetryEvent: it decodes an
+// eval event read back from a run artifact or an SSE frame. A completed
+// evaluation without a best_error attribute is an error — every writer sets
+// one, so its absence means the artifact convention was broken, not the file
+// truncated. Record.Diagnostics is not part of the eval event (the snapshot
+// rides on the same iteration's search.diagnostics event) and stays nil.
+func EvalEventFromTelemetry(tev telemetry.Event) (EvalEvent, error) {
+	ev := EvalEvent{
+		Record:    IterationRecord{Iteration: tev.Iter, Params: tev.Params},
+		Skipped:   tev.Skipped,
+		Err:       tev.Msg,
+		Replayed:  tev.Attrs[telemetry.AttrReplayed] != 0,
+		CacheHit:  tev.Attrs[telemetry.AttrCacheHit] != 0,
+		Retried:   tev.Attrs[telemetry.AttrRetried] != 0,
+		SimCycles: tev.Attrs[telemetry.AttrSimCycles],
+	}
+	if !ev.Skipped {
+		best, ok := tev.Attrs[telemetry.AttrBestError]
+		if !ok {
+			return ev, fmt.Errorf("eval event without %s", telemetry.AttrBestError)
+		}
+		ev.Record.Error = tev.Attrs[telemetry.AttrError]
+		ev.Record.BestError = best
+	}
+	for k, v := range tev.Attrs {
+		if name, ok := strings.CutPrefix(k, telemetry.EMDPrefix); ok {
+			if ev.Record.Components == nil {
+				ev.Record.Components = make(map[string]float64)
+			}
+			ev.Record.Components[name] = v
+		} else if name, ok := strings.CutPrefix(k, telemetry.PhaseNSPrefix); ok && strings.HasSuffix(name, "_ns") {
+			if ev.PhaseNS == nil {
+				ev.PhaseNS = make(map[string]int64)
+			}
+			ev.PhaseNS[strings.TrimSuffix(name, "_ns")] = int64(v)
+		}
+	}
+	return ev, nil
 }
 
 // Result is the outcome of a search.

@@ -128,12 +128,100 @@ func TestArtifactReplayMatchesMinEMDTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := telemetry.ReplayBestTrace(&buf)
-	if err != nil {
+	var replayed []float64
+	if _, err := telemetry.ScanJSONL(&buf, func(tev telemetry.Event) error {
+		if tev.Type != telemetry.TypeEval {
+			return nil
+		}
+		ev, err := EvalEventFromTelemetry(tev)
+		if !ev.Skipped {
+			replayed = append(replayed, ev.Record.BestError)
+		}
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(replayed, res.MinEMDTrace()) {
 		t.Fatalf("artifact replay diverged:\nreplayed %v\nin-memory %v", replayed, res.MinEMDTrace())
+	}
+}
+
+// TestEvalEventWireRoundTrip holds the eval encoder and decoder together
+// field by field: every field of EvalEvent and its IterationRecord, set on
+// its own, survives TelemetryEvent -> JSON -> EvalEventFromTelemetry. A field
+// added to a struct alone fails here until both directions know it. The one
+// exception is Record.Diagnostics, which rides on the iteration's
+// search.diagnostics event instead (see EvalEventFromTelemetry).
+func TestEvalEventWireRoundTrip(t *testing.T) {
+	// set gives the field at path a non-zero value of its kind.
+	set := func(path string, f reflect.Value) {
+		switch f.Interface().(type) {
+		case bool:
+			f.SetBool(true)
+		case int:
+			f.SetInt(7)
+		case float64:
+			f.SetFloat(1.5)
+		case string:
+			f.SetString("profiling failed")
+		case []float64:
+			f.Set(reflect.ValueOf([]float64{1.5, 2}))
+		case map[string]float64:
+			f.Set(reflect.ValueOf(map[string]float64{"l1d_mpki": 0.25}))
+		case map[string]int64:
+			f.Set(reflect.ValueOf(map[string]int64{telemetry.PhaseProfile: 1000}))
+		default:
+			t.Fatalf("%s is a %s: teach this test (and the eval wire form) the new kind", path, f.Type())
+		}
+	}
+	// leaves lists the index path of every field the eval event carries.
+	var leaves func(typ reflect.Type, prefix []int) [][]int
+	leaves = func(typ reflect.Type, prefix []int) [][]int {
+		var out [][]int
+		for i := 0; i < typ.NumField(); i++ {
+			path := append(append([]int(nil), prefix...), i)
+			switch ft := typ.Field(i).Type; {
+			case ft == reflect.TypeOf((*opt.Diagnostics)(nil)):
+			case ft.Kind() == reflect.Struct:
+				out = append(out, leaves(ft, path)...)
+			default:
+				out = append(out, path)
+			}
+		}
+		return out
+	}
+	typ := reflect.TypeOf(EvalEvent{})
+	for _, path := range leaves(typ, nil) {
+		var ev EvalEvent
+		name := typ.FieldByIndex(path).Name
+		set(name, reflect.ValueOf(&ev).Elem().FieldByIndex(path))
+		data, err := json.Marshal(ev.TelemetryEvent())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tev telemetry.Event
+		if err := json.Unmarshal(data, &tev); err != nil {
+			t.Fatal(err)
+		}
+		back, err := EvalEventFromTelemetry(tev)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(back, ev) {
+			t.Errorf("%s does not survive the wire (%s):\nin  %+v\nout %+v", name, data, ev, back)
+		}
+	}
+}
+
+// TestEvalEventFromTelemetryRejectsBrokenEval: a syntactically valid
+// completed eval without best_error breaks the artifact convention — a hard
+// error, unlike a truncated line. A skipped iteration carries none.
+func TestEvalEventFromTelemetryRejectsBrokenEval(t *testing.T) {
+	if _, err := EvalEventFromTelemetry(telemetry.Event{Type: telemetry.TypeEval}); err == nil {
+		t.Fatal("eval event without best_error accepted")
+	}
+	if _, err := EvalEventFromTelemetry(telemetry.Event{Type: telemetry.TypeEval, Skipped: true}); err != nil {
+		t.Fatalf("skipped eval event rejected: %v", err)
 	}
 }
 

@@ -133,7 +133,7 @@ func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
 
 	bestA, okA := a.Best()
 	bestB, okB := b.Best()
-	d.BestIter = [2]int{bestA.Iter, bestB.Iter}
+	d.BestIter = [2]int{bestA.Iteration, bestB.Iteration}
 	d.BestError = Delta{Name: "best_error", A: bestA.Error, B: bestB.Error, Delta: bestB.Error - bestA.Error}
 	switch {
 	case okA && !okB:
@@ -146,13 +146,13 @@ func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
 		} else if d.BestError.abs() > tol {
 			differ("best error changed: %.6g -> %.6g (%+.3g)", bestA.Error, bestB.Error, d.BestError.Delta)
 		}
-		if bestA.Iter != bestB.Iter {
-			differ("best iteration moved: %d -> %d", bestA.Iter, bestB.Iter)
+		if bestA.Iteration != bestB.Iteration {
+			differ("best iteration moved: %d -> %d", bestA.Iteration, bestB.Iteration)
 		}
 		d.diffParams(bestA.Params, bestB.Params, tol, differ)
 	}
 
-	d.diffComponents(a.FinalComponents(), b.FinalComponents(), opts, regress, differ)
+	d.diffComponents(bestA.Components, bestB.Components, opts, regress, differ)
 	d.diffSeries(a.BestTrace(), b.BestTrace(), tol, differ)
 
 	switch {

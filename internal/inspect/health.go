@@ -13,6 +13,7 @@ import (
 	"math"
 	"strings"
 
+	"datamime/internal/corpus"
 	"datamime/internal/opt"
 )
 
@@ -41,7 +42,7 @@ const (
 // model-health figures and a heuristic verdict. It is both what the text and
 // HTML reports render and, through its JSON tags, the machine-readable
 // search-health block of `report -json`, `report -diagnostics` and
-// GET /jobs/{id}/diagnostics. Every figure is derived from the search's own
+// GET /v1/jobs/{id}/diagnostics. Every figure is derived from the search's own
 // factorizations — no clocks — so two identically-seeded runs produce
 // byte-equal JSON; the CI inspect-gate relies on that.
 type SearchHealth struct {
@@ -83,6 +84,23 @@ func (h *SearchHealth) VerdictLine() string {
 		return "healthy: calibration near nominal, conditioning clean, acquisition surface still informative"
 	}
 	return strings.Join(h.Verdicts, "; ")
+}
+
+// ModelHealth is the rollup of the aggregate that a corpus record freezes
+// into the index (nil for a run without diagnostics) — the one place
+// corpus.ModelHealth's fields are filled.
+func (h *SearchHealth) ModelHealth() *corpus.ModelHealth {
+	if h == nil {
+		return nil
+	}
+	return &corpus.ModelHealth{
+		Snapshots:        h.Snapshots,
+		MeanCoverage1:    h.MeanCoverage1,
+		MeanCoverage2:    h.MeanCoverage2,
+		FinalLogMarginal: h.FinalLogMarginal,
+		MaxJitterLevel:   h.MaxJitterLevel,
+		Healthy:          h.Healthy,
+	}
 }
 
 // NewSearchHealth distills a run's diagnostics snapshots. Returns nil when
@@ -177,6 +195,27 @@ func SimpleRegret(trace []float64) []float64 {
 	return out
 }
 
+// healthSeries are the per-snapshot plot columns of the search-health
+// section, one value per diagnostics record.
+type healthSeries struct {
+	iters, cov1, cov2, lmls, gaps, lens []float64
+}
+
+// series builds the plot columns both renderers draw (sparklines in text,
+// SVG paths in HTML).
+func (h *SearchHealth) series() healthSeries {
+	var s healthSeries
+	for _, d := range h.Records {
+		s.iters = append(s.iters, float64(d.Iter))
+		s.cov1 = append(s.cov1, d.Coverage1)
+		s.cov2 = append(s.cov2, d.Coverage2)
+		s.lmls = append(s.lmls, d.LogMarginal)
+		s.gaps = append(s.gaps, d.AcqGap())
+		s.lens = append(s.lens, d.LengthScale)
+	}
+	return s
+}
+
 // renderHealthText writes the terminal "search health" section.
 func (r *Report) renderHealthText(b *strings.Builder) {
 	h := r.Health
@@ -186,26 +225,19 @@ func (r *Report) renderHealthText(b *strings.Builder) {
 	recs := h.Records
 	last := recs[len(recs)-1]
 	fmt.Fprintf(b, "\nsearch health (%d GP diagnostics snapshots):\n", len(recs))
-	lmls := make([]float64, len(recs))
-	gaps := make([]float64, len(recs))
-	cov1 := make([]float64, len(recs))
-	for i, d := range recs {
-		lmls[i] = d.LogMarginal
-		gaps[i] = d.AcqGap()
-		cov1[i] = d.Coverage1
-	}
+	s := h.series()
 	fmt.Fprintf(b, "  gp fit: length scale %s, noise frac %s, log marginal %s -> %s  |%s|\n",
 		fnum(last.LengthScale), fnum(last.NoiseFrac),
-		fnum(h.FirstLogMarginal), fnum(h.FinalLogMarginal), sparkline(lmls, 32))
+		fnum(h.FirstLogMarginal), fnum(h.FinalLogMarginal), sparkline(s.lmls, 32))
 	fmt.Fprintf(b, "  calibration: 1σ coverage %s (nominal %s), 2σ %s (nominal %s)  |%s|\n",
 		fpct(h.MeanCoverage1), fpct(NominalCoverage1),
-		fpct(h.MeanCoverage2), fpct(NominalCoverage2), sparkline(cov1, 32))
+		fpct(h.MeanCoverage2), fpct(NominalCoverage2), sparkline(s.cov1, 32))
 	fmt.Fprintf(b, "  loo residuals: rmse %s, max |z| %s over %d observations\n",
 		fnum(last.LOORMSE), fnum(last.LOOMaxZ), last.Observations)
 	fmt.Fprintf(b, "  conditioning: max jitter level %d, condition estimate %.3g\n",
 		h.MaxJitterLevel, h.MaxCondition)
 	fmt.Fprintf(b, "  acquisition: chosen EI %s vs pool mean %s (gap trend |%s|), explore share %s\n",
-		fnum(last.ChosenEI), fnum(last.PoolMeanEI), sparkline(gaps, 32), fpct(h.ExploreShare))
+		fnum(last.ChosenEI), fnum(last.PoolMeanEI), sparkline(s.gaps, 32), fpct(h.ExploreShare))
 	fmt.Fprintf(b, "  verdict: %s\n", h.VerdictLine())
 }
 
@@ -217,28 +249,14 @@ func (r *Report) writeSearchHealthHTML(b *strings.Builder) {
 	if h == nil {
 		return
 	}
-	recs := h.Records
-	iters := make([]float64, len(recs))
-	cov1 := make([]float64, len(recs))
-	cov2 := make([]float64, len(recs))
-	lmls := make([]float64, len(recs))
-	gaps := make([]float64, len(recs))
-	lens := make([]float64, len(recs))
-	for i, d := range recs {
-		iters[i] = float64(d.Iter)
-		cov1[i] = d.Coverage1
-		cov2[i] = d.Coverage2
-		lmls[i] = d.LogMarginal
-		gaps[i] = d.AcqGap()
-		lens[i] = d.LengthScale
-	}
+	s := h.series()
 	b.WriteString("<h2>Search health</h2>\n")
 	cls := "sub"
 	if !h.Healthy {
 		cls = "warn"
 	}
 	fmt.Fprintf(b, "<p class=\"%s\">Verdict: %s.</p>\n", cls, htmlEscape(h.VerdictLine()))
-	fmt.Fprintf(b, "<p class=\"sub\">%d GP diagnostics snapshots — leave-one-out calibration, model evidence, and acquisition-surface health, all derived from the search's own factorizations.</p>\n", len(recs))
+	fmt.Fprintf(b, "<p class=\"sub\">%d GP diagnostics snapshots — leave-one-out calibration, model evidence, and acquisition-surface health, all derived from the search's own factorizations.</p>\n", len(h.Records))
 	b.WriteString(`<div class="grid2">` + "\n")
 
 	// Calibration: observed 1σ/2σ coverage against the nominal Gaussian
@@ -246,7 +264,7 @@ func (r *Report) writeSearchHealthHTML(b *strings.Builder) {
 	b.WriteString("<div><h2>LOO calibration coverage</h2>\n")
 	b.WriteString(`<div class="legend"><span class="t"><i></i>within 1σ</span><span class="b"><i></i>within 2σ</span></div>` + "\n")
 	g := defaultGeom(440, 200)
-	xr := rangeOf(iters).pad()
+	xr := rangeOf(s.iters).pad()
 	yr := axisRange{0, 1}
 	g.openSVG(b, "leave-one-out calibration coverage per iteration vs nominal Gaussian bands")
 	g.writeAxes(b, xr, yr, "iteration", "coverage")
@@ -255,12 +273,12 @@ func (r *Report) writeSearchHealthHTML(b *strings.Builder) {
 		fmt.Fprintf(b, `<line class="axis" stroke-dasharray="4 3" x1="%s" y1="%s" x2="%s" y2="%s"/>`,
 			coord(g.MarginL), coord(py), coord(g.W-g.MarginR), coord(py))
 	}
-	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, iters, cov1))
-	fmt.Fprintf(b, `<path class="best" d="%s"/>`, g.linePath(xr, yr, iters, cov2))
+	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, s.iters, s.cov1))
+	fmt.Fprintf(b, `<path class="best" d="%s"/>`, g.linePath(xr, yr, s.iters, s.cov2))
 	b.WriteString("</svg>\n</div>\n")
 
 	// Simple regret: best-so-far minus final best, over evaluations.
-	if trace := r.Run.BestTrace(); len(trace) > 1 {
+	if trace := r.Trace; len(trace) > 1 {
 		regret := SimpleRegret(trace)
 		xs := make([]float64, len(regret))
 		for i := range xs {
@@ -279,16 +297,16 @@ func (r *Report) writeSearchHealthHTML(b *strings.Builder) {
 	// Model evidence trajectory.
 	b.WriteString("<div><h2>Log marginal likelihood</h2>\n")
 	g = defaultGeom(440, 200)
-	xr = rangeOf(iters).pad()
-	yr = rangeOf(lmls).pad()
+	xr = rangeOf(s.iters).pad()
+	yr = rangeOf(s.lmls).pad()
 	g.openSVG(b, "GP log marginal likelihood of the selected hyperparameters per iteration")
 	g.writeAxes(b, xr, yr, "iteration", "log marginal")
-	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, iters, lmls))
+	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, s.iters, s.lmls))
 	b.WriteString("</svg>\n</div>\n")
 
 	// Hyperparameter trajectory: the ML-selected length scale (log10).
-	logLens := make([]float64, len(lens))
-	for i, v := range lens {
+	logLens := make([]float64, len(s.lens))
+	for i, v := range s.lens {
 		logLens[i] = math.Log10(v)
 	}
 	b.WriteString("<div><h2>Selected length scale</h2>\n")
@@ -296,17 +314,17 @@ func (r *Report) writeSearchHealthHTML(b *strings.Builder) {
 	yr = rangeOf(logLens).pad()
 	g.openSVG(b, "ML-selected kernel length scale per iteration, log10")
 	g.writeAxes(b, xr, yr, "iteration", "log10 length scale")
-	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, iters, logLens))
+	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, s.iters, logLens))
 	b.WriteString("</svg>\n</div>\n")
 
 	// Acquisition gap: chosen EI vs the candidate-pool mean.
 	b.WriteString("<div><h2>Acquisition gap</h2>\n")
 	b.WriteString(`<div class="legend"><span class="t"><i></i>chosen − pool mean EI</span></div>` + "\n")
 	g = defaultGeom(440, 200)
-	yr = rangeOf(gaps).pad()
+	yr = rangeOf(s.gaps).pad()
 	g.openSVG(b, "acquisition gap: chosen candidate EI minus pool mean, per iteration")
 	g.writeAxes(b, xr, yr, "iteration", "EI gap")
-	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, iters, gaps))
+	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.linePath(xr, yr, s.iters, s.gaps))
 	b.WriteString("</svg>\n</div>\n")
 
 	b.WriteString("</div>\n")

@@ -133,7 +133,7 @@ func TestHealthRendersInReports(t *testing.T) {
 		t.Fatalf("diagnostics not parsed: %+v", run.Diagnostics)
 	}
 
-	report := NewReport(run, nil, ReportOptions{})
+	report := NewReport(run, nil, "")
 	var text bytes.Buffer
 	if err := report.RenderText(&text); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestHealthRendersInReports(t *testing.T) {
 // TestNewDiagRecordMatchesEventRecord: a snapshot taken off a live trace
 // record and the same snapshot decoded from its search.diagnostics artifact
 // event must be identical records, or
-// GET /jobs/{id}/diagnostics and report -json would disagree.
+// GET /v1/jobs/{id}/diagnostics and report -json would disagree.
 func TestNewDiagRecordMatchesEventRecord(t *testing.T) {
 	d := opt.Diagnostics{
 		LengthScale: 0.2, NoiseFrac: 1e-2, SignalVar: 2.5, LogMarginal: -7.5,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"html"
 	"io"
-	"sort"
 	"strings"
 
 	"datamime/internal/profile"
@@ -87,7 +86,7 @@ func (r *Report) RenderHTML(w io.Writer) error {
 // writeSummaryHTML renders the run-summary table.
 func (r *Report) writeSummaryHTML(b *strings.Builder) {
 	run := r.Run
-	c := run.Counts()
+	c := r.Counts
 	b.WriteString("<h2>Run summary</h2>\n<table>\n<tbody>\n")
 	row := func(k, v string) {
 		fmt.Fprintf(b, "<tr><th>%s</th><td>%s</td></tr>\n", htmlEscape(k), htmlEscape(v))
@@ -98,14 +97,10 @@ func (r *Report) writeSummaryHTML(b *strings.Builder) {
 	row("Iterations", fmt.Sprintf("%d (evals %d, skipped %d, retried %d, replayed %d)",
 		len(run.Evals), c.Evals, c.Skipped, c.Retried, c.Replayed))
 	row("Eval cache", fmt.Sprintf("%d hits, %d misses%s", c.CacheHits, c.Misses, hitRateSuffix(c)))
-	if best, ok := run.Best(); ok {
-		row("Best error", fmt.Sprintf("%s at iteration %d", fnum(best.Error), best.Iter))
-		if len(best.Params) > 0 {
-			vals := make([]string, len(best.Params))
-			for i, p := range best.Params {
-				vals[i] = fnum(p)
-			}
-			row("Best params", "["+strings.Join(vals, " ")+"]")
+	if r.BestFound {
+		row("Best error", fmt.Sprintf("%s at iteration %d", fnum(r.Best.Error), r.Best.Iteration))
+		if len(r.Best.Params) > 0 {
+			row("Best params", "["+fnums(r.Best.Params)+"]")
 		}
 	}
 	if r.Profiles.Complete() {
@@ -118,15 +113,12 @@ func (r *Report) writeSummaryHTML(b *strings.Builder) {
 // writeConvergenceHTML renders the Fig. 10-style convergence plot: one gray
 // dot per evaluation's error plus the running-minimum step line.
 func (r *Report) writeConvergenceHTML(b *strings.Builder) {
-	var iters, errs, bestIters, bests []float64
-	for _, rec := range r.Run.Evals {
-		if rec.Skipped {
-			continue
+	var iters, errs []float64
+	for _, e := range r.Run.Evals {
+		if !e.Skipped {
+			iters = append(iters, float64(e.Record.Iteration))
+			errs = append(errs, e.Record.Error)
 		}
-		iters = append(iters, float64(rec.Iter))
-		errs = append(errs, rec.Error)
-		bestIters = append(bestIters, float64(rec.Iter))
-		bests = append(bests, rec.BestError)
 	}
 	if len(iters) == 0 {
 		return
@@ -135,7 +127,7 @@ func (r *Report) writeConvergenceHTML(b *strings.Builder) {
 	b.WriteString(`<div class="legend"><span class="e"><i></i>evaluation error</span><span class="t"><i></i>best error so far</span></div>` + "\n")
 	g := defaultGeom(920, 260)
 	xr := rangeOf(iters).pad()
-	yr := rangeOf(errs, bests).pad()
+	yr := rangeOf(errs, r.Trace).pad()
 	g.openSVG(b, "convergence of the search: per-evaluation error and running minimum")
 	g.writeAxes(b, xr, yr, "iteration", "error")
 	for i := range iters {
@@ -143,7 +135,7 @@ func (r *Report) writeConvergenceHTML(b *strings.Builder) {
 		fmt.Fprintf(b, `<circle class="evalpt" cx="%s" cy="%s" r="2.5"><title>iter %d: %s</title></circle>`,
 			coord(px), coord(py), int(iters[i]), fnum(errs[i]))
 	}
-	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.stepPath(xr, yr, bestIters, bests))
+	fmt.Fprintf(b, `<path class="target" d="%s"/>`, g.stepPath(xr, yr, iters, r.Trace))
 	b.WriteString("</svg>\n")
 }
 
@@ -180,19 +172,12 @@ func bandStrip(a Attribution) string {
 	var b strings.Builder
 	b.WriteString(`<div class="bandstrip">`)
 	for i, band := range a.Bands {
-		shade := bandRamp[i*len(bandRamp)/maxInt(len(a.Bands), 1)]
+		shade := bandRamp[i*len(bandRamp)/max(len(a.Bands), 1)]
 		fmt.Fprintf(&b, `<span style="width:%.1f%%;background:%s" title="%s: %s"></span>`,
 			band.Share*100, shade, bandLabel(a.Kind, i, len(a.Bands), band), fpct(band.Share))
 	}
 	b.WriteString("</div>")
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeOverlaysHTML renders one target-vs-best plot per component: eCDF
@@ -282,21 +267,11 @@ func (r *Report) writePhasesHTML(b *strings.Builder) {
 	if len(r.Run.Phases) == 0 {
 		return
 	}
-	names := make([]string, 0, len(r.Run.Phases))
-	for k := range r.Run.Phases {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	fmt.Fprintf(b, "<h2>Phase timings</h2>\n<p class=\"sub\">%d spans recorded in the artifact.</p>\n<table>\n", r.Run.Spans)
 	b.WriteString("<thead><tr><th>phase</th><th class=\"num\">count</th><th class=\"num\">total</th><th class=\"num\">mean</th></tr></thead>\n<tbody>\n")
-	for _, name := range names {
-		st := r.Run.Phases[name]
-		mean := int64(0)
-		if st.Count > 0 {
-			mean = st.TotalNS / int64(st.Count)
-		}
+	for _, row := range r.Run.phaseRows() {
 		fmt.Fprintf(b, "<tr><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%s</td><td class=\"num\">%s</td></tr>\n",
-			htmlEscape(name), st.Count, fms(st.TotalNS), fms(mean))
+			htmlEscape(row.Name), row.Stat.Count, fms(row.Stat.TotalNS), fms(row.MeanNS))
 	}
 	b.WriteString("</tbody>\n</table>\n")
 }

@@ -26,7 +26,6 @@ package inspect
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"datamime/internal/core"
 	"datamime/internal/profile"
@@ -34,7 +33,7 @@ import (
 
 // ProfilesDoc pairs the target profile of a search with the profile of its
 // best candidate — the distributions behind the run's final error. It is the
-// payload of datamimed's GET /jobs/{id}/profiles and of cmd/datamime's
+// payload of datamimed's GET /v1/jobs/{id}/profiles and of cmd/datamime's
 // -profiles output, and the input the report renderer overlays eCDFs from.
 // Either side may be nil (metric-objective jobs have no target profile;
 // unfinished jobs have no best).
@@ -56,7 +55,7 @@ func (d *ProfilesDoc) EncodeJSON() ([]byte, error) {
 }
 
 // DecodeProfilesDoc parses a ProfilesDoc produced by EncodeJSON (or served
-// by GET /jobs/{id}/profiles).
+// by GET /v1/jobs/{id}/profiles).
 func DecodeProfilesDoc(data []byte) (*ProfilesDoc, error) {
 	var d ProfilesDoc
 	if err := json.Unmarshal(data, &d); err != nil {
@@ -69,18 +68,6 @@ func DecodeProfilesDoc(data []byte) (*ProfilesDoc, error) {
 // eCDF overlays and quantile-band attribution can be computed.
 func (d *ProfilesDoc) Complete() bool {
 	return d != nil && d.Target != nil && d.Best != nil
-}
-
-// sortedComponentNames returns the component names of a map in stable
-// (lexicographic) order. Rendering and diffing iterate maps only through
-// this.
-func sortedComponentNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // componentKind classifies a component name as a distribution or a

@@ -6,21 +6,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"datamime/internal/core"
 )
 
-// ReportOptions configures report construction.
-type ReportOptions struct {
-	// Title heads the report (default: the run's job ID or "datamime run").
-	Title string
-	// Bands are the quantile-band boundaries for the EMD attribution
-	// (nil selects DefaultBands).
-	Bands []float64
-}
-
 // Report is the assembled view of one run: the parsed artifact, the
-// target/best profile pair (when available), and the ranked error
-// attribution. Build it with NewReport, render it with RenderText or
-// RenderHTML; both renderers are deterministic functions of the report.
+// target/best profile pair (when available), the ranked error attribution,
+// and every figure derived from the evaluation history. NewReport computes
+// each once; the text and HTML renderers, the JSON summary, the service's
+// corpus record and the CLIs are views that read these fields. All renderers
+// are deterministic functions of the report.
 type Report struct {
 	Title    string
 	Run      *Run
@@ -29,24 +24,36 @@ type Report struct {
 	// profiles it carries quantile-band decompositions; otherwise it falls
 	// back to the artifact's recorded per-metric totals (no bands).
 	Attribution []Attribution
+	// Counts tallies the evaluation history.
+	Counts Counts
+	// Best is the run's best evaluation, valid when BestFound (false for a
+	// run with no completed evaluation).
+	Best      core.IterationRecord
+	BestFound bool
+	// Trace is the best-error-so-far series over the completed evaluations
+	// — the Fig. 10 convergence curve.
+	Trace []float64
 	// Health is the run's search-health aggregate (nil when the artifact
 	// carries no diagnostics) and Timeline its span-derived utilization
-	// analysis. NewReport computes each once; the text, HTML and JSON
-	// renderers all read these.
+	// analysis.
 	Health   *SearchHealth
 	Timeline *Timeline
 }
 
-// NewReport assembles a report. profiles may be nil; the eCDF overlays and
-// quantile-band attribution then degrade to what the artifact alone records.
-func NewReport(run *Run, profiles *ProfilesDoc, opts ReportOptions) *Report {
+// NewReport assembles a report; an empty title defaults to the run's job ID
+// or "datamime run". profiles may be nil; the eCDF overlays and quantile-band
+// attribution then degrade to what the artifact alone records.
+func NewReport(run *Run, profiles *ProfilesDoc, title string) *Report {
 	r := &Report{
-		Title:    opts.Title,
+		Title:    title,
 		Run:      run,
 		Profiles: profiles,
+		Counts:   run.Counts(),
+		Trace:    run.BestTrace(),
 		Health:   NewSearchHealth(run),
 		Timeline: NewTimeline(run),
 	}
+	r.Best, r.BestFound = run.Best()
 	if r.Title == "" {
 		if run.Job != "" {
 			r.Title = run.Job
@@ -55,16 +62,17 @@ func NewReport(run *Run, profiles *ProfilesDoc, opts ReportOptions) *Report {
 		}
 	}
 	if profiles.Complete() {
-		r.Attribution = AttributeProfiles(profiles.Target, profiles.Best, opts.Bands)
-	} else if comps := run.FinalComponents(); len(comps) > 0 {
-		for _, name := range sortedComponentNames(comps) {
+		r.Attribution = AttributeProfiles(profiles.Target, profiles.Best, nil)
+	} else {
+		for name, dist := range r.Best.Components {
 			r.Attribution = append(r.Attribution, Attribution{
 				Component: name,
 				Kind:      componentKind(name),
-				Distance:  comps[name],
+				Distance:  dist,
 			})
 		}
-		sort.SliceStable(r.Attribution, func(i, j int) bool {
+		// A total order (names are unique), so map order cannot leak.
+		sort.Slice(r.Attribution, func(i, j int) bool {
 			if r.Attribution[i].Distance != r.Attribution[j].Distance {
 				return r.Attribution[i].Distance > r.Attribution[j].Distance
 			}
@@ -86,6 +94,15 @@ func (r *Report) totalAttribution() float64 {
 // fnum renders a value with six significant digits — enough to identify a
 // run, short enough for a table.
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+
+// fnums renders a parameter vector, space-separated.
+func fnums(vs []float64) string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fnum(v)
+	}
+	return strings.Join(out, " ")
+}
 
 // fpct renders a fraction as a percentage.
 func fpct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
@@ -155,21 +172,16 @@ func (r *Report) RenderText(w io.Writer) error {
 	if run.Malformed > 0 {
 		fmt.Fprintf(&b, "warning: %d malformed artifact line(s) skipped\n", run.Malformed)
 	}
-	c := run.Counts()
+	c := r.Counts
 	fmt.Fprintf(&b, "\niterations %d: evals %d, skipped %d, cache hits %d, retried %d, replayed %d\n",
 		len(run.Evals), c.Evals, c.Skipped, c.CacheHits, c.Retried, c.Replayed)
 
-	if best, ok := run.Best(); ok {
-		fmt.Fprintf(&b, "best error %s at iteration %d\n", fnum(best.Error), best.Iter)
-		if len(best.Params) > 0 {
-			vals := make([]string, len(best.Params))
-			for i, p := range best.Params {
-				vals[i] = fnum(p)
-			}
-			fmt.Fprintf(&b, "best params [%s]\n", strings.Join(vals, " "))
+	if r.BestFound {
+		fmt.Fprintf(&b, "best error %s at iteration %d\n", fnum(r.Best.Error), r.Best.Iteration)
+		if len(r.Best.Params) > 0 {
+			fmt.Fprintf(&b, "best params [%s]\n", fnums(r.Best.Params))
 		}
-		trace := run.BestTrace()
-		if len(trace) > 1 {
+		if trace := r.Trace; len(trace) > 1 {
 			fmt.Fprintf(&b, "convergence %s -> %s  |%s|\n",
 				fnum(trace[0]), fnum(trace[len(trace)-1]), sparkline(trace, 48))
 		}
@@ -243,24 +255,37 @@ func (r *Report) renderAttributionText(b *strings.Builder) {
 	}
 }
 
+// phaseRow is one line of the phase-timings table.
+type phaseRow struct {
+	Name   string
+	Stat   PhaseStat
+	MeanNS int64
+}
+
+// phaseRows lists the aggregated span timings in phase-name order — the one
+// listing both renderers tabulate.
+func (r *Run) phaseRows() []phaseRow {
+	rows := make([]phaseRow, 0, len(r.Phases))
+	for name, st := range r.Phases {
+		row := phaseRow{Name: name, Stat: st}
+		if st.Count > 0 {
+			row.MeanNS = st.TotalNS / int64(st.Count)
+		}
+		rows = append(rows, row)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
+	return rows
+}
+
 // renderPhasesText writes the aggregated span timings.
 func (r *Report) renderPhasesText(b *strings.Builder) {
 	if len(r.Run.Phases) == 0 {
 		return
 	}
-	names := make([]string, 0, len(r.Run.Phases))
-	for k := range r.Run.Phases {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	fmt.Fprintf(b, "\nphase timings (%d spans):\n", r.Run.Spans)
 	fmt.Fprintf(b, "  %-16s %6s %12s %12s\n", "phase", "count", "total", "mean")
-	for _, name := range names {
-		st := r.Run.Phases[name]
-		mean := int64(0)
-		if st.Count > 0 {
-			mean = st.TotalNS / int64(st.Count)
-		}
-		fmt.Fprintf(b, "  %-16s %6d %12s %12s\n", name, st.Count, fms(st.TotalNS), fms(mean))
+	for _, row := range r.Run.phaseRows() {
+		fmt.Fprintf(b, "  %-16s %6d %12s %12s\n",
+			row.Name, row.Stat.Count, fms(row.Stat.TotalNS), fms(row.MeanNS))
 	}
 }

@@ -17,7 +17,7 @@ func testReport(t *testing.T) *Report {
 	run := loadTestRun(t, testArtifact())
 	target, best := testProfilePair()
 	doc := &ProfilesDoc{Job: "job-1", Target: target, Best: best}
-	return NewReport(run, doc, ReportOptions{})
+	return NewReport(run, doc, "")
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -101,7 +101,7 @@ func TestFixtureJSONGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReport(run, nil, ReportOptions{})
+	r := NewReport(run, nil, "")
 	var summary bytes.Buffer
 	if err := NewRunSummary(r).WriteJSON(&summary); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestFixtureJSONGoldens(t *testing.T) {
 // no profile pair is available.
 func TestReportWithoutProfiles(t *testing.T) {
 	run := loadTestRun(t, testArtifact())
-	r := NewReport(run, nil, ReportOptions{Title: "fallback"})
+	r := NewReport(run, nil, "fallback")
 	if len(r.Attribution) != 2 {
 		t.Fatalf("attribution %+v", r.Attribution)
 	}

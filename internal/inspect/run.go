@@ -4,32 +4,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"datamime/internal/core"
 	"datamime/internal/opt"
 	"datamime/internal/telemetry"
 )
-
-// EvalRecord is one search iteration reconstructed from a run artifact's
-// eval event.
-type EvalRecord struct {
-	Iter      int
-	Skipped   bool
-	CacheHit  bool
-	Retried   bool
-	Replayed  bool
-	Error     float64
-	BestError float64
-	Params    []float64
-	// Components is the per-metric EMD attribution ("emd_*" attrs, prefix
-	// stripped).
-	Components map[string]float64
-	// PhaseNS maps phase names to wall-clock nanoseconds ("phase_*_ns"
-	// attrs, affixes stripped).
-	PhaseNS map[string]int64
-	// Note carries the event's message (the skip reason, usually).
-	Note string
-}
 
 // PhaseStat aggregates the span events of one pipeline phase.
 type PhaseStat struct {
@@ -57,8 +36,8 @@ type Run struct {
 	Job string
 	// Header is the artifact's first log line, when present.
 	Header string
-	// Evals holds one record per eval event, in stream order.
-	Evals []EvalRecord
+	// Evals holds one decoded eval event per iteration, in stream order.
+	Evals []core.EvalEvent
 	// Phases aggregates span events by phase name.
 	Phases map[string]PhaseStat
 	// Spans counts span events consumed.
@@ -94,10 +73,9 @@ func NewRun(events []telemetry.Event) (*Run, error) {
 }
 
 // LoadRun parses a JSONL run artifact. Malformed lines are skipped and
-// counted (Run.Malformed) rather than failing the load, matching
-// telemetry.ReplayBestTrace's tolerance for mid-write truncation; only I/O
-// errors and structurally broken eval events (valid JSON missing the
-// best_error attribute) are fatal.
+// counted (Run.Malformed) rather than failing the load, so an artifact cut
+// mid-write still reads; only I/O errors and structurally broken eval events
+// (valid JSON missing the best_error attribute) are fatal.
 func LoadRun(r io.Reader) (*Run, error) {
 	run := &Run{Phases: make(map[string]PhaseStat)}
 	var err error
@@ -136,11 +114,11 @@ func (run *Run) add(ev telemetry.Event) error {
 			run.UnstampedSpans++
 		}
 	case telemetry.TypeEval:
-		rec, err := evalRecord(ev)
+		eval, err := core.EvalEventFromTelemetry(ev)
 		if err != nil {
 			return err
 		}
-		run.Evals = append(run.Evals, rec)
+		run.Evals = append(run.Evals, eval)
 	case telemetry.TypeSearchDiagnostics:
 		run.Diagnostics = append(run.Diagnostics,
 			DiagRecord{Iter: ev.Iter, Diagnostics: opt.DiagnosticsFromAttrs(ev.Attrs)})
@@ -162,52 +140,13 @@ func LoadRunFile(path string) (*Run, error) {
 	return run, nil
 }
 
-// evalRecord converts one eval event, splitting the attribute conventions
-// (emd_*, phase_*_ns, 0/1 flags) back into typed fields — the inverse of
-// core.EvalEvent.TelemetryEvent.
-func evalRecord(ev telemetry.Event) (EvalRecord, error) {
-	rec := EvalRecord{
-		Iter:    ev.Iter,
-		Skipped: ev.Skipped,
-		Params:  ev.Params,
-		Note:    ev.Msg,
-	}
-	if !ev.Skipped {
-		best, err := ev.BestError()
-		if err != nil {
-			return rec, err
-		}
-		rec.BestError = best
-		rec.Error = ev.Attrs[telemetry.AttrError]
-	}
-	rec.CacheHit = ev.Attrs[telemetry.AttrCacheHit] != 0
-	rec.Retried = ev.Attrs[telemetry.AttrRetried] != 0
-	rec.Replayed = ev.Attrs[telemetry.AttrReplayed] != 0
-	for k, v := range ev.Attrs {
-		switch {
-		case strings.HasPrefix(k, telemetry.EMDPrefix):
-			if rec.Components == nil {
-				rec.Components = make(map[string]float64)
-			}
-			rec.Components[strings.TrimPrefix(k, telemetry.EMDPrefix)] = v
-		case strings.HasPrefix(k, telemetry.PhaseNSPrefix) && strings.HasSuffix(k, "_ns"):
-			if rec.PhaseNS == nil {
-				rec.PhaseNS = make(map[string]int64)
-			}
-			name := strings.TrimSuffix(strings.TrimPrefix(k, telemetry.PhaseNSPrefix), "_ns")
-			rec.PhaseNS[name] = int64(v)
-		}
-	}
-	return rec, nil
-}
-
 // BestTrace returns the best-error-so-far series over the non-skipped
 // evals, in stream order — the Fig. 10 convergence curve.
 func (r *Run) BestTrace() []float64 {
 	var out []float64
-	for _, rec := range r.Evals {
-		if !rec.Skipped {
-			out = append(out, rec.BestError)
+	for _, e := range r.Evals {
+		if !e.Skipped {
+			out = append(out, e.Record.BestError)
 		}
 	}
 	return out
@@ -215,28 +154,29 @@ func (r *Run) BestTrace() []float64 {
 
 // Best returns the run's best evaluation: the earliest non-skipped record
 // with the minimum error. ok is false when the run has no evaluations.
-func (r *Run) Best() (rec EvalRecord, ok bool) {
+func (r *Run) Best() (rec core.IterationRecord, ok bool) {
 	for _, e := range r.Evals {
 		if e.Skipped {
 			continue
 		}
-		if !ok || e.Error < rec.Error {
-			rec, ok = e, true
+		if !ok || e.Record.Error < rec.Error {
+			rec, ok = e.Record, true
 		}
 	}
 	return rec, ok
 }
 
-// Counts summarizes the evaluation history.
+// Counts summarizes the evaluation history. The JSON tags are the run
+// summary's (RunSummary embeds it).
 type Counts struct {
-	Evals     int // non-skipped evaluations
-	Skipped   int
-	CacheHits int
+	Evals     int `json:"evals"` // non-skipped evaluations
+	Skipped   int `json:"skipped"`
+	CacheHits int `json:"cache_hits"`
 	// Misses counts non-skipped evaluations that simulated a fresh profile
 	// (CacheHits + Misses = Evals).
-	Misses   int
-	Retried  int
-	Replayed int
+	Misses   int `json:"cache_misses"`
+	Retried  int `json:"retried"`
+	Replayed int `json:"replayed"`
 }
 
 // Counts tallies the run's evaluation records.
@@ -261,14 +201,4 @@ func (r *Run) Counts() Counts {
 		}
 	}
 	return c
-}
-
-// FinalComponents returns the per-metric attribution of the best
-// evaluation, or nil when the run carries none.
-func (r *Run) FinalComponents() map[string]float64 {
-	best, ok := r.Best()
-	if !ok {
-		return nil
-	}
-	return best.Components
 }

@@ -62,7 +62,7 @@ func TestLoadRunParsesArtifact(t *testing.T) {
 		t.Errorf("Counts %+v", c)
 	}
 	bestRec, ok := run.Best()
-	if !ok || bestRec.Error != 0.4 || bestRec.Iter != 4 {
+	if !ok || bestRec.Error != 0.4 || bestRec.Iteration != 4 {
 		t.Errorf("Best %+v ok=%v", bestRec, ok)
 	}
 	trace := run.BestTrace()
@@ -75,12 +75,8 @@ func TestLoadRunParsesArtifact(t *testing.T) {
 			t.Errorf("trace[%d] = %g, want %g", i, trace[i], want[i])
 		}
 	}
-	comps := run.FinalComponents()
-	if comps["cpu_util"] != 0.25 || comps["l2_mpki"] != 0.15 {
-		t.Errorf("FinalComponents %v", comps)
-	}
-	if bestRec.Components["cpu_util"] != 0.25 {
-		t.Errorf("best record components %v", bestRec.Components)
+	if comps := bestRec.Components; comps["cpu_util"] != 0.25 || comps["l2_mpki"] != 0.15 {
+		t.Errorf("best record components %v", comps)
 	}
 	if run.Evals[len(run.Evals)-1].PhaseNS["profile"] != 1000000 {
 		t.Errorf("PhaseNS %v", run.Evals[len(run.Evals)-1].PhaseNS)

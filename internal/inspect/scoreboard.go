@@ -135,7 +135,7 @@ func writeConvergenceOverlay(b *strings.Builder, group []ScoreboardRun) {
 	b.WriteString("</div>\n")
 
 	g := defaultGeom(920, 260)
-	xr := axisRange{Lo: 0, Hi: float64(maxInt(maxLen-1, 1))}.pad()
+	xr := axisRange{Lo: 0, Hi: float64(max(maxLen-1, 1))}.pad()
 	yr := rangeOf(all...).pad()
 	g.openSVG(b, "best-error-so-far trajectories overlaid across runs")
 	g.writeAxes(b, xr, yr, "evaluation", "best error")

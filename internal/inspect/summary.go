@@ -3,7 +3,6 @@ package inspect
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // RunSummary is the machine-readable distillation of one run report: best
@@ -28,12 +27,7 @@ type RunSummary struct {
 	// a rendering concern; the summary carries the component totals).
 	Attribution []ComponentSummary `json:"attribution,omitempty"`
 
-	Evals     int `json:"evals"`
-	Skipped   int `json:"skipped"`
-	CacheHits int `json:"cache_hits"`
-	Misses    int `json:"cache_misses"`
-	Retried   int `json:"retried"`
-	Replayed  int `json:"replayed"`
+	Counts
 	Malformed int `json:"malformed,omitempty"`
 	Spans     int `json:"spans,omitempty"`
 
@@ -80,25 +74,17 @@ type TimelineSummary struct {
 // NewRunSummary distills a report into its machine-readable summary.
 func NewRunSummary(r *Report) RunSummary {
 	run := r.Run
-	counts := run.Counts()
 	s := RunSummary{
 		Job:        run.Job,
 		Header:     run.Header,
-		Trajectory: run.BestTrace(),
-		Evals:      counts.Evals,
-		Skipped:    counts.Skipped,
-		CacheHits:  counts.CacheHits,
-		Misses:     counts.Misses,
-		Retried:    counts.Retried,
-		Replayed:   counts.Replayed,
+		BestFound:  r.BestFound,
+		BestError:  r.Best.BestError,
+		BestIter:   r.Best.Iteration,
+		Params:     r.Best.Params,
+		Trajectory: r.Trace,
+		Counts:     r.Counts,
 		Malformed:  run.Malformed,
 		Spans:      run.Spans,
-	}
-	if best, ok := run.Best(); ok {
-		s.BestFound = true
-		s.BestError = best.BestError
-		s.BestIter = best.Iter
-		s.Params = best.Params
 	}
 	for _, a := range r.Attribution {
 		s.Attribution = append(s.Attribution, ComponentSummary{
@@ -109,13 +95,8 @@ func NewRunSummary(r *Report) RunSummary {
 	}
 	if len(run.Phases) > 0 {
 		s.PhaseSeconds = make(map[string]float64, len(run.Phases))
-		names := make([]string, 0, len(run.Phases))
-		for name := range run.Phases {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			s.PhaseSeconds[name] = float64(run.Phases[name].TotalNS) / 1e9
+		for name, st := range run.Phases {
+			s.PhaseSeconds[name] = float64(st.TotalNS) / 1e9
 		}
 	}
 	s.Diagnostics = r.Health

@@ -18,7 +18,7 @@ func TestRunSummaryJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := NewReport(run, nil, ReportOptions{})
+	rep := NewReport(run, nil, "")
 	sum := NewRunSummary(rep)
 
 	if !sum.BestFound || sum.BestError != 0.3 || sum.BestIter != 1 {

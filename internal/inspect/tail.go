@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 
+	"datamime/internal/core"
 	"datamime/internal/telemetry"
 )
 
@@ -23,7 +24,7 @@ type TailStats struct {
 	FinalState string
 }
 
-// Follow connects to a datamimed SSE event stream (GET /jobs/{id}/events)
+// Follow connects to a datamimed SSE event stream (GET /v1/jobs/{id}/events)
 // and renders each frame as one line on w until the job reaches a terminal
 // state, the context is canceled, or the stream drops. It is the engine of
 // `datamime-inspect tail`.
@@ -137,25 +138,26 @@ func renderFrame(event, data string) (line, kind string) {
 		if err := json.Unmarshal([]byte(data), &ev); err != nil {
 			return "", ""
 		}
-		rec, err := evalRecord(ev)
+		eval, err := core.EvalEventFromTelemetry(ev)
 		if err != nil {
 			return fmt.Sprintf("iter %4d  (unparseable eval: %v)", ev.Iter, err), telemetry.TypeEval
 		}
-		if rec.Skipped {
-			msg := rec.Note
+		rec := eval.Record
+		if eval.Skipped {
+			msg := eval.Err
 			if msg == "" {
 				msg = "skipped"
 			}
-			return fmt.Sprintf("iter %4d  skipped: %s", rec.Iter, msg), telemetry.TypeEval
+			return fmt.Sprintf("iter %4d  skipped: %s", rec.Iteration, msg), telemetry.TypeEval
 		}
 		var flags []string
-		if rec.CacheHit {
+		if eval.CacheHit {
 			flags = append(flags, "cache")
 		}
-		if rec.Retried {
+		if eval.Retried {
 			flags = append(flags, "retried")
 		}
-		if rec.Replayed {
+		if eval.Replayed {
 			flags = append(flags, "replayed")
 		}
 		suffix := ""
@@ -163,7 +165,7 @@ func renderFrame(event, data string) (line, kind string) {
 			suffix = "  [" + strings.Join(flags, ",") + "]"
 		}
 		return fmt.Sprintf("iter %4d  error %-12s best %-12s%s",
-			rec.Iter, fnum(rec.Error), fnum(rec.BestError), suffix), telemetry.TypeEval
+			rec.Iteration, fnum(rec.Error), fnum(rec.BestError), suffix), telemetry.TypeEval
 	case telemetry.TypeSpan:
 		var ev telemetry.Event
 		if err := json.Unmarshal([]byte(data), &ev); err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // sseServer serves a canned event stream the way datamimed's
-// GET /jobs/{id}/events does.
+// GET /v1/jobs/{id}/events does.
 func sseServer(t *testing.T, frames []string) *httptest.Server {
 	t.Helper()
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

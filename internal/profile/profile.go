@@ -265,7 +265,7 @@ func (pr *Profiler) curveWays() []int {
 	}
 	ways := make([]int, 0, points)
 	for i := 0; i < points; i++ {
-		w := 1 + i*(total-1)/maxInt(points-1, 1)
+		w := 1 + i*(total-1)/max(points-1, 1)
 		if len(ways) == 0 || ways[len(ways)-1] != w {
 			ways = append(ways, w)
 		}
@@ -644,11 +644,4 @@ type paddedCursor struct {
 	_ [64]byte
 	n atomic.Int64
 	_ [56]byte
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -73,8 +73,9 @@ func (s *Server) persist(job *Job) {
 }
 
 // loadCheckpoints restores jobs from the checkpoint directory: finished
-// jobs become queryable again (their traces rebuilt from checkpoints), and
-// unfinished ones are re-queued with their checkpoints as warm starts.
+// jobs become queryable again (their traces and event logs rebuilt from
+// checkpoints), and unfinished ones are re-queued with their checkpoints as
+// warm starts.
 func (s *Server) loadCheckpoints() error {
 	dir := s.cfg.CheckpointDir
 	if dir == "" {
@@ -122,14 +123,22 @@ func (s *Server) loadCheckpoints() error {
 		if seq := jobSeq(p.ID); seq >= s.nextID {
 			s.nextID = seq + 1
 		}
-		// Rebuild the trace for finished jobs so status and result stay
-		// queryable across restarts; resumed jobs rebuild theirs live.
+		// Rebuild the trace, counters and event log of finished jobs from
+		// what the checkpoint knows, so status, result, artifact and report
+		// stay queryable across restarts; resumed jobs rebuild theirs live.
+		// The events carry no clock (no timeline, an empty trace export).
 		if job.state.terminal() {
 			close(job.done)
 			if space, err := s.specSpace(p.Spec); err == nil {
-				job.trace = traceFromCheckpoint(space, p.Checkpoint)
-				job.evals = len(job.trace)
-				job.skipped = len(p.Checkpoint.Entries) - len(job.trace)
+				for _, ev := range evalsFromCheckpoint(space, p.Checkpoint) {
+					job.addEval(ev, 0)
+				}
+				// Which evaluations hit the cache is not checkpointed; their
+				// number is, with the result.
+				if p.Result != nil {
+					job.cacheHits = p.Result.CacheHits
+				}
+				job.cacheMisses = job.evals - job.cacheHits
 			}
 		}
 		s.jobs[job.id] = job

@@ -131,51 +131,42 @@ func (s *Server) indexRun(job *Job) {
 	result := job.result
 	job.mu.Unlock()
 
+	// The record is a view of the run's report: every figure below is read
+	// off it, none derived a second time.
+	report := inspect.NewReport(run, nil, "")
+	tl := report.Timeline
 	rec := corpus.Record{
-		ID:         job.ID(),
-		Scenario:   scenarioHash(spec),
-		Target:     targetOf(spec),
-		Generator:  spec.Generator,
-		Seed:       spec.Seed,
-		Backend:    backendName,
-		Build:      buildinfo.Read().String(),
-		FinishedAt: time.Now().UTC(),
+		ID:             job.ID(),
+		Scenario:       scenarioHash(spec),
+		Target:         targetOf(spec),
+		Generator:      spec.Generator,
+		Seed:           spec.Seed,
+		Backend:        backendName,
+		Build:          buildinfo.Read().String(),
+		BestIter:       report.Best.Iteration,
+		Components:     report.Best.Components,
+		Iterations:     spec.Iterations,
+		Evals:          report.Counts.Evals,
+		CacheHits:      report.Counts.CacheHits,
+		Skipped:        report.Counts.Skipped,
+		TrajectoryHash: corpus.TrajectoryHash(report.Trace),
+		BusySeconds:    float64(tl.BusyNS+tl.FleetBusyNS) / 1e9,
+		FleetProcesses: len(tl.Fleet),
+		RemoteShare:    tl.RemoteShare(),
+		ModelHealth:    report.Health.ModelHealth(),
+		FinishedAt:     time.Now().UTC(),
 	}
 	if rec.Generator == "" {
 		rec.Generator = s.workloadGenerator(spec.Workload)
 	}
-	rec.Components = run.FinalComponents()
 	if result != nil {
 		rec.BestError = result.BestError
 		if len(rec.Components) == 0 {
 			rec.Components = result.Components
 		}
 	}
-	if best, ok := run.Best(); ok {
-		rec.BestIter = best.Iter
-	}
-	counts := run.Counts()
-	rec.Iterations = spec.Iterations
-	rec.Evals = counts.Evals
-	rec.CacheHits = counts.CacheHits
-	rec.Skipped = counts.Skipped
-	rec.TrajectoryHash = corpus.TrajectoryHash(run.BestTrace())
 	if !started.IsZero() {
 		rec.WallSeconds = time.Since(started).Seconds()
-	}
-	tl := inspect.NewTimeline(run)
-	rec.BusySeconds = float64(tl.BusyNS+tl.FleetBusyNS) / 1e9
-	rec.FleetProcesses = len(tl.Fleet)
-	rec.RemoteShare = tl.RemoteShare()
-	if h := inspect.NewSearchHealth(run); h != nil {
-		rec.ModelHealth = &corpus.ModelHealth{
-			Snapshots:        h.Snapshots,
-			MeanCoverage1:    h.MeanCoverage1,
-			MeanCoverage2:    h.MeanCoverage2,
-			FinalLogMarginal: h.FinalLogMarginal,
-			MaxJitterLevel:   h.MaxJitterLevel,
-			Healthy:          h.Healthy,
-		}
 	}
 
 	var baseline *corpus.Record

@@ -151,10 +151,10 @@ func TestCorpusWatchdogFlagsRegression(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", spec, &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/events")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

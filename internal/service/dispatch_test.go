@@ -238,7 +238,7 @@ func TestOversizeBodiesRejected(t *testing.T) {
 	defer ts.Close()
 
 	for _, tc := range []struct{ method, path, field string }{
-		{"POST", "/jobs", "generator"},
+		{"POST", "/v1/jobs", "generator"},
 		{"PUT", "/v1/cache/k", "benchmark"},
 		{"POST", "/v1/workers", "url"},
 	} {
@@ -261,6 +261,6 @@ func TestOversizeBodiesRejected(t *testing.T) {
 		t.Error("oversize PUT reached the cache")
 	}
 	if n := len(svc.Jobs()); n != 0 {
-		t.Errorf("oversize POST /jobs enqueued %d jobs", n)
+		t.Errorf("oversize POST /v1/jobs enqueued %d jobs", n)
 	}
 }

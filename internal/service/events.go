@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"datamime/internal/core"
 	"datamime/internal/telemetry"
 )
 
@@ -14,12 +13,7 @@ import (
 // `event: span` phase timings when the job runs with telemetry, closing
 // with `event: done` once the job reaches a terminal state. Subscribers
 // joining mid-run first receive the full backlog.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
@@ -90,22 +84,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // artifactEvents assembles a job's complete artifact event sequence: the
 // header log line followed by every recorded event. Jobs restored from disk
-// (whose in-memory event log is gone) get eval events synthesized from the
-// checkpoint-rebuilt trace, which persists results but not cache/timing
-// detail.
+// carry the eval events loadCheckpoints rebuilt, which hold results and
+// attribution but no cache or timing detail.
 func artifactEvents(j *Job) []telemetry.Event {
 	j.mu.Lock()
 	events := append([]telemetry.Event(nil), j.events...)
-	trace := append([]core.IterationRecord(nil), j.trace...)
 	state := j.state
 	j.mu.Unlock()
-	if len(events) == 0 {
-		for _, rec := range trace {
-			ev := core.EvalEvent{Record: rec}.TelemetryEvent()
-			ev.Job = j.ID()
-			events = append(events, ev)
-		}
-	}
 	header := telemetry.Event{
 		Type: telemetry.TypeLog,
 		Job:  j.ID(),
@@ -115,14 +100,9 @@ func artifactEvents(j *Job) []telemetry.Event {
 }
 
 // handleArtifact exports a job's JSONL run artifact: a log header line
-// followed by every recorded event. telemetry.ReplayBestTrace over the
-// artifact reconstructs the job's best-error series exactly.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+// followed by every recorded event. inspect.LoadRun over the artifact
+// reconstructs the job's best-error series exactly.
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", j.ID()+".jsonl"))
@@ -133,12 +113,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // (load it at https://ui.perfetto.dev). Jobs restored from disk have no
 // timed events, so their traces are empty by design — the checkpoint
 // persists results, not wall-clock timings.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", j.ID()+".trace.json"))

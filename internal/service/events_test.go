@@ -12,12 +12,14 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"datamime/internal/datagen"
 	"datamime/internal/inspect"
 	"datamime/internal/opt"
 	"datamime/internal/telemetry"
+	"datamime/internal/workload"
 )
 
 // newTelemetryServer is newTestServer with per-job telemetry enabled.
@@ -85,11 +87,11 @@ func TestSSEStreamsEventsInOrder(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(iterations, 21), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(iterations, 21), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/events")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func bayesSpec(iterations int, seed uint64) JobSpec {
 
 // TestSSEDiagnosticsFramesPrecedeDone: a GP-backed job's event stream carries
 // search.diagnostics frames, every one of them strictly before the terminal
-// done frame, and GET /jobs/{id}/diagnostics serves the matching summary.
+// done frame, and GET /v1/jobs/{id}/diagnostics serves the matching summary.
 func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -160,10 +162,10 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/events")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 		State       JobState
 		Diagnostics *inspect.SearchHealth `json:"diagnostics"`
 	}
-	if code := httpJSON(t, ts, "GET", "/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
 		t.Fatalf("GET diagnostics = %d", code)
 	}
 	if diag.Diagnostics == nil {
@@ -217,7 +219,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 		t.Fatalf("summary records %d != snapshots %d",
 			len(diag.Diagnostics.Records), diag.Diagnostics.Snapshots)
 	}
-	if code := httpJSON(t, ts, "GET", "/jobs/nope/diagnostics", nil, nil); code != http.StatusNotFound {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/nope/diagnostics", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("missing job diagnostics = %d, want 404", code)
 	}
 
@@ -228,7 +230,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 }
 
 // TestDiagnosticsLiveMatchesOffline: for one seeded GP job, the diagnostics
-// block GET /jobs/{id}/diagnostics serves from memory is byte-equal to the
+// block GET /v1/jobs/{id}/diagnostics serves from memory is byte-equal to the
 // search health computed offline from the job's downloaded artifact — and a
 // server without telemetry, whose event log carries no search.diagnostics
 // events and so takes the snapshots off the trace records, serves the same
@@ -242,25 +244,25 @@ func TestDiagnosticsLiveMatchesOffline(t *testing.T) {
 		var submitted struct {
 			ID string `json:"id"`
 		}
-		if code := httpJSON(t, ts, "POST", "/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
+		if code := httpJSON(t, ts, "POST", "/v1/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
 			t.Fatalf("submit = %d", code)
 		}
 		waitFor(t, "job to succeed", func() bool {
 			var st JobStatus
-			httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+			httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 			return st.State == JobSucceeded
 		})
 		var diag struct {
 			Diagnostics json.RawMessage `json:"diagnostics"`
 		}
-		if code := httpJSON(t, ts, "GET", "/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
+		if code := httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
 			t.Fatalf("GET diagnostics = %d", code)
 		}
 		var compact bytes.Buffer
 		if err := json.Compact(&compact, diag.Diagnostics); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/artifact")
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/artifact")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,12 +307,12 @@ func TestSSEClientDisconnect(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(500, 8), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(500, 8), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/jobs/"+submitted.ID+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+submitted.ID+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,12 +325,12 @@ func TestSSEClientDisconnect(t *testing.T) {
 	resp.Body.Close()
 	waitFor(t, "subscriber cleanup after disconnect", func() bool { return svc.metrics.sseActive.Value() == 0 })
 
-	if code := httpJSON(t, ts, "POST", "/jobs/"+submitted.ID+"/cancel", nil, nil); code != http.StatusOK {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs/"+submitted.ID+"/cancel", nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel = %d", code)
 	}
 	waitFor(t, "job to cancel", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobCanceled
 	})
 }
@@ -345,12 +347,12 @@ func TestSSESubscriberLifecycle(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(100_000, 5), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(100_000, 5), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to run", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobRunning
 	})
 	// The running job's batch goroutines come and go, so the baseline is a
@@ -362,7 +364,7 @@ func TestSSESubscriberLifecycle(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var resps []*http.Response
 		for i := 0; i < subscribers; i++ {
-			req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/jobs/"+submitted.ID+"/events", nil)
+			req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+submitted.ID+"/events", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,12 +389,12 @@ func TestSSESubscriberLifecycle(t *testing.T) {
 		})
 	}
 
-	if code := httpJSON(t, ts, "POST", "/jobs/"+submitted.ID+"/cancel", nil, nil); code != http.StatusOK {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs/"+submitted.ID+"/cancel", nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel = %d", code)
 	}
 	waitFor(t, "job to cancel", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobCanceled
 	})
 }
@@ -409,13 +411,13 @@ func TestArtifactReplaysJobTrace(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(10, 4), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(10, 4), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	var st JobStatus
 	waitFor(t, "job to succeed", func() bool {
 		st = JobStatus{}
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
 	want := make([]float64, len(st.Trace))
@@ -423,7 +425,7 @@ func TestArtifactReplaysJobTrace(t *testing.T) {
 		want[i] = rec.BestError
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/artifact")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/artifact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,10 +433,11 @@ func TestArtifactReplaysJobTrace(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("artifact = %d", resp.StatusCode)
 	}
-	replayed, err := telemetry.ReplayBestTrace(resp.Body)
+	run, err := inspect.LoadRun(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	replayed := run.BestTrace()
 	if !reflect.DeepEqual(replayed, want) {
 		t.Fatalf("artifact replay diverged:\nreplayed %v\njob      %v", replayed, want)
 	}
@@ -449,7 +452,7 @@ func TestArtifactReplaysJobTrace(t *testing.T) {
 	var listing struct {
 		Jobs []JobStatus `json:"jobs"`
 	}
-	httpJSON(t, ts, "GET", "/jobs", nil, &listing)
+	httpJSON(t, ts, "GET", "/v1/jobs", nil, &listing)
 	if len(listing.Jobs) != 1 {
 		t.Fatalf("listing has %d jobs", len(listing.Jobs))
 	}
@@ -469,13 +472,13 @@ func TestArtifactFromRestoredJob(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(6, 13), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(6, 13), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	var st JobStatus
 	waitFor(t, "job to succeed", func() bool {
 		st = JobStatus{}
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
 	want := make([]float64, len(st.Trace))
@@ -489,16 +492,133 @@ func TestArtifactFromRestoredJob(t *testing.T) {
 	defer svc2.Close()
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
-	resp, err := ts2.Client().Get(ts2.URL + fmt.Sprintf("/jobs/%s/artifact", submitted.ID))
+	resp, err := ts2.Client().Get(ts2.URL + fmt.Sprintf("/v1/jobs/%s/artifact", submitted.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	replayed, err := telemetry.ReplayBestTrace(resp.Body)
+	run, err := inspect.LoadRun(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	replayed := run.BestTrace()
 	if !reflect.DeepEqual(replayed, want) {
 		t.Fatalf("restored artifact diverged:\nreplayed %v\nwant     %v", replayed, want)
+	}
+}
+
+// flakyGenerator is testGenerator under another name whose listed Benchmark
+// calls (1-based, counted per instance) return an unrunnable benchmark, so
+// profiling that candidate fails.
+func flakyGenerator(breakOn ...int32) datagen.Generator {
+	var calls atomic.Int32
+	good := testGenerator()
+	gen := good
+	gen.Name = "kv-flaky"
+	gen.Benchmark = func(x []float64) workload.Benchmark {
+		n := calls.Add(1)
+		for _, b := range breakOn {
+			if n == b {
+				return workload.Benchmark{Name: "kv-flaky"} // no QPS, no factory
+			}
+		}
+		return good.Benchmark(x)
+	}
+	return gen
+}
+
+// TestRestoredJobKeepsWhatCheckpointKnows: a finished job restored from its
+// checkpoint reads like the live one wherever the checkpoint recorded the
+// answer. The search skips one iteration (both attempts fail) and retries
+// another; after a restart the artifact summarizes to the same evaluation
+// and skip counts, best point, trajectory and per-metric attribution, the
+// status counters still satisfy hits + misses = evaluations, and /events
+// replays the iterations before `done`.
+func TestRestoredJobKeepsWhatCheckpointKnows(t *testing.T) {
+	dir := t.TempDir()
+	newServer := func(gen datagen.Generator) *Server {
+		s, err := New(Config{Workers: 1, CheckpointDir: dir, Generators: []datagen.Generator{gen}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// summarize reads a job's artifact and status the way a client would.
+	summarize := func(ts *httptest.Server, id string) (inspect.RunSummary, JobStatus) {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/artifact")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		run, err := inspect.LoadRun(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st JobStatus
+		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
+		return inspect.NewRunSummary(inspect.NewReport(run, nil, "")), st
+	}
+
+	// Serial, so Benchmark calls map onto iterations: calls 3 and 4 are
+	// iteration 2 and its retry (skipped); call 6 is iteration 4's first
+	// attempt, whose retry succeeds.
+	svc := newServer(flakyGenerator(3, 4, 6))
+	ts := httptest.NewServer(svc.Handler())
+	spec := profileSpec(testTargetProfile(t), 6, 17)
+	spec.Generator = "kv-flaky"
+	spec.Parallel = 1
+	spec.OnEvalError = "retry-skip"
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &submitted); code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	waitFor(t, "job to succeed", func() bool {
+		var st JobStatus
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
+		return st.State == JobSucceeded
+	})
+	live, liveSt := summarize(ts, submitted.ID)
+	ts.Close()
+	svc.Close()
+	// Retried counts the skipped iteration too: its retry ran, and failed.
+	if live.Evals != 5 || live.Skipped != 1 || live.Retried != 2 || len(live.Attribution) == 0 {
+		t.Fatalf("live run is not the scenario this test needs: %+v", live)
+	}
+
+	svc2 := newServer(flakyGenerator())
+	defer svc2.Close()
+	ts2 := httptest.NewServer(svc2.Handler())
+	defer ts2.Close()
+	restored, st := summarize(ts2, submitted.ID)
+
+	if restored.Counts != live.Counts {
+		t.Errorf("restored counts %+v, live %+v", restored.Counts, live.Counts)
+	}
+	if restored.BestFound != live.BestFound || restored.BestError != live.BestError ||
+		restored.BestIter != live.BestIter || !reflect.DeepEqual(restored.Params, live.Params) {
+		t.Errorf("restored best (%v, %g @ %d, %v), live (%v, %g @ %d, %v)",
+			restored.BestFound, restored.BestError, restored.BestIter, restored.Params,
+			live.BestFound, live.BestError, live.BestIter, live.Params)
+	}
+	if !reflect.DeepEqual(restored.Trajectory, live.Trajectory) {
+		t.Errorf("restored trajectory %v, live %v", restored.Trajectory, live.Trajectory)
+	}
+	if !reflect.DeepEqual(restored.Attribution, live.Attribution) {
+		t.Errorf("restored artifact attributes %d components, live %d:\nrestored %+v\nlive     %+v",
+			len(restored.Attribution), len(live.Attribution), restored.Attribution, live.Attribution)
+	}
+	if st.Evaluations != liveSt.Evaluations || st.Skipped != liveSt.Skipped ||
+		st.CacheHits != liveSt.CacheHits || st.CacheHits+st.CacheMisses != st.Evaluations {
+		t.Errorf("restored status: evaluations %d, skipped %d, cache hits %d + misses %d; live: %d, %d, %d + %d",
+			st.Evaluations, st.Skipped, st.CacheHits, st.CacheMisses,
+			liveSt.Evaluations, liveSt.Skipped, liveSt.CacheHits, liveSt.CacheMisses)
+	}
+
+	tail, err := inspect.Follow(context.Background(), ts2.Client(),
+		ts2.URL+"/v1/jobs/"+submitted.ID+"/events", io.Discard)
+	if err != nil || !tail.Done || tail.Evals != 6 {
+		t.Errorf("restored /events: %+v, err %v; want 6 eval frames then done", tail, err)
 	}
 }

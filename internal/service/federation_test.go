@@ -249,7 +249,7 @@ func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 	// The unified trace carries the remote spans on fleet process tracks.
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + job.ID() + "/trace")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + job.ID() + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}

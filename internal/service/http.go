@@ -10,26 +10,27 @@ import (
 
 // Handler returns the service's HTTP API:
 //
-//	POST /jobs               submit a JobSpec, returns {"id": ...}
-//	GET  /jobs               list job summaries
-//	GET  /jobs/{id}          full status + convergence trace (?since=N
-//	                         returns only trace records from index N)
-//	GET  /jobs/{id}/result   the final result (409 until the job is done)
-//	GET  /jobs/{id}/events   live SSE stream of eval events + phase spans
-//	GET  /jobs/{id}/artifact JSONL run artifact (telemetry.ReplayBestTrace
-//	                         reconstructs the convergence series from it)
-//	GET  /jobs/{id}/trace    Chrome/Perfetto trace-event JSON timeline of
-//	                         the job's spans (open at ui.perfetto.dev)
-//	GET  /jobs/{id}/report   self-contained HTML run report (convergence
-//	                         plot, EMD attribution, eCDF overlays)
-//	GET  /jobs/{id}/diagnostics
-//	                         GP search-health summary + per-iteration
-//	                         model diagnostics (calibration, evidence,
-//	                         conditioning, acquisition health)
-//	GET  /jobs/{id}/profiles target + best-candidate profiles as JSON
-//	POST /jobs/{id}/cancel   cancel a queued or running job
-//	GET  /metrics            Prometheus text-format metrics registry
-//	GET  /healthz            liveness probe
+//	POST /v1/jobs               submit a JobSpec, returns {"id": ...}
+//	GET  /v1/jobs               list job summaries
+//	GET  /v1/jobs/{id}          full status + convergence trace (?since=N
+//	                            returns only trace records from index N)
+//	GET  /v1/jobs/{id}/result   the final result (409 until the job is done)
+//	GET  /v1/jobs/{id}/events   live SSE stream of eval events + phase spans
+//	GET  /v1/jobs/{id}/artifact JSONL run artifact (inspect.LoadRun reads it
+//	                            back; its best-error series is the job's
+//	                            convergence trace exactly)
+//	GET  /v1/jobs/{id}/trace    Chrome/Perfetto trace-event JSON timeline of
+//	                            the job's spans (open at ui.perfetto.dev)
+//	GET  /v1/jobs/{id}/report   self-contained HTML run report (convergence
+//	                            plot, EMD attribution, eCDF overlays)
+//	GET  /v1/jobs/{id}/diagnostics
+//	                            GP search-health summary + per-iteration
+//	                            model diagnostics (calibration, evidence,
+//	                            conditioning, acquisition health)
+//	GET  /v1/jobs/{id}/profiles target + best-candidate profiles as JSON
+//	POST /v1/jobs/{id}/cancel   cancel a queued or running job
+//	GET  /metrics               Prometheus text-format metrics registry
+//	GET  /healthz               liveness probe
 //
 // The distributed evaluation plane (protocol v1, see internal/backend):
 //
@@ -55,30 +56,54 @@ import (
 // A request body past maxBodyBytes is refused with 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/corpus", s.handleCorpus)
-	mux.HandleFunc("GET /v1/corpus/{scenario}/trends", s.handleCorpusTrends)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
-	mux.HandleFunc("POST /v1/workers", s.handleWorkerAnnounce)
-	mux.HandleFunc("DELETE /v1/workers", s.handleWorkerWithdraw)
-	mux.HandleFunc("GET /v1/workers", s.handleWorkerList)
-	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("GET /jobs", s.handleList)
-	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /jobs/{id}/artifact", s.handleArtifact)
-	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /jobs/{id}/report", s.handleReport)
-	mux.HandleFunc("GET /jobs/{id}/diagnostics", s.handleDiagnostics)
-	mux.HandleFunc("GET /jobs/{id}/profiles", s.handleProfiles)
-	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	for pattern, handler := range s.routes() {
+		mux.HandleFunc(pattern, handler)
+	}
 	return http.MaxBytesHandler(mux, maxBodyBytes)
+}
+
+// routes is the table Handler registers from, by ServeMux pattern.
+// Everything but the two operational probes lives under /v1
+// (TestRoutesAreVersioned).
+func (s *Server) routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"POST /v1/jobs":                    s.handleSubmit,
+		"GET /v1/jobs":                     s.handleList,
+		"GET /v1/jobs/{id}":                s.withJob(s.handleStatus),
+		"GET /v1/jobs/{id}/result":         s.withJob(s.handleResult),
+		"GET /v1/jobs/{id}/events":         s.withJob(s.handleEvents),
+		"GET /v1/jobs/{id}/artifact":       s.withJob(s.handleArtifact),
+		"GET /v1/jobs/{id}/trace":          s.withJob(s.handleTrace),
+		"GET /v1/jobs/{id}/report":         s.withJob(s.handleReport),
+		"GET /v1/jobs/{id}/diagnostics":    s.withJob(s.handleDiagnostics),
+		"GET /v1/jobs/{id}/profiles":       s.withJob(s.handleProfiles),
+		"POST /v1/jobs/{id}/cancel":        s.handleCancel,
+		"GET /v1/cache/{key}":              s.handleCacheGet,
+		"PUT /v1/cache/{key}":              s.handleCachePut,
+		"POST /v1/workers":                 s.handleWorkerAnnounce,
+		"DELETE /v1/workers":               s.handleWorkerWithdraw,
+		"GET /v1/workers":                  s.handleWorkerList,
+		"GET /v1/fleet":                    s.handleFleet,
+		"GET /v1/corpus":                   s.handleCorpus,
+		"GET /v1/corpus/{scenario}/trends": s.handleCorpusTrends,
+		"GET /metrics":                     s.handleMetrics,
+		"GET /healthz": func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		},
+	}
+}
+
+// withJob adapts a handler of one job to its {id} route: the lookup, and the
+// 404 for an unknown ID, are written here once.
+func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *Job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.Job(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+			return
+		}
+		h(w, r, j)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -141,12 +166,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": out})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, j *Job) {
 	since := 0
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -159,12 +179,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status(since))
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *Job) {
 	st := j.status(0)
 	switch {
 	case st.Result != nil:

@@ -40,7 +40,7 @@ func (s JobState) terminal() bool {
 // ProfilingSpec overrides profiler budget knobs per job; zero fields keep
 // the machine defaults (see profile.New). It lists profile.Spec's budgets a
 // second time because its omitempty tags and persisted bytes (checkpoints,
-// GET /jobs/{id}) cannot be the always-marshaled wire form;
+// GET /v1/jobs/{id}) cannot be the always-marshaled wire form;
 // TestSpecFieldsAreCovered holds the two listings together field by field.
 type ProfilingSpec struct {
 	WindowCycles      float64 `json:"window_cycles,omitempty"`
@@ -58,7 +58,7 @@ type ProfilingSpec struct {
 	ProfileWorkers int `json:"profile_workers,omitempty"`
 }
 
-// JobSpec describes one search job, as submitted over POST /jobs. Exactly
+// JobSpec describes one search job, as submitted over POST /v1/jobs. Exactly
 // one objective source must be given: a registered workload (its hidden
 // target is profiled first and the workload's generator is the default), an
 // inline target profile (the paper's share-profiles-not-data workflow), or
@@ -160,7 +160,7 @@ type JobResult struct {
 	Components map[string]float64 `json:"components,omitempty"`
 }
 
-// JobStatus is the JSON view of a job returned by GET /jobs/{id}.
+// JobStatus is the JSON view of a job returned by GET /v1/jobs/{id}.
 type JobStatus struct {
 	ID    string   `json:"id"`
 	State JobState `json:"state"`
@@ -218,7 +218,7 @@ type Job struct {
 
 	// targetProf is the profile the search matches (nil for single-metric
 	// objectives); bestProf is the profile measured at the best parameters.
-	// Both back GET /jobs/{id}/profiles and the HTML report's eCDF
+	// Both back GET /v1/jobs/{id}/profiles and the HTML report's eCDF
 	// overlays. Not persisted: restarts recover them from the shared
 	// evaluation cache when possible (see jobProfiles).
 	targetProf *profile.Profile
@@ -248,7 +248,7 @@ type Job struct {
 	finished time.Time
 
 	// events is the append-only telemetry event log backing
-	// GET /jobs/{id}/events and /artifact: one eval event per iteration
+	// GET /v1/jobs/{id}/events and /artifact: one eval event per iteration
 	// (always, even with telemetry disabled) interleaved with phase spans
 	// when the job runs with telemetry. eventsSig is closed and replaced
 	// whenever events grows or the job reaches a terminal state, waking
@@ -311,6 +311,32 @@ func (j *Job) status(since int) JobStatus {
 		st.Finished = &t
 	}
 	return st
+}
+
+// addEval folds one finished iteration into the job — trace, counters and,
+// encoded by TelemetryEvent and stamped timeNS, the event log — and wakes SSE
+// subscribers. It is the one fold: a live search feeds it from OnEval, a
+// restart from the checkpoint's rebuilt events.
+func (j *Job) addEval(ev core.EvalEvent, timeNS int64) {
+	tev := ev.TelemetryEvent()
+	tev.Job = j.id
+	tev.TimeNS = timeNS
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if ev.Skipped {
+		j.skipped++
+	} else {
+		j.trace = append(j.trace, ev.Record)
+		j.evals++
+		if ev.CacheHit {
+			j.cacheHits++
+		} else {
+			j.cacheMisses++
+		}
+		j.simCycles += ev.SimCycles
+	}
+	j.events = append(j.events, tev)
+	j.wakeLocked()
 }
 
 // appendEvent appends one telemetry event to the job's event log and wakes
@@ -463,25 +489,31 @@ func (s *Server) effectiveProfileWorkers(spec JobSpec) int {
 	return s.cfg.DefaultProfileWorkers
 }
 
-// traceFromCheckpoint rebuilds the convergence trace of a persisted job
-// (checkpoints store normalized points and errors; profiles are not
-// persisted).
-func traceFromCheckpoint(space *opt.Space, cp core.Checkpoint) []core.IterationRecord {
-	var trace []core.IterationRecord
+// evalsFromCheckpoint rebuilds the eval events of a persisted job, one per
+// checkpoint entry — skipped iterations with their error, completed ones with
+// their parameters, running best and attribution. Checkpoints store
+// normalized points and errors; what they do not store (per-evaluation cache
+// hits, cycles, timings) stays zero.
+func evalsFromCheckpoint(space *opt.Space, cp core.Checkpoint) []core.EvalEvent {
+	evals := make([]core.EvalEvent, 0, len(cp.Entries))
 	best := math.Inf(1)
 	for _, ent := range cp.Entries {
-		if ent.Skipped {
-			continue
+		ev := core.EvalEvent{
+			Record:  core.IterationRecord{Iteration: ent.Iteration},
+			Skipped: ent.Skipped,
+			Err:     ent.Err,
+			Retried: ent.Retried,
 		}
-		if ent.Y < best {
-			best = ent.Y
+		if !ent.Skipped {
+			if ent.Y < best {
+				best = ent.Y
+			}
+			ev.Record.Params = space.Denormalize(ent.U)
+			ev.Record.Error = ent.Y
+			ev.Record.BestError = best
+			ev.Record.Components = ent.Components
 		}
-		trace = append(trace, core.IterationRecord{
-			Iteration: ent.Iteration,
-			Params:    space.Denormalize(ent.U),
-			Error:     ent.Y,
-			BestError: best,
-		})
+		evals = append(evals, ev)
 	}
-	return trace
+	return evals
 }

@@ -95,12 +95,12 @@ func TestMetricsExposition(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(500, 17), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(500, 17), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to make progress", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.TraceLen >= 2
 	})
 
@@ -195,12 +195,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// …and disappear once it terminates.
-	if code := httpJSON(t, ts, "POST", "/jobs/"+submitted.ID+"/cancel", nil, nil); code != http.StatusOK {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs/"+submitted.ID+"/cancel", nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel = %d", code)
 	}
 	waitFor(t, "job to cancel", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobCanceled
 	})
 	for _, s := range scrape(t, ts) {

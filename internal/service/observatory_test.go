@@ -24,12 +24,12 @@ func TestObservatoryMetricsFamilies(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(6, 31), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(6, 31), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to finish", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State.terminal()
 	})
 
@@ -83,12 +83,12 @@ func TestJobStatusCacheMissMetrics(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(6, 5), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(6, 5), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	var st JobStatus
 	waitFor(t, "job to finish", func() bool {
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
 	if st.Evaluations == 0 {
@@ -103,7 +103,7 @@ func TestJobStatusCacheMissMetrics(t *testing.T) {
 	}
 
 	// The raw JSON must expose the field under its documented name.
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID)
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestJobStatusCacheMissMetrics(t *testing.T) {
 	}
 }
 
-// TestJobTraceEndpointTelemetry: GET /jobs/{id}/trace exports a structurally
+// TestJobTraceEndpointTelemetry: GET /v1/jobs/{id}/trace exports a structurally
 // valid Perfetto trace with worker tracks for a telemetry-enabled job.
 func TestJobTraceEndpointTelemetry(t *testing.T) {
 	svc := newTelemetryServer(t, "")
@@ -128,16 +128,16 @@ func TestJobTraceEndpointTelemetry(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(4, 11), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(4, 11), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to finish", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State.terminal()
 	})
 
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/trace")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestJobTraceEndpointTelemetry(t *testing.T) {
 		t.Errorf("trace has no worker tracks: %+v", st)
 	}
 
-	if code := httpJSON(t, ts, "GET", "/jobs/no-such/trace", nil, nil); code != http.StatusNotFound {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/no-such/trace", nil, nil); code != http.StatusNotFound {
 		t.Errorf("missing-job trace = %d, want 404", code)
 	}
 }
@@ -202,7 +202,7 @@ func TestSSESlowConsumerBacklogDrop(t *testing.T) {
 
 	respCh := make(chan *http.Response, 1)
 	go func() {
-		resp, err := ts.Client().Get(ts.URL + "/jobs/job-slow/events")
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/job-slow/events")
 		if err != nil {
 			t.Error(err)
 			close(respCh)
@@ -264,15 +264,15 @@ func TestSSEBacklogDefaultKeepsEverything(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(5, 13), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(5, 13), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to finish", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/events")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 
 	"datamime/internal/core"
@@ -89,15 +88,10 @@ func (s *Server) workloadGenerator(workload string) string {
 	return w.Generator.Name
 }
 
-// handleProfiles serves GET /jobs/{id}/profiles: the target and best-
+// handleProfiles serves GET /v1/jobs/{id}/profiles: the target and best-
 // candidate profiles (per-metric sample distributions, from which clients
 // compute eCDFs) plus the final per-component error attribution.
-func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request, j *Job) {
 	writeJSON(w, http.StatusOK, s.jobProfiles(j))
 }
 
@@ -127,7 +121,7 @@ func jobRun(j *Job) (*inspect.Run, []telemetry.Event, error) {
 	return run, events, nil
 }
 
-// jobDiagnostics is the GET /jobs/{id}/diagnostics response: the job's
+// jobDiagnostics is the GET /v1/jobs/{id}/diagnostics response: the job's
 // search-health summary with the per-iteration snapshot records. Diagnostics
 // is null until the optimizer's first surrogate-backed proposal (random
 // bootstrap iterations, non-GP optimizers), and always for optimizers that
@@ -138,16 +132,11 @@ type jobDiagnostics struct {
 	Diagnostics *inspect.SearchHealth `json:"diagnostics"`
 }
 
-// handleDiagnostics serves GET /jobs/{id}/diagnostics: per-iteration GP
+// handleDiagnostics serves GET /v1/jobs/{id}/diagnostics: per-iteration GP
 // search-health records plus the SearchHealth aggregates and verdict. It
 // reads the live job (see jobRun), so it works mid-run and with telemetry
 // off.
-func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request, j *Job) {
 	run, _, err := jobRun(j)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -163,21 +152,16 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReport serves GET /jobs/{id}/report: the self-contained HTML run
+// handleReport serves GET /v1/jobs/{id}/report: the self-contained HTML run
 // report (convergence plot, quantile-band EMD attribution, target-vs-best
 // eCDF overlays) rendered from the job's events and profiles.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, j *Job) {
 	run, _, err := jobRun(j)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	report := inspect.NewReport(run, s.jobProfiles(j), inspect.ReportOptions{Title: j.ID()})
+	report := inspect.NewReport(run, s.jobProfiles(j), j.ID())
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_ = report.RenderHTML(w)
 }

@@ -59,17 +59,17 @@ func TestProfilesEndpoint(t *testing.T) {
 		ID string `json:"id"`
 	}
 	spec := profileSpec(testTargetProfile(t), 6, 5)
-	if code := httpJSON(t, ts, "POST", "/jobs", spec, &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to succeed", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
 
 	var doc inspect.ProfilesDoc
-	if code := httpJSON(t, ts, "GET", "/jobs/"+submitted.ID+"/profiles", nil, &doc); code != http.StatusOK {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID+"/profiles", nil, &doc); code != http.StatusOK {
 		t.Fatalf("profiles = %d", code)
 	}
 	if !doc.Complete() {
@@ -82,7 +82,7 @@ func TestProfilesEndpoint(t *testing.T) {
 		t.Fatal("profiles doc has no component attribution")
 	}
 
-	if code := httpJSON(t, ts, "GET", "/jobs/nope/profiles", nil, nil); code != http.StatusNotFound {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/nope/profiles", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job profiles = %d, want 404", code)
 	}
 }
@@ -100,18 +100,18 @@ func TestReportEndpoint(t *testing.T) {
 		ID string `json:"id"`
 	}
 	spec := profileSpec(testTargetProfile(t), 6, 9)
-	if code := httpJSON(t, ts, "POST", "/jobs", spec, &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to succeed", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
 
 	fetch := func() string {
 		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + "/jobs/" + submitted.ID + "/report")
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/report")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestReportEndpoint(t *testing.T) {
 		t.Fatal("report HTML differs between identical requests")
 	}
 
-	if code := httpJSON(t, ts, "GET", "/jobs/nope/report", nil, nil); code != http.StatusNotFound {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/nope/report", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job report = %d, want 404", code)
 	}
 }
@@ -177,12 +177,12 @@ func TestProfilesRecoveredAfterRestart(t *testing.T) {
 			SkipCurves:    true,
 		},
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", spec, &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	waitFor(t, "job to succeed", func() bool {
 		var st JobStatus
-		httpJSON(t, ts, "GET", "/jobs/"+submitted.ID, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
 	ts.Close()
@@ -200,19 +200,19 @@ func TestProfilesRecoveredAfterRestart(t *testing.T) {
 	var resubmitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts2, "POST", "/jobs", spec, &resubmitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts2, "POST", "/v1/jobs", spec, &resubmitted); code != http.StatusAccepted {
 		t.Fatalf("resubmit = %d", code)
 	}
 	waitFor(t, "resubmitted job to succeed", func() bool {
 		var st JobStatus
-		httpJSON(t, ts2, "GET", "/jobs/"+resubmitted.ID, nil, &st)
+		httpJSON(t, ts2, "GET", "/v1/jobs/"+resubmitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
 
 	// The restored original job now serves a complete pair from the warmed
 	// cache.
 	var doc inspect.ProfilesDoc
-	if code := httpJSON(t, ts2, "GET", "/jobs/"+submitted.ID+"/profiles", nil, &doc); code != http.StatusOK {
+	if code := httpJSON(t, ts2, "GET", "/v1/jobs/"+submitted.ID+"/profiles", nil, &doc); code != http.StatusOK {
 		t.Fatalf("profiles = %d", code)
 	}
 	if !doc.Complete() {

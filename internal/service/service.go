@@ -415,24 +415,7 @@ func (s *Server) runJob(job *Job) {
 		cfg.Resume = &resume
 	}
 	cfg.OnEval = func(ev core.EvalEvent) {
-		job.mu.Lock()
-		if ev.Skipped {
-			job.skipped++
-		} else {
-			job.trace = append(job.trace, ev.Record)
-			job.evals++
-			if ev.CacheHit {
-				job.cacheHits++
-			} else {
-				job.cacheMisses++
-			}
-			job.simCycles += ev.SimCycles
-		}
-		job.mu.Unlock()
-		tev := ev.TelemetryEvent()
-		tev.Job = job.id
-		tev.TimeNS = time.Now().UnixNano()
-		job.appendEvent(tev)
+		job.addEval(ev, time.Now().UnixNano())
 		if !ev.Replayed {
 			if ev.Skipped {
 				s.metrics.skippedTotal.Inc()

@@ -137,10 +137,10 @@ func TestServiceLifecycle(t *testing.T) {
 	defer ts.Close()
 
 	// Bad specs are rejected.
-	if code := httpJSON(t, ts, "POST", "/jobs", JobSpec{Iterations: 0}, nil); code != http.StatusBadRequest {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", JobSpec{Iterations: 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("zero-iteration spec accepted: %d", code)
 	}
-	if code := httpJSON(t, ts, "GET", "/jobs/nope", nil, nil); code != http.StatusNotFound {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/nope", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("missing job status = %d", code)
 	}
 
@@ -148,7 +148,7 @@ func TestServiceLifecycle(t *testing.T) {
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if code := httpJSON(t, ts, "POST", "/jobs", testSpec(500, 3), &submitted); code != http.StatusAccepted {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(500, 3), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
 	id := submitted.ID
@@ -158,7 +158,7 @@ func TestServiceLifecycle(t *testing.T) {
 	seen := 0
 	waitFor(t, "trace to reach 5 records", func() bool {
 		st = JobStatus{}
-		httpJSON(t, ts, "GET", fmt.Sprintf("/jobs/%s?since=%d", id, seen), nil, &st)
+		httpJSON(t, ts, "GET", fmt.Sprintf("/v1/jobs/%s?since=%d", id, seen), nil, &st)
 		if st.TraceLen < seen {
 			t.Fatalf("trace shrank: %d -> %d", seen, st.TraceLen)
 		}
@@ -173,17 +173,17 @@ func TestServiceLifecycle(t *testing.T) {
 	if st.State != JobRunning {
 		t.Fatalf("mid-run state = %s", st.State)
 	}
-	if code := httpJSON(t, ts, "GET", "/jobs/"+id+"/result", nil, nil); code != http.StatusConflict {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/result", nil, nil); code != http.StatusConflict {
 		t.Fatalf("result of running job = %d", code)
 	}
 
 	// Cancel stops it promptly, well short of its 500-iteration budget.
-	if code := httpJSON(t, ts, "POST", "/jobs/"+id+"/cancel", nil, nil); code != http.StatusOK {
+	if code := httpJSON(t, ts, "POST", "/v1/jobs/"+id+"/cancel", nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel = %d", code)
 	}
 	waitFor(t, "job to reach canceled", func() bool {
 		st = JobStatus{}
-		httpJSON(t, ts, "GET", "/jobs/"+id, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
 		return st.State == JobCanceled
 	})
 	if !strings.Contains(st.Error, "context canceled") {
@@ -194,15 +194,15 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 
 	// A fresh job runs to completion...
-	httpJSON(t, ts, "POST", "/jobs", testSpec(12, 9), &submitted)
+	httpJSON(t, ts, "POST", "/v1/jobs", testSpec(12, 9), &submitted)
 	id = submitted.ID
 	waitFor(t, "job to succeed", func() bool {
 		st = JobStatus{}
-		httpJSON(t, ts, "GET", "/jobs/"+id, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
 		return st.State == JobSucceeded
 	})
 	var first JobResult
-	if code := httpJSON(t, ts, "GET", "/jobs/"+id+"/result", nil, &first); code != http.StatusOK {
+	if code := httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/result", nil, &first); code != http.StatusOK {
 		t.Fatalf("result = %d", code)
 	}
 	if first.Evaluations != 12 || len(first.BestParams) != 3 || first.BestValues == "" {
@@ -210,15 +210,15 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 
 	// ...and resubmitting it is served from the evaluation cache.
-	httpJSON(t, ts, "POST", "/jobs", testSpec(12, 9), &submitted)
+	httpJSON(t, ts, "POST", "/v1/jobs", testSpec(12, 9), &submitted)
 	id = submitted.ID
 	waitFor(t, "resubmitted job to succeed", func() bool {
 		st = JobStatus{}
-		httpJSON(t, ts, "GET", "/jobs/"+id, nil, &st)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
 		return st.State == JobSucceeded
 	})
 	var second JobResult
-	httpJSON(t, ts, "GET", "/jobs/"+id+"/result", nil, &second)
+	httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/result", nil, &second)
 	if second.CacheHits != second.Evaluations {
 		t.Fatalf("resubmitted job: %d cache hits for %d evaluations", second.CacheHits, second.Evaluations)
 	}
@@ -230,7 +230,7 @@ func TestServiceLifecycle(t *testing.T) {
 	var list struct {
 		Jobs []JobStatus `json:"jobs"`
 	}
-	httpJSON(t, ts, "GET", "/jobs", nil, &list)
+	httpJSON(t, ts, "GET", "/v1/jobs", nil, &list)
 	if len(list.Jobs) != 3 {
 		t.Fatalf("list has %d jobs, want 3", len(list.Jobs))
 	}
@@ -408,5 +408,21 @@ func TestEffectiveProfileWorkers(t *testing.T) {
 	}
 	if pr.Workers != 8 {
 		t.Fatalf("specProfiler.Workers = %d, want 8", pr.Workers)
+	}
+}
+
+// TestRoutesAreVersioned: one route scheme — every pattern the server
+// registers lives under /v1, the two operational probes aside.
+func TestRoutesAreVersioned(t *testing.T) {
+	svc := newTestServer(t, "")
+	defer svc.Close()
+	for pattern := range svc.routes() {
+		_, path, ok := strings.Cut(pattern, " ")
+		if !ok {
+			t.Errorf("pattern %q names no method", pattern)
+		}
+		if path != "/metrics" && path != "/healthz" && !strings.HasPrefix(path, "/v1/") {
+			t.Errorf("route %q is outside /v1", pattern)
+		}
 	}
 }

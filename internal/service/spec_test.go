@@ -125,7 +125,7 @@ func TestPersistedKeysPinned(t *testing.T) {
 }
 
 // TestProfilingOverridesRoundTrip pins the job API's persisted form: a spec
-// with profiling overrides marshals — for GET /jobs/{id} and the checkpoint
+// with profiling overrides marshals — for GET /v1/jobs/{id} and the checkpoint
 // file alike — to the bytes it did before ProfilingSpec was tied to
 // profile.Spec, zero overrides omitted, and decodes back to itself.
 func TestProfilingOverridesRoundTrip(t *testing.T) {

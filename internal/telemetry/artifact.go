@@ -12,8 +12,9 @@ import (
 // one eval event per iteration (in iteration order) interleaved with span
 // events. It is self-describing enough for offline analysis — convergence
 // plots, phase-latency breakdowns, per-metric EMD attribution — without the
-// in-memory Result, and ReplayBestTrace reconstructs the Fig. 10 series
-// from it exactly.
+// in-memory Result: ScanJSONL reads it back, core.EvalEventFromTelemetry
+// decodes its eval events, and their best_error attributes are the Fig. 10
+// series exactly.
 
 // Attribute keys used by eval events in the artifact.
 const (
@@ -107,65 +108,6 @@ func NewJSONLSink(w io.Writer) func(Event) {
 		_ = enc.Encode(&ev)
 		mu.Unlock()
 	}
-}
-
-// ReplayStats reports what ReplayBestTraceStats consumed.
-type ReplayStats struct {
-	// Evals counts eval events contributing to the series (skipped
-	// iterations excluded).
-	Evals int
-	// Malformed counts lines that did not parse as JSON events — usually a
-	// trailing line truncated by a writer that died mid-flush. Callers that
-	// care should warn when this is nonzero.
-	Malformed int
-}
-
-// ReplayBestTrace reads a JSONL run artifact and reconstructs the
-// best-error-so-far series: the best_error attribute of every non-skipped
-// eval event, in stream order. Unknown line types are ignored, so artifacts
-// may carry extra header or span lines; lines that do not parse as JSON
-// (e.g. truncated by a dying writer) are skipped — use
-// ReplayBestTraceStats to observe how many.
-func ReplayBestTrace(r io.Reader) ([]float64, error) {
-	out, _, err := ReplayBestTraceStats(r)
-	return out, err
-}
-
-// ReplayBestTraceStats is ReplayBestTrace plus consumption statistics.
-// Malformed (unparseable) lines are tolerated and counted; a syntactically
-// valid eval event missing best_error is still a hard error, because it
-// means the artifact convention was broken, not the file truncated.
-func ReplayBestTraceStats(r io.Reader) ([]float64, ReplayStats, error) {
-	var out []float64
-	var st ReplayStats
-	var err error
-	st.Malformed, err = ScanJSONL(r, func(ev Event) error {
-		if ev.Type != TypeEval || ev.Skipped {
-			return nil
-		}
-		best, err := ev.BestError()
-		if err != nil {
-			return err
-		}
-		out = append(out, best)
-		st.Evals++
-		return nil
-	})
-	if err != nil {
-		return nil, st, fmt.Errorf("telemetry: %w", err)
-	}
-	return out, st, nil
-}
-
-// BestError returns a non-skipped eval event's best_error attribute. Its
-// absence is an error: every completed evaluation carries one, so a missing
-// attribute means a writer broke the artifact convention.
-func (ev Event) BestError() (float64, error) {
-	best, ok := ev.Attrs[AttrBestError]
-	if !ok {
-		return 0, fmt.Errorf("eval event without %s", AttrBestError)
-	}
-	return best, nil
 }
 
 // ScanJSONL is the one reader of JSONL artifacts: it calls fn for every line

@@ -77,7 +77,7 @@ const (
 	// TypeCorpusRegression is emitted by the coordinator's corpus watchdog
 	// when a finished run converges worse than its scenario baseline. It is
 	// streamed over SSE and appended to the artifact; consumers that don't
-	// know it (inspect.LoadRun, ReplayBestTrace) skip it by design.
+	// know it (inspect.LoadRun) skip it by design.
 	TypeCorpusRegression = "corpus.regression"
 	// TypeSearchDiagnostics is one iteration's GP search-health snapshot:
 	// Attrs is opt.Diagnostics.Attrs(), which owns the attribute keys, and

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -185,6 +186,23 @@ func TestLineLoggerDeterministicOutput(t *testing.T) {
 	}
 }
 
+// scanBest reads an artifact back through ScanJSONL and collects the
+// best_error attribute of every completed eval event — the Fig. 10 series —
+// plus the scan's malformed-line count.
+func scanBest(t *testing.T, r io.Reader) (trace []float64, malformed int) {
+	t.Helper()
+	malformed, err := ScanJSONL(r, func(ev Event) error {
+		if ev.Type == TypeEval && !ev.Skipped {
+			trace = append(trace, ev.Attrs[AttrBestError])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace, malformed
+}
+
 func TestJSONLRoundTripReplay(t *testing.T) {
 	events := []Event{
 		{Type: TypeLog, Msg: "header line"},
@@ -198,34 +216,15 @@ func TestJSONLRoundTripReplay(t *testing.T) {
 	if err := WriteJSONL(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	trace, err := ReplayBestTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.9, 0.4, 0.4}
-	if len(trace) != len(want) {
-		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace = %v, want %v", trace, want)
-		}
+	if trace, _ := scanBest(t, &buf); fmt.Sprint(trace) != "[0.9 0.4 0.4]" {
+		t.Fatalf("trace = %v, want [0.9 0.4 0.4]", trace)
 	}
 }
 
-func TestReplayBestTraceRejectsBrokenEval(t *testing.T) {
-	// A syntactically valid eval without best_error breaks the artifact
-	// convention — that stays a hard error.
-	in := strings.NewReader(`{"type":"eval","iter":0}` + "\n")
-	if _, err := ReplayBestTrace(in); err == nil {
-		t.Fatal("eval event without best_error accepted")
-	}
-}
-
-// TestReplayBestTraceTruncatedArtifact simulates a writer dying mid-flush:
-// the trailing line is cut inside a JSON object. The replay must keep the
+// TestScanJSONLTruncatedArtifact simulates a writer dying mid-flush: the
+// trailing line is cut inside a JSON object. The scan must deliver the
 // intact prefix and count the loss rather than fail.
-func TestReplayBestTraceTruncatedArtifact(t *testing.T) {
+func TestScanJSONLTruncatedArtifact(t *testing.T) {
 	events := []Event{
 		{Type: TypeLog, Msg: "header"},
 		{Type: TypeEval, Iter: 0, Attrs: map[string]float64{AttrBestError: 0.9}},
@@ -244,21 +243,15 @@ func TestReplayBestTraceTruncatedArtifact(t *testing.T) {
 	}
 	truncated := full + tail.String()[:tail.Len()/2]
 
-	trace, st, err := ReplayBestTraceStats(strings.NewReader(truncated))
-	if err != nil {
-		t.Fatalf("truncated artifact should replay: %v", err)
-	}
-	if fmt.Sprint(trace) != "[0.9 0.5]" {
-		t.Fatalf("trace = %v", trace)
-	}
-	if st.Evals != 2 || st.Malformed != 1 {
-		t.Fatalf("stats = %+v, want 2 evals, 1 malformed", st)
+	trace, malformed := scanBest(t, strings.NewReader(truncated))
+	if fmt.Sprint(trace) != "[0.9 0.5]" || malformed != 1 {
+		t.Fatalf("truncated artifact: trace = %v, malformed = %d; want [0.9 0.5], 1", trace, malformed)
 	}
 
 	// Non-JSON garbage lines are tolerated the same way.
-	trace, st, err = ReplayBestTraceStats(strings.NewReader("not json\n" + full))
-	if err != nil || len(trace) != 2 || st.Malformed != 1 {
-		t.Fatalf("garbage line: trace=%v stats=%+v err=%v", trace, st, err)
+	trace, malformed = scanBest(t, strings.NewReader("not json\n"+full))
+	if len(trace) != 2 || malformed != 1 {
+		t.Fatalf("garbage line: trace = %v, malformed = %d", trace, malformed)
 	}
 }
 
@@ -269,11 +262,7 @@ func TestJSONLSinkStreams(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.Emit(Event{Type: TypeEval, Iter: i, Attrs: map[string]float64{AttrBestError: float64(i)}})
 	}
-	trace, err := ReplayBestTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(trace) != "[0 1 2]" {
+	if trace, _ := scanBest(t, &buf); fmt.Sprint(trace) != "[0 1 2]" {
 		t.Fatalf("trace = %v", trace)
 	}
 }
