@@ -102,6 +102,20 @@ PIDS+=($WORKER_2_PID)
 wait_http "http://$COORD_A/v1/workers" '"w1"'
 wait_http "http://$COORD_A/v1/workers" '"w2"'
 
+echo "== refusal gate: a spec naming what does not exist is a 400, not a job"
+# refuse SPEC OFFENDER: POST SPEC, require HTTP 400 with OFFENDER in the body.
+refuse() {
+  local out
+  out=$(curl -s -w '\n%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d "$1" "http://$COORD_A/v1/jobs")
+  [ "${out##*$'\n'}" = 400 ] && grep -q "$2" <<<"$out" || {
+    echo "submit of $1 was not refused with a 400 naming $2:" >&2; echo "$out" >&2; return 1; }
+}
+refuse '{"workload": "mem-fbb", "iterations": 8}' mem-fbb
+refuse '{"generator": "memcached", "iterations": 8, "metric": "cpu_utl", "metric_value": 0.15}' cpu_utl
+[ "$(curl -fs "http://$COORD_A/v1/jobs" | python3 -c 'import json,sys; print(len(json.load(sys.stdin)["jobs"]))')" = 0 ] || {
+  echo "a refused spec left a job behind:" >&2; curl -fs "http://$COORD_A/v1/jobs" >&2; exit 1; }
+
 echo "== running the seeded search on the fleet (worker 2 dies mid-job)"
 ( sleep 3; echo "== killing worker 2"; kill "$WORKER_2_PID" 2>/dev/null || true ) &
 FLEET_JOB=$(run_job "$COORD_A" spec-fleet.json run-fleet.jsonl)

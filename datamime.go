@@ -292,9 +292,8 @@ func MemFB() Benchmark {
 	return w.Target
 }
 
-// RunExperiment regenerates one paper table/figure by id ("fig1", "fig3",
-// "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-// "fig13", "table1", "table2", "table3", "table4") into out.
+// RunExperiment regenerates one paper table, figure, ablation or extension
+// into out; id is one of ExperimentIDs.
 func RunExperiment(r *Runner, id string, out io.Writer) error {
 	return harness.RunExperiment(r, id, out)
 }

@@ -22,10 +22,9 @@ package backend
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"datamime/internal/profile"
-	"datamime/internal/sim"
 )
 
 // ProtocolVersion is the wire-protocol version spoken between coordinators
@@ -69,18 +68,6 @@ func SpecOf(pr *profile.Profiler) ProfilerSpec {
 	return ProfilerSpec{Machine: pr.Machine.Name, Spec: pr.Spec}
 }
 
-// Profiler reconstructs the profiler a spec describes. Machines resolve by
-// name to their canonical Table II configurations, so a reconstructed
-// profiler produces the same core.EvalKey — and the same measurements — as
-// the coordinator's original.
-func (s ProfilerSpec) Profiler() (*profile.Profiler, error) {
-	machine, err := sim.MachineByName(s.Machine)
-	if err != nil {
-		return nil, err
-	}
-	return &profile.Profiler{Machine: machine, Spec: s.Spec}, nil
-}
-
 // EvalRequest is one evaluation, as dispatched to a backend and as POSTed
 // to a worker's /v1/evaluate endpoint.
 type EvalRequest struct {
@@ -110,28 +97,13 @@ type EvalRequest struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Validate reports requests no backend can serve.
-func (r *EvalRequest) Validate() error {
-	if r.Version != ProtocolVersion {
-		return fmt.Errorf("backend: protocol version %d, want %d", r.Version, ProtocolVersion)
-	}
-	switch r.Kind {
-	case KindCandidate:
-		if r.Generator == "" {
-			return fmt.Errorf("backend: candidate request without a generator")
-		}
-	case KindTarget:
-		if r.Workload == "" {
-			return fmt.Errorf("backend: target request without a workload")
-		}
-	default:
-		return fmt.Errorf("backend: unknown request kind %q", r.Kind)
-	}
-	if r.Profiler.Machine == "" {
-		return fmt.Errorf("backend: request without a machine")
-	}
-	return nil
-}
+// ErrRequest marks an evaluation that failed because of the request itself —
+// a protocol version, kind, machine, budget, generator, workload or parameter
+// vector this side cannot resolve (LocalBackend.resolve wraps it; a
+// RemoteBackend maps a worker's HTTP 400/413 to it). Sending the same bytes to
+// another worker would fail the same way, so the dispatcher neither retries
+// the request nor counts it against the worker that refused it.
+var ErrRequest = errors.New("backend: unresolvable request")
 
 // EvalResult is one evaluation's outcome. Profile is the only field that
 // feeds back into the search; everything else is telemetry.

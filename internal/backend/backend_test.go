@@ -3,6 +3,8 @@ package backend
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -104,29 +106,47 @@ func TestLocalBackendBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRequestValidation covers the requests no backend may serve.
+// TestRequestValidation covers the requests no backend may serve: resolve
+// refuses each with ErrRequest, and never builds a benchmark to find out.
 func TestRequestValidation(t *testing.T) {
 	pr := testProfiler()
-	good := testRequest(pr)
-	if err := good.Validate(); err != nil {
+	l := NewLocalBackend(testGenerator())
+	if _, _, err := l.resolve(testRequest(pr)); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
-	cases := []struct {
-		name   string
-		mutate func(*EvalRequest)
-	}{
-		{"version mismatch", func(r *EvalRequest) { r.Version = 99 }},
-		{"unknown kind", func(r *EvalRequest) { r.Kind = "mystery" }},
-		{"candidate without generator", func(r *EvalRequest) { r.Generator = "" }},
-		{"no machine", func(r *EvalRequest) { r.Profiler.Machine = "" }},
-		{"target without workload", func(r *EvalRequest) { r.Kind = KindTarget; r.Workload = "" }},
-	}
-	for _, tc := range cases {
+	for _, tc := range unresolvableRequests() {
 		r := testRequest(pr)
 		tc.mutate(&r)
-		if err := r.Validate(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if _, _, err := l.resolve(r); !errors.Is(err, ErrRequest) {
+			t.Errorf("%s: err = %v, want ErrRequest", tc.name, err)
 		}
+	}
+}
+
+// badRequest mutates testRequest into a request resolve must refuse. wire
+// reports whether JSON can carry the mutation at all (a NaN cannot:
+// RemoteBackend refuses to encode it).
+type badRequest struct {
+	name   string
+	wire   bool
+	mutate func(*EvalRequest)
+}
+
+func unresolvableRequests() []badRequest {
+	return []badRequest{
+		{"version mismatch", true, func(r *EvalRequest) { r.Version = 99 }},
+		{"unknown kind", true, func(r *EvalRequest) { r.Kind = "mystery" }},
+		{"candidate without generator", true, func(r *EvalRequest) { r.Generator = "" }},
+		{"unknown generator", true, func(r *EvalRequest) { r.Generator = "nope" }},
+		{"no machine", true, func(r *EvalRequest) { r.Profiler.Machine = "" }},
+		{"unknown machine", true, func(r *EvalRequest) { r.Profiler.Machine = "pentium" }},
+		{"windows 0", true, func(r *EvalRequest) { r.Profiler.Windows = 0 }},
+		{"target without workload", true, func(r *EvalRequest) { r.Kind = KindTarget; r.Workload = "" }},
+		{"unknown workload", true, func(r *EvalRequest) { r.Kind = KindTarget; r.Workload = "mem-fbb" }},
+		{"short params", true, func(r *EvalRequest) { r.Params = r.Params[:1] }},
+		{"long params", true, func(r *EvalRequest) { r.Params = append(r.Params, 1) }},
+		{"NaN param", false, func(r *EvalRequest) { r.Params = []float64{50_000, math.NaN(), 128} }},
+		{"infinite param", false, func(r *EvalRequest) { r.Params = []float64{math.Inf(1), 0.9, 128} }},
 	}
 }
 

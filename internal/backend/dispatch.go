@@ -52,7 +52,8 @@ type DispatcherConfig struct {
 	// (default 64).
 	MaxQueue int
 	// FailureLimit deregisters a worker after this many consecutive failed
-	// evaluations or health probes (default 3). ErrBusy does not count.
+	// evaluations or health probes (default 3). ErrBusy and ErrRequest do
+	// not count.
 	FailureLimit int
 	// OnEvent, when non-nil, receives fleet churn events. Called without
 	// dispatcher locks held.
@@ -472,7 +473,8 @@ func (d *Dispatcher) release(w *workerState, ok bool) {
 
 // Evaluate implements EvalBackend: dispatch to the least-loaded healthy
 // worker, retry with backoff on another worker after a failure, and fall
-// back to the local backend when the fleet cannot serve. The returned
+// back to the local backend when the fleet cannot serve or refuses the
+// request as unresolvable (ErrRequest — not retried). The returned
 // result carries routing metadata (WorkerID/Retries/Remote/Fallback) for
 // telemetry.
 func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult, error) {
@@ -512,6 +514,13 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 			return EvalResult{}, ctx.Err()
 		}
 		failed++
+		if errors.Is(err, ErrRequest) {
+			// The request is at fault, not the worker, and every other
+			// worker would refuse the same bytes. The local backend holds
+			// the coordinator's own registry (it may know a generator the
+			// fleet lacks), so it gets the last word.
+			break
+		}
 		if !errors.Is(err, ErrBusy) {
 			// A saturated worker is healthy; anything else counts toward
 			// eviction.

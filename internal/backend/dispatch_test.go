@@ -161,6 +161,43 @@ func TestDispatchFailureFallback(t *testing.T) {
 	}
 }
 
+// TestDispatchRequestFaultGoesLocal: a worker that refuses a request as
+// unresolvable is not at fault. The dispatcher tries no second worker, books
+// no failure, and hands the request to the local backend — which holds the
+// coordinator's own registry and may know what the fleet does not.
+func TestDispatchRequestFaultGoesLocal(t *testing.T) {
+	refuse := func(name string) *funcBackend {
+		return &funcBackend{name: name, capacity: 1,
+			eval: func(ctx context.Context, req EvalRequest) (EvalResult, error) {
+				return EvalResult{}, fmt.Errorf("%w: refused by %s: unknown generator", ErrRequest, name)
+			}}
+	}
+	local := okBackend("local")
+	d := fastDispatcher(local, func(cfg *DispatcherConfig) { cfg.Retries = 2 })
+	w0, w1 := refuse("w0"), refuse("w1")
+	d.Register(w0)
+	d.Register(w1)
+
+	res, err := d.Evaluate(context.Background(), dispatchRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Remote || !res.Fallback || res.Worker != "local" {
+		t.Fatalf("routing = %+v, want the local fallback", res)
+	}
+	if got := w0.evals.Load() + w1.evals.Load(); got != 1 {
+		t.Fatalf("%d workers saw the request, want 1 (no retry on a second)", got)
+	}
+	if c := d.Counters(); c.Retries != 0 || c.Fallbacks != 1 || c.LocalEvals != 1 {
+		t.Fatalf("counters = %+v", c)
+	}
+	for _, w := range d.Workers() {
+		if !w.Healthy || w.Failures != 0 {
+			t.Fatalf("worker booked for the request's fault: %+v", w)
+		}
+	}
+}
+
 // TestDispatchBusyNotEvicted: ErrBusy means "healthy but saturated" — it
 // must never count toward eviction.
 func TestDispatchBusyNotEvicted(t *testing.T) {

@@ -3,12 +3,15 @@ package backend
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
+	"sort"
+	"strings"
 	"time"
 
 	"datamime/internal/datagen"
 	"datamime/internal/harness"
 	"datamime/internal/profile"
+	"datamime/internal/sim"
 	"datamime/internal/telemetry"
 	"datamime/internal/workload"
 )
@@ -29,7 +32,7 @@ type LocalBackend struct {
 	// evaluations this backend runs (shared with any other profilers).
 	Budget *profile.Budget
 
-	mu   sync.Mutex
+	// gens is fixed at construction, so lookups need no lock.
 	gens map[string]datagen.Generator
 }
 
@@ -46,11 +49,19 @@ func NewLocalBackend(extra ...datagen.Generator) *LocalBackend {
 	return l
 }
 
-// Register adds (or replaces) a generator in the backend's registry.
-func (l *LocalBackend) Register(g datagen.Generator) {
-	l.mu.Lock()
-	l.gens[g.Name] = g
-	l.mu.Unlock()
+// Generator looks a generator up in the backend's registry — the one map of
+// generators a process holds: the coordinator resolves job specs against the
+// registry its fallback evaluates with. The error lists what is registered.
+func (l *LocalBackend) Generator(name string) (datagen.Generator, error) {
+	if g, ok := l.gens[name]; ok {
+		return g, nil
+	}
+	names := make([]string, 0, len(l.gens))
+	for n := range l.gens {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return datagen.Generator{}, fmt.Errorf("unknown generator %q (registered: %s)", name, strings.Join(names, ", "))
 }
 
 // Name implements EvalBackend.
@@ -63,40 +74,71 @@ func (l *LocalBackend) Health(ctx context.Context) error { return nil }
 // shared Budget, so the backend itself advertises no limit.
 func (l *LocalBackend) Capacity() int { return 0 }
 
-// resolve builds the benchmark a request describes.
-func (l *LocalBackend) resolve(req EvalRequest) (workload.Benchmark, error) {
+// resolve is the one place a request's names and numbers are checked: the
+// protocol version, the kind, the machine and budgets (the profiler it
+// returns passes Validate and carries this backend's parallelism), and the
+// generator with a parameter vector of its space's dimension, or the
+// workload. Every failure wraps ErrRequest. The benchmark comes back as a
+// builder: generation is real work that belongs inside whatever admission
+// slot the caller takes after resolving (a Worker answers 400 before taking
+// one).
+func (l *LocalBackend) resolve(req EvalRequest) (pr *profile.Profiler, build func() workload.Benchmark, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrRequest, err)
+		}
+	}()
+	if req.Version != ProtocolVersion {
+		return nil, nil, fmt.Errorf("protocol version %d, want %d", req.Version, ProtocolVersion)
+	}
+	// Machines resolve by name to their canonical Table II configurations,
+	// so the rebuilt profiler has the coordinator's core.EvalKey — and
+	// measurements.
+	machine, err := sim.MachineByName(req.Profiler.Machine)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr = &profile.Profiler{Machine: machine, Spec: req.Profiler.Spec, Workers: l.ProfileWorkers, Budget: l.Budget}
+	if err = pr.Validate(); err != nil {
+		return nil, nil, err
+	}
 	switch req.Kind {
 	case KindCandidate:
-		l.mu.Lock()
-		g, ok := l.gens[req.Generator]
-		l.mu.Unlock()
-		if !ok {
-			return workload.Benchmark{}, fmt.Errorf("backend: unknown generator %q", req.Generator)
+		g, err := l.Generator(req.Generator)
+		if err != nil {
+			return nil, nil, err
 		}
-		return g.Benchmark(req.Params), nil
+		if len(req.Params) != g.Space.Dim() {
+			return nil, nil, fmt.Errorf("generator %q takes %d params, got %d", g.Name, g.Space.Dim(), len(req.Params))
+		}
+		for i, v := range req.Params {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, nil, fmt.Errorf("param %d (%s) is %v", i, g.Space.Params[i].Name, v)
+			}
+		}
+		return pr, func() workload.Benchmark { return g.Benchmark(req.Params) }, nil
 	case KindTarget:
 		w, err := harness.WorkloadByName(req.Workload)
 		if err != nil {
-			return workload.Benchmark{}, err
+			return nil, nil, err
 		}
-		return w.Target, nil
+		return pr, func() workload.Benchmark { return w.Target }, nil
 	default:
-		return workload.Benchmark{}, fmt.Errorf("backend: unknown request kind %q", req.Kind)
+		return nil, nil, fmt.Errorf("unknown request kind %q", req.Kind)
 	}
 }
 
-// Evaluate implements EvalBackend: reconstruct the profiler from the spec,
-// build the benchmark, and measure.
+// Evaluate implements EvalBackend: resolve the request, then measure it.
 func (l *LocalBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResult, error) {
-	if err := req.Validate(); err != nil {
-		return EvalResult{}, err
-	}
-	pr, err := req.Profiler.Profiler()
+	pr, build, err := l.resolve(req)
 	if err != nil {
 		return EvalResult{}, err
 	}
-	pr.Workers = l.ProfileWorkers
-	pr.Budget = l.Budget
+	return l.measure(ctx, req, pr, build)
+}
+
+// measure runs what resolve returned: build the benchmark and profile it.
+func (l *LocalBackend) measure(ctx context.Context, req EvalRequest, pr *profile.Profiler, build func() workload.Benchmark) (EvalResult, error) {
 	// Trace context: a TraceID asks for this evaluation's telemetry back.
 	// The collector hangs off the reconstructed profiler only — it observes
 	// the measurement, it cannot influence it.
@@ -105,10 +147,7 @@ func (l *LocalBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResul
 		col = &telemetry.Collector{}
 		pr.Telemetry = telemetry.New(telemetry.Options{OnEvent: col.Record})
 	}
-	bench, err := l.resolve(req)
-	if err != nil {
-		return EvalResult{}, err
-	}
+	bench := build()
 	start := time.Now()
 	p, err := pr.ProfileContext(ctx, bench, req.Seed)
 	if err != nil {

@@ -152,7 +152,8 @@ func (r *RemoteBackend) Health(ctx context.Context) error {
 func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResult, error) {
 	body, err := json.Marshal(&req)
 	if err != nil {
-		return EvalResult{}, err
+		// What cannot be encoded (a NaN parameter) no worker will ever see.
+		return EvalResult{}, fmt.Errorf("%w: encoding: %w", ErrRequest, err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+PathEvaluate, bytes.NewReader(body))
 	if err != nil {
@@ -170,6 +171,9 @@ func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResu
 	case http.StatusOK:
 	case http.StatusServiceUnavailable:
 		return EvalResult{}, fmt.Errorf("%w (%s)", ErrBusy, r.name)
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		reason := strings.TrimPrefix(readWireError(resp.Body), ErrRequest.Error()+": ")
+		return EvalResult{}, fmt.Errorf("%w: refused by %s: %s", ErrRequest, r.name, reason)
 	default:
 		return EvalResult{}, fmt.Errorf("backend: evaluate on %s: HTTP %d: %s",
 			r.name, resp.StatusCode, readWireError(resp.Body))

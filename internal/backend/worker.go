@@ -177,10 +177,10 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 // under 1 KB; 1 MiB leaves room for thousands of parameters.
 const maxEvalRequestBytes = 1 << 20
 
-// handleEvaluate serves one evaluation: admission control, the two-tier
-// cache, then the local backend. Cache hits and fresh measurements are
-// byte-identical by construction, so serving from cache never breaks the
-// determinism contract.
+// handleEvaluate serves one evaluation: resolve the request, admission
+// control, the two-tier cache, then the measurement. Cache hits and fresh
+// measurements are byte-identical by construction, so serving from cache
+// never breaks the determinism contract.
 func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -192,7 +192,10 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 		writeWire(rw, status, wireError{Error: fmt.Sprintf("decoding request: %v", err)})
 		return
 	}
-	if err := req.Validate(); err != nil {
+	// A request this worker cannot resolve is refused before admission: it
+	// takes no slot, and 400 tells the dispatcher the request is at fault.
+	pr, build, err := w.local.resolve(req)
+	if err != nil {
 		writeWire(rw, http.StatusBadRequest, wireError{Error: err.Error()})
 		return
 	}
@@ -247,7 +250,7 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, err := w.local.Evaluate(r.Context(), req)
+	res, err := w.local.measure(r.Context(), req, pr, build)
 	if err != nil {
 		w.evalErrors.Add(1)
 		status := http.StatusInternalServerError

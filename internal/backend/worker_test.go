@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -258,6 +259,93 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body status = %d, want 400", resp2.StatusCode)
 	}
+}
+
+// TestWorkerRefusesUnresolvableRequests: a request the worker cannot resolve
+// is answered 400 before admission — never a 500, never a handler panic (a
+// short params vector used to index past its end inside the generator) — and
+// reaches the coordinator as ErrRequest. No slot is taken and nothing is
+// counted as a failed evaluation: the request is at fault, not the worker.
+func TestWorkerRefusesUnresolvableRequests(t *testing.T) {
+	w, rb, ts := newTestWorker(t, WorkerConfig{})
+	for _, tc := range unresolvableRequests() {
+		req := testRequest(testProfiler())
+		req.Key = "never-cached"
+		tc.mutate(&req)
+		if _, err := rb.Evaluate(context.Background(), req); !errors.Is(err, ErrRequest) {
+			t.Errorf("%s: RemoteBackend err = %v, want ErrRequest", tc.name, err)
+		}
+		if !tc.wire {
+			continue
+		}
+		body, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+PathEvaluate, "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		msg := readWireError(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || msg == "" {
+			t.Errorf("%s: HTTP %d %q, want 400 with a wire error", tc.name, resp.StatusCode, msg)
+		}
+	}
+	if h := w.Health(); h.Inflight != 0 || h.Evals != 0 {
+		t.Fatalf("a refused request took a slot or was served: %+v", h)
+	}
+	if n := w.evalErrors.Load(); n != 0 {
+		t.Fatalf("evaluation_errors_total = %d: a request's fault was booked as the worker's", n)
+	}
+}
+
+// FuzzEvalRequest feeds arbitrary bytes through the worker's decode into
+// resolve. It must never panic, refuse only with ErrRequest, and accept only
+// what can be measured — without building a benchmark to find out (generation
+// belongs inside the admission slot resolve runs ahead of).
+func FuzzEvalRequest(f *testing.F) {
+	seeds := []EvalRequest{testRequest(testProfiler())}
+	target := testRequest(testProfiler())
+	target.Kind, target.Generator, target.Params, target.Workload = KindTarget, "", nil, "mem-fb"
+	seeds = append(seeds, target)
+	for _, tc := range unresolvableRequests() {
+		if tc.wire {
+			req := testRequest(testProfiler())
+			tc.mutate(&req)
+			seeds = append(seeds, req)
+		}
+	}
+	for _, req := range seeds {
+		data, err := json.Marshal(&req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	gen := testGenerator()
+	gen.Benchmark = func([]float64) workload.Benchmark { panic("resolve built a benchmark") }
+	l := NewLocalBackend(gen)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req EvalRequest
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+			return
+		}
+		pr, build, err := l.resolve(req)
+		if err != nil {
+			if !errors.Is(err, ErrRequest) {
+				t.Fatalf("resolve refused with %v, which is not an ErrRequest", err)
+			}
+			return
+		}
+		if build == nil {
+			t.Fatal("resolve accepted a request without a benchmark builder")
+		}
+		if err := pr.Validate(); err != nil {
+			t.Fatalf("resolve accepted a profiler that does not validate: %v", err)
+		}
+	})
 }
 
 // TestWorkerMetrics: /metrics exposes the worker metric families with cache

@@ -5,69 +5,50 @@ import (
 	"io"
 )
 
-// experimentTable maps experiment ids to their runner methods, in the
-// paper's order.
-var experimentOrder = []string{
-	"fig1", "fig3", "fig4",
-	"table1", "table2", "table3",
-	"fig6", "fig7", "fig8",
-	"fig9", "table4",
-	"fig10", "fig11", "fig12", "fig13",
-	"ablation-optimizers", "ablation-error-model", "ablation-weights",
-	"ablation-distance", "ext-compression",
+// experiments is the one listing of regenerable tables and figures, in the
+// paper's order: RunExperiment dispatches from it, ExperimentIDs and the
+// unknown-id error list it.
+var experiments = []struct {
+	id  string
+	run func(*Runner, io.Writer) error
+}{
+	{"fig1", (*Runner).Figure1},
+	{"fig3", (*Runner).Figure3},
+	{"fig4", (*Runner).Figure4},
+	{"table1", (*Runner).Table1},
+	{"table2", (*Runner).Table2},
+	{"table3", (*Runner).Table3},
+	{"fig6", (*Runner).Figure6},
+	{"fig7", (*Runner).Figure7},
+	{"fig8", (*Runner).Figure8},
+	{"fig9", (*Runner).Figure9},
+	{"table4", (*Runner).Table4},
+	{"fig10", (*Runner).Figure10},
+	{"fig11", (*Runner).Figure11},
+	{"fig12", (*Runner).Figure12},
+	{"fig13", (*Runner).Figure13},
+	{"ablation-optimizers", (*Runner).AblationOptimizers},
+	{"ablation-error-model", (*Runner).AblationErrorModel},
+	{"ablation-weights", (*Runner).AblationWeights},
+	{"ablation-distance", (*Runner).AblationDistance},
+	{"ext-compression", (*Runner).ExtCompression},
 }
 
 // RunExperiment regenerates one table or figure by id into out.
 func RunExperiment(r *Runner, id string, out io.Writer) error {
-	switch id {
-	case "fig1":
-		return r.Figure1(out)
-	case "fig3":
-		return r.Figure3(out)
-	case "fig4":
-		return r.Figure4(out)
-	case "fig6":
-		return r.Figure6(out)
-	case "fig7":
-		return r.Figure7(out)
-	case "fig8":
-		return r.Figure8(out)
-	case "fig9":
-		return r.Figure9(out)
-	case "fig10":
-		return r.Figure10(out)
-	case "fig11":
-		return r.Figure11(out)
-	case "fig12":
-		return r.Figure12(out)
-	case "fig13":
-		return r.Figure13(out)
-	case "table1":
-		return r.Table1(out)
-	case "table2":
-		return r.Table2(out)
-	case "table3":
-		return r.Table3(out)
-	case "table4":
-		return r.Table4(out)
-	case "ablation-optimizers":
-		return r.AblationOptimizers(out)
-	case "ablation-error-model":
-		return r.AblationErrorModel(out)
-	case "ablation-weights":
-		return r.AblationWeights(out)
-	case "ablation-distance":
-		return r.AblationDistance(out)
-	case "ext-compression":
-		return r.ExtCompression(out)
-	default:
-		return fmt.Errorf("harness: unknown experiment %q (known: %v)", id, experimentOrder)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(r, out)
+		}
 	}
+	return fmt.Errorf("harness: unknown experiment %q (known: %v)", id, ExperimentIDs())
 }
 
 // ExperimentIDs lists every regenerable experiment id in the paper's order.
 func ExperimentIDs() []string {
-	out := make([]string, len(experimentOrder))
-	copy(out, experimentOrder)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.id
+	}
 	return out
 }

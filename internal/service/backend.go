@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"datamime/internal/backend"
-	"datamime/internal/core"
-	"datamime/internal/harness"
 	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
@@ -113,49 +111,25 @@ func (s *Server) onFleetEvent(ev backend.FleetEvent) {
 	}
 }
 
-// dispatchFor resolves a job's evaluation backend from its spec:
-//
-//	"local"         always evaluate in-process
-//	"remote"        always go through the dispatcher (which still falls
-//	                back local if the whole fleet fails mid-job)
-//	"" or "auto"    use the dispatcher only if workers are registered when
-//	                the job starts
-//
-// Returning nil selects the classic in-process path (cfg.Evaluator unset),
-// which is bit-identical to the dispatched one by the backend contract.
-func (s *Server) dispatchFor(spec JobSpec) backend.EvalBackend {
-	switch spec.Backend {
-	case "local":
-		return nil
-	case "remote":
-		return s.dispatcher
-	default: // "", "auto"
-		if s.dispatcher.HasWorkers() {
-			return s.dispatcher
-		}
-		return nil
-	}
-}
-
 // profileTarget measures a workload's hidden target profile, through the
 // dispatcher when the job runs remote (KindTarget requests resolve the
 // workload by name on the worker) and in-process otherwise.
-func (s *Server) profileTarget(ctx context.Context, spec JobSpec, profiler *profile.Profiler, w *harness.Workload) (*profile.Profile, error) {
-	if b := s.dispatchFor(spec); b != nil {
+func (s *Server) profileTarget(ctx context.Context, p *plan) (*profile.Profile, error) {
+	if b := p.evalBackend(s.dispatcher); b != nil {
 		res, err := b.Evaluate(ctx, backend.EvalRequest{
 			Version:  backend.ProtocolVersion,
 			Kind:     backend.KindTarget,
-			Workload: w.Name,
-			Seed:     spec.Seed,
-			Profiler: backend.SpecOf(profiler),
-			Key:      core.EvalKey("target/"+w.Name, profiler, nil, spec.Seed),
+			Workload: p.workload.Name,
+			Seed:     p.spec.Seed,
+			Profiler: backend.SpecOf(p.profiler),
+			Key:      p.targetKey,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return res.Profile, nil
 	}
-	return profiler.ProfileContext(ctx, w.Target, spec.Seed)
+	return p.profiler.ProfileContext(ctx, p.workload.Target, p.spec.Seed)
 }
 
 // handleCacheGet serves the shared cache tier: GET /v1/cache/{key} returns

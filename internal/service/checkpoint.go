@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"datamime/internal/core"
-	"datamime/internal/harness"
-	"datamime/internal/opt"
 )
 
 // persistedJob is the on-disk representation of one job: everything needed
@@ -123,14 +121,19 @@ func (s *Server) loadCheckpoints() error {
 		if seq := jobSeq(p.ID); seq >= s.nextID {
 			s.nextID = seq + 1
 		}
+		// The plan is a pure function of the spec and this server's
+		// registries, so it is rebuilt, not persisted.
+		if job.plan, job.planErr = s.resolve(p.Spec); job.planErr != nil {
+			s.logf("job %s: restored spec no longer resolves: %v", job.id, job.planErr)
+		}
 		// Rebuild the trace, counters and event log of finished jobs from
 		// what the checkpoint knows, so status, result, artifact and report
 		// stay queryable across restarts; resumed jobs rebuild theirs live.
 		// The events carry no clock (no timeline, an empty trace export).
 		if job.state.terminal() {
 			close(job.done)
-			if space, err := s.specSpace(p.Spec); err == nil {
-				for _, ev := range evalsFromCheckpoint(space, p.Checkpoint) {
+			if job.plan != nil {
+				for _, ev := range evalsFromCheckpoint(job.plan.generator.Space, p.Checkpoint) {
 					job.addEval(ev, 0)
 				}
 				// Which evaluations hit the cache is not checkpointed; their
@@ -151,23 +154,6 @@ func (s *Server) loadCheckpoints() error {
 		}
 	}
 	return nil
-}
-
-// specSpace resolves the parameter space a spec searches, for trace
-// reconstruction at load time.
-func (s *Server) specSpace(spec JobSpec) (*opt.Space, error) {
-	if spec.Generator != "" {
-		gen, err := s.generator(spec.Generator)
-		if err != nil {
-			return nil, err
-		}
-		return gen.Space, nil
-	}
-	w, err := harness.WorkloadByName(spec.Workload)
-	if err != nil {
-		return nil, err
-	}
-	return w.Generator.Space, nil
 }
 
 // jobSeq extracts the numeric suffix of a job ID ("job-17" → 17); unknown

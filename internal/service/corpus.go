@@ -39,11 +39,12 @@ type scenarioSpec struct {
 }
 
 // scenarioHash fingerprints the semantic fields of spec. The job-level
-// defaults (machine, parallel, optimizer, on_eval_error) are normalized so
-// "omitted" and "explicitly default" hash equally; the profiling budgets
-// are hashed as submitted, so an explicit default budget and an omitted
-// one are different scenarios.
+// defaults (machine, parallel, optimizer, on_eval_error) are normalized by
+// withDefaults, as resolve reads them, so "omitted" and "explicitly default"
+// hash equally; the profiling budgets are hashed as submitted, so an explicit
+// default budget and an omitted one are different scenarios.
 func scenarioHash(spec JobSpec) string {
+	spec = spec.withDefaults()
 	ss := scenarioSpec{
 		Workload:    spec.Workload,
 		Generator:   spec.Generator,
@@ -55,18 +56,6 @@ func scenarioHash(spec JobSpec) string {
 		Metric:      spec.Metric,
 		MetricValue: spec.MetricValue,
 		OnEvalError: spec.OnEvalError,
-	}
-	if ss.Machine == "" {
-		ss.Machine = "broadwell"
-	}
-	if ss.Parallel <= 0 {
-		ss.Parallel = 1
-	}
-	if ss.Optimizer == "" {
-		ss.Optimizer = "bayesopt"
-	}
-	if ss.OnEvalError == "" {
-		ss.OnEvalError = "fail"
 	}
 	if len(spec.TargetProfile) > 0 {
 		// Compact the inline profile so formatting differences in the
@@ -91,18 +80,6 @@ func scenarioHash(spec JobSpec) string {
 	return h
 }
 
-// targetOf renders the scenario's human-readable target description.
-func targetOf(spec JobSpec) string {
-	switch {
-	case spec.Workload != "":
-		return spec.Workload
-	case spec.Metric != "":
-		return fmt.Sprintf("%s=%g", spec.Metric, spec.MetricValue)
-	default:
-		return "inline-profile"
-	}
-}
-
 // indexRun appends a just-succeeded job to the run corpus and runs the
 // regression watchdog against the scenario baseline. Called on the job's
 // worker goroutine before finish(), so a corpus.regression event appended
@@ -125,7 +102,7 @@ func (s *Server) indexRun(job *Job) {
 	}
 
 	job.mu.Lock()
-	spec := job.spec
+	p := job.plan
 	started := job.started
 	backendName := job.backend
 	result := job.result
@@ -137,15 +114,15 @@ func (s *Server) indexRun(job *Job) {
 	tl := report.Timeline
 	rec := corpus.Record{
 		ID:             job.ID(),
-		Scenario:       scenarioHash(spec),
-		Target:         targetOf(spec),
-		Generator:      spec.Generator,
-		Seed:           spec.Seed,
+		Scenario:       scenarioHash(p.spec),
+		Target:         p.target,
+		Generator:      p.generator.Name,
+		Seed:           p.spec.Seed,
 		Backend:        backendName,
 		Build:          buildinfo.Read().String(),
 		BestIter:       report.Best.Iteration,
 		Components:     report.Best.Components,
-		Iterations:     spec.Iterations,
+		Iterations:     p.spec.Iterations,
 		Evals:          report.Counts.Evals,
 		CacheHits:      report.Counts.CacheHits,
 		Skipped:        report.Counts.Skipped,
@@ -155,9 +132,6 @@ func (s *Server) indexRun(job *Job) {
 		RemoteShare:    tl.RemoteShare(),
 		ModelHealth:    report.Health.ModelHealth(),
 		FinishedAt:     time.Now().UTC(),
-	}
-	if rec.Generator == "" {
-		rec.Generator = s.workloadGenerator(spec.Workload)
 	}
 	if result != nil {
 		rec.BestError = result.BestError

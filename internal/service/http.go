@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/jobs               submit a JobSpec, returns {"id": ...}
+//	POST /v1/jobs               submit a JobSpec, returns {"id": ...}; a spec
+//	                            that does not resolve is a 400 and creates no
+//	                            job, a full queue or closed server a 503
 //	GET  /v1/jobs               list job summaries
 //	GET  /v1/jobs/{id}          full status + convergence trace (?since=N
 //	                            returns only trace records from index N)
@@ -134,17 +137,29 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobSpec reads a submitted spec; a field JobSpec does not have is an
+// error, not a silently ignored typo.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		writeError(w, decodeStatus(err), fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	job, err := s.Submit(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, errUnavailable) {
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID()})

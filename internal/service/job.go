@@ -5,10 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"datamime/internal/backend"
 	"datamime/internal/core"
+	"datamime/internal/datagen"
 	"datamime/internal/harness"
 	"datamime/internal/opt"
 	"datamime/internal/profile"
@@ -100,46 +105,27 @@ type JobSpec struct {
 	Profiling *ProfilingSpec `json:"profiling,omitempty"`
 }
 
-// Validate reports spec errors a server cannot accept.
-func (s *JobSpec) Validate() error {
-	if s.Iterations <= 0 {
-		return fmt.Errorf("service: iterations must be positive, got %d", s.Iterations)
+// withDefaults fills the job-level defaults, spelled here only: resolve and
+// scenarioHash both read a spec through it, so "omitted" and "explicitly
+// default" run, and hash, alike. Profiling budgets are not defaulted — zero
+// keeps profile.New's, and the scenario hash takes them as submitted.
+func (s JobSpec) withDefaults() JobSpec {
+	if s.Machine == "" {
+		s.Machine = "broadwell"
 	}
-	sources := 0
-	if s.Workload != "" {
-		sources++
+	if s.Parallel <= 0 {
+		s.Parallel = 1
 	}
-	if len(s.TargetProfile) > 0 {
-		sources++
+	if s.Optimizer == "" {
+		s.Optimizer = "bayesopt"
 	}
-	if s.Metric != "" {
-		sources++
+	if s.OnEvalError == "" {
+		s.OnEvalError = "fail"
 	}
-	if sources != 1 {
-		return fmt.Errorf("service: exactly one of workload, target_profile, or metric must be set")
+	if s.Backend == "" {
+		s.Backend = "auto"
 	}
-	if s.Workload == "" && s.Generator == "" {
-		return fmt.Errorf("service: generator is required without a workload")
-	}
-	switch s.OnEvalError {
-	case "", "fail", "retry-skip":
-	default:
-		return fmt.Errorf("service: unknown on_eval_error %q (want fail or retry-skip)", s.OnEvalError)
-	}
-	switch s.Optimizer {
-	case "", "bayesopt", "random", "anneal":
-	default:
-		return fmt.Errorf("service: unknown optimizer %q (want bayesopt, random, or anneal)", s.Optimizer)
-	}
-	switch s.Backend {
-	case "", "auto", "local", "remote":
-	default:
-		return fmt.Errorf("service: unknown backend %q (want auto, local, or remote)", s.Backend)
-	}
-	if s.Profiling != nil && s.Profiling.ProfileWorkers < 0 {
-		return fmt.Errorf("service: profiling.profile_workers must be >= 0, got %d", s.Profiling.ProfileWorkers)
-	}
-	return nil
+	return s
 }
 
 // JobResult summarizes a finished search.
@@ -209,6 +195,12 @@ type Job struct {
 	mu   sync.Mutex
 	id   string
 	spec JobSpec
+	// plan is what spec resolved to (Submit, or loadCheckpoints on a
+	// restart), fixed before the job is published. It is nil, with planErr
+	// saying why, only for a restored job whose spec no longer resolves — a
+	// generator since unregistered.
+	plan    *plan
+	planErr error
 
 	state      JobState
 	errMsg     string
@@ -365,34 +357,171 @@ func (j *Job) sigLocked() chan struct{} {
 	return j.eventsSig
 }
 
-// specProfiler builds the profiler a spec describes: the machine plus any
-// per-job budget overrides. It is deterministic in the spec, so a restarted
-// server rebuilds the exact profiler a job ran with — which is what makes
-// cache-key reconstruction (jobProfiles) possible.
-func specProfiler(spec JobSpec) (*profile.Profiler, error) {
-	machineName := spec.Machine
-	if machineName == "" {
-		machineName = "broadwell"
+// The names a spec may give its optimizer, failure policy and evaluation
+// backend: each table both validates the name and constructs what it names.
+var (
+	optimizers = map[string]func(*opt.Space, uint64) opt.Optimizer{
+		// nil selects the paper's Bayesian optimizer inside core.Search.
+		"bayesopt": func(*opt.Space, uint64) opt.Optimizer { return nil },
+		"random":   func(sp *opt.Space, seed uint64) opt.Optimizer { return opt.NewRandomSearch(sp, seed) },
+		"anneal":   func(sp *opt.Space, seed uint64) opt.Optimizer { return opt.NewAnneal(sp, seed, 0, 0) },
 	}
-	machine, err := sim.MachineByName(machineName)
+	evalErrorPolicies = map[string]core.EvalErrorPolicy{
+		"fail":       core.EvalFailFast,
+		"retry-skip": core.EvalRetrySkip,
+	}
+	// evalBackends say where candidate evaluations run, asked when the job
+	// starts: nil is the classic in-process path (cfg.Evaluator unset),
+	// bit-identical to the dispatched one by the backend contract.
+	evalBackends = map[string]func(*backend.Dispatcher) backend.EvalBackend{
+		"local": func(*backend.Dispatcher) backend.EvalBackend { return nil },
+		// The dispatcher still falls back in-process if the fleet fails.
+		"remote": func(d *backend.Dispatcher) backend.EvalBackend { return d },
+		"auto": func(d *backend.Dispatcher) backend.EvalBackend {
+			if d.HasWorkers() {
+				return d
+			}
+			return nil
+		},
+	}
+)
+
+// plan is what a JobSpec means on this server: every name looked up and every
+// default applied, once, by resolve. It is a pure function of the spec and the
+// registries, so a restart rebuilds the plan a job ran with (which is what
+// lets jobProfiles reconstruct cache keys), and it is never written again.
+type plan struct {
+	spec      JobSpec           // job-level defaults applied
+	workload  *harness.Workload // nil for metric and inline-profile objectives
+	generator datagen.Generator // the spec's, else the workload's own
+	profiler  *profile.Profiler // the machine with the spec's overrides
+	// profileWorkers is the spec's override, else the server's default.
+	profileWorkers int
+	// objective is the metric target or the decoded inline profile; nil for
+	// a workload job, whose hidden target is profiled — or recalled from the
+	// shared cache under targetKey — when the job starts.
+	objective core.Objective
+	targetKey string
+	target    string // what is matched, for logs and corpus records
+
+	optimizer   func(*opt.Space, uint64) opt.Optimizer
+	onEvalError core.EvalErrorPolicy
+	evalBackend func(*backend.Dispatcher) backend.EvalBackend
+}
+
+// resolve is the coordinator's door, the only place a spec's names and
+// defaults are read. What it refuses cannot run, so Submit refuses it before
+// a job exists; everything downstream reads the plan.
+func (s *Server) resolve(spec JobSpec) (*plan, error) {
+	spec = spec.withDefaults()
+	p := &plan{spec: spec}
+	if spec.Iterations <= 0 {
+		return nil, fmt.Errorf("service: iterations must be positive, got %d", spec.Iterations)
+	}
+
+	machine, err := sim.MachineByName(spec.Machine)
 	if err != nil {
-		return nil, err
+		return nil, unknownName("machine", spec.Machine, sim.Machines(), func(m sim.MachineConfig) string { return m.Name })
 	}
-	profiler := profile.New(machine)
-	if p := spec.Profiling; p != nil {
-		s := &profiler.Spec
-		override(&s.WindowCycles, p.WindowCycles)
-		override(&s.Windows, p.Windows)
-		override(&s.WarmupWindows, p.WarmupWindows)
-		override(&s.CurveWindows, p.CurveWindows)
-		override(&s.CurvePoints, p.CurvePoints)
-		override(&s.MaxRequestsPerRun, p.MaxRequestsPerRun)
-		s.SkipCurves = p.SkipCurves
-		if p.ProfileWorkers > 0 {
-			profiler.Workers = p.ProfileWorkers
+	p.profiler = profile.New(machine)
+	p.profileWorkers = s.cfg.DefaultProfileWorkers
+	if o := spec.Profiling; o != nil {
+		if o.ProfileWorkers < 0 {
+			return nil, fmt.Errorf("service: profiling.profile_workers must be >= 0, got %d", o.ProfileWorkers)
+		}
+		b := &p.profiler.Spec
+		override(&b.WindowCycles, o.WindowCycles)
+		override(&b.Windows, o.Windows)
+		override(&b.WarmupWindows, o.WarmupWindows)
+		override(&b.CurveWindows, o.CurveWindows)
+		override(&b.CurvePoints, o.CurvePoints)
+		override(&b.MaxRequestsPerRun, o.MaxRequestsPerRun)
+		b.SkipCurves = o.SkipCurves
+		if o.ProfileWorkers > 0 {
+			p.profiler.Workers = o.ProfileWorkers
+			p.profileWorkers = o.ProfileWorkers
 		}
 	}
-	return profiler, nil
+
+	sources := 0
+	genName := spec.Generator
+	if spec.Workload != "" {
+		sources++
+		w, err := harness.WorkloadByName(spec.Workload)
+		if err != nil {
+			return nil, unknownName("workload", spec.Workload,
+				append(harness.Workloads(), harness.CaseStudyWorkloads()...), func(w harness.Workload) string { return w.Name })
+		}
+		p.workload = &w
+		p.target = w.Name
+		p.targetKey = core.EvalKey("target/"+w.Name, p.profiler, nil, spec.Seed)
+		if genName == "" {
+			genName = w.Generator.Name
+		}
+	}
+	if spec.Metric != "" {
+		sources++
+		// A metric nobody measures scores every candidate against
+		// Mean(nil) = 0: the job would "succeed" at a constant error.
+		metrics := append(append([]profile.MetricID(nil), profile.ScalarMetrics...), profile.MetricCompress)
+		if !slices.Contains(metrics, profile.MetricID(spec.Metric)) {
+			return nil, unknownName("metric", spec.Metric, metrics, func(m profile.MetricID) string { return string(m) })
+		}
+		p.objective = core.MetricObjective{Metric: profile.MetricID(spec.Metric), Value: spec.MetricValue}
+		p.target = fmt.Sprintf("%s=%g", spec.Metric, spec.MetricValue)
+	}
+	if len(spec.TargetProfile) > 0 {
+		sources++
+		target, err := profile.DecodeJSON(spec.TargetProfile)
+		if err != nil {
+			return nil, fmt.Errorf("service: target_profile: %w", err)
+		}
+		p.objective = core.NewProfileObjective(target, core.NewErrorModel())
+		p.target = "inline-profile"
+	}
+	if sources != 1 {
+		return nil, fmt.Errorf("service: exactly one of workload, target_profile, or metric must be set")
+	}
+
+	if genName == "" {
+		return nil, fmt.Errorf("service: generator is required without a workload")
+	}
+	if p.generator, err = s.local.Generator(genName); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	if p.optimizer, err = pick("optimizer", spec.Optimizer, optimizers); err != nil {
+		return nil, err
+	}
+	if p.onEvalError, err = pick("on_eval_error", spec.OnEvalError, evalErrorPolicies); err != nil {
+		return nil, err
+	}
+	if p.evalBackend, err = pick("backend", spec.Backend, evalBackends); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// pick looks a name up in one of the tables above.
+func pick[T any](field, name string, table map[string]T) (T, error) {
+	v, ok := table[name]
+	if !ok {
+		choices := make([]string, 0, len(table))
+		for k := range table {
+			choices = append(choices, k)
+		}
+		sort.Strings(choices)
+		return v, unknownName(field, name, choices, func(s string) string { return s })
+	}
+	return v, nil
+}
+
+// unknownName refuses a name, saying what would have been accepted.
+func unknownName[T any](field, value string, choices []T, name func(T) string) error {
+	names := make([]string, len(choices))
+	for i, c := range choices {
+		names[i] = name(c)
+	}
+	return fmt.Errorf("service: unknown %s %q (want one of: %s)", field, value, strings.Join(names, ", "))
 }
 
 // override replaces *dst with a job's budget override; zero (or a negative
@@ -403,90 +532,37 @@ func override[T int | float64](dst *T, v T) {
 	}
 }
 
-// buildSearch resolves a spec into a runnable core.SearchConfig. The
-// returned config has no Cache/Resume/callbacks; the worker wires those.
-// Profiling the hidden target of a workload-sourced job happens here (via
-// the shared cache when possible), so it counts toward the running state.
-func (s *Server) buildSearch(ctx context.Context, spec JobSpec) (core.SearchConfig, error) {
-	var cfg core.SearchConfig
-
-	profiler, err := specProfiler(spec)
-	if err != nil {
-		return cfg, err
+// buildSearch turns a plan into a runnable core.SearchConfig. The returned
+// config has no Cache/Resume/callbacks; the worker wires those. Profiling the
+// hidden target of a workload job happens here (via the shared cache when
+// possible), so it counts toward the running state.
+func (s *Server) buildSearch(ctx context.Context, p *plan) (core.SearchConfig, error) {
+	// A copy: runJob hangs the job's recorder on the search's profiler while
+	// jobProfiles may be reading the plan's.
+	profiler := *p.profiler
+	cfg := core.SearchConfig{
+		Generator:      p.generator,
+		Profiler:       &profiler,
+		Objective:      p.objective,
+		Optimizer:      p.optimizer(p.generator.Space, p.spec.Seed),
+		OnEvalError:    p.onEvalError,
+		Iterations:     p.spec.Iterations,
+		Parallel:       p.spec.Parallel,
+		ProfileWorkers: p.profileWorkers,
+		Seed:           p.spec.Seed,
 	}
-	cfg.Profiler = profiler
-
-	var w *harness.Workload
-	if spec.Workload != "" {
-		wl, err := harness.WorkloadByName(spec.Workload)
-		if err != nil {
-			return cfg, err
-		}
-		w = &wl
-	}
-
-	genName := spec.Generator
-	if genName == "" && w != nil {
-		genName = w.Generator.Name
-	}
-	gen, err := s.generator(genName)
-	if err != nil {
-		if w == nil || w.Generator.Name != genName {
-			return cfg, err
-		}
-		gen = w.Generator
-	}
-	cfg.Generator = gen
-
-	switch {
-	case spec.Metric != "":
-		cfg.Objective = core.MetricObjective{Metric: profile.MetricID(spec.Metric), Value: spec.MetricValue}
-	case len(spec.TargetProfile) > 0:
-		target, err := profile.DecodeJSON(spec.TargetProfile)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Objective = core.NewProfileObjective(target, core.NewErrorModel())
-	default:
-		// Profile the hidden target; content-address it through the shared
-		// cache so restarts and resubmissions skip this too.
-		key := core.EvalKey("target/"+w.Name, profiler, nil, spec.Seed)
-		target, ok := s.cache.Get(key)
+	if p.workload != nil {
+		target, ok := s.cache.Get(p.targetKey)
 		if !ok {
-			target, err = s.profileTarget(ctx, spec, profiler, w)
-			if err != nil {
-				return cfg, fmt.Errorf("profiling target %s: %w", w.Name, err)
+			var err error
+			if target, err = s.profileTarget(ctx, p); err != nil {
+				return cfg, fmt.Errorf("profiling target %s: %w", p.workload.Name, err)
 			}
-			s.cache.Put(key, target)
+			s.cache.Put(p.targetKey, target)
 		}
 		cfg.Objective = core.NewProfileObjective(target, core.NewErrorModel())
 	}
-
-	switch spec.Optimizer {
-	case "random":
-		cfg.Optimizer = opt.NewRandomSearch(gen.Space, spec.Seed)
-	case "anneal":
-		cfg.Optimizer = opt.NewAnneal(gen.Space, spec.Seed, 0, 0)
-	default:
-		// nil selects the paper's Bayesian optimizer inside core.Search.
-	}
-	if spec.OnEvalError == "retry-skip" {
-		cfg.OnEvalError = core.EvalRetrySkip
-	}
-	cfg.Iterations = spec.Iterations
-	cfg.Parallel = spec.Parallel
-	cfg.ProfileWorkers = s.effectiveProfileWorkers(spec)
-	cfg.Seed = spec.Seed
 	return cfg, nil
-}
-
-// effectiveProfileWorkers resolves a job's intra-profile parallelism: the
-// spec's explicit setting wins, otherwise the server's default applies.
-func (s *Server) effectiveProfileWorkers(spec JobSpec) int {
-	if spec.Profiling != nil && spec.Profiling.ProfileWorkers > 0 {
-		return spec.Profiling.ProfileWorkers
-	}
-	return s.cfg.DefaultProfileWorkers
 }
 
 // evalsFromCheckpoint rebuilds the eval events of a persisted job, one per

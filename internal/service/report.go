@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"datamime/internal/core"
-	"datamime/internal/harness"
 	"datamime/internal/inspect"
 	"datamime/internal/telemetry"
 )
@@ -26,7 +25,7 @@ func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 	if j.result != nil && len(j.result.Components) > 0 {
 		doc.Components = j.result.Components
 	}
-	spec := j.spec
+	p := j.plan
 	checkpoint := j.checkpoint.Clone()
 	j.mu.Unlock()
 
@@ -35,57 +34,26 @@ func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 			doc.Components = best.Components
 		}
 	}
-	if doc.Target != nil && doc.Best != nil {
+	if p == nil || (doc.Target != nil && doc.Best != nil) {
 		return doc
 	}
 
 	// Recovery path: rebuild the cache keys the run used.
-	profiler, err := specProfiler(spec)
-	if err != nil {
-		return doc
-	}
-	if doc.Target == nil && spec.Workload != "" {
-		key := core.EvalKey("target/"+spec.Workload, profiler, nil, spec.Seed)
-		if p, ok := s.cache.Get(key); ok {
-			doc.Target = p
+	if doc.Target == nil && p.workload != nil {
+		if prof, ok := s.cache.Get(p.targetKey); ok {
+			doc.Target = prof
 		}
 	}
 	if doc.Best == nil {
-		best, ok := checkpoint.Best()
-		if !ok {
-			return doc
-		}
-		space, err := s.specSpace(spec)
-		if err != nil {
-			return doc
-		}
-		genName := spec.Generator
-		if genName == "" {
-			genName = s.workloadGenerator(spec.Workload)
-		}
-		if genName == "" {
-			return doc
-		}
-		x := space.Denormalize(best.U)
-		seed := core.IterationSeed(spec.Seed, best.Iteration, best.Retried)
-		if p, ok := s.cache.Get(core.EvalKey(genName, profiler, x, seed)); ok {
-			doc.Best = p
+		if best, ok := checkpoint.Best(); ok {
+			x := p.generator.Space.Denormalize(best.U)
+			seed := core.IterationSeed(p.spec.Seed, best.Iteration, best.Retried)
+			if prof, ok := s.cache.Get(core.EvalKey(p.generator.Name, p.profiler, x, seed)); ok {
+				doc.Best = prof
+			}
 		}
 	}
 	return doc
-}
-
-// workloadGenerator resolves the default generator name of a workload ("" on
-// unknown workloads).
-func (s *Server) workloadGenerator(workload string) string {
-	if workload == "" {
-		return ""
-	}
-	w, err := harness.WorkloadByName(workload)
-	if err != nil {
-		return ""
-	}
-	return w.Generator.Name
 }
 
 // handleProfiles serves GET /v1/jobs/{id}/profiles: the target and best-

@@ -9,6 +9,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -101,9 +102,9 @@ type Server struct {
 	// re-reads its profiles here) and doubles as the fleet's shared tier,
 	// served to workers at /v1/cache/{key}.
 	cache *backend.LRU
-	gens  map[string]datagen.Generator
 
-	// local is the in-process evaluation backend; dispatcher shards
+	// local is the in-process evaluation backend, and its generator registry
+	// is the server's (resolve looks specs up in it); dispatcher shards
 	// evaluations across registered datamime-worker processes, falling back
 	// to local so a job never dies with the fleet. With no workers
 	// registered, jobs take the classic in-process path (bit-identical by
@@ -158,7 +159,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		cache:      backend.NewLRU(cfg.CacheCapacity),
-		gens:       make(map[string]datagen.Generator),
 		jobs:       make(map[string]*Job),
 		nextID:     1,
 		queue:      make(chan *Job, cfg.QueueDepth),
@@ -168,12 +168,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Log != nil {
 		s.logger = telemetry.NewLineLogger(cfg.Log)
-	}
-	for _, g := range datagen.All() {
-		s.gens[g.Name] = g
-	}
-	for _, g := range cfg.Generators {
-		s.gens[g.Name] = g
 	}
 	s.initDispatch()
 	if cfg.CorpusDir != "" {
@@ -199,33 +193,33 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// generator resolves a registered generator by name.
-func (s *Server) generator(name string) (datagen.Generator, error) {
-	if g, ok := s.gens[name]; ok {
-		return g, nil
-	}
-	return datagen.Generator{}, fmt.Errorf("service: unknown generator %q", name)
-}
-
 // Workers returns the worker-pool size.
 func (s *Server) Workers() int { return s.cfg.Workers }
 
 // Cache returns the shared evaluation cache.
 func (s *Server) Cache() *backend.LRU { return s.cache }
 
-// Submit validates and enqueues a job, returning its assigned ID.
+// errUnavailable marks the Submit failures that are the server's condition,
+// not the spec's fault — a full queue, a closed server. The handler answers
+// them 503, as a worker's shed does, and everything else 400.
+var errUnavailable = errors.New("service: unavailable")
+
+// Submit resolves and enqueues a job, returning its assigned ID. A spec that
+// does not resolve creates no job.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	if err := spec.Validate(); err != nil {
+	p, err := s.resolve(spec)
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("service: server is shut down")
+		return nil, fmt.Errorf("%w: server is shut down", errUnavailable)
 	}
 	job := &Job{
 		id:      fmt.Sprintf("job-%d", s.nextID),
 		spec:    spec,
+		plan:    p,
 		state:   JobQueued,
 		done:    make(chan struct{}),
 		created: time.Now(),
@@ -240,9 +234,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	case s.queue <- job:
 	default:
 		s.finish(job, JobFailed, "service: job queue is full")
-		return nil, fmt.Errorf("service: job queue is full")
+		return nil, fmt.Errorf("%w: job queue is full", errUnavailable)
 	}
-	s.logf("job %s queued (%s)", job.id, describeSpec(spec))
+	s.logf("job %s queued (target=%s generator=%s iterations=%d)", job.id, p.target, p.generator.Name, spec.Iterations)
 	return job, nil
 }
 
@@ -340,12 +334,17 @@ func (s *Server) runJob(job *Job) {
 	job.started = time.Now()
 	job.cancel = cancel
 	resume := job.checkpoint.Clone()
-	spec := job.spec
 	job.mu.Unlock()
 	s.persist(job)
 	s.logf("job %s running", job.id)
 
-	cfg, err := s.buildSearch(ctx, spec)
+	p := job.plan
+	if p == nil {
+		// Restored from a checkpoint whose spec no longer resolves here.
+		s.finish(job, JobFailed, job.planErr.Error())
+		return
+	}
+	cfg, err := s.buildSearch(ctx, p)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.endInterrupted(job)
@@ -356,7 +355,7 @@ func (s *Server) runJob(job *Job) {
 	}
 	cfg.Cache = s.cache
 	var dispatchEv *backend.SearchEvaluator
-	if b := s.dispatchFor(spec); b != nil {
+	if b := p.evalBackend(s.dispatcher); b != nil {
 		// Shard cache-missing candidate evaluations across the fleet. The
 		// coordinator-side cache lookup, keys, seeds, and scoring stay in
 		// core, so a dispatched job's counters and artifacts stay
@@ -551,22 +550,6 @@ func (s *Server) DebugVars() interface{} {
 		"telemetry_enabled": s.cfg.Telemetry,
 		"uptime_seconds":    time.Since(s.started).Seconds(),
 	}
-}
-
-// describeSpec renders a one-line spec summary for logs.
-func describeSpec(spec JobSpec) string {
-	target := spec.Workload
-	if target == "" && spec.Metric != "" {
-		target = fmt.Sprintf("%s=%g", spec.Metric, spec.MetricValue)
-	}
-	if target == "" {
-		target = "inline-profile"
-	}
-	gen := spec.Generator
-	if gen == "" {
-		gen = "workload-default"
-	}
-	return fmt.Sprintf("target=%s generator=%s iterations=%d", target, gen, spec.Iterations)
 }
 
 // allStates lists every job state in a stable order for /metrics output.

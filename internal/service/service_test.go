@@ -364,50 +364,55 @@ func TestCacheLRU(t *testing.T) {
 	}
 }
 
-// TestSpecValidation covers the error cases of JobSpec.Validate.
+// TestSpecValidation covers the shape errors resolve refuses (the names it
+// refuses are TestSubmitRefusesWhatCannotRun's).
 func TestSpecValidation(t *testing.T) {
+	s := newTestServer(t, "")
+	defer s.Close()
+	const g = "kv-service-test"
 	bad := []JobSpec{
 		{},
 		{Iterations: 5}, // no objective
-		{Iterations: 5, Metric: "ipc", Workload: "mem-fb"},                     // two objectives
-		{Iterations: 5, Metric: "ipc"},                                         // no generator
-		{Iterations: 5, Metric: "ipc", Generator: "g", OnEvalError: "explode"}, // bad policy
-		{Iterations: 5, Metric: "ipc", Generator: "g", Optimizer: "gradient"},  // bad optimizer
-		{Iterations: 5, Metric: "ipc", Generator: "g",
+		{Iterations: 5, Metric: "ipc", Workload: "mem-fb"},                   // two objectives
+		{Iterations: 5, Metric: "ipc"},                                       // no generator
+		{Iterations: 5, Metric: "ipc", Generator: g, OnEvalError: "explode"}, // bad policy
+		{Iterations: 5, Metric: "ipc", Generator: g, Optimizer: "gradient"},  // bad optimizer
+		{Iterations: 5, Metric: "ipc", Generator: g,
 			Profiling: &ProfilingSpec{ProfileWorkers: -2}}, // negative workers
 	}
 	for i, spec := range bad {
-		if err := spec.Validate(); err == nil {
+		if _, err := s.resolve(spec); err == nil {
 			t.Fatalf("bad spec %d accepted", i)
 		}
 	}
 	good := testSpec(5, 1)
-	if err := good.Validate(); err != nil {
+	if _, err := s.resolve(good); err != nil {
 		t.Fatal(err)
 	}
 	good.Profiling = &ProfilingSpec{ProfileWorkers: 4}
-	if err := good.Validate(); err != nil {
+	if _, err := s.resolve(good); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEffectiveProfileWorkers: a spec override wins; otherwise the server
-// default applies, and specProfiler applies the spec value to the profiler.
+// TestEffectiveProfileWorkers: a spec override wins and reaches the plan's
+// profiler; otherwise the server default applies.
 func TestEffectiveProfileWorkers(t *testing.T) {
-	s := &Server{cfg: Config{DefaultProfileWorkers: 3}}
-	if got := s.effectiveProfileWorkers(JobSpec{}); got != 3 {
-		t.Fatalf("server default not applied: %d", got)
-	}
-	spec := JobSpec{Profiling: &ProfilingSpec{ProfileWorkers: 8}}
-	if got := s.effectiveProfileWorkers(spec); got != 8 {
-		t.Fatalf("spec override lost: %d", got)
-	}
-	pr, err := specProfiler(spec)
+	s := &Server{cfg: Config{DefaultProfileWorkers: 3}, local: backend.NewLocalBackend(testGenerator())}
+	spec := testSpec(5, 1)
+	p, err := s.resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Workers != 8 {
-		t.Fatalf("specProfiler.Workers = %d, want 8", pr.Workers)
+	if p.profileWorkers != 3 {
+		t.Fatalf("server default not applied: %d", p.profileWorkers)
+	}
+	spec.Profiling.ProfileWorkers = 8
+	if p, err = s.resolve(spec); err != nil {
+		t.Fatal(err)
+	}
+	if p.profileWorkers != 8 || p.profiler.Workers != 8 {
+		t.Fatalf("spec override lost: plan %d, profiler %d, want 8", p.profileWorkers, p.profiler.Workers)
 	}
 }
 

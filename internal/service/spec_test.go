@@ -16,10 +16,11 @@ import (
 // every field, set through reflection to a value no default uses, must
 // change Spec.Key (and so core.EvalKey), survive the wire form
 // (backend.ProfilerSpec) and have a same-named, same-typed, same-tagged
-// override in ProfilingSpec that specProfiler applies. A knob added to Spec
+// override in ProfilingSpec that resolve applies. A knob added to Spec
 // alone fails here until the key and the override know it — forgetting the
 // key is a stale cache hit, a wrong profile served as a right one.
 func TestSpecFieldsAreCovered(t *testing.T) {
+	svc := &Server{local: backend.NewLocalBackend()} // all resolve reads of a server
 	base := profile.New(sim.Broadwell())
 	x := []float64{0.5, 3}
 	specType := reflect.TypeOf(profile.Spec{})
@@ -57,8 +58,8 @@ func TestSpecFieldsAreCovered(t *testing.T) {
 		if err := json.Unmarshal(wire, &back); err != nil {
 			t.Fatal(err)
 		}
-		if rebuilt, err := back.Profiler(); err != nil || rebuilt.Spec != pr.Spec {
-			t.Errorf("Spec.%s lost on the wire: %s -> %+v (%v)", field.Name, wire, back.Spec, err)
+		if back.Spec != pr.Spec {
+			t.Errorf("Spec.%s lost on the wire: %s -> %+v", field.Name, wire, back.Spec)
 		}
 
 		of, ok := overrideType.FieldByName(field.Name)
@@ -71,12 +72,12 @@ func TestSpecFieldsAreCovered(t *testing.T) {
 		}
 		var override ProfilingSpec
 		set(reflect.ValueOf(&override).Elem().FieldByName(field.Name))
-		applied, err := specProfiler(JobSpec{Profiling: &override})
+		plan, err := svc.resolve(JobSpec{Workload: "mem-fb", Iterations: 1, Profiling: &override})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if applied.Spec != pr.Spec {
-			t.Errorf("specProfiler does not apply ProfilingSpec.%s: got %+v, want %+v", field.Name, applied.Spec, pr.Spec)
+		if applied := plan.profiler; applied.Spec != pr.Spec {
+			t.Errorf("resolve does not apply ProfilingSpec.%s: got %+v, want %+v", field.Name, applied.Spec, pr.Spec)
 		}
 	}
 
