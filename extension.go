@@ -63,6 +63,11 @@ func Run(m *Machine, b Benchmark, srv Server, windows int, seed uint64, maxReque
 
 // Optional server capabilities: implement these alongside Server to opt
 // into richer profiling.
+//
+// A Benchmark's NewServer is called once per profiling run, concurrently in
+// a pooled sweep. It may hand its servers immutable built state (the dnn
+// generator shares one weight build per dataset seed) but nothing a server
+// writes; the Warmable contract below is unchanged by such sharing.
 type (
 	// Warmable servers pre-touch their dataset before measurement, so
 	// profiles reflect a long-running service's steady state. Identically

@@ -60,14 +60,28 @@ func (s NetSpec) Validate() error {
 	return nil
 }
 
-// Model is a built network: real weights plus simulated weight storage.
+// params is the part of a built model that is a pure function of
+// (spec, seed) and is never written once buildParams returns: the drawn
+// parameters, their simulated placement and the two simulated activation
+// arenas. The runs of a sweep share one (Shared), so its layers carry no
+// code region — regions hold a cursor and belong to one run's layout.
+type params struct {
+	spec       NetSpec
+	layers     []layer
+	bufA, bufB uint64
+	maxAct     int // the largest layer output, in floats
+}
+
+// Model is a built network: real weights plus simulated weight storage,
+// laid out for one run.
 type Model struct {
-	spec   NetSpec
-	layers []layer
-	heap   *memsim.Heap
+	shared *params
+	layers []layer // shared.layers with this run's code regions attached
 	code   modelCode
-	bufA   uint64
-	bufB   uint64
+	// act are the host activation buffers, ping-ponged like the simulated
+	// bufA/bufB they model. Every kernel writes every output element, so
+	// they are never cleared.
+	act [2]Tensor
 
 	inferences int
 }
@@ -93,47 +107,55 @@ const maxFCWidth = 2048
 // Build constructs the model with seeded random weights and simulated
 // weight storage. It panics on an invalid spec.
 func Build(spec NetSpec, layout *trace.CodeLayout, seed uint64) *Model {
+	return buildParams(spec, seed).model(layout)
+}
+
+// buildParams draws the network's parameters and places them in a simulated
+// heap. Each layer draws its full stream in layer order but holds only the
+// rows its sampling step computes (layer.initWeights), while wAddr/wBytes
+// describe the full layer. It panics on an invalid spec.
+func buildParams(spec NetSpec, seed uint64) *params {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	heap := memsim.NewHeap()
-	m := &Model{
+	p := &params{
 		spec: spec,
-		heap: heap,
-		code: modelCode{
-			sched:  layout.Region("nn.scheduler", 4<<10),
-			conv:   layout.Region("nn.conv3x3_kernel", 7<<10),
-			pool:   layout.Region("nn.maxpool_kernel", 2<<10),
-			fc:     layout.Region("nn.gemm_kernel", 6<<10),
-			relu:   layout.Region("nn.relu", 1<<10),
-			input:  layout.Region("nn.decode_input", 5<<10),
-			output: layout.Region("nn.softmax_output", 2<<10),
-		},
 		bufA: heap.Alloc(actBufBytes),
 		bufB: heap.Alloc(actBufBytes),
 	}
 	rng := stats.NewRNG(stats.HashSeed(seed, "nn-weights"))
+	// add draws and places a conv or FC layer of per weights per output
+	// channel, producing positions outputs per channel.
+	add := func(kind LayerKind, inC, outC, per, positions int) {
+		l := layer{kind: kind, inC: inC, outC: outC, step: sampleStep(outC*per*positions, outC)}
+		rows := (outC + l.step - 1) / l.step
+		l.weights = make([]float32, rows*per)
+		l.bias = make([]float32, rows)
+		l.initWeights(rng, per)
+		l.wBytes = 4 * outC * per
+		l.wAddr = heap.Alloc(l.wBytes)
+		p.layers = append(p.layers, l)
+		p.maxAct = max(p.maxAct, outC*positions)
+	}
 
 	c, h := spec.InputC, spec.InputHW
 	w := spec.InputHW
 	flat := 0 // non-zero once we are in FC territory
 	for i, ls := range spec.Layers {
-		var l layer
 		switch ls.Kind {
 		case Conv3x3, StridedConv3x3:
-			l = layer{kind: ls.Kind, inC: c, outC: ls.OutChannels, code: m.code.conv}
-			l.weights = make([]float32, ls.OutChannels*c*9)
-			l.bias = make([]float32, ls.OutChannels)
-			l.initWeights(rng, c*9)
-			c = ls.OutChannels
 			if ls.Kind == StridedConv3x3 {
 				h = (h + 1) / 2
 				w = (w + 1) / 2
 			}
+			add(ls.Kind, c, ls.OutChannels, c*9, h*w)
+			c = ls.OutChannels
 		case MaxPool2x2:
-			l = layer{kind: MaxPool2x2, inC: c, outC: c, code: m.code.pool}
+			p.layers = append(p.layers, layer{kind: MaxPool2x2, inC: c, outC: c})
 			h = max(h/2, 1)
 			w = max(w/2, 1)
+			p.maxAct = max(p.maxAct, c*h*w)
 		case FC:
 			if flat == 0 {
 				flat = c * h * w
@@ -146,30 +168,46 @@ func Build(spec NetSpec, layout *trace.CodeLayout, seed uint64) *Model {
 				// capped so a single layer's parameter count stays bounded.
 				outW = min(flat, maxFCWidth)
 			}
-			l = layer{kind: FC, inC: flat, outC: outW, code: m.code.fc}
-			l.weights = make([]float32, outW*flat)
-			l.bias = make([]float32, outW)
-			l.initWeights(rng, flat)
+			add(FC, flat, outW, flat, 1)
 			flat = outW
 			c, h, w = outW, 1, 1
 		}
-		l.wBytes = 4 * len(l.weights)
-		if l.wBytes > 0 {
-			l.wAddr = heap.Alloc(l.wBytes)
-		}
-		m.layers = append(m.layers, l)
 	}
 	// Networks without a trailing FC still need logits: append a classifier.
-	if len(m.layers) == 0 || m.layers[len(m.layers)-1].kind != FC {
-		flat = c * h * w
-		l := layer{kind: FC, inC: flat, outC: spec.Classes, code: m.code.fc}
-		l.weights = make([]float32, spec.Classes*flat)
-		l.bias = make([]float32, spec.Classes)
-		l.initWeights(rng, flat)
-		l.wBytes = 4 * len(l.weights)
-		l.wAddr = heap.Alloc(l.wBytes)
-		m.layers = append(m.layers, l)
+	if len(p.layers) == 0 || p.layers[len(p.layers)-1].kind != FC {
+		add(FC, c*h*w, spec.Classes, c*h*w, 1)
 	}
+	return p
+}
+
+// model lays the shared parameters out for one run: the engine's text
+// regions in layout, and the host activation buffers.
+func (p *params) model(layout *trace.CodeLayout) *Model {
+	m := &Model{
+		shared: p,
+		layers: append([]layer(nil), p.layers...),
+		code: modelCode{
+			sched:  layout.Region("nn.scheduler", 4<<10),
+			conv:   layout.Region("nn.conv3x3_kernel", 7<<10),
+			pool:   layout.Region("nn.maxpool_kernel", 2<<10),
+			fc:     layout.Region("nn.gemm_kernel", 6<<10),
+			relu:   layout.Region("nn.relu", 1<<10),
+			input:  layout.Region("nn.decode_input", 5<<10),
+			output: layout.Region("nn.softmax_output", 2<<10),
+		},
+	}
+	for i := range m.layers {
+		switch l := &m.layers[i]; l.kind {
+		case Conv3x3, StridedConv3x3:
+			l.code = m.code.conv
+		case MaxPool2x2:
+			l.code = m.code.pool
+		case FC:
+			l.code = m.code.fc
+		}
+	}
+	buf := make([]float32, 2*p.maxAct)
+	m.act[0].Data, m.act[1].Data = buf[:p.maxAct:p.maxAct], buf[p.maxAct:]
 	return m
 }
 
@@ -188,18 +226,29 @@ func (m *Model) WeightBytes() int {
 }
 
 // Spec returns the model's specification.
-func (m *Model) Spec() NetSpec { return m.spec }
+func (m *Model) Spec() NetSpec { return m.shared.spec }
 
 // Infer runs a forward pass on input, emitting all work into col, and
-// returns the logits.
+// returns the logits. It panics on an input of another shape than the
+// model's: sampling steps and buffers were fixed for that shape at build.
 func (m *Model) Infer(col trace.Collector, input *Tensor) []float32 {
+	return append([]float32(nil), m.forward(col, input)...)
+}
+
+// forward is Infer returning the logits in place, in a host activation
+// buffer the next pass overwrites.
+func (m *Model) forward(col trace.Collector, input *Tensor) []float32 {
+	if s := m.shared.spec; input.C != s.InputC || input.H != s.InputHW || input.W != s.InputHW {
+		panic(fmt.Sprintf("nn: input is %dx%dx%d, model was built for %dx%dx%d",
+			input.C, input.H, input.W, s.InputC, s.InputHW, s.InputHW))
+	}
 	m.inferences++
 	col.Exec(m.code.sched, 250)
 	col.Exec(m.code.input, 300+input.Bytes()/64)
-	col.Store(m.bufA, input.Bytes())
+	col.Store(m.shared.bufA, input.Bytes())
 
 	cur := input
-	inAddr, outAddr := m.bufA, m.bufB
+	inAddr, outAddr := m.shared.bufA, m.shared.bufB
 	for i := range m.layers {
 		l := &m.layers[i]
 		relu := l.kind != FC || i != len(m.layers)-1
@@ -207,13 +256,13 @@ func (m *Model) Infer(col trace.Collector, input *Tensor) []float32 {
 		if relu && l.kind != MaxPool2x2 {
 			col.Exec(m.code.relu, 30)
 		}
-		cur = l.forward(col, cur, relu, inAddr, outAddr)
+		out := &m.act[i%2]
+		l.run(col, cur, out, relu, inAddr, outAddr)
+		cur = out
 		inAddr, outAddr = outAddr, inAddr
 	}
 	col.Exec(m.code.output, 120+len(cur.Data)/8)
-	out := make([]float32, len(cur.Data))
-	copy(out, cur.Data)
-	return out
+	return cur.Data
 }
 
 // Classify returns the argmax class of an inference.

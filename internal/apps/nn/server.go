@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"sync"
+
 	"datamime/internal/stats"
 	"datamime/internal/trace"
 )
@@ -9,10 +11,9 @@ import (
 // image (synthetic, as the profiles are insensitive to pixel content) and
 // runs one inference, as in the paper's Tailbench-harnessed PyTorch setup.
 type Server struct {
-	model    *Model
-	input    *Tensor
-	name     string
-	lastResp int
+	model *Model
+	input *Tensor
+	name  string
 }
 
 // NewServer wraps a built model. name distinguishes the dnn and img-dnn
@@ -31,6 +32,33 @@ func New(spec NetSpec, layout *trace.CodeLayout, seed uint64) *Server {
 	return NewServer(Build(spec, layout, seed), "dnn")
 }
 
+// Shared returns a server constructor for spec that builds the model's
+// parameters once per seed and hands every server of that seed the same
+// ones: the profiler builds one server per run of a sweep, all with one
+// dataset seed, and the parameters — drawn weights and their simulated
+// addresses — are a pure function of (spec, seed) that no server writes.
+// What a run advances (code-region cursors, host activations, the input
+// tensor) is built per call, in that call's layout, so a shared server emits
+// exactly what New's would. One seed is kept: a call with another seed
+// replaces it. The lock is held across a build so that concurrent runs of
+// one sweep wait for the first instead of each drawing the weights.
+func Shared(spec NetSpec, name string) func(*trace.CodeLayout, uint64) *Server {
+	var (
+		mu   sync.Mutex
+		seed uint64
+		p    *params
+	)
+	return func(layout *trace.CodeLayout, s uint64) *Server {
+		mu.Lock()
+		if p == nil || seed != s {
+			p, seed = buildParams(spec, s), s
+		}
+		built := p
+		mu.Unlock()
+		return NewServer(built.model(layout), name)
+	}
+}
+
 // Name implements workload.Server.
 func (s *Server) Name() string { return s.name }
 
@@ -40,8 +68,7 @@ func (s *Server) Model() *Model { return s.model }
 // Handle implements workload.Server: decode an input, infer, respond.
 func (s *Server) Handle(col trace.Collector, rng *stats.RNG) {
 	s.input.FillRandom(rng)
-	logits := s.model.Infer(col, s.input)
-	s.lastResp = 32 + 4*len(logits)
+	s.model.forward(col, s.input)
 }
 
 // WarmDataset implements workload.Warmable: stream the weights once (a
@@ -55,7 +82,8 @@ func (s *Server) WarmDataset(col trace.Collector) {
 // LastMessageSizes implements workload.Sizer: the request carries the
 // image, the response the logits.
 func (s *Server) LastMessageSizes() (req, resp int) {
-	return s.input.Bytes()/8 + 128, s.lastResp // images arrive JPEG-compressed (~8x)
+	head := s.model.layers[len(s.model.layers)-1].outC
+	return s.input.Bytes()/8 + 128, 32 + 4*head // images arrive JPEG-compressed (~8x)
 }
 
 // ResNet50Target is the paper's dnn target: a ResNet-50-like model, scaled

@@ -33,6 +33,13 @@ func NewTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float32, c*h*w)}
 }
 
+// shape sets the tensor's dimensions over its existing storage, which must
+// be large enough; the contents are whatever the storage held.
+func (t *Tensor) shape(c, h, w int) {
+	t.C, t.H, t.W = c, h, w
+	t.Data = t.Data[:c*h*w]
+}
+
 // At returns element (c, y, x).
 func (t *Tensor) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
 
@@ -59,7 +66,6 @@ func argmax(xs []float32) int {
 		if v > xs[best] {
 			best = i
 		}
-		_ = i
 	}
 	return best
 }

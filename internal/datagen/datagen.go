@@ -201,11 +201,14 @@ func DNN() Generator {
 				InputHW:     16,
 				Classes:     100,
 			})
+			// The network is drawn once per candidate and shared by the
+			// runs of its sweep (nn.Shared).
+			newServer := nn.Shared(spec, "dnn")
 			return workload.Benchmark{
 				Name: fmt.Sprintf("dnn[%s]", space.Values(x)),
 				QPS:  x[0],
 				NewServer: func(layout *trace.CodeLayout, seed uint64) workload.Server {
-					return nn.New(spec, layout, seed)
+					return newServer(layout, seed)
 				},
 			}
 		},

@@ -110,24 +110,25 @@ func xapianPublic() workload.Benchmark {
 	}
 }
 
-func dnnTarget() workload.Benchmark {
+// nnBenchmark is a fixed network of the given server family behind
+// nn.Shared: the runs of a profile share one weight build.
+func nnBenchmark(name, family string, qps float64, spec nn.NetSpec) workload.Benchmark {
+	newServer := nn.Shared(spec, family)
 	return workload.Benchmark{
-		Name: "dnn",
-		QPS:  nn.ResNetQPS,
+		Name: name,
+		QPS:  qps,
 		NewServer: func(l *trace.CodeLayout, seed uint64) workload.Server {
-			return nn.New(nn.ResNet50Target(), l, seed)
+			return newServer(l, seed)
 		},
 	}
 }
 
+func dnnTarget() workload.Benchmark {
+	return nnBenchmark("dnn", "dnn", nn.ResNetQPS, nn.ResNet50Target())
+}
+
 func dnnPublic() workload.Benchmark {
-	return workload.Benchmark{
-		Name: "dnn-public",
-		QPS:  nn.ShuffleNetQPS,
-		NewServer: func(l *trace.CodeLayout, seed uint64) workload.Server {
-			return nn.New(nn.ShuffleNetDefault(), l, seed)
-		},
-	}
+	return nnBenchmark("dnn-public", "dnn", nn.ShuffleNetQPS, nn.ShuffleNetDefault())
 }
 
 func masstreeTarget() workload.Benchmark {
@@ -141,13 +142,7 @@ func masstreeTarget() workload.Benchmark {
 }
 
 func imgDNNTarget() workload.Benchmark {
-	return workload.Benchmark{
-		Name: "img-dnn",
-		QPS:  nn.AutoencoderQPS,
-		NewServer: func(l *trace.CodeLayout, seed uint64) workload.Server {
-			return nn.NewAutoencoderServer(l, seed)
-		},
-	}
+	return nnBenchmark("img-dnn", "img-dnn", nn.AutoencoderQPS, nn.AutoencoderTarget())
 }
 
 // Workloads returns the five main evaluation targets, in the paper's order.

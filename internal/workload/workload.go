@@ -26,8 +26,13 @@ type Server interface {
 }
 
 // Benchmark couples a server factory with its load configuration; it is
-// what the profiler runs. NewServer is called once per profiling run so
-// every run gets a fresh dataset instance and simulated heap.
+// what the profiler runs. NewServer is called once per profiling run —
+// from several goroutines at once in a pooled sweep — and every run gets a
+// server of its own. A factory may hand its servers built state they only
+// read (apps/nn shares one weight build per dataset seed, nn.Shared);
+// anything a server writes — its dataset if requests mutate it, code-region
+// cursors, scratch buffers — must be that server's alone, so that a run
+// sees exactly what a freshly built server would show it.
 type Benchmark struct {
 	// Name identifies the benchmark configuration.
 	Name string
