@@ -66,8 +66,11 @@ func Run(m *Machine, b Benchmark, srv Server, windows int, seed uint64, maxReque
 //
 // A Benchmark's NewServer is called once per profiling run, concurrently in
 // a pooled sweep. It may hand its servers immutable built state (the dnn
-// generator shares one weight build per dataset seed) but nothing a server
-// writes; the Warmable contract below is unchanged by such sharing.
+// generator shares one weight build per dataset seed, the memcached
+// generators one store population) but nothing a server writes; the Warmable
+// contract below is unchanged by such sharing. Such state lives as long as
+// the Benchmark holding the factory: share in a Benchmark made per candidate
+// and dropped after its profile, not in one held for the life of the process.
 type (
 	// Warmable servers pre-touch their dataset before measurement, so
 	// profiles reflect a long-running service's steady state. Identically

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"sync"
 
 	"datamime/internal/memsim"
 	"datamime/internal/stats"
@@ -63,20 +64,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// keyMeta is the client-side view of one key.
-type keyMeta struct {
-	size int
-}
-
 // Server is the memcached-like request server: a Store populated from a
 // Config, plus the request parsing/response code paths.
 type Server struct {
-	cfg    Config
-	store  *Store
-	keys   []keyMeta
-	perm   []int // popularity rank -> key index
-	zipf   *stats.Zipf
-	budget uint64
+	cfg   Config
+	store *Store
+	// The client-side view of the dataset, never written after population.
+	keySizes []int32 // key index -> key size
+	perm     []int32 // popularity rank -> key index
+	zipf     *stats.Zipf
+	budget   uint64
 
 	parse   *trace.CodeRegion
 	respond *trace.CodeRegion
@@ -110,25 +107,28 @@ func New(cfg Config, layout *trace.CodeLayout, seed uint64) *Server {
 	}
 	st := NewStore(buckets, layout)
 	s := &Server{
-		cfg:     cfg,
-		store:   st,
-		keys:    make([]keyMeta, cfg.NumKeys),
-		parse:   layout.Region("kv.parse_command", 5<<10),
-		respond: layout.Region("kv.build_response", 4<<10),
-		proto:   layout.Region("kv.proto_dispatch", 3<<10),
-		rxBuf:   st.heap.Alloc(bufBytes),
-		txBuf:   st.heap.Alloc(bufBytes),
+		cfg:      cfg,
+		store:    st,
+		keySizes: make([]int32, cfg.NumKeys),
+		parse:    layout.Region("kv.parse_command", 5<<10),
+		respond:  layout.Region("kv.build_response", 4<<10),
+		proto:    layout.Region("kv.proto_dispatch", 3<<10),
+		rxBuf:    st.heap.Alloc(bufBytes),
+		txBuf:    st.heap.Alloc(bufBytes),
 	}
 	if cfg.PopularitySkew > 0 {
 		s.zipf = stats.NewZipf(cfg.NumKeys, cfg.PopularitySkew)
 	}
-	s.perm = popRNG.Perm(cfg.NumKeys)
+	s.perm = make([]int32, cfg.NumKeys)
+	for rank, idx := range popRNG.Perm(cfg.NumKeys) {
+		s.perm[rank] = int32(idx)
+	}
 
 	var null trace.Null
 	for id := 0; id < cfg.NumKeys; id++ {
 		ks := sizeAtLeast(cfg.KeySize.Sample(popRNG), 4)
 		vs := sizeAtLeast(cfg.ValueSize.Sample(popRNG), 1)
-		s.keys[id] = keyMeta{size: ks}
+		s.keySizes[id] = int32(ks)
 		st.Set(null, uint64(id), ks, vs, popRNG.Uint64(), 0)
 	}
 	s.nextNewID = uint64(cfg.NumKeys)
@@ -136,6 +136,61 @@ func New(cfg Config, layout *trace.CodeLayout, seed uint64) *Server {
 	// churn triggers evictions like a sized memcached instance.
 	s.budget = st.LiveBytes() + st.LiveBytes()/8
 	return s
+}
+
+// Shared returns a server constructor for cfg that populates the dataset
+// once per seed and assembles every server of that seed from it: the
+// profiler builds one server per run of a sweep, all with one dataset seed,
+// and a populated server is a pure function of (cfg, seed). The kept build is
+// a server New populated in a layout of its own that never handles a request
+// and is never written again, so pool runs may read it at once; each call
+// forks it into that call's layout, and the fork emits exactly what New's
+// server would. One seed is kept: a call with another seed replaces it. The
+// lock is held across a population so that concurrent runs of one sweep wait
+// for the first instead of each populating.
+//
+// The build lives as long as the returned constructor. Hold it for one
+// candidate's evaluation (datagen's generators do, per Benchmark call), not
+// in a Benchmark that outlives its profile: a kept build is live heap the
+// collector sizes its goal by.
+func Shared(cfg Config) func(*trace.CodeLayout, uint64) *Server {
+	var (
+		mu   sync.Mutex
+		seed uint64
+		kept *Server
+	)
+	return func(layout *trace.CodeLayout, s uint64) *Server {
+		mu.Lock()
+		if kept == nil || seed != s {
+			kept, seed = New(cfg, trace.NewCodeLayout(), s), s
+		}
+		built := kept
+		mu.Unlock()
+		return built.fork(layout)
+	}
+}
+
+// fork returns a server over s's dataset for one run. It reads s's key
+// halves, chain heads, key sizes and popularity permutation in place — the
+// store copies the first two if a request ever inserts or removes a key
+// (Store.own) — and copies what any request writes: the value halves and
+// the simulated heap. The twelve code regions are laid out in the run's
+// layout in New's order, each cursor where population's Null.Exec calls left
+// it: a fork whose cursors started at 0 would fetch other instruction lines
+// from its first request on.
+func (s *Server) fork(layout *trace.CodeLayout) *Server {
+	st := *s.store
+	st.heap = s.store.heap.Clone()
+	st.entries = append([]entry(nil), s.store.entries...)
+	st.free = append([]int32(nil), s.store.free...)
+	st.borrowed = true
+	st.code = s.store.code.like(layout)
+	f := *s
+	f.store = &st
+	f.parse = layout.RegionLike(s.parse)
+	f.respond = layout.RegionLike(s.respond)
+	f.proto = layout.RegionLike(s.proto)
+	return &f
 }
 
 // Name implements workload.Server.
@@ -216,7 +271,7 @@ func (s *Server) pickKey(rng *stats.RNG) (id uint64, keySize int) {
 		rank = rng.IntN(s.cfg.NumKeys)
 	}
 	idx := s.perm[rank]
-	return uint64(idx), s.keys[idx].size
+	return uint64(idx), int(s.keySizes[idx])
 }
 
 // WarmDataset implements workload.Warmable: touch the resident items so

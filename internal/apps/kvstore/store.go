@@ -19,18 +19,30 @@ import (
 	"datamime/internal/trace"
 )
 
-// entry is one cached item. The simulated layout mirrors memcached's item
-// header: a 48-byte header plus separately-allocated key and value storage.
+// A cached item's slot is two halves, split by who writes them, at one index
+// of Store.keys and Store.entries. The simulated layout mirrors memcached's
+// item header: a 48-byte header plus separately-allocated key and value
+// storage.
+//
+// slotKey is the half only an insert or a removal writes: once population
+// ends it is a pure function of (Config, seed), so the servers of one kept
+// build read the same array (Shared). next threads the bucket's chain through
+// the slots in insertion order; -1 ends it.
+type slotKey struct {
+	hash    uint64
+	keyAddr uint64
+	keySize int32
+	next    int32
+}
+
+// entry is the half any request may write — a replaced value, an LRU touch —
+// and so the half every server has its own copy of.
 type entry struct {
-	hash     uint64
-	keyAddr  uint64
 	valAddr  uint64
-	keySize  int
-	valSize  int
 	fprint   uint64 // value fingerprint (stands in for the bytes)
+	valSize  int32
 	lruPrev  int32
 	lruNext  int32
-	bucket   int32
 	occupied bool
 }
 
@@ -40,10 +52,14 @@ const entryHeaderBytes = 48
 // Store is the hash-table key-value store.
 type Store struct {
 	heap    *memsim.Heap
-	buckets [][]int32 // bucket -> entry indices (chain order)
-	bktAddr uint64    // simulated address of the bucket head array
+	heads   []int32 // bucket -> first slot of its chain, -1 when empty
+	bktAddr uint64  // simulated address of the bucket head array
+	keys    []slotKey
 	entries []entry
-	free    []int32 // recycled entry slots
+	free    []int32 // recycled slots
+	// borrowed: keys and heads belong to a kept build other servers read;
+	// own copies them before the first write.
+	borrowed bool
 
 	lruHead int32
 	lruTail int32
@@ -67,6 +83,22 @@ type storeCode struct {
 	crawl  *trace.CodeRegion
 }
 
+// like lays c's regions out in layout, in NewStore's order, each cursor
+// where c's stands.
+func (c storeCode) like(layout *trace.CodeLayout) storeCode {
+	return storeCode{
+		hash:   layout.RegionLike(c.hash),
+		lookup: layout.RegionLike(c.lookup),
+		getHit: layout.RegionLike(c.getHit),
+		getMis: layout.RegionLike(c.getMis),
+		set:    layout.RegionLike(c.set),
+		alloc:  layout.RegionLike(c.alloc),
+		evict:  layout.RegionLike(c.evict),
+		lru:    layout.RegionLike(c.lru),
+		crawl:  layout.RegionLike(c.crawl),
+	}
+}
+
 // NewStore builds an empty store with the given number of hash buckets. The
 // entry slab is sized for one item per bucket — what a populated server
 // holds — because growing it by doubling was three quarters of a build's
@@ -76,10 +108,15 @@ func NewStore(buckets int, layout *trace.CodeLayout) *Store {
 		panic(fmt.Sprintf("kvstore: buckets must be positive, got %d", buckets))
 	}
 	h := memsim.NewHeap()
+	heads := make([]int32, buckets)
+	for i := range heads {
+		heads[i] = -1
+	}
 	s := &Store{
 		heap:    h,
-		buckets: make([][]int32, buckets),
+		heads:   heads,
 		bktAddr: h.Alloc(8 * buckets),
+		keys:    make([]slotKey, 0, buckets),
 		entries: make([]entry, 0, buckets),
 		lruHead: -1,
 		lruTail: -1,
@@ -108,12 +145,11 @@ func (s *Store) LiveBytes() uint64 { return s.heap.LiveBytes() }
 // live entries — the snapshot composition the compression model uses.
 func (s *Store) FootprintBreakdown() (keyBytes, valBytes, headerBytes int) {
 	for i := range s.entries {
-		e := &s.entries[i]
-		if !e.occupied {
+		if !s.entries[i].occupied {
 			continue
 		}
-		keyBytes += e.keySize
-		valBytes += e.valSize
+		keyBytes += int(s.keys[i].keySize)
+		valBytes += int(s.entries[i].valSize)
 		headerBytes += entryHeaderBytes
 	}
 	return keyBytes, valBytes, headerBytes
@@ -135,19 +171,18 @@ func hashKey(id uint64) uint64 {
 func (s *Store) Get(col trace.Collector, id uint64) (valSize int, fprint uint64, ok bool) {
 	h := hashKey(id)
 	col.Exec(s.code.hash, 160)
-	idx, keyLoads := s.find(col, h)
+	idx, _ := s.find(col, h)
 	if idx < 0 {
 		col.Exec(s.code.getMis, 420)
-		_ = keyLoads
 		return 0, 0, false
 	}
-	e := &s.entries[idx]
 	col.Exec(s.code.getHit, 1300)
 	// LRU bump: unlink + relink at head (pointer stores on entry headers).
 	s.lruBump(col, idx)
 	// Read the value out.
-	col.Load(e.valAddr, e.valSize)
-	return e.valSize, e.fprint, true
+	e := &s.entries[idx]
+	col.Load(e.valAddr, int(e.valSize))
+	return int(e.valSize), e.fprint, true
 }
 
 // Set inserts or replaces a key id with a value of the given size and
@@ -162,39 +197,40 @@ func (s *Store) Set(col trace.Collector, id uint64, keySize, valSize int, fprint
 	}
 	h := hashKey(id)
 	col.Exec(s.code.hash, 160)
-	idx, _ := s.find(col, h)
+	idx, tail := s.find(col, h)
 	col.Exec(s.code.set, 1700)
 	if idx >= 0 {
 		// Replace in place: free the old value, allocate the new one.
 		e := &s.entries[idx]
 		col.Exec(s.code.alloc, 550)
-		s.heap.Free(e.valAddr, e.valSize)
+		s.heap.Free(e.valAddr, int(e.valSize))
 		e.valAddr = s.heap.Alloc(valSize)
-		e.valSize = valSize
+		e.valSize = int32(valSize)
 		e.fprint = fprint
 		col.Store(e.valAddr, valSize)
-		col.Store(entryAddrOf(e), entryHeaderBytes)
+		col.Store(s.headerAddr(idx), entryHeaderBytes)
 		s.lruBump(col, idx)
 		return
 	}
-	// Fresh insert.
+	// Fresh insert, linked at the tail find stopped at (an index, so it
+	// survives own's copy).
+	s.own()
 	col.Exec(s.code.alloc, 950)
 	ni := s.newEntry()
-	e := &s.entries[ni]
-	e.hash = h
-	e.keySize = keySize
-	e.valSize = valSize
-	e.fprint = fprint
-	e.keyAddr = s.heap.Alloc(keySize + entryHeaderBytes)
-	e.valAddr = s.heap.Alloc(valSize)
-	e.occupied = true
-	col.Store(e.keyAddr, keySize+entryHeaderBytes)
-	col.Store(e.valAddr, valSize)
+	keyAddr := s.heap.Alloc(keySize + entryHeaderBytes)
+	valAddr := s.heap.Alloc(valSize)
+	s.keys[ni] = slotKey{hash: h, keyAddr: keyAddr, keySize: int32(keySize), next: -1}
+	s.entries[ni] = entry{valAddr: valAddr, fprint: fprint, valSize: int32(valSize), lruPrev: -1, lruNext: -1, occupied: true}
+	col.Store(keyAddr, keySize+entryHeaderBytes)
+	col.Store(valAddr, valSize)
 
-	b := int32(h % uint64(len(s.buckets)))
-	e.bucket = b
-	s.buckets[b] = append(s.buckets[b], ni)
-	col.Store(s.bktAddr+8*uint64(b), 8)
+	b := h % uint64(len(s.heads))
+	if tail < 0 {
+		s.heads[b] = ni
+	} else {
+		s.keys[tail].next = ni
+	}
+	col.Store(s.bktAddr+8*b, 8)
 	s.lruInsertHead(col, ni)
 	s.count++
 
@@ -218,45 +254,61 @@ func (s *Store) Delete(col trace.Collector, id uint64) bool {
 }
 
 // find walks the hash chain for h, emitting the bucket-head load, per-entry
-// header loads, and the data-dependent comparison branches.
-func (s *Store) find(col trace.Collector, h uint64) (idx int32, keyLoads int) {
-	b := h % uint64(len(s.buckets))
+// header loads, and the data-dependent comparison branches. It returns the
+// slot holding h, or -1 and the chain's last slot (-1 for an empty bucket) —
+// where a fresh insert links, which keeps a chain in insertion order.
+func (s *Store) find(col trace.Collector, h uint64) (idx, tail int32) {
+	b := h % uint64(len(s.heads))
 	col.Exec(s.code.lookup, 420)
 	col.Load(s.bktAddr+8*b, 8)
-	chain := s.buckets[b]
-	for pos, ei := range chain {
-		e := &s.entries[ei]
-		col.Load(entryAddrOf(e), entryHeaderBytes)
-		match := e.hash == h
+	tail = -1
+	pos := 0
+	for ei := s.heads[b]; ei >= 0; ei = s.keys[ei].next {
+		k := &s.keys[ei]
+		col.Load(k.keyAddr, entryHeaderBytes)
+		match := k.hash == h
 		col.Branch(s.code.lookup.Base+uint64(pos%7), match)
 		if match {
 			// Full key compare: stream the key bytes.
-			col.Load(e.keyAddr, e.keySize)
-			col.Ops(e.keySize / 16)
+			col.Load(k.keyAddr, int(k.keySize))
+			col.Ops(int(k.keySize) / 16)
 			col.Branch(s.code.lookup.Base+64, true)
-			keyLoads++
-			return ei, keyLoads
+			return ei, tail
 		}
+		tail = ei
+		pos++
 	}
-	return -1, keyLoads
+	return -1, tail
 }
 
-// entryAddrOf returns the simulated address of an entry's header, which
-// coincides with its key allocation (memcached packs the header before the
-// key bytes).
-func entryAddrOf(e *entry) uint64 { return e.keyAddr }
+// own makes the key halves and chain heads this store's to write: a store
+// built from a kept build copies them, once, before its first insert or
+// removal. A store that only reads and replaces values never does.
+func (s *Store) own() {
+	if !s.borrowed {
+		return
+	}
+	s.keys = append([]slotKey(nil), s.keys...)
+	s.heads = append([]int32(nil), s.heads...)
+	s.borrowed = false
+}
 
-// newEntry returns a fresh or recycled entry slot.
+// newEntry returns a fresh or recycled slot for the caller to fill.
 func (s *Store) newEntry() int32 {
 	if n := len(s.free); n > 0 {
 		i := s.free[n-1]
 		s.free = s.free[:n-1]
-		s.entries[i] = entry{lruPrev: -1, lruNext: -1}
 		return i
 	}
-	s.entries = append(s.entries, entry{lruPrev: -1, lruNext: -1})
+	s.keys = append(s.keys, slotKey{})
+	s.entries = append(s.entries, entry{})
 	return int32(len(s.entries) - 1)
 }
+
+// headerAddr returns the simulated address of a slot's item header, which
+// coincides with its key allocation (memcached packs the header before the
+// key bytes).
+func (s *Store) headerAddr(idx int32) uint64 { return s.keys[idx].keyAddr }
 
 // lruInsertHead links idx at the LRU head.
 func (s *Store) lruInsertHead(col trace.Collector, idx int32) {
@@ -265,31 +317,28 @@ func (s *Store) lruInsertHead(col trace.Collector, idx int32) {
 	e.lruPrev = -1
 	e.lruNext = s.lruHead
 	if s.lruHead >= 0 {
-		head := &s.entries[s.lruHead]
-		head.lruPrev = idx
-		col.Store(entryAddrOf(head)+16, 8)
+		s.entries[s.lruHead].lruPrev = idx
+		col.Store(s.headerAddr(s.lruHead)+16, 8)
 	}
 	s.lruHead = idx
 	if s.lruTail < 0 {
 		s.lruTail = idx
 	}
-	col.Store(entryAddrOf(e)+16, 16)
+	col.Store(s.headerAddr(idx)+16, 16)
 }
 
 // lruUnlink removes idx from the LRU list.
 func (s *Store) lruUnlink(col trace.Collector, idx int32) {
 	e := &s.entries[idx]
 	if e.lruPrev >= 0 {
-		p := &s.entries[e.lruPrev]
-		p.lruNext = e.lruNext
-		col.Store(entryAddrOf(p)+16, 8)
+		s.entries[e.lruPrev].lruNext = e.lruNext
+		col.Store(s.headerAddr(e.lruPrev)+16, 8)
 	} else {
 		s.lruHead = e.lruNext
 	}
 	if e.lruNext >= 0 {
-		n := &s.entries[e.lruNext]
-		n.lruPrev = e.lruPrev
-		col.Store(entryAddrOf(n)+16, 8)
+		s.entries[e.lruNext].lruPrev = e.lruPrev
+		col.Store(s.headerAddr(e.lruNext)+16, 8)
 	} else {
 		s.lruTail = e.lruPrev
 	}
@@ -317,20 +366,28 @@ func (s *Store) evictTail(col trace.Collector) {
 // removeEntry unlinks an entry from its chain and the LRU list and frees
 // its storage.
 func (s *Store) removeEntry(col trace.Collector, idx int32) {
-	e := &s.entries[idx]
+	s.own()
+	k := &s.keys[idx]
 	// Chain unlink: walk the bucket to find the position (pointer chase).
-	chain := s.buckets[e.bucket]
-	for pos, ei := range chain {
-		col.Load(entryAddrOf(&s.entries[ei]), 8)
+	b := k.hash % uint64(len(s.heads))
+	prev := int32(-1)
+	for ei := s.heads[b]; ei >= 0; ei = s.keys[ei].next {
+		col.Load(s.headerAddr(ei), 8)
 		if ei == idx {
-			s.buckets[e.bucket] = append(chain[:pos], chain[pos+1:]...)
-			col.Store(s.bktAddr+8*uint64(e.bucket), 8)
+			if prev < 0 {
+				s.heads[b] = k.next
+			} else {
+				s.keys[prev].next = k.next
+			}
+			col.Store(s.bktAddr+8*b, 8)
 			break
 		}
+		prev = ei
 	}
 	s.lruUnlink(col, idx)
-	s.heap.Free(e.keyAddr, e.keySize+entryHeaderBytes)
-	s.heap.Free(e.valAddr, e.valSize)
+	e := &s.entries[idx]
+	s.heap.Free(k.keyAddr, int(k.keySize)+entryHeaderBytes)
+	s.heap.Free(e.valAddr, int(e.valSize))
 	e.occupied = false
 	s.free = append(s.free, idx)
 	s.count--
@@ -344,9 +401,9 @@ func (s *Store) WarmScan(col trace.Collector) {
 	// most recently installed lines.
 	idx := s.lruTail
 	for idx >= 0 {
-		e := &s.entries[idx]
-		col.Load(entryAddrOf(e), e.keySize+entryHeaderBytes)
-		col.Load(e.valAddr, e.valSize)
+		k, e := &s.keys[idx], &s.entries[idx]
+		col.Load(k.keyAddr, int(k.keySize)+entryHeaderBytes)
+		col.Load(e.valAddr, int(e.valSize))
 		idx = e.lruPrev
 	}
 }
@@ -359,7 +416,7 @@ func (s *Store) Crawl(col trace.Collector, n int) {
 	idx := s.lruTail
 	for i := 0; i < n && idx >= 0; i++ {
 		e := &s.entries[idx]
-		col.Load(entryAddrOf(e), entryHeaderBytes)
+		col.Load(s.headerAddr(idx), entryHeaderBytes)
 		col.Branch(s.code.crawl.Base, e.valSize > 1024)
 		idx = e.lruPrev
 	}

@@ -40,6 +40,17 @@ func NewHeap() *Heap {
 	return &Heap{next: heapBase, freeLists: make(map[int][]uint64)}
 }
 
+// Clone returns an independent heap in h's state: the next allocations of
+// the two return the same addresses, and neither sees the other's.
+func (h *Heap) Clone() *Heap {
+	c := *h
+	c.freeLists = make(map[int][]uint64, len(h.freeLists))
+	for class, fl := range h.freeLists {
+		c.freeLists[class] = append([]uint64(nil), fl...)
+	}
+	return &c
+}
+
 // Alloc reserves size bytes and returns the simulated address. Addresses
 // are 16-byte aligned. Alloc panics on non-positive sizes: the substrates
 // always know their object sizes.

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"datamime/internal/apps/kvstore"
+	"datamime/internal/datagen"
 	"datamime/internal/sim"
-	"datamime/internal/stats"
-	"datamime/internal/trace"
-	"datamime/internal/workload"
 )
 
 // BenchmarkProfilerSweep measures one full profile — the main run plus the
@@ -25,25 +22,21 @@ import (
 // of the memcached generator's 110 000 keys under harness.Quick()'s budgets
 // (the numbers are repeated here because harness imports this package),
 // where build and warm are nine tenths of a run — the row that sees a change
-// to either.
+// to either. It profiles a datagen.Memcached candidate, which builds through
+// kvstore.Shared (one population, seven copies of the value halves), so it is
+// also the row that sees the generator's build stop being shared.
 func BenchmarkProfilerSweep(b *testing.B) {
 	b.Run("generator-size", func(b *testing.B) {
 		b.ReportAllocs()
-		bench := workload.Benchmark{
-			Name: "kv-generator-size", QPS: 100_000,
-			NewServer: func(layout *trace.CodeLayout, seed uint64) workload.Server {
-				return kvstore.New(kvstore.Config{
-					NumKeys:   110_000,
-					KeySize:   stats.Normal{Mu: 30, Sigma: 8, Min: 4},
-					ValueSize: stats.Normal{Mu: 600, Sigma: 100, Min: 1},
-					GetRatio:  0.9,
-				}, layout, seed)
-			},
-		}
 		pr := New(sim.Broadwell())
 		pr.WindowCycles, pr.Windows, pr.WarmupWindows = 200_000, 16, 3
 		pr.CurveWindows, pr.CurvePoints = 3, 6
+		gen := datagen.Memcached()
 		for i := 0; i < b.N; i++ {
+			// A candidate as the search makes one: its Benchmark keeps one
+			// population (kvstore.Shared) for the seven runs of its sweep.
+			// Keys ≈ 30 B, values ≈ 600 B, 90 % GETs, as in sim's BenchmarkWarm.
+			bench := gen.Benchmark([]float64{100_000, 0.9, 30, 8, 600, 100})
 			if _, err := pr.Profile(bench, 7); err != nil {
 				b.Fatal(err)
 			}

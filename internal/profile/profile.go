@@ -626,8 +626,10 @@ func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job
 	}
 	res := workload.Run(m, b, srv, job.windows, stats.HashSeed(seed, fmt.Sprintf("measure-%d", job.ways)), pr.MaxRequestsPerRun)
 	ph.lap(phaseMeasure)
+	// A profile reads the main run's ratio only, and computing one scans
+	// the whole resident dataset.
 	ratio := 0.0
-	if c, ok := srv.(workload.Compressible); ok {
+	if c, ok := srv.(workload.Compressible); ok && job.ways == 0 {
 		ratio = c.CompressionRatio()
 	}
 	return runResult{

@@ -29,10 +29,16 @@ type Server interface {
 // what the profiler runs. NewServer is called once per profiling run —
 // from several goroutines at once in a pooled sweep — and every run gets a
 // server of its own. A factory may hand its servers built state they only
-// read (apps/nn shares one weight build per dataset seed, nn.Shared);
-// anything a server writes — its dataset if requests mutate it, code-region
-// cursors, scratch buffers — must be that server's alone, so that a run
-// sees exactly what a freshly built server would show it.
+// read (apps/nn shares one weight build per dataset seed, nn.Shared;
+// apps/kvstore one population, kvstore.Shared, copied before a server's
+// first write to it); anything a server writes — its dataset if requests
+// mutate it, code-region cursors, scratch buffers — must be that server's
+// alone, so that a run sees exactly what a freshly built server would show
+// it. Built state lives as long as the Benchmark whose factory holds it: a
+// generator's per-candidate Benchmark is dropped after its one profile, so
+// sharing there holds less than it saves; a Benchmark kept for the life of
+// the process (a harness target) keeps its build live with it, and the
+// collector sizes its goal by what is live.
 type Benchmark struct {
 	// Name identifies the benchmark configuration.
 	Name string
