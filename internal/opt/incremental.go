@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,15 +16,18 @@ import (
 //  1. Every candidate's covariance is K = varY·(C + nf·I), where C is the
 //     unit-variance Matérn-5/2 correlation matrix — only varY changes
 //     between iterations. Since chol(s²·A) = s·chol(A) exactly in real
-//     arithmetic, one cached factor of C + jitter·I per (lengthScale,
+//     arithmetic, one cached factor L of C + jitter·I per (lengthScale,
 //     noiseFrac) candidate serves every iteration: the per-iteration work
-//     is an O(n²) bordered append (linalg.CholeskyAppend) plus an O(n²)
-//     scale-and-solve, instead of 24 O(n³) refactorizations.
-//  2. CholeskyAppend is bit-identical to refactorizing from scratch at the
-//     same jitter, so the cached state is a pure function of the
-//     observation sequence — append-by-append and rebuilt-after-resume
-//     paths land on the same factor bit for bit, preserving the
-//     checkpoint/resume determinism guarantee.
+//     is an O(n²) bordered append (linalg.Tri.Append) in place plus an
+//     O(n²) solve against sd·L, instead of 24 O(n³) refactorizations. The
+//     solve forms each element of sd·L as float64(L_ik·sd) where it reads
+//     it, so selection scales nothing; only the winner's sd·L is
+//     materialized, once per fit.
+//  2. Tri.Append is the recurrence a from-scratch factorization runs row by
+//     row, so the cached state is a pure function of the observation
+//     sequence — append-by-append and rebuilt-after-resume paths land on the
+//     same factor bit for bit, preserving the checkpoint/resume determinism
+//     guarantee.
 //
 // Jitter escalation breaks fact 1's cheap path: once an entry needs more
 // than its base jitter, new observations trigger an exact refactorization
@@ -34,11 +38,11 @@ import (
 // factorization state.
 type surrogateEntry struct {
 	ls, nf float64
-	chol   *linalg.Matrix // factor of C_n + jitter·I; nil until first sync
-	jitter float64        // current diagonal jitter (unit-variance space)
-	level  int            // escalation level: jitter = base·10^level
-	n      int            // observations covered by chol
-	ok     bool           // false when no jitter level factorized at n
+	chol   linalg.Tri // factor of C_n + jitter·I, grown in place
+	jitter float64    // current diagonal jitter (unit-variance space)
+	level  int        // escalation level: jitter = base·10^level
+	n      int        // observations covered by chol
+	ok     bool       // false when no jitter level factorized at n
 }
 
 // surrogateCache holds one entry per hyperparameter grid candidate, in grid
@@ -56,6 +60,9 @@ type surrogateCache struct {
 	// the DiagnosticsReporter snapshot. Selection metadata only — never
 	// read by the fit itself.
 	lastFit fitSelection
+	// Selection's buffers, reused from fit to fit: the centered
+	// observations, and α of the entry being scored and of the best so far.
+	centered, alpha, bestAlpha []float64
 }
 
 // fitSelection is the winning hyperparameter candidate of one surrogate fit.
@@ -77,13 +84,20 @@ func newSurrogateCache() *surrogateCache {
 	return c
 }
 
-// snapshot captures the cache state. Factors are immutable (appends
-// allocate), so copying the entry structs is a full snapshot.
+// snapshot captures the cache state by copying the entry structs, each
+// factor's slice header included. That is a full snapshot because a factor's
+// first n rows are never rewritten: an append writes past the end, and a
+// rebuild moves the entry to fresh storage.
 func (c *surrogateCache) snapshot() []surrogateEntry {
 	return append([]surrogateEntry(nil), c.entries...)
 }
 
-// restore rewinds the cache to a snapshot — the constant-liar rollback.
+// restore rewinds the cache to a snapshot — the constant-liar rollback. The
+// lie rows appended after the snapshot stay in each backing array past the
+// restored header's end, and the next real append overwrites them. That is
+// safe only while NextBatch, which runs on one goroutine, is the one taker
+// of snapshots, and while no GP views an entry's storage: a fit's winner
+// gets a scaled copy.
 func (c *surrogateCache) restore(s []surrogateEntry) {
 	copy(c.entries, s)
 }
@@ -136,15 +150,8 @@ func (e *surrogateEntry) sync(xs [][]float64) int {
 	}
 	if e.ok && e.level == 0 && e.n == n-1 {
 		// Fast path: border the cached factor with the newest observation.
-		k := Matern52{Variance: 1, LengthScale: e.ls}
-		row := make([]float64, n)
-		x := xs[n-1]
-		for j := 0; j < n-1; j++ {
-			row[j] = k.Eval(x, xs[j])
-		}
-		row[n-1] = k.Eval(x, x) + e.jitter
-		if f, err := linalg.CholeskyAppend(e.chol, row); err == nil {
-			e.chol, e.n = f, n
+		if appendRow(&e.chol, Matern52{Variance: 1, LengthScale: e.ls}, xs, n-1, e.jitter) == nil {
+			e.n = n
 			return syncAppended
 		}
 	}
@@ -152,53 +159,25 @@ func (e *surrogateEntry) sync(xs [][]float64) int {
 	return syncRebuilt
 }
 
-// rebuild refactorizes from scratch, escalating jitter from the base level
-// until the matrix factorizes (mirroring FitGP's escalation). Starting from
-// the base — not the current level — keeps the resulting level a function
-// of the observation set alone.
+// rebuild refactorizes from scratch into fresh storage, escalating jitter
+// from the base level until the matrix factorizes (as FitGP does). Starting
+// from the base — not the current level — keeps the resulting level a
+// function of the observation set alone.
 func (e *surrogateEntry) rebuild(xs [][]float64) {
-	n := len(xs)
-	e.n, e.ok, e.chol = n, false, nil
-	if n == 0 {
+	e.n, e.ok, e.chol = len(xs), false, linalg.Tri{}
+	if len(xs) == 0 {
 		return
 	}
-	k := Matern52{Variance: 1, LengthScale: e.ls}
-	m := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := k.Eval(xs[i], xs[j])
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	jitter := unitJitter(e.nf)
-	for level := 0; level < 8; level++ {
-		mj := m.Clone()
-		for i := 0; i < n; i++ {
-			mj.Set(i, i, mj.At(i, i)+jitter)
-		}
-		if f, err := linalg.Cholesky(mj); err == nil {
-			e.chol, e.jitter, e.level, e.ok = f, jitter, level, true
-			return
-		}
-		jitter *= 10
+	chol, jitter, level, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, xs, unitJitter(e.nf))
+	if err == nil {
+		e.chol, e.jitter, e.level, e.ok = chol, jitter, level, true
 	}
 }
 
-// scaleFactor returns s·L — the Cholesky factor of s²·A given the factor L
-// of A, exact in real arithmetic — which is how one unit-variance factor
-// serves every iteration's signal variance.
-func scaleFactor(l *linalg.Matrix, s float64) *linalg.Matrix {
-	out := l.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// fitSurrogateIncremental is the cache-backed replacement for fitBestGP:
-// same grid, same first-best LML selection, but each candidate's factor is
-// extended in O(n²) instead of rebuilt in O(n³).
+// fit is the cache-backed replacement for fitBestGP: same grid, same
+// first-best LML selection, but each candidate's factor is extended in
+// O(n²) instead of rebuilt in O(n³), and scored against sd·L without
+// forming it.
 func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("opt: surrogate fit needs at least one observation")
@@ -209,7 +188,12 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 		varY = 1e-12
 	}
 	sd := math.Sqrt(varY)
-	var best *GP
+	n := len(xs)
+	var mean float64
+	mean, c.centered = center(ys, c.centered)
+	c.alpha = slices.Grow(c.alpha[:0], n)[:n]
+	c.bestAlpha = slices.Grow(c.bestAlpha[:0], n)[:n]
+	best := -1
 	bestLML := math.Inf(-1)
 	c.lastFit = fitSelection{}
 	for i := range c.entries {
@@ -217,65 +201,69 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 		if !e.ok {
 			continue
 		}
-		gp, err := GPFromCholesky(
-			Matern52{Variance: varY, LengthScale: e.ls}, e.nf*varY,
-			xs, ys, scaleFactor(e.chol, sd))
-		if err != nil {
-			continue
-		}
-		if lml := gp.LogMarginalLikelihood(); lml > bestLML {
+		e.chol.SolveLower(sd, c.centered, c.alpha)
+		e.chol.SolveUpperT(sd, c.alpha, c.alpha)
+		if lml := logMarginal(c.centered, c.alpha, e.chol.LogDet(sd)); lml > bestLML {
 			bestLML = lml
-			best = gp
+			best = i
+			c.alpha, c.bestAlpha = c.bestAlpha, c.alpha
 			c.lastFit = fitSelection{
 				ls: e.ls, nf: e.nf, signalVar: varY,
 				lml: lml, level: e.level, ok: true,
 			}
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return nil, fmt.Errorf("opt: no GP hyperparameters produced a valid fit")
 	}
-	return best, nil
+	e := &c.entries[best]
+	return &GP{
+		kernel:   Matern52{Variance: varY, LengthScale: e.ls},
+		noiseVar: e.nf * varY,
+		xs:       xs,
+		ys:       ys,
+		mean:     mean,
+		chol:     e.chol.Scaled(sd),
+		alpha:    slices.Clone(c.bestAlpha),
+	}, nil
 }
 
 // argmaxEI scores every candidate's Expected Improvement — in parallel when
 // the optimizer has workers — and returns the first index attaining the
 // maximum, i.e. exactly the winner the serial consider() loop used to pick.
 // Candidates were generated before scoring starts, so the RNG draw order
-// and the chosen proposal are identical at any worker count.
+// and the chosen proposal are identical at any worker count. The returned
+// scores are the optimizer's buffer, valid until the next proposal.
 func (b *BayesOpt) argmaxEI(gp *GP, cands [][]float64, bestY float64) (int, []float64) {
 	if len(cands) == 0 {
 		return -1, nil
 	}
-	eis := make([]float64, len(cands))
+	b.eis = slices.Grow(b.eis[:0], len(cands))[:len(cands)]
+	eis := b.eis
 	workers := b.workers
 	if workers > len(cands) {
 		workers = len(cands)
 	}
 	if workers <= 1 {
-		for i, x := range cands {
-			eis[i] = ExpectedImprovement(gp, x, bestY, b.xi)
-		}
+		b.scorer.expectedImprovements(gp, cands, bestY, b.xi, eis)
 	} else {
-		const chunk = 64
+		// A multiple of eiBlock, so chunks split no block; a block shares no
+		// accumulator across candidates, so no split could change a value.
+		const chunk = 16 * eiBlock
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var s scorer
 				for {
 					start := int(next.Add(chunk)) - chunk
 					if start >= len(cands) {
 						return
 					}
-					end := start + chunk
-					if end > len(cands) {
-						end = len(cands)
-					}
-					for i := start; i < end; i++ {
-						eis[i] = ExpectedImprovement(gp, cands[i], bestY, b.xi)
-					}
+					end := min(start+chunk, len(cands))
+					s.expectedImprovements(gp, cands[start:end], bestY, b.xi, eis[start:end])
 				}
 			}()
 		}

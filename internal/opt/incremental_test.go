@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"datamime/internal/opt/linalg"
@@ -58,59 +59,46 @@ func TestIncrementalFitMatchesFromScratch(t *testing.T) {
 }
 
 // TestAppendBitIdenticalToRefactorization pins the stronger property the
-// resume guarantee leans on: appending rows one at a time produces exactly
-// the factor a from-scratch factorization of the full matrix yields.
+// resume guarantee leans on: a factor grown row by row in place, as the
+// surrogate entries grow theirs, is exactly the factor a from-scratch
+// factorization of the full matrix yields — here the textbook recurrence,
+// one column after another over a dense matrix, kept as the oracle of the
+// one append recurrence.
 func TestAppendBitIdenticalToRefactorization(t *testing.T) {
 	xs, _ := randomObs(9, 25, 4)
 	k := Matern52{Variance: 1, LengthScale: 0.4}
 	const jitter = 1e-3
 
-	grow := func() *linalg.Matrix {
-		var f *linalg.Matrix
-		for n := 1; n <= len(xs); n++ {
-			row := make([]float64, n)
-			for j := 0; j < n-1; j++ {
-				row[j] = k.Eval(xs[n-1], xs[j])
-			}
-			row[n-1] = k.Eval(xs[n-1], xs[n-1]) + jitter
-			if n == 1 {
-				m := linalg.NewMatrix(1, 1)
-				m.Set(0, 0, row[0])
-				var err error
-				if f, err = linalg.Cholesky(m); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			var err error
-			if f, err = linalg.CholeskyAppend(f, row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return f
-	}
-	scratch := func() *linalg.Matrix {
-		n := len(xs)
-		m := linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				v := k.Eval(xs[i], xs[j])
-				m.Set(i, j, v)
-				m.Set(j, i, v)
-			}
-			m.Set(i, i, m.At(i, i)+jitter)
-		}
-		f, err := linalg.Cholesky(m)
-		if err != nil {
+	var grown linalg.Tri
+	for i := range xs {
+		if err := appendRow(&grown, k, xs, i, jitter); err != nil {
 			t.Fatal(err)
 		}
-		return f
 	}
-	a, b := grow(), scratch()
-	for i := 0; i < a.Rows; i++ {
+
+	n := len(xs)
+	l := make([][]float64, n)
+	for i := range l {
+		l[i] = make([]float64, n)
 		for j := 0; j <= i; j++ {
-			if a.At(i, j) != b.At(i, j) {
-				t.Fatalf("factor (%d,%d): appended %v != scratch %v", i, j, a.At(i, j), b.At(i, j))
+			sum := k.Eval(xs[i], xs[j])
+			if i == j {
+				sum += jitter
+			}
+			for p := 0; p < j; p++ {
+				sum -= l[i][p] * l[j][p]
+			}
+			if i == j {
+				l[i][j] = math.Sqrt(sum)
+			} else {
+				l[i][j] = sum / l[j][j]
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			if math.Float64bits(grown.At(i, j)) != math.Float64bits(l[i][j]) {
+				t.Fatalf("factor (%d,%d): appended %v != scratch %v", i, j, grown.At(i, j), l[i][j])
 			}
 		}
 	}
@@ -155,7 +143,7 @@ func TestEntryFallbackOnAppendFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := surrogateEntry{ls: 0.4, nf: 1e-4, chol: f, jitter: 0, level: 0, n: 2, ok: true}
+	e := surrogateEntry{ls: 0.4, nf: 1e-4, chol: linalg.Pack(f), jitter: 0, level: 0, n: 2, ok: true}
 	e.sync(xs)
 	if !e.ok || e.n != 3 {
 		t.Fatalf("entry did not recover: ok=%v n=%d", e.ok, e.n)
@@ -232,41 +220,93 @@ func TestParallelScoringDeterminism(t *testing.T) {
 	}
 }
 
-// TestNextBatchRollsBackSurrogateCache: after a constant-liar batch, the
-// cache must be bit-identical to one that never saw the lies.
+// TestNextBatchRollsBackSurrogateCache: a constant-liar batch appends its
+// lie rows in place, past the end its snapshot recorded, and the rollback
+// rewinds each factor's header over them. After the batch and one real
+// observation, every entry must hold the factor a rebuild on the real
+// observations gives, bit for bit — the real append overwrote the lie rows —
+// and the next proposal must be a twin's that never batched.
+//
+// In the second row the incumbent sits on a corner of the cube, where local
+// candidates clamp onto it, and the first proposal is the incumbent itself:
+// a lie duplicates an observed point. Jitter escalation cannot be reached
+// from the grid's base jitters (an exact duplicate factorizes at the 1e-4
+// floor, and at 1e-10), so that row also escalates one entry by hand before
+// the batch, in both optimizers, as TestEscalatedEntryRefactorizesFromBase
+// does: the batch's first lie rebuilds it into fresh storage from the base
+// level, the rollback restores the escalated entry over that rebuild, and
+// the real observation rebuilds it again.
 func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
-	space, err := NewSpace(
-		Param{Name: "a", Lo: 0, Hi: 1},
-		Param{Name: "b", Lo: 0, Hi: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4, Workers: 1})
-	// Burn through the initial design with real observations.
-	for i := 0; i < 6; i++ {
-		x := b.Next()
-		b.Observe(x, math.Cos(3*x[0])+x[1])
-	}
-	if _, err := b.fitSurrogate(); err != nil { // populate the cache
-		t.Fatal(err)
-	}
-	before := b.cache.snapshot()
-	if got := b.NextBatch(4); len(got) != 4 {
-		t.Fatalf("batch size %d", len(got))
-	}
-	after := b.cache.entries
-	if len(after) != len(before) {
-		t.Fatalf("entry count changed: %d -> %d", len(before), len(after))
-	}
-	for i := range after {
-		if after[i].n != before[i].n || after[i].jitter != before[i].jitter ||
-			after[i].level != before[i].level || after[i].ok != before[i].ok ||
-			after[i].chol != before[i].chol {
-			t.Fatalf("entry %d not rolled back: %+v vs %+v", i, after[i], before[i])
-		}
-	}
-	if len(b.obs) != 6 {
-		t.Fatalf("%d observations after rollback, want 6", len(b.obs))
+	for _, row := range []struct {
+		name     string
+		design   [][]float64 // observed in place of the initial design, when set
+		f        func(x []float64) float64
+		escalate bool
+	}{
+		{name: "distinct lies", f: func(x []float64) float64 { return math.Cos(3*x[0]) + x[1] }},
+		{
+			name:     "lie duplicates an observation",
+			design:   [][]float64{{0, 0}, {1, 0}, {0, 1}, {0.5, 0.5}},
+			f:        func(x []float64) float64 { return x[0] + x[1] },
+			escalate: true,
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			mk := func() *BayesOpt {
+				space := MustSpace(Param{Name: "a", Lo: 0, Hi: 1}, Param{Name: "b", Lo: 0, Hi: 1})
+				return NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4, Workers: 1})
+			}
+			b, twin := mk(), mk()
+			for i := 0; i < 6; i++ {
+				x := b.Next()
+				twin.Next()
+				if i < len(row.design) {
+					x = row.design[i]
+				}
+				b.Observe(x, row.f(x))
+				twin.Observe(x, row.f(x))
+			}
+			const escalated = 13 // (ls 0.4, nf 1e-3)
+			for _, o := range []*BayesOpt{b, twin} {
+				if _, err := o.fitSurrogate(); err != nil {
+					t.Fatal(err)
+				}
+				if row.escalate {
+					e := &o.cache.entries[escalated]
+					chol, jitter, _, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, o.xs, 100*unitJitter(e.nf))
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.chol, e.jitter, e.level = chol, jitter, 2
+				}
+			}
+			b.TakeTimings()
+
+			batch := b.NextBatch(4)
+			if len(batch) != 4 || len(b.obs) != 6 {
+				t.Fatalf("batch of %d, %d observations after the rollback; want 4 and 6", len(batch), len(b.obs))
+			}
+			if row.design != nil && !slices.Equal(batch[0], row.design[0]) {
+				t.Fatalf("first proposal %v is not the observed corner %v: no lie duplicates an observation", batch[0], row.design[0])
+			}
+			if tm, _ := b.TakeTimings(); row.escalate && tm.CholeskyRebuilds == 0 {
+				t.Fatal("no entry rebuilt during the batch")
+			}
+			b.Observe(batch[0], row.f(batch[0]))
+			twin.Observe(batch[0], row.f(batch[0]))
+
+			b.rng, twin.rng = stats.NewRNG(9), stats.NewRNG(9)
+			if x, y := b.Next(), twin.Next(); !sameBits(x, y) {
+				t.Fatalf("after the batch: proposal %v, the twin that never batched proposes %v", x, y)
+			}
+			for i, e := range b.cache.entries {
+				ref := surrogateEntry{ls: e.ls, nf: e.nf}
+				ref.rebuild(b.xs)
+				if e.n != ref.n || e.ok != ref.ok || e.level != ref.level || e.jitter != ref.jitter ||
+					e.chol.N != ref.chol.N || !sameBits(e.chol.Data, ref.chol.Data) {
+					t.Fatalf("entry %d (ls %g, nf %g) is not the rebuild on the real observations", i, e.ls, e.nf)
+				}
+			}
+		})
 	}
 }

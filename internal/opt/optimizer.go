@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"datamime/internal/stats"
@@ -113,6 +114,17 @@ type BayesOpt struct {
 	// surrogate-backed proposal since the last TakeDiagnostics drain.
 	diag   Diagnostics
 	diagOK bool
+	// A proposal's working storage, reused by the next: the candidate pool
+	// (views into one array), its scores, the serial path's scorer, the
+	// history as the surrogate fit reads it, and the ranking topAnchors
+	// sorts. A proposal hands out only a copy of its winner.
+	pool    []float64
+	cands   [][]float64
+	eis     []float64
+	scorer  scorer
+	xs      [][]float64
+	ys      []float64
+	ranking []Observation
 }
 
 // BayesOptConfig tunes the optimizer. Zero values select defaults.
@@ -199,19 +211,23 @@ func (b *BayesOpt) Next() []float64 {
 
 	// Candidate generation stays sequential so the RNG draw order never
 	// depends on the worker count; only scoring fans out.
-	radii := []float64{0.2, 0.05, 0.01}
-	cands := make([][]float64, 0, b.candidates+3*len(radii)*(b.candidates/8))
+	radii := [3]float64{0.2, 0.05, 0.01}
+	anchors := b.topAnchors(3)
+	local := b.candidates / 8
+	cands := b.candidatePool(b.candidates + len(anchors)*len(radii)*local)
 	// Global random candidates.
 	for i := 0; i < b.candidates; i++ {
-		cands = append(cands, b.space.Sample(b.rng))
+		b.space.sampleInto(cands[i], b.rng)
 	}
 	// Local candidates around the incumbent and previously-observed good
 	// points, at shrinking perturbation radii: EI surfaces are often peaked
 	// near the incumbent when the objective is locally improvable.
-	for _, anchor := range b.topAnchors(3) {
+	next := b.candidates
+	for _, anchor := range anchors {
 		for _, radius := range radii {
-			for i := 0; i < b.candidates/8; i++ {
-				cands = append(cands, b.perturb(anchor, radius))
+			for i := 0; i < local; i++ {
+				b.perturbInto(cands[next], anchor, radius)
+				next++
 			}
 		}
 	}
@@ -220,9 +236,21 @@ func (b *BayesOpt) Next() []float64 {
 		// materialized (factor, alpha, EI pool) — read-only, so the
 		// proposal stream is unchanged whether anyone drains it or not.
 		b.captureDiagnostics(gp, eis, idx, cands[idx], bestY)
-		return cands[idx]
+		return append([]float64(nil), cands[idx]...)
 	}
 	return b.space.Sample(b.rng)
+}
+
+// candidatePool returns n candidate slots of the space's dimension, views
+// into the optimizer's reused pool.
+func (b *BayesOpt) candidatePool(n int) [][]float64 {
+	dim := b.space.Dim()
+	b.pool = slices.Grow(b.pool[:0], n*dim)[:n*dim]
+	b.cands = b.cands[:0]
+	for i := 0; i < n; i++ {
+		b.cands = append(b.cands, b.pool[i*dim:(i+1)*dim:(i+1)*dim])
+	}
+	return b.cands
 }
 
 // TakeTimings implements TimingReporter.
@@ -239,22 +267,21 @@ func (b *BayesOpt) TakeTimings() (Timings, bool) {
 // standardized implicitly by the GP's empirical-mean prior and the
 // ML-selected signal variance.
 func (b *BayesOpt) fitSurrogate() (*GP, error) {
-	xs := make([][]float64, len(b.obs))
-	ys := make([]float64, len(b.obs))
-	for i, o := range b.obs {
-		xs[i] = o.X
-		ys[i] = o.Y
+	b.xs, b.ys = b.xs[:0], b.ys[:0]
+	for _, o := range b.obs {
+		b.xs = append(b.xs, o.X)
+		b.ys = append(b.ys, o.Y)
 	}
 	if b.cache == nil {
 		b.cache = newSurrogateCache()
 	}
-	return b.cache.fit(xs, ys)
+	return b.cache.fit(b.xs, b.ys)
 }
 
 // topAnchors returns the k lowest-error observed points.
 func (b *BayesOpt) topAnchors(k int) [][]float64 {
-	obs := make([]Observation, len(b.obs))
-	copy(obs, b.obs)
+	b.ranking = append(b.ranking[:0], b.obs...)
+	obs := b.ranking
 	// Selection of the k smallest by simple partial sort (k is tiny).
 	for i := 0; i < k && i < len(obs); i++ {
 		minIdx := i
@@ -275,14 +302,12 @@ func (b *BayesOpt) topAnchors(k int) [][]float64 {
 	return anchors
 }
 
-// perturb returns a Gaussian perturbation of x with the given radius,
-// clipped to the unit cube.
-func (b *BayesOpt) perturb(x []float64, radius float64) []float64 {
-	out := make([]float64, len(x))
+// perturbInto writes a Gaussian perturbation of x with the given radius,
+// clipped to the unit cube, into out.
+func (b *BayesOpt) perturbInto(out, x []float64, radius float64) {
 	for i, v := range x {
 		out[i] = stats.Clamp(v+radius*b.rng.NormFloat64(), 0, 1)
 	}
-	return out
 }
 
 // RandomSearch is the naive baseline: uniform sampling of the space.

@@ -120,10 +120,15 @@ func (s *Space) Normalize(x []float64) []float64 {
 // Sample draws a uniform point in the unit cube.
 func (s *Space) Sample(rng *stats.RNG) []float64 {
 	u := make([]float64, s.Dim())
+	s.sampleInto(u, rng)
+	return u
+}
+
+// sampleInto draws Sample's point into u.
+func (s *Space) sampleInto(u []float64, rng *stats.RNG) {
 	for i := range u {
 		u[i] = rng.Float64()
 	}
-	return u
 }
 
 // Clip limits a unit-cube point into [0, 1]^d in place and returns it.

@@ -21,6 +21,10 @@ import (
 // pool only ever reads the kept build. The next app to share is one more row:
 // its generator's Benchmark(x) against the per-run constructor with the
 // config the generator derives from x.
+//
+// Under -short the kvstore rows, each a 110 000-key population per run,
+// profile one seed; the dnn row keeps both, so the replacement of a kept build
+// still runs under the race detector's -short pass.
 func TestSharedBuildIsInvisible(t *testing.T) {
 	// 96-channel 3×3 convolutions at 16×16 are 21 M MACs each, ten times the
 	// host-compute sampling threshold: the shared build holds sampled rows.
@@ -36,21 +40,26 @@ func TestSharedBuildIsInvisible(t *testing.T) {
 	kvCompressible := kvCfg
 	kvCompressible.ValueEntropy = 3.5
 	for _, row := range []struct {
-		name   string
-		shared workload.Benchmark
-		perRun func(*trace.CodeLayout, uint64) workload.Server
+		name      string
+		shared    workload.Benchmark
+		perRun    func(*trace.CodeLayout, uint64) workload.Server
+		shortSeed bool // under -short, profile seed 7 only
 	}{
 		{"dnn", datagen.DNN().Benchmark([]float64{2000, 3, 1, 1, 1, 96}),
-			func(l *trace.CodeLayout, seed uint64) workload.Server { return nn.New(dnnSpec, l, seed) }},
+			func(l *trace.CodeLayout, seed uint64) workload.Server { return nn.New(dnnSpec, l, seed) }, false},
 		{"memcached", datagen.Memcached().Benchmark([]float64{100_000, 0.9, 30, 8, 600, 100}),
-			func(l *trace.CodeLayout, seed uint64) workload.Server { return kvstore.New(kvCfg, l, seed) }},
+			func(l *trace.CodeLayout, seed uint64) workload.Server { return kvstore.New(kvCfg, l, seed) }, true},
 		{"memcached-compressible", datagen.MemcachedCompressible().Benchmark([]float64{100_000, 0.9, 30, 8, 600, 100, 3.5}),
-			func(l *trace.CodeLayout, seed uint64) workload.Server { return kvstore.New(kvCompressible, l, seed) }},
+			func(l *trace.CodeLayout, seed uint64) workload.Server { return kvstore.New(kvCompressible, l, seed) }, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			perRun := row.shared
 			perRun.NewServer = row.perRun
-			for _, seed := range []uint64{7, 8} {
+			seeds := []uint64{7, 8}
+			if row.shortSeed && testing.Short() {
+				seeds = seeds[:1]
+			}
+			for _, seed := range seeds {
 				want, err := fastProfiler().Profile(perRun, seed)
 				if err != nil {
 					t.Fatal(err)
