@@ -86,8 +86,7 @@ sed 's/"backend": "remote"/"backend": "local"/' spec-fleet.json > spec-local.jso
 
 echo "== starting coordinator A (fleet, telemetry on, corpus in corpus-a) on $COORD_A"
 rm -rf corpus-a
-bin/datamimed -addr "$COORD_A" -workers 1 -quiet -telemetry -federation-interval 2s \
-  -corpus-dir corpus-a &
+bin/datamimed -addr "$COORD_A" -workers 1 -quiet -telemetry -corpus-dir corpus-a &
 PIDS+=($!)
 wait_http "http://$COORD_A/healthz"
 
@@ -99,8 +98,8 @@ bin/datamime-worker -addr "$WORKER_2" -name w2 -profile-workers 2 \
   -coordinator "http://$COORD_A" -advertise "http://$WORKER_2" &
 WORKER_2_PID=$!
 PIDS+=($WORKER_2_PID)
-wait_http "http://$COORD_A/v1/workers" '"w1"'
-wait_http "http://$COORD_A/v1/workers" '"w2"'
+wait_http "http://$COORD_A/v1/fleet" '"w1"'
+wait_http "http://$COORD_A/v1/fleet" '"w2"'
 
 echo "== refusal gate: a spec naming what does not exist is a 400, not a job"
 # refuse SPEC OFFENDER: POST SPEC, require HTTP 400 with OFFENDER in the body.
@@ -120,13 +119,12 @@ echo "== running the seeded search on the fleet (worker 2 dies mid-job)"
 ( sleep 3; echo "== killing worker 2"; kill "$WORKER_2_PID" 2>/dev/null || true ) &
 FLEET_JOB=$(run_job "$COORD_A" spec-fleet.json run-fleet.jsonl)
 echo "== fleet job $FLEET_JOB succeeded"
-curl -fs "http://$COORD_A/v1/workers"
 
-echo "== fleet health view"
+echo "== fleet view"
 curl -fs "http://$COORD_A/v1/fleet"
-echo "== federated metrics (datamime_worker_* families)"
-curl -fs "http://$COORD_A/metrics" | grep '^datamime_worker_' || {
-  echo "no federated worker metrics in coordinator /metrics" >&2; exit 1; }
+echo "== worker 1's own metrics (datamime_worker_* families)"
+curl -fs "http://$WORKER_1/metrics" | grep '^datamime_worker_' || {
+  echo "no datamime_worker_* families on worker 1's /metrics" >&2; exit 1; }
 
 echo "== exporting and validating the unified fleet trace"
 curl -fs "http://$COORD_A/v1/jobs/$FLEET_JOB/trace" > fleet-trace.json

@@ -1,10 +1,10 @@
 // Command datamime-worker serves simulator evaluations and way-curve sweeps
 // to a datamimed coordinator over the versioned JSON/HTTP protocol
-// (internal/backend, protocol v1). A fleet of workers lets one coordinator
-// shard candidate evaluations across machines; the determinism contract —
-// every backend returns bit-identical profiles for the same request — means
-// adding, removing, or killing workers never changes a search's results,
-// only its wall-clock time.
+// (internal/backend, whose ProtocolVersion the handshake checks). A fleet of
+// workers lets one coordinator shard candidate evaluations across machines;
+// the determinism contract — every backend returns bit-identical profiles
+// for the same request — means adding, removing, or killing workers never
+// changes a search's results, only its wall-clock time.
 //
 // Usage:
 //
@@ -84,7 +84,7 @@ func run(addr, name string, capacity, backlog, profWorkers, cacheCapacity int, c
 		CacheCapacity:  cacheCapacity,
 		Coordinator:    coordinator,
 		// Heartbeats and health probes carry the build identity, so the
-		// coordinator's /v1/workers and /v1/fleet surface version skew.
+		// coordinator's /v1/fleet surfaces version skew.
 		Version: buildinfo.Read().String(),
 	})
 

@@ -172,7 +172,7 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 	}
 
 	// Per-iteration progress lines ride on OnEval through the telemetry
-	// line logger (the old SearchConfig.Log path, now fully outside core).
+	// line logger.
 	var logger *slog.Logger
 	if !quiet {
 		logger = telemetry.NewLineLogger(os.Stdout)

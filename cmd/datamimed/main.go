@@ -25,14 +25,13 @@
 //
 // -telemetry enables per-job phase spans (feeding the /metrics latency
 // histograms, the /events stream, and the per-job /trace timeline — open
-// it at https://ui.perfetto.dev); -debug mounts net/http/pprof and expvar
-// under /debug/ for live profiling of the server itself.
+// it at https://ui.perfetto.dev); -debug mounts net/http/pprof under
+// /debug/pprof/ for live profiling of the server itself.
 package main
 
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -58,14 +57,13 @@ func main() {
 		profWorkers   = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "default concurrent simulator runs per profile for jobs that do not set profiling.profile_workers; profiles are bit-identical at any setting")
 		quiet         = flag.Bool("quiet", false, "suppress job lifecycle logs")
 		telemetry     = flag.Bool("telemetry", false, "record per-job phase spans (latency histograms in /metrics, spans in /events)")
-		debug         = flag.Bool("debug", false, "expose net/http/pprof and expvar under /debug/")
+		debug         = flag.Bool("debug", false, "expose net/http/pprof under /debug/pprof/")
 		version       = flag.Bool("version", false, "print build information and exit")
 
 		dispatchTimeout = flag.Duration("dispatch-timeout", 5*time.Minute, "per-attempt timeout for remote evaluations")
 		dispatchRetries = flag.Int("dispatch-retries", 2, "remote attempts after a failure before an evaluation falls back in-process")
 		dispatchQueue   = flag.Int("dispatch-max-queue", 64, "evaluations waiting for a remote slot before admission control sheds to local")
 		healthInterval  = flag.Duration("worker-health-interval", 15*time.Second, "fleet health-probe period")
-		fedInterval     = flag.Duration("federation-interval", 15*time.Second, "worker /metrics scrape period for the federated datamime_worker_* families (negative disables)")
 	)
 	var workerURLs workerList
 	flag.Var(&workerURLs, "worker", "datamime-worker base URL to dispatch evaluations to (repeatable; workers may also self-register via POST /v1/workers)")
@@ -95,7 +93,6 @@ func main() {
 		dispatchRetries: *dispatchRetries,
 		dispatchQueue:   *dispatchQueue,
 		healthInterval:  *healthInterval,
-		fedInterval:     *fedInterval,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "datamimed:", err)
 		os.Exit(1)
@@ -119,7 +116,6 @@ type options struct {
 	dispatchRetries int
 	dispatchQueue   int
 	healthInterval  time.Duration
-	fedInterval     time.Duration
 }
 
 // workerList accumulates repeated -worker flags.
@@ -149,7 +145,6 @@ func run(o options) error {
 		DispatchRetries:       o.dispatchRetries,
 		DispatchMaxQueue:      o.dispatchQueue,
 		WorkerHealthInterval:  o.healthInterval,
-		FederationInterval:    o.fedInterval,
 	}
 	if !o.quiet {
 		cfg.Log = os.Stdout
@@ -161,7 +156,7 @@ func run(o options) error {
 
 	handler := svc.Handler()
 	if o.debug {
-		handler = withDebugHandlers(handler, svc)
+		handler = withDebugHandlers(handler)
 	}
 	httpSrv := &http.Server{Addr: o.addr, Handler: handler}
 	errc := make(chan error, 1)
@@ -208,19 +203,15 @@ func run(o options) error {
 	return nil
 }
 
-// withDebugHandlers wraps the service handler with the stdlib debug
-// endpoints: pprof profiles under /debug/pprof/ and expvar (including the
-// server's own operational snapshot under the "datamimed" key) at
-// /debug/vars.
-func withDebugHandlers(h http.Handler, svc *service.Server) http.Handler {
-	expvar.Publish("datamimed", expvar.Func(func() interface{} { return svc.DebugVars() }))
+// withDebugHandlers wraps the service handler with the stdlib pprof
+// profiles under /debug/pprof/.
+func withDebugHandlers(h http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/", h)
 	return mux
 }

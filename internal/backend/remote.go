@@ -221,8 +221,8 @@ type WorkerRegistration struct {
 	// every heartbeat so the coordinator can surface fleet version skew.
 	Version string `json:"build_version,omitempty"`
 	// Inflight is the worker's evaluation load at announce time — a
-	// heartbeat-grained load snapshot for /v1/workers and /v1/fleet even
-	// when the coordinator's health loop has not probed recently.
+	// heartbeat-grained load snapshot for /v1/fleet even when the
+	// coordinator's health loop has not probed recently.
 	Inflight int `json:"inflight,omitempty"`
 }
 

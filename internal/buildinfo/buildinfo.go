@@ -1,8 +1,8 @@
 // Package buildinfo exposes the binary's embedded build identity — module
 // version, VCS revision, dirty flag, Go toolchain — via
 // runtime/debug.ReadBuildInfo. Every cmd/ binary serves it behind -version,
-// and datamimed publishes it in its expvar snapshot, so a run artifact can
-// always be traced back to the exact build that produced it.
+// workers announce it to their coordinator, and every corpus record carries
+// it, so a run can always be traced back to the exact build that produced it.
 package buildinfo
 
 import (
@@ -68,14 +68,4 @@ func (i Info) String() string {
 	}
 	fmt.Fprintf(&b, " %s", i.GoVersion)
 	return b.String()
-}
-
-// Vars renders the identity for expvar publication, with stable keys.
-func (i Info) Vars() map[string]interface{} {
-	return map[string]interface{}{
-		"version":    i.Version,
-		"revision":   i.Revision,
-		"modified":   i.Modified,
-		"go_version": i.GoVersion,
-	}
 }

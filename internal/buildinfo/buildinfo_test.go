@@ -16,18 +16,6 @@ func TestReadAlwaysUsable(t *testing.T) {
 	}
 }
 
-func TestVarsMirrorsFields(t *testing.T) {
-	info := Info{Version: "v1.2.3", Revision: "abcdef123456", Modified: true, GoVersion: "go1.24.0"}
-	vars := info.Vars()
-	for k, want := range map[string]interface{}{
-		"version": "v1.2.3", "revision": "abcdef123456", "modified": true, "go_version": "go1.24.0",
-	} {
-		if vars[k] != want {
-			t.Fatalf("Vars()[%q] = %v, want %v", k, vars[k], want)
-		}
-	}
-}
-
 func TestStringTruncatesRevision(t *testing.T) {
 	info := Info{Version: "(devel)", Revision: "0123456789abcdef0123", GoVersion: "go1.24.0"}
 	s := info.String()

@@ -29,7 +29,15 @@ type DiagRecord struct {
 // AcqGap is the chosen-vs-pool-mean EI spread: how peaked the acquisition
 // surface still is. A gap collapsing toward zero means every candidate
 // looks alike to the optimizer — the stagnation signal.
-func (d DiagRecord) AcqGap() float64 { return d.ChosenEI - d.PoolMeanEI }
+func (d DiagRecord) AcqGap() float64 { return finite(d.ChosenEI - d.PoolMeanEI) }
+
+// finite clamps a figure derived from recorded values to the float64 range.
+// The recorded values are finite (JSON has no infinities), but a sum,
+// difference or ratio of them can overflow, and an infinity has no JSON
+// encoding: the summary holding it would not marshal.
+func finite(v float64) float64 {
+	return math.Max(-math.MaxFloat64, math.Min(v, math.MaxFloat64))
+}
 
 // Nominal Gaussian band coverages the calibration figures are judged
 // against: P(|z| ≤ 1) and P(|z| ≤ 2).
@@ -123,8 +131,8 @@ func NewSearchHealth(run *Run) *SearchHealth {
 		h.MeanCoverage1 += d.Coverage1
 		h.MeanCoverage2 += d.Coverage2
 	}
-	h.MeanCoverage1 /= float64(len(settled))
-	h.MeanCoverage2 /= float64(len(settled))
+	h.MeanCoverage1 = finite(h.MeanCoverage1) / float64(len(settled))
+	h.MeanCoverage2 = finite(h.MeanCoverage2) / float64(len(settled))
 	for _, d := range recs {
 		if d.JitterLevel > h.MaxJitterLevel {
 			h.MaxJitterLevel = d.JitterLevel
@@ -137,7 +145,7 @@ func NewSearchHealth(run *Run) *SearchHealth {
 		}
 	}
 	if last := recs[len(recs)-1]; last.ChosenEI > 0 {
-		h.ExploreShare = last.ExploreEI / last.ChosenEI
+		h.ExploreShare = finite(last.ExploreEI / last.ChosenEI)
 	}
 	h.Verdicts = verdicts(h)
 	h.Healthy = len(h.Verdicts) == 0

@@ -1,7 +1,10 @@
 package inspect
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -109,4 +112,31 @@ func TestLoadRunRejectsBrokenEval(t *testing.T) {
 	} else if !strings.Contains(err.Error(), telemetry.AttrBestError) {
 		t.Errorf("error %v should name the missing attribute", err)
 	}
+}
+
+// FuzzLoadRun feeds arbitrary bytes through LoadRun, the door every artifact
+// comes in by. It must never panic, and every run it accepts must render:
+// the report, its text and HTML views and its JSON summary, with no panic
+// and no error.
+func FuzzLoadRun(f *testing.F) {
+	// The other seeds — testdata/run.jsonl, a truncated tail, an unknown
+	// event type, an eval without best_error, a span that ends before it
+	// began by the epoch — are files under testdata/fuzz/FuzzLoadRun.
+	f.Add([]byte(testArtifact()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run, err := LoadRun(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		r := NewReport(run, nil, "")
+		if err := r.RenderText(io.Discard); err != nil {
+			t.Fatalf("RenderText: %v", err)
+		}
+		if err := r.RenderHTML(io.Discard); err != nil {
+			t.Fatalf("RenderHTML: %v", err)
+		}
+		if _, err := json.Marshal(NewRunSummary(r)); err != nil {
+			t.Fatalf("summary: %v", err)
+		}
+	})
 }

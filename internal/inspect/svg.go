@@ -100,7 +100,12 @@ func niceTicks(lo, hi float64, n int) []float64 {
 	}
 	first := math.Ceil(lo/step) * step
 	var ticks []float64
-	for v := first; v <= hi+step*1e-9; v += step {
+	// The nice step is at least the raw one, so a range takes at most n
+	// ticks. Bounding the count, with one to spare, is what ends the loop
+	// where v += step stops advancing: a range narrower than the float
+	// spacing at its magnitude, or one whose end plus the tolerance rounds
+	// to +Inf.
+	for v := first; v <= hi+step*1e-9 && len(ticks) <= n; v += step {
 		// Snap near-zero accumulation error so labels stay clean.
 		if math.Abs(v) < step*1e-9 {
 			v = 0

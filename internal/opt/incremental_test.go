@@ -106,19 +106,20 @@ func TestAppendBitIdenticalToRefactorization(t *testing.T) {
 
 // TestCholeskyAppendRejectsNonPD: appending an exact duplicate row with no
 // jitter makes the Schur complement zero, which must be rejected — the
-// trigger for the exact-refactorization fallback.
+// trigger for the exact-refactorization fallback — leaving the factor as it
+// was.
 func TestCholeskyAppendRejectsNonPD(t *testing.T) {
-	m := linalg.NewMatrix(1, 1)
-	m.Set(0, 0, 1)
-	f, err := linalg.Cholesky(m)
-	if err != nil {
+	xs := [][]float64{{0.3, 0.7}, {0.3, 0.7}}
+	k := Matern52{Variance: 1, LengthScale: 0.4}
+	var f linalg.Tri
+	if err := appendRow(&f, k, xs, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := linalg.CholeskyAppend(f, []float64{1, 1}); err != linalg.ErrNotPositiveDefinite {
+	if err := appendRow(&f, k, xs, 1, 0); err != linalg.ErrNotPositiveDefinite {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
-	if _, err := linalg.CholeskyAppend(f, []float64{1}); err == nil {
-		t.Fatal("short row accepted")
+	if f.N != 1 || len(f.Data) != 1 {
+		t.Fatalf("refused append left %d rows (%d entries), want 1", f.N, len(f.Data))
 	}
 }
 
@@ -131,19 +132,13 @@ func TestEntryFallbackOnAppendFailure(t *testing.T) {
 	// Hand-craft an entry whose factor carries no jitter, so appending the
 	// duplicate row fails, forcing the rebuild path.
 	k := Matern52{Variance: 1, LengthScale: 0.4}
-	m := linalg.NewMatrix(2, 2)
+	var f linalg.Tri
 	for i := 0; i < 2; i++ {
-		for j := 0; j <= i; j++ {
-			v := k.Eval(xs[i], xs[j])
-			m.Set(i, j, v)
-			m.Set(j, i, v)
+		if err := appendRow(&f, k, xs, i, 0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	f, err := linalg.Cholesky(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := surrogateEntry{ls: 0.4, nf: 1e-4, chol: linalg.Pack(f), jitter: 0, level: 0, n: 2, ok: true}
+	e := surrogateEntry{ls: 0.4, nf: 1e-4, chol: f, jitter: 0, level: 0, n: 2, ok: true}
 	e.sync(xs)
 	if !e.ok || e.n != 3 {
 		t.Fatalf("entry did not recover: ok=%v n=%d", e.ok, e.n)

@@ -1,68 +1,20 @@
-// Package linalg provides the small dense linear-algebra kernel the
-// Bayesian optimizer needs: row-major matrices, Cholesky factorization, and
-// triangular solves. The reproduction bands note that Go lacks mainstream
-// optimization/statistics libraries, so this is implemented from scratch on
-// the standard library only.
+// Package linalg provides the small linear-algebra kernel the Bayesian
+// optimizer needs: Cholesky factorization and triangular solves. The
+// reproduction bands note that Go lacks mainstream optimization/statistics
+// libraries, so this is implemented from scratch on the standard library
+// only.
 //
 // A Cholesky factor is a Tri: lower-triangular, packed by rows, grown one
-// bordered row at a time by the one recurrence in Tri.Append. The
-// Matrix-typed Cholesky, CholeskyAppend and solves take and return the same
-// factor unpacked into a full square Matrix, and convert at the boundary.
+// bordered row at a time by the one recurrence in Tri.Append.
 package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
-// Matrix is a dense row-major matrix.
-type Matrix struct {
-	Rows, Cols int
-	Data       []float64
-}
-
-// NewMatrix allocates a zeroed rows×cols matrix. It panics on non-positive
-// dimensions.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("linalg: invalid dimensions %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec computes m · x. It panics if len(x) != Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic("linalg: MulVec dimension mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
-// not (numerically) symmetric positive definite.
+// ErrNotPositiveDefinite is returned by Tri.Append when the matrix being
+// factorized is not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Tri is a lower-triangular matrix packed by rows: row i's entries
@@ -205,93 +157,6 @@ func (l *Tri) LogDet(s float64) float64 {
 		sum += math.Log(float64(l.Data[packed(i)+i] * s))
 	}
 	return 2 * sum
-}
-
-// Pack returns the lower triangle of the square matrix m.
-func Pack(m *Matrix) Tri {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("linalg: Pack of non-square %dx%d matrix", m.Rows, m.Cols))
-	}
-	t := Tri{N: m.Rows, Data: make([]float64, 0, packed(m.Rows))}
-	for i := 0; i < m.Rows; i++ {
-		t.Data = append(t.Data, m.Data[i*m.Cols:i*m.Cols+i+1]...)
-	}
-	return t
-}
-
-// dense returns l as a full square matrix, zero above the diagonal.
-func (l *Tri) dense() *Matrix {
-	m := NewMatrix(l.N, l.N)
-	for i := 0; i < l.N; i++ {
-		copy(m.Data[i*l.N:], l.Row(i))
-	}
-	return m
-}
-
-// Cholesky computes the lower-triangular factor L with A = L·Lᵀ. A must be
-// square and symmetric positive definite; the strict upper triangle of A is
-// ignored. Returns ErrNotPositiveDefinite when a pivot is non-positive,
-// which the GP uses to trigger jitter escalation.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
-	}
-	l := NewTri(a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		copy(l.Slot(), a.Data[i*a.Cols:i*a.Cols+i+1])
-		if err := l.Append(); err != nil {
-			return nil, err
-		}
-	}
-	return l.dense(), nil
-}
-
-// CholeskyAppend extends a Cholesky factorization by one bordered row:
-// given the lower-triangular factor L of an n×n matrix A and row holding
-// (A_{n,0}, …, A_{n,n}) including the new diagonal, it returns the factor
-// of the (n+1)×(n+1) bordered matrix, by Tri.Append, in a fresh matrix.
-func CholeskyAppend(l *Matrix, row []float64) (*Matrix, error) {
-	if l.Cols != l.Rows {
-		return nil, fmt.Errorf("linalg: CholeskyAppend of non-square %dx%d factor", l.Rows, l.Cols)
-	}
-	if len(row) != l.Rows+1 {
-		return nil, fmt.Errorf("linalg: CholeskyAppend row has %d entries, want %d", len(row), l.Rows+1)
-	}
-	t := Pack(l)
-	copy(t.Slot(), row)
-	if err := t.Append(); err != nil {
-		return nil, err
-	}
-	return t.dense(), nil
-}
-
-// SolveLower solves L·y = b for lower-triangular L by forward substitution.
-func SolveLower(l *Matrix, b []float64) []float64 {
-	t := Pack(l)
-	y := make([]float64, len(b))
-	t.SolveLower(1, b, y)
-	return y
-}
-
-// SolveUpperT solves Lᵀ·x = y for lower-triangular L (i.e., an upper-
-// triangular solve against the transpose) by back substitution.
-func SolveUpperT(l *Matrix, y []float64) []float64 {
-	t := Pack(l)
-	x := make([]float64, len(y))
-	t.SolveUpperT(1, y, x)
-	return x
-}
-
-// CholeskySolve solves A·x = b given the Cholesky factor L of A.
-func CholeskySolve(l *Matrix, b []float64) []float64 {
-	return SolveUpperT(l, SolveLower(l, b))
-}
-
-// LogDetFromCholesky returns log|A| = 2·Σ log L_ii given A's Cholesky
-// factor L.
-func LogDetFromCholesky(l *Matrix) float64 {
-	t := Pack(l)
-	return t.LogDet(1)
 }
 
 // Dot returns the inner product of two equal-length vectors.

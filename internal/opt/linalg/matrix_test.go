@@ -9,17 +9,32 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// factor grows the Cholesky factor of the symmetric matrix a row by row,
+// each row's lower triangle through Slot and Append.
+func factor(a [][]float64) (Tri, error) {
+	l := NewTri(len(a))
+	for i := range a {
+		copy(l.Slot(), a[i][:i+1])
+		if err := l.Append(); err != nil {
+			return l, err
+		}
+	}
+	return l, nil
+}
+
+// mulVec returns a·x.
+func mulVec(a [][]float64, x []float64) []float64 {
+	out := make([]float64, len(a))
+	for i, row := range a {
+		out[i] = Dot(row, x)
+	}
+	return out
+}
+
 func TestCholeskyKnown(t *testing.T) {
 	// A = [[4, 12, -16], [12, 37, -43], [-16, -43, 98]]
 	// L = [[2, 0, 0], [6, 1, 0], [-8, 5, 3]]
-	a := NewMatrix(3, 3)
-	vals := [][]float64{{4, 12, -16}, {12, 37, -43}, {-16, -43, 98}}
-	for i := range vals {
-		for j := range vals[i] {
-			a.Set(i, j, vals[i][j])
-		}
-	}
-	l, err := Cholesky(a)
+	l, err := factor([][]float64{{4, 12, -16}, {12, 37, -43}, {-16, -43, 98}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,24 +53,24 @@ func TestCholeskyReconstruction(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.IntN(10)
 		// Build SPD matrix A = B·Bᵀ + n·I.
-		b := NewMatrix(n, n)
-		for i := range b.Data {
-			b.Data[i] = rng.Range(-1, 1)
-		}
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var s float64
-				for k := 0; k < n; k++ {
-					s += b.At(i, k) * b.At(j, k)
-				}
-				if i == j {
-					s += float64(n)
-				}
-				a.Set(i, j, s)
+		b := make([][]float64, n)
+		for i := range b {
+			b[i] = make([]float64, n)
+			for j := range b[i] {
+				b[i][j] = rng.Range(-1, 1)
 			}
 		}
-		l, err := Cholesky(a)
+		a := make([][]float64, n)
+		for i := range a {
+			a[i] = make([]float64, n)
+			for j := range a[i] {
+				a[i][j] = Dot(b[i], b[j])
+				if i == j {
+					a[i][j] += float64(n)
+				}
+			}
+		}
+		l, err := factor(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,51 +81,53 @@ func TestCholeskyReconstruction(t *testing.T) {
 				for k := 0; k < n; k++ {
 					s += l.At(i, k) * l.At(j, k)
 				}
-				if !almostEqual(s, a.At(i, j), 1e-8) {
-					t.Fatalf("trial %d: (L·Lᵀ)[%d][%d] = %g, want %g", trial, i, j, s, a.At(i, j))
+				if !almostEqual(s, a[i][j], 1e-8) {
+					t.Fatalf("trial %d: (L·Lᵀ)[%d][%d] = %g, want %g", trial, i, j, s, a[i][j])
 				}
 			}
 		}
 	}
 }
 
+// TestCholeskyRejectsNonPD: a row whose pivot is not positive is refused,
+// and the factor keeps the rows it had.
 func TestCholeskyRejectsNonPD(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 1) // eigenvalues 3, -1 => not PD
-	if _, err := Cholesky(a); err != ErrNotPositiveDefinite {
+	// Eigenvalues 3, -1 => not PD.
+	l, err := factor([][]float64{{1, 2}, {2, 1}})
+	if err != ErrNotPositiveDefinite {
 		t.Fatalf("expected ErrNotPositiveDefinite, got %v", err)
 	}
-	b := NewMatrix(2, 3)
-	if _, err := Cholesky(b); err == nil {
-		t.Fatal("expected error for non-square matrix")
+	if l.N != 1 || len(l.Data) != 1 || l.At(0, 0) != 1 {
+		t.Fatalf("refused append left the factor at N=%d %v, want the one row [1]", l.N, l.Data)
 	}
 }
 
 func TestCholeskySolve(t *testing.T) {
 	rng := stats.NewRNG(52)
 	n := 6
-	a := NewMatrix(n, n)
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n)
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := rng.Range(-1, 1)
-			a.Set(i, j, v)
-			a.Set(j, i, v)
+			a[i][j], a[j][i] = v, v
 		}
-		a.Set(i, i, a.At(i, i)+float64(n)+1)
+		a[i][i] += float64(n) + 1
 	}
 	xTrue := make([]float64, n)
 	for i := range xTrue {
 		xTrue[i] = rng.Range(-3, 3)
 	}
-	b := a.MulVec(xTrue)
-	l, err := Cholesky(a)
+	b := mulVec(a, xTrue)
+	l, err := factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := CholeskySolve(l, b)
+	x := make([]float64, n)
+	l.SolveLower(1, b, x)
+	l.SolveUpperT(1, x, x)
 	for i := range x {
 		if !almostEqual(x[i], xTrue[i], 1e-8) {
 			t.Fatalf("x[%d] = %g, want %g", i, x[i], xTrue[i])
@@ -119,14 +136,10 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestTriangularSolves(t *testing.T) {
-	l := NewMatrix(3, 3)
-	l.Set(0, 0, 2)
-	l.Set(1, 0, 1)
-	l.Set(1, 1, 3)
-	l.Set(2, 0, 4)
-	l.Set(2, 1, 5)
-	l.Set(2, 2, 6)
-	y := SolveLower(l, []float64{2, 5, 32})
+	// L = [[2, 0, 0], [1, 3, 0], [4, 5, 6]], packed by rows.
+	l := Tri{N: 3, Data: []float64{2, 1, 3, 4, 5, 6}}
+	y := make([]float64, 3)
+	l.SolveLower(1, []float64{2, 5, 32}, y)
 	want := []float64{1, 4.0 / 3, 32.0 / 9}
 	for i := range want {
 		if !almostEqual(y[i], want[i], 1e-12) {
@@ -142,8 +155,13 @@ func TestTriangularSolves(t *testing.T) {
 			lt[i] += l.At(k, i) * xTrue[k]
 		}
 	}
-	b := l.MulVec(lt)
-	x := CholeskySolve(l, b)
+	b := make([]float64, 3)
+	for i := range b {
+		b[i] = Dot(l.Row(i), lt[:i+1])
+	}
+	x := make([]float64, 3)
+	l.SolveLower(1, b, x)
+	l.SolveUpperT(1, x, x)
 	for i := range xTrue {
 		if !almostEqual(x[i], xTrue[i], 1e-10) {
 			t.Fatalf("round-trip x[%d] = %g, want %g", i, x[i], xTrue[i])
@@ -153,37 +171,18 @@ func TestTriangularSolves(t *testing.T) {
 
 func TestLogDetFromCholesky(t *testing.T) {
 	// A = diag(4, 9): |A| = 36, log|A| = log 36.
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(1, 1, 9)
-	l, err := Cholesky(a)
+	l, err := factor([][]float64{{4, 0}, {0, 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := LogDetFromCholesky(l); !almostEqual(got, math.Log(36), 1e-12) {
+	if got := l.LogDet(1); !almostEqual(got, math.Log(36), 1e-12) {
 		t.Fatalf("logdet = %g, want %g", got, math.Log(36))
 	}
 }
 
-func TestMatrixHelpers(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.Set(1, 2, 7)
-	c := m.Clone()
-	m.Set(1, 2, 0)
-	if c.At(1, 2) != 7 {
-		t.Fatal("Clone aliases data")
-	}
+func TestDot(t *testing.T) {
 	if d := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); d != 32 {
 		t.Fatalf("Dot = %g", d)
-	}
-	v := NewMatrix(2, 2)
-	v.Set(0, 0, 1)
-	v.Set(0, 1, 2)
-	v.Set(1, 0, 3)
-	v.Set(1, 1, 4)
-	out := v.MulVec([]float64{1, 1})
-	if out[0] != 3 || out[1] != 7 {
-		t.Fatalf("MulVec = %v", out)
 	}
 }
 
@@ -196,9 +195,11 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	check("NewMatrix", func() { NewMatrix(0, 1) })
-	check("MulVec", func() { NewMatrix(2, 2).MulVec([]float64{1}) })
+	l, err := factor([][]float64{{4, 0}, {0, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	check("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
-	check("SolveLower", func() { SolveLower(NewMatrix(2, 2), []float64{1}) })
-	check("SolveUpperT", func() { SolveUpperT(NewMatrix(2, 2), []float64{1}) })
+	check("SolveLower", func() { l.SolveLower(1, []float64{1}, []float64{1}) })
+	check("SolveUpperT", func() { l.SolveUpperT(1, []float64{1}, []float64{1}) })
 }

@@ -52,35 +52,7 @@ func (s *Server) initDispatch() {
 			}
 		}
 	}()
-
-	// Federated metrics: scrape each worker's /metrics on its own cadence
-	// so one coordinator scrape observes the whole fleet. Strictly
-	// observability-plane — scrape failures never touch routing.
-	s.federation = newFederation()
-	fedInterval := s.cfg.FederationInterval
-	if fedInterval == 0 {
-		fedInterval = 15 * time.Second
-	}
-	if fedInterval > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(fedInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.rootCtx.Done():
-					return
-				case <-t.C:
-					s.federation.Scrape(s.rootCtx, s.dispatcher.Workers())
-				}
-			}
-		}()
-	}
 }
-
-// Federation exposes the federated-metrics scraper (for tests and debug).
-func (s *Server) Federation() *Federation { return s.federation }
 
 // Dispatcher exposes the evaluation dispatcher (for tests and debug).
 func (s *Server) Dispatcher() *backend.Dispatcher { return s.dispatcher }
@@ -186,10 +158,26 @@ func (s *Server) handleWorkerWithdraw(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"url": u, "state": "withdrawn"})
 }
 
-// handleWorkerList snapshots the fleet: GET /v1/workers.
-func (s *Server) handleWorkerList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"workers": s.dispatcher.Workers(),
-		"queue":   s.dispatcher.QueueDepth(),
+// FleetStatus is the GET /v1/fleet response body. Each worker publishes its
+// own datamime_worker_* families at its /metrics; the coordinator reports
+// what it routes on.
+type FleetStatus struct {
+	Workers  []backend.WorkerInfo     `json:"workers"`
+	Queue    int                      `json:"queue"`
+	Dispatch backend.DispatchCounters `json:"dispatch"`
+	// Corpus summarizes the persistent run index per scenario (latest run
+	// beside the corpus median); null when -corpus-dir is not set.
+	Corpus *CorpusSummary `json:"corpus,omitempty"`
+}
+
+// handleFleet serves GET /v1/fleet: the dispatcher's view of every worker
+// (routing state, heartbeat load, version, clock offset), its queue and
+// counters, and the corpus rollup.
+func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, FleetStatus{
+		Workers:  s.dispatcher.Workers(),
+		Queue:    s.dispatcher.QueueDepth(),
+		Dispatch: s.dispatcher.Counters(),
+		Corpus:   s.corpusSummary(),
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"datamime/internal/buildinfo"
@@ -221,10 +222,12 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if v := q.Get("limit"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &f.Limit); err != nil || f.Limit < 0 {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad limit %q", v))
 			return
 		}
+		f.Limit = n
 	}
 	runs := s.corpus.Select(f)
 	if runs == nil {

@@ -89,6 +89,19 @@ func TestCorpusIndexesIdenticalSeededRuns(t *testing.T) {
 		t.Fatalf("second run's baseline = %q, want %q", b.BaselineID, a.ID)
 	}
 
+	// The filters: limit keeps the most recent runs, and a value that does
+	// not parse whole is a 400, not its leading digits.
+	var latest corpusListResponse
+	if code := httpJSON(t, ts, "GET", "/v1/corpus?limit=1", nil, &latest); code != http.StatusOK ||
+		len(latest.Runs) != 1 || latest.Runs[0].ID != second.ID {
+		t.Fatalf("GET /v1/corpus?limit=1 = %d %+v, want the second run alone", code, latest.Runs)
+	}
+	for _, query := range []string{"limit=3x", "limit=-1", "since=yesterday"} {
+		if code := httpJSON(t, ts, "GET", "/v1/corpus?"+query, nil, nil); code != http.StatusBadRequest {
+			t.Errorf("GET /v1/corpus?%s = %d, want 400", query, code)
+		}
+	}
+
 	// The trends surface serves the same scenario longitudinally.
 	var trend corpus.Trend
 	if code := httpJSON(t, ts, "GET", "/v1/corpus/"+a.Scenario+"/trends", nil, &trend); code != http.StatusOK {

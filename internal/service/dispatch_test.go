@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +13,7 @@ import (
 	"datamime/internal/backend"
 	"datamime/internal/datagen"
 	"datamime/internal/profile"
+	"datamime/internal/telemetry"
 )
 
 // newFleetWorker starts an in-process datamime-worker over httptest,
@@ -92,6 +94,74 @@ func TestServiceFleetBitIdentity(t *testing.T) {
 	c := svc.Dispatcher().Counters()
 	if c.RemoteEvals == 0 || c.LocalEvals != 0 {
 		t.Fatalf("dispatch counters = %+v, want all-remote", c)
+	}
+}
+
+// TestServiceFleetBitIdentityWithTelemetry re-runs the fleet acceptance test
+// with span shipping enabled: trace-context propagation and remote span
+// capture must not move a single output bit, and the job's exported trace
+// must carry the workers' spans on their own fleet process tracks.
+func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
+	spec := testSpec(12, 21)
+	spec.Backend = "local"
+	ref := runToCompletion(t, newTestServer(t, ""), spec)
+
+	_, ts1 := newFleetWorker(t, "span-a")
+	_, ts2 := newFleetWorker(t, "span-b")
+	svc, err := New(Config{
+		Workers:    1,
+		Generators: []datagen.Generator{testGenerator()},
+		WorkerURLs: []string{ts1.URL, ts2.URL},
+		Telemetry:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	remoteSpec := testSpec(12, 21)
+	remoteSpec.Backend = "remote"
+	job, err := svc.Submit(remoteSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	got := job.status(0)
+	if got.State != JobSucceeded {
+		t.Fatalf("traced fleet job %s: %s", got.State, got.Error)
+	}
+	if got.Result.BestError != ref.Result.BestError ||
+		!reflect.DeepEqual(got.Result.BestParams, ref.Result.BestParams) ||
+		got.Result.BestValues != ref.Result.BestValues {
+		t.Fatalf("span shipping moved the result:\nfleet %+v\nlocal %+v", got.Result, ref.Result)
+	}
+	if !reflect.DeepEqual(got.Trace, ref.Trace) {
+		t.Fatal("span shipping moved the iteration trace")
+	}
+	if c := svc.Dispatcher().Counters(); c.RemoteEvals == 0 {
+		t.Fatalf("dispatch counters = %+v, want remote evals", c)
+	}
+
+	// The unified trace carries the remote spans on fleet process tracks.
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + job.ID() + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/trace = %d", resp.StatusCode)
+	}
+	st, err := telemetry.ValidateTrace(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FleetProcesses < 1 {
+		t.Fatalf("trace stats = %+v, want at least one fleet process", st)
+	}
+	if st.Spans == 0 {
+		t.Fatal("traced fleet job exported no spans")
 	}
 }
 
@@ -188,11 +258,8 @@ func TestServiceFleetHTTP(t *testing.T) {
 	if first.ID != second.ID {
 		t.Fatalf("heartbeat minted a new ID: %d then %d", first.ID, second.ID)
 	}
-	var list struct {
-		Workers []backend.WorkerInfo `json:"workers"`
-		Queue   int                  `json:"queue"`
-	}
-	httpJSON(t, ts, "GET", "/v1/workers", nil, &list)
+	var list FleetStatus
+	httpJSON(t, ts, "GET", "/v1/fleet", nil, &list)
 	if len(list.Workers) != 1 || list.Workers[0].Capacity != 2 || list.Workers[0].Name != "w0" {
 		t.Fatalf("fleet list = %+v", list)
 	}
@@ -226,6 +293,74 @@ func TestServiceFleetHTTP(t *testing.T) {
 	}
 	if _, ok, err := cc.Get(context.Background(), "missing"); ok || err != nil {
 		t.Fatalf("cache miss = (%v, %v)", ok, err)
+	}
+}
+
+// TestServiceFleetEndpoint: GET /v1/fleet is the dispatcher's view of the
+// fleet, row for row. Each figure has one publisher: the coordinator's
+// /metrics carries no datamime_worker_* family (every worker serves its own),
+// and the fleet has no second listing at GET /v1/workers.
+func TestServiceFleetEndpoint(t *testing.T) {
+	_, ts1 := newFleetWorker(t, "obs-a")
+	_, ts2 := newFleetWorker(t, "obs-b")
+	svc := newFleetServer(t, []string{ts1.URL, ts2.URL})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	var fleet FleetStatus
+	if code := httpJSON(t, ts, "GET", "/v1/fleet", nil, &fleet); code != http.StatusOK {
+		t.Fatalf("/v1/fleet = %d", code)
+	}
+	want := svc.Dispatcher().Workers()
+	// last_seen_age_ms is a clock reading, taken anew by each snapshot.
+	for _, rows := range [][]backend.WorkerInfo{fleet.Workers, want} {
+		for i := range rows {
+			rows[i].LastSeenAgeMS = 0
+		}
+	}
+	if len(want) != 2 || !reflect.DeepEqual(fleet.Workers, want) {
+		t.Fatalf("/v1/fleet rows %+v\nwant the dispatcher's %+v", fleet.Workers, want)
+	}
+
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	coord := get(ts.URL + "/metrics")
+	for _, family := range []string{
+		"datamimed_evaluations_total",     // the coordinator's own registry
+		"datamimed_go_goroutines",         // its runtime health
+		"datamimed_fleet_worker_healthy{", // worker liveness, from its probes
+	} {
+		if !strings.Contains(coord, family) {
+			t.Errorf("coordinator /metrics missing %q", family)
+		}
+	}
+	for _, line := range strings.Split(coord, "\n") {
+		name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+		if strings.HasPrefix(name, "datamime_worker_") {
+			t.Errorf("coordinator /metrics republishes a worker family: %q", line)
+		}
+	}
+	worker := get(ts1.URL + "/metrics")
+	for _, family := range []string{"datamime_worker_capacity", "datamime_worker_go_goroutines"} {
+		if !strings.Contains(worker, family) {
+			t.Errorf("worker /metrics missing %q", family)
+		}
+	}
+
+	if code := httpJSON(t, ts, "GET", "/v1/workers", nil, nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/workers = %d, want 405", code)
 	}
 }
 

@@ -35,18 +35,18 @@ import (
 //	GET  /metrics               Prometheus text-format metrics registry
 //	GET  /healthz               liveness probe
 //
-// The distributed evaluation plane (protocol v1, see internal/backend):
+// The distributed evaluation plane (backend.ProtocolVersion, see
+// internal/backend):
 //
 //	GET  /v1/cache/{key}     shared evaluation-cache tier (404 on miss)
 //	PUT  /v1/cache/{key}     publish a freshly measured profile
 //	POST /v1/workers         worker self-registration (idempotent on URL;
 //	                         re-announcements are heartbeats)
 //	DELETE /v1/workers?url=  clean worker withdrawal
-//	GET  /v1/workers         fleet snapshot + dispatch queue depth
-//	GET  /v1/fleet           unified fleet health: per-worker routing state,
-//	                         clock offset, scraped cache hit rate and
-//	                         runtime health, dispatch counters, corpus
-//	                         rollup (latest run vs. corpus median)
+//	GET  /v1/fleet           fleet view: per-worker routing state, load,
+//	                         version and clock offset, dispatch queue depth
+//	                         and counters, corpus rollup (latest run vs.
+//	                         corpus median)
 //
 // The run corpus (requires Config.CorpusDir / datamimed -corpus-dir):
 //
@@ -85,7 +85,6 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 		"PUT /v1/cache/{key}":              s.handleCachePut,
 		"POST /v1/workers":                 s.handleWorkerAnnounce,
 		"DELETE /v1/workers":               s.handleWorkerWithdraw,
-		"GET /v1/workers":                  s.handleWorkerList,
 		"GET /v1/fleet":                    s.handleFleet,
 		"GET /v1/corpus":                   s.handleCorpus,
 		"GET /v1/corpus/{scenario}/trends": s.handleCorpusTrends,

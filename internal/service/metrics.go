@@ -216,8 +216,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Best-error delta of the most recently indexed run vs its scenario baseline (positive is worse).")
 
 	// Fleet observability: remote-shipped span accounting plus the
-	// coordinator's own Go runtime health (workers export the matching
-	// datamime_worker_go_* families, federated below the registry).
+	// coordinator's own Go runtime health (each worker exports the matching
+	// datamime_worker_go_* families at its own /metrics).
 	m.fleetSimRuns = reg.NewCounter("datamimed_fleet_sim_runs_total",
 		"Partition simulations executed on remote workers (from shipped spans).")
 	m.fleetBusySeconds = reg.NewCounterVec("datamimed_fleet_worker_busy_seconds_total",
@@ -371,11 +371,8 @@ func (s *Server) activeJobRows() []activeJobRow {
 }
 
 // handleMetrics serves the registry in the Prometheus text exposition
-// format, followed by the federated datamime_worker_* families scraped from
-// the fleet (prefix-disjoint from the registry's datamimed_ families, so the
-// concatenation is itself a valid exposition).
+// format. Workers serve their own datamime_worker_* families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.reg.WritePrometheus(w)
-	s.federation.WritePrometheus(w)
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"datamime/internal/backend"
-	"datamime/internal/buildinfo"
 	"datamime/internal/core"
 	"datamime/internal/corpus"
 	"datamime/internal/datagen"
@@ -78,11 +77,6 @@ type Config struct {
 	DispatchMaxQueue int
 	// WorkerHealthInterval is the fleet health-probe period (default 15s).
 	WorkerHealthInterval time.Duration
-	// FederationInterval is the period of the federated-metrics scrape:
-	// how often the coordinator pulls each worker's /metrics and refreshes
-	// the datamime_worker_*{worker=...} re-export (default 15s; negative
-	// disables scraping — the families simply stay absent).
-	FederationInterval time.Duration
 	// CorpusDir, when non-empty, enables the persistent run corpus: every
 	// finished job is indexed there (summary record + content-addressed
 	// JSONL artifact), the regression watchdog judges it against the
@@ -111,10 +105,6 @@ type Server struct {
 	// the backend contract).
 	local      *backend.LocalBackend
 	dispatcher *backend.Dispatcher
-
-	// federation scrapes the fleet's worker /metrics endpoints and
-	// re-exports them (worker-labeled) after the registry in /metrics.
-	federation *Federation
 
 	// corpus is the persistent run index (nil unless Config.CorpusDir is
 	// set); indexRun appends to it on every job completion.
@@ -522,33 +512,6 @@ func (s *Server) jobCounts() map[JobState]int {
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.logger != nil {
 		s.logger.Info("datamimed: " + fmt.Sprintf(format, args...))
-	}
-}
-
-// DebugVars snapshots the server's operational state for expvar publication
-// (cmd/datamimed -debug exposes it at /debug/vars under "datamimed").
-func (s *Server) DebugVars() interface{} {
-	cs := s.cache.Stats()
-	dc := s.dispatcher.Counters()
-	return map[string]interface{}{
-		"build":             buildinfo.Read().Vars(),
-		"jobs":              s.jobCounts(),
-		"workers":           s.cfg.Workers,
-		"workers_busy":      int64(s.metrics.workersBusy.Value()),
-		"cache_hits":        cs.Hits,
-		"cache_misses":      cs.Misses,
-		"cache_evictions":   cs.Evictions,
-		"cache_entries":     cs.Entries,
-		"fleet_workers":     len(s.dispatcher.Workers()),
-		"dispatch_queue":    s.dispatcher.QueueDepth(),
-		"dispatch":          dc,
-		"evaluations_total": int64(s.metrics.evalsTotal.Value()),
-		"skipped_total":     int64(s.metrics.skippedTotal.Value()),
-		"retried_total":     int64(s.metrics.retriedTotal.Value()),
-		"sim_cycles_total":  s.metrics.cyclesTotal.Value(),
-		"sse_subscribers":   int64(s.metrics.sseActive.Value()),
-		"telemetry_enabled": s.cfg.Telemetry,
-		"uptime_seconds":    time.Since(s.started).Seconds(),
 	}
 }
 

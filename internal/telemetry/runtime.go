@@ -6,9 +6,8 @@ import "runtime"
 // <prefix>_go_*: goroutine count, heap bytes in use, cumulative GC pause
 // time, GC cycle count, and GOMAXPROCS. Values are read at scrape time via
 // callback collectors, so an idle registry costs nothing. Both datamimed and
-// datamime-worker expose these; the coordinator's federation layer re-exports
-// the worker copies per fleet worker, which is what makes memory leaks and
-// GC pressure on a remote machine visible from one /metrics endpoint.
+// datamime-worker expose these, each at its own /metrics, which is what makes
+// memory leaks and GC pressure on a remote machine visible.
 func RegisterRuntimeMetrics(reg *Registry, prefix string) {
 	reg.NewGaugeFunc(prefix+"_go_goroutines",
 		"Number of live goroutines.",
