@@ -136,10 +136,18 @@ echo "== corpus gate: re-run the same seed on coordinator A and compare records"
 FLEET_JOB_2=$(run_job "$COORD_A" spec-fleet.json run-fleet-2.jsonl)
 echo "== second fleet job $FLEET_JOB_2 succeeded (cache-served re-run)"
 curl -fs "http://$COORD_A/v1/corpus" > corpus-list.json
-python3 - corpus-list.json <<'EOF'
+curl -fs "http://$COORD_A/v1/fleet" > fleet.json
+RESULT_CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$COORD_A/v1/jobs/$FLEET_JOB/result")
+python3 - corpus-list.json fleet.json "$RESULT_CODE" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
+with open(sys.argv[2]) as f:
+    fleet = json.load(f)
+# Each figure has one publisher: corpus figures are /v1/corpus's, a job's
+# result is GET /v1/jobs/{id}'s.
+assert "corpus" not in fleet, f"/v1/fleet carries a corpus section: {fleet['corpus']}"
+assert sys.argv[3] == "404", f"GET /v1/jobs/{{id}}/result answered {sys.argv[3]}, want 404"
 runs = doc["runs"]
 assert len(runs) == 2 and doc["total"] == 2, f"corpus has {len(runs)}/{doc['total']} runs, want 2"
 a, b = runs
@@ -150,6 +158,8 @@ assert a["verdict"] == "baseline" and b["verdict"] == "identical", \
     f"verdicts {a['verdict']}/{b['verdict']}, want baseline/identical"
 print(f"corpus ok: 2 runs of scenario {a['scenario']}, best error {a['best_error']}, verdict identical")
 EOF
+echo "== the index's verdict is corpus compare's: the pair must diff exactly"
+bin/datamime-inspect corpus compare -dir corpus-a -a "$FLEET_JOB" -b "$FLEET_JOB_2" -exact
 curl -fs "http://$COORD_A/metrics" > corpus-metrics.txt
 grep -q '^datamimed_corpus_runs_indexed_total 2$' corpus-metrics.txt || {
   echo "corpus indexed-runs counter is not 2:" >&2

@@ -167,60 +167,6 @@ func openCorpus(dir string) (*corpus.Corpus, error) {
 	return corpus.Open(dir)
 }
 
-// printCorpusContext appends the "vs. corpus median" section to the timeline
-// report: where this run's convergence and utilization sit relative to the
-// indexed history of the same scenario.
-func printCorpusContext(report *inspect.Report, dir, scenario string) error {
-	c, err := openCorpus(dir)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if scenario == "" {
-		// Default to the busiest scenario: without the job spec the artifact
-		// alone cannot re-derive its scenario hash.
-		for _, sc := range c.Scenarios() {
-			if scenario == "" || len(c.Select(corpus.Filter{Scenario: sc})) > len(c.Select(corpus.Filter{Scenario: scenario})) {
-				scenario = sc
-			}
-		}
-	}
-	recs := c.Select(corpus.Filter{Scenario: scenario})
-	if len(recs) == 0 {
-		fmt.Printf("\nvs. corpus: no indexed runs in %s for scenario %q\n", dir, scenario)
-		return nil
-	}
-	errs := make([]float64, len(recs))
-	walls := make([]float64, len(recs))
-	busys := make([]float64, len(recs))
-	for i, rec := range recs {
-		errs[i] = rec.BestError
-		walls[i] = rec.WallSeconds
-		busys[i] = rec.BusySeconds
-	}
-	fmt.Printf("\nvs. corpus median (scenario %s, %d runs):\n", scenario, len(recs))
-	if best := report.Best; report.BestFound {
-		fmt.Printf("  best error   %-22s median %-22s (%+g)\n",
-			fmt.Sprintf("%g", best.BestError),
-			fmt.Sprintf("%g", corpus.Median(errs)),
-			best.BestError-corpus.Median(errs))
-	}
-	// Remote-only runs have no local worker lanes, so fall back to the fleet
-	// extent for the wall comparison.
-	tl := report.Timeline
-	wall := float64(max(tl.WallNS, tl.FleetWallNS)) / 1e9
-	busy := float64(tl.BusyNS+tl.FleetBusyNS) / 1e9
-	fmt.Printf("  span extent  %-22s median %-22s (%+.1fs)\n",
-		fmt.Sprintf("%.2fs", wall),
-		fmt.Sprintf("%.1fs", corpus.Median(walls)),
-		wall-corpus.Median(walls))
-	fmt.Printf("  busy time    %-22s median %-22s (%+.1fs)\n",
-		fmt.Sprintf("%.2fs", busy),
-		fmt.Sprintf("%.1fs", corpus.Median(busys)),
-		busy-corpus.Median(busys))
-	return nil
-}
-
 // corpusRun loads the stored artifact for a run ID back into a Run.
 func corpusRun(c *corpus.Corpus, id string) (*inspect.Run, error) {
 	rec, ok := c.Find(id)

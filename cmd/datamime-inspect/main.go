@@ -6,7 +6,7 @@
 //
 //	datamime-inspect report -artifact run.jsonl [-profiles profiles.json] [-html report.html] [-json] [-diagnostics diag.json]
 //	datamime-inspect diff -a baseline.jsonl -b candidate.jsonl [-exact] [-json]
-//	datamime-inspect timeline -artifact run.jsonl [-trace trace.json] [-min-efficiency 1.3] [-corpus dir]
+//	datamime-inspect timeline -artifact run.jsonl [-trace trace.json] [-min-efficiency 1.3]
 //	datamime-inspect corpus list|compare|trends -dir corpus [...]
 //	datamime-inspect tail -server http://localhost:8080 -job job-1
 //
@@ -228,8 +228,6 @@ func runTimeline(args []string) error {
 	artifact := fs.String("artifact", "", "run artifact (JSONL) with timed spans (required)")
 	trace := fs.String("trace", "", "also validate this Chrome/Perfetto trace-event JSON file")
 	minSpeedup := fs.Float64("min-efficiency", 0, "fail (exit 1) when the profiler pool's speedup over serial falls below this factor")
-	corpusDir := fs.String("corpus", "", "run corpus directory: add 'vs. corpus median' context after the report")
-	scenario := fs.String("scenario", "", "scenario hash for the -corpus context (default: the scenario with the most runs)")
 	_ = fs.Parse(args)
 	if *artifact == "" {
 		return fmt.Errorf("timeline: -artifact is required")
@@ -242,11 +240,6 @@ func runTimeline(args []string) error {
 	tl := report.Timeline
 	if err := tl.RenderText(os.Stdout); err != nil {
 		return err
-	}
-	if *corpusDir != "" {
-		if err := printCorpusContext(report, *corpusDir, *scenario); err != nil {
-			return err
-		}
 	}
 	if *trace != "" {
 		f, err := os.Open(*trace)

@@ -70,3 +70,25 @@ func TestReportAndTimelineGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusGolden pins `corpus list` and `corpus trends` on a fixture corpus
+// of three indexed runs (two of one scenario sharing the fixture artifact,
+// one of another with no artifact), and checks that `corpus compare -exact`
+// of a run against its identical rerun passes the gate.
+func TestCorpusGolden(t *testing.T) {
+	const dir = "testdata/corpus"
+	for _, c := range []struct {
+		golden string
+		got    []byte
+	}{
+		{"testdata/corpus-list.txt", stdoutOf(t, runCorpusList, "-dir", dir)},
+		{"testdata/corpus-trends.txt", stdoutOf(t, runCorpusTrends, "-dir", dir)},
+	} {
+		if want := readFile(t, c.golden); !bytes.Equal(c.got, want) {
+			t.Errorf("output drifted from %q\n--- got ---\n%s", c.golden, c.got)
+		}
+	}
+	for _, pair := range [][2]string{{"job-1", "job-2"}, {"job-2", "job-2"}} {
+		stdoutOf(t, runCorpusCompare, "-dir", dir, "-a", pair[0], "-b", pair[1], "-exact")
+	}
+}

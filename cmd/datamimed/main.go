@@ -12,8 +12,7 @@
 // Quickstart:
 //
 //	curl -X POST localhost:8080/v1/jobs -d '{"workload":"mem-fb","iterations":200,"parallel":4,"seed":1}'
-//	curl localhost:8080/v1/jobs/job-1            # status + convergence trace
-//	curl localhost:8080/v1/jobs/job-1/result     # best dataset parameters
+//	curl localhost:8080/v1/jobs/job-1            # status, convergence trace, result
 //	curl localhost:8080/v1/jobs/job-1/events     # live SSE event stream
 //	curl localhost:8080/v1/jobs/job-1/artifact   # JSONL run artifact
 //	curl localhost:8080/v1/jobs/job-1/report     # self-contained HTML run report

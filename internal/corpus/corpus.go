@@ -1,8 +1,8 @@
 // Package corpus is the persistent, append-only run index datamimed writes on
 // every job completion. It is the longitudinal memory of the service: each
 // finished search contributes a summary Record (scenario hash, seed, backend,
-// best error, per-component attribution, counts, wall/busy time, fleet stats,
-// build version) plus the full JSONL telemetry artifact, content-addressed by
+// best error, per-component attribution, counts, job wall time, build version)
+// plus the full JSONL telemetry artifact, content-addressed by
 // SHA-256 so identical runs share storage.
 //
 // On-disk layout under the corpus directory:
@@ -28,7 +28,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 )
@@ -61,10 +60,7 @@ type Record struct {
 	CacheHits  int                `json:"cache_hits"`
 	Skipped    int                `json:"skipped"`
 
-	WallSeconds    float64 `json:"wall_seconds,omitempty"`
-	BusySeconds    float64 `json:"busy_seconds,omitempty"`
-	FleetProcesses int     `json:"fleet_processes,omitempty"`
-	RemoteShare    float64 `json:"remote_share,omitempty"`
+	WallSeconds float64 `json:"wall_seconds,omitempty"`
 
 	// TrajectoryHash fingerprints the best-error-so-far series bit-for-bit
 	// (SHA-256 over the IEEE-754 representation of each sample), so two runs
@@ -74,8 +70,10 @@ type Record struct {
 	// ArtifactSHA content-addresses the full JSONL artifact under runs/.
 	ArtifactSHA string `json:"artifact_sha,omitempty"`
 
-	// Verdict, BaselineID, and BaselineDelta record the watchdog's assessment
-	// against the scenario baseline at index time (see Assess).
+	// Verdict, BaselineID, and BaselineDelta record the watchdog's judgment
+	// at index time: VerdictBaseline for a scenario's first run, otherwise
+	// inspect.DiffRuns' verdict and best-error delta against the baseline's
+	// stored artifact.
 	Verdict       string  `json:"verdict,omitempty"`
 	BaselineID    string  `json:"baseline_id,omitempty"`
 	BaselineDelta float64 `json:"baseline_delta,omitempty"`
@@ -476,20 +474,4 @@ func HashJSON(v interface{}) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8]), nil
-}
-
-// Median returns the median of vals (mean of the middle pair for even
-// lengths); NaN for an empty slice.
-func Median(vals []float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(vals))
-	copy(s, vals)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
 }

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -295,47 +296,6 @@ func TestTrajectoryHash(t *testing.T) {
 	}
 }
 
-func TestAssessVerdicts(t *testing.T) {
-	base := testRecord("job-0", "scen-a", 0.25)
-	base.TrajectoryHash = TrajectoryHash([]float64{0.5, 0.25})
-
-	if a := Assess(nil, base, 0); a.Verdict != VerdictBaseline {
-		t.Fatalf("no baseline: %+v", a)
-	}
-
-	same := testRecord("job-1", "scen-a", 0.25)
-	same.TrajectoryHash = base.TrajectoryHash
-	if a := Assess(&base, same, 0); a.Verdict != VerdictIdentical || !a.TrajectoryMatch {
-		t.Fatalf("identical run: %+v", a)
-	}
-
-	drift := testRecord("job-2", "scen-a", 0.25)
-	drift.TrajectoryHash = TrajectoryHash([]float64{0.4, 0.25})
-	if a := Assess(&base, drift, 0); a.Verdict != VerdictNeutral {
-		t.Fatalf("same error, new path: %+v", a)
-	}
-
-	better := testRecord("job-3", "scen-a", 0.20)
-	if a := Assess(&base, better, 0); a.Verdict != VerdictImproved || a.Delta >= 0 {
-		t.Fatalf("improved run: %+v", a)
-	}
-
-	worse := testRecord("job-4", "scen-a", 0.30)
-	a := Assess(&base, worse, 0)
-	if !a.Regressed() || a.BaselineID != "job-0" {
-		t.Fatalf("regressed run: %+v", a)
-	}
-	if math.Abs(a.Delta-0.05) > 1e-12 {
-		t.Fatalf("delta = %g, want 0.05", a.Delta)
-	}
-
-	// Tolerance suppresses sub-threshold wiggle.
-	wiggle := testRecord("job-5", "scen-a", 0.25+1e-12)
-	if a := Assess(&base, wiggle, 1e-9); a.Verdict == VerdictRegressed {
-		t.Fatalf("sub-tolerance wiggle flagged: %+v", a)
-	}
-}
-
 func TestTrend(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -344,7 +304,7 @@ func TestTrend(t *testing.T) {
 	}
 	defer c.Close()
 	errsIn := []float64{0.30, 0.20, 0.40}
-	verdicts := []string{VerdictBaseline, VerdictImproved, VerdictRegressed}
+	verdicts := []string{VerdictBaseline, "improved", VerdictRegressed}
 	for i, e := range errsIn {
 		rec := testRecord(fmt.Sprintf("job-%d", i), "scen-a", e)
 		rec.WallSeconds = float64(10 + i)
@@ -377,18 +337,6 @@ func TestTrend(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("odd median = %g", m)
-	}
-	if m := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Fatalf("even median = %g", m)
-	}
-	if !math.IsNaN(Median(nil)) {
-		t.Fatal("empty median should be NaN")
-	}
-}
-
 func TestHashJSONStable(t *testing.T) {
 	type spec struct {
 		A int               `json:"a"`
@@ -410,4 +358,59 @@ func TestHashJSONStable(t *testing.T) {
 	if h3 == h1 {
 		t.Fatal("different values collided")
 	}
+}
+
+// FuzzCorpusOpen writes arbitrary bytes as the index and opens the corpus,
+// the recovery path every restart takes. Open must neither panic nor fail;
+// every record it keeps has a non-empty, unique ID; and what it keeps is
+// settled: reopening finds the same records in a clean index, nothing left to
+// compact or drop.
+func FuzzCorpusOpen(f *testing.F) {
+	// The seeds — a clean two-record index, a truncated tail, a duplicate ID,
+	// a blank line, a record followed by trailing garbage — are files under
+	// testdata/fuzz/FuzzCorpusOpen.
+	f.Fuzz(func(t *testing.T, index []byte) {
+		if len(index) >= 1<<20 {
+			t.Skip("index of 1 MiB or more")
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		recs := c.Records()
+		c.Close()
+		seen := make(map[string]bool, len(recs))
+		for _, rec := range recs {
+			if rec.ID == "" || seen[rec.ID] {
+				t.Fatalf("kept record with empty or repeated ID %q", rec.ID)
+			}
+			seen[rec.ID] = true
+		}
+
+		c2, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer c2.Close()
+		if c2.Compacted() || c2.Malformed() != 0 {
+			t.Fatalf("reopen compacted=%v malformed=%d, want a clean index", c2.Compacted(), c2.Malformed())
+		}
+		// Records compare by encoding: a parsed zone offset is a fresh
+		// *time.Location each time, which DeepEqual would call a change.
+		want, err := json.Marshal(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(c2.Records())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reopen changed the records:\n%s\nwant\n%s", got, want)
+		}
+	})
 }

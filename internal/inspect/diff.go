@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"datamime/internal/corpus"
 )
 
 // Verdicts of a run comparison, from best to worst.
@@ -16,8 +18,9 @@ const (
 	// VerdictChanged: runs differ without crossing any regression
 	// threshold (e.g. timings shifted, equal-error path divergence).
 	VerdictChanged = "changed"
-	// VerdictRegressed: at least one regression threshold was crossed.
-	VerdictRegressed = "regressed"
+	// VerdictRegressed: at least one regression threshold was crossed. It
+	// is the word the corpus counts regressions by.
+	VerdictRegressed = corpus.VerdictRegressed
 )
 
 // DiffOptions sets the comparison thresholds.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"datamime/internal/corpus"
+	"datamime/internal/stats"
 )
 
 // ScoreboardRun is one corpus run on the scoreboard: its index record plus,
@@ -175,7 +176,7 @@ func writeTrendPlot(b *strings.Builder, heading, xLabel, yLabel string, xs, ys [
 	if len(xs) == 0 {
 		return
 	}
-	med := corpus.Median(append([]float64(nil), ys...))
+	med := stats.Median(ys)
 	fmt.Fprintf(b, "<h3>%s</h3>\n", htmlEscape(heading))
 	fmt.Fprintf(b, "<p class=\"sub\">median %s</p>\n", fnum(med))
 	g := defaultGeom(920, 200)

@@ -165,19 +165,15 @@ type FleetStatus struct {
 	Workers  []backend.WorkerInfo     `json:"workers"`
 	Queue    int                      `json:"queue"`
 	Dispatch backend.DispatchCounters `json:"dispatch"`
-	// Corpus summarizes the persistent run index per scenario (latest run
-	// beside the corpus median); null when -corpus-dir is not set.
-	Corpus *CorpusSummary `json:"corpus,omitempty"`
 }
 
 // handleFleet serves GET /v1/fleet: the dispatcher's view of every worker
 // (routing state, heartbeat load, version, clock offset), its queue and
-// counters, and the corpus rollup.
+// counters.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, FleetStatus{
 		Workers:  s.dispatcher.Workers(),
 		Queue:    s.dispatcher.QueueDepth(),
 		Dispatch: s.dispatcher.Counters(),
-		Corpus:   s.corpusSummary(),
 	})
 }

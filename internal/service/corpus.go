@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"datamime/internal/buildinfo"
@@ -81,10 +82,13 @@ func scenarioHash(spec JobSpec) string {
 	return h
 }
 
-// indexRun appends a just-succeeded job to the run corpus and runs the
-// regression watchdog against the scenario baseline. Called on the job's
-// worker goroutine before finish(), so a corpus.regression event appended
-// here still reaches SSE subscribers ahead of the terminal frame. Indexing
+// indexRun appends a just-succeeded job to the run corpus and judges it
+// against the scenario baseline: the first indexed run of a scenario is its
+// baseline, and every later run takes the verdict inspect.DiffRuns gives it
+// against the baseline's stored artifact — the judgment `datamime-inspect
+// corpus compare` prints for the same pair. Called on the job's worker
+// goroutine before finish(), so a corpus.regression event appended here
+// still reaches SSE subscribers ahead of the terminal frame. Indexing
 // failures are logged, never fatal: the job's own result is already safe.
 func (s *Server) indexRun(job *Job) {
 	if s.corpus == nil {
@@ -112,7 +116,6 @@ func (s *Server) indexRun(job *Job) {
 	// The record is a view of the run's report: every figure below is read
 	// off it, none derived a second time.
 	report := inspect.NewReport(run, nil, "")
-	tl := report.Timeline
 	rec := corpus.Record{
 		ID:             job.ID(),
 		Scenario:       scenarioHash(p.spec),
@@ -128,9 +131,6 @@ func (s *Server) indexRun(job *Job) {
 		CacheHits:      report.Counts.CacheHits,
 		Skipped:        report.Counts.Skipped,
 		TrajectoryHash: corpus.TrajectoryHash(report.Trace),
-		BusySeconds:    float64(tl.BusyNS+tl.FleetBusyNS) / 1e9,
-		FleetProcesses: len(tl.Fleet),
-		RemoteShare:    tl.RemoteShare(),
 		ModelHealth:    report.Health.ModelHealth(),
 		FinishedAt:     time.Now().UTC(),
 	}
@@ -144,43 +144,54 @@ func (s *Server) indexRun(job *Job) {
 		rec.WallSeconds = time.Since(started).Seconds()
 	}
 
-	var baseline *corpus.Record
-	if bl, ok := s.corpus.Baseline(rec.Scenario, rec.ID); ok && rec.Scenario != "" {
-		baseline = &bl
+	var d *inspect.RunDiff
+	if bl, ok := s.corpus.Baseline(rec.Scenario, rec.ID); !ok || rec.Scenario == "" {
+		rec.Verdict = corpus.VerdictBaseline
+	} else if baseRun, err := s.corpusRun(bl); err != nil {
+		s.logf("job %s corpus: indexed without a verdict, baseline %s unreadable: %v", job.ID(), bl.ID, err)
+	} else {
+		d = inspect.DiffRuns(baseRun, run, inspect.DiffOptions{})
+		rec.Verdict = d.Verdict
+		rec.BaselineID = bl.ID
+		rec.BaselineDelta = d.BestError.Delta
 	}
-	as := corpus.Assess(baseline, rec, s.cfg.CorpusTolerance)
-	rec.Verdict = as.Verdict
-	rec.BaselineID = as.BaselineID
-	rec.BaselineDelta = as.Delta
 
 	if _, err := s.corpus.Add(rec, buf.Bytes()); err != nil {
 		s.logf("job %s corpus: index append failed: %v", job.ID(), err)
 		return
 	}
 	s.metrics.corpusIndexed.Inc()
-	s.metrics.corpusVerdicts.With(as.Verdict).Inc()
-	if baseline != nil {
-		s.metrics.corpusBaselineDelta.Set(as.Delta)
+	if rec.Verdict != "" {
+		s.metrics.corpusVerdicts.With(rec.Verdict).Inc()
 	}
-	if as.Regressed() {
-		s.metrics.corpusRegressions.Inc()
-		msg := fmt.Sprintf("corpus regression vs baseline %s: best error %g (%+g)",
-			as.BaselineID, rec.BestError, as.Delta)
-		job.appendEvent(telemetry.Event{
-			Type:   telemetry.TypeCorpusRegression,
-			Job:    job.ID(),
-			TimeNS: time.Now().UnixNano(),
-			Msg:    msg,
-			Attrs: map[string]float64{
-				telemetry.AttrBestError: rec.BestError,
-				"baseline_delta":        as.Delta,
-			},
-		})
-		s.logf("job %s %s", job.ID(), msg)
-	} else {
+	if d == nil || !d.Regressed() {
 		s.logf("job %s indexed into corpus (scenario %s, verdict %s)",
-			job.ID(), rec.Scenario, as.Verdict)
+			job.ID(), rec.Scenario, rec.Verdict)
+		return
 	}
+	s.metrics.corpusRegressions.Inc()
+	msg := fmt.Sprintf("corpus regression vs baseline %s: %s",
+		rec.BaselineID, strings.Join(d.Regressions, "; "))
+	job.appendEvent(telemetry.Event{
+		Type:   telemetry.TypeCorpusRegression,
+		Job:    job.ID(),
+		TimeNS: time.Now().UnixNano(),
+		Msg:    msg,
+		Attrs: map[string]float64{
+			telemetry.AttrBestError: rec.BestError,
+			"baseline_delta":        rec.BaselineDelta,
+		},
+	})
+	s.logf("job %s %s", job.ID(), msg)
+}
+
+// corpusRun loads rec's stored artifact back into a run.
+func (s *Server) corpusRun(rec corpus.Record) (*inspect.Run, error) {
+	data, err := s.corpus.Artifact(rec)
+	if err != nil {
+		return nil, err
+	}
+	return inspect.LoadRun(bytes.NewReader(data))
 }
 
 // Corpus exposes the run corpus (nil when persistence is disabled).
@@ -255,65 +266,4 @@ func (s *Server) handleCorpusTrends(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, trend)
-}
-
-// CorpusScenarioSummary is one scenario's rollup in the fleet view: the
-// latest run beside the corpus median, so per-run numbers are read in
-// context.
-type CorpusScenarioSummary struct {
-	Scenario          string  `json:"scenario"`
-	Target            string  `json:"target,omitempty"`
-	Runs              int     `json:"runs"`
-	MedianBestError   float64 `json:"median_best_error"`
-	MedianWallSeconds float64 `json:"median_wall_seconds"`
-	LastBestError     float64 `json:"last_best_error"`
-	LastVerdict       string  `json:"last_verdict,omitempty"`
-	Regressions       int     `json:"regressions"`
-	// MedianCoverage1 and ModelUnhealthy mirror the trend's calibration-drift
-	// figures: median 1σ LOO coverage across runs with model health, and how
-	// many runs the search-health verdict flagged.
-	MedianCoverage1 float64 `json:"median_coverage1,omitempty"`
-	ModelUnhealthy  int     `json:"model_unhealthy,omitempty"`
-}
-
-// CorpusSummary is the corpus section of the GET /v1/fleet response.
-type CorpusSummary struct {
-	Runs int `json:"runs"`
-	// Indexed/Regressions count this process's watchdog activity (the
-	// datamimed_corpus_* counters); Runs counts the whole on-disk index.
-	Indexed     int                     `json:"indexed"`
-	Regressions int                     `json:"regressions"`
-	Scenarios   []CorpusScenarioSummary `json:"scenarios,omitempty"`
-}
-
-// corpusSummary builds the fleet view's corpus section (nil when disabled).
-func (s *Server) corpusSummary() *CorpusSummary {
-	if s.corpus == nil {
-		return nil
-	}
-	out := &CorpusSummary{
-		Runs:        s.corpus.Len(),
-		Indexed:     int(s.metrics.corpusIndexed.Value()),
-		Regressions: int(s.metrics.corpusRegressions.Value()),
-	}
-	for _, scenario := range s.corpus.Scenarios() {
-		tr := s.corpus.Trend(scenario)
-		if tr.Runs == 0 {
-			continue
-		}
-		last := tr.Points[len(tr.Points)-1]
-		out.Scenarios = append(out.Scenarios, CorpusScenarioSummary{
-			Scenario:          scenario,
-			Target:            tr.Target,
-			Runs:              tr.Runs,
-			MedianBestError:   tr.MedianBestError,
-			MedianWallSeconds: tr.MedianWallSeconds,
-			LastBestError:     last.BestError,
-			LastVerdict:       last.Verdict,
-			Regressions:       tr.Regressions,
-			MedianCoverage1:   tr.MedianCoverage1,
-			ModelUnhealthy:    tr.ModelUnhealthy,
-		})
-	}
-	return out
 }

@@ -1,13 +1,18 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"datamime/internal/core"
 	"datamime/internal/corpus"
 	"datamime/internal/datagen"
+	"datamime/internal/inspect"
 	"datamime/internal/telemetry"
 )
 
@@ -82,7 +87,7 @@ func TestCorpusIndexesIdenticalSeededRuns(t *testing.T) {
 	if a.Verdict != corpus.VerdictBaseline {
 		t.Fatalf("first verdict = %q, want baseline", a.Verdict)
 	}
-	if b.Verdict != corpus.VerdictIdentical {
+	if b.Verdict != inspect.VerdictIdentical {
 		t.Fatalf("second verdict = %q, want identical", b.Verdict)
 	}
 	if b.BaselineID != a.ID {
@@ -110,20 +115,21 @@ func TestCorpusIndexesIdenticalSeededRuns(t *testing.T) {
 	if trend.Runs != 2 || trend.Regressions != 0 {
 		t.Fatalf("trend = %+v, want 2 runs, 0 regressions", trend)
 	}
+	if last := trend.Points[len(trend.Points)-1]; last.ID != second.ID || last.Verdict != inspect.VerdictIdentical {
+		t.Fatalf("trend's latest run = %s %q, want %s identical", last.ID, last.Verdict, second.ID)
+	}
 	if code := httpJSON(t, ts, "GET", "/v1/corpus/nope/trends", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown scenario trends = %d, want 404", code)
 	}
 
-	// The fleet view carries the corpus rollup.
-	var fleet FleetStatus
+	// The trends are the corpus figures' one publisher: the fleet view
+	// carries none of them.
+	var fleet map[string]json.RawMessage
 	if code := httpJSON(t, ts, "GET", "/v1/fleet", nil, &fleet); code != http.StatusOK {
 		t.Fatalf("GET /v1/fleet = %d", code)
 	}
-	if fleet.Corpus == nil || fleet.Corpus.Runs != 2 || fleet.Corpus.Indexed != 2 {
-		t.Fatalf("fleet corpus rollup = %+v", fleet.Corpus)
-	}
-	if len(fleet.Corpus.Scenarios) != 1 || fleet.Corpus.Scenarios[0].LastVerdict != corpus.VerdictIdentical {
-		t.Fatalf("fleet corpus scenarios = %+v", fleet.Corpus.Scenarios)
+	if _, ok := fleet["corpus"]; ok {
+		t.Fatalf("GET /v1/fleet carries a corpus section: %s", fleet["corpus"])
 	}
 }
 
@@ -135,8 +141,24 @@ func TestCorpusWatchdogFlagsRegression(t *testing.T) {
 	corpusDir := t.TempDir()
 	spec := testSpec(6, 42)
 
-	// Seed a baseline no real run can beat: best error -1 with the same
-	// scenario hash the submitted job will compute.
+	// Seed a baseline no run of the spec can match: the spec's own run with
+	// every error halved, indexed under the scenario hash the submitted job
+	// will compute.
+	pre := newTestServer(t, t.TempDir())
+	st := submitAndWait(t, pre, spec)
+	job, _ := pre.Job(st.ID)
+	events := artifactEvents(job)
+	pre.Close()
+	for _, ev := range events {
+		if ev.Type == telemetry.TypeEval && !ev.Skipped {
+			ev.Attrs[telemetry.AttrError] /= 2
+			ev.Attrs[telemetry.AttrBestError] /= 2
+		}
+	}
+	var artifact bytes.Buffer
+	if err := telemetry.WriteJSONL(&artifact, events); err != nil {
+		t.Fatal(err)
+	}
 	c, err := corpus.Open(corpusDir)
 	if err != nil {
 		t.Fatal(err)
@@ -145,11 +167,11 @@ func TestCorpusWatchdogFlagsRegression(t *testing.T) {
 		ID:         "seed-baseline",
 		Scenario:   scenarioHash(spec),
 		Seed:       spec.Seed,
-		BestError:  -1,
+		BestError:  st.Result.BestError / 2,
 		Verdict:    corpus.VerdictBaseline,
 		FinishedAt: time.Now().UTC().Add(-time.Hour),
 	}
-	if _, err := c.Add(seeded, []byte("{}\n")); err != nil {
+	if _, err := c.Add(seeded, artifact.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -198,11 +220,157 @@ func TestCorpusWatchdogFlagsRegression(t *testing.T) {
 	if !ok {
 		t.Fatalf("run %s not indexed", submitted.ID)
 	}
-	if rec.Verdict != corpus.VerdictRegressed || rec.BaselineID != "seed-baseline" {
+	if rec.Verdict != inspect.VerdictRegressed || rec.BaselineID != "seed-baseline" {
 		t.Fatalf("record = verdict %q baseline %q, want regressed vs seed-baseline", rec.Verdict, rec.BaselineID)
 	}
 	if rec.BaselineDelta <= 0 {
 		t.Fatalf("baseline delta = %g, want > 0", rec.BaselineDelta)
+	}
+}
+
+// verdictIter is one iteration of a synthetic run: its error, its per-metric
+// attribution, or a skip.
+type verdictIter struct {
+	err   float64
+	comps map[string]float64
+	skip  bool
+}
+
+// split attributes err to two components, llc taking the given share.
+func split(err, llc float64) map[string]float64 {
+	return map[string]float64{"cpu_util": err * (1 - llc), "llc_mpki_curve": err * llc}
+}
+
+// verdictJob builds a succeeded job of plan p whose event log holds iters.
+// The best point's parameters are its error, so runs that reach the same
+// best error reach the same point.
+func verdictJob(id string, p *plan, iters []verdictIter) *Job {
+	j := &Job{id: id, spec: p.spec, plan: p, state: JobSucceeded, done: make(chan struct{})}
+	best := math.Inf(1)
+	var comps map[string]float64
+	for i, it := range iters {
+		ev := core.EvalEvent{Record: core.IterationRecord{Iteration: i}, Skipped: it.skip}
+		if it.skip {
+			ev.Err = "profiling failed"
+		} else {
+			if it.err < best {
+				best, comps = it.err, it.comps
+			}
+			ev.Record.Params = []float64{it.err}
+			ev.Record.Error = it.err
+			ev.Record.BestError = best
+			ev.Record.Components = it.comps
+		}
+		j.addEval(ev, int64(i+1))
+	}
+	j.result = &JobResult{BestParams: []float64{best}, BestError: best, Components: comps}
+	return j
+}
+
+// TestCorpusVerdictIsDiffRuns: the verdict the corpus watchdog indexes a run
+// with is the one `corpus compare` prints for the same two stored artifacts —
+// inspect.DiffRuns with default options, baseline first. The last two rows
+// are the pairs a best-error-and-trajectory judge gets wrong: a skip that
+// costs no best error, and a better best error bought with a worse
+// component.
+func TestCorpusVerdictIsDiffRuns(t *testing.T) {
+	svc := newTestServer(t, t.TempDir())
+	defer svc.Close()
+	p, err := svc.resolve(testSpec(4, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []verdictIter{
+		{err: 3, comps: split(3, 0.4)},
+		{err: 2, comps: split(2, 0.4)},
+		{err: 1.5, comps: split(1.5, 0.4)},
+		{err: 1.8, comps: split(1.8, 0.4)},
+	}
+	for _, c := range []struct {
+		name string
+		cand []verdictIter
+		want string
+	}{
+		{"identical", base, inspect.VerdictIdentical},
+		{"same best, different path", []verdictIter{base[0], base[2], base[1], base[3]}, inspect.VerdictChanged},
+		{"better best", []verdictIter{base[0], base[1], {err: 1.2, comps: split(1.2, 0.4)}, base[3]}, inspect.VerdictImproved},
+		{"worse best", []verdictIter{base[0], base[1], {err: 1.9, comps: split(1.9, 0.4)}, base[3]}, inspect.VerdictRegressed},
+		{"skips rose, best equal", []verdictIter{base[0], base[1], base[2], {skip: true}}, inspect.VerdictRegressed},
+		{"better best, llc worse", []verdictIter{base[0], base[1], {err: 1.2, comps: split(1.2, 0.75)}, base[3]}, inspect.VerdictRegressed},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cp, err := corpus.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cp.Close()
+			svc.corpus = cp
+			defer func() { svc.corpus = nil }()
+
+			baseJob := verdictJob("base", p, base)
+			baseRun, events, err := jobRun(baseJob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var artifact bytes.Buffer
+			if err := telemetry.WriteJSONL(&artifact, events); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cp.Add(corpus.Record{
+				ID:             "base",
+				Scenario:       scenarioHash(p.spec),
+				BestError:      baseJob.result.BestError,
+				Skipped:        baseRun.Counts().Skipped,
+				TrajectoryHash: corpus.TrajectoryHash(baseRun.BestTrace()),
+				Verdict:        corpus.VerdictBaseline,
+			}, artifact.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+
+			svc.indexRun(verdictJob("cand", p, c.cand))
+			rec, ok := cp.Find("cand")
+			if !ok {
+				t.Fatal("candidate not indexed")
+			}
+			stored := func(id string) *inspect.Run {
+				r, _ := cp.Find(id)
+				data, err := cp.Artifact(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := inspect.LoadRun(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return run
+			}
+			d := inspect.DiffRuns(stored("base"), stored("cand"), inspect.DiffOptions{})
+			if d.Verdict != c.want {
+				t.Fatalf("compare verdict %q, want %q (%v)", d.Verdict, c.want, d.Differences)
+			}
+			if rec.Verdict != d.Verdict || rec.BaselineID != "base" || rec.BaselineDelta != d.BestError.Delta {
+				t.Fatalf("indexed verdict %q vs %s (delta %g), compare says %q (delta %g)",
+					rec.Verdict, rec.BaselineID, rec.BaselineDelta, d.Verdict, d.BestError.Delta)
+			}
+		})
+	}
+
+	// A baseline whose artifact cannot be read leaves nothing to judge by:
+	// the run is indexed, with no verdict.
+	cp, err := corpus.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	svc.corpus = cp
+	defer func() { svc.corpus = nil }()
+	if _, err := cp.Add(corpus.Record{ID: "base", Scenario: scenarioHash(p.spec)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc.indexRun(verdictJob("cand", p, base))
+	if rec, ok := cp.Find("cand"); !ok || rec.Verdict != "" || rec.BaselineID != "" {
+		t.Fatalf("run against an unreadable baseline indexed %v as %+v, want no verdict", ok, rec)
 	}
 }
 
@@ -238,9 +406,12 @@ func TestCorpusRecordsModelHealth(t *testing.T) {
 			trend.MedianCoverage1, rec.ModelHealth.MeanCoverage1)
 	}
 
-	sum := svc.corpusSummary()
-	if len(sum.Scenarios) != 1 || sum.Scenarios[0].MedianCoverage1 != trend.MedianCoverage1 {
-		t.Fatalf("scoreboard rollup missing calibration figures: %+v", sum.Scenarios)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	var served corpus.Trend
+	if code := httpJSON(t, ts, "GET", "/v1/corpus/"+rec.Scenario+"/trends", nil, &served); code != http.StatusOK ||
+		served.MedianCoverage1 != trend.MedianCoverage1 || served.Points[0].ModelHealth == nil {
+		t.Fatalf("GET trends = %d %+v, missing the calibration figures", code, served)
 	}
 
 	// A surrogate-free optimizer indexes with no model health.
@@ -290,7 +461,7 @@ func TestCorpusSurvivesRestart(t *testing.T) {
 	}
 	// Restart must not perturb determinism bookkeeping: the post-restart run
 	// is judged identical to the pre-restart baseline.
-	if b.Verdict != corpus.VerdictIdentical || b.TrajectoryHash != a.TrajectoryHash {
+	if b.Verdict != inspect.VerdictIdentical || b.TrajectoryHash != a.TrajectoryHash {
 		t.Fatalf("post-restart verdict %q (traj %q vs %q), want identical",
 			b.Verdict, b.TrajectoryHash, a.TrajectoryHash)
 	}

@@ -222,11 +222,6 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	if code := httpJSON(t, ts, "GET", "/v1/jobs/nope/diagnostics", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("missing job diagnostics = %d, want 404", code)
 	}
-
-	// The gp_* metric families saw the snapshots.
-	if svc.metrics.gpLogMarginal.Value() == 0 && svc.metrics.gpCoverage2.Value() == 0 {
-		t.Fatal("diagnostics metrics never updated")
-	}
 }
 
 // TestDiagnosticsLiveMatchesOffline: for one seeded GP job, the diagnostics

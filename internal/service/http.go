@@ -16,8 +16,8 @@ import (
 //	                            job, a full queue or closed server a 503
 //	GET  /v1/jobs               list job summaries
 //	GET  /v1/jobs/{id}          full status + convergence trace (?since=N
-//	                            returns only trace records from index N)
-//	GET  /v1/jobs/{id}/result   the final result (409 until the job is done)
+//	                            returns only trace records from index N) and,
+//	                            once the job succeeded, its result
 //	GET  /v1/jobs/{id}/events   live SSE stream of eval events + phase spans
 //	GET  /v1/jobs/{id}/artifact JSONL run artifact (inspect.LoadRun reads it
 //	                            back; its best-error series is the job's
@@ -45,8 +45,7 @@ import (
 //	DELETE /v1/workers?url=  clean worker withdrawal
 //	GET  /v1/fleet           fleet view: per-worker routing state, load,
 //	                         version and clock offset, dispatch queue depth
-//	                         and counters, corpus rollup (latest run vs.
-//	                         corpus median)
+//	                         and counters
 //
 // The run corpus (requires Config.CorpusDir / datamimed -corpus-dir):
 //
@@ -73,7 +72,6 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 		"POST /v1/jobs":                    s.handleSubmit,
 		"GET /v1/jobs":                     s.handleList,
 		"GET /v1/jobs/{id}":                s.withJob(s.handleStatus),
-		"GET /v1/jobs/{id}/result":         s.withJob(s.handleResult),
 		"GET /v1/jobs/{id}/events":         s.withJob(s.handleEvents),
 		"GET /v1/jobs/{id}/artifact":       s.withJob(s.handleArtifact),
 		"GET /v1/jobs/{id}/trace":          s.withJob(s.handleTrace),
@@ -191,18 +189,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, j *Job) {
 		since = n
 	}
 	writeJSON(w, http.StatusOK, j.status(since))
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *Job) {
-	st := j.status(0)
-	switch {
-	case st.Result != nil:
-		writeJSON(w, http.StatusOK, st.Result)
-	case st.State.terminal():
-		writeError(w, http.StatusConflict, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error))
-	default:
-		writeError(w, http.StatusConflict, fmt.Errorf("job %s is %s", st.ID, st.State))
-	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -43,11 +43,8 @@ type serverMetrics struct {
 	gpJitterLevel     *telemetry.Gauge
 
 	// Search-health diagnostics, fed from search.diagnostics events by
-	// observeDiagnostics: the latest fit's log evidence and LOO calibration
-	// coverage, plus a counter of fits that needed escalated jitter.
-	gpLogMarginal       *telemetry.Gauge
-	gpCoverage1         *telemetry.Gauge
-	gpCoverage2         *telemetry.Gauge
+	// observeDiagnostics: a counter of fits that needed escalated jitter.
+	// Each job's own fit figures are its /diagnostics.
 	gpJitterEscalations *telemetry.Counter
 
 	// phaseHist aggregates search-phase latencies across all jobs;
@@ -70,10 +67,9 @@ type serverMetrics struct {
 
 	// Run-corpus watchdog metrics (incremented by indexRun on every job
 	// completion when Config.CorpusDir enables the corpus).
-	corpusIndexed       *telemetry.Counter
-	corpusRegressions   *telemetry.Counter
-	corpusVerdicts      *telemetry.CounterVec
-	corpusBaselineDelta *telemetry.Gauge
+	corpusIndexed     *telemetry.Counter
+	corpusRegressions *telemetry.Counter
+	corpusVerdicts    *telemetry.CounterVec
 }
 
 // newServerMetrics builds the registry. Collector callbacks close over the
@@ -130,12 +126,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"GP surrogate factor updates falling back to full refactorization.")
 	m.gpJitterLevel = reg.NewGauge("datamimed_gp_jitter_level_max",
 		"Highest GP jitter-escalation level observed (conditioning diagnostic).")
-	m.gpLogMarginal = reg.NewGauge("datamimed_gp_log_marginal_likelihood",
-		"Log marginal likelihood of the most recent GP surrogate fit.")
-	m.gpCoverage1 = reg.NewGauge("datamimed_gp_loo_coverage_1sigma",
-		"Fraction of leave-one-out residuals inside the 1-sigma predictive band in the most recent fit (nominal 0.683).")
-	m.gpCoverage2 = reg.NewGauge("datamimed_gp_loo_coverage_2sigma",
-		"Fraction of leave-one-out residuals inside the 2-sigma predictive band in the most recent fit (nominal 0.954).")
 	m.gpJitterEscalations = reg.NewCounter("datamimed_gp_jitter_escalations_total",
 		"Surrogate fits whose winning hyperparameters needed escalated jitter to factorize.")
 
@@ -212,8 +202,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Finished jobs the corpus watchdog judged regressed vs their scenario baseline.")
 	m.corpusVerdicts = reg.NewCounterVec("datamimed_corpus_verdicts_total",
 		"Corpus watchdog verdicts for indexed runs, by verdict.", "verdict")
-	m.corpusBaselineDelta = reg.NewGauge("datamimed_corpus_baseline_delta",
-		"Best-error delta of the most recently indexed run vs its scenario baseline (positive is worse).")
 
 	// Fleet observability: remote-shipped span accounting plus the
 	// coordinator's own Go runtime health (each worker exports the matching
@@ -305,14 +293,10 @@ func (m *serverMetrics) observeSpan(ev telemetry.Event) {
 	}
 }
 
-// observeDiagnostics feeds one search-health snapshot into the gp_* families.
+// observeDiagnostics counts one search-health snapshot's jitter escalation.
 // Runs on the search goroutines (the recorder's OnEvent is synchronous).
 func (m *serverMetrics) observeDiagnostics(ev telemetry.Event) {
-	d := opt.DiagnosticsFromAttrs(ev.Attrs)
-	m.gpLogMarginal.Set(d.LogMarginal)
-	m.gpCoverage1.Set(d.Coverage1)
-	m.gpCoverage2.Set(d.Coverage2)
-	if d.JitterLevel > 0 {
+	if opt.DiagnosticsFromAttrs(ev.Attrs).JitterLevel > 0 {
 		m.gpJitterEscalations.Inc()
 	}
 }

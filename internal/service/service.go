@@ -82,9 +82,6 @@ type Config struct {
 	// JSONL artifact), the regression watchdog judges it against the
 	// scenario baseline, and GET /v1/corpus serves longitudinal queries.
 	CorpusDir string
-	// CorpusTolerance is the absolute best-error tolerance of the corpus
-	// regression watchdog (<= 0 uses corpus.DefaultTolerance, 1e-9).
-	CorpusTolerance float64
 }
 
 // Server schedules and tracks search jobs. Create with New, serve its

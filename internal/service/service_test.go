@@ -173,8 +173,8 @@ func TestServiceLifecycle(t *testing.T) {
 	if st.State != JobRunning {
 		t.Fatalf("mid-run state = %s", st.State)
 	}
-	if code := httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/result", nil, nil); code != http.StatusConflict {
-		t.Fatalf("result of running job = %d", code)
+	if st.Result != nil {
+		t.Fatalf("running job has a result: %+v", st.Result)
 	}
 
 	// Cancel stops it promptly, well short of its 500-iteration budget.
@@ -201,10 +201,10 @@ func TestServiceLifecycle(t *testing.T) {
 		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
 		return st.State == JobSucceeded
 	})
-	var first JobResult
-	if code := httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/result", nil, &first); code != http.StatusOK {
-		t.Fatalf("result = %d", code)
+	if st.Result == nil {
+		t.Fatal("succeeded job has no result")
 	}
+	first := *st.Result
 	if first.Evaluations != 12 || len(first.BestParams) != 3 || first.BestValues == "" {
 		t.Fatalf("result = %+v", first)
 	}
@@ -217,8 +217,10 @@ func TestServiceLifecycle(t *testing.T) {
 		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
 		return st.State == JobSucceeded
 	})
-	var second JobResult
-	httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/result", nil, &second)
+	second := st.Result
+	if second == nil {
+		t.Fatal("resubmitted job has no result")
+	}
 	if second.CacheHits != second.Evaluations {
 		t.Fatalf("resubmitted job: %d cache hits for %d evaluations", second.CacheHits, second.Evaluations)
 	}
