@@ -137,17 +137,29 @@ FLEET_JOB_2=$(run_job "$COORD_A" spec-fleet.json run-fleet-2.jsonl)
 echo "== second fleet job $FLEET_JOB_2 succeeded (cache-served re-run)"
 curl -fs "http://$COORD_A/v1/corpus" > corpus-list.json
 curl -fs "http://$COORD_A/v1/fleet" > fleet.json
+curl -fs "http://$WORKER_1/v1/healthz" > healthz-w1.json
 RESULT_CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$COORD_A/v1/jobs/$FLEET_JOB/result")
-python3 - corpus-list.json fleet.json "$RESULT_CODE" <<'EOF'
+python3 - corpus-list.json fleet.json "$RESULT_CODE" healthz-w1.json run-fleet.jsonl <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 with open(sys.argv[2]) as f:
     fleet = json.load(f)
+with open(sys.argv[4]) as f:
+    healthz = json.load(f)
+with open(sys.argv[5]) as f:
+    events = [json.loads(line) for line in f if line.strip()]
 # Each figure has one publisher: corpus figures are /v1/corpus's, a job's
-# result is GET /v1/jobs/{id}'s.
+# result is GET /v1/jobs/{id}'s, a worker's load is its own /metrics', and
+# a dispatch's routing facts are its eval.remote span's.
 assert "corpus" not in fleet, f"/v1/fleet carries a corpus section: {fleet['corpus']}"
 assert sys.argv[3] == "404", f"GET /v1/jobs/{{id}}/result answered {sys.argv[3]}, want 404"
+for row in fleet["workers"]:
+    assert "reported_inflight" not in row, f"/v1/fleet row carries reported_inflight: {row}"
+assert "inflight" not in healthz, f"worker 1's /v1/healthz carries inflight: {healthz}"
+for ev in events:
+    assert ev.get("phase") not in ("dispatch.retry", "dispatch.fallback"), f"artifact carries {ev}"
+    assert "clock_offset_ns" not in ev.get("attrs", {}), f"artifact carries clock_offset_ns: {ev}"
 runs = doc["runs"]
 assert len(runs) == 2 and doc["total"] == 2, f"corpus has {len(runs)}/{doc['total']} runs, want 2"
 a, b = runs

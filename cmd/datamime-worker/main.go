@@ -21,8 +21,9 @@
 // Endpoints:
 //
 //	POST /v1/evaluate   run one evaluation (503 when saturated)
-//	GET  /v1/healthz    protocol handshake + capacity + load
-//	GET  /metrics       Prometheus text metrics (datamime_worker_*)
+//	GET  /v1/healthz    protocol handshake + capacity
+//	GET  /metrics       Prometheus text metrics (datamime_worker_*: load,
+//	                    evaluations, cache tiers, ...)
 package main
 
 import (

@@ -39,6 +39,10 @@ import (
 //	2 — trace-context propagation: EvalRequest.TraceID, the EvalResponse
 //	    envelope with shipped spans and worker wall-clock, WorkerHealth
 //	    time/version fields, WorkerRegistration version/inflight fields.
+//	    Later removed within 2, because no peer read them and both sides
+//	    ignore unknown keys: the envelope's spans_truncated, EvalResult's
+//	    cache_tier, WorkerHealth's inflight and evals_total, and
+//	    WorkerRegistration's inflight.
 const ProtocolVersion = 2
 
 // Evaluation kinds.
@@ -113,9 +117,6 @@ type EvalResult struct {
 	// Worker is the self-reported name of the backend that measured (or
 	// recalled) the profile.
 	Worker string `json:"worker,omitempty"`
-	// CacheTier, when non-empty, names the cache tier that served the
-	// profile without simulating ("worker" or "shared").
-	CacheTier string `json:"cache_tier,omitempty"`
 	// DurationNS is the serving side's measured evaluation time.
 	DurationNS int64 `json:"duration_ns,omitempty"`
 
@@ -125,29 +126,21 @@ type EvalResult struct {
 	// WorkerID is the dispatcher-assigned fleet ID of the serving worker,
 	// or -1 when the local fallback served the evaluation.
 	WorkerID int `json:"-"`
-	// Retries counts failed dispatch attempts before this result.
+	// Retries counts failed dispatch attempts before this result; with
+	// Remote false, a nonzero count means the evaluation fell back local.
 	Retries int `json:"-"`
 	// Remote reports whether a fleet worker served the evaluation.
 	Remote bool `json:"-"`
-	// Fallback reports that remote attempts failed and the local backend
-	// served the evaluation instead.
-	Fallback bool `json:"-"`
 	// Spans holds the serving side's captured telemetry spans when the
 	// request carried a TraceID. On remote evaluations they arrive via the
 	// EvalResponse envelope — never inside EvalResult's own wire form — and
 	// their timestamps are in the *worker's* clock until rebased with
 	// RebaseSpans(Spans, ClockOffsetNS).
 	Spans []WireSpan `json:"-"`
-	// SpansTruncated counts spans the serving side dropped at the
-	// MaxWireSpans cap — nonzero means Spans is an incomplete prefix.
-	SpansTruncated int `json:"-"`
-	// ClockOffsetNS and ClockErrNS are the serving worker's estimated clock
-	// offset (worker minus coordinator, midpoint method) and its half-RTT
-	// uncertainty; ClockOffsetOK reports whether an estimate existed. All
-	// zero for locally served evaluations, whose spans need no rebasing.
+	// ClockOffsetNS is the serving worker's estimated clock offset (worker
+	// minus coordinator, midpoint method): zero before any estimate and for
+	// locally served evaluations, whose spans need no rebasing.
 	ClockOffsetNS int64 `json:"-"`
-	ClockErrNS    int64 `json:"-"`
-	ClockOffsetOK bool  `json:"-"`
 }
 
 // WireSpan is one captured telemetry span as shipped in an EvalResponse
@@ -164,8 +157,9 @@ type WireSpan struct {
 }
 
 // MaxWireSpans bounds how many spans one evaluation ships back; beyond it
-// the serving side keeps the earliest spans and drops the rest (the count of
-// sim runs per evaluation is budget-bounded, so the cap is generous).
+// the worker keeps the earliest spans and counts the rest in
+// datamime_worker_spans_truncated_total (the count of sim runs per
+// evaluation is budget-bounded, so the cap is generous).
 const MaxWireSpans = 4096
 
 // EvalResponse is the /v1/evaluate 200 body: the deterministic EvalResult
@@ -182,10 +176,6 @@ type EvalResponse struct {
 	// TimeNS is the worker's wall clock (UnixNano) when the response was
 	// built — a free clock-offset sample for every evaluation round trip.
 	TimeNS int64 `json:"time_ns,omitempty"`
-	// SpansTruncated counts spans dropped at the MaxWireSpans cap, so the
-	// coordinator knows its timeline for this evaluation is incomplete
-	// instead of silently seeing fewer spans.
-	SpansTruncated int `json:"spans_truncated,omitempty"`
 }
 
 // EvalBackend measures candidates. Implementations must uphold the

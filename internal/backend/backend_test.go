@@ -182,13 +182,13 @@ func TestProtocolGoldenRequest(t *testing.T) {
 
 // TestProtocolGoldenHealth pins the v2 handshake wire format.
 func TestProtocolGoldenHealth(t *testing.T) {
-	h := WorkerHealth{Protocol: 2, Name: "w1", Capacity: 4, Inflight: 2, Evals: 17,
+	h := WorkerHealth{Protocol: 2, Name: "w1", Capacity: 4,
 		Version: "abc123", TimeNS: 99}
 	got, err := json.Marshal(&h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"protocol":2,"name":"w1","capacity":4,"inflight":2,"evals_total":17,` +
+	want := `{"protocol":2,"name":"w1","capacity":4,` +
 		`"version":"abc123","time_ns":99}`
 	if string(got) != want {
 		t.Fatalf("health encoding drifted:\n got %s\nwant %s", got, want)
@@ -204,12 +204,11 @@ func TestProtocolGoldenResponse(t *testing.T) {
 		EvalResult: EvalResult{
 			Profile:    &profile.Profile{Benchmark: "b"},
 			Worker:     "w1",
-			CacheTier:  TierShared,
 			DurationNS: 5,
 			// Coordinator-side-only fields: must not appear in the JSON.
-			WorkerID: 7, Retries: 1, Remote: true, Fallback: true,
+			WorkerID: 7, Retries: 1, Remote: true,
 			Spans:         []WireSpan{{Phase: "leaked-span"}},
-			ClockOffsetNS: 123, ClockErrNS: 45, ClockOffsetOK: true,
+			ClockOffsetNS: 123,
 		},
 		Spans: []WireSpan{{Phase: "profile.sim", DurNS: 10, TimeNS: 20,
 			Attrs: map[string]float64{"worker": 0}}},
@@ -229,7 +228,7 @@ func TestProtocolGoldenResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"profile":` + string(profJSON) + `,"worker":"w1","cache_tier":"shared",` +
+	want := `{"profile":` + string(profJSON) + `,"worker":"w1",` +
 		`"duration_ns":5,"spans":[{"phase":"profile.sim","dur_ns":10,"time_ns":20,` +
 		`"attrs":{"worker":0}}],"time_ns":30}`
 	if s != want {

@@ -202,8 +202,8 @@ func NewTieredCache(local core.EvalCache, remote *CacheClient) *TieredCache {
 	return &TieredCache{local: local, remote: remote}
 }
 
-// Cache tier names, as reported in EvalResult.CacheTier and cache.probe
-// telemetry.
+// Cache tier names, as GetTier reports them (a worker's cache.probe span
+// encodes them as its cache_tier attribute).
 const (
 	TierWorker = "worker"
 	TierShared = "shared"

@@ -83,6 +83,9 @@ type WorkerInfo struct {
 	Name     string `json:"name"`
 	URL      string `json:"url,omitempty"`
 	Capacity int    `json:"capacity"`
+	// Inflight is the dispatcher's count of evaluations it has in flight
+	// on the worker — what it routes on. The worker's own load, from every
+	// coordinator, is its datamime_worker_inflight.
 	Inflight int    `json:"inflight"`
 	Healthy  bool   `json:"healthy"`
 	Evals    uint64 `json:"evals"`
@@ -90,10 +93,6 @@ type WorkerInfo struct {
 	// Version is the worker's self-reported build version (heartbeat or
 	// health probe) — the fleet's version-skew signal.
 	Version string `json:"version,omitempty"`
-	// ReportedInflight is the worker's own load snapshot from its last
-	// heartbeat; Inflight above is the dispatcher's accounting of work *it*
-	// has in flight there, which misses load from other coordinators.
-	ReportedInflight int `json:"reported_inflight,omitempty"`
 	// LastSeenAgeMS is how long ago the worker last proved liveness
 	// (registration, heartbeat, successful probe, or served evaluation).
 	LastSeenAgeMS int64 `json:"last_seen_age_ms"`
@@ -111,7 +110,6 @@ type workerState struct {
 	fails    int
 	healthy  bool
 	evals    uint64
-	reported int       // inflight self-reported on the last heartbeat
 	lastSeen time.Time // last registration/heartbeat/probe/eval success
 }
 
@@ -204,7 +202,7 @@ func (d *Dispatcher) Capacity() int {
 // that worker (marks it healthy, clears its failure count) instead of
 // duplicating it — worker re-announcements are heartbeats.
 func (d *Dispatcher) Register(b EvalBackend) int {
-	return d.register(b, "")
+	return d.registerWith(b, "")
 }
 
 // RegisterURL adds (or refreshes) a remote worker by registration message.
@@ -221,25 +219,20 @@ func (d *Dispatcher) RegisterURL(reg WorkerRegistration) (int, error) {
 		rb.SetCapacity(reg.Capacity)
 	}
 	rb.SetVersion(reg.Version)
-	return d.registerWith(rb, rb.URL(), reg.Inflight), nil
+	return d.registerWith(rb, rb.URL()), nil
 }
 
-// register implements Register/RegisterURL; dedupKey "" dedups by name.
-func (d *Dispatcher) register(b EvalBackend, dedupKey string) int {
-	return d.registerWith(b, dedupKey, 0)
-}
-
-func (d *Dispatcher) registerWith(b EvalBackend, dedupKey string, reported int) int {
+// registerWith implements Register/RegisterURL; dedupKey "" dedups by name.
+func (d *Dispatcher) registerWith(b EvalBackend, dedupKey string) int {
 	d.mu.Lock()
 	for _, w := range d.workers {
 		same := (dedupKey != "" && w.url == dedupKey) ||
 			(dedupKey == "" && w.url == "" && w.backend.Name() == b.Name())
 		if same {
-			// Heartbeat re-registration: refresh liveness, capacity, load
-			// snapshot, and version.
+			// Heartbeat re-registration: refresh liveness, capacity, and
+			// version.
 			w.healthy = true
 			w.fails = 0
-			w.reported = reported
 			w.lastSeen = time.Now()
 			if rb, ok := w.backend.(*RemoteBackend); ok {
 				if c := b.Capacity(); c > 0 {
@@ -255,8 +248,7 @@ func (d *Dispatcher) registerWith(b EvalBackend, dedupKey string, reported int) 
 			return id
 		}
 	}
-	w := &workerState{id: d.nextID, backend: b, url: dedupKey, healthy: true,
-		reported: reported, lastSeen: time.Now()}
+	w := &workerState{id: d.nextID, backend: b, url: dedupKey, healthy: true, lastSeen: time.Now()}
 	d.nextID++
 	d.workers = append(d.workers, w)
 	d.registered.Add(1)
@@ -299,15 +291,14 @@ func (d *Dispatcher) Workers() []WorkerInfo {
 	out := make([]WorkerInfo, 0, len(d.workers))
 	for _, w := range d.workers {
 		info := WorkerInfo{
-			ID:               w.id,
-			Name:             w.backend.Name(),
-			URL:              w.url,
-			Capacity:         w.capacity(),
-			Inflight:         w.inflight,
-			Healthy:          w.healthy,
-			Evals:            w.evals,
-			Failures:         w.fails,
-			ReportedInflight: w.reported,
+			ID:       w.id,
+			Name:     w.backend.Name(),
+			URL:      w.url,
+			Capacity: w.capacity(),
+			Inflight: w.inflight,
+			Healthy:  w.healthy,
+			Evals:    w.evals,
+			Failures: w.fails,
 		}
 		if !w.lastSeen.IsZero() {
 			info.LastSeenAgeMS = now.Sub(w.lastSeen).Milliseconds()
@@ -475,8 +466,7 @@ func (d *Dispatcher) release(w *workerState, ok bool) {
 // worker, retry with backoff on another worker after a failure, and fall
 // back to the local backend when the fleet cannot serve or refuses the
 // request as unresolvable (ErrRequest — not retried). The returned
-// result carries routing metadata (WorkerID/Retries/Remote/Fallback) for
-// telemetry.
+// result carries routing metadata (WorkerID/Retries/Remote) for telemetry.
 func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult, error) {
 	req.Version = ProtocolVersion
 	failed := 0
@@ -542,7 +532,6 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 	res.WorkerID = -1
 	res.Retries = failed
 	res.Remote = false
-	res.Fallback = failed > 0
 	if res.Worker == "" {
 		res.Worker = d.cfg.Local.Name()
 	}

@@ -83,7 +83,7 @@ func TestDispatchEmptyFleetGoesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Remote || res.WorkerID != -1 || res.Fallback || res.Retries != 0 {
+	if res.Remote || res.WorkerID != -1 || res.Retries != 0 {
 		t.Fatalf("routing = %+v", res)
 	}
 	c := d.Counters()
@@ -137,7 +137,7 @@ func TestDispatchFailureFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Remote || !res.Fallback || res.WorkerID != -1 || res.Retries != 1 {
+	if res.Remote || res.WorkerID != -1 || res.Retries != 1 {
 		t.Fatalf("routing = %+v", res)
 	}
 	if res.Profile.Benchmark != "local" {
@@ -182,7 +182,7 @@ func TestDispatchRequestFaultGoesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Remote || !res.Fallback || res.Worker != "local" {
+	if res.Remote || res.Retries == 0 || res.Worker != "local" {
 		t.Fatalf("routing = %+v, want the local fallback", res)
 	}
 	if got := w0.evals.Load() + w1.evals.Load(); got != 1 {
@@ -218,8 +218,8 @@ func TestDispatchBusyNotEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Fallback {
-		t.Fatalf("routing = %+v", res)
+	if res.Remote || res.Retries == 0 {
+		t.Fatalf("routing = %+v, want a fallback", res)
 	}
 	if !d.HasWorkers() {
 		t.Fatal("busy worker was evicted")

@@ -25,9 +25,10 @@ type SearchEvaluator struct {
 	// ingredient).
 	Profiler *profile.Profiler
 	// Telemetry, when non-nil, records one eval.remote span per evaluation
-	// (with worker/retry attributes — the remote lanes of the trace
-	// export) plus dispatch.retry and dispatch.fallback instants. Like all
-	// telemetry it cannot affect results.
+	// (with worker/retry attributes — the remote lanes of the trace export
+	// and the run's only record of retries and fallbacks) followed by the
+	// spans the serving side shipped back. Like all telemetry it cannot
+	// affect results.
 	Telemetry *telemetry.Recorder
 	// OnResult, when non-nil, observes every evaluation's outcome (the
 	// coordinator feeds its dispatch metrics from here).
@@ -82,10 +83,6 @@ func (e *SearchEvaluator) Evaluate(ctx context.Context, x []float64, seed uint64
 			// dispatch overhead (serialization, network, queueing).
 			attrs[telemetry.AttrWorkerNS] = float64(res.DurationNS)
 		}
-		if res.ClockOffsetOK {
-			attrs[telemetry.AttrClockOffsetNS] = float64(res.ClockOffsetNS)
-			attrs[telemetry.AttrClockErrNS] = float64(res.ClockErrNS)
-		}
 		rec.RecordSpan(telemetry.PhaseRemoteEval, 0, d, attrs)
 		// Replay the shipped worker spans onto the coordinator timeline:
 		// rebase their wall-clock stamps by the estimated offset and tag
@@ -93,11 +90,7 @@ func (e *SearchEvaluator) Evaluate(ctx context.Context, x []float64, seed uint64
 		// report can attribute them. Locally served evaluations ship spans
 		// already in the coordinator's clock (offset 0).
 		if len(res.Spans) > 0 {
-			var offset int64
-			if res.ClockOffsetOK {
-				offset = res.ClockOffsetNS
-			}
-			for _, ws := range RebaseSpans(res.Spans, offset) {
+			for _, ws := range RebaseSpans(res.Spans, res.ClockOffsetNS) {
 				sa := make(map[string]float64, len(ws.Attrs)+1)
 				for k, v := range ws.Attrs {
 					sa[k] = v
@@ -112,17 +105,6 @@ func (e *SearchEvaluator) Evaluate(ctx context.Context, x []float64, seed uint64
 					Attrs:  sa,
 				})
 			}
-		}
-		if res.Retries > 0 {
-			rec.RecordSpan(telemetry.PhaseDispatchRetry, 0, 0, map[string]float64{
-				telemetry.AttrRemoteWorker: float64(res.WorkerID),
-				telemetry.AttrRetries:      float64(res.Retries),
-			})
-		}
-		if res.Fallback {
-			rec.RecordSpan(telemetry.PhaseDispatchFallback, 0, 0, map[string]float64{
-				telemetry.AttrRetries: float64(res.Retries),
-			})
 		}
 	}
 	if err != nil {

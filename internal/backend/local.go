@@ -164,8 +164,8 @@ func (l *LocalBackend) measure(ctx context.Context, req EvalRequest, pr *profile
 	return res, nil
 }
 
-// wireSpans converts captured telemetry spans to their wire form, capped at
-// MaxWireSpans (earliest kept).
+// wireSpans converts captured telemetry spans to their wire form, all of
+// them: a Worker caps what it ships (respond).
 func wireSpans(events []telemetry.Event) []WireSpan {
 	var out []WireSpan
 	for _, ev := range events {
@@ -179,9 +179,6 @@ func wireSpans(events []telemetry.Event) []WireSpan {
 			TimeNS: ev.TimeNS,
 			Attrs:  ev.Attrs,
 		})
-		if len(out) >= MaxWireSpans {
-			break
-		}
 	}
 	return out
 }

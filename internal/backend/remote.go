@@ -31,13 +31,12 @@ const (
 var ErrBusy = fmt.Errorf("backend: worker is at capacity")
 
 // WorkerHealth is the /v1/healthz body: the protocol handshake plus the
-// worker's advertised identity and load.
+// worker's advertised identity and capacity. Its load is its own
+// datamime_worker_inflight and datamime_worker_evaluations_total.
 type WorkerHealth struct {
 	Protocol int    `json:"protocol"`
 	Name     string `json:"name"`
 	Capacity int    `json:"capacity"`
-	Inflight int    `json:"inflight"`
-	Evals    uint64 `json:"evals_total"`
 	// Version is the worker binary's build version (buildinfo), so version
 	// skew across a fleet is visible from the coordinator.
 	Version string `json:"version,omitempty"`
@@ -194,10 +193,8 @@ func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResu
 	r.clock.observe(t0, t2, wire.TimeNS)
 	res := wire.EvalResult
 	res.Spans = wire.Spans
-	res.SpansTruncated = wire.SpansTruncated
-	if est, ok := r.clock.estimate(); ok {
-		res.ClockOffsetNS, res.ClockErrNS, res.ClockOffsetOK = est.OffsetNS, est.UncertaintyNS, true
-	}
+	est, _ := r.clock.estimate()
+	res.ClockOffsetNS = est.OffsetNS
 	if res.Worker == "" {
 		res.Worker = r.name
 	}
@@ -220,10 +217,6 @@ type WorkerRegistration struct {
 	// Version is the worker binary's build version (buildinfo), carried on
 	// every heartbeat so the coordinator can surface fleet version skew.
 	Version string `json:"build_version,omitempty"`
-	// Inflight is the worker's evaluation load at announce time — a
-	// heartbeat-grained load snapshot for /v1/fleet even when the
-	// coordinator's health loop has not probed recently.
-	Inflight int `json:"inflight,omitempty"`
 }
 
 // Announce registers a worker with a coordinator: POST /v1/workers. Workers

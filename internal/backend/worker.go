@@ -161,8 +161,6 @@ func (w *Worker) Health() WorkerHealth {
 		Protocol: ProtocolVersion,
 		Name:     w.cfg.Name,
 		Capacity: w.cfg.Capacity,
-		Inflight: int(w.queued.Load()),
-		Evals:    w.evals.Load(),
 		Version:  w.cfg.Version,
 		TimeNS:   time.Now().UnixNano(),
 	}
@@ -242,11 +240,7 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 		}
 		if ok {
 			w.evals.Add(1)
-			w.respond(rw, EvalResult{
-				Profile:   p,
-				Worker:    w.cfg.Name,
-				CacheTier: tier,
-			}, spans, req.TraceID)
+			w.respond(rw, EvalResult{Profile: p, Worker: w.cfg.Name}, spans, req.TraceID)
 			return
 		}
 	}
@@ -271,13 +265,13 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 
 // respond writes the /v1/evaluate envelope: the deterministic result plus —
 // only when trace context was propagated — the captured spans and the
-// worker's wall clock.
+// worker's wall clock. It is where MaxWireSpans applies: the earliest spans
+// ship, and every one dropped is counted.
 func (w *Worker) respond(rw http.ResponseWriter, res EvalResult, spans []WireSpan, traceID string) {
 	resp := EvalResponse{EvalResult: res, TimeNS: time.Now().UnixNano()}
 	if traceID != "" {
-		if len(spans) > MaxWireSpans {
-			resp.SpansTruncated = len(spans) - MaxWireSpans
-			w.spansTruncated.Add(uint64(resp.SpansTruncated))
+		if n := len(spans) - MaxWireSpans; n > 0 {
+			w.spansTruncated.Add(uint64(n))
 			spans = spans[:MaxWireSpans]
 		}
 		resp.Spans = spans
@@ -300,9 +294,6 @@ func (w *Worker) RunAnnouncer(ctx context.Context, coordinator, selfURL string, 
 		Version:  w.cfg.Version,
 	}
 	announce := func() {
-		// Each heartbeat snapshots the current load so the coordinator's
-		// fleet listing tracks inflight even between health probes.
-		reg.Inflight = int(w.queued.Load())
 		if err := Announce(ctx, coordinator, reg); err != nil && onErr != nil {
 			onErr(err)
 		}

@@ -2,8 +2,14 @@ package backend
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
 
@@ -46,9 +52,6 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.CacheTier != TierWorker {
-		t.Fatalf("repeat tier = %q, want %q", res2.CacheTier, TierWorker)
-	}
 	if len(res2.Spans) != 1 {
 		t.Fatalf("hit response shipped %d spans, want just the probe", len(res2.Spans))
 	}
@@ -58,7 +61,7 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 	}
 
 	// Clock samples ride along once any round trip completes.
-	if !res2.ClockOffsetOK {
+	if _, ok := rb.Clock(); !ok {
 		t.Error("no clock-offset estimate after two round trips")
 	}
 
@@ -70,6 +73,41 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 	}
 	if len(res3.Spans) != 0 {
 		t.Errorf("untraced response shipped %d spans, want 0", len(res3.Spans))
+	}
+}
+
+// TestWorkerCountsEveryTruncatedSpan: MaxWireSpans applies once, where the
+// worker writes its response. A miss that captured MaxWireSpans+905 spans
+// behind its cache probe ships the earliest MaxWireSpans, and
+// datamime_worker_spans_truncated_total rises by every span dropped.
+func TestWorkerCountsEveryTruncatedSpan(t *testing.T) {
+	w := NewWorker(WorkerConfig{ProfileWorkers: 1})
+	events := make([]telemetry.Event, MaxWireSpans+905)
+	for i := range events {
+		events[i] = telemetry.Event{Type: telemetry.TypeSpan, Phase: telemetry.PhaseSimRun,
+			Iter: i, DurNS: 1, TimeNS: int64(i + 1)}
+	}
+	spans := append([]WireSpan{{Phase: telemetry.PhaseCacheProbe, TimeNS: 1}}, wireSpans(events)...)
+	dropped := 1 + len(events) - MaxWireSpans // the probe and every captured span, less what ships
+
+	rec := httptest.NewRecorder()
+	w.respond(rec, EvalResult{Profile: &profile.Profile{}}, spans, "trace")
+	var resp EvalResponse
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Spans) != MaxWireSpans {
+		t.Fatalf("response ships %d spans, want %d", len(resp.Spans), MaxWireSpans)
+	}
+	if last := resp.Spans[MaxWireSpans-1]; last.Iter != MaxWireSpans-2 {
+		t.Fatalf("last shipped span is iteration %d, want the earliest spans kept", last.Iter)
+	}
+
+	metrics := httptest.NewRecorder()
+	w.Handler().ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	want := fmt.Sprintf("datamime_worker_spans_truncated_total %d\n", dropped)
+	if !strings.Contains(metrics.Body.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, metrics.Body)
 	}
 }
 

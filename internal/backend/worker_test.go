@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"datamime/internal/apps/kvstore"
@@ -42,7 +44,7 @@ func newTestWorker(t *testing.T, cfg WorkerConfig) (*Worker, *RemoteBackend, *ht
 // the local profiler measures, byte for byte, and a repeated key is served
 // from the worker-local cache tier.
 func TestWorkerEvaluateOverWire(t *testing.T) {
-	_, rb, _ := newTestWorker(t, WorkerConfig{})
+	w, rb, _ := newTestWorker(t, WorkerConfig{})
 	pr := testProfiler()
 	req := testRequest(pr)
 	req.Key = "eval-key"
@@ -51,8 +53,8 @@ func TestWorkerEvaluateOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Worker != "test-worker" || res.CacheTier != "" {
-		t.Fatalf("first eval = worker %q tier %q", res.Worker, res.CacheTier)
+	if st := w.CacheStats(); res.Worker != "test-worker" || st.Misses != 1 {
+		t.Fatalf("first eval = worker %q, cache stats %+v", res.Worker, st)
 	}
 	direct, err := pr.Profile(testGenerator().Benchmark(req.Params), req.Seed)
 	if err != nil {
@@ -69,8 +71,8 @@ func TestWorkerEvaluateOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.CacheTier != "worker" {
-		t.Fatalf("repeat eval tier = %q, want \"worker\"", res2.CacheTier)
+	if st := w.CacheStats(); st.LocalHits != 1 {
+		t.Fatalf("repeat eval cache stats = %+v, want one worker-tier hit", st)
 	}
 	got2, _ := json.Marshal(res2.Profile)
 	if string(got2) != string(wantJSON) {
@@ -94,9 +96,6 @@ func TestWorkerSharedCacheTier(t *testing.T) {
 	res, err := rb.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.CacheTier != TierShared {
-		t.Fatalf("tier = %q, want %q", res.CacheTier, TierShared)
 	}
 	got, _ := json.Marshal(res.Profile)
 	want, _ := json.Marshal(seeded)
@@ -190,7 +189,7 @@ func TestWorkerShedsAtCapacity(t *testing.T) {
 		}()
 	}
 	<-started // the first evaluation is running (and holding the slot)
-	waitUntil(t, "one queued request", func() bool { return w.Health().Inflight == 2 })
+	waitUntil(t, "one queued request", func() bool { return w.queued.Load() == 2 })
 
 	_, err := rb.Evaluate(context.Background(), req)
 	if !errors.Is(err, ErrBusy) {
@@ -199,7 +198,7 @@ func TestWorkerShedsAtCapacity(t *testing.T) {
 
 	close(release)
 	wg.Wait()
-	if got := w.Health().Evals; got != 2 {
+	if got := w.evals.Load(); got != 2 {
 		t.Fatalf("evals = %d, want 2", got)
 	}
 }
@@ -292,8 +291,8 @@ func TestWorkerRefusesUnresolvableRequests(t *testing.T) {
 			t.Errorf("%s: HTTP %d %q, want 400 with a wire error", tc.name, resp.StatusCode, msg)
 		}
 	}
-	if h := w.Health(); h.Inflight != 0 || h.Evals != 0 {
-		t.Fatalf("a refused request took a slot or was served: %+v", h)
+	if q, n := w.queued.Load(), w.evals.Load(); q != 0 || n != 0 {
+		t.Fatalf("a refused request took a slot (%d) or was served (%d)", q, n)
 	}
 	if n := w.evalErrors.Load(); n != 0 {
 		t.Fatalf("evaluation_errors_total = %d: a request's fault was booked as the worker's", n)
@@ -348,6 +347,51 @@ func FuzzEvalRequest(f *testing.F) {
 	})
 }
 
+// FuzzEvalResponse serves arbitrary bytes as a worker's 200 /v1/evaluate
+// body to RemoteBackend.Evaluate. It must never panic, accept a response
+// only with a profile, and hand back the shipped spans in the order the
+// body lists them. The committed seeds (testdata/fuzz/FuzzEvalResponse) are
+// a Worker's answers to testRequest with and without trace context, one
+// without a profile, and one truncated; the one added here is an older
+// worker's, which also wrote spans_truncated and cache_tier.
+func FuzzEvalResponse(f *testing.F) {
+	oldWorker := []byte(`{"profile":{"benchmark":"b"},"worker":"w1","cache_tier":"shared",` +
+		`"spans":[{"phase":"cache.probe","dur_ns":1,"time_ns":2},{"phase":"profile.sim","dur_ns":1,"time_ns":1}],` +
+		`"time_ns":3,"spans_truncated":7}`)
+	f.Add(oldWorker)
+
+	var body atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.WriteHeader(http.StatusOK)
+		_, _ = rw.Write(body.Load().([]byte))
+	}))
+	f.Cleanup(srv.Close)
+	rb := NewRemoteBackend(srv.URL, "fuzzed")
+	req := testRequest(testProfiler())
+	body.Store(oldWorker)
+	if _, err := rb.Evaluate(context.Background(), req); err != nil {
+		f.Fatalf("an old worker's envelope no longer decodes: %v", err)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body.Store(data)
+		res, err := rb.Evaluate(context.Background(), req)
+		if err != nil {
+			return
+		}
+		if res.Profile == nil {
+			t.Fatal("accepted a response without a profile")
+		}
+		var wire EvalResponse
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
+			t.Fatalf("accepted a body that does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(res.Spans, wire.Spans) {
+			t.Fatalf("shipped spans came back as %+v, the body lists %+v", res.Spans, wire.Spans)
+		}
+	})
+}
+
 // TestWorkerMetrics: /metrics exposes the worker metric families with cache
 // accounting that matches the served traffic.
 func TestWorkerMetrics(t *testing.T) {
@@ -397,7 +441,7 @@ func TestWorkerRejectsOversizeRequest(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize evaluate = %d, want 413", resp.StatusCode)
 	}
-	if h := w.Health(); h.Evals != 0 || h.Inflight != 0 {
-		t.Fatalf("oversize request reached the evaluator: %+v", h)
+	if q, n := w.queued.Load(), w.evals.Load(); q != 0 || n != 0 {
+		t.Fatalf("oversize request reached the evaluator: %d admitted, %d served", q, n)
 	}
 }

@@ -64,10 +64,11 @@ type SearchConfig struct {
 	// Telemetry, when non-nil, receives spans for every pipeline phase
 	// (propose / generate / profile / observe, plus the optimizer's GP-fit
 	// and acquisition timings) and one eval event per iteration, carrying
-	// the per-metric EMD attribution. Telemetry is off by default; a nil
-	// recorder costs one nil check per phase and never perturbs
-	// determinism — enabling or disabling it cannot change proposals,
-	// seeds, traces, or results.
+	// the per-metric EMD attribution and preceded by the record's
+	// search.diagnostics event when it has one. Telemetry is off by
+	// default; a nil recorder costs one nil check per phase and never
+	// perturbs determinism — enabling or disabling it cannot change
+	// proposals, seeds, traces, or results.
 	Telemetry *telemetry.Recorder
 	// Parallel evaluates batches of this many candidates concurrently,
 	// using constant-liar batch proposals when the optimizer supports them
@@ -157,7 +158,7 @@ type IterationRecord struct {
 	// none). Derived read-only from factorizations the proposal already
 	// materialized, so it is present and bit-identical whether or not
 	// telemetry is enabled, and — like Components — it never enters
-	// EvalKey or checkpoints.
+	// EvalKey or checkpoints. EvalEvent.DiagnosticsEvent writes it out.
 	Diagnostics *opt.Diagnostics `json:"diagnostics,omitempty"`
 }
 
@@ -230,12 +231,29 @@ func (ev EvalEvent) TelemetryEvent() telemetry.Event {
 	}
 }
 
+// DiagnosticsEvent encodes the record's search-health snapshot as the
+// search.diagnostics event that every writer puts immediately before the
+// record's eval event, stamped with the record's iteration; ok is false when
+// the record carries no snapshot. opt.DiagnosticsFromAttrs decodes it.
+func (ev EvalEvent) DiagnosticsEvent() (tev telemetry.Event, ok bool) {
+	d := ev.Record.Diagnostics
+	if d == nil {
+		return tev, false
+	}
+	return telemetry.Event{
+		Type:  telemetry.TypeSearchDiagnostics,
+		Iter:  ev.Record.Iteration,
+		Attrs: d.Attrs(),
+	}, true
+}
+
 // EvalEventFromTelemetry is the inverse of TelemetryEvent: it decodes an
 // eval event read back from a run artifact or an SSE frame. A completed
 // evaluation without a best_error attribute is an error — every writer sets
 // one, so its absence means the artifact convention was broken, not the file
 // truncated. Record.Diagnostics is not part of the eval event (the snapshot
-// rides on the same iteration's search.diagnostics event) and stays nil.
+// is the preceding search.diagnostics event, see DiagnosticsEvent) and stays
+// nil.
 func EvalEventFromTelemetry(tev telemetry.Event) (EvalEvent, error) {
 	ev := EvalEvent{
 		Record:    IterationRecord{Iteration: tev.Iter, Params: tev.Params},
@@ -497,8 +515,8 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		}
 		proposeSpan := rec.StartSpan(telemetry.PhasePropose, it)
 		batch := opt.FallbackBatch(optimizer, space, k, batchRNG)
-		// Drain the search-health snapshot unconditionally: it is attached
-		// to the trace whether or not telemetry is on (it is deterministic
+		// Drain the search-health snapshot unconditionally: it rides on a
+		// trace record whether or not telemetry is on (it is deterministic
 		// and read-only, so both runs carry bit-equal values), and leaving
 		// it undrained would smear one batch's snapshot into the next.
 		var diag *opt.Diagnostics
@@ -512,31 +530,14 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 			proposeAttrs = map[string]float64{"batch": float64(len(batch))}
 			if tr, ok := optimizer.(opt.TimingReporter); ok {
 				if t, ok := tr.TakeTimings(); ok {
-					gpAttrs := map[string]float64{
+					rec.RecordSpan(telemetry.PhaseGPFit, it, t.GPFit, map[string]float64{
 						telemetry.AttrCholeskyAppends:  float64(t.CholeskyAppends),
 						telemetry.AttrCholeskyRebuilds: float64(t.CholeskyRebuilds),
 						telemetry.AttrJitterLevelMax:   float64(t.MaxJitterLevel),
-					}
-					if diag != nil {
-						gpAttrs[opt.AttrLogMarginal] = diag.LogMarginal
-						gpAttrs[opt.AttrJitterLevel] = float64(diag.JitterLevel)
-						gpAttrs[opt.AttrCondition] = diag.Condition
-					}
-					rec.RecordSpan(telemetry.PhaseGPFit, it, t.GPFit, gpAttrs)
+					})
 					rec.RecordSpan(telemetry.PhaseAcquisition, it, t.Acquisition,
 						map[string]float64{"proposals": float64(t.Proposals)})
-					proposeAttrs["gp_fit_ns"] = float64(t.GPFit.Nanoseconds())
-					proposeAttrs["acquisition_ns"] = float64(t.Acquisition.Nanoseconds())
 				}
-			}
-			if diag != nil {
-				proposeAttrs[opt.AttrChosenEI] = diag.ChosenEI
-				proposeAttrs[opt.AttrPoolMeanEI] = diag.PoolMeanEI
-				rec.Emit(telemetry.Event{
-					Type:  telemetry.TypeSearchDiagnostics,
-					Iter:  it,
-					Attrs: diag.Attrs(),
-				})
 			}
 		}
 		proposeSpan.End(proposeAttrs)
@@ -619,6 +620,9 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 			}
 			res.Checkpoint.Entries = append(res.Checkpoint.Entries, ent)
 			if rec.Enabled() {
+				if dev, ok := ev.DiagnosticsEvent(); ok {
+					rec.Emit(dev)
+				}
 				rec.Emit(ev.TelemetryEvent())
 			}
 			if cfg.OnEval != nil {

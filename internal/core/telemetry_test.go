@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
+	"datamime/internal/datagen"
 	"datamime/internal/opt"
+	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
 
@@ -374,5 +378,92 @@ func TestTraceExportTelemetryBitIdentical(t *testing.T) {
 	}
 	if st.Spans == 0 || st.WorkerTracks == 0 {
 		t.Fatalf("exported trace missing spans or worker tracks: %+v", st)
+	}
+}
+
+// seedFailingEvaluator measures candidates in-process, as the search's own
+// profiler would, except under the listed profiling seeds, where it fails.
+type seedFailingEvaluator struct {
+	gen  datagen.Generator
+	pr   *profile.Profiler
+	fail map[uint64]bool
+}
+
+func (e seedFailingEvaluator) Evaluate(ctx context.Context, x []float64, seed uint64) (*profile.Profile, error) {
+	if e.fail[seed] {
+		return nil, errors.New("injected evaluation failure")
+	}
+	return e.pr.ProfileContext(ctx, e.gen.Benchmark(x), seed)
+}
+
+// TestDiagnosticsEventRidesWithItsRecord: a search.diagnostics event is
+// written from the trace record that carries the snapshot — under that
+// record's iteration, immediately before its eval event, once per such
+// record. The first evaluation of a surrogate-backed batch fails on both
+// attempts here, so the batch's snapshot rides on the batch's second
+// iteration, not on the iteration the batch was proposed at.
+func TestDiagnosticsEventRidesWithItsRecord(t *testing.T) {
+	const seed = 42
+	plain, err := Search(metricSearchConfig(10, 2, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for _, r := range plain.Trace {
+		if r.Diagnostics != nil {
+			first = r.Iteration
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("no surrogate-backed batch in the plain run")
+	}
+
+	var col telemetry.Collector
+	cfg := metricSearchConfig(10, 2, seed)
+	cfg.OnEvalError = EvalRetrySkip
+	cfg.Evaluator = seedFailingEvaluator{gen: cfg.Generator, pr: cfg.Profiler, fail: map[uint64]bool{
+		IterationSeed(seed, first, false): true,
+		IterationSeed(seed, first, true):  true,
+	}}
+	cfg.Telemetry = telemetry.New(telemetry.Options{OnEvent: col.Record})
+	res, err := Search(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Skipped != 1 || !res.Checkpoint.Entries[first].Skipped {
+		t.Fatalf("iteration %d was not the one skip (skipped %d)", first, res.Skipped)
+	}
+	snapshots := make(map[int]opt.Diagnostics)
+	for _, r := range res.Trace {
+		if r.Diagnostics != nil {
+			snapshots[r.Iteration] = *r.Diagnostics
+		}
+	}
+	if _, ok := snapshots[first+1]; !ok {
+		t.Fatalf("the batch's snapshot is not on iteration %d: %v", first+1, snapshots)
+	}
+
+	events := col.Events()
+	seen := 0
+	for i, ev := range events {
+		if ev.Type != telemetry.TypeSearchDiagnostics {
+			continue
+		}
+		seen++
+		want, ok := snapshots[ev.Iter]
+		if !ok {
+			t.Fatalf("search.diagnostics event at iteration %d, whose record carries no snapshot", ev.Iter)
+		}
+		if got := opt.DiagnosticsFromAttrs(ev.Attrs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d: event snapshot %+v, record's %+v", ev.Iter, got, want)
+		}
+		if i+1 == len(events) || events[i+1].Type != telemetry.TypeEval ||
+			events[i+1].Iter != ev.Iter || events[i+1].Skipped {
+			t.Fatalf("search.diagnostics event at iteration %d is not followed by that record's eval event", ev.Iter)
+		}
+	}
+	if seen != len(snapshots) {
+		t.Fatalf("%d search.diagnostics events, want one per snapshot-bearing record (%d)", seen, len(snapshots))
 	}
 }

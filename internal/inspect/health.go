@@ -18,9 +18,9 @@ import (
 )
 
 // DiagRecord is one iteration's GP search-health snapshot: the
-// opt.Diagnostics of the fit that proposed iteration Iter, whether decoded
-// from a search.diagnostics artifact event or taken off a live trace record.
-// Its JSON is {"iter":N, ...the snapshot's own fields}.
+// opt.Diagnostics of the fit that proposed iteration Iter, decoded from its
+// search.diagnostics artifact event. Its JSON is {"iter":N, ...the
+// snapshot's own fields}.
 type DiagRecord struct {
 	Iter int `json:"iter"`
 	opt.Diagnostics
@@ -112,7 +112,8 @@ func (h *SearchHealth) ModelHealth() *corpus.ModelHealth {
 }
 
 // NewSearchHealth distills a run's diagnostics snapshots. Returns nil when
-// the artifact carries none (telemetry off, or a pre-diagnostics artifact).
+// the artifact carries none (no surrogate fit, a job restored from its
+// checkpoint, or a pre-diagnostics artifact).
 func NewSearchHealth(run *Run) *SearchHealth {
 	if len(run.Diagnostics) == 0 {
 		return nil

@@ -162,10 +162,9 @@ func TestHealthRendersInReports(t *testing.T) {
 	}
 }
 
-// TestNewDiagRecordMatchesEventRecord: a snapshot taken off a live trace
-// record and the same snapshot decoded from its search.diagnostics artifact
-// event must be identical records, or
-// GET /v1/jobs/{id}/diagnostics and report -json would disagree.
+// TestNewDiagRecordMatchesEventRecord: a snapshot on a trace record and the
+// same snapshot decoded from its search.diagnostics artifact event must be
+// identical records, or a job's status trace and its artifact would disagree.
 func TestNewDiagRecordMatchesEventRecord(t *testing.T) {
 	d := opt.Diagnostics{
 		LengthScale: 0.2, NoiseFrac: 1e-2, SignalVar: 2.5, LogMarginal: -7.5,

@@ -45,8 +45,9 @@ type Timeline struct {
 	SpanNS int64
 	// Remote lists per-remote-worker dispatch lanes (eval.remote spans),
 	// ordered by worker ID with the local fallback (ID -1) first; empty for
-	// runs that never dispatched. DispatchRetries and DispatchFallbacks
-	// total the run's dispatch churn instants.
+	// runs that never dispatched. DispatchRetries counts eval.remote spans
+	// that needed a retry (retries > 0), DispatchFallbacks those of them the
+	// local backend served (remote == 0).
 	Remote            []RemoteStat
 	DispatchRetries   int
 	DispatchFallbacks int
@@ -235,7 +236,13 @@ func NewTimeline(run *Run) *Timeline {
 			}
 			rs.Evals++
 			rs.BusyNS += sp.EndNS - sp.StartNS
-			rs.Retries += int(sp.Attrs[telemetry.AttrRetries])
+			if retries := int(sp.Attrs[telemetry.AttrRetries]); retries > 0 {
+				rs.Retries += retries
+				t.DispatchRetries++
+				if sp.Attrs[telemetry.AttrRemote] == 0 {
+					t.DispatchFallbacks++
+				}
+			}
 			if wns := int64(sp.Attrs[telemetry.AttrWorkerNS]); wns > 0 {
 				t.DispatchOverheadSamples++
 				if over := (sp.EndNS - sp.StartNS) - wns; over > 0 {
@@ -244,10 +251,6 @@ func NewTimeline(run *Run) *Timeline {
 					t.DispatchOverheadClamped++
 				}
 			}
-		case telemetry.PhaseDispatchRetry:
-			t.DispatchRetries++
-		case telemetry.PhaseDispatchFallback:
-			t.DispatchFallbacks++
 		}
 	}
 	for _, rs := range byRemote {

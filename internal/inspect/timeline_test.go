@@ -78,3 +78,69 @@ func TestTimelineNoClampNote(t *testing.T) {
 		t.Fatalf("clamp note rendered with nothing clamped:\n%s", text)
 	}
 }
+
+// TestTimelineRoutingFromEvalRemote: a dispatched evaluation's eval.remote
+// span is its one routing record, so NewTimeline counts a retry for every
+// span with retries > 0 and a fallback for those with remote == 0 too — and
+// gives the same counts on older artifacts that also carry the
+// dispatch.retry / dispatch.fallback instants once written beside the span.
+func TestTimelineRoutingFromEvalRemote(t *testing.T) {
+	rows := []struct {
+		name                string
+		worker, retries     float64
+		remote              bool
+		wantRetried, wantFB int
+	}{
+		{"remote, no retry", 2, 0, true, 0, 0},
+		{"remote after retries", 1, 2, true, 1, 0},
+		{"local fallback after failed attempts", -1, 3, false, 1, 1},
+		{"shed to local, no retry", -1, 0, false, 0, 0},
+	}
+	// events writes row i as a dispatched evaluation at millisecond i+1,
+	// with the instants an older writer added when oldInstants is set.
+	events := func(i int, oldInstants bool) []telemetry.Event {
+		r := rows[i]
+		end := int64(i+1) * 1_000_000
+		attrs := map[string]float64{telemetry.AttrRemoteWorker: r.worker, telemetry.AttrRetries: r.retries}
+		if r.remote {
+			attrs[telemetry.AttrRemote] = 1
+		}
+		evs := []telemetry.Event{{Type: telemetry.TypeSpan, Phase: telemetry.PhaseRemoteEval,
+			DurNS: 500_000, TimeNS: end, Attrs: attrs}}
+		if oldInstants && r.retries > 0 {
+			evs = append(evs, telemetry.Event{Type: telemetry.TypeSpan, Phase: "dispatch.retry", TimeNS: end,
+				Attrs: map[string]float64{telemetry.AttrRemoteWorker: r.worker, telemetry.AttrRetries: r.retries}})
+			if !r.remote {
+				evs = append(evs, telemetry.Event{Type: telemetry.TypeSpan, Phase: "dispatch.fallback", TimeNS: end,
+					Attrs: map[string]float64{telemetry.AttrRetries: r.retries}})
+			}
+		}
+		return evs
+	}
+	for _, oldInstants := range []bool{false, true} {
+		var all []telemetry.Event
+		wantRetried, wantFB := 0, 0
+		for i, r := range rows {
+			run, err := NewRun(events(i, oldInstants))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl := NewTimeline(run)
+			if tl.DispatchRetries != r.wantRetried || tl.DispatchFallbacks != r.wantFB {
+				t.Errorf("%s (old instants %v): retries %d, fallbacks %d; want %d, %d", r.name, oldInstants,
+					tl.DispatchRetries, tl.DispatchFallbacks, r.wantRetried, r.wantFB)
+			}
+			all = append(all, events(i, oldInstants)...)
+			wantRetried += r.wantRetried
+			wantFB += r.wantFB
+		}
+		run, err := NewRun(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl := NewTimeline(run); tl.DispatchRetries != wantRetried || tl.DispatchFallbacks != wantFB {
+			t.Errorf("all rows (old instants %v): retries %d, fallbacks %d; want %d, %d", oldInstants,
+				tl.DispatchRetries, tl.DispatchFallbacks, wantRetried, wantFB)
+		}
+	}
+}

@@ -56,16 +56,6 @@ type Diagnostics struct {
 	ExploreEI  float64 `json:"explore_ei"`
 }
 
-// Artifact attribute keys other spans reuse: core copies these figures onto
-// the matching gp_fit and propose spans under the same key.
-const (
-	AttrLogMarginal = "gp_log_marginal"
-	AttrJitterLevel = "gp_jitter_level"
-	AttrCondition   = "gp_condition"
-	AttrChosenEI    = "acq_chosen_ei"
-	AttrPoolMeanEI  = "acq_pool_mean_ei"
-)
-
 // diagField pairs one Diagnostics field (exactly one of f, i is set) with
 // the key it travels under in a search.diagnostics event's attributes.
 type diagField struct {
@@ -82,17 +72,17 @@ func (d *Diagnostics) fields() []diagField {
 		{key: "gp_length_scale", f: &d.LengthScale},
 		{key: "gp_noise_frac", f: &d.NoiseFrac},
 		{key: "gp_signal_var", f: &d.SignalVar},
-		{key: AttrLogMarginal, f: &d.LogMarginal},
+		{key: "gp_log_marginal", f: &d.LogMarginal},
 		{key: "gp_observations", i: &d.Observations},
-		{key: AttrJitterLevel, i: &d.JitterLevel},
-		{key: AttrCondition, f: &d.Condition},
+		{key: "gp_jitter_level", i: &d.JitterLevel},
+		{key: "gp_condition", f: &d.Condition},
 		{key: "loo_rmse", f: &d.LOORMSE},
 		{key: "loo_max_z", f: &d.LOOMaxZ},
 		{key: "loo_coverage1", f: &d.Coverage1},
 		{key: "loo_coverage2", f: &d.Coverage2},
 		{key: "acq_candidates", i: &d.Candidates},
-		{key: AttrChosenEI, f: &d.ChosenEI},
-		{key: AttrPoolMeanEI, f: &d.PoolMeanEI},
+		{key: "acq_chosen_ei", f: &d.ChosenEI},
+		{key: "acq_pool_mean_ei", f: &d.PoolMeanEI},
 		{key: "acq_exploit_ei", f: &d.ExploitEI},
 		{key: "acq_explore_ei", f: &d.ExploreEI},
 	}

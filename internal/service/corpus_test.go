@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -374,9 +375,10 @@ func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 	}
 }
 
-// TestCorpusRecordsModelHealth: a GP-backed job indexes with a model-health
-// rollup (built from trace-attached diagnostics — no telemetry needed), and
-// the rollup surfaces through the trend points and the fleet scoreboard for
+// TestCorpusRecordsModelHealth: a GP-backed job on a server without
+// telemetry indexes with a model-health rollup equal to the one its stored
+// artifact yields (the artifact carries the snapshots), and the rollup
+// surfaces through the trend points and the fleet scoreboard for
 // calibration-drift tracking.
 func TestCorpusRecordsModelHealth(t *testing.T) {
 	svc := newCorpusServer(t, t.TempDir(), t.TempDir())
@@ -395,6 +397,13 @@ func TestCorpusRecordsModelHealth(t *testing.T) {
 	}
 	if rec.ModelHealth.Snapshots == 0 || rec.ModelHealth.MeanCoverage1 < 0 || rec.ModelHealth.MeanCoverage1 > 1 {
 		t.Fatalf("model health implausible: %+v", rec.ModelHealth)
+	}
+	stored, err := svc.corpusRun(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mh := inspect.NewSearchHealth(stored).ModelHealth(); !reflect.DeepEqual(mh, rec.ModelHealth) {
+		t.Fatalf("record model health %+v, stored artifact's %+v", rec.ModelHealth, mh)
 	}
 
 	trend := svc.Corpus().Trend(rec.Scenario)

@@ -53,8 +53,8 @@ func TestServiceFleetBitIdentity(t *testing.T) {
 	spec.Backend = "local"
 	ref := runToCompletion(t, newTestServer(t, ""), spec)
 
-	w1, ts1 := newFleetWorker(t, "fleet-a")
-	w2, ts2 := newFleetWorker(t, "fleet-b")
+	_, ts1 := newFleetWorker(t, "fleet-a")
+	_, ts2 := newFleetWorker(t, "fleet-b")
 	svc := newFleetServer(t, []string{ts1.URL, ts2.URL})
 	defer svc.Close()
 
@@ -87,7 +87,7 @@ func TestServiceFleetBitIdentity(t *testing.T) {
 	}
 
 	// The fleet actually served the evaluations.
-	served := w1.Health().Evals + w2.Health().Evals
+	served := workerEvals(t, ts1) + workerEvals(t, ts2)
 	if served == 0 {
 		t.Fatal("no evaluation reached the fleet")
 	}
@@ -95,6 +95,19 @@ func TestServiceFleetBitIdentity(t *testing.T) {
 	if c.RemoteEvals == 0 || c.LocalEvals != 0 {
 		t.Fatalf("dispatch counters = %+v, want all-remote", c)
 	}
+}
+
+// workerEvals reads the evaluations a worker counts as served off its own
+// /metrics (datamime_worker_evaluations_total).
+func workerEvals(t *testing.T, ts *httptest.Server) float64 {
+	t.Helper()
+	for _, s := range scrape(t, ts) {
+		if s.name == "datamime_worker_evaluations_total" {
+			return s.value
+		}
+	}
+	t.Fatal("worker /metrics has no datamime_worker_evaluations_total")
+	return 0
 }
 
 // TestServiceFleetBitIdentityWithTelemetry re-runs the fleet acceptance test

@@ -151,8 +151,9 @@ func bayesSpec(iterations int, seed uint64) JobSpec {
 }
 
 // TestSSEDiagnosticsFramesPrecedeDone: a GP-backed job's event stream carries
-// search.diagnostics frames, every one of them strictly before the terminal
-// done frame, and GET /v1/jobs/{id}/diagnostics serves the matching summary.
+// search.diagnostics frames, each immediately before the eval frame of the
+// iteration it names and all strictly before the terminal done frame, and
+// GET /v1/jobs/{id}/diagnostics serves the matching summary.
 func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -185,6 +186,13 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 			if d := opt.DiagnosticsFromAttrs(ev.Attrs); d.Observations == 0 || d.Candidates == 0 {
 				t.Fatalf("diagnostics frame incomplete: %+v", ev)
 			}
+			var next telemetry.Event
+			if i+1 < len(frames) && frames[i+1].event == telemetry.TypeEval {
+				_ = json.Unmarshal([]byte(frames[i+1].data), &next)
+			}
+			if next.Type != telemetry.TypeEval || next.Iter != ev.Iter || next.Skipped {
+				t.Fatalf("diagnostics frame for iteration %d not followed by that iteration's eval frame", ev.Iter)
+			}
 		}
 	}
 	if len(diagIdx) == 0 {
@@ -199,7 +207,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 		}
 	}
 
-	// The diagnostics endpoint serves the same snapshots from the trace.
+	// The diagnostics endpoint serves the same snapshots from the event log.
 	var diag struct {
 		ID          string `json:"id"`
 		State       JobState
@@ -226,10 +234,9 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 
 // TestDiagnosticsLiveMatchesOffline: for one seeded GP job, the diagnostics
 // block GET /v1/jobs/{id}/diagnostics serves from memory is byte-equal to the
-// search health computed offline from the job's downloaded artifact — and a
-// server without telemetry, whose event log carries no search.diagnostics
-// events and so takes the snapshots off the trace records, serves the same
-// bytes.
+// search health computed offline from the job's downloaded artifact, on a
+// server with telemetry and on one without — the artifact carries the
+// snapshots either way — and the two servers serve the same bytes.
 func TestDiagnosticsLiveMatchesOffline(t *testing.T) {
 	liveDiagnostics := func(svc *Server) (block, artifact []byte) {
 		t.Helper()
@@ -269,25 +276,101 @@ func TestDiagnosticsLiveMatchesOffline(t *testing.T) {
 		return compact.Bytes(), artifact
 	}
 
-	live, artifact := liveDiagnostics(newTelemetryServer(t, ""))
-	run, err := inspect.LoadRun(bytes.NewReader(artifact))
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline, err := json.Marshal(inspect.NewSearchHealth(run))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(offline) == "null" {
-		t.Fatal("the artifact of a GP job carries no diagnostics")
-	}
-	if !bytes.Equal(live, offline) {
-		t.Fatalf("live diagnostics differ from the artifact's:\nlive    %s\noffline %s", live, offline)
+	matchOffline := func(server string, live, artifact []byte) {
+		t.Helper()
+		run, err := inspect.LoadRun(bytes.NewReader(artifact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		offline, err := json.Marshal(inspect.NewSearchHealth(run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(offline) == "null" {
+			t.Fatalf("%s: the artifact of a GP job carries no diagnostics", server)
+		}
+		if !bytes.Equal(live, offline) {
+			t.Fatalf("%s: live diagnostics differ from the artifact's:\nlive    %s\noffline %s", server, live, offline)
+		}
 	}
 
-	plain, _ := liveDiagnostics(newTestServer(t, ""))
+	live, artifact := liveDiagnostics(newTelemetryServer(t, ""))
+	matchOffline("telemetry on", live, artifact)
+	plain, plainArtifact := liveDiagnostics(newTestServer(t, ""))
+	matchOffline("telemetry off", plain, plainArtifact)
 	if !bytes.Equal(plain, live) {
 		t.Fatalf("diagnostics differ with telemetry off:\noff %s\non  %s", plain, live)
+	}
+}
+
+// TestRestoredJobCarriesNoSnapshots: checkpoints do not store search-health
+// snapshots, so a finished GP job restored after a restart has none: its
+// status trace carries no diagnostics, /diagnostics is null, and /artifact
+// has no search.diagnostics event, where the live job had all three.
+func TestRestoredJobCarriesNoSnapshots(t *testing.T) {
+	// snapshots reads the three views of job id on ts.
+	snapshots := func(ts *httptest.Server, id string) (traced int, diag string, events int) {
+		t.Helper()
+		var st JobStatus
+		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
+		if len(st.Trace) == 0 {
+			t.Fatal("job has no trace")
+		}
+		for _, rec := range st.Trace {
+			if rec.Diagnostics != nil {
+				traced++
+			}
+		}
+		var body struct {
+			Diagnostics json.RawMessage `json:"diagnostics"`
+		}
+		httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/diagnostics", nil, &body)
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/artifact")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := telemetry.ScanJSONL(resp.Body, func(ev telemetry.Event) error {
+			if ev.Type == telemetry.TypeSearchDiagnostics {
+				events++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return traced, string(body.Diagnostics), events
+	}
+
+	dir := t.TempDir()
+	svc := newTestServer(t, dir)
+	ts := httptest.NewServer(svc.Handler())
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	waitFor(t, "job to succeed", func() bool {
+		var st JobStatus
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
+		return st.State == JobSucceeded
+	})
+	traced, diag, events := snapshots(ts, submitted.ID)
+	ts.Close()
+	svc.Close()
+	if traced == 0 || diag == "null" || events != traced {
+		t.Fatalf("live job: %d traced snapshots, /diagnostics %s, %d artifact events; want snapshots in all three",
+			traced, diag, events)
+	}
+
+	svc2 := newTestServer(t, dir)
+	defer svc2.Close()
+	ts2 := httptest.NewServer(svc2.Handler())
+	defer ts2.Close()
+	traced, diag, events = snapshots(ts2, submitted.ID)
+	if traced != 0 || diag != "null" || events != 0 {
+		t.Fatalf("restored job: %d traced snapshots, /diagnostics %s, %d artifact events; want none",
+			traced, diag, events)
 	}
 }
 

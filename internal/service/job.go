@@ -177,9 +177,6 @@ type JobStatus struct {
 	// DurationSeconds is the job's wall-clock run time: finished−started
 	// for terminal jobs, time since start for running ones, 0 before start.
 	DurationSeconds float64 `json:"duration_seconds,omitempty"`
-	// TelemetryEvents counts telemetry events the job's recorder has seen
-	// over its lifetime (0 when the server runs without -telemetry).
-	TelemetryEvents uint64 `json:"telemetry_events,omitempty"`
 	// ProfileWorkers is the effective intra-profile parallelism the job
 	// runs with (spec override or server default); 0 until the job starts.
 	ProfileWorkers int `json:"profile_workers,omitempty"`
@@ -262,23 +259,22 @@ func (j *Job) status(since int) JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:              j.id,
-		State:           j.state,
-		Error:           j.errMsg,
-		Spec:            j.spec,
-		Iterations:      len(j.trace) + j.skipped,
-		Total:           j.spec.Iterations,
-		Evaluations:     j.evals,
-		CacheHits:       j.cacheHits,
-		CacheMisses:     j.cacheMisses,
-		Skipped:         j.skipped,
-		SimCycles:       j.simCycles,
-		TraceLen:        len(j.trace),
-		Result:          j.result,
-		Created:         j.created,
-		TelemetryEvents: j.recorder.Total(), // nil-safe when telemetry is off
-		ProfileWorkers:  j.profileWorkers,
-		Backend:         j.backend,
+		ID:             j.id,
+		State:          j.state,
+		Error:          j.errMsg,
+		Spec:           j.spec,
+		Iterations:     len(j.trace) + j.skipped,
+		Total:          j.spec.Iterations,
+		Evaluations:    j.evals,
+		CacheHits:      j.cacheHits,
+		CacheMisses:    j.cacheMisses,
+		Skipped:        j.skipped,
+		SimCycles:      j.simCycles,
+		TraceLen:       len(j.trace),
+		Result:         j.result,
+		Created:        j.created,
+		ProfileWorkers: j.profileWorkers,
+		Backend:        j.backend,
 	}
 	if len(j.trace) > 0 {
 		st.BestError = j.trace[len(j.trace)-1].BestError
@@ -306,13 +302,19 @@ func (j *Job) status(since int) JobStatus {
 }
 
 // addEval folds one finished iteration into the job — trace, counters and,
-// encoded by TelemetryEvent and stamped timeNS, the event log — and wakes SSE
-// subscribers. It is the one fold: a live search feeds it from OnEval, a
-// restart from the checkpoint's rebuilt events.
+// encoded by DiagnosticsEvent and TelemetryEvent and stamped timeNS, the
+// event log — and wakes SSE subscribers. It is the one fold: a live search
+// feeds it from OnEval (see foldEval), a restart from the checkpoint's
+// rebuilt events, which carry no snapshots.
 func (j *Job) addEval(ev core.EvalEvent, timeNS int64) {
-	tev := ev.TelemetryEvent()
-	tev.Job = j.id
-	tev.TimeNS = timeNS
+	var tevs []telemetry.Event
+	if dev, ok := ev.DiagnosticsEvent(); ok {
+		tevs = append(tevs, dev)
+	}
+	tevs = append(tevs, ev.TelemetryEvent())
+	for i := range tevs {
+		tevs[i].Job, tevs[i].TimeNS = j.id, timeNS
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if ev.Skipped {
@@ -327,7 +329,7 @@ func (j *Job) addEval(ev core.EvalEvent, timeNS int64) {
 		}
 		j.simCycles += ev.SimCycles
 	}
-	j.events = append(j.events, tev)
+	j.events = append(j.events, tevs...)
 	j.wakeLocked()
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"datamime/internal/backend"
-	"datamime/internal/opt"
 	"datamime/internal/telemetry"
 )
 
@@ -42,9 +41,9 @@ type serverMetrics struct {
 	gpRebuilds        *telemetry.Counter
 	gpJitterLevel     *telemetry.Gauge
 
-	// Search-health diagnostics, fed from search.diagnostics events by
-	// observeDiagnostics: a counter of fits that needed escalated jitter.
-	// Each job's own fit figures are its /diagnostics.
+	// Search-health diagnostics, counted by foldEval from each record's
+	// snapshot: fits that needed escalated jitter. Each job's own fit
+	// figures are its /diagnostics.
 	gpJitterEscalations *telemetry.Counter
 
 	// phaseHist aggregates search-phase latencies across all jobs;
@@ -63,7 +62,6 @@ type serverMetrics struct {
 	fleetSimRuns           *telemetry.Counter
 	fleetBusySeconds       *telemetry.CounterVec
 	fleetBudgetWaitSeconds *telemetry.Counter
-	fleetCacheProbes       *telemetry.CounterVec
 
 	// Run-corpus watchdog metrics (incremented by indexRun on every job
 	// completion when Config.CorpusDir enables the corpus).
@@ -212,8 +210,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Remote simulation time per fleet worker ID (from shipped spans).", "worker")
 	m.fleetBudgetWaitSeconds = reg.NewCounter("datamimed_fleet_budget_wait_seconds_total",
 		"Remote budget-semaphore wait time (from shipped spans).")
-	m.fleetCacheProbes = reg.NewCounterVec("datamimed_fleet_cache_probes_total",
-		"Worker cache probes observed via shipped spans, by result.", "result")
 	telemetry.RegisterRuntimeMetrics(reg, "datamimed")
 
 	reg.NewCollector("datamimed_job_iterations_done",
@@ -293,17 +289,10 @@ func (m *serverMetrics) observeSpan(ev telemetry.Event) {
 	}
 }
 
-// observeDiagnostics counts one search-health snapshot's jitter escalation.
-// Runs on the search goroutines (the recorder's OnEvent is synchronous).
-func (m *serverMetrics) observeDiagnostics(ev telemetry.Event) {
-	if opt.DiagnosticsFromAttrs(ev.Attrs).JitterLevel > 0 {
-		m.gpJitterEscalations.Inc()
-	}
-}
-
 // observeFleetSpan accounts one remote-shipped span (already rebased onto
 // the coordinator clock and tagged with the fleet worker ID, -1 for the
-// local fallback).
+// local fallback). Worker cache probes are each worker's own
+// datamime_worker_cache_* families.
 func (m *serverMetrics) observeFleetSpan(ev telemetry.Event) {
 	secs := float64(ev.DurNS) / 1e9
 	wid := strconv.Itoa(int(ev.Attrs[telemetry.AttrFleetWorker]))
@@ -313,12 +302,6 @@ func (m *serverMetrics) observeFleetSpan(ev telemetry.Event) {
 		m.fleetBusySeconds.With(wid).Add(secs)
 	case telemetry.PhaseBudgetWait:
 		m.fleetBudgetWaitSeconds.Add(secs)
-	case telemetry.PhaseCacheProbe:
-		result := "miss"
-		if ev.Attrs[telemetry.AttrCacheHit] > 0 {
-			result = "hit"
-		}
-		m.fleetCacheProbes.With(result).Inc()
 	}
 }
 

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"datamime/internal/core"
+	"datamime/internal/opt"
 )
 
 // metricSample is one parsed exposition line: name{labels} value.
@@ -231,4 +234,32 @@ func TestMetricsWithoutTelemetry(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("empty exposition")
 	}
+}
+
+// TestJitterEscalationsCountedWithoutTelemetry: every record's snapshot is
+// folded into its job where the eval is, so on a server without telemetry
+// datamimed_gp_jitter_escalations_total counts each snapshot whose fit needed
+// escalated jitter, and no other.
+func TestJitterEscalationsCountedWithoutTelemetry(t *testing.T) {
+	svc := newTestServer(t, "")
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	job := &Job{id: "job-fold"}
+	for i, level := range []int{0, 1, 0, 3} {
+		svc.foldEval(job, core.EvalEvent{Record: core.IterationRecord{
+			Iteration:   i,
+			Diagnostics: &opt.Diagnostics{Observations: 6, JitterLevel: level},
+		}})
+	}
+	for _, s := range scrape(t, ts) {
+		if s.name == "datamimed_gp_jitter_escalations_total" {
+			if s.value != 2 {
+				t.Fatalf("jitter escalations = %g, want 2", s.value)
+			}
+			return
+		}
+	}
+	t.Fatal("no datamimed_gp_jitter_escalations_total family")
 }

@@ -66,34 +66,21 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request, j *Job) 
 // jobRun builds the inspect view of a job from the events the server already
 // holds in memory — the one place a job becomes an *inspect.Run, shared by
 // the report, the diagnostics endpoint and the corpus indexer. It also
-// returns those events, for callers that store them. Diagnostics ride on
-// trace records whether or not the job runs with telemetry, so when the
-// event log carries no search.diagnostics events (telemetry off) the
-// snapshots are taken from the trace instead.
+// returns those events, for callers that store them. The event log carries
+// each record's search-health snapshot with or without telemetry (addEval),
+// so the run reads them as any artifact reader does.
 func jobRun(j *Job) (*inspect.Run, []telemetry.Event, error) {
 	events := artifactEvents(j)
 	run, err := inspect.NewRun(events)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(run.Diagnostics) == 0 {
-		j.mu.Lock()
-		for _, rec := range j.trace {
-			if rec.Diagnostics != nil {
-				run.Diagnostics = append(run.Diagnostics,
-					inspect.DiagRecord{Iter: rec.Iteration, Diagnostics: *rec.Diagnostics})
-			}
-		}
-		j.mu.Unlock()
-	}
-	return run, events, nil
+	return run, events, err
 }
 
 // jobDiagnostics is the GET /v1/jobs/{id}/diagnostics response: the job's
 // search-health summary with the per-iteration snapshot records. Diagnostics
 // is null until the optimizer's first surrogate-backed proposal (random
-// bootstrap iterations, non-GP optimizers), and always for optimizers that
-// never fit a surrogate.
+// bootstrap iterations, non-GP optimizers), always for optimizers that never
+// fit a surrogate, and for jobs restored from a checkpoint, which does not
+// store snapshots.
 type jobDiagnostics struct {
 	ID          string                `json:"id"`
 	State       JobState              `json:"state"`
@@ -102,8 +89,9 @@ type jobDiagnostics struct {
 
 // handleDiagnostics serves GET /v1/jobs/{id}/diagnostics: per-iteration GP
 // search-health records plus the SearchHealth aggregates and verdict. It
-// reads the live job (see jobRun), so it works mid-run and with telemetry
-// off.
+// reads the job's artifact events (see jobRun), so it works mid-run and with
+// telemetry off, and equals what `datamime-inspect report` computes from the
+// downloaded artifact.
 func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request, j *Job) {
 	run, _, err := jobRun(j)
 	if err != nil {

@@ -366,17 +366,12 @@ func (s *Server) runJob(job *Job) {
 	if s.cfg.Telemetry {
 		rec := telemetry.New(telemetry.Options{
 			OnEvent: func(ev telemetry.Event) {
-				// Eval events are built uniformly in OnEval below (they
-				// flow with telemetry off too); spans and search-health
-				// diagnostics pass through.
-				switch ev.Type {
-				case telemetry.TypeSpan:
+				// Eval events and their search-health snapshots are built
+				// in OnEval below (they flow with telemetry off too); only
+				// spans pass through.
+				if ev.Type == telemetry.TypeSpan {
 					ev.Job = job.id
 					s.metrics.observeSpan(ev)
-					job.appendEvent(ev)
-				case telemetry.TypeSearchDiagnostics:
-					ev.Job = job.id
-					s.metrics.observeDiagnostics(ev)
 					job.appendEvent(ev)
 				}
 			},
@@ -400,22 +395,7 @@ func (s *Server) runJob(job *Job) {
 		job.mu.Unlock()
 		cfg.Resume = &resume
 	}
-	cfg.OnEval = func(ev core.EvalEvent) {
-		job.addEval(ev, time.Now().UnixNano())
-		if !ev.Replayed {
-			if ev.Skipped {
-				s.metrics.skippedTotal.Inc()
-			} else {
-				s.metrics.evalsTotal.Inc()
-			}
-			if ev.Retried {
-				s.metrics.retriedTotal.Inc()
-			}
-			if ev.SimCycles > 0 {
-				s.metrics.cyclesTotal.Add(ev.SimCycles)
-			}
-		}
-	}
+	cfg.OnEval = func(ev core.EvalEvent) { s.foldEval(job, ev) }
 	cfg.OnCheckpoint = func(cp core.Checkpoint) {
 		job.mu.Lock()
 		job.checkpoint = cp
@@ -450,6 +430,30 @@ func (s *Server) runJob(job *Job) {
 		s.endInterrupted(job)
 	default:
 		s.finish(job, JobFailed, err.Error())
+	}
+}
+
+// foldEval folds one iteration of a running search into its job (addEval)
+// and the server's counters, with or without telemetry. A replayed
+// iteration's surrogate was refit, so its snapshot still counts.
+func (s *Server) foldEval(job *Job, ev core.EvalEvent) {
+	job.addEval(ev, time.Now().UnixNano())
+	if d := ev.Record.Diagnostics; d != nil && d.JitterLevel > 0 {
+		s.metrics.gpJitterEscalations.Inc()
+	}
+	if ev.Replayed {
+		return
+	}
+	if ev.Skipped {
+		s.metrics.skippedTotal.Inc()
+	} else {
+		s.metrics.evalsTotal.Inc()
+	}
+	if ev.Retried {
+		s.metrics.retriedTotal.Inc()
+	}
+	if ev.SimCycles > 0 {
+		s.metrics.cyclesTotal.Add(ev.SimCycles)
 	}
 }
 

@@ -60,12 +60,6 @@ const (
 	// evaluation duration, so dispatch overhead (round trip minus remote
 	// compute) is recoverable from the artifact alone.
 	AttrWorkerNS = "worker_ns"
-	// AttrClockOffsetNS and AttrClockErrNS ride on PhaseRemoteEval spans of
-	// remotely served evaluations: the estimated worker-clock offset applied
-	// when rebasing shipped spans onto the coordinator timeline, and the
-	// half-RTT uncertainty of that estimate.
-	AttrClockOffsetNS = "clock_offset_ns"
-	AttrClockErrNS    = "clock_err_ns"
 	// AttrCacheTier rides on PhaseCacheProbe spans next to AttrCacheHit:
 	// 0 = miss, 1 = the worker's local LRU served it, 2 = the coordinator's
 	// shared tier served it.

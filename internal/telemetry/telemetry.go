@@ -13,7 +13,6 @@ package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -47,18 +46,15 @@ const (
 	// PhaseRemoteEval covers one candidate evaluation dispatched through an
 	// eval backend (a remote worker, or the dispatcher's local fallback).
 	// Spans carry AttrRemoteWorker/AttrRetries/AttrRemote attributes and get
-	// their own per-worker lanes in the trace-event export.
+	// their own per-worker lanes in the trace-event export. They are the
+	// run's routing record: a span with retries > 0 was retried, and one
+	// that also has remote == 0 fell back to the local backend.
 	PhaseRemoteEval = "eval.remote"
-	// PhaseWorkerRegister, PhaseWorkerDeregister, and PhaseDispatchRetry are
-	// zero-duration fleet-churn markers emitted by the evaluation dispatcher:
-	// a worker joining or leaving the fleet, and a failed dispatch attempt
-	// being retried elsewhere. PhaseDispatchFallback marks an evaluation
-	// falling back to the local backend after exhausting the fleet. All four
+	// PhaseWorkerRegister and PhaseWorkerDeregister are zero-duration
+	// fleet-churn markers: a worker joining or leaving the fleet. Both
 	// render as instants on the "fleet" track of the Perfetto export.
 	PhaseWorkerRegister   = "worker.register"
 	PhaseWorkerDeregister = "worker.deregister"
-	PhaseDispatchRetry    = "dispatch.retry"
-	PhaseDispatchFallback = "dispatch.fallback"
 	// PhaseCacheProbe is a worker-side span covering the evaluation-cache
 	// lookup (local LRU, then the coordinator's shared tier) that preceded a
 	// dispatched evaluation. It ships back to the coordinator in the
@@ -79,12 +75,12 @@ const (
 	// streamed over SSE and appended to the artifact; consumers that don't
 	// know it (inspect.LoadRun) skip it by design.
 	TypeCorpusRegression = "corpus.regression"
-	// TypeSearchDiagnostics is one iteration's GP search-health snapshot:
-	// Attrs is opt.Diagnostics.Attrs(), which owns the attribute keys, and
-	// opt.DiagnosticsFromAttrs decodes it. Emitted once per
-	// surrogate-backed proposal, streamed over SSE before `done`, and
-	// appended to the artifact; like corpus.regression, consumers that
-	// predate it skip it by design.
+	// TypeSearchDiagnostics is one trace record's GP search-health
+	// snapshot: Attrs is opt.Diagnostics.Attrs(), which owns the attribute
+	// keys, and opt.DiagnosticsFromAttrs decodes it. core writes it
+	// (EvalEvent.DiagnosticsEvent) immediately before the eval event of the
+	// record that carries the snapshot, under that record's iteration; like
+	// corpus.regression, consumers that predate it skip it by design.
 	TypeSearchDiagnostics = "search.diagnostics"
 )
 
@@ -117,7 +113,6 @@ type Options struct {
 // all methods are nil-safe no-ops, so instrumented code needs no branches
 // beyond the receiver check the calls already perform.
 type Recorder struct {
-	total   atomic.Uint64
 	onEvent func(Event)
 }
 
@@ -130,8 +125,8 @@ func New(opts Options) *Recorder {
 // attribute-map construction with it so the disabled path allocates nothing.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit stamps one event with the wall clock (unless already stamped), counts
-// it, and hands it to the OnEvent sink. Safe on a nil receiver.
+// Emit stamps one event with the wall clock (unless already stamped) and
+// hands it to the OnEvent sink. Safe on a nil receiver.
 func (r *Recorder) Emit(ev Event) {
 	if r == nil {
 		return
@@ -139,18 +134,9 @@ func (r *Recorder) Emit(ev Event) {
 	if ev.TimeNS == 0 {
 		ev.TimeNS = time.Now().UnixNano()
 	}
-	r.total.Add(1)
 	if r.onEvent != nil {
 		r.onEvent(ev)
 	}
-}
-
-// Total returns the number of events emitted over the recorder's lifetime.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total.Load()
 }
 
 // Span is an open phase timing started by StartSpan. The zero Span (from a

@@ -19,9 +19,8 @@ import (
 //	                           when a GP fit fell back to a Cholesky
 //	                           refactorization
 //	tid 3      "fleet"       — instant events for fleet churn (worker
-//	                           registrations and deregistrations) and for
-//	                           dispatch retries/fallbacks; present only
-//	                           when the run dispatched to remote workers
+//	                           registrations and deregistrations); present
+//	                           only when the fleet changed during the run
 //	tid 10+L   "eval lane L" — per-candidate spans (generate, profile,
 //	                           profile.run, profile.curves), greedily
 //	                           packed into as few non-overlapping lanes
@@ -238,8 +237,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 			case PhaseRemoteEval:
 				wkr := int(ev.Attrs[AttrRemoteWorker])
 				remoteSpans[wkr] = append(remoteSpans[wkr], iv)
-			case PhaseWorkerRegister, PhaseWorkerDeregister,
-				PhaseDispatchRetry, PhaseDispatchFallback:
+			case PhaseWorkerRegister, PhaseWorkerDeregister:
 				fleetUsed = true
 				instant(tracePID, traceTIDFleet, ev.Phase, ev.TimeNS, spanArgs(ev))
 			default:
@@ -307,7 +305,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 	// Remote evaluation lanes: one track per remote worker ID (a dispatched
 	// run's eval.remote round trips), with the local-fallback lane (worker
 	// ID -1) named distinctly. The fleet track appears only when the run
-	// recorded fleet or dispatch activity.
+	// recorded fleet churn.
 	if fleetUsed {
 		meta(tracePID, traceTIDFleet, "fleet", traceTIDFleet)
 	}

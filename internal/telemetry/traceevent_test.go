@@ -239,3 +239,44 @@ func BenchmarkTraceExport(b *testing.B) {
 		}
 	}
 }
+
+// TestWriteTraceFleetTrackIsChurn: the "fleet" track carries fleet churn
+// only. A dispatched run whose evaluations retried and fell back, but whose
+// fleet never changed, has no fleet track; a worker registration adds one.
+func TestWriteTraceFleetTrackIsChurn(t *testing.T) {
+	ms := int64(time.Millisecond)
+	routed := []Event{
+		{Type: TypeSpan, Phase: PhaseRemoteEval, DurNS: ms, TimeNS: 2 * ms,
+			Attrs: map[string]float64{AttrRemoteWorker: 0, AttrRetries: 1, AttrRemote: 1}},
+		{Type: TypeSpan, Phase: PhaseRemoteEval, DurNS: ms, TimeNS: 3 * ms,
+			Attrs: map[string]float64{AttrRemoteWorker: -1, AttrRetries: 2}},
+	}
+	hasFleetTrack := func(events []Event) bool {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		var tf traceFile
+		if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range tf.TraceEvents {
+			if ev.Name == "thread_name" && ev.TID == traceTIDFleet {
+				return true
+			}
+		}
+		return false
+	}
+	if hasFleetTrack(routed) {
+		t.Error("retries and fallbacks without churn produced a fleet track")
+	}
+	churn := append(routed, Event{Type: TypeSpan, Phase: PhaseWorkerRegister, TimeNS: 4 * ms,
+		Attrs: map[string]float64{AttrRemoteWorker: 1}})
+	if !hasFleetTrack(churn) {
+		t.Error("a worker registration produced no fleet track")
+	}
+}
