@@ -151,15 +151,28 @@ with open(sys.argv[5]) as f:
     events = [json.loads(line) for line in f if line.strip()]
 # Each figure has one publisher: corpus figures are /v1/corpus's, a job's
 # result is GET /v1/jobs/{id}'s, a worker's load is its own /metrics', and
-# a dispatch's routing facts are its eval.remote span's.
+# a dispatch's routing facts are its eval.remote span's. No clock estimate
+# outlives the round trip it came from.
 assert "corpus" not in fleet, f"/v1/fleet carries a corpus section: {fleet['corpus']}"
 assert sys.argv[3] == "404", f"GET /v1/jobs/{{id}}/result answered {sys.argv[3]}, want 404"
 for row in fleet["workers"]:
     assert "reported_inflight" not in row, f"/v1/fleet row carries reported_inflight: {row}"
+    assert "clock" not in row, f"/v1/fleet row carries a clock estimate: {row}"
 assert "inflight" not in healthz, f"worker 1's /v1/healthz carries inflight: {healthz}"
+assert "time_ns" not in healthz, f"worker 1's /v1/healthz carries time_ns: {healthz}"
 for ev in events:
     assert ev.get("phase") not in ("dispatch.retry", "dispatch.fallback"), f"artifact carries {ev}"
     assert "clock_offset_ns" not in ev.get("attrs", {}), f"artifact carries clock_offset_ns: {ev}"
+# A worker's shipped spans are placed by the round trip that carried them, so
+# each lies inside an eval.remote span: [time_ns - dur_ns, time_ns] within.
+spans = [ev for ev in events if ev.get("type") == "span"]
+trips = [(ev["time_ns"] - ev.get("dur_ns", 0), ev["time_ns"]) for ev in spans if ev.get("phase") == "eval.remote"]
+shipped = [ev for ev in spans if "fleet_worker" in ev.get("attrs", {})]
+assert shipped, "the fleet artifact carries no shipped worker spans"
+for ev in shipped:
+    lo, hi = ev["time_ns"] - ev.get("dur_ns", 0), ev["time_ns"]
+    assert any(a <= lo and hi <= b for a, b in trips), f"shipped span lies outside every eval.remote span: {ev}"
+print(f"nesting ok: {len(shipped)} shipped spans inside {len(trips)} eval.remote round trips")
 runs = doc["runs"]
 assert len(runs) == 2 and doc["total"] == 2, f"corpus has {len(runs)}/{doc['total']} runs, want 2"
 a, b = runs

@@ -41,8 +41,9 @@ import (
 //	    time/version fields, WorkerRegistration version/inflight fields.
 //	    Later removed within 2, because no peer read them and both sides
 //	    ignore unknown keys: the envelope's spans_truncated, EvalResult's
-//	    cache_tier, WorkerHealth's inflight and evals_total, and
-//	    WorkerRegistration's inflight.
+//	    cache_tier, WorkerHealth's inflight, evals_total and time_ns (an
+//	    older coordinator takes an unstamped answer as no clock sample),
+//	    and WorkerRegistration's inflight.
 const ProtocolVersion = 2
 
 // Evaluation kinds.
@@ -132,22 +133,18 @@ type EvalResult struct {
 	// Remote reports whether a fleet worker served the evaluation.
 	Remote bool `json:"-"`
 	// Spans holds the serving side's captured telemetry spans when the
-	// request carried a TraceID. On remote evaluations they arrive via the
-	// EvalResponse envelope — never inside EvalResult's own wire form — and
-	// their timestamps are in the *worker's* clock until rebased with
-	// RebaseSpans(Spans, ClockOffsetNS).
+	// request carried a TraceID, stamped in this process's clock whichever
+	// backend served them: a RemoteBackend receives them in the EvalResponse
+	// envelope — never inside EvalResult's own wire form — and anchors them
+	// to the round trip that carried them.
 	Spans []WireSpan `json:"-"`
-	// ClockOffsetNS is the serving worker's estimated clock offset (worker
-	// minus coordinator, midpoint method): zero before any estimate and for
-	// locally served evaluations, whose spans need no rebasing.
-	ClockOffsetNS int64 `json:"-"`
 }
 
 // WireSpan is one captured telemetry span as shipped in an EvalResponse
 // envelope: just enough to replay the remote execution on the coordinator's
-// unified timeline. TimeNS is the span's *end* in the worker's wall clock
-// (the telemetry convention); DurNS is monotonic-clock duration and needs no
-// alignment.
+// unified timeline. TimeNS is the span's *end* in the serving side's wall
+// clock (the telemetry convention); DurNS is monotonic-clock duration and
+// needs no alignment.
 type WireSpan struct {
 	Phase  string             `json:"phase"`
 	Iter   int                `json:"iter,omitempty"`
@@ -174,7 +171,8 @@ type EvalResponse struct {
 	// clock.
 	Spans []WireSpan `json:"spans,omitempty"`
 	// TimeNS is the worker's wall clock (UnixNano) when the response was
-	// built — a free clock-offset sample for every evaluation round trip.
+	// built, after every shipped span ended: the receiver places it at the
+	// response's arrival and shifts Spans with it.
 	TimeNS int64 `json:"time_ns,omitempty"`
 }
 

@@ -182,14 +182,12 @@ func TestProtocolGoldenRequest(t *testing.T) {
 
 // TestProtocolGoldenHealth pins the v2 handshake wire format.
 func TestProtocolGoldenHealth(t *testing.T) {
-	h := WorkerHealth{Protocol: 2, Name: "w1", Capacity: 4,
-		Version: "abc123", TimeNS: 99}
+	h := WorkerHealth{Protocol: 2, Name: "w1", Capacity: 4, Version: "abc123"}
 	got, err := json.Marshal(&h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"protocol":2,"name":"w1","capacity":4,` +
-		`"version":"abc123","time_ns":99}`
+	want := `{"protocol":2,"name":"w1","capacity":4,"version":"abc123"}`
 	if string(got) != want {
 		t.Fatalf("health encoding drifted:\n got %s\nwant %s", got, want)
 	}
@@ -197,8 +195,8 @@ func TestProtocolGoldenHealth(t *testing.T) {
 
 // TestProtocolGoldenResponse pins the v2 /v1/evaluate envelope: the
 // deterministic EvalResult fields plus the spans/time_ns sidecars — and,
-// crucially, that EvalResult's routing, span, and clock fields (json:"-")
-// never leak into the wire form.
+// crucially, that EvalResult's routing and span fields (json:"-") never
+// leak into the wire form.
 func TestProtocolGoldenResponse(t *testing.T) {
 	resp := EvalResponse{
 		EvalResult: EvalResult{
@@ -207,8 +205,7 @@ func TestProtocolGoldenResponse(t *testing.T) {
 			DurationNS: 5,
 			// Coordinator-side-only fields: must not appear in the JSON.
 			WorkerID: 7, Retries: 1, Remote: true,
-			Spans:         []WireSpan{{Phase: "leaked-span"}},
-			ClockOffsetNS: 123,
+			Spans: []WireSpan{{Phase: "leaked-span"}},
 		},
 		Spans: []WireSpan{{Phase: "profile.sim", DurNS: 10, TimeNS: 20,
 			Attrs: map[string]float64{"worker": 0}}},
@@ -219,7 +216,7 @@ func TestProtocolGoldenResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := string(got)
-	for _, leak := range []string{"leaked-span", "worker_id", "retries", "fallback", "clock_offset"} {
+	for _, leak := range []string{"leaked-span", "worker_id", "retries", "fallback"} {
 		if strings.Contains(s, leak) {
 			t.Fatalf("envelope leaked %q: %s", leak, s)
 		}

@@ -96,9 +96,6 @@ type WorkerInfo struct {
 	// LastSeenAgeMS is how long ago the worker last proved liveness
 	// (registration, heartbeat, successful probe, or served evaluation).
 	LastSeenAgeMS int64 `json:"last_seen_age_ms"`
-	// Clock is the worker's estimated clock offset (nil until a stamped
-	// round trip has been observed).
-	Clock *ClockEstimate `json:"clock,omitempty"`
 }
 
 // workerState is the dispatcher's bookkeeping for one registered worker.
@@ -305,10 +302,6 @@ func (d *Dispatcher) Workers() []WorkerInfo {
 		}
 		if rb, ok := w.backend.(*RemoteBackend); ok {
 			info.Version = rb.Version()
-			if est, ok := rb.Clock(); ok {
-				c := est
-				info.Clock = &c
-			}
 		}
 		out = append(out, info)
 	}

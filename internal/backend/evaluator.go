@@ -66,7 +66,8 @@ func (e *SearchEvaluator) Evaluate(ctx context.Context, x []float64, seed uint64
 	}
 	start := time.Now()
 	res, err := e.Backend.Evaluate(ctx, req)
-	d := time.Since(start)
+	end := time.Now()
+	d := end.Sub(start)
 	if e.OnResult != nil {
 		e.OnResult(res, err, d)
 	}
@@ -83,28 +84,32 @@ func (e *SearchEvaluator) Evaluate(ctx context.Context, x []float64, seed uint64
 			// dispatch overhead (serialization, network, queueing).
 			attrs[telemetry.AttrWorkerNS] = float64(res.DurationNS)
 		}
-		rec.RecordSpan(telemetry.PhaseRemoteEval, 0, d, attrs)
-		// Replay the shipped worker spans onto the coordinator timeline:
-		// rebase their wall-clock stamps by the estimated offset and tag
-		// them with the fleet worker ID so the trace exporter and timeline
-		// report can attribute them. Locally served evaluations ship spans
-		// already in the coordinator's clock (offset 0).
-		if len(res.Spans) > 0 {
-			for _, ws := range RebaseSpans(res.Spans, res.ClockOffsetNS) {
-				sa := make(map[string]float64, len(ws.Attrs)+1)
-				for k, v := range ws.Attrs {
-					sa[k] = v
-				}
-				sa[telemetry.AttrFleetWorker] = float64(res.WorkerID)
-				rec.Emit(telemetry.Event{
-					Type:   telemetry.TypeSpan,
-					Iter:   ws.Iter,
-					Phase:  ws.Phase,
-					DurNS:  ws.DurNS,
-					TimeNS: ws.TimeNS,
-					Attrs:  sa,
-				})
+		// Stamped with the end this call measured, so the span covers
+		// exactly the backend call, and every span it returned lies inside.
+		rec.Emit(telemetry.Event{
+			Type:   telemetry.TypeSpan,
+			Phase:  telemetry.PhaseRemoteEval,
+			DurNS:  d.Nanoseconds(),
+			TimeNS: end.UnixNano(),
+			Attrs:  attrs,
+		})
+		// Replay the serving side's spans, already on this process's clock,
+		// tagged with the fleet worker ID so the trace exporter and timeline
+		// report can attribute them.
+		for _, ws := range res.Spans {
+			sa := make(map[string]float64, len(ws.Attrs)+1)
+			for k, v := range ws.Attrs {
+				sa[k] = v
 			}
+			sa[telemetry.AttrFleetWorker] = float64(res.WorkerID)
+			rec.Emit(telemetry.Event{
+				Type:   telemetry.TypeSpan,
+				Iter:   ws.Iter,
+				Phase:  ws.Phase,
+				DurNS:  ws.DurNS,
+				TimeNS: ws.TimeNS,
+				Attrs:  sa,
+			})
 		}
 	}
 	if err != nil {

@@ -40,9 +40,6 @@ type WorkerHealth struct {
 	// Version is the worker binary's build version (buildinfo), so version
 	// skew across a fleet is visible from the coordinator.
 	Version string `json:"version,omitempty"`
-	// TimeNS is the worker's wall clock (UnixNano) when the probe was
-	// answered — the clock-offset sample every health round trip yields.
-	TimeNS int64 `json:"time_ns,omitempty"`
 }
 
 // wireError is the JSON error body of every non-2xx protocol response.
@@ -62,9 +59,6 @@ type RemoteBackend struct {
 	// version is the worker's self-reported build version, refreshed by
 	// every Health probe.
 	version atomic.Value // string
-	// clock accumulates midpoint clock-offset samples from health and
-	// evaluate round trips.
-	clock clockFilter
 }
 
 // NewRemoteBackend builds a client for the worker at baseURL (e.g.
@@ -111,10 +105,6 @@ func (r *RemoteBackend) SetVersion(v string) {
 	}
 }
 
-// Clock returns the current worker-clock offset estimate and whether any
-// round trip has produced one yet.
-func (r *RemoteBackend) Clock() (ClockEstimate, bool) { return r.clock.estimate() }
-
 // Health implements EvalBackend: GET /v1/healthz, verifying the protocol
 // version and refreshing the advertised capacity.
 func (r *RemoteBackend) Health(ctx context.Context) error {
@@ -122,9 +112,7 @@ func (r *RemoteBackend) Health(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	t0 := time.Now().UnixNano()
 	resp, err := r.hc.Do(req)
-	t2 := time.Now().UnixNano()
 	if err != nil {
 		return fmt.Errorf("backend: health %s: %w", r.name, err)
 	}
@@ -143,7 +131,6 @@ func (r *RemoteBackend) Health(ctx context.Context) error {
 		r.capacity.Store(int64(h.Capacity))
 	}
 	r.SetVersion(h.Version)
-	r.clock.observe(t0, t2, h.TimeNS)
 	return nil
 }
 
@@ -159,9 +146,8 @@ func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResu
 		return EvalResult{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	t0 := time.Now().UnixNano()
 	resp, err := r.hc.Do(hreq)
-	t2 := time.Now().UnixNano()
+	arrived := time.Now().UnixNano()
 	if err != nil {
 		return EvalResult{}, fmt.Errorf("backend: evaluate on %s: %w", r.name, err)
 	}
@@ -185,20 +171,35 @@ func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResu
 		return EvalResult{}, fmt.Errorf("backend: evaluate on %s: result without a profile", r.name)
 	}
 	// The response envelope carries the observability sidecars; fold them
-	// into the in-memory (never-marshaled) EvalResult fields, and use the
-	// worker's response-time stamp as a clock sample. The evaluation itself
-	// makes a poor sample (RTT includes simulation time), but the filter
-	// keeps the minimum-uncertainty observation, so health probes dominate
-	// whenever they exist.
-	r.clock.observe(t0, t2, wire.TimeNS)
+	// into the in-memory (never-marshaled) EvalResult fields.
 	res := wire.EvalResult
-	res.Spans = wire.Spans
-	est, _ := r.clock.estimate()
-	res.ClockOffsetNS = est.OffsetNS
+	res.Spans = anchorSpans(wire.Spans, wire.TimeNS, arrived)
 	if res.Worker == "" {
 		res.Worker = r.name
 	}
 	return res, nil
+}
+
+// anchorSpans places a worker's shipped spans on this process's clock by the
+// round trip that carried them. The worker stamped its response (workerNS)
+// after every shipped span ended, and each span began after the request
+// arrived there, so moving that stamp to arrivedNS — when the response got
+// here — draws every span inside the round trip, whatever the worker's clock
+// reads. Nothing outlives the response, so nothing goes stale when a worker's
+// clock steps. One translation keeps the order; an unstamped span stays
+// unstamped, and a response without a stamp ships its spans unmoved. The
+// decoded slice is shifted in place.
+func anchorSpans(spans []WireSpan, workerNS, arrivedNS int64) []WireSpan {
+	if workerNS == 0 {
+		return spans
+	}
+	shift := workerNS - arrivedNS
+	for i := range spans {
+		if spans[i].TimeNS != 0 {
+			spans[i].TimeNS -= shift
+		}
+	}
+	return spans
 }
 
 var _ EvalBackend = (*RemoteBackend)(nil)

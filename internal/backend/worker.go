@@ -154,15 +154,13 @@ func (w *Worker) Handler() http.Handler {
 	return http.MaxBytesHandler(mux, maxEvalRequestBytes)
 }
 
-// Health reports the worker's handshake body. The wall-clock stamp makes
-// every health round trip a clock-offset sample for the coordinator.
+// Health reports the worker's handshake body.
 func (w *Worker) Health() WorkerHealth {
 	return WorkerHealth{
 		Protocol: ProtocolVersion,
 		Name:     w.cfg.Name,
 		Capacity: w.cfg.Capacity,
 		Version:  w.cfg.Version,
-		TimeNS:   time.Now().UnixNano(),
 	}
 }
 
@@ -263,10 +261,10 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	w.respond(rw, res, spans, req.TraceID)
 }
 
-// respond writes the /v1/evaluate envelope: the deterministic result plus —
-// only when trace context was propagated — the captured spans and the
-// worker's wall clock. It is where MaxWireSpans applies: the earliest spans
-// ship, and every one dropped is counted.
+// respond writes the /v1/evaluate envelope: the deterministic result, the
+// worker's wall clock once every span has ended, and — only when trace
+// context was propagated — the captured spans. It is where MaxWireSpans
+// applies: the earliest spans ship, and every one dropped is counted.
 func (w *Worker) respond(rw http.ResponseWriter, res EvalResult, spans []WireSpan, traceID string) {
 	resp := EvalResponse{EvalResult: res, TimeNS: time.Now().UnixNano()}
 	if traceID != "" {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"datamime/internal/profile"
 	"datamime/internal/telemetry"
@@ -15,8 +16,9 @@ import (
 
 // TestWorkerShipsSpansWithTraceContext: a request carrying a TraceID gets
 // the worker's captured telemetry back in the response envelope — sim spans
-// on a miss, a cache.probe span either way — while a request without trace
-// context gets none, keeping the default wire format span-free.
+// on a miss, a cache.probe span either way, each stamped inside the Evaluate
+// call that returned it — while a request without trace context gets none,
+// keeping the default wire format span-free.
 func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 	_, rb, _ := newTestWorker(t, WorkerConfig{})
 	pr := testProfiler()
@@ -24,16 +26,29 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 	req.Key = "span-key"
 	req.TraceID = "span-key"
 
-	res, err := rb.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	// evaluate calls rb.Evaluate and requires every returned span inside the
+	// call's wall-clock window.
+	evaluate := func() EvalResult {
+		t.Helper()
+		lo := time.Now().UnixNano()
+		res, err := rb.Evaluate(context.Background(), req)
+		hi := time.Now().UnixNano()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ws := range res.Spans {
+			if ws.TimeNS-ws.DurNS < lo || ws.TimeNS > hi {
+				t.Errorf("%s span [%d, %d] lies outside its Evaluate call [%d, %d]",
+					ws.Phase, ws.TimeNS-ws.DurNS, ws.TimeNS, lo, hi)
+			}
+		}
+		return res
 	}
+
+	res := evaluate()
 	counts := map[string]int{}
 	for _, ws := range res.Spans {
 		counts[ws.Phase]++
-		if ws.TimeNS == 0 {
-			t.Errorf("shipped %s span without a wall-clock stamp", ws.Phase)
-		}
 	}
 	if counts[telemetry.PhaseSimRun] == 0 {
 		t.Errorf("miss response shipped no %s spans: %v", telemetry.PhaseSimRun, counts)
@@ -48,10 +63,7 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 
 	// The repeat is a worker-tier hit: only the probe span ships, attributed
 	// hit + tier 1.
-	res2, err := rb.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := evaluate()
 	if len(res2.Spans) != 1 {
 		t.Fatalf("hit response shipped %d spans, want just the probe", len(res2.Spans))
 	}
@@ -60,18 +72,9 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 		t.Errorf("hit probe attrs = %v, want cache_hit=1 tier=1", probe.Attrs)
 	}
 
-	// Clock samples ride along once any round trip completes.
-	if _, ok := rb.Clock(); !ok {
-		t.Error("no clock-offset estimate after two round trips")
-	}
-
 	// Without trace context the envelope stays lean.
 	req.Key, req.TraceID = "plain-key", ""
-	res3, err := rb.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res3.Spans) != 0 {
+	if res3 := evaluate(); len(res3.Spans) != 0 {
 		t.Errorf("untraced response shipped %d spans, want 0", len(res3.Spans))
 	}
 }

@@ -350,7 +350,7 @@ func FuzzEvalRequest(f *testing.F) {
 // FuzzEvalResponse serves arbitrary bytes as a worker's 200 /v1/evaluate
 // body to RemoteBackend.Evaluate. It must never panic, accept a response
 // only with a profile, and hand back the shipped spans in the order the
-// body lists them. The committed seeds (testdata/fuzz/FuzzEvalResponse) are
+// body lists them, moved by one shift. The committed seeds (testdata/fuzz/FuzzEvalResponse) are
 // a Worker's answers to testRequest with and without trace context, one
 // without a profile, and one truncated; the one added here is an older
 // worker's, which also wrote spans_truncated and cache_tier.
@@ -386,8 +386,27 @@ func FuzzEvalResponse(f *testing.F) {
 		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
 			t.Fatalf("accepted a body that does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(res.Spans, wire.Spans) {
-			t.Fatalf("shipped spans came back as %+v, the body lists %+v", res.Spans, wire.Spans)
+		// The spans come back in the body's order, each moved by one shift
+		// (none without the envelope's stamp); unstamped ones stay 0.
+		if len(res.Spans) != len(wire.Spans) {
+			t.Fatalf("shipped %d spans came back as %d", len(wire.Spans), len(res.Spans))
+		}
+		var shift int64
+		shifted := false
+		for i, got := range res.Spans {
+			want := wire.Spans[i]
+			if want.TimeNS != 0 {
+				if !shifted {
+					shift, shifted = want.TimeNS-got.TimeNS, true
+				}
+				want.TimeNS -= shift
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("span %d came back as %+v, the body lists %+v shifted by %d", i, got, wire.Spans[i], shift)
+			}
+		}
+		if wire.TimeNS == 0 && shift != 0 {
+			t.Fatalf("spans moved by %d without an envelope stamp", shift)
 		}
 	})
 }

@@ -336,12 +336,8 @@ func (r *Report) writeFleetHTML(b *strings.Builder, tl *Timeline) {
 	b.WriteString("</tbody>\n</table>\n")
 	var notes []string
 	if tl.DispatchOverheadSamples > 0 {
-		note := fmt.Sprintf("dispatch overhead %s over %d samples",
-			fms(tl.DispatchOverheadNS), tl.DispatchOverheadSamples)
-		if tl.DispatchOverheadClamped > 0 {
-			note += fmt.Sprintf(" (%d clamped at zero)", tl.DispatchOverheadClamped)
-		}
-		notes = append(notes, note)
+		notes = append(notes, fmt.Sprintf("dispatch overhead %s over %d samples",
+			fms(tl.DispatchOverheadNS), tl.DispatchOverheadSamples))
 	}
 	if tl.CacheProbes > 0 {
 		notes = append(notes, fmt.Sprintf("%d worker cache probes (%d hits)", tl.CacheProbes, tl.CacheProbeHits))

@@ -66,7 +66,6 @@ type TimelineSummary struct {
 	DispatchFallbacks       int     `json:"dispatch_fallbacks,omitempty"`
 	DispatchOverheadSeconds float64 `json:"dispatch_overhead_seconds,omitempty"`
 	DispatchOverheadSamples int     `json:"dispatch_overhead_samples,omitempty"`
-	DispatchOverheadClamped int     `json:"dispatch_overhead_clamped,omitempty"`
 	CacheProbes             int     `json:"cache_probes,omitempty"`
 	UnstampedSpans          int     `json:"unstamped_spans,omitempty"`
 }
@@ -121,7 +120,6 @@ func NewRunSummary(r *Report) RunSummary {
 			DispatchFallbacks:       tl.DispatchFallbacks,
 			DispatchOverheadSeconds: float64(tl.DispatchOverheadNS) / 1e9,
 			DispatchOverheadSamples: tl.DispatchOverheadSamples,
-			DispatchOverheadClamped: tl.DispatchOverheadClamped,
 			CacheProbes:             tl.CacheProbes,
 			UnstampedSpans:          tl.UnstampedSpans,
 		}

@@ -53,16 +53,16 @@ type Timeline struct {
 	DispatchFallbacks int
 
 	// Fleet lists per-fleet-worker simulation occupancy, built from the
-	// spans remote workers shipped back (rebased onto the coordinator
-	// clock and tagged with the fleet worker ID). Empty for runs without
-	// span shipping.
+	// spans remote workers shipped back (anchored to the coordinator clock
+	// and tagged with the fleet worker ID). Empty for runs without span
+	// shipping.
 	Fleet []FleetStat
 	// FleetBusyNS is the summed remote simulation time across the fleet;
 	// BusyNS above covers only this process's profiler pool, so the two
 	// together are the run's total simulation work.
 	FleetBusyNS int64
 	// FleetWallNS is the union extent of all simulation intervals — local
-	// and remote — on the rebased shared timeline: the denominator of the
+	// and remote — on the shared timeline: the denominator of the
 	// fleet-wide occupancy figure.
 	FleetWallNS int64
 	// FleetBudgetWaits / FleetBudgetWaitNS total the budget-semaphore
@@ -75,17 +75,14 @@ type Timeline struct {
 	CacheProbeHits int
 	// DispatchOverheadNS sums, over eval.remote round trips that carried a
 	// worker-side duration, the round trip minus the worker's own
-	// evaluation time — serialization, network, and queueing overhead.
-	// When a worker's clock-offset uncertainty exceeds the measured round
-	// trip, a sample can come out negative; such samples are floored at
-	// zero (and counted in DispatchOverheadClamped) rather than allowed to
-	// cancel real overhead out of the sum.
+	// evaluation time — serialization, network, and queueing overhead. Both
+	// are monotonic durations and the second lies inside the first, so no
+	// clock enters it; a sample that still comes out negative (a hand-edited
+	// artifact) adds nothing.
 	DispatchOverheadNS int64
 	// DispatchOverheadSamples counts round trips that carried a worker-side
-	// duration; DispatchOverheadClamped counts how many of them were
-	// floored at zero.
+	// duration.
 	DispatchOverheadSamples int
-	DispatchOverheadClamped int
 	// UnstampedSpans counts span events the artifact carried without
 	// wall-clock stamps; they are invisible to every figure above.
 	UnstampedSpans int
@@ -163,7 +160,7 @@ func sweep(bounds []boundary) (covered, serial int64) {
 
 // NewTimeline builds the utilization analysis from a run's retained spans.
 // Spans shipped back from fleet workers (tagged with the fleet-worker
-// attribute, already rebased onto the coordinator clock) feed the Fleet
+// attribute, already anchored to the coordinator clock) feed the Fleet
 // figures and are kept out of the local pool's — each process's occupancy is
 // measured against its own lanes.
 func NewTimeline(run *Run) *Timeline {
@@ -245,11 +242,7 @@ func NewTimeline(run *Run) *Timeline {
 			}
 			if wns := int64(sp.Attrs[telemetry.AttrWorkerNS]); wns > 0 {
 				t.DispatchOverheadSamples++
-				if over := (sp.EndNS - sp.StartNS) - wns; over > 0 {
-					t.DispatchOverheadNS += over
-				} else if over < 0 {
-					t.DispatchOverheadClamped++
-				}
+				t.DispatchOverheadNS += max(0, (sp.EndNS-sp.StartNS)-wns)
 			}
 		}
 	}
@@ -376,13 +369,8 @@ func (t *Timeline) RenderText(w io.Writer) error {
 				t.DispatchRetries, t.DispatchFallbacks)
 		}
 		if t.DispatchOverheadSamples > 0 {
-			fmt.Fprintf(&b, "dispatch overhead (round trip minus worker eval time): %s over %d samples",
+			fmt.Fprintf(&b, "dispatch overhead (round trip minus worker eval time): %s over %d samples\n",
 				fms(t.DispatchOverheadNS), t.DispatchOverheadSamples)
-			if t.DispatchOverheadClamped > 0 {
-				fmt.Fprintf(&b, " (%d clamped at zero: clock uncertainty exceeded the round trip)",
-					t.DispatchOverheadClamped)
-			}
-			b.WriteString("\n")
 		}
 	}
 	if len(t.Fleet) > 0 {

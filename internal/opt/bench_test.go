@@ -49,7 +49,7 @@ func BenchmarkGPFit(b *testing.B) {
 func BenchmarkPropose(b *testing.B) {
 	const n = 200
 	space := oracleSpace()
-	bo := NewBayesOpt(space, BayesOptConfig{Seed: 26, Workers: 1})
+	bo := NewBayesOpt(space, BayesOptConfig{Seed: 26})
 	rng := stats.NewRNG(200)
 	for i := 0; i < n; i++ {
 		x := space.Sample(rng)

@@ -22,7 +22,7 @@ func diagSpace(t *testing.T) *Space {
 // window until the next proposal.
 func TestTakeDiagnosticsDrains(t *testing.T) {
 	space := diagSpace(t)
-	b := NewBayesOpt(space, BayesOptConfig{Seed: 11, Candidates: 64, InitPoints: 4, Workers: 1})
+	b := NewBayesOpt(space, BayesOptConfig{Seed: 11, Candidates: 64, InitPoints: 4})
 
 	for i := 0; i < 4; i++ {
 		x := b.Next()
@@ -75,7 +75,7 @@ func TestTakeDiagnosticsDrains(t *testing.T) {
 // after), and the drain captures exactly one snapshot per batch.
 func TestDiagnosticsFirstFitPerBatch(t *testing.T) {
 	space := diagSpace(t)
-	b := NewBayesOpt(space, BayesOptConfig{Seed: 5, Candidates: 64, InitPoints: 4, Workers: 1})
+	b := NewBayesOpt(space, BayesOptConfig{Seed: 5, Candidates: 64, InitPoints: 4})
 	for i := 0; i < 6; i++ {
 		for _, x := range b.NextBatch(1) {
 			b.Observe(x, math.Cos(3*x[0])-x[1])

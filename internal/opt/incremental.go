@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"datamime/internal/opt/linalg"
 )
@@ -228,47 +226,17 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 	}, nil
 }
 
-// argmaxEI scores every candidate's Expected Improvement — in parallel when
-// the optimizer has workers — and returns the first index attaining the
-// maximum, i.e. exactly the winner the serial consider() loop used to pick.
-// Candidates were generated before scoring starts, so the RNG draw order
-// and the chosen proposal are identical at any worker count. The returned
-// scores are the optimizer's buffer, valid until the next proposal.
+// argmaxEI scores every candidate's Expected Improvement and returns the
+// first index attaining the maximum, i.e. exactly the winner the serial
+// consider() loop used to pick. The returned scores are the optimizer's
+// buffer, valid until the next proposal.
 func (b *BayesOpt) argmaxEI(gp *GP, cands [][]float64, bestY float64) (int, []float64) {
 	if len(cands) == 0 {
 		return -1, nil
 	}
 	b.eis = slices.Grow(b.eis[:0], len(cands))[:len(cands)]
 	eis := b.eis
-	workers := b.workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		b.scorer.expectedImprovements(gp, cands, bestY, b.xi, eis)
-	} else {
-		// A multiple of eiBlock, so chunks split no block; a block shares no
-		// accumulator across candidates, so no split could change a value.
-		const chunk = 16 * eiBlock
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var s scorer
-				for {
-					start := int(next.Add(chunk)) - chunk
-					if start >= len(cands) {
-						return
-					}
-					end := min(start+chunk, len(cands))
-					s.expectedImprovements(gp, cands[start:end], bestY, b.xi, eis[start:end])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	b.scorer.expectedImprovements(gp, cands, bestY, b.xi, eis)
 	best := -1
 	bestEI := math.Inf(-1)
 	for i, ei := range eis {

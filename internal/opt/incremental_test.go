@@ -186,35 +186,6 @@ func TestEscalatedEntryRefactorizesFromBase(t *testing.T) {
 	}
 }
 
-// TestParallelScoringDeterminism: two optimizers differing only in
-// acquisition worker count must emit identical proposal streams.
-func TestParallelScoringDeterminism(t *testing.T) {
-	mk := func(workers int) *BayesOpt {
-		space, err := NewSpace(
-			Param{Name: "a", Lo: 0, Hi: 1},
-			Param{Name: "b", Lo: 0, Hi: 1},
-			Param{Name: "c", Lo: 0, Hi: 1},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewBayesOpt(space, BayesOptConfig{Seed: 11, Candidates: 128, Workers: workers})
-	}
-	serial, parallel := mk(1), mk(8)
-	obj := func(x []float64) float64 { return math.Sin(4*x[0]) + x[1] - x[2]*x[2] }
-	for step := 0; step < 18; step++ {
-		xa, xb := serial.Next(), parallel.Next()
-		for d := range xa {
-			if xa[d] != xb[d] {
-				t.Fatalf("step %d dim %d: serial %v != parallel %v", step, d, xa, xb)
-			}
-		}
-		y := obj(xa)
-		serial.Observe(xa, y)
-		parallel.Observe(xb, y)
-	}
-}
-
 // TestNextBatchRollsBackSurrogateCache: a constant-liar batch appends its
 // lie rows in place, past the end its snapshot recorded, and the rollback
 // rewinds each factor's header over them. After the batch and one real
@@ -249,7 +220,7 @@ func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			mk := func() *BayesOpt {
 				space := MustSpace(Param{Name: "a", Lo: 0, Hi: 1}, Param{Name: "b", Lo: 0, Hi: 1})
-				return NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4, Workers: 1})
+				return NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4})
 			}
 			b, twin := mk(), mk()
 			for i := 0; i < 6; i++ {

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"time"
 
@@ -106,7 +105,6 @@ type BayesOpt struct {
 	initPoints int
 	candidates int
 	xi         float64
-	workers    int
 	pending    [][]float64
 	timings    Timings
 	cache      *surrogateCache
@@ -115,7 +113,7 @@ type BayesOpt struct {
 	diag   Diagnostics
 	diagOK bool
 	// A proposal's working storage, reused by the next: the candidate pool
-	// (views into one array), its scores, the serial path's scorer, the
+	// (views into one array), its scores, the scorer's buffers, the
 	// history as the surrogate fit reads it, and the ranking topAnchors
 	// sorts. A proposal hands out only a copy of its winner.
 	pool    []float64
@@ -139,12 +137,6 @@ type BayesOptConfig struct {
 	Xi float64
 	// Seed seeds the proposal RNG.
 	Seed uint64
-	// Workers bounds concurrent acquisition-candidate scoring (default
-	// GOMAXPROCS; 1 runs serially). The proposal stream is identical at
-	// any worker count: candidates are generated sequentially in a fixed
-	// RNG order, scored into an indexed slice, and reduced by a serial
-	// first-index argmax.
-	Workers int
 }
 
 // NewBayesOpt builds a Bayesian optimizer over space.
@@ -161,9 +153,6 @@ func NewBayesOpt(space *Space, cfg BayesOptConfig) *BayesOpt {
 	if cfg.Xi <= 0 {
 		cfg.Xi = 0.01
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	rng := stats.NewRNG(stats.HashSeed(cfg.Seed, "bayesopt"))
 	b := &BayesOpt{
 		space:      space,
@@ -171,7 +160,6 @@ func NewBayesOpt(space *Space, cfg BayesOptConfig) *BayesOpt {
 		initPoints: cfg.InitPoints,
 		candidates: cfg.Candidates,
 		xi:         cfg.Xi,
-		workers:    cfg.Workers,
 	}
 	b.pending = LatinHypercube(cfg.InitPoints, space.Dim(), rng)
 	return b
@@ -209,8 +197,6 @@ func (b *BayesOpt) Next() []float64 {
 	defer func() { b.timings.Acquisition += time.Since(acqStart) }()
 	_, bestY, _ := b.Best()
 
-	// Candidate generation stays sequential so the RNG draw order never
-	// depends on the worker count; only scoring fans out.
 	radii := [3]float64{0.2, 0.05, 0.01}
 	anchors := b.topAnchors(3)
 	local := b.candidates / 8

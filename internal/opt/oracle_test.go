@@ -79,9 +79,9 @@ func oracleObjective(space *Space, u []float64) float64 {
 
 // oracleSearch makes iters sequential proposals at the default candidate
 // pool; 200 is the paper's budget.
-func oracleSearch(iters, workers int) uint64 {
+func oracleSearch(iters int) uint64 {
 	space := oracleSpace()
-	b := NewBayesOpt(space, BayesOptConfig{Seed: 26, Workers: workers})
+	b := NewBayesOpt(space, BayesOptConfig{Seed: 26})
 	var f bitFold
 	for i := 0; i < iters; i++ {
 		x := b.Next()
@@ -99,7 +99,7 @@ func oracleSearch(iters, workers int) uint64 {
 // points are observed.
 func oracleBatchSearch() uint64 {
 	space := oracleSpace()
-	b := NewBayesOpt(space, BayesOptConfig{Seed: 27, Workers: 1})
+	b := NewBayesOpt(space, BayesOptConfig{Seed: 27})
 	var f bitFold
 	for len(b.obs) < 64 {
 		batch := b.NextBatch(4)
@@ -118,8 +118,8 @@ func oracleBatchSearch() uint64 {
 // before candidates were scored in blocks against packed factors grown in
 // place (commit f126f77). The literals were recorded on that tree;
 // regenerate them only for a change that means to move a proposal. Under
-// -short (CI's race step) the two 200-proposal rows, half a minute under the
-// race detector, give way to a 64-proposal one that still fans out.
+// -short (CI's race step) the 200-proposal row, slow under the race
+// detector, gives way to a 64-proposal one.
 func TestProposalOracle(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -127,10 +127,9 @@ func TestProposalOracle(t *testing.T) {
 		run  func() uint64
 		want uint64
 	}{
-		{"sequential-200/workers=1", true, func() uint64 { return oracleSearch(200, 1) }, 0x85906a4ac9f13e37},
-		{"sequential-200/workers=4", true, func() uint64 { return oracleSearch(200, 4) }, 0x85906a4ac9f13e37},
-		{"sequential-64/workers=4", false, func() uint64 { return oracleSearch(64, 4) }, 0x285129f5ac033e09},
-		{"batch4-64/workers=1", false, oracleBatchSearch, 0xa487c144a47c8817},
+		{"sequential-200", true, func() uint64 { return oracleSearch(200) }, 0x85906a4ac9f13e37},
+		{"sequential-64", false, func() uint64 { return oracleSearch(64) }, 0x285129f5ac033e09},
+		{"batch4-64", false, oracleBatchSearch, 0xa487c144a47c8817},
 	} {
 		if row.long && testing.Short() {
 			continue

@@ -16,7 +16,7 @@ func TestTimingsCholeskyCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4, Workers: 1})
+	b := NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4})
 	var appends, rebuilds int
 	for i := 0; i < 12; i++ {
 		x := b.Next()
@@ -55,7 +55,7 @@ func TestTimingsCountersSurviveRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4, Workers: 1})
+	b := NewBayesOpt(space, BayesOptConfig{Seed: 3, Candidates: 64, InitPoints: 4})
 	for i := 0; i < 6; i++ {
 		x := b.Next()
 		b.Observe(x, math.Cos(3*x[0])+x[1])

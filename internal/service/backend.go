@@ -168,7 +168,7 @@ type FleetStatus struct {
 }
 
 // handleFleet serves GET /v1/fleet: the dispatcher's view of every worker
-// (routing state, version, clock offset), its queue and counters.
+// (routing state and version), its queue and counters.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, FleetStatus{
 		Workers:  s.dispatcher.Workers(),

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"datamime/internal/core"
+	"datamime/internal/datagen"
 )
 
 // persistedJob is the on-disk representation of one job: everything needed
@@ -125,6 +126,13 @@ func (s *Server) loadCheckpoints() error {
 		// registries, so it is rebuilt, not persisted.
 		if job.plan, job.planErr = s.resolve(p.Spec); job.planErr != nil {
 			s.logf("job %s: restored spec no longer resolves: %v", job.id, job.planErr)
+		} else if err := checkpointFits(job.plan.generator, p.Checkpoint); err != nil {
+			// Every reader of the checkpoint denormalizes its points, so one
+			// that does not fit fails the job here, once, instead of
+			// panicking each of them.
+			job.plan, job.planErr = nil, err
+			job.state, job.errMsg = JobFailed, err.Error()
+			s.logf("job %s: %v", job.id, err)
 		}
 		// Rebuild the trace, counters and event log of finished jobs from
 		// what the checkpoint knows, so status, result, artifact and report
@@ -151,6 +159,19 @@ func (s *Server) loadCheckpoints() error {
 			s.queue <- job
 			s.logf("job %s restored with %d checkpointed iterations; re-queued",
 				job.id, len(p.Checkpoint.Entries))
+		}
+	}
+	return nil
+}
+
+// checkpointFits reports a checkpoint entry whose point is not in the
+// generator's space: what a custom generator re-registered under the same
+// name with another space, or an edited file, leaves behind.
+func checkpointFits(g datagen.Generator, cp core.Checkpoint) error {
+	for _, ent := range cp.Entries {
+		if len(ent.U) != g.Space.Dim() {
+			return fmt.Errorf("restored checkpoint does not fit generator %q: iteration %d has %d dimensions, the generator takes %d",
+				g.Name, ent.Iteration, len(ent.U), g.Space.Dim())
 		}
 	}
 	return nil

@@ -43,9 +43,8 @@ import (
 //	POST /v1/workers         worker self-registration (idempotent on URL;
 //	                         re-announcements are heartbeats)
 //	DELETE /v1/workers?url=  clean worker withdrawal
-//	GET  /v1/fleet           fleet view: per-worker routing state, load,
-//	                         version and clock offset, dispatch queue depth
-//	                         and counters
+//	GET  /v1/fleet           fleet view: per-worker routing state, load and
+//	                         version, dispatch queue depth and counters
 //
 // The run corpus (requires Config.CorpusDir / datamimed -corpus-dir):
 //

@@ -289,7 +289,7 @@ func (m *serverMetrics) observeSpan(ev telemetry.Event) {
 	}
 }
 
-// observeFleetSpan accounts one remote-shipped span (already rebased onto
+// observeFleetSpan accounts one remote-shipped span (already anchored to
 // the coordinator clock and tagged with the fleet worker ID, -1 for the
 // local fallback). Worker cache probes are each worker's own
 // datamime_worker_cache_* families.

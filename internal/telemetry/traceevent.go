@@ -37,7 +37,7 @@ import (
 //	                           on a "remote fallback" track.
 //
 // Spans that executed on a remote fleet worker and were shipped back in the
-// /v1/evaluate response envelope (marked by AttrFleetWorker, rebased onto
+// /v1/evaluate response envelope (marked by AttrFleetWorker, anchored to
 // the coordinator clock before emission) render as separate *processes*:
 // pid 100+W "fleet worker W" (pid 99 "fleet fallback" for the local
 // fallback backend), each with its own sim-worker tracks, eval lanes, and
