@@ -123,14 +123,29 @@ echo "== fleet job $FLEET_JOB succeeded"
 echo "== fleet view"
 curl -fs "http://$COORD_A/v1/fleet"
 echo "== worker 1's own metrics (datamime_worker_* families)"
-curl -fs "http://$WORKER_1/metrics" | grep '^datamime_worker_' || {
+curl -fs "http://$WORKER_1/metrics" > worker1-metrics.txt
+grep '^datamime_worker_' worker1-metrics.txt || {
   echo "no datamime_worker_* families on worker 1's /metrics" >&2; exit 1; }
+if grep -q 'datamime_worker_cache_shared_' worker1-metrics.txt; then
+  echo "worker 1 still publishes a shared cache tier:" >&2
+  grep 'datamime_worker_cache_shared_' worker1-metrics.txt >&2; exit 1
+fi
 
-echo "== exporting and validating the unified fleet trace"
-curl -fs "http://$COORD_A/v1/jobs/$FLEET_JOB/trace" > fleet-trace.json
-bin/datamime-inspect timeline -artifact run-fleet.jsonl -trace fleet-trace.json
+echo "== writing and validating the unified fleet trace from the job's artifact"
+bin/datamime-inspect timeline -artifact "http://$COORD_A/v1/jobs/$FLEET_JOB/artifact" \
+  -trace fleet-trace.json
 grep -q '"fleet worker' fleet-trace.json || {
   echo "fleet trace has no per-worker process tracks" >&2; exit 1; }
+if grep -q 'dropped_unstamped' fleet-trace.json; then
+  echo "fleet trace reports events dropped at export for a run that lost none" >&2; exit 1
+fi
+
+echo "== each job record is served once: its views are the client's renderings"
+for path in "v1/jobs/$FLEET_JOB/result" "v1/jobs/$FLEET_JOB/report" \
+  "v1/jobs/$FLEET_JOB/diagnostics" "v1/jobs/$FLEET_JOB/trace" "v1/cache/x"; do
+  code=$(curl -s -o /dev/null -w '%{http_code}' "http://$COORD_A/$path")
+  [ "$code" = 404 ] || { echo "GET /$path answered $code, want 404" >&2; exit 1; }
+done
 
 echo "== corpus gate: re-run the same seed on coordinator A and compare records"
 FLEET_JOB_2=$(run_job "$COORD_A" spec-fleet.json run-fleet-2.jsonl)
@@ -138,23 +153,21 @@ echo "== second fleet job $FLEET_JOB_2 succeeded (cache-served re-run)"
 curl -fs "http://$COORD_A/v1/corpus" > corpus-list.json
 curl -fs "http://$COORD_A/v1/fleet" > fleet.json
 curl -fs "http://$WORKER_1/v1/healthz" > healthz-w1.json
-RESULT_CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$COORD_A/v1/jobs/$FLEET_JOB/result")
-python3 - corpus-list.json fleet.json "$RESULT_CODE" healthz-w1.json run-fleet.jsonl <<'EOF'
+python3 - corpus-list.json fleet.json healthz-w1.json run-fleet.jsonl <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 with open(sys.argv[2]) as f:
     fleet = json.load(f)
-with open(sys.argv[4]) as f:
+with open(sys.argv[3]) as f:
     healthz = json.load(f)
-with open(sys.argv[5]) as f:
+with open(sys.argv[4]) as f:
     events = [json.loads(line) for line in f if line.strip()]
 # Each figure has one publisher: corpus figures are /v1/corpus's, a job's
 # result is GET /v1/jobs/{id}'s, a worker's load is its own /metrics', and
 # a dispatch's routing facts are its eval.remote span's. No clock estimate
 # outlives the round trip it came from.
 assert "corpus" not in fleet, f"/v1/fleet carries a corpus section: {fleet['corpus']}"
-assert sys.argv[3] == "404", f"GET /v1/jobs/{{id}}/result answered {sys.argv[3]}, want 404"
 for row in fleet["workers"]:
     assert "reported_inflight" not in row, f"/v1/fleet row carries reported_inflight: {row}"
     assert "clock" not in row, f"/v1/fleet row carries a clock estimate: {row}"
@@ -192,6 +205,13 @@ grep -q '^datamimed_corpus_runs_indexed_total 2$' corpus-metrics.txt || {
 grep -q '^datamimed_corpus_regressions_total 0$' corpus-metrics.txt || {
   echo "corpus regression watchdog fired on identical runs:" >&2
   grep corpus corpus-metrics.txt >&2 || true; exit 1; }
+# One evaluation cache: the first run misses once per fresh evaluation and
+# the cache-served re-run hits once per evaluation. No worker probes the
+# coordinator's cache a second time for a key it has just missed.
+grep -q '^datamimed_eval_cache_misses_total 8$' corpus-metrics.txt &&
+  grep -q '^datamimed_eval_cache_hits_total 8$' corpus-metrics.txt || {
+  echo "evaluation cache counts are not 8 misses and 8 hits:" >&2
+  grep eval_cache corpus-metrics.txt >&2 || true; exit 1; }
 
 echo "== rendering the corpus trends + HTML scoreboard"
 bin/datamime-inspect corpus list -dir corpus-a

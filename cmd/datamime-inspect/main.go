@@ -10,12 +10,17 @@
 //	datamime-inspect corpus list|compare|trends -dir corpus [...]
 //	datamime-inspect tail -server http://localhost:8080 -job job-1
 //
+// report and timeline also read a live datamimed job: every -artifact or
+// -profiles file may be an http:// or https:// URL, such as
+// http://localhost:8080/v1/jobs/job-1/artifact (served mid-run too).
+//
 // Exit codes: 0 success; 1 the diff crossed a regression threshold (any
 // difference under -exact) or the timeline missed -min-efficiency; 2 usage
 // or input errors.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -76,12 +81,15 @@ func usage() {
 commands:
   report    render a run artifact as a terminal summary and optional HTML
   diff      compare two run artifacts; exit 1 on regression (CI gate)
-  timeline  profiler utilization report from a run's timed spans; validates
-            a -trace file and gates on -min-efficiency (CI gate)
+  timeline  profiler utilization report from a run's timed spans; writes and
+            validates its -trace file and gates on -min-efficiency (CI gate)
   corpus    query the coordinator's run corpus: list indexed runs, compare
             two runs by ID, or render per-scenario trends and the HTML
             scoreboard
   tail      follow a live datamimed job's SSE event stream
+
+report and timeline read -artifact and -profiles from a file or an
+http(s):// URL (a datamimed job's /artifact and /profiles).
 
 run "datamime-inspect <command> -h" for command flags.
 `)
@@ -93,8 +101,8 @@ var errRegressed = fmt.Errorf("regressed")
 
 func runReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	artifact := fs.String("artifact", "", "run artifact (JSONL) to report on (required)")
-	profiles := fs.String("profiles", "", "profiles doc (JSON pair of target/best profiles) enabling eCDF overlays and quantile-band attribution")
+	artifact := fs.String("artifact", "", "run artifact (JSONL) to report on, a file or http(s) URL (required)")
+	profiles := fs.String("profiles", "", "profiles doc (JSON pair of target/best profiles), a file or http(s) URL, enabling eCDF overlays and quantile-band attribution")
 	htmlOut := fs.String("html", "", "also write the self-contained HTML report to this file")
 	title := fs.String("title", "", "report title (default: the artifact's job ID)")
 	quiet := fs.Bool("quiet", false, "suppress the terminal summary (useful with -html)")
@@ -104,13 +112,13 @@ func runReport(args []string) error {
 	if *artifact == "" {
 		return fmt.Errorf("report: -artifact is required")
 	}
-	run, err := inspect.LoadRunFile(*artifact)
+	run, _, err := loadArtifact(*artifact)
 	if err != nil {
 		return err
 	}
 	var doc *inspect.ProfilesDoc
 	if *profiles != "" {
-		data, err := os.ReadFile(*profiles)
+		data, err := readInput(*profiles)
 		if err != nil {
 			return err
 		}
@@ -225,14 +233,14 @@ func printDiff(d *inspect.RunDiff, aPath, bPath string) {
 
 func runTimeline(args []string) error {
 	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
-	artifact := fs.String("artifact", "", "run artifact (JSONL) with timed spans (required)")
-	trace := fs.String("trace", "", "also validate this Chrome/Perfetto trace-event JSON file")
+	artifact := fs.String("artifact", "", "run artifact (JSONL) with timed spans, a file or http(s) URL (required)")
+	trace := fs.String("trace", "", "also write the run's Chrome/Perfetto trace-event JSON to this file and validate it")
 	minSpeedup := fs.Float64("min-efficiency", 0, "fail (exit 1) when the profiler pool's speedup over serial falls below this factor")
 	_ = fs.Parse(args)
 	if *artifact == "" {
 		return fmt.Errorf("timeline: -artifact is required")
 	}
-	run, err := inspect.LoadRunFile(*artifact)
+	run, data, err := loadArtifact(*artifact)
 	if err != nil {
 		return err
 	}
@@ -242,12 +250,7 @@ func runTimeline(args []string) error {
 		return err
 	}
 	if *trace != "" {
-		f, err := os.Open(*trace)
-		if err != nil {
-			return err
-		}
-		st, err := telemetry.ValidateTrace(f)
-		f.Close()
+		st, err := writeTrace(*trace, data)
 		if err != nil {
 			return fmt.Errorf("timeline: %s: %w", *trace, err)
 		}
@@ -269,6 +272,62 @@ func runTimeline(args []string) error {
 		fmt.Printf("efficiency gate passed: speedup %.2fx >= %.2fx\n", tl.Speedup(), *minSpeedup)
 	}
 	return nil
+}
+
+// readInput reads an -artifact or -profiles input: a file, or the body of a
+// 2xx answer from an http(s) URL such as a datamimed job's /artifact. Any
+// other answer is an error, never an empty run.
+func readInput(path string) ([]byte, error) {
+	if !strings.HasPrefix(path, "http://") && !strings.HasPrefix(path, "https://") {
+		return os.ReadFile(path)
+	}
+	resp, err := http.Get(path)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return nil, fmt.Errorf("GET %s: %s", path, resp.Status)
+	}
+	return data, nil
+}
+
+// loadArtifact reads the -artifact input at path and parses it, returning
+// the bytes it read as well.
+func loadArtifact(path string) (*inspect.Run, []byte, error) {
+	data, err := readInput(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	run, err := inspect.LoadRun(bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return run, data, nil
+}
+
+// writeTrace writes the Perfetto trace of the artifact's events to path and
+// validates what it wrote.
+func writeTrace(path string, artifact []byte) (telemetry.TraceStats, error) {
+	var events []telemetry.Event
+	if _, err := telemetry.ScanJSONL(bytes.NewReader(artifact), func(ev telemetry.Event) error {
+		events = append(events, ev)
+		return nil
+	}); err != nil {
+		return telemetry.TraceStats{}, err
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteTrace(&buf, events); err != nil {
+		return telemetry.TraceStats{}, err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return telemetry.TraceStats{}, err
+	}
+	return telemetry.ValidateTrace(&buf)
 }
 
 func runTail(args []string) error {

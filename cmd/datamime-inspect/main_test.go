@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"datamime/internal/telemetry"
 )
 
 // fixture is the real seeded 16-iteration mem-fb artifact internal/inspect
@@ -49,17 +54,33 @@ func readFile(t *testing.T, path string) []byte {
 // byte: `report -json` and `report -diagnostics` must be exactly the goldens
 // internal/inspect holds for the same artifact (the CLI adds nothing to the
 // library's bytes), and the text report and the timeline have goldens here.
+// The fixture served over HTTP, as datamimed serves a job's /artifact, reads
+// to the same bytes, and a URL that does not answer 2xx is an error.
 func TestReportAndTimelineGolden(t *testing.T) {
-	diag := filepath.Join(t.TempDir(), "diag.json")
+	dir := t.TempDir()
+	diag := filepath.Join(dir, "diag.json")
+	profiles := filepath.Join(dir, "profiles.json")
+	if err := os.WriteFile(profiles, []byte(`{"job":"job-1","components":{"cpu_util":0.25}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run.jsonl"), readFile(t, fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.FileServer(http.Dir(dir)))
+	defer srv.Close()
+	url := srv.URL + "/run.jsonl"
+
 	for _, c := range []struct {
 		golden string
 		got    []byte
 	}{
 		{"testdata/report.txt", stdoutOf(t, runReport, "-artifact", fixture)},
+		{"testdata/report.txt", stdoutOf(t, runReport, "-artifact", url)},
 		{fixtureDir + "/run.summary.json", stdoutOf(t, runReport, "-artifact", fixture, "-json")},
 		{"", stdoutOf(t, runReport, "-artifact", fixture, "-quiet", "-diagnostics", diag)},
 		{fixtureDir + "/run.diagnostics.json", readFile(t, diag)},
 		{"testdata/timeline.txt", stdoutOf(t, runTimeline, "-artifact", fixture)},
+		{"testdata/timeline.txt", stdoutOf(t, runTimeline, "-artifact", url)},
 	} {
 		var want []byte
 		if c.golden != "" {
@@ -68,6 +89,47 @@ func TestReportAndTimelineGolden(t *testing.T) {
 		if !bytes.Equal(c.got, want) {
 			t.Errorf("output drifted from %q\n--- got ---\n%s", c.golden, c.got)
 		}
+	}
+
+	fromFile := stdoutOf(t, runReport, "-artifact", fixture, "-profiles", profiles, "-json")
+	if fromURL := stdoutOf(t, runReport, "-artifact", url, "-profiles", srv.URL+"/profiles.json", "-json"); !bytes.Equal(fromURL, fromFile) {
+		t.Errorf("report over URLs differs from report over files\n--- url ---\n%s", fromURL)
+	}
+	for _, args := range [][]string{
+		{"-artifact", srv.URL + "/missing.jsonl"},
+		{"-artifact", url, "-profiles", srv.URL + "/missing.json"},
+	} {
+		if err := runReport(args); err == nil || !strings.Contains(err.Error(), "404") {
+			t.Errorf("report %v = %v, want a 404 error", args, err)
+		}
+	}
+	if err := runTimeline([]string{"-artifact", srv.URL + "/missing.jsonl"}); err == nil {
+		t.Error("timeline of a 404 URL succeeded")
+	}
+}
+
+// TestTimelineWritesTrace: `timeline -trace` writes the fixture's Perfetto
+// trace, which validates and drops nothing (the artifact's header line is
+// not a timeline event), and prints the timeline golden before its summary.
+func TestTimelineWritesTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out := stdoutOf(t, runTimeline, "-artifact", fixture, "-trace", path)
+	if want := readFile(t, "testdata/timeline.txt"); !bytes.HasPrefix(out, want) {
+		t.Errorf("timeline -trace output does not start with the timeline golden:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("trace "+path+" ok: ")) {
+		t.Errorf("timeline -trace printed no validation line:\n%s", out)
+	}
+	data := readFile(t, path)
+	st, err := telemetry.ValidateTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Spans == 0 || st.WorkerTracks == 0 {
+		t.Errorf("trace stats = %+v, want spans on worker tracks", st)
+	}
+	if bytes.Contains(data, []byte("dropped_unstamped")) {
+		t.Error("the fixture's trace reports dropped unstamped events")
 	}
 }
 

@@ -13,17 +13,17 @@
 //
 // With -coordinator set, the worker announces itself on start, re-announces
 // periodically (registration is idempotent on URL, so announcements double
-// as heartbeats), uses the coordinator's /v1/cache endpoint as the shared
-// tier above its local profile cache, and withdraws cleanly on SIGTERM.
-// Without it, register the worker by hand with the coordinator's
-// -worker flag or POST /v1/workers.
+// as heartbeats), and withdraws cleanly on SIGTERM. Without it, register the
+// worker by hand with the coordinator's -worker flag or POST /v1/workers.
+// The coordinator looks every evaluation up in its own cache before it
+// dispatches one; the worker's profile cache serves keys repeated to it.
 //
 // Endpoints:
 //
 //	POST /v1/evaluate   run one evaluation (503 when saturated)
 //	GET  /v1/healthz    protocol handshake + capacity
 //	GET  /metrics       Prometheus text metrics (datamime_worker_*: load,
-//	                    evaluations, cache tiers, ...)
+//	                    evaluations, cache hits, ...)
 package main
 
 import (
@@ -49,8 +49,8 @@ func main() {
 		capacity      = flag.Int("capacity", 1, "maximum concurrent evaluations")
 		backlog       = flag.Int("backlog", 0, "queued evaluations beyond capacity before shedding 503s (default: capacity)")
 		profWorkers   = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "concurrent simulator runs per profile; profiles are bit-identical at any setting")
-		cacheCapacity = flag.Int("cache-capacity", 1024, "local profile-cache capacity")
-		coordinator   = flag.String("coordinator", "", "coordinator base URL to self-register with (and use as the shared cache tier)")
+		cacheCapacity = flag.Int("cache-capacity", 1024, "profile-cache capacity")
+		coordinator   = flag.String("coordinator", "", "coordinator base URL to announce to, heartbeat and withdraw from")
 		advertise     = flag.String("advertise", "", "base URL the coordinator should dial this worker at (required with -coordinator)")
 		interval      = flag.Duration("register-interval", 30*time.Second, "re-announcement (heartbeat) period with -coordinator")
 		version       = flag.Bool("version", false, "print build information and exit")
@@ -83,7 +83,6 @@ func run(addr, name string, capacity, backlog, profWorkers, cacheCapacity int, c
 		MaxBacklog:     backlog,
 		ProfileWorkers: profWorkers,
 		CacheCapacity:  cacheCapacity,
-		Coordinator:    coordinator,
 		// Heartbeats and health probes carry the build identity, so the
 		// coordinator's /v1/fleet surfaces version skew.
 		Version: buildinfo.Read().String(),

@@ -8,13 +8,12 @@
 //	datamime -workload mem-fb -iterations 200
 //	datamime -workload silo -iterations 60 -seed 7 -quiet
 //	datamime -workload mem-fb -quick -artifact run.jsonl -profiles profiles.json
-//	datamime -workload mem-fb -quick -trace trace.json
 //
 // The -artifact and -profiles outputs feed cmd/datamime-inspect: the JSONL
-// artifact carries the evaluation history (report/diff inputs), the profiles
-// doc carries the target and best-candidate distributions behind the report's
-// eCDF overlays. The -trace output is Chrome/Perfetto trace-event JSON of
-// the run's span timeline (load it at https://ui.perfetto.dev).
+// artifact carries the evaluation history and span timeline (report, diff
+// and timeline inputs; `timeline -trace` writes its Chrome/Perfetto
+// trace-event JSON), the profiles doc carries the target and best-candidate
+// distributions behind the report's eCDF overlays.
 package main
 
 import (
@@ -44,7 +43,6 @@ func main() {
 		targetFile   = flag.String("target-profile", "", "load the target profile from a JSON file (as produced by cmd/profiler) instead of profiling the workload — the paper's share-profiles-not-data workflow")
 		artifactOut  = flag.String("artifact", "", "stream a JSONL run artifact to this file (datamime-inspect report/diff input)")
 		profilesOut  = flag.String("profiles", "", "write the target/best profile pair to this JSON file (datamime-inspect -profiles input)")
-		traceOut     = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON timeline of the run to this file")
 		workerURLs   = flag.String("worker", "", "comma-separated datamime-worker base URLs to dispatch evaluations to (results are bit-identical to a local run of the same seed)")
 		version      = flag.Bool("version", false, "print build information and exit")
 	)
@@ -60,7 +58,7 @@ func main() {
 	}
 
 	if err := run(*workloadName, *iterations, *seed, *quiet, *quick, *parallel,
-		*profWorkers, *targetFile, *artifactOut, *profilesOut, *traceOut, *workerURLs); err != nil {
+		*profWorkers, *targetFile, *artifactOut, *profilesOut, *workerURLs); err != nil {
 		fmt.Fprintln(os.Stderr, "datamime:", err)
 		os.Exit(1)
 	}
@@ -78,7 +76,7 @@ func workloadNames() []string {
 }
 
 func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, profileWorkers int,
-	targetFile, artifactOut, profilesOut, traceOut, workerURLs string) error {
+	targetFile, artifactOut, profilesOut, workerURLs string) error {
 	w, err := datamime.WorkloadByName(name)
 	if err != nil {
 		return err
@@ -92,13 +90,8 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 	profiler.Spec = st.Spec
 	profiler.Workers = profileWorkers
 
-	// The artifact sink streams events to disk as they happen; the trace
-	// collector retains the full stream in memory for end-of-run
-	// trace-event export. Either output wants a recorder; both can share
-	// one.
+	// The artifact sink streams events to disk as they happen.
 	var rec *telemetry.Recorder
-	var collector *telemetry.Collector
-	var sinks []func(telemetry.Event)
 	if artifactOut != "" {
 		f, err := os.Create(artifactOut)
 		if err != nil {
@@ -111,18 +104,7 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 			Msg: fmt.Sprintf("datamime run artifact: workload=%s iterations=%d seed=%d parallel=%d profile_workers=%d",
 				name, iterations, seed, parallel, profileWorkers),
 		})
-		sinks = append(sinks, sink)
-	}
-	if traceOut != "" {
-		collector = &telemetry.Collector{}
-		sinks = append(sinks, collector.Record)
-	}
-	if len(sinks) > 0 {
-		rec = telemetry.New(telemetry.Options{OnEvent: func(ev telemetry.Event) {
-			for _, s := range sinks {
-				s(ev)
-			}
-		}})
+		rec = telemetry.New(telemetry.Options{OnEvent: sink})
 		profiler.Telemetry = rec
 	}
 
@@ -236,20 +218,6 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 	}
 	if artifactOut != "" {
 		fmt.Printf("wrote run artifact %s\n", artifactOut)
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.WriteTrace(f, collector.Events()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace %s (open at https://ui.perfetto.dev)\n", traceOut)
 	}
 	return nil
 }

@@ -15,16 +15,21 @@
 //	curl localhost:8080/v1/jobs/job-1            # status, convergence trace, result
 //	curl localhost:8080/v1/jobs/job-1/events     # live SSE event stream
 //	curl localhost:8080/v1/jobs/job-1/artifact   # JSONL run artifact
-//	curl localhost:8080/v1/jobs/job-1/report     # self-contained HTML run report
 //	curl localhost:8080/v1/jobs/job-1/profiles   # target + best profiles (JSON)
-//	curl localhost:8080/v1/jobs/job-1/trace      # Chrome/Perfetto trace-event JSON
 //	curl -X POST localhost:8080/v1/jobs/job-1/cancel
 //	curl localhost:8080/v1/corpus             # indexed run history (needs -corpus-dir)
 //	curl localhost:8080/metrics               # Prometheus text metrics
 //
+// A job's HTML report and Perfetto trace are rendered from its artifact by
+// datamime-inspect, which reads the URLs directly:
+//
+//	datamime-inspect report -artifact http://localhost:8080/v1/jobs/job-1/artifact \
+//	    -profiles http://localhost:8080/v1/jobs/job-1/profiles -html report.html
+//	datamime-inspect timeline -artifact http://localhost:8080/v1/jobs/job-1/artifact -trace trace.json
+//
 // -telemetry enables per-job phase spans (feeding the /metrics latency
-// histograms, the /events stream, and the per-job /trace timeline — open
-// it at https://ui.perfetto.dev); -debug mounts net/http/pprof under
+// histograms, the /events stream, and the artifact's span timeline — open
+// its trace at https://ui.perfetto.dev); -debug mounts net/http/pprof under
 // /debug/pprof/ for live profiling of the server itself.
 package main
 

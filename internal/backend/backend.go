@@ -3,10 +3,9 @@
 // that wraps the in-process profiler and a RemoteBackend that speaks a
 // versioned JSON-over-HTTP protocol to cmd/datamime-worker processes. A
 // Dispatcher shards evaluations across a registered worker fleet with
-// retry, timeout, and backoff — always falling back to local evaluation, so
-// a job never dies with its fleet — and a TieredCache layers a worker-local
-// LRU over a coordinator-served shared cache endpoint so a fleet
-// deduplicates simulation work globally.
+// retry, timeout, and backoff, always falling back to local evaluation, so
+// a job never dies with its fleet. A Worker serves the protocol in front of
+// its own LRU evaluation cache.
 //
 // The load-bearing design constraint is determinism: a profile is a pure
 // function of (generator, params, seed, machine, profiler budget) — exactly
@@ -43,7 +42,9 @@ import (
 //	    ignore unknown keys: the envelope's spans_truncated, EvalResult's
 //	    cache_tier, WorkerHealth's inflight, evals_total and time_ns (an
 //	    older coordinator takes an unstamped answer as no clock sample),
-//	    and WorkerRegistration's inflight.
+//	    WorkerRegistration's inflight, the cache.probe span's cache_tier
+//	    attr, and the coordinator's /v1/cache (an older worker reads its
+//	    404 as a miss and counts a failed PUT as a shared-tier error).
 const ProtocolVersion = 2
 
 // Evaluation kinds.
@@ -91,8 +92,8 @@ type EvalRequest struct {
 	// Profiler is the measurement spec.
 	Profiler ProfilerSpec `json:"profiler"`
 	// Key, when set, is the evaluation's content address (core.EvalKey):
-	// workers consult their two-tier cache under it before simulating and
-	// publish fresh measurements back to the shared tier.
+	// workers consult their own cache under it before simulating and store
+	// fresh measurements there.
 	Key string `json:"key,omitempty"`
 	// TraceID, when set, asks the serving side to capture its telemetry
 	// spans (profile.sim, budget.wait, cache probes) for this evaluation and

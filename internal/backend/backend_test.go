@@ -5,11 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"datamime/internal/apps/kvstore"
@@ -233,7 +229,7 @@ func TestProtocolGoldenResponse(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionAccounting covers the shared cache's counters.
+// TestLRUEvictionAccounting covers the cache's counters.
 func TestLRUEvictionAccounting(t *testing.T) {
 	c := NewLRU(2)
 	p := &profile.Profile{Benchmark: "x"}
@@ -250,169 +246,9 @@ func TestLRUEvictionAccounting(t *testing.T) {
 	}
 }
 
-// cacheServer is a fake coordinator /v1/cache endpoint for tiered tests.
-type cacheServer struct {
-	mu     sync.Mutex
-	stored map[string]*profile.Profile
-	gets   atomic.Int64
-	puts   atomic.Int64
-	fail   atomic.Bool
-}
-
-func newCacheServer() (*cacheServer, *httptest.Server) {
-	cs := &cacheServer{stored: map[string]*profile.Profile{}}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		cs.gets.Add(1)
-		if cs.fail.Load() {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		cs.mu.Lock()
-		p, ok := cs.stored[r.PathValue("key")]
-		cs.mu.Unlock()
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		_ = json.NewEncoder(w).Encode(p)
-	})
-	mux.HandleFunc("PUT /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		cs.puts.Add(1)
-		if cs.fail.Load() {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		var p profile.Profile
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cs.mu.Lock()
-		cs.stored[r.PathValue("key")] = &p
-		cs.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	})
-	return cs, httptest.NewServer(mux)
-}
-
-// TestTieredCacheRemoteHit covers local miss → shared hit → local fill.
-func TestTieredCacheRemoteHit(t *testing.T) {
-	cs, ts := newCacheServer()
-	defer ts.Close()
-	cs.stored["k"] = &profile.Profile{Benchmark: "remote"}
-
-	tc := NewTieredCache(NewLRU(8), NewCacheClient(ts.URL))
-	p, ok := tc.Get("k")
-	if !ok || p.Benchmark != "remote" {
-		t.Fatalf("remote hit missed: ok=%v p=%v", ok, p)
-	}
-	// Second lookup must be served locally.
-	if _, ok := tc.Get("k"); !ok {
-		t.Fatal("local fill missed")
-	}
-	if n := cs.gets.Load(); n != 1 {
-		t.Fatalf("remote GETs = %d, want 1 (local tier should have filled)", n)
-	}
-	st := tc.Stats()
-	if st.RemoteHits != 1 || st.LocalHits != 1 || st.Misses != 0 || st.RemoteErrors != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestTieredCachePutPublishes covers the write path: both tiers filled.
-func TestTieredCachePutPublishes(t *testing.T) {
-	cs, ts := newCacheServer()
-	defer ts.Close()
-	tc := NewTieredCache(NewLRU(8), NewCacheClient(ts.URL))
-	tc.Put("k", &profile.Profile{Benchmark: "fresh"})
-	if cs.puts.Load() != 1 {
-		t.Fatalf("remote PUTs = %d, want 1", cs.puts.Load())
-	}
-	cs.mu.Lock()
-	_, published := cs.stored["k"]
-	cs.mu.Unlock()
-	if !published {
-		t.Fatal("profile not published to the shared tier")
-	}
-}
-
-// TestTieredCacheDegradesOnRemoteErrors: a flaky shared tier is counted and
-// swallowed, never surfaced to the evaluation path.
-func TestTieredCacheDegradesOnRemoteErrors(t *testing.T) {
-	cs, ts := newCacheServer()
-	defer ts.Close()
-	cs.fail.Store(true)
-
-	tc := NewTieredCache(NewLRU(8), NewCacheClient(ts.URL))
-	if _, ok := tc.Get("k"); ok {
-		t.Fatal("errored remote get reported a hit")
-	}
-	tc.Put("k", &profile.Profile{Benchmark: "fresh"})
-	if _, ok := tc.Get("k"); !ok {
-		t.Fatal("local tier lost the put")
-	}
-	st := tc.Stats()
-	if st.RemoteErrors != 2 { // one failed get + one failed put
-		t.Fatalf("remote errors = %d, want 2", st.RemoteErrors)
-	}
-}
-
-// TestTieredCacheConcurrentRace hammers one key from many goroutines while
-// it exists only in the shared tier: every lookup must hit (local or
-// remote), and the local tier must converge to containing the key. Entries
-// are content-addressed, so racing fills are benign by design.
-func TestTieredCacheConcurrentRace(t *testing.T) {
-	cs, ts := newCacheServer()
-	defer ts.Close()
-	cs.stored["k"] = &profile.Profile{Benchmark: "remote"}
-
-	tc := NewTieredCache(NewLRU(8), NewCacheClient(ts.URL))
-	const n = 32
-	var wg sync.WaitGroup
-	errs := make(chan string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p, ok := tc.Get("k")
-			if !ok {
-				errs <- "miss"
-				return
-			}
-			if p.Benchmark != "remote" {
-				errs <- "wrong profile"
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	st := tc.Stats()
-	if st.LocalHits+st.RemoteHits != n || st.Misses != 0 {
-		t.Fatalf("stats = %+v, want %d hits total", st, n)
-	}
-	if _, ok := tc.local.Get("k"); !ok {
-		t.Fatal("local tier not filled after the race")
-	}
-}
-
-// TestCacheClientMiss pins the 404-is-a-miss protocol rule.
-func TestCacheClientMiss(t *testing.T) {
-	_, ts := newCacheServer()
-	defer ts.Close()
-	cc := NewCacheClient(ts.URL)
-	p, ok, err := cc.Get(context.Background(), "absent")
-	if err != nil || ok || p != nil {
-		t.Fatalf("miss = (%v, %v, %v), want (nil, false, nil)", p, ok, err)
-	}
-}
-
 // TestSearchEvaluatorBuildsKeyedRequests: the adapter addresses every
 // request by the same core.EvalKey the search cache uses, so workers can
-// deduplicate against the shared tier.
+// deduplicate against their own cache.
 func TestSearchEvaluatorBuildsKeyedRequests(t *testing.T) {
 	pr := testProfiler()
 	var got EvalRequest

@@ -11,8 +11,8 @@ import (
 
 // SearchEvaluator adapts an EvalBackend (typically a Dispatcher) to
 // core.Evaluator: it wraps each candidate in a versioned EvalRequest keyed
-// by the same core.EvalKey the search's cache uses, so workers can
-// deduplicate against the shared tier. The search's own cache lookup,
+// by the same core.EvalKey the search's cache uses, so a worker can serve a
+// repeated key from its own cache. The search's own cache lookup,
 // seeds, and scoring stay in core — the evaluator only replaces where the
 // simulation runs, which is why a dispatched search stays bit-identical to
 // a local one.

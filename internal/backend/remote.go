@@ -14,12 +14,10 @@ import (
 )
 
 // Wire endpoints. A worker serves /v1/evaluate and /v1/healthz; a
-// coordinator serves /v1/cache/{key} (the shared cache tier) and
-// /v1/workers (fleet registration).
+// coordinator serves /v1/workers (fleet registration).
 const (
 	PathEvaluate = "/v1/evaluate"
 	PathHealthz  = "/v1/healthz"
-	PathCache    = "/v1/cache/"
 	PathWorkers  = "/v1/workers"
 )
 

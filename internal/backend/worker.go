@@ -31,11 +31,8 @@ type WorkerConfig struct {
 	// (default GOMAXPROCS, shared across concurrent evaluations through
 	// one budget).
 	ProfileWorkers int
-	// CacheCapacity bounds the worker-local profile cache (default 1024).
+	// CacheCapacity bounds the worker's profile cache (default 1024).
 	CacheCapacity int
-	// Coordinator, when non-empty, is the coordinator base URL whose
-	// /v1/cache endpoint becomes the worker's shared cache tier.
-	Coordinator string
 	// Generators registers extra generators beyond the built-in set.
 	Generators []datagen.Generator
 	// Version is the worker binary's build version, reported in health
@@ -44,13 +41,13 @@ type WorkerConfig struct {
 }
 
 // Worker is the evaluation server behind cmd/datamime-worker: a
-// LocalBackend fronted by admission control, a two-tier profile cache, and
+// LocalBackend fronted by admission control, its own profile cache, and
 // the versioned HTTP protocol (POST /v1/evaluate, GET /v1/healthz,
 // GET /metrics).
 type Worker struct {
 	cfg   WorkerConfig
 	local *LocalBackend
-	cache *TieredCache
+	cache *LRU
 	reg   *telemetry.Registry
 
 	// sem holds one token per admitted-and-running evaluation; queued
@@ -86,17 +83,13 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		// Capacity × ProfileWorkers goroutines never oversubscribe.
 		local.Budget = profile.NewBudget(max(cfg.Capacity, cfg.ProfileWorkers))
 	}
-	var cc *CacheClient
-	if cfg.Coordinator != "" {
-		cc = NewCacheClient(cfg.Coordinator)
-	}
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 1024
 	}
 	w := &Worker{
 		cfg:     cfg,
 		local:   local,
-		cache:   NewTieredCache(NewLRU(cfg.CacheCapacity), cc),
+		cache:   NewLRU(cfg.CacheCapacity),
 		sem:     make(chan struct{}, cfg.Capacity),
 		started: time.Now(),
 	}
@@ -110,8 +103,8 @@ func (w *Worker) Name() string { return w.cfg.Name }
 // Capacity returns the worker's concurrent-evaluation bound.
 func (w *Worker) Capacity() int { return w.cfg.Capacity }
 
-// CacheStats exposes the two-tier cache counters (for tests and metrics).
-func (w *Worker) CacheStats() TieredStats { return w.cache.Stats() }
+// CacheStats exposes the profile cache's counters (for tests and metrics).
+func (w *Worker) CacheStats() CacheStats { return w.cache.Stats() }
 
 // buildMetrics assembles the worker's /metrics registry.
 func (w *Worker) buildMetrics() *telemetry.Registry {
@@ -128,14 +121,10 @@ func (w *Worker) buildMetrics() *telemetry.Registry {
 		func() float64 { return float64(w.busyRejects.Load()) })
 	reg.NewCounterFunc("datamime_worker_spans_truncated_total", "Telemetry spans dropped at the MaxWireSpans response cap.",
 		func() float64 { return float64(w.spansTruncated.Load()) })
-	reg.NewCounterFunc("datamime_worker_cache_local_hits_total", "Evaluations served from the worker-local cache tier.",
-		func() float64 { return float64(w.cache.Stats().LocalHits) })
-	reg.NewCounterFunc("datamime_worker_cache_shared_hits_total", "Evaluations served from the coordinator's shared cache tier.",
-		func() float64 { return float64(w.cache.Stats().RemoteHits) })
-	reg.NewCounterFunc("datamime_worker_cache_misses_total", "Cache lookups that missed both tiers.",
+	reg.NewCounterFunc("datamime_worker_cache_local_hits_total", "Evaluations served from the worker's profile cache.",
+		func() float64 { return float64(w.cache.Stats().Hits) })
+	reg.NewCounterFunc("datamime_worker_cache_misses_total", "Profile-cache lookups that missed.",
 		func() float64 { return float64(w.cache.Stats().Misses) })
-	reg.NewCounterFunc("datamime_worker_cache_shared_errors_total", "Shared-tier round-trips that failed (degraded to local-only).",
-		func() float64 { return float64(w.cache.Stats().RemoteErrors) })
 	reg.NewGaugeFunc("datamime_worker_uptime_seconds", "Seconds since the worker started.",
 		func() float64 { return time.Since(w.started).Seconds() })
 	telemetry.RegisterRuntimeMetrics(reg, "datamime_worker")
@@ -174,7 +163,7 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 const maxEvalRequestBytes = 1 << 20
 
 // handleEvaluate serves one evaluation: resolve the request, admission
-// control, the two-tier cache, then the measurement. Cache hits and fresh
+// control, the profile cache, then the measurement. Cache hits and fresh
 // measurements are byte-identical by construction, so serving from cache
 // never breaks the determinism contract.
 func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
@@ -219,15 +208,11 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	var spans []WireSpan
 	if req.Key != "" {
 		probeStart := time.Now()
-		p, tier, ok := w.cache.GetTier(req.Key)
+		p, ok := w.cache.Get(req.Key)
 		if req.TraceID != "" {
 			attrs := map[string]float64{telemetry.AttrCacheHit: 0}
 			if ok {
 				attrs[telemetry.AttrCacheHit] = 1
-				attrs[telemetry.AttrCacheTier] = 1
-				if tier == TierShared {
-					attrs[telemetry.AttrCacheTier] = 2
-				}
 			}
 			spans = append(spans, WireSpan{
 				Phase:  telemetry.PhaseCacheProbe,

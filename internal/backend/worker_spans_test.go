@@ -61,15 +61,14 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 		t.Error("first probe reported a cache hit")
 	}
 
-	// The repeat is a worker-tier hit: only the probe span ships, attributed
-	// hit + tier 1.
+	// The repeat is a cache hit: only the probe span ships, attributed hit.
 	res2 := evaluate()
 	if len(res2.Spans) != 1 {
 		t.Fatalf("hit response shipped %d spans, want just the probe", len(res2.Spans))
 	}
 	probe = findSpan(res2.Spans, telemetry.PhaseCacheProbe)
-	if probe.Attrs[telemetry.AttrCacheHit] != 1 || probe.Attrs[telemetry.AttrCacheTier] != 1 {
-		t.Errorf("hit probe attrs = %v, want cache_hit=1 tier=1", probe.Attrs)
+	if probe.Attrs[telemetry.AttrCacheHit] != 1 {
+		t.Errorf("hit probe attrs = %v, want cache_hit=1", probe.Attrs)
 	}
 
 	// Without trace context the envelope stays lean.

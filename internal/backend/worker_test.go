@@ -17,7 +17,6 @@ import (
 	"datamime/internal/apps/kvstore"
 	"datamime/internal/datagen"
 	"datamime/internal/opt"
-	"datamime/internal/profile"
 	"datamime/internal/stats"
 	"datamime/internal/trace"
 	"datamime/internal/workload"
@@ -42,7 +41,7 @@ func newTestWorker(t *testing.T, cfg WorkerConfig) (*Worker, *RemoteBackend, *ht
 
 // TestWorkerEvaluateOverWire: a real HTTP round trip returns the profile
 // the local profiler measures, byte for byte, and a repeated key is served
-// from the worker-local cache tier.
+// from the worker's cache.
 func TestWorkerEvaluateOverWire(t *testing.T) {
 	w, rb, _ := newTestWorker(t, WorkerConfig{})
 	pr := testProfiler()
@@ -66,68 +65,18 @@ func TestWorkerEvaluateOverWire(t *testing.T) {
 		t.Fatal("wire profile differs from direct measurement")
 	}
 
-	// Same key again: the worker-local tier serves without simulating.
+	// Same key again: the worker's cache serves without simulating.
 	res2, err := rb.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := w.CacheStats(); st.LocalHits != 1 {
-		t.Fatalf("repeat eval cache stats = %+v, want one worker-tier hit", st)
+	if st := w.CacheStats(); st.Hits != 1 {
+		t.Fatalf("repeat eval cache stats = %+v, want one hit", st)
 	}
 	got2, _ := json.Marshal(res2.Profile)
 	if string(got2) != string(wantJSON) {
 		t.Fatal("cached profile differs from measured profile")
 	}
-}
-
-// TestWorkerSharedCacheTier: a worker with a coordinator serves a key
-// pre-seeded in the shared cache without simulating, and publishes fresh
-// measurements back.
-func TestWorkerSharedCacheTier(t *testing.T) {
-	cs, coord := newCacheServer()
-	defer coord.Close()
-	seeded := testProfilerProfile(t)
-	cs.stored["seeded-key"] = seeded
-
-	w, rb, _ := newTestWorker(t, WorkerConfig{Coordinator: coord.URL})
-	pr := testProfiler()
-	req := testRequest(pr)
-	req.Key = "seeded-key"
-	res, err := rb.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(res.Profile)
-	want, _ := json.Marshal(seeded)
-	if string(got) != string(want) {
-		t.Fatal("shared-tier profile was not served verbatim")
-	}
-	st := w.CacheStats()
-	if st.RemoteHits != 1 {
-		t.Fatalf("cache stats = %+v, want one shared hit", st)
-	}
-
-	// A fresh key simulates and publishes to the shared tier.
-	req.Key = "fresh-key"
-	if _, err := rb.Evaluate(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	cs.mu.Lock()
-	_, published := cs.stored["fresh-key"]
-	cs.mu.Unlock()
-	if !published {
-		t.Fatal("fresh measurement not published to the shared tier")
-	}
-}
-
-// testProfilerProfile measures one profile for seeding fake caches.
-func testProfilerProfile(t *testing.T) *profile.Profile {
-	t.Helper()
-	p, err := testProfiler().Profile(testGenerator().Benchmark([]float64{50_000, 0.9, 128}), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // blockingGenerator returns a generator whose Benchmark construction blocks

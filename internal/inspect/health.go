@@ -49,10 +49,10 @@ const (
 // SearchHealth aggregates a run's diagnostics snapshots into the headline
 // model-health figures and a heuristic verdict. It is both what the text and
 // HTML reports render and, through its JSON tags, the machine-readable
-// search-health block of `report -json`, `report -diagnostics` and
-// GET /v1/jobs/{id}/diagnostics. Every figure is derived from the search's own
-// factorizations — no clocks — so two identically-seeded runs produce
-// byte-equal JSON; the CI inspect-gate relies on that.
+// search-health block of `report -json` and `report -diagnostics`. Every
+// figure is derived from the search's own factorizations — no clocks — so
+// two identically-seeded runs produce byte-equal JSON; the CI inspect-gate
+// relies on that.
 type SearchHealth struct {
 	Snapshots int `json:"snapshots"`
 	// FirstLogMarginal is the first fit's log evidence; FinalLogMarginal

@@ -104,31 +104,6 @@ func (s *Server) profileTarget(ctx context.Context, p *plan) (*profile.Profile, 
 	return p.profiler.ProfileContext(ctx, p.workload.Target, p.spec.Seed)
 }
 
-// handleCacheGet serves the shared cache tier: GET /v1/cache/{key} returns
-// the profile stored under a content-addressed evaluation key, 404 on miss.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	p, ok := s.cache.Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no cached profile for %q", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, p)
-}
-
-// handleCachePut fills the shared cache tier: PUT /v1/cache/{key}. Keys are
-// content-addressed and profiles deterministic, so concurrent fills by
-// several workers are benign (every writer writes the same bytes).
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	var p profile.Profile
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		writeError(w, decodeStatus(err), fmt.Errorf("decoding profile: %w", err))
-		return
-	}
-	s.cache.Put(r.PathValue("key"), &p)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // handleWorkerAnnounce registers (or heartbeats) a worker: POST /v1/workers.
 func (s *Server) handleWorkerAnnounce(w http.ResponseWriter, r *http.Request) {
 	var reg backend.WorkerRegistration

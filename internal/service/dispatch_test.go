@@ -1,7 +1,7 @@
 package service
 
 import (
-	"context"
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +12,6 @@ import (
 
 	"datamime/internal/backend"
 	"datamime/internal/datagen"
-	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
 
@@ -112,8 +111,9 @@ func workerEvals(t *testing.T, ts *httptest.Server) float64 {
 
 // TestServiceFleetBitIdentityWithTelemetry re-runs the fleet acceptance test
 // with span shipping enabled: trace-context propagation and remote span
-// capture must not move a single output bit, and the job's exported trace
-// must carry the workers' spans on their own fleet process tracks.
+// capture must not move a single output bit, and the trace written from the
+// job's /artifact must carry the workers' spans on their own fleet process
+// tracks.
 func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 	spec := testSpec(12, 21)
 	spec.Backend = "local"
@@ -158,15 +158,11 @@ func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 	// The unified trace carries the remote spans on fleet process tracks.
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + job.ID() + "/trace")
-	if err != nil {
+	var trace bytes.Buffer
+	if err := telemetry.WriteTrace(&trace, scanEvents(t, getBody(t, ts, "/v1/jobs/"+job.ID()+"/artifact"))); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/trace = %d", resp.StatusCode)
-	}
-	st, err := telemetry.ValidateTrace(resp.Body)
+	st, err := telemetry.ValidateTrace(&trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +245,8 @@ func TestServiceFleetDeadWorkerAtStart(t *testing.T) {
 	}
 }
 
-// TestServiceFleetHTTP covers the coordinator's fleet and shared-cache
-// protocol endpoints.
+// TestServiceFleetHTTP covers the coordinator's fleet registration
+// endpoints.
 func TestServiceFleetHTTP(t *testing.T) {
 	svc := newTestServer(t, "")
 	defer svc.Close()
@@ -292,20 +288,6 @@ func TestServiceFleetHTTP(t *testing.T) {
 	}
 	if code := httpJSON(t, ts, "DELETE", path, nil, nil); code != http.StatusNotFound {
 		t.Fatalf("double withdraw = %d", code)
-	}
-
-	// Shared cache tier: PUT → 204, GET round-trips, miss → 404.
-	cc := backend.NewCacheClient(ts.URL)
-	prof := &profile.Profile{Benchmark: "cached"}
-	if err := cc.Put(context.Background(), "cache-key", prof); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := cc.Get(context.Background(), "cache-key")
-	if err != nil || !ok || got.Benchmark != "cached" {
-		t.Fatalf("cache get = (%v, %v, %v)", got, ok, err)
-	}
-	if _, ok, err := cc.Get(context.Background(), "missing"); ok || err != nil {
-		t.Fatalf("cache miss = (%v, %v)", ok, err)
 	}
 }
 
@@ -387,7 +369,6 @@ func TestOversizeBodiesRejected(t *testing.T) {
 
 	for _, tc := range []struct{ method, path, field string }{
 		{"POST", "/v1/jobs", "generator"},
-		{"PUT", "/v1/cache/k", "benchmark"},
 		{"POST", "/v1/workers", "url"},
 	} {
 		// Well-formed up to the bound: one string value that runs past it.
@@ -404,9 +385,6 @@ func TestOversizeBodiesRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s %s with %d-byte body = %d, want 413", tc.method, tc.path, len(body), resp.StatusCode)
 		}
-	}
-	if _, ok := svc.Cache().Get("k"); ok {
-		t.Error("oversize PUT reached the cache")
 	}
 	if n := len(svc.Jobs()); n != 0 {
 		t.Errorf("oversize POST /v1/jobs enqueued %d jobs", n)

@@ -108,14 +108,3 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, j *Job) 
 		fmt.Sprintf("attachment; filename=%q", j.ID()+".jsonl"))
 	_ = telemetry.WriteJSONL(w, artifactEvents(j))
 }
-
-// handleTrace exports a job's event log as Chrome/Perfetto trace-event JSON
-// (load it at https://ui.perfetto.dev). Jobs restored from disk have no
-// timed events, so their traces are empty by design — the checkpoint
-// persists results, not wall-clock timings.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, j *Job) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", j.ID()+".trace.json"))
-	_ = telemetry.WriteTrace(w, artifactEvents(j))
-}

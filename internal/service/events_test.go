@@ -153,7 +153,7 @@ func bayesSpec(iterations int, seed uint64) JobSpec {
 // TestSSEDiagnosticsFramesPrecedeDone: a GP-backed job's event stream carries
 // search.diagnostics frames, each immediately before the eval frame of the
 // iteration it names and all strictly before the terminal done frame, and
-// GET /v1/jobs/{id}/diagnostics serves the matching summary.
+// the job's artifact carries the matching search-health summary.
 func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -207,109 +207,32 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 		}
 	}
 
-	// The diagnostics endpoint serves the same snapshots from the event log.
-	var diag struct {
-		ID          string `json:"id"`
-		State       JobState
-		Diagnostics *inspect.SearchHealth `json:"diagnostics"`
+	// The artifact carries the same snapshots as the stream.
+	run, err := inspect.LoadRun(bytes.NewReader(getBody(t, ts, "/v1/jobs/"+submitted.ID+"/artifact")))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
-		t.Fatalf("GET diagnostics = %d", code)
+	health := inspect.NewSearchHealth(run)
+	if health == nil {
+		t.Fatal("the artifact of a GP job carries no diagnostics")
 	}
-	if diag.Diagnostics == nil {
-		t.Fatal("diagnostics endpoint returned null for a GP job")
+	if health.Snapshots != len(diagIdx) {
+		t.Fatalf("artifact has %d snapshots, stream carried %d frames",
+			health.Snapshots, len(diagIdx))
 	}
-	if diag.Diagnostics.Snapshots != len(diagIdx) {
-		t.Fatalf("endpoint has %d snapshots, stream carried %d frames",
-			diag.Diagnostics.Snapshots, len(diagIdx))
-	}
-	if len(diag.Diagnostics.Records) != diag.Diagnostics.Snapshots {
+	if len(health.Records) != health.Snapshots {
 		t.Fatalf("summary records %d != snapshots %d",
-			len(diag.Diagnostics.Records), diag.Diagnostics.Snapshots)
-	}
-	if code := httpJSON(t, ts, "GET", "/v1/jobs/nope/diagnostics", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("missing job diagnostics = %d, want 404", code)
-	}
-}
-
-// TestDiagnosticsLiveMatchesOffline: for one seeded GP job, the diagnostics
-// block GET /v1/jobs/{id}/diagnostics serves from memory is byte-equal to the
-// search health computed offline from the job's downloaded artifact, on a
-// server with telemetry and on one without — the artifact carries the
-// snapshots either way — and the two servers serve the same bytes.
-func TestDiagnosticsLiveMatchesOffline(t *testing.T) {
-	liveDiagnostics := func(svc *Server) (block, artifact []byte) {
-		t.Helper()
-		defer svc.Close()
-		ts := httptest.NewServer(svc.Handler())
-		defer ts.Close()
-		var submitted struct {
-			ID string `json:"id"`
-		}
-		if code := httpJSON(t, ts, "POST", "/v1/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
-			t.Fatalf("submit = %d", code)
-		}
-		waitFor(t, "job to succeed", func() bool {
-			var st JobStatus
-			httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
-			return st.State == JobSucceeded
-		})
-		var diag struct {
-			Diagnostics json.RawMessage `json:"diagnostics"`
-		}
-		if code := httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID+"/diagnostics", nil, &diag); code != http.StatusOK {
-			t.Fatalf("GET diagnostics = %d", code)
-		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, diag.Diagnostics); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/artifact")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		artifact, err = io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return compact.Bytes(), artifact
-	}
-
-	matchOffline := func(server string, live, artifact []byte) {
-		t.Helper()
-		run, err := inspect.LoadRun(bytes.NewReader(artifact))
-		if err != nil {
-			t.Fatal(err)
-		}
-		offline, err := json.Marshal(inspect.NewSearchHealth(run))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(offline) == "null" {
-			t.Fatalf("%s: the artifact of a GP job carries no diagnostics", server)
-		}
-		if !bytes.Equal(live, offline) {
-			t.Fatalf("%s: live diagnostics differ from the artifact's:\nlive    %s\noffline %s", server, live, offline)
-		}
-	}
-
-	live, artifact := liveDiagnostics(newTelemetryServer(t, ""))
-	matchOffline("telemetry on", live, artifact)
-	plain, plainArtifact := liveDiagnostics(newTestServer(t, ""))
-	matchOffline("telemetry off", plain, plainArtifact)
-	if !bytes.Equal(plain, live) {
-		t.Fatalf("diagnostics differ with telemetry off:\noff %s\non  %s", plain, live)
+			len(health.Records), health.Snapshots)
 	}
 }
 
 // TestRestoredJobCarriesNoSnapshots: checkpoints do not store search-health
 // snapshots, so a finished GP job restored after a restart has none: its
-// status trace carries no diagnostics, /diagnostics is null, and /artifact
-// has no search.diagnostics event, where the live job had all three.
+// status trace carries no diagnostics and /artifact has no
+// search.diagnostics event, where the live job had both.
 func TestRestoredJobCarriesNoSnapshots(t *testing.T) {
-	// snapshots reads the three views of job id on ts.
-	snapshots := func(ts *httptest.Server, id string) (traced int, diag string, events int) {
+	// snapshots reads the two views of job id on ts.
+	snapshots := func(ts *httptest.Server, id string) (traced, events int) {
 		t.Helper()
 		var st JobStatus
 		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
@@ -321,24 +244,12 @@ func TestRestoredJobCarriesNoSnapshots(t *testing.T) {
 				traced++
 			}
 		}
-		var body struct {
-			Diagnostics json.RawMessage `json:"diagnostics"`
-		}
-		httpJSON(t, ts, "GET", "/v1/jobs/"+id+"/diagnostics", nil, &body)
-		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/artifact")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if _, err := telemetry.ScanJSONL(resp.Body, func(ev telemetry.Event) error {
+		for _, ev := range scanEvents(t, getBody(t, ts, "/v1/jobs/"+id+"/artifact")) {
 			if ev.Type == telemetry.TypeSearchDiagnostics {
 				events++
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
-		return traced, string(body.Diagnostics), events
+		return traced, events
 	}
 
 	dir := t.TempDir()
@@ -355,22 +266,22 @@ func TestRestoredJobCarriesNoSnapshots(t *testing.T) {
 		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
-	traced, diag, events := snapshots(ts, submitted.ID)
+	traced, events := snapshots(ts, submitted.ID)
 	ts.Close()
 	svc.Close()
-	if traced == 0 || diag == "null" || events != traced {
-		t.Fatalf("live job: %d traced snapshots, /diagnostics %s, %d artifact events; want snapshots in all three",
-			traced, diag, events)
+	if traced == 0 || events != traced {
+		t.Fatalf("live job: %d traced snapshots, %d artifact events; want snapshots in both",
+			traced, events)
 	}
 
 	svc2 := newTestServer(t, dir)
 	defer svc2.Close()
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
-	traced, diag, events = snapshots(ts2, submitted.ID)
-	if traced != 0 || diag != "null" || events != 0 {
-		t.Fatalf("restored job: %d traced snapshots, /diagnostics %s, %d artifact events; want none",
-			traced, diag, events)
+	traced, events = snapshots(ts2, submitted.ID)
+	if traced != 0 || events != 0 {
+		t.Fatalf("restored job: %d traced snapshots, %d artifact events; want none",
+			traced, events)
 	}
 }
 

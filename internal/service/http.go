@@ -22,24 +22,18 @@ import (
 //	GET  /v1/jobs/{id}/artifact JSONL run artifact (inspect.LoadRun reads it
 //	                            back; its best-error series is the job's
 //	                            convergence trace exactly)
-//	GET  /v1/jobs/{id}/trace    Chrome/Perfetto trace-event JSON timeline of
-//	                            the job's spans (open at ui.perfetto.dev)
-//	GET  /v1/jobs/{id}/report   self-contained HTML run report (convergence
-//	                            plot, EMD attribution, eCDF overlays)
-//	GET  /v1/jobs/{id}/diagnostics
-//	                            GP search-health summary + per-iteration
-//	                            model diagnostics (calibration, evidence,
-//	                            conditioning, acquisition health)
 //	GET  /v1/jobs/{id}/profiles target + best-candidate profiles as JSON
 //	POST /v1/jobs/{id}/cancel   cancel a queued or running job
 //	GET  /metrics               Prometheus text-format metrics registry
 //	GET  /healthz               liveness probe
 //
+// A job's report, search-health diagnostics and Perfetto trace are
+// renderings of its artifact and profiles: datamime-inspect report and
+// timeline read both from these URLs, mid-run too.
+//
 // The distributed evaluation plane (backend.ProtocolVersion, see
 // internal/backend):
 //
-//	GET  /v1/cache/{key}     shared evaluation-cache tier (404 on miss)
-//	PUT  /v1/cache/{key}     publish a freshly measured profile
 //	POST /v1/workers         worker self-registration (idempotent on URL;
 //	                         re-announcements are heartbeats)
 //	DELETE /v1/workers?url=  clean worker withdrawal
@@ -73,13 +67,8 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 		"GET /v1/jobs/{id}":                s.withJob(s.handleStatus),
 		"GET /v1/jobs/{id}/events":         s.withJob(s.handleEvents),
 		"GET /v1/jobs/{id}/artifact":       s.withJob(s.handleArtifact),
-		"GET /v1/jobs/{id}/trace":          s.withJob(s.handleTrace),
-		"GET /v1/jobs/{id}/report":         s.withJob(s.handleReport),
-		"GET /v1/jobs/{id}/diagnostics":    s.withJob(s.handleDiagnostics),
 		"GET /v1/jobs/{id}/profiles":       s.withJob(s.handleProfiles),
 		"POST /v1/jobs/{id}/cancel":        s.handleCancel,
-		"GET /v1/cache/{key}":              s.handleCacheGet,
-		"PUT /v1/cache/{key}":              s.handleCachePut,
 		"POST /v1/workers":                 s.handleWorkerAnnounce,
 		"DELETE /v1/workers":               s.handleWorkerWithdraw,
 		"GET /v1/fleet":                    s.handleFleet,
@@ -118,9 +107,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // maxBodyBytes bounds every request body (Handler wraps the mux). The
-// largest legitimate ones carry a profile — a job's inline target, a cache
-// fill — 23 KB of JSON at the Full budgets and ~0.5 KB more per window, so
-// 4 MiB admits profiles of thousands of windows.
+// largest legitimate one carries a profile — a job's inline target — 23 KB
+// of JSON at the Full budgets and ~0.5 KB more per window, so 4 MiB admits
+// profiles of thousands of windows.
 const maxBodyBytes = 4 << 20
 
 // decodeStatus is the status for a body that failed to decode: 413 when it

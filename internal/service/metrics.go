@@ -43,7 +43,7 @@ type serverMetrics struct {
 
 	// Search-health diagnostics, counted by foldEval from each record's
 	// snapshot: fits that needed escalated jitter. Each job's own fit
-	// figures are its /diagnostics.
+	// figures are in its artifact.
 	gpJitterEscalations *telemetry.Counter
 
 	// phaseHist aggregates search-phase latencies across all jobs;

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -117,8 +118,9 @@ func TestJobStatusCacheMissMetrics(t *testing.T) {
 	}
 }
 
-// TestJobTraceEndpointTelemetry: GET /v1/jobs/{id}/trace exports a structurally
-// valid Perfetto trace with worker tracks for a telemetry-enabled job.
+// TestJobTraceEndpointTelemetry: the trace written from a telemetry-enabled
+// job's GET /v1/jobs/{id}/artifact is a structurally valid Perfetto trace
+// with worker tracks, and it draws every event it was given.
 func TestJobTraceEndpointTelemetry(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -137,18 +139,11 @@ func TestJobTraceEndpointTelemetry(t *testing.T) {
 		return st.State.terminal()
 	})
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/trace")
-	if err != nil {
+	var trace bytes.Buffer
+	if err := telemetry.WriteTrace(&trace, scanEvents(t, getBody(t, ts, "/v1/jobs/"+submitted.ID+"/artifact"))); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/trace = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	st, err := telemetry.ValidateTrace(resp.Body)
+	st, err := telemetry.ValidateTrace(&trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +153,8 @@ func TestJobTraceEndpointTelemetry(t *testing.T) {
 	if st.WorkerTracks == 0 {
 		t.Errorf("trace has no worker tracks: %+v", st)
 	}
-
-	if code := httpJSON(t, ts, "GET", "/v1/jobs/no-such/trace", nil, nil); code != http.StatusNotFound {
-		t.Errorf("missing-job trace = %d, want 404", code)
+	if st.DroppedUnstamped != 0 {
+		t.Errorf("a live job's trace dropped %d unstamped events", st.DroppedUnstamped)
 	}
 }
 

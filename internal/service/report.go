@@ -14,7 +14,7 @@ import (
 // evaluation cache by reconstructing the content addresses the original run
 // used (the profiler, seeds, and best point are all deterministic functions
 // of the spec + checkpoint). Recovery is best-effort: a cold cache yields a
-// partial doc, and the report degrades to artifact totals.
+// partial doc, and a report rendered from it degrades to artifact totals.
 func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 	j.mu.Lock()
 	doc := &inspect.ProfilesDoc{
@@ -64,60 +64,12 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request, j *Job) 
 }
 
 // jobRun builds the inspect view of a job from the events the server already
-// holds in memory — the one place a job becomes an *inspect.Run, shared by
-// the report, the diagnostics endpoint and the corpus indexer. It also
-// returns those events, for callers that store them. The event log carries
-// each record's search-health snapshot with or without telemetry (addEval),
-// so the run reads them as any artifact reader does.
+// holds in memory, for the corpus indexer, and returns those events, which
+// the indexer stores. The event log carries each record's search-health
+// snapshot with or without telemetry (addEval), so the run reads them as any
+// artifact reader does.
 func jobRun(j *Job) (*inspect.Run, []telemetry.Event, error) {
 	events := artifactEvents(j)
 	run, err := inspect.NewRun(events)
 	return run, events, err
-}
-
-// jobDiagnostics is the GET /v1/jobs/{id}/diagnostics response: the job's
-// search-health summary with the per-iteration snapshot records. Diagnostics
-// is null until the optimizer's first surrogate-backed proposal (random
-// bootstrap iterations, non-GP optimizers), always for optimizers that never
-// fit a surrogate, and for jobs restored from a checkpoint, which does not
-// store snapshots.
-type jobDiagnostics struct {
-	ID          string                `json:"id"`
-	State       JobState              `json:"state"`
-	Diagnostics *inspect.SearchHealth `json:"diagnostics"`
-}
-
-// handleDiagnostics serves GET /v1/jobs/{id}/diagnostics: per-iteration GP
-// search-health records plus the SearchHealth aggregates and verdict. It
-// reads the job's artifact events (see jobRun), so it works mid-run and with
-// telemetry off, and equals what `datamime-inspect report` computes from the
-// downloaded artifact.
-func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request, j *Job) {
-	run, _, err := jobRun(j)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	j.mu.Lock()
-	state := j.state
-	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, jobDiagnostics{
-		ID:          j.ID(),
-		State:       state,
-		Diagnostics: inspect.NewSearchHealth(run),
-	})
-}
-
-// handleReport serves GET /v1/jobs/{id}/report: the self-contained HTML run
-// report (convergence plot, quantile-band EMD attribution, target-vs-best
-// eCDF overlays) rendered from the job's events and profiles.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, j *Job) {
-	run, _, err := jobRun(j)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	report := inspect.NewReport(run, s.jobProfiles(j), j.ID())
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = report.RenderHTML(w)
 }

@@ -2,15 +2,16 @@ package service
 
 import (
 	"bytes"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"reflect"
 	"testing"
 
+	"datamime/internal/datagen"
 	"datamime/internal/inspect"
 	"datamime/internal/profile"
 	"datamime/internal/sim"
+	"datamime/internal/telemetry"
 )
 
 // testTargetProfile profiles the test generator's benchmark at a fixed point
@@ -87,65 +88,101 @@ func TestProfilesEndpoint(t *testing.T) {
 	}
 }
 
-// TestReportEndpoint: a finished job serves a self-contained HTML report, and
-// serving it twice yields byte-identical output (the determinism criterion at
-// the service boundary).
+// TestReportEndpoint: a client renders a job's views from its /artifact and
+// /profiles, and gets the same bytes the server would render from memory.
+// A telemetry-on GP job runs through a fleet Dispatcher to success; then
+//   - the HTML report from the downloaded artifact and profiles doc is
+//     byte-equal to the one rendered from jobRun and jobProfiles;
+//   - WriteTrace over the scanned artifact is byte-equal to WriteTrace over
+//     artifactEvents, and validates with fleet processes and no drops;
+//   - the report's search health is NewSearchHealth of the job's run.
 func TestReportEndpoint(t *testing.T) {
-	svc := newTestServer(t, "")
+	_, worker := newFleetWorker(t, "report-a")
+	svc, err := New(Config{
+		Workers:    1,
+		Generators: []datagen.Generator{testGenerator()},
+		WorkerURLs: []string{worker.URL},
+		Telemetry:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	var submitted struct {
-		ID string `json:"id"`
+	spec := profileSpec(testTargetProfile(t), 10, 9)
+	spec.Optimizer = "" // GP, so the run carries search-health snapshots
+	spec.Backend = "remote"
+	job, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	spec := profileSpec(testTargetProfile(t), 6, 9)
-	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &submitted); code != http.StatusAccepted {
-		t.Fatalf("submit = %d", code)
+	<-job.Done()
+	if st := job.status(0); st.State != JobSucceeded {
+		t.Fatalf("job %s: %s", st.State, st.Error)
 	}
-	waitFor(t, "job to succeed", func() bool {
-		var st JobStatus
-		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
-		return st.State == JobSucceeded
-	})
 
-	fetch := func() string {
-		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/report")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("report = %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-			t.Fatalf("Content-Type = %q, want text/html", ct)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
+	artifact := getBody(t, ts, "/v1/jobs/"+job.ID()+"/artifact")
+	run, err := inspect.LoadRun(bytes.NewReader(artifact))
+	if err != nil {
+		t.Fatal(err)
 	}
-	html := fetch()
-	for _, want := range []string{"<svg", "Error attribution", submitted.ID, "eCDF"} {
-		if !strings.Contains(html, want) {
+	doc, err := inspect.DecodeProfilesDoc(getBody(t, ts, "/v1/jobs/"+job.ID()+"/profiles"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := inspect.NewReport(run, doc, "")
+	served, _, err := jobRun(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := inspect.NewReport(served, svc.jobProfiles(job), job.ID())
+
+	render := func(r *inspect.Report) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.RenderHTML(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	html := render(client)
+	if !bytes.Equal(html, render(server)) {
+		t.Fatal("the report rendered from /artifact and /profiles differs from the server's")
+	}
+	for _, want := range []string{"<svg", "Error attribution", job.ID(), "eCDF", "<h2>Search health</h2>"} {
+		if !bytes.Contains(html, []byte(want)) {
 			t.Fatalf("report HTML missing %q", want)
 		}
 	}
 	// Self-contained: no external fetches.
 	for _, banned := range []string{"http://", "https://", "src="} {
-		if strings.Contains(html, banned) {
+		if bytes.Contains(html, []byte(banned)) {
 			t.Fatalf("report HTML not self-contained: found %q", banned)
 		}
 	}
-	if again := fetch(); !bytes.Equal([]byte(html), []byte(again)) {
-		t.Fatal("report HTML differs between identical requests")
+
+	var fromArtifact, fromMemory bytes.Buffer
+	if err := telemetry.WriteTrace(&fromArtifact, scanEvents(t, artifact)); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.WriteTrace(&fromMemory, artifactEvents(job)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromArtifact.Bytes(), fromMemory.Bytes()) {
+		t.Fatal("the trace written from /artifact differs from the server's")
+	}
+	st, err := telemetry.ValidateTrace(&fromArtifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FleetProcesses < 1 || st.Spans == 0 || st.DroppedUnstamped != 0 {
+		t.Fatalf("trace stats = %+v, want fleet processes, spans and no drops", st)
 	}
 
-	if code := httpJSON(t, ts, "GET", "/v1/jobs/nope/report", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("unknown job report = %d, want 404", code)
+	if client.Health == nil || !reflect.DeepEqual(client.Health, inspect.NewSearchHealth(served)) {
+		t.Fatalf("report health %+v, want the job run's", client.Health)
 	}
 }
 

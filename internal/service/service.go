@@ -1,10 +1,13 @@
 // Package service wraps Datamime's search loop in a long-running
 // benchmark-generation service: a bounded worker pool executes search jobs
 // submitted over HTTP/JSON, a content-addressed evaluation cache shares
-// profiling work across jobs (and, via /v1/cache, across a worker fleet),
-// per-job JSON checkpoints make every in-flight search resumable after a
-// crash or restart, and a dispatcher can shard candidate evaluations across
-// registered datamime-worker processes. cmd/datamimed is the server binary.
+// profiling work across jobs (a dispatched evaluation is looked up there
+// before it leaves), per-job JSON checkpoints make every in-flight search
+// resumable after a crash or restart, and a dispatcher can shard candidate
+// evaluations across registered datamime-worker processes. A job is served
+// as its record (status, artifact, profiles, events); clients such as
+// datamime-inspect render reports and traces from it. cmd/datamimed is the
+// server binary.
 package service
 
 import (
@@ -90,8 +93,8 @@ type Config struct {
 type Server struct {
 	cfg Config
 	// cache is shared by every job (a resubmitted or warm-started search
-	// re-reads its profiles here) and doubles as the fleet's shared tier,
-	// served to workers at /v1/cache/{key}.
+	// re-reads its profiles here) and is the fleet's one evaluation cache:
+	// a search looks a candidate up in it before dispatching it.
 	cache *backend.LRU
 
 	// local is the in-process evaluation backend, and its generator registry

@@ -18,6 +18,7 @@ import (
 	"datamime/internal/opt"
 	"datamime/internal/profile"
 	"datamime/internal/stats"
+	"datamime/internal/telemetry"
 	"datamime/internal/trace"
 	"datamime/internal/workload"
 )
@@ -113,6 +114,38 @@ func httpJSON(t *testing.T, ts *httptest.Server, method, path string, body inter
 		}
 	}
 	return resp.StatusCode
+}
+
+// getBody GETs path from the test handler and returns the body of its 200
+// answer, the way datamime-inspect reads a job's /artifact and /profiles.
+func getBody(t *testing.T, ts *httptest.Server, path string) []byte {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, data)
+	}
+	return data
+}
+
+// scanEvents reads artifact bytes back into events.
+func scanEvents(t *testing.T, artifact []byte) []telemetry.Event {
+	t.Helper()
+	var events []telemetry.Event
+	if _, err := telemetry.ScanJSONL(bytes.NewReader(artifact), func(ev telemetry.Event) error {
+		events = append(events, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -419,10 +452,15 @@ func TestEffectiveProfileWorkers(t *testing.T) {
 }
 
 // TestRoutesAreVersioned: one route scheme — every pattern the server
-// registers lives under /v1, the two operational probes aside.
+// registers lives under /v1, the two operational probes aside — and the
+// table holds the 14 routes the API documents. A job's report, diagnostics
+// and trace are the client's renderings of /artifact, not routes.
 func TestRoutesAreVersioned(t *testing.T) {
 	svc := newTestServer(t, "")
 	defer svc.Close()
+	if n := len(svc.routes()); n != 14 {
+		t.Errorf("%d routes, want 14", n)
+	}
 	for pattern := range svc.routes() {
 		_, path, ok := strings.Cut(pattern, " ")
 		if !ok {

@@ -60,10 +60,6 @@ const (
 	// evaluation duration, so dispatch overhead (round trip minus remote
 	// compute) is recoverable from the artifact alone.
 	AttrWorkerNS = "worker_ns"
-	// AttrCacheTier rides on PhaseCacheProbe spans next to AttrCacheHit:
-	// 0 = miss, 1 = the worker's local LRU served it, 2 = the coordinator's
-	// shared tier served it.
-	AttrCacheTier = "cache_tier"
 	// AttrCholeskyAppends, AttrCholeskyRebuilds, and AttrJitterLevelMax
 	// ride on PhaseGPFit spans: how many incremental O(n²) factor appends
 	// vs O(n³) refactorization fallbacks the surrogate update needed, and

@@ -55,10 +55,10 @@ const (
 	// render as instants on the "fleet" track of the Perfetto export.
 	PhaseWorkerRegister   = "worker.register"
 	PhaseWorkerDeregister = "worker.deregister"
-	// PhaseCacheProbe is a worker-side span covering the evaluation-cache
-	// lookup (local LRU, then the coordinator's shared tier) that preceded a
-	// dispatched evaluation. It ships back to the coordinator in the
-	// /v1/evaluate response envelope with AttrCacheHit/AttrCacheTier attrs.
+	// PhaseCacheProbe is a worker-side span covering the worker's
+	// evaluation-cache lookup that preceded a dispatched evaluation. It ships
+	// back to the coordinator in the /v1/evaluate response envelope with an
+	// AttrCacheHit attr.
 	PhaseCacheProbe = "cache.probe"
 )
 

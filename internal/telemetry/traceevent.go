@@ -46,10 +46,12 @@ import (
 //
 // Timestamps are microseconds from the earliest event in the stream, so
 // traces from different runs all start at zero. The exporter is a pure
-// function of the event stream: it never touches the search. Events without
-// wall-clock stamps (TimeNS == 0, e.g. evals synthesized from a restored
-// checkpoint) cannot be placed on a timeline; they are counted in the
-// trace's otherData.dropped_unstamped metadata rather than silently lost.
+// function of the event stream: it never touches the search. Evals and
+// spans without wall-clock stamps (TimeNS == 0, e.g. evals synthesized from
+// a restored checkpoint) cannot be placed on a timeline; they are counted in
+// the trace's otherData.dropped_unstamped metadata rather than silently
+// lost. Other event types (the artifact's header log line) are never drawn,
+// so they are not counted.
 
 const (
 	tracePID          = 1
@@ -105,14 +107,16 @@ type fleetProc struct {
 }
 
 // WriteTrace renders events (a run artifact's stream, in any order) as
-// trace-event JSON. Events without wall-clock stamps (TimeNS == 0) are
-// omitted from the timeline and counted in otherData.dropped_unstamped.
+// trace-event JSON. Evals and spans without wall-clock stamps (TimeNS == 0)
+// are omitted from the timeline and counted in otherData.dropped_unstamped.
 func WriteTrace(w io.Writer, events []Event) error {
 	var base int64 = -1
 	dropped := 0
 	for _, ev := range events {
 		if ev.TimeNS == 0 {
-			dropped++
+			if ev.Type == TypeEval || ev.Type == TypeSpan {
+				dropped++
+			}
 			continue
 		}
 		start := ev.TimeNS

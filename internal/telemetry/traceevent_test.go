@@ -88,12 +88,13 @@ func TestWriteTraceDropsUnstampedEvents(t *testing.T) {
 	if st.Spans != 0 || st.Instants != 0 {
 		t.Errorf("unstamped events leaked into the trace: %+v", st)
 	}
-	// The drops are counted, not silent: the exporter records them in the
-	// trace metadata and the validator reads them back.
-	if st.DroppedUnstamped != 2 {
-		t.Errorf("DroppedUnstamped = %d, want 2", st.DroppedUnstamped)
+	// The lost eval is counted, not silent: the exporter records it in the
+	// trace metadata and the validator reads it back. The header line is not
+	// a loss, since the timeline never draws a log event.
+	if st.DroppedUnstamped != 1 {
+		t.Errorf("DroppedUnstamped = %d, want 1", st.DroppedUnstamped)
 	}
-	if !strings.Contains(buf.String(), `"dropped_unstamped":2`) {
+	if !strings.Contains(buf.String(), `"dropped_unstamped":1`) {
 		t.Error("trace metadata missing the dropped_unstamped count")
 	}
 }
