@@ -7,6 +7,8 @@
 # local-backend coordinator and requires `datamime-inspect diff -exact` to
 # find the two run artifacts identical. Separate coordinators matter: a
 # shared one would serve the second run entirely from the evaluation cache.
+# A third coordinator, killed with -9 mid-job and restarted on its
+# checkpoint directory, must resume the same seed to the same artifact.
 #
 # Expects bin/datamimed, bin/datamime-worker, and bin/datamime-inspect to be
 # prebuilt (see .github/workflows/ci.yml), but builds them if missing so the
@@ -15,6 +17,7 @@ set -euo pipefail
 
 COORD_A=127.0.0.1:18080
 COORD_B=127.0.0.1:18081
+COORD_C=127.0.0.1:18082
 WORKER_1=127.0.0.1:19091
 WORKER_2=127.0.0.1:19092
 
@@ -228,4 +231,26 @@ echo "== local job $LOCAL_JOB succeeded"
 
 echo "== determinism gate: fleet artifact must be exactly identical to local"
 bin/datamime-inspect diff -a run-local.jsonl -b run-fleet.jsonl -exact
+
+echo "== restart gate: coordinator C ($COORD_C) is killed with -9 mid-job and restarted on its log"
+rm -rf ckpt-c
+bin/datamimed -addr "$COORD_C" -workers 1 -quiet -checkpoint-dir ckpt-c &
+COORD_C_PID=$!
+PIDS+=($COORD_C_PID)
+wait_http "http://$COORD_C/healthz"
+RESTART_JOB=$(curl -fs -X POST -H 'Content-Type: application/json' \
+  --data-binary @spec-local.json "http://$COORD_C/v1/jobs" | json id)
+wait_http "http://$COORD_C/v1/jobs/$RESTART_JOB" '"iterations_done": [2-9]'
+kill -9 "$COORD_C_PID"
+wait "$COORD_C_PID" 2>/dev/null || true
+if grep -q '"type":"job.state".*"state":"\(succeeded\|failed\|canceled\)"' "ckpt-c/$RESTART_JOB.jsonl"; then
+  echo "job $RESTART_JOB finished before the kill; the restart gate would pass vacuously" >&2; exit 1
+fi
+bin/datamimed -addr "$COORD_C" -workers 1 -quiet -checkpoint-dir ckpt-c &
+PIDS+=($!)
+wait_http "http://$COORD_C/v1/jobs/$RESTART_JOB" '"state": "succeeded"'
+curl -fs "http://$COORD_C/v1/jobs/$RESTART_JOB/artifact" > run-restart.jsonl
+bin/datamime-inspect diff -a run-local.jsonl -b run-restart.jsonl -exact
+echo "== the job's log is itself an artifact of the same run"
+bin/datamime-inspect diff -a run-local.jsonl -b "ckpt-c/$RESTART_JOB.jsonl" -exact
 echo "== fleet gate passed"

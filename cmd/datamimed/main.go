@@ -1,9 +1,9 @@
 // Command datamimed serves Datamime benchmark generation as a long-running
-// HTTP/JSON service: clients submit search jobs, poll their live
-// convergence traces, and fetch the best dataset parameters when done. Jobs
-// run on a bounded worker pool, share a content-addressed evaluation cache,
-// and checkpoint after every batch — kill the server mid-search and the
-// next start resumes every unfinished job from its last completed batch.
+// HTTP/JSON service: clients submit search jobs, follow their live events,
+// and fetch the best dataset parameters when done. Jobs run on a bounded
+// worker pool, share a content-addressed evaluation cache, and append to a
+// per-job log (<id>.jsonl) as they run — kill the server mid-search and the
+// next start resumes every unfinished job from its last logged iteration.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 // Quickstart:
 //
 //	curl -X POST localhost:8080/v1/jobs -d '{"workload":"mem-fb","iterations":200,"parallel":4,"seed":1}'
-//	curl localhost:8080/v1/jobs/job-1            # status, convergence trace, result
+//	curl localhost:8080/v1/jobs/job-1            # status, counters, result
 //	curl localhost:8080/v1/jobs/job-1/events     # live SSE event stream
 //	curl localhost:8080/v1/jobs/job-1/artifact   # JSONL run artifact
 //	curl localhost:8080/v1/jobs/job-1/profiles   # target + best profiles (JSON)
@@ -55,7 +55,7 @@ func main() {
 		addr          = flag.String("addr", ":8080", "listen address")
 		workers       = flag.Int("workers", 2, "concurrent search jobs")
 		queueDepth    = flag.Int("queue-depth", 1024, "maximum queued jobs")
-		checkpointDir = flag.String("checkpoint-dir", "", "directory for job checkpoints (empty disables persistence and resume)")
+		checkpointDir = flag.String("checkpoint-dir", "", "directory for job logs, <id>.jsonl, appended as each job records (empty disables persistence and resume)")
 		corpusDir     = flag.String("corpus-dir", "", "directory for the run corpus: every finished job is indexed with its artifact, served at /v1/corpus, and watched for regressions against its scenario baseline (empty disables)")
 		cacheCapacity = flag.Int("cache-capacity", 4096, "evaluation-cache capacity (profiles)")
 		profWorkers   = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "default concurrent simulator runs per profile for jobs that do not set profiling.profile_workers; profiles are bit-identical at any setting")
@@ -171,7 +171,7 @@ func run(o options) error {
 	}()
 	fmt.Printf("datamimed listening on %s (workers=%d", o.addr, o.workers)
 	if o.checkpointDir != "" {
-		fmt.Printf(", checkpoints in %s", o.checkpointDir)
+		fmt.Printf(", job logs in %s", o.checkpointDir)
 	}
 	if o.corpusDir != "" {
 		fmt.Printf(", corpus in %s", o.corpusDir)
@@ -195,14 +195,14 @@ func run(o options) error {
 		svc.Close()
 		return err
 	case s := <-sig:
-		fmt.Printf("datamimed: %s — checkpointing and shutting down\n", s)
+		fmt.Printf("datamimed: %s — logging running jobs as queued and shutting down\n", s)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
-	// Close cancels running searches; their checkpoints persist, so the
-	// next start resumes them.
+	// Close cancels running searches and logs them as queued, so the next
+	// start resumes them.
 	svc.Close()
 	return nil
 }

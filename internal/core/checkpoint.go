@@ -1,5 +1,11 @@
 package core
 
+import (
+	"fmt"
+
+	"datamime/internal/telemetry"
+)
+
 // Checkpointing lets a long search survive its process. The optimizer and
 // the profiling seeds are deterministic functions of (SearchConfig.Seed,
 // Parallel), so the complete search state is captured by the sequence of
@@ -39,38 +45,34 @@ type Checkpoint struct {
 	Entries []CheckpointEntry `json:"entries"`
 }
 
-// Best returns the checkpoint's best evaluation: the earliest non-skipped
-// entry with the minimum observed error. ok is false when every entry was
-// skipped (or there are none). Introspection tools use this to locate the
-// best point — and its per-metric Components attribution — without
-// replaying the search.
-func (c Checkpoint) Best() (best CheckpointEntry, ok bool) {
-	for _, e := range c.Entries {
-		if e.Skipped {
+// CheckpointFromEvents derives a recorded search's checkpoint from its events
+// (a run artifact, a datamimed job log): one entry per eval event, decoded by
+// EvalEventFromTelemetry, stopping at the first one without a u, which cannot
+// be replayed.
+func CheckpointFromEvents(events []telemetry.Event) (Checkpoint, error) {
+	var cp Checkpoint
+	for _, tev := range events {
+		if tev.Type != telemetry.TypeEval {
 			continue
 		}
-		if !ok || e.Y < best.Y {
-			best, ok = e, true
+		if len(tev.U) == 0 {
+			break
 		}
-	}
-	return best, ok
-}
-
-// Clone deep-copies the checkpoint so callers can retain it across batches.
-func (c Checkpoint) Clone() Checkpoint {
-	out := Checkpoint{Entries: make([]CheckpointEntry, len(c.Entries))}
-	for i, e := range c.Entries {
-		cp := e
-		cp.U = append([]float64(nil), e.U...)
-		if e.Components != nil {
-			cp.Components = make(map[string]float64, len(e.Components))
-			for k, v := range e.Components {
-				cp.Components[k] = v
-			}
+		ev, err := EvalEventFromTelemetry(tev)
+		if err != nil {
+			return cp, fmt.Errorf("core: iteration %d: %w", tev.Iter, err)
 		}
-		out.Entries[i] = cp
+		cp.Entries = append(cp.Entries, CheckpointEntry{
+			Iteration:  ev.Record.Iteration,
+			U:          ev.U,
+			Y:          ev.Record.Error,
+			Skipped:    ev.Skipped,
+			Retried:    ev.Retried,
+			Err:        ev.Err,
+			Components: ev.Record.Components,
+		})
 	}
-	return out
+	return cp, nil
 }
 
 // sameUnitPoint reports whether a replayed proposal matches the live one.

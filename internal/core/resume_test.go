@@ -92,21 +92,16 @@ func TestCheckpointResumeBitForBit(t *testing.T) {
 
 	full := metricSearchConfig(14, 2, 55)
 	full.Cache = cache
-	var checkpoints []Checkpoint
-	full.OnCheckpoint = func(cp Checkpoint) { checkpoints = append(checkpoints, cp) }
 	ref, err := Search(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(checkpoints) != 7 { // 14 iterations / Parallel 2
-		t.Fatalf("got %d checkpoints, want 7", len(checkpoints))
+	if len(ref.Checkpoint.Entries) != 14 {
+		t.Fatalf("checkpoint has %d entries, want 14", len(ref.Checkpoint.Entries))
 	}
 
 	// Resume from the 4th batch boundary (8 iterations done).
-	prefix := checkpoints[3]
-	if len(prefix.Entries) != 8 {
-		t.Fatalf("checkpoint prefix has %d entries, want 8", len(prefix.Entries))
-	}
+	prefix := Checkpoint{Entries: ref.Checkpoint.Entries[:8]}
 	resumed := metricSearchConfig(14, 2, 55)
 	resumed.Cache = cache
 	resumed.Resume = &prefix
@@ -188,9 +183,8 @@ func TestSearchContextCancel(t *testing.T) {
 	}
 	// The partial checkpoint resumes to the same outcome as an
 	// uninterrupted run.
-	prefix := res.Checkpoint.Clone()
 	resumed := metricSearchConfig(40, 2, 12)
-	resumed.Resume = &prefix
+	resumed.Resume = &res.Checkpoint
 	ref, err := Search(metricSearchConfig(40, 2, 12))
 	if err != nil {
 		t.Fatal(err)

@@ -111,12 +111,8 @@ type SearchConfig struct {
 	Resume *Checkpoint
 	// OnEval, when non-nil, is called after every iteration (including
 	// replayed and skipped ones), in iteration order, from the search
-	// goroutine.
+	// goroutine. CheckpointFromEvents resumes from recorded ones.
 	OnEval func(EvalEvent)
-	// OnCheckpoint, when non-nil, receives a deep copy of the cumulative
-	// checkpoint after every completed batch; persist it to make the
-	// search resumable.
-	OnCheckpoint func(Checkpoint)
 }
 
 // Validate reports configuration errors.
@@ -169,6 +165,8 @@ type EvalEvent struct {
 	// Record is the trace record; zero-valued except Iteration when
 	// Skipped.
 	Record IterationRecord
+	// U is the proposed point in the unit cube (the checkpoint entry's).
+	U []float64
 	// Skipped marks a failed evaluation excluded from the trace.
 	Skipped bool
 	// Err is the profiling error message for skipped iterations.
@@ -227,6 +225,7 @@ func (ev EvalEvent) TelemetryEvent() telemetry.Event {
 		Skipped: ev.Skipped,
 		Msg:     ev.Err,
 		Params:  ev.Record.Params,
+		U:       ev.U,
 		Attrs:   attrs,
 	}
 }
@@ -257,6 +256,7 @@ func (ev EvalEvent) DiagnosticsEvent() (tev telemetry.Event, ok bool) {
 func EvalEventFromTelemetry(tev telemetry.Event) (EvalEvent, error) {
 	ev := EvalEvent{
 		Record:    IterationRecord{Iteration: tev.Iter, Params: tev.Params},
+		U:         tev.U,
 		Skipped:   tev.Skipped,
 		Err:       tev.Msg,
 		Replayed:  tev.Attrs[telemetry.AttrReplayed] != 0,
@@ -591,6 +591,7 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 				Components: r.comps,
 			}
 			ev := EvalEvent{
+				U:         ent.U,
 				Skipped:   r.skipped,
 				Replayed:  r.replayed,
 				CacheHit:  r.cacheHit,
@@ -631,9 +632,6 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		}
 		observeSpan.End(nil)
 		it += len(batch)
-		if cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(res.Checkpoint.Clone())
-		}
 	}
 
 	// A best iteration replayed from a checkpoint carries no profile;

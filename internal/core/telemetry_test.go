@@ -151,11 +151,12 @@ func TestArtifactReplayMatchesMinEMDTrace(t *testing.T) {
 }
 
 // TestEvalEventWireRoundTrip holds the eval encoder and decoder together
-// field by field: every field of EvalEvent and its IterationRecord, set on
-// its own, survives TelemetryEvent -> JSON -> EvalEventFromTelemetry. A field
-// added to a struct alone fails here until both directions know it. The one
-// exception is Record.Diagnostics, which rides on the iteration's
-// search.diagnostics event instead (see EvalEventFromTelemetry).
+// field by field: every field of EvalEvent and its IterationRecord (the
+// proposed point U among them), set on its own, survives TelemetryEvent ->
+// JSON -> EvalEventFromTelemetry. A field added to a struct alone fails here
+// until both directions know it. The one exception is Record.Diagnostics,
+// which rides on the iteration's search.diagnostics event instead (see
+// EvalEventFromTelemetry).
 func TestEvalEventWireRoundTrip(t *testing.T) {
 	// set gives the field at path a non-zero value of its kind.
 	set := func(path string, f reflect.Value) {
@@ -305,23 +306,18 @@ func TestResumeDeterministicWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First leg (telemetry on): capture the checkpoint after ~half the
-	// budget.
-	var mid *Checkpoint
+	// First leg (telemetry on): keep the checkpoint of ~half the budget.
 	firstLeg := base
-	firstLeg.Iterations = 5
 	firstLeg.Telemetry = telemetry.New(telemetry.Options{})
-	firstLeg.OnCheckpoint = func(cp Checkpoint) { mid = &cp }
-	if _, err := Search(firstLeg); err != nil {
+	first, err := Search(firstLeg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mid == nil || len(mid.Entries) != 5 {
-		t.Fatalf("no mid-run checkpoint captured: %+v", mid)
-	}
+	mid := Checkpoint{Entries: first.Checkpoint.Entries[:5]}
 
 	// Second leg (telemetry on too): resume to the full budget.
 	second := base
-	second.Resume = mid
+	second.Resume = &mid
 	second.Telemetry = telemetry.New(telemetry.Options{})
 	resumed, err := Search(second)
 	if err != nil {

@@ -112,8 +112,8 @@ func (h *SearchHealth) ModelHealth() *corpus.ModelHealth {
 }
 
 // NewSearchHealth distills a run's diagnostics snapshots. Returns nil when
-// the artifact carries none (no surrogate fit, a job restored from its
-// checkpoint, or a pre-diagnostics artifact).
+// the artifact carries none (no surrogate fit, or a pre-diagnostics
+// artifact).
 func NewSearchHealth(run *Run) *SearchHealth {
 	if len(run.Diagnostics) == 0 {
 		return nil

@@ -17,8 +17,8 @@ type PhaseStat struct {
 }
 
 // SpanRecord is one timed span event retained for timeline analysis. Spans
-// without a wall-clock stamp (synthesized artifacts of disk-restored jobs)
-// are aggregated into Phases but not retained here.
+// without a wall-clock stamp are aggregated into Phases but not retained
+// here.
 type SpanRecord struct {
 	Phase   string
 	Iter    int
@@ -45,10 +45,9 @@ type Run struct {
 	// SpanLog holds the timed spans in stream order, feeding NewTimeline's
 	// worker-occupancy and parallel-efficiency analysis.
 	SpanLog []SpanRecord
-	// UnstampedSpans counts span events without a wall-clock stamp
-	// (synthesized artifacts of disk-restored jobs). They still aggregate
-	// into Phases, but carry no position on any timeline — a nonzero count
-	// explains a sparse or empty occupancy analysis.
+	// UnstampedSpans counts span events without a wall-clock stamp. They
+	// still aggregate into Phases, but carry no position on any timeline — a
+	// nonzero count explains a sparse or empty occupancy analysis.
 	UnstampedSpans int
 	// Diagnostics holds the GP search-health snapshots (search.diagnostics
 	// events) in stream order, feeding the "Search health" report section.

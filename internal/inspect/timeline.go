@@ -22,9 +22,8 @@ type WorkerStat struct {
 // Timeline is the utilization analysis of a run's profile.sim spans: how
 // long each profiler worker was busy, how much wall-clock the simulation
 // phase covered, and how well the pool overlapped work. All figures derive
-// from the artifact's wall-clock stamps, so the analysis needs a run that
-// was recorded live (restored jobs synthesize unstamped events and yield an
-// empty timeline).
+// from the artifact's wall-clock stamps, so a run recorded without profiler
+// spans (a datamimed job without -telemetry) yields an empty timeline.
 type Timeline struct {
 	// Workers lists per-worker occupancy, ordered by pool index.
 	Workers []WorkerStat
@@ -319,7 +318,7 @@ func (t *Timeline) RenderText(w io.Writer) error {
 	var b strings.Builder
 	if len(t.Workers) == 0 && len(t.Fleet) == 0 {
 		b.WriteString("no timed profile.sim spans in the artifact\n")
-		b.WriteString("(record the run live with -trace/-artifact; restored jobs carry no timings)\n")
+		b.WriteString("(record the run with datamime -artifact, or datamimed -telemetry)\n")
 		if t.UnstampedSpans > 0 {
 			fmt.Fprintf(&b, "%d span events carried no wall-clock stamp\n", t.UnstampedSpans)
 		}

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,71 +13,168 @@ import (
 	"strings"
 	"time"
 
-	"datamime/internal/core"
 	"datamime/internal/datagen"
+	"datamime/internal/telemetry"
 )
 
-// persistedJob is the on-disk representation of one job: everything needed
-// to resume it (spec + checkpoint) or to report it after a restart
-// (state, error, result). Profiles are deliberately not persisted — they
-// are reproducible from the checkpoint, and the evaluation cache makes the
-// reproduction cheap.
-type persistedJob struct {
-	ID         string          `json:"id"`
-	Spec       JobSpec         `json:"spec"`
-	State      JobState        `json:"state"`
-	Error      string          `json:"error,omitempty"`
-	Checkpoint core.Checkpoint `json:"checkpoint"`
-	Result     *JobResult      `json:"result,omitempty"`
-	Created    time.Time       `json:"created"`
-	Started    time.Time       `json:"started,omitempty"`
-	Finished   time.Time       `json:"finished,omitempty"`
+// A job persists as its log, <CheckpointDir>/<id>.jsonl: a job.spec header,
+// then its events and a job.state line per transition, each appended as one
+// whole O_APPEND line as it happens. A restart folds the log back
+// (Job.applyLocked) and resumes an unfinished job from its eval events.
+const (
+	typeJobSpec  = "job.spec"  // the submitted spec, at the job's creation time
+	typeJobState = "job.state" // one transition; a terminal one's msg is the job's error
+)
+
+// jobLine is one line of a job log. It embeds the event, so every line is an
+// artifact line too: inspect.LoadRun reads a job log, skipping the job.* types.
+type jobLine struct {
+	telemetry.Event
+	Spec  *JobSpec `json:"spec,omitempty"`
+	State JobState `json:"state,omitempty"`
 }
 
-// persist writes the job's current state atomically (tmp + rename) into the
-// checkpoint directory. A no-op when persistence is disabled.
-func (s *Server) persist(job *Job) {
-	if s.cfg.CheckpointDir == "" {
+// setStateLocked records a state transition happening now. Callers hold j.mu.
+func (s *Server) setStateLocked(j *Job, state JobState, msg string) {
+	s.addLocked(j, jobLine{Event: telemetry.Event{Type: typeJobState, Msg: msg, TimeNS: time.Now().UnixNano()}, State: state})
+}
+
+// addEvent records one event of a job.
+func (s *Server) addEvent(j *Job, ev telemetry.Event) {
+	j.mu.Lock()
+	s.addLocked(j, jobLine{Event: ev})
+	j.mu.Unlock()
+}
+
+// addLocked records one line: it is folded into the job, appended to its log
+// (the header creates it, never over an existing file) and announced to
+// /events subscribers. Callers hold j.mu, or the only reference to j.
+func (s *Server) addLocked(j *Job, l jobLine) {
+	j.applyLocked(l)
+	j.wakeLocked()
+	if j.logPath == "" {
 		return
 	}
-	job.mu.Lock()
-	p := persistedJob{
-		ID:         job.id,
-		Spec:       job.spec,
-		State:      job.state,
-		Error:      job.errMsg,
-		Checkpoint: job.checkpoint.Clone(),
-		Result:     job.result,
-		Created:    job.created,
-		Started:    job.started,
-		Finished:   job.finished,
+	flag := os.O_WRONLY | os.O_APPEND
+	if l.Type == typeJobSpec {
+		flag |= os.O_CREATE | os.O_EXCL
 	}
-	job.mu.Unlock()
-	if p.State == JobRunning {
-		// A running job that dies with the server must come back as
-		// queued-with-checkpoint.
-		p.State = JobQueued
+	data, err := encodeLog(l)
+	if err == nil {
+		var f *os.File
+		if f, err = os.OpenFile(j.logPath, flag, 0o644); err == nil {
+			_, err = f.Write(data) // one Write: O_APPEND keeps the line whole
+			err = errors.Join(err, f.Close())
+		}
 	}
-	data, err := json.Marshal(p)
 	if err != nil {
-		s.logf("job %s: encoding checkpoint: %v", job.id, err)
-		return
-	}
-	path := filepath.Join(s.cfg.CheckpointDir, p.ID+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		s.logf("job %s: writing checkpoint: %v", job.id, err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		s.logf("job %s: committing checkpoint: %v", job.id, err)
+		s.logf("job %s: %v; the job is no longer persisted", j.id, err)
+		j.logPath = ""
 	}
 }
 
-// loadCheckpoints restores jobs from the checkpoint directory: finished
-// jobs become queryable again (their traces and event logs rebuilt from
-// checkpoints), and unfinished ones are re-queued with their checkpoints as
-// warm starts.
+// encodeLog encodes lines one per line, as /artifact encodes events.
+func encodeLog(lines ...jobLine) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range lines {
+		if err := enc.Encode(&lines[i]); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// readLog reads the job log at path; a torn line is skipped.
+func readLog(path string) ([]jobLine, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var lines []jobLine
+	_, err = telemetry.ScanJSONL(f, func(l jobLine) error {
+		lines = append(lines, l)
+		return nil
+	})
+	return lines, err
+}
+
+// writeLog replaces the log at path with lines, via tmp + rename.
+func writeLog(path string, lines []jobLine) error {
+	data, err := encodeLog(lines...)
+	if err == nil {
+		err = os.WriteFile(path+".tmp", data, 0o644)
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	return err
+}
+
+// cutLog drops the events after the last eval of an iteration before the
+// given one; state lines stay. Before math.MaxInt, it drops a torn tail and a
+// snapshot or span whose eval was cut off.
+func cutLog(lines []jobLine, before int) []jobLine {
+	last := -1
+	for i, l := range lines {
+		if l.Type == telemetry.TypeEval && l.Iter < before {
+			last = i
+		}
+	}
+	var kept []jobLine
+	for i, l := range lines {
+		if i <= last || l.Type == typeJobSpec || l.Type == typeJobState {
+			kept = append(kept, l)
+		}
+	}
+	return kept
+}
+
+// replayLog rebuilds job id from its log's lines, the first of which must be
+// the header.
+func replayLog(id string, lines []jobLine) (*Job, error) {
+	if len(lines) == 0 || lines[0].Type != typeJobSpec || lines[0].Spec == nil {
+		return nil, fmt.Errorf("no %s header", typeJobSpec)
+	}
+	j := &Job{id: id, done: make(chan struct{})}
+	for _, l := range lines {
+		j.applyLocked(l)
+	}
+	return j, nil
+}
+
+// rewindLocked drops the job's events from iteration it on, in its record and
+// its log, where the replay diverged (as after a binary change). Callers hold
+// j.mu.
+func (s *Server) rewindLocked(j *Job, it int) {
+	s.logf("job %s: the replay diverged from the log at iteration %d; evaluating from there", j.id, it)
+	events, keep := j.events, 0
+	for i, ev := range events {
+		if ev.Type == telemetry.TypeEval && ev.Iter < it {
+			keep = i + 1
+		}
+	}
+	j.jobRecord = jobRecord{}
+	for _, ev := range events[:keep] {
+		j.add(ev)
+	}
+	if j.logPath == "" {
+		return
+	}
+	lines, err := readLog(j.logPath)
+	if err == nil {
+		err = writeLog(j.logPath, cutLog(lines, it))
+	}
+	if err != nil {
+		s.logf("job %s: rewinding its log: %v; the job is no longer persisted", j.id, err)
+		j.logPath = ""
+	}
+}
+
+// loadCheckpoints restores the jobs logged in the checkpoint directory,
+// re-queueing unfinished ones. IDs advance past every job-N.* file, so none is
+// reissued over a file that did not load or predates job logs (<id>.json).
 func (s *Server) loadCheckpoints() error {
 	dir := s.cfg.CheckpointDir
 	if dir == "" {
@@ -87,91 +187,80 @@ func (s *Server) loadCheckpoints() error {
 	if err != nil {
 		return fmt.Errorf("service: checkpoint dir: %w", err)
 	}
-	var loaded []persistedJob
+	var loaded []*Job
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("service: reading checkpoint %s: %w", name, err)
-		}
-		var p persistedJob
-		if err := json.Unmarshal(data, &p); err != nil {
-			s.logf("skipping corrupt checkpoint %s: %v", name, err)
-			continue
-		}
-		loaded = append(loaded, p)
-	}
-	sort.Slice(loaded, func(i, j int) bool { return jobSeq(loaded[i].ID) < jobSeq(loaded[j].ID) })
-
-	for _, p := range loaded {
-		job := &Job{
-			id:         p.ID,
-			spec:       p.Spec,
-			state:      p.State,
-			errMsg:     p.Error,
-			checkpoint: p.Checkpoint,
-			result:     p.Result,
-			done:       make(chan struct{}),
-			created:    p.Created,
-			started:    p.Started,
-			finished:   p.Finished,
-		}
-		if seq := jobSeq(p.ID); seq >= s.nextID {
+		id, ext, _ := strings.Cut(e.Name(), ".")
+		if seq := jobSeq(id); seq >= s.nextID {
 			s.nextID = seq + 1
 		}
-		// The plan is a pure function of the spec and this server's
-		// registries, so it is rebuilt, not persisted.
-		if job.plan, job.planErr = s.resolve(p.Spec); job.planErr != nil {
-			s.logf("job %s: restored spec no longer resolves: %v", job.id, job.planErr)
-		} else if err := checkpointFits(job.plan.generator, p.Checkpoint); err != nil {
-			// Every reader of the checkpoint denormalizes its points, so one
-			// that does not fit fails the job here, once, instead of
-			// panicking each of them.
-			job.plan, job.planErr = nil, err
-			job.state, job.errMsg = JobFailed, err.Error()
-			s.logf("job %s: %v", job.id, err)
-		}
-		// Rebuild the trace, counters and event log of finished jobs from
-		// what the checkpoint knows, so status, result, artifact and report
-		// stay queryable across restarts; resumed jobs rebuild theirs live.
-		// The events carry no clock (no timeline, an empty trace export).
-		if job.state.terminal() {
-			close(job.done)
-			if job.plan != nil {
-				for _, ev := range evalsFromCheckpoint(job.plan.generator.Space, p.Checkpoint) {
-					job.addEval(ev, 0)
-				}
-				// Which evaluations hit the cache is not checkpointed; their
-				// number is, with the result.
-				if p.Result != nil {
-					job.cacheHits = p.Result.CacheHits
-				}
-				job.cacheMisses = job.evals - job.cacheHits
+		switch {
+		case e.IsDir():
+		case ext == "json":
+			s.logf("%s predates job logs and is not read; job %s is not restored", e.Name(), id)
+		case ext == "jsonl":
+			job, err := s.loadJob(id, filepath.Join(dir, e.Name()))
+			if err != nil {
+				s.logf("job log %s not loaded: %v", e.Name(), err)
+				continue
 			}
+			loaded = append(loaded, job)
 		}
+	}
+	sort.SliceStable(loaded, func(i, j int) bool { return jobSeq(loaded[i].id) < jobSeq(loaded[j].id) })
+	for _, job := range loaded {
 		s.jobs[job.id] = job
 		s.order = append(s.order, job.id)
 		if !job.state.terminal() {
-			job.state = JobQueued
 			s.queue <- job
-			s.logf("job %s restored with %d checkpointed iterations; re-queued",
-				job.id, len(p.Checkpoint.Entries))
+			s.logf("job %s restored with %d logged iterations; re-queued", job.id, job.evals+job.skipped)
 		}
 	}
 	return nil
 }
 
-// checkpointFits reports a checkpoint entry whose point is not in the
-// generator's space: what a custom generator re-registered under the same
-// name with another space, or an edited file, leaves behind.
-func checkpointFits(g datagen.Generator, cp core.Checkpoint) error {
-	for _, ent := range cp.Entries {
-		if len(ent.U) != g.Space.Dim() {
-			return fmt.Errorf("restored checkpoint does not fit generator %q: iteration %d has %d dimensions, the generator takes %d",
-				g.Name, ent.Iteration, len(ent.U), g.Space.Dim())
+// loadJob restores one job from its log, compacting it first if unfinished.
+func (s *Server) loadJob(id, path string) (*Job, error) {
+	lines, err := readLog(path)
+	if err != nil {
+		return nil, err
+	}
+	job, err := replayLog(id, lines)
+	if err != nil {
+		return nil, err
+	}
+	if !job.state.terminal() {
+		lines = cutLog(lines, math.MaxInt)
+		if err := writeLog(path, lines); err != nil {
+			return nil, err
+		}
+		job, _ = replayLog(id, lines)
+		job.state = JobQueued
+	}
+	job.logPath = path
+	// The plan is a pure function of the spec and this server's registries,
+	// so it is rebuilt, not persisted.
+	if job.plan, job.planErr = s.resolve(job.spec); job.planErr != nil {
+		s.logf("job %s: restored spec no longer resolves: %v", id, job.planErr)
+	} else if err := logFits(job.plan.generator, job.events); err != nil {
+		// A resume denormalizes every logged point, so a log that does not
+		// fit fails the job here, once, instead of panicking it.
+		job.plan, job.planErr = nil, err
+		job.state, job.errMsg = JobFailed, err.Error()
+		s.logf("job %s: %v", id, err)
+	}
+	if job.state.terminal() {
+		close(job.done)
+	}
+	return job, nil
+}
+
+// logFits reports a logged point not in the generator's space, as a generator
+// re-registered with another space, or an edited file, leaves behind.
+func logFits(g datagen.Generator, events []telemetry.Event) error {
+	for _, ev := range events {
+		if ev.Type == telemetry.TypeEval && len(ev.U) > 0 && len(ev.U) != g.Space.Dim() {
+			return fmt.Errorf("restored job log does not fit generator %q: iteration %d has %d dimensions, the generator takes %d",
+				g.Name, ev.Iter, len(ev.U), g.Space.Dim())
 		}
 	}
 	return nil

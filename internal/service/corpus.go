@@ -110,7 +110,6 @@ func (s *Server) indexRun(job *Job) {
 	p := job.plan
 	started := job.started
 	backendName := job.backend
-	result := job.result
 	job.mu.Unlock()
 
 	// The record is a view of the run's report: every figure below is read
@@ -124,6 +123,7 @@ func (s *Server) indexRun(job *Job) {
 		Seed:           p.spec.Seed,
 		Backend:        backendName,
 		Build:          buildinfo.Read().String(),
+		BestError:      report.Best.Error,
 		BestIter:       report.Best.Iteration,
 		Components:     report.Best.Components,
 		Iterations:     p.spec.Iterations,
@@ -133,12 +133,6 @@ func (s *Server) indexRun(job *Job) {
 		TrajectoryHash: corpus.TrajectoryHash(report.Trace),
 		ModelHealth:    report.Health.ModelHealth(),
 		FinishedAt:     time.Now().UTC(),
-	}
-	if result != nil {
-		rec.BestError = result.BestError
-		if len(rec.Components) == 0 {
-			rec.Components = result.Components
-		}
 	}
 	if !started.IsZero() {
 		rec.WallSeconds = time.Since(started).Seconds()
@@ -172,7 +166,7 @@ func (s *Server) indexRun(job *Job) {
 	s.metrics.corpusRegressions.Inc()
 	msg := fmt.Sprintf("corpus regression vs baseline %s: %s",
 		rec.BaselineID, strings.Join(d.Regressions, "; "))
-	job.appendEvent(telemetry.Event{
+	s.addEvent(job, telemetry.Event{
 		Type:   telemetry.TypeCorpusRegression,
 		Job:    job.ID(),
 		TimeNS: time.Now().UnixNano(),

@@ -42,7 +42,7 @@ func submitAndWait(t *testing.T, svc *Server, spec JobSpec) JobStatus {
 	case <-time.After(30 * time.Second):
 		t.Fatal("job did not finish")
 	}
-	st := job.status(0)
+	st := job.status()
 	if st.State != JobSucceeded {
 		t.Fatalf("job %s: %s", st.State, st.Error)
 	}
@@ -248,23 +248,21 @@ func split(err, llc float64) map[string]float64 {
 func verdictJob(id string, p *plan, iters []verdictIter) *Job {
 	j := &Job{id: id, spec: p.spec, plan: p, state: JobSucceeded, done: make(chan struct{})}
 	best := math.Inf(1)
-	var comps map[string]float64
 	for i, it := range iters {
 		ev := core.EvalEvent{Record: core.IterationRecord{Iteration: i}, Skipped: it.skip}
 		if it.skip {
 			ev.Err = "profiling failed"
 		} else {
-			if it.err < best {
-				best, comps = it.err, it.comps
-			}
+			best = math.Min(best, it.err)
 			ev.Record.Params = []float64{it.err}
 			ev.Record.Error = it.err
 			ev.Record.BestError = best
 			ev.Record.Components = it.comps
 		}
-		j.addEval(ev, int64(i+1))
+		tev := ev.TelemetryEvent()
+		tev.Job, tev.TimeNS = id, int64(i+1)
+		j.add(tev)
 	}
-	j.result = &JobResult{BestParams: []float64{best}, BestError: best, Components: comps}
 	return j
 }
 
@@ -314,6 +312,7 @@ func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			baseBest, _ := baseRun.Best()
 			var artifact bytes.Buffer
 			if err := telemetry.WriteJSONL(&artifact, events); err != nil {
 				t.Fatal(err)
@@ -321,7 +320,7 @@ func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 			if _, err := cp.Add(corpus.Record{
 				ID:             "base",
 				Scenario:       scenarioHash(p.spec),
-				BestError:      baseJob.result.BestError,
+				BestError:      baseBest.Error,
 				Skipped:        baseRun.Counts().Skipped,
 				TrajectoryHash: corpus.TrajectoryHash(baseRun.BestTrace()),
 				Verdict:        corpus.VerdictBaseline,

@@ -50,7 +50,7 @@ func newFleetServer(t *testing.T, urls []string) *Server {
 func TestServiceFleetBitIdentity(t *testing.T) {
 	spec := testSpec(12, 21)
 	spec.Backend = "local"
-	ref := runToCompletion(t, newTestServer(t, ""), spec)
+	ref, refTrace := runToCompletion(t, newTestServer(t, ""), spec)
 
 	_, ts1 := newFleetWorker(t, "fleet-a")
 	_, ts2 := newFleetWorker(t, "fleet-b")
@@ -64,7 +64,7 @@ func TestServiceFleetBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-job.Done()
-	got := job.status(0)
+	got := job.status()
 	if got.State != JobSucceeded {
 		t.Fatalf("fleet job %s: %s", got.State, got.Error)
 	}
@@ -72,13 +72,13 @@ func TestServiceFleetBitIdentity(t *testing.T) {
 		t.Fatalf("job backend = %q, want dispatch", got.Backend)
 	}
 
-	// Bit-identity: result and full per-iteration trace.
+	// Bit-identity: result and every iteration record /artifact serves.
 	if got.Result.BestError != ref.Result.BestError ||
 		!reflect.DeepEqual(got.Result.BestParams, ref.Result.BestParams) ||
 		got.Result.BestValues != ref.Result.BestValues {
 		t.Fatalf("fleet result diverged:\nfleet %+v\nlocal %+v", got.Result, ref.Result)
 	}
-	if !reflect.DeepEqual(got.Trace, ref.Trace) {
+	if !reflect.DeepEqual(records(t, job), refTrace) {
 		t.Fatal("fleet iteration trace diverged from the local run")
 	}
 	if got.Result.CacheHits != ref.Result.CacheHits {
@@ -117,7 +117,7 @@ func workerEvals(t *testing.T, ts *httptest.Server) float64 {
 func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 	spec := testSpec(12, 21)
 	spec.Backend = "local"
-	ref := runToCompletion(t, newTestServer(t, ""), spec)
+	ref, refTrace := runToCompletion(t, newTestServer(t, ""), spec)
 
 	_, ts1 := newFleetWorker(t, "span-a")
 	_, ts2 := newFleetWorker(t, "span-b")
@@ -139,7 +139,7 @@ func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-job.Done()
-	got := job.status(0)
+	got := job.status()
 	if got.State != JobSucceeded {
 		t.Fatalf("traced fleet job %s: %s", got.State, got.Error)
 	}
@@ -148,7 +148,7 @@ func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 		got.Result.BestValues != ref.Result.BestValues {
 		t.Fatalf("span shipping moved the result:\nfleet %+v\nlocal %+v", got.Result, ref.Result)
 	}
-	if !reflect.DeepEqual(got.Trace, ref.Trace) {
+	if !reflect.DeepEqual(records(t, job), refTrace) {
 		t.Fatal("span shipping moved the iteration trace")
 	}
 	if c := svc.Dispatcher().Counters(); c.RemoteEvals == 0 {
@@ -180,7 +180,7 @@ func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 func TestServiceFleetWorkerKilledMidJob(t *testing.T) {
 	spec := testSpec(24, 33)
 	spec.Backend = "local"
-	ref := runToCompletion(t, newTestServer(t, ""), spec)
+	ref, refTrace := runToCompletion(t, newTestServer(t, ""), spec)
 
 	_, ts := newFleetWorker(t, "doomed")
 	svc := newFleetServer(t, []string{ts.URL})
@@ -193,13 +193,13 @@ func TestServiceFleetWorkerKilledMidJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "job to make progress on the fleet", func() bool {
-		return job.status(0).Iterations >= 4
+		return job.status().Iterations >= 4
 	})
 	ts.CloseClientConnections()
 	ts.Close() // the fleet is gone mid-job
 
 	<-job.Done()
-	got := job.status(0)
+	got := job.status()
 	if got.State != JobSucceeded {
 		t.Fatalf("job with killed worker %s: %s", got.State, got.Error)
 	}
@@ -207,7 +207,7 @@ func TestServiceFleetWorkerKilledMidJob(t *testing.T) {
 		!reflect.DeepEqual(got.Result.BestParams, ref.Result.BestParams) {
 		t.Fatalf("degraded result diverged:\ngot %+v\nref %+v", got.Result, ref.Result)
 	}
-	if !reflect.DeepEqual(got.Trace, ref.Trace) {
+	if !reflect.DeepEqual(records(t, job), refTrace) {
 		t.Fatal("degraded iteration trace diverged from the local run")
 	}
 	c := svc.Dispatcher().Counters()
@@ -236,7 +236,7 @@ func TestServiceFleetDeadWorkerAtStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-job.Done()
-	got := job.status(0)
+	got := job.status()
 	if got.State != JobSucceeded {
 		t.Fatalf("job with dead fleet %s: %s", got.State, got.Error)
 	}

@@ -30,7 +30,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	for {
 		j.mu.Lock()
 		if idx > len(j.events) {
-			idx = 0 // the event log was reset by a resume; restart
+			idx = 0 // a diverged replay rewound the event log; restart
 		}
 		// Slow-consumer backpressure: the search goroutine only ever
 		// appends to the log and never waits for subscribers, so a stalled
@@ -83,9 +83,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 }
 
 // artifactEvents assembles a job's complete artifact event sequence: the
-// header log line followed by every recorded event. Jobs restored from disk
-// carry the eval events loadCheckpoints rebuilt, which hold results and
-// attribution but no cache or timing detail.
+// header log line followed by every recorded event. A job restored from its
+// log holds the events it recorded live, so its artifact is the live one.
 func artifactEvents(j *Job) []telemetry.Event {
 	j.mu.Lock()
 	events := append([]telemetry.Event(nil), j.events...)

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -226,65 +225,6 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	}
 }
 
-// TestRestoredJobCarriesNoSnapshots: checkpoints do not store search-health
-// snapshots, so a finished GP job restored after a restart has none: its
-// status trace carries no diagnostics and /artifact has no
-// search.diagnostics event, where the live job had both.
-func TestRestoredJobCarriesNoSnapshots(t *testing.T) {
-	// snapshots reads the two views of job id on ts.
-	snapshots := func(ts *httptest.Server, id string) (traced, events int) {
-		t.Helper()
-		var st JobStatus
-		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
-		if len(st.Trace) == 0 {
-			t.Fatal("job has no trace")
-		}
-		for _, rec := range st.Trace {
-			if rec.Diagnostics != nil {
-				traced++
-			}
-		}
-		for _, ev := range scanEvents(t, getBody(t, ts, "/v1/jobs/"+id+"/artifact")) {
-			if ev.Type == telemetry.TypeSearchDiagnostics {
-				events++
-			}
-		}
-		return traced, events
-	}
-
-	dir := t.TempDir()
-	svc := newTestServer(t, dir)
-	ts := httptest.NewServer(svc.Handler())
-	var submitted struct {
-		ID string `json:"id"`
-	}
-	if code := httpJSON(t, ts, "POST", "/v1/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
-		t.Fatalf("submit = %d", code)
-	}
-	waitFor(t, "job to succeed", func() bool {
-		var st JobStatus
-		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
-		return st.State == JobSucceeded
-	})
-	traced, events := snapshots(ts, submitted.ID)
-	ts.Close()
-	svc.Close()
-	if traced == 0 || events != traced {
-		t.Fatalf("live job: %d traced snapshots, %d artifact events; want snapshots in both",
-			traced, events)
-	}
-
-	svc2 := newTestServer(t, dir)
-	defer svc2.Close()
-	ts2 := httptest.NewServer(svc2.Handler())
-	defer ts2.Close()
-	traced, events = snapshots(ts2, submitted.ID)
-	if traced != 0 || events != 0 {
-		t.Fatalf("restored job: %d traced snapshots, %d artifact events; want none",
-			traced, events)
-	}
-}
-
 // TestSSEClientDisconnect: an abandoned subscription is cleaned up (the
 // handler returns and the subscriber gauge drops) without affecting the job.
 func TestSSEClientDisconnect(t *testing.T) {
@@ -389,8 +329,9 @@ func TestSSESubscriberLifecycle(t *testing.T) {
 }
 
 // TestArtifactReplaysJobTrace: the acceptance criterion at the service
-// level — the exported JSONL artifact replays to exactly the job's
-// best-error series.
+// level — the exported JSONL artifact replays to the job's best-error
+// series: one point per evaluation, non-increasing, ending at the job's best
+// error.
 func TestArtifactReplaysJobTrace(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -409,10 +350,6 @@ func TestArtifactReplaysJobTrace(t *testing.T) {
 		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
-	want := make([]float64, len(st.Trace))
-	for i, rec := range st.Trace {
-		want[i] = rec.BestError
-	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/artifact")
 	if err != nil {
@@ -427,8 +364,15 @@ func TestArtifactReplaysJobTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := run.BestTrace()
-	if !reflect.DeepEqual(replayed, want) {
-		t.Fatalf("artifact replay diverged:\nreplayed %v\njob      %v", replayed, want)
+	if len(replayed) != st.Evaluations || replayed[len(replayed)-1] != st.BestError ||
+		st.Result == nil || st.Result.BestError != st.BestError {
+		t.Fatalf("artifact replay %v does not end at the job's best error %g after %d evaluations (result %+v)",
+			replayed, st.BestError, st.Evaluations, st.Result)
+	}
+	for i := 1; i < len(replayed); i++ {
+		if replayed[i] > replayed[i-1] {
+			t.Fatalf("artifact best-error series rose at %d: %v", i, replayed)
+		}
 	}
 
 	// The job status carries wall-clock fields now that it finished.
@@ -451,9 +395,19 @@ func TestArtifactReplaysJobTrace(t *testing.T) {
 }
 
 // TestArtifactFromRestoredJob: a finished job restored from disk (whose
-// in-memory event log is gone) still exports a replayable artifact,
-// synthesized from its checkpoint-rebuilt trace.
+// in-memory event log is gone) still exports a replayable artifact, read
+// back from its job log: it replays to the live artifact's best-error series.
 func TestArtifactFromRestoredJob(t *testing.T) {
+	// bestTrace replays job id's /artifact on ts.
+	bestTrace := func(ts *httptest.Server, id string) []float64 {
+		t.Helper()
+		run, err := inspect.LoadRun(bytes.NewReader(getBody(t, ts, "/v1/jobs/"+id+"/artifact")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.BestTrace()
+	}
+
 	dir := t.TempDir()
 	svc := newTelemetryServer(t, dir)
 	ts := httptest.NewServer(svc.Handler())
@@ -470,28 +424,18 @@ func TestArtifactFromRestoredJob(t *testing.T) {
 		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
 		return st.State == JobSucceeded
 	})
-	want := make([]float64, len(st.Trace))
-	for i, rec := range st.Trace {
-		want[i] = rec.BestError
-	}
+	want := bestTrace(ts, submitted.ID)
 	ts.Close()
 	svc.Close()
+	if len(want) != st.Evaluations {
+		t.Fatalf("live artifact replays %d points for %d evaluations", len(want), st.Evaluations)
+	}
 
 	svc2 := newTelemetryServer(t, dir)
 	defer svc2.Close()
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
-	resp, err := ts2.Client().Get(ts2.URL + fmt.Sprintf("/v1/jobs/%s/artifact", submitted.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	run, err := inspect.LoadRun(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := run.BestTrace()
-	if !reflect.DeepEqual(replayed, want) {
+	if replayed := bestTrace(ts2, submitted.ID); !reflect.DeepEqual(replayed, want) {
 		t.Fatalf("restored artifact diverged:\nreplayed %v\nwant     %v", replayed, want)
 	}
 }
@@ -517,12 +461,11 @@ func flakyGenerator(breakOn ...int32) datagen.Generator {
 }
 
 // TestRestoredJobKeepsWhatCheckpointKnows: a finished job restored from its
-// checkpoint reads like the live one wherever the checkpoint recorded the
-// answer. The search skips one iteration (both attempts fail) and retries
-// another; after a restart the artifact summarizes to the same evaluation
-// and skip counts, best point, trajectory and per-metric attribution, the
-// status counters still satisfy hits + misses = evaluations, and /events
-// replays the iterations before `done`.
+// log reads like the live one. The search skips one iteration (both attempts
+// fail) and retries another; after a restart the artifact summarizes to the
+// same evaluation and skip counts, best point, trajectory and per-metric
+// attribution, the status counters still satisfy hits + misses =
+// evaluations, and /events replays the iterations before `done`.
 func TestRestoredJobKeepsWhatCheckpointKnows(t *testing.T) {
 	dir := t.TempDir()
 	newServer := func(gen datagen.Generator) *Server {
@@ -534,12 +477,7 @@ func TestRestoredJobKeepsWhatCheckpointKnows(t *testing.T) {
 	}
 	// summarize reads a job's artifact and status the way a client would.
 	summarize := func(ts *httptest.Server, id string) (inspect.RunSummary, JobStatus) {
-		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/artifact")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		run, err := inspect.LoadRun(resp.Body)
+		run, err := inspect.LoadRun(bytes.NewReader(getBody(t, ts, "/v1/jobs/"+id+"/artifact")))
 		if err != nil {
 			t.Fatal(err)
 		}

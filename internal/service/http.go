@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 )
 
 // Handler returns the service's HTTP API:
@@ -15,9 +14,9 @@ import (
 //	                            that does not resolve is a 400 and creates no
 //	                            job, a full queue or closed server a 503
 //	GET  /v1/jobs               list job summaries
-//	GET  /v1/jobs/{id}          full status + convergence trace (?since=N
-//	                            returns only trace records from index N) and,
-//	                            once the job succeeded, its result
+//	GET  /v1/jobs/{id}          status: state, counters, best error and, once
+//	                            the job succeeded, its result (the iterations
+//	                            are the eval events of /artifact and /events)
 //	GET  /v1/jobs/{id}/events   live SSE stream of eval events + phase spans
 //	GET  /v1/jobs/{id}/artifact JSONL run artifact (inspect.LoadRun reads it
 //	                            back; its best-error series is the job's
@@ -150,33 +149,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID()})
 }
 
-// jobSummary is the list-view of a job: status without the trace.
-func jobSummary(j *Job) JobStatus {
-	st := j.status(0)
-	st.Trace = nil
-	return st
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.Jobs()
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
-		out = append(out, jobSummary(j))
+		out = append(out, j.status())
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": out})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, j *Job) {
-	since := 0
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid since %q", v))
-			return
-		}
-		since = n
-	}
-	writeJSON(w, http.StatusOK, j.status(since))
+	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -44,7 +43,7 @@ func (s JobState) terminal() bool {
 
 // ProfilingSpec overrides profiler budget knobs per job; zero fields keep
 // the machine defaults (see profile.New). It lists profile.Spec's budgets a
-// second time because its omitempty tags and persisted bytes (checkpoints,
+// second time because its omitempty tags and persisted bytes (job logs,
 // GET /v1/jobs/{id}) cannot be the always-marshaled wire form;
 // TestSpecFieldsAreCovered holds the two listings together field by field.
 type ProfilingSpec struct {
@@ -128,7 +127,7 @@ func (s JobSpec) withDefaults() JobSpec {
 	return s
 }
 
-// JobResult summarizes a finished search.
+// JobResult summarizes a finished search, computed from the job's fold.
 type JobResult struct {
 	// BestParams is the lowest-error parameter vector, in parameter units.
 	BestParams []float64 `json:"best_params"`
@@ -142,7 +141,6 @@ type JobResult struct {
 	Skipped     int `json:"skipped"`
 	// Components is the best iteration's per-metric error attribution
 	// (unweighted normalized distances), when the objective records one.
-	// It persists with the result, so attribution survives restarts.
 	Components map[string]float64 `json:"components,omitempty"`
 }
 
@@ -152,8 +150,8 @@ type JobStatus struct {
 	State JobState `json:"state"`
 	Error string   `json:"error,omitempty"`
 	Spec  JobSpec  `json:"spec"`
-	// Iterations counts finished iterations (trace records + skips);
-	// Total is the budget.
+	// Iterations counts finished iterations (evaluations + skips), whose
+	// records are /artifact's eval events; Total is the budget.
 	Iterations int `json:"iterations_done"`
 	Total      int `json:"iterations_total"`
 	// Evaluations/CacheHits/CacheMisses/Skipped/SimCycles are live
@@ -165,15 +163,11 @@ type JobStatus struct {
 	Skipped     int     `json:"skipped"`
 	SimCycles   float64 `json:"sim_cycles"`
 	// BestError is the running minimum (meaningful once Evaluations > 0).
-	BestError float64 `json:"best_error"`
-	// Trace is the convergence trace so far, offset by the request's
-	// ?since= parameter. TraceLen is the full length.
-	Trace    []core.IterationRecord `json:"trace,omitempty"`
-	TraceLen int                    `json:"trace_len"`
-	Result   *JobResult             `json:"result,omitempty"`
-	Created  time.Time              `json:"created_at"`
-	Started  *time.Time             `json:"started_at,omitempty"`
-	Finished *time.Time             `json:"finished_at,omitempty"`
+	BestError float64    `json:"best_error"`
+	Result    *JobResult `json:"result,omitempty"`
+	Created   time.Time  `json:"created_at"`
+	Started   *time.Time `json:"started_at,omitempty"`
+	Finished  *time.Time `json:"finished_at,omitempty"`
 	// DurationSeconds is the job's wall-clock run time: finished−started
 	// for terminal jobs, time since start for running ones, 0 before start.
 	DurationSeconds float64 `json:"duration_seconds,omitempty"`
@@ -186,8 +180,8 @@ type JobStatus struct {
 	Backend string `json:"backend,omitempty"`
 }
 
-// Job is one tracked search. All mutable fields are guarded by mu; the
-// search goroutine mutates them through the core.Search callbacks.
+// Job is one tracked search. All mutable fields are guarded by mu; its spec,
+// state, timestamps and record are the fold of its log's lines (applyLocked).
 type Job struct {
 	mu   sync.Mutex
 	id   string
@@ -199,11 +193,13 @@ type Job struct {
 	plan    *plan
 	planErr error
 
-	state      JobState
-	errMsg     string
-	trace      []core.IterationRecord
-	checkpoint core.Checkpoint
-	result     *JobResult
+	state  JobState
+	errMsg string
+	jobRecord
+
+	// logPath is the job's log; empty without persistence, or after a failed
+	// write.
+	logPath string
 
 	// targetProf is the profile the search matches (nil for single-metric
 	// objectives); bestProf is the profile measured at the best parameters.
@@ -212,12 +208,6 @@ type Job struct {
 	// evaluation cache when possible (see jobProfiles).
 	targetProf *profile.Profile
 	bestProf   *profile.Profile
-
-	evals       int
-	cacheHits   int
-	cacheMisses int
-	skipped     int
-	simCycles   float64
 
 	// profileWorkers is the effective intra-profile parallelism, resolved
 	// from the spec and server default when the job starts running.
@@ -236,15 +226,73 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 
-	// events is the append-only telemetry event log backing
-	// GET /v1/jobs/{id}/events and /artifact: one eval event per iteration
-	// (always, even with telemetry disabled) interleaved with phase spans
-	// when the job runs with telemetry. eventsSig is closed and replaced
-	// whenever events grows or the job reaches a terminal state, waking
-	// SSE subscribers.
-	events    []telemetry.Event
+	// eventsSig is closed and replaced whenever the job records a line,
+	// waking SSE subscribers.
 	eventsSig chan struct{}
 	recorder  *telemetry.Recorder
+}
+
+// jobRecord is a job's event log, which backs /events and /artifact (one eval
+// event per iteration, its search.diagnostics event before it when it has a
+// snapshot, and phase spans with telemetry), and the fold status reads.
+type jobRecord struct {
+	events      []telemetry.Event
+	evals       int
+	cacheHits   int
+	cacheMisses int
+	skipped     int
+	simCycles   float64
+	// best is the earliest evaluation with the lowest error, once found.
+	best  core.EvalEvent
+	found bool
+}
+
+// add appends one event and folds an eval event into the counters; one that
+// does not decode (an edited log's) is kept but not counted.
+func (r *jobRecord) add(tev telemetry.Event) {
+	r.events = append(r.events, tev)
+	if tev.Type != telemetry.TypeEval {
+		return
+	}
+	ev, err := core.EvalEventFromTelemetry(tev)
+	switch {
+	case err != nil:
+	case ev.Skipped:
+		r.skipped++
+	default:
+		r.evals++
+		if ev.CacheHit {
+			r.cacheHits++
+		} else {
+			r.cacheMisses++
+		}
+		r.simCycles += ev.SimCycles
+		if !r.found || ev.Record.Error < r.best.Record.Error {
+			r.best, r.found = ev, true
+		}
+	}
+}
+
+// applyLocked folds one log line into the job, live (Server.addLocked) or
+// from its file (replayLog). Callers hold j.mu, or the only reference to j.
+func (j *Job) applyLocked(l jobLine) {
+	at := time.Unix(0, l.TimeNS)
+	switch l.Type {
+	case typeJobSpec:
+		if l.Spec != nil {
+			j.spec, j.state, j.created = *l.Spec, JobQueued, at
+		}
+	case typeJobState:
+		j.state = l.State
+		switch {
+		case l.State == JobRunning:
+			j.started, j.finished = at, time.Time{}
+		case l.State.terminal():
+			j.finished, j.errMsg = at, l.Msg
+		}
+	default:
+		j.add(l.Event)
+	}
 }
 
 // ID returns the job's identifier.
@@ -254,8 +302,8 @@ func (j *Job) ID() string { return j.id }
 // a server shutdown).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// status snapshots the job; since offsets the returned trace.
-func (j *Job) status(since int) JobStatus {
+// status snapshots the job.
+func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
@@ -263,27 +311,20 @@ func (j *Job) status(since int) JobStatus {
 		State:          j.state,
 		Error:          j.errMsg,
 		Spec:           j.spec,
-		Iterations:     len(j.trace) + j.skipped,
+		Iterations:     j.evals + j.skipped,
 		Total:          j.spec.Iterations,
 		Evaluations:    j.evals,
 		CacheHits:      j.cacheHits,
 		CacheMisses:    j.cacheMisses,
 		Skipped:        j.skipped,
 		SimCycles:      j.simCycles,
-		TraceLen:       len(j.trace),
-		Result:         j.result,
+		BestError:      j.best.Record.Error,
 		Created:        j.created,
 		ProfileWorkers: j.profileWorkers,
 		Backend:        j.backend,
 	}
-	if len(j.trace) > 0 {
-		st.BestError = j.trace[len(j.trace)-1].BestError
-	}
-	if since < 0 {
-		since = 0
-	}
-	if since < len(j.trace) {
-		st.Trace = append([]core.IterationRecord(nil), j.trace[since:]...)
+	if j.state == JobSucceeded {
+		st.Result = j.resultLocked()
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -301,45 +342,16 @@ func (j *Job) status(since int) JobStatus {
 	return st
 }
 
-// addEval folds one finished iteration into the job — trace, counters and,
-// encoded by DiagnosticsEvent and TelemetryEvent and stamped timeNS, the
-// event log — and wakes SSE subscribers. It is the one fold: a live search
-// feeds it from OnEval (see foldEval), a restart from the checkpoint's
-// rebuilt events, which carry no snapshots.
-func (j *Job) addEval(ev core.EvalEvent, timeNS int64) {
-	var tevs []telemetry.Event
-	if dev, ok := ev.DiagnosticsEvent(); ok {
-		tevs = append(tevs, dev)
-	}
-	tevs = append(tevs, ev.TelemetryEvent())
-	for i := range tevs {
-		tevs[i].Job, tevs[i].TimeNS = j.id, timeNS
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if ev.Skipped {
-		j.skipped++
-	} else {
-		j.trace = append(j.trace, ev.Record)
-		j.evals++
-		if ev.CacheHit {
-			j.cacheHits++
-		} else {
-			j.cacheMisses++
+// resultLocked computes the job's result from its fold. Callers hold j.mu.
+func (j *Job) resultLocked() *JobResult {
+	r := &JobResult{Evaluations: j.evals, CacheHits: j.cacheHits, Skipped: j.skipped}
+	if j.found {
+		r.BestParams, r.BestError, r.Components = j.best.Record.Params, j.best.Record.Error, j.best.Record.Components
+		if j.plan != nil && len(r.BestParams) == j.plan.generator.Space.Dim() {
+			r.BestValues = j.plan.generator.Space.Values(r.BestParams)
 		}
-		j.simCycles += ev.SimCycles
 	}
-	j.events = append(j.events, tevs...)
-	j.wakeLocked()
-}
-
-// appendEvent appends one telemetry event to the job's event log and wakes
-// SSE subscribers.
-func (j *Job) appendEvent(ev telemetry.Event) {
-	j.mu.Lock()
-	j.events = append(j.events, ev)
-	j.wakeLocked()
-	j.mu.Unlock()
+	return r
 }
 
 // wakeLocked signals event subscribers. Callers hold j.mu.
@@ -565,33 +577,4 @@ func (s *Server) buildSearch(ctx context.Context, p *plan) (core.SearchConfig, e
 		cfg.Objective = core.NewProfileObjective(target, core.NewErrorModel())
 	}
 	return cfg, nil
-}
-
-// evalsFromCheckpoint rebuilds the eval events of a persisted job, one per
-// checkpoint entry — skipped iterations with their error, completed ones with
-// their parameters, running best and attribution. Checkpoints store
-// normalized points and errors; what they do not store (per-evaluation cache
-// hits, cycles, timings) stays zero.
-func evalsFromCheckpoint(space *opt.Space, cp core.Checkpoint) []core.EvalEvent {
-	evals := make([]core.EvalEvent, 0, len(cp.Entries))
-	best := math.Inf(1)
-	for _, ent := range cp.Entries {
-		ev := core.EvalEvent{
-			Record:  core.IterationRecord{Iteration: ent.Iteration},
-			Skipped: ent.Skipped,
-			Err:     ent.Err,
-			Retried: ent.Retried,
-		}
-		if !ent.Skipped {
-			if ent.Y < best {
-				best = ent.Y
-			}
-			ev.Record.Params = space.Denormalize(ent.U)
-			ev.Record.Error = ent.Y
-			ev.Record.BestError = best
-			ev.Record.Components = ent.Components
-		}
-		evals = append(evals, ev)
-	}
-	return evals
 }

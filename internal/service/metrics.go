@@ -212,35 +212,27 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Remote budget-semaphore wait time (from shipped spans).")
 	telemetry.RegisterRuntimeMetrics(reg, "datamimed")
 
-	reg.NewCollector("datamimed_job_iterations_done",
-		"Finished iterations of each active job.",
-		"gauge", []string{"job"}, func() []telemetry.Sample {
+	// Per-job gauges read each active job's status; terminal jobs drop out,
+	// so the label set stays bounded by the queue.
+	jobGauge := func(name, help string, value func(JobStatus) (float64, bool)) {
+		reg.NewCollector(name, help, "gauge", []string{"job"}, func() []telemetry.Sample {
 			var out []telemetry.Sample
-			for _, rw := range s.activeJobRows() {
-				out = append(out, telemetry.Sample{Labels: []string{rw.id}, Value: float64(rw.iters)})
-			}
-			return out
-		})
-	reg.NewCollector("datamimed_job_best_error",
-		"Running minimum objective value of each active job.",
-		"gauge", []string{"job"}, func() []telemetry.Sample {
-			var out []telemetry.Sample
-			for _, rw := range s.activeJobRows() {
-				if rw.hasBest {
-					out = append(out, telemetry.Sample{Labels: []string{rw.id}, Value: rw.best})
+			for _, j := range s.Jobs() {
+				if st := j.status(); !st.State.terminal() {
+					if v, ok := value(st); ok {
+						out = append(out, telemetry.Sample{Labels: []string{st.ID}, Value: v})
+					}
 				}
 			}
 			return out
 		})
-	reg.NewCollector("datamimed_job_sim_cycles",
-		"Estimated simulated cycles spent by each active job.",
-		"gauge", []string{"job"}, func() []telemetry.Sample {
-			var out []telemetry.Sample
-			for _, rw := range s.activeJobRows() {
-				out = append(out, telemetry.Sample{Labels: []string{rw.id}, Value: rw.simCycles})
-			}
-			return out
-		})
+	}
+	jobGauge("datamimed_job_iterations_done", "Finished iterations of each active job.",
+		func(st JobStatus) (float64, bool) { return float64(st.Iterations), true })
+	jobGauge("datamimed_job_best_error", "Running minimum objective value of each active job.",
+		func(st JobStatus) (float64, bool) { return st.BestError, st.Evaluations > 0 })
+	jobGauge("datamimed_job_sim_cycles", "Estimated simulated cycles spent by each active job.",
+		func(st JobStatus) (float64, bool) { return st.SimCycles, true })
 
 	reg.NewGaugeFunc("datamimed_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
@@ -303,38 +295,6 @@ func (m *serverMetrics) observeFleetSpan(ev telemetry.Event) {
 	case telemetry.PhaseBudgetWait:
 		m.fleetBudgetWaitSeconds.Add(secs)
 	}
-}
-
-// activeJobRow is one non-terminal job's progress snapshot for the per-job
-// gauge collectors (terminal jobs drop out so the label set stays bounded by
-// the queue).
-type activeJobRow struct {
-	id        string
-	iters     int
-	best      float64
-	hasBest   bool
-	simCycles float64
-}
-
-func (s *Server) activeJobRows() []activeJobRow {
-	var rows []activeJobRow
-	for _, j := range s.Jobs() {
-		j.mu.Lock()
-		if !j.state.terminal() {
-			rw := activeJobRow{
-				id:        j.id,
-				iters:     len(j.trace) + j.skipped,
-				simCycles: j.simCycles,
-			}
-			if len(j.trace) > 0 {
-				rw.best = j.trace[len(j.trace)-1].BestError
-				rw.hasBest = true
-			}
-			rows = append(rows, rw)
-		}
-		j.mu.Unlock()
-	}
-	return rows
 }
 
 // handleMetrics serves the registry in the Prometheus text exposition

@@ -104,7 +104,7 @@ func TestMetricsExposition(t *testing.T) {
 	waitFor(t, "job to make progress", func() bool {
 		var st JobStatus
 		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
-		return st.TraceLen >= 2
+		return st.Iterations >= 2
 	})
 
 	samples := scrape(t, ts)

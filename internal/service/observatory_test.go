@@ -160,8 +160,8 @@ func TestJobTraceEndpointTelemetry(t *testing.T) {
 
 // TestSSESlowConsumerBacklogDrop: a subscriber whose pending batch exceeds
 // SSEMaxBacklog loses the oldest events — announced via one "dropped" frame
-// and counted on the drop counter — and the search-side appendEvent path
-// never blocks on it.
+// and counted on the drop counter — and the search-side addEvent path never
+// blocks on it.
 func TestSSESlowConsumerBacklogDrop(t *testing.T) {
 	svc, err := New(Config{
 		Workers:       1,
@@ -186,12 +186,12 @@ func TestSSESlowConsumerBacklogDrop(t *testing.T) {
 	const total = 100
 	start := time.Now()
 	for i := 0; i < total; i++ {
-		job.appendEvent(telemetry.Event{Type: telemetry.TypeEval, Iter: i,
+		svc.addEvent(job, telemetry.Event{Type: telemetry.TypeEval, Iter: i,
 			TimeNS: time.Now().UnixNano(),
 			Attrs:  map[string]float64{telemetry.AttrError: 0.5, telemetry.AttrBestError: 0.5}})
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("appendEvent blocked for %v with no subscriber draining", elapsed)
+		t.Fatalf("addEvent blocked for %v with no subscriber draining", elapsed)
 	}
 
 	respCh := make(chan *http.Response, 1)

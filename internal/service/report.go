@@ -9,12 +9,13 @@ import (
 )
 
 // jobProfiles assembles the target/best profile pair behind a job's eCDF
-// overlays. Live jobs carry both in memory; for jobs restored from a
-// checkpoint after a restart, the profiles are recovered through the shared
-// evaluation cache by reconstructing the content addresses the original run
-// used (the profiler, seeds, and best point are all deterministic functions
-// of the spec + checkpoint). Recovery is best-effort: a cold cache yields a
-// partial doc, and a report rendered from it degrades to artifact totals.
+// overlays. Live jobs carry both in memory; for jobs restored from their log
+// after a restart, the profiles are recovered through the shared evaluation
+// cache by reconstructing the content addresses the original run used (the
+// profiler and seeds are deterministic functions of the spec, and the best
+// eval event names its point, iteration and retry). Recovery is best-effort:
+// a cold cache yields a partial doc, and a report rendered from it degrades
+// to artifact totals.
 func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 	j.mu.Lock()
 	doc := &inspect.ProfilesDoc{
@@ -22,17 +23,12 @@ func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 		Target: j.targetProf,
 		Best:   j.bestProf,
 	}
-	if j.result != nil && len(j.result.Components) > 0 {
-		doc.Components = j.result.Components
-	}
+	best, found := j.best, j.found
 	p := j.plan
-	checkpoint := j.checkpoint.Clone()
 	j.mu.Unlock()
 
-	if doc.Components == nil {
-		if best, ok := checkpoint.Best(); ok {
-			doc.Components = best.Components
-		}
+	if found {
+		doc.Components = best.Record.Components
 	}
 	if p == nil || (doc.Target != nil && doc.Best != nil) {
 		return doc
@@ -44,13 +40,10 @@ func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 			doc.Target = prof
 		}
 	}
-	if doc.Best == nil {
-		if best, ok := checkpoint.Best(); ok {
-			x := p.generator.Space.Denormalize(best.U)
-			seed := core.IterationSeed(p.spec.Seed, best.Iteration, best.Retried)
-			if prof, ok := s.cache.Get(core.EvalKey(p.generator.Name, p.profiler, x, seed)); ok {
-				doc.Best = prof
-			}
+	if doc.Best == nil && found {
+		seed := core.IterationSeed(p.spec.Seed, best.Record.Iteration, best.Retried)
+		if prof, ok := s.cache.Get(core.EvalKey(p.generator.Name, p.profiler, best.Record.Params, seed)); ok {
+			doc.Best = prof
 		}
 	}
 	return doc

@@ -119,7 +119,7 @@ func TestReportEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-job.Done()
-	if st := job.status(0); st.State != JobSucceeded {
+	if st := job.status(); st.State != JobSucceeded {
 		t.Fatalf("job %s: %s", st.State, st.Error)
 	}
 

@@ -142,7 +142,7 @@ func TestUnresolvableRequestLeavesFleetHealthy(t *testing.T) {
 	svc := newFleetServer(t, urls)
 	spec := testSpec(6, 5)
 	spec.Backend = "remote"
-	st := runToCompletion(t, svc, spec)
+	st, _ := runToCompletion(t, svc, spec)
 
 	if st.Evaluations != 6 {
 		t.Fatalf("evaluations = %d, want 6", st.Evaluations)
@@ -241,17 +241,17 @@ func TestPlanSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-live.Done()
-	if st := live.status(0); st.State != JobSucceeded {
+	if st := live.status(); st.State != JobSucceeded {
 		t.Fatalf("job %s: %s", st.State, st.Error)
 	}
 	bestKey := func(j *Job) string {
-		best, ok := j.checkpoint.Best()
+		best, ok := j.best, j.found
 		if !ok {
-			t.Fatal("checkpoint has no best point")
+			t.Fatal("the job has no best evaluation")
 		}
 		p := j.plan
-		return core.EvalKey(p.generator.Name, p.profiler, p.generator.Space.Denormalize(best.U),
-			core.IterationSeed(p.spec.Seed, best.Iteration, best.Retried))
+		return core.EvalKey(p.generator.Name, p.profiler, best.Record.Params,
+			core.IterationSeed(p.spec.Seed, best.Record.Iteration, best.Retried))
 	}
 	liveBest := bestKey(live)
 	target, okT := svc.Cache().Get(live.plan.targetKey)

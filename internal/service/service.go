@@ -2,7 +2,7 @@
 // benchmark-generation service: a bounded worker pool executes search jobs
 // submitted over HTTP/JSON, a content-addressed evaluation cache shares
 // profiling work across jobs (a dispatched evaluation is looked up there
-// before it leaves), per-job JSON checkpoints make every in-flight search
+// before it leaves), each job's append-only event log makes its search
 // resumable after a crash or restart, and a dispatcher can shard candidate
 // evaluations across registered datamime-worker processes. A job is served
 // as its record (status, artifact, profiles, events); clients such as
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -43,9 +44,10 @@ type Config struct {
 	// profiling.profile_workers. 0 leaves profiles serial. Profiles are
 	// bit-identical at any setting.
 	DefaultProfileWorkers int
-	// CheckpointDir, when non-empty, enables persistence: every job is
-	// checkpointed there after each batch, and New resumes unfinished
-	// jobs found in it.
+	// CheckpointDir, when non-empty, enables persistence: every job appends
+	// everything it records to its log there, <id>.jsonl, as it happens, and
+	// New restores the logged jobs, resuming unfinished ones from their last
+	// logged iteration.
 	CheckpointDir string
 	// Generators registers extra dataset generators beyond the built-in
 	// Table III set (datagen.All), e.g. custom §III-B generators.
@@ -88,8 +90,8 @@ type Config struct {
 }
 
 // Server schedules and tracks search jobs. Create with New, serve its
-// Handler, and Close it to shut down (running jobs are checkpointed and
-// re-queued for the next start).
+// Handler, and Close it to shut down (running jobs are logged as queued, for
+// the next start to resume).
 type Server struct {
 	cfg Config
 	// cache is shared by every job (a resubmitted or warm-started search
@@ -133,8 +135,8 @@ type Server struct {
 	started time.Time
 }
 
-// New builds a Server, resumes any unfinished checkpointed jobs, and starts
-// the worker pool.
+// New builds a Server, restores the jobs logged in Config.CheckpointDir
+// (resuming unfinished ones), and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -206,20 +208,17 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: server is shut down", errUnavailable)
 	}
-	job := &Job{
-		id:      fmt.Sprintf("job-%d", s.nextID),
-		spec:    spec,
-		plan:    p,
-		state:   JobQueued,
-		done:    make(chan struct{}),
-		created: time.Now(),
+	job := &Job{id: fmt.Sprintf("job-%d", s.nextID), plan: p, done: make(chan struct{})}
+	if dir := s.cfg.CheckpointDir; dir != "" {
+		job.logPath = filepath.Join(dir, job.id+".jsonl")
 	}
+	// The header starts the job's record and creates its log.
+	s.addLocked(job, jobLine{Event: telemetry.Event{Type: typeJobSpec, TimeNS: time.Now().UnixNano()}, Spec: &spec})
 	s.nextID++
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
 	s.mu.Unlock()
 
-	s.persist(job)
 	select {
 	case s.queue <- job:
 	default:
@@ -276,8 +275,8 @@ func (s *Server) Cancel(id string) error {
 	return nil
 }
 
-// Close shuts the server down: cancels running searches (their checkpoints
-// persist), re-queues them on disk, and waits for the workers to exit.
+// Close shuts the server down: cancels running searches, logs them as
+// queued, and waits for the workers to exit.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -300,7 +299,7 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for job := range s.queue {
 		if s.rootCtx.Err() != nil {
-			return // shutdown: job stays queued on disk
+			return // shutdown: the job stays queued in its log
 		}
 		job.mu.Lock()
 		skip := job.canceled || job.state.terminal()
@@ -320,18 +319,19 @@ func (s *Server) runJob(job *Job) {
 	defer cancel()
 
 	job.mu.Lock()
-	job.state = JobRunning
-	job.started = time.Now()
 	job.cancel = cancel
-	resume := job.checkpoint.Clone()
+	s.setStateLocked(job, JobRunning, "")
+	// A restored job resumes from the evaluations its log holds.
+	resume, err := core.CheckpointFromEvents(job.events)
 	job.mu.Unlock()
-	s.persist(job)
 	s.logf("job %s running", job.id)
 
 	p := job.plan
 	if p == nil {
-		// Restored from a checkpoint whose spec no longer resolves here.
-		s.finish(job, JobFailed, job.planErr.Error())
+		err = job.planErr // restored from a log whose spec no longer resolves here
+	}
+	if err != nil {
+		s.finish(job, JobFailed, err.Error())
 		return
 	}
 	cfg, err := s.buildSearch(ctx, p)
@@ -375,7 +375,7 @@ func (s *Server) runJob(job *Job) {
 				if ev.Type == telemetry.TypeSpan {
 					ev.Job = job.id
 					s.metrics.observeSpan(ev)
-					job.appendEvent(ev)
+					s.addEvent(job, ev)
 				}
 			},
 		})
@@ -389,39 +389,14 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 	if len(resume.Entries) > 0 {
-		job.mu.Lock()
-		// The replay rebuilds the trace, counters, and event log from
-		// iteration 0.
-		job.trace = nil
-		job.events = nil
-		job.evals, job.cacheHits, job.cacheMisses, job.skipped, job.simCycles = 0, 0, 0, 0, 0
-		job.mu.Unlock()
 		cfg.Resume = &resume
 	}
 	cfg.OnEval = func(ev core.EvalEvent) { s.foldEval(job, ev) }
-	cfg.OnCheckpoint = func(cp core.Checkpoint) {
-		job.mu.Lock()
-		job.checkpoint = cp
-		job.mu.Unlock()
-		s.persist(job)
-	}
 
 	res, err := core.SearchContext(ctx, cfg)
 	switch {
 	case err == nil:
-		result := &JobResult{
-			BestParams:  res.BestParams,
-			BestError:   res.BestError,
-			Evaluations: res.Evaluations,
-			CacheHits:   res.CacheHits,
-			Skipped:     res.Skipped,
-			Components:  res.BestComponents(),
-		}
-		if res.BestParams != nil {
-			result.BestValues = cfg.Generator.Space.Values(res.BestParams)
-		}
 		job.mu.Lock()
-		job.result = result
 		job.bestProf = res.BestProfile
 		job.mu.Unlock()
 		// Index into the run corpus (and run the regression watchdog)
@@ -436,11 +411,13 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// foldEval folds one iteration of a running search into its job (addEval)
-// and the server's counters, with or without telemetry. A replayed
-// iteration's surrogate was refit, so its snapshot still counts.
+// foldEval records one iteration of a running search in its job (its
+// search.diagnostics event when the record carries a snapshot, then its eval
+// event) and counts it in the server's metrics, with or without telemetry. A
+// replayed iteration is already in the job's record, from its log, so only
+// its refit surrogate's jitter counts; a live eval of an iteration the record
+// holds means the replay diverged, and the job rewinds to it first.
 func (s *Server) foldEval(job *Job, ev core.EvalEvent) {
-	job.addEval(ev, time.Now().UnixNano())
 	if d := ev.Record.Diagnostics; d != nil && d.JitterLevel > 0 {
 		s.metrics.gpJitterEscalations.Inc()
 	}
@@ -458,10 +435,26 @@ func (s *Server) foldEval(job *Job, ev core.EvalEvent) {
 	if ev.SimCycles > 0 {
 		s.metrics.cyclesTotal.Add(ev.SimCycles)
 	}
+
+	var tevs []telemetry.Event
+	if dev, ok := ev.DiagnosticsEvent(); ok {
+		tevs = append(tevs, dev)
+	}
+	tevs = append(tevs, ev.TelemetryEvent())
+	now := time.Now().UnixNano()
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if it := ev.Record.Iteration; it < job.evals+job.skipped {
+		s.rewindLocked(job, it)
+	}
+	for _, tev := range tevs {
+		tev.Job, tev.TimeNS = job.id, now
+		s.addLocked(job, jobLine{Event: tev})
+	}
 }
 
 // endInterrupted resolves a context-terminated job: client cancels become
-// terminal, server shutdowns re-queue the job (on disk) for the next start.
+// terminal, server shutdowns log the job as queued for the next start.
 func (s *Server) endInterrupted(job *Job) {
 	job.mu.Lock()
 	canceled := job.canceled
@@ -470,31 +463,26 @@ func (s *Server) endInterrupted(job *Job) {
 		s.finish(job, JobCanceled, context.Canceled.Error())
 		return
 	}
-	// Server shutdown: persist as queued so loadCheckpoints resumes it.
+	// Server shutdown: log the job as queued; loadCheckpoints resumes it.
 	job.mu.Lock()
-	job.state = JobQueued
-	checkpointed := len(job.checkpoint.Entries)
+	s.setStateLocked(job, JobQueued, "")
+	logged := job.evals + job.skipped
 	job.mu.Unlock()
-	s.persist(job)
-	s.logf("job %s interrupted by shutdown; checkpointed at %d iterations",
-		job.id, checkpointed)
+	s.logf("job %s interrupted by shutdown; %d iterations logged", job.id, logged)
 }
 
-// finish moves a job to a terminal state and persists it.
+// finish moves a job to a terminal state, which addLocked logs and announces
+// to SSE subscribers.
 func (s *Server) finish(job *Job, state JobState, errMsg string) {
 	job.mu.Lock()
 	if job.state.terminal() {
 		job.mu.Unlock()
 		return
 	}
-	job.state = state
-	job.errMsg = errMsg
-	job.finished = time.Now()
+	s.setStateLocked(job, state, errMsg)
 	done := job.done
-	job.wakeLocked() // SSE subscribers observe the terminal state
 	job.mu.Unlock()
 	close(done)
-	s.persist(job)
 	if errMsg != "" {
 		s.logf("job %s %s: %s", job.id, state, errMsg)
 	} else {

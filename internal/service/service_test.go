@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,9 @@ import (
 
 	"datamime/internal/apps/kvstore"
 	"datamime/internal/backend"
+	"datamime/internal/core"
 	"datamime/internal/datagen"
+	"datamime/internal/inspect"
 	"datamime/internal/opt"
 	"datamime/internal/profile"
 	"datamime/internal/stats"
@@ -186,22 +187,17 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 	id := submitted.ID
 
-	// The trace grows monotonically while the job runs.
+	// Progress grows monotonically while the job runs.
 	var st JobStatus
 	seen := 0
-	waitFor(t, "trace to reach 5 records", func() bool {
+	waitFor(t, "job to reach 5 iterations", func() bool {
 		st = JobStatus{}
-		httpJSON(t, ts, "GET", fmt.Sprintf("/v1/jobs/%s?since=%d", id, seen), nil, &st)
-		if st.TraceLen < seen {
-			t.Fatalf("trace shrank: %d -> %d", seen, st.TraceLen)
+		httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
+		if st.Iterations < seen {
+			t.Fatalf("iterations_done went backwards: %d -> %d", seen, st.Iterations)
 		}
-		for i, rec := range st.Trace {
-			if rec.Iteration < seen+i {
-				t.Fatalf("trace iteration went backwards: %+v at offset %d", rec, seen+i)
-			}
-		}
-		seen = st.TraceLen
-		return st.TraceLen >= 5
+		seen = st.Iterations
+		return st.Iterations >= 5
 	})
 	if st.State != JobRunning {
 		t.Fatalf("mid-run state = %s", st.State)
@@ -298,7 +294,7 @@ func TestServiceCheckpointResume(t *testing.T) {
 	spec := testSpec(30, 17)
 
 	// Reference: the same spec run uninterrupted (no persistence).
-	ref := runToCompletion(t, newTestServer(t, ""), spec)
+	ref, refTrace := runToCompletion(t, newTestServer(t, ""), spec)
 
 	// Interrupted run: close the server once the job has checkpointed a
 	// few batches.
@@ -308,7 +304,7 @@ func TestServiceCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "checkpoint to accumulate", func() bool {
-		st := jobA.status(0)
+		st := jobA.status()
 		return st.Iterations >= 6 && st.Iterations < 30
 	})
 	svcA.Close() // simulated kill: running job persists as queued
@@ -321,9 +317,9 @@ func TestServiceCheckpointResume(t *testing.T) {
 		t.Fatal("restarted server lost the job")
 	}
 	waitFor(t, "resumed job to finish", func() bool {
-		return jobB.status(0).State.terminal()
+		return jobB.status().State.terminal()
 	})
-	got := jobB.status(0)
+	got := jobB.status()
 	if got.State != JobSucceeded {
 		t.Fatalf("resumed job %s: %s", got.State, got.Error)
 	}
@@ -331,13 +327,14 @@ func TestServiceCheckpointResume(t *testing.T) {
 		!reflect.DeepEqual(got.Result.BestParams, ref.Result.BestParams) {
 		t.Fatalf("resumed result diverged:\nresumed %+v\nref     %+v", got.Result, ref.Result)
 	}
-	if got.TraceLen != 30 || !reflect.DeepEqual(got.Trace, ref.Trace) {
-		t.Fatalf("resumed trace diverged (%d records)", got.TraceLen)
+	if trace := records(t, jobB); len(trace) != 30 || !reflect.DeepEqual(trace, refTrace) {
+		t.Fatalf("resumed trace diverged (%d records)", len(trace))
 	}
 	// The resumed run replayed its prefix rather than re-simulating it:
-	// only the post-checkpoint iterations cost fresh simulated cycles.
-	if got.SimCycles >= ref.SimCycles {
-		t.Fatalf("resume re-simulated everything: %g vs %g cycles", got.SimCycles, ref.SimCycles)
+	// only the iterations after the logged ones cost this server fresh
+	// simulated cycles.
+	if resumed := svcB.metrics.cyclesTotal.Value(); resumed >= ref.SimCycles {
+		t.Fatalf("resume re-simulated everything: %g vs %g cycles", resumed, ref.SimCycles)
 	}
 
 	// A third start has nothing to resume but still reports the job.
@@ -348,14 +345,15 @@ func TestServiceCheckpointResume(t *testing.T) {
 	if !ok {
 		t.Fatal("third start lost the job")
 	}
-	st := jobC.status(0)
-	if st.State != JobSucceeded || st.Result == nil || st.TraceLen != 30 {
+	st := jobC.status()
+	if st.State != JobSucceeded || st.Result == nil || st.Evaluations != 30 {
 		t.Fatalf("restored finished job: %+v", st)
 	}
 }
 
-// runToCompletion submits spec and waits for the result.
-func runToCompletion(t *testing.T, svc *Server, spec JobSpec) JobStatus {
+// runToCompletion submits spec and waits for the result, returning the
+// job's status and iteration records.
+func runToCompletion(t *testing.T, svc *Server, spec JobSpec) (JobStatus, []core.IterationRecord) {
 	t.Helper()
 	defer svc.Close()
 	job, err := svc.Submit(spec)
@@ -367,11 +365,28 @@ func runToCompletion(t *testing.T, svc *Server, spec JobSpec) JobStatus {
 	case <-time.After(30 * time.Second):
 		t.Fatal("job did not finish")
 	}
-	st := job.status(0)
+	st := job.status()
 	if st.State != JobSucceeded {
 		t.Fatalf("job %s: %s", st.State, st.Error)
 	}
-	return st
+	return st, records(t, job)
+}
+
+// records reads a job's iteration records off its event log, which /artifact
+// serves: one per evaluation, skips aside.
+func records(t *testing.T, j *Job) []core.IterationRecord {
+	t.Helper()
+	run, err := inspect.NewRun(artifactEvents(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []core.IterationRecord
+	for _, ev := range run.Evals {
+		if !ev.Skipped {
+			recs = append(recs, ev.Record)
+		}
+	}
+	return recs
 }
 
 // TestCacheLRU exercises eviction and stats.

@@ -101,13 +101,14 @@ func NewJSONLSink(w io.Writer) func(Event) {
 }
 
 // ScanJSONL is the one reader of JSONL artifacts: it calls fn for every line
-// that parses as an Event, in stream order, and returns how many non-empty
+// that parses as a T (an Event, or a line type that embeds one, such as a
+// datamimed job log's), in stream order, and returns how many non-empty
 // lines did not parse (usually a tail truncated by a writer that died
 // mid-flush; callers that care should warn when it is nonzero). Unknown
 // event types reach fn like any other, so consumers skip what they do not
 // know. An error from fn stops the scan and is returned with its line
 // number.
-func ScanJSONL(r io.Reader, fn func(Event) error) (malformed int, err error) {
+func ScanJSONL[T any](r io.Reader, fn func(T) error) (malformed int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -117,7 +118,7 @@ func ScanJSONL(r io.Reader, fn func(Event) error) (malformed int, err error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var ev Event
+		var ev T
 		if err := json.Unmarshal(raw, &ev); err != nil {
 			malformed++
 			continue

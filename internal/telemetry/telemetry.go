@@ -87,7 +87,8 @@ const (
 // Event is one telemetry record: a closed span, a finished evaluation, or a
 // log message. Events marshal one-per-line into the JSONL run artifact.
 // TimeNS is informational wall-clock (UnixNano); DurNS is measured on the
-// monotonic clock.
+// monotonic clock. U is an eval's unit-cube point, which a resume replays:
+// integer Params do not normalize back to it.
 type Event struct {
 	Type    string             `json:"type"`
 	Job     string             `json:"job,omitempty"`
@@ -98,6 +99,7 @@ type Event struct {
 	Skipped bool               `json:"skipped,omitempty"`
 	Msg     string             `json:"msg,omitempty"`
 	Params  []float64          `json:"params,omitempty"`
+	U       []float64          `json:"u,omitempty"`
 	Attrs   map[string]float64 `json:"attrs,omitempty"`
 }
 

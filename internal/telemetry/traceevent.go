@@ -47,8 +47,8 @@ import (
 // Timestamps are microseconds from the earliest event in the stream, so
 // traces from different runs all start at zero. The exporter is a pure
 // function of the event stream: it never touches the search. Evals and
-// spans without wall-clock stamps (TimeNS == 0, e.g. evals synthesized from
-// a restored checkpoint) cannot be placed on a timeline; they are counted in
+// spans without wall-clock stamps (TimeNS == 0) cannot be placed on a
+// timeline; they are counted in
 // the trace's otherData.dropped_unstamped metadata rather than silently
 // lost. Other event types (the artifact's header log line) are never drawn,
 // so they are not counted.
