@@ -87,9 +87,9 @@ cat > spec-fleet.json <<'EOF'
 EOF
 sed 's/"backend": "remote"/"backend": "local"/' spec-fleet.json > spec-local.json
 
-echo "== starting coordinator A (fleet, telemetry on, corpus in corpus-a) on $COORD_A"
-rm -rf corpus-a
-bin/datamimed -addr "$COORD_A" -workers 1 -quiet -telemetry -corpus-dir corpus-a &
+echo "== starting coordinator A (fleet, telemetry on, job logs and corpus in ckpt-a) on $COORD_A"
+rm -rf ckpt-a
+bin/datamimed -addr "$COORD_A" -workers 1 -quiet -telemetry -checkpoint-dir ckpt-a &
 PIDS+=($!)
 wait_http "http://$COORD_A/healthz"
 
@@ -199,8 +199,16 @@ assert a["verdict"] == "baseline" and b["verdict"] == "identical", \
     f"verdicts {a['verdict']}/{b['verdict']}, want baseline/identical"
 print(f"corpus ok: 2 runs of scenario {a['scenario']}, best error {a['best_error']}, verdict identical")
 EOF
-echo "== the index's verdict is corpus compare's: the pair must diff exactly"
-bin/datamime-inspect corpus compare -dir corpus-a -a "$FLEET_JOB" -b "$FLEET_JOB_2" -exact
+echo "== the corpus's verdict is diff's: the pair must diff exactly, as logs and as /artifact URLs"
+bin/datamime-inspect diff -a "ckpt-a/$FLEET_JOB.jsonl" -b "ckpt-a/$FLEET_JOB_2.jsonl" -exact
+bin/datamime-inspect diff -a "http://$COORD_A/v1/jobs/$FLEET_JOB/artifact" \
+  -b "http://$COORD_A/v1/jobs/$FLEET_JOB_2/artifact" -exact
+echo "== the corpus is the job logs: no second store, no trends route"
+if [ -e ckpt-a/index.jsonl ] || [ -e ckpt-a/runs ]; then
+  echo "ckpt-a holds a second corpus store:" >&2; ls -la ckpt-a >&2; exit 1
+fi
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$COORD_A/v1/corpus/x/trends")
+[ "$code" = 404 ] || { echo "GET /v1/corpus/x/trends answered $code, want 404" >&2; exit 1; }
 curl -fs "http://$COORD_A/metrics" > corpus-metrics.txt
 grep -q '^datamimed_corpus_runs_indexed_total 2$' corpus-metrics.txt || {
   echo "corpus indexed-runs counter is not 2:" >&2
@@ -217,8 +225,8 @@ grep -q '^datamimed_eval_cache_misses_total 8$' corpus-metrics.txt &&
   grep eval_cache corpus-metrics.txt >&2 || true; exit 1; }
 
 echo "== rendering the corpus trends + HTML scoreboard"
-bin/datamime-inspect corpus list -dir corpus-a
-bin/datamime-inspect corpus trends -dir corpus-a -title "fleet gate" -html scoreboard.html
+bin/datamime-inspect corpus list -dir ckpt-a
+bin/datamime-inspect corpus trends -dir ckpt-a -title "fleet gate" -html scoreboard.html
 grep -q 'datamime corpus scoreboard' scoreboard.html || {
   echo "scoreboard.html missing its header" >&2; exit 1; }
 
@@ -228,6 +236,9 @@ PIDS+=($!)
 wait_http "http://$COORD_B/healthz"
 LOCAL_JOB=$(run_job "$COORD_B" spec-local.json run-local.jsonl)
 echo "== local job $LOCAL_JOB succeeded"
+echo "== coordinator B, without a checkpoint directory, keeps its corpus in memory"
+[ "$(curl -fs "http://$COORD_B/v1/corpus" | python3 -c 'import json,sys; d=json.load(sys.stdin); print(d["total"], [r["id"] for r in d["runs"]])')" = "1 ['$LOCAL_JOB']" ] || {
+  echo "coordinator B does not list its one run:" >&2; curl -fs "http://$COORD_B/v1/corpus" >&2; exit 1; }
 
 echo "== determinism gate: fleet artifact must be exactly identical to local"
 bin/datamime-inspect diff -a run-local.jsonl -b run-fleet.jsonl -exact

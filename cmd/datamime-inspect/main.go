@@ -7,12 +7,13 @@
 //	datamime-inspect report -artifact run.jsonl [-profiles profiles.json] [-html report.html] [-json] [-diagnostics diag.json]
 //	datamime-inspect diff -a baseline.jsonl -b candidate.jsonl [-exact] [-json]
 //	datamime-inspect timeline -artifact run.jsonl [-trace trace.json] [-min-efficiency 1.3]
-//	datamime-inspect corpus list|compare|trends -dir corpus [...]
+//	datamime-inspect corpus list|trends -dir checkpoints [...]
 //	datamime-inspect tail -server http://localhost:8080 -job job-1
 //
-// report and timeline also read a live datamimed job: every -artifact or
-// -profiles file may be an http:// or https:// URL, such as
-// http://localhost:8080/v1/jobs/job-1/artifact (served mid-run too).
+// report, diff and timeline also read a live datamimed job: every -artifact,
+// -profiles, -a or -b file may be an http:// or https:// URL, such as
+// http://localhost:8080/v1/jobs/job-1/artifact (served mid-run too). A job's
+// log, <checkpoint-dir>/<id>.jsonl, reads as its artifact.
 //
 // Exit codes: 0 success; 1 the diff crossed a regression threshold (any
 // difference under -exact) or the timeline missed -min-efficiency; 2 usage
@@ -83,13 +84,14 @@ commands:
   diff      compare two run artifacts; exit 1 on regression (CI gate)
   timeline  profiler utilization report from a run's timed spans; writes and
             validates its -trace file and gates on -min-efficiency (CI gate)
-  corpus    query the coordinator's run corpus: list indexed runs, compare
-            two runs by ID, or render per-scenario trends and the HTML
-            scoreboard
+  corpus    query a coordinator's run corpus, the records in its checkpoint
+            directory's job logs: list the runs, or render per-scenario
+            trends and the HTML scoreboard
   tail      follow a live datamimed job's SSE event stream
 
-report and timeline read -artifact and -profiles from a file or an
-http(s):// URL (a datamimed job's /artifact and /profiles).
+report, diff and timeline read -artifact, -profiles, -a and -b from a file
+or an http(s):// URL (a datamimed job's /artifact and /profiles). A job's
+log in the checkpoint directory is its artifact too.
 
 run "datamime-inspect <command> -h" for command flags.
 `)
@@ -172,8 +174,8 @@ func runReport(args []string) error {
 
 func runDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	aPath := fs.String("a", "", "baseline run artifact (required)")
-	bPath := fs.String("b", "", "candidate run artifact (required)")
+	aPath := fs.String("a", "", "baseline run artifact, a file or http(s) URL (required)")
+	bPath := fs.String("b", "", "candidate run artifact, a file or http(s) URL (required)")
 	tol := fs.Float64("tolerance", 0, "absolute numeric tolerance (default 1e-9)")
 	errTol := fs.Float64("error-tolerance", 0, "allowed best-error drift before it counts as a regression (default: -tolerance)")
 	exact := fs.Bool("exact", false, "treat ANY difference as a failure (determinism gate), not just regressions")
@@ -182,30 +184,24 @@ func runDiff(args []string) error {
 	if *aPath == "" || *bPath == "" {
 		return fmt.Errorf("diff: -a and -b are required")
 	}
-	a, err := inspect.LoadRunFile(*aPath)
+	a, _, err := loadArtifact(*aPath)
 	if err != nil {
 		return err
 	}
-	b, err := inspect.LoadRunFile(*bPath)
+	b, _, err := loadArtifact(*bPath)
 	if err != nil {
 		return err
 	}
 	d := inspect.DiffRuns(a, b, inspect.DiffOptions{Tolerance: *tol, ErrorTolerance: *errTol})
-	return reportDiff(d, *aPath, *bPath, *asJSON, *exact)
-}
-
-// reportDiff prints a diff of the runs named a and b in the selected form
-// and maps its verdict onto the exit code: a regression, or under exact any
-// difference, is errRegressed.
-func reportDiff(d *inspect.RunDiff, a, b string, asJSON, exact bool) error {
-	if asJSON {
+	if *asJSON {
 		if err := writeJSON(os.Stdout, d); err != nil {
 			return err
 		}
 	} else {
-		printDiff(d, a, b)
+		printDiff(d, *aPath, *bPath)
 	}
-	if d.Regressed() || (exact && !d.Identical()) {
+	// A regression, or under -exact any difference, exits 1.
+	if d.Regressed() || (*exact && !d.Identical()) {
 		return errRegressed
 	}
 	return nil
@@ -274,7 +270,7 @@ func runTimeline(args []string) error {
 	return nil
 }
 
-// readInput reads an -artifact or -profiles input: a file, or the body of a
+// readInput reads an -artifact, -profiles, -a or -b input: a file, or the body of a
 // 2xx answer from an http(s) URL such as a datamimed job's /artifact. Any
 // other answer is an error, never an empty run.
 func readInput(path string) ([]byte, error) {

@@ -55,7 +55,8 @@ func readFile(t *testing.T, path string) []byte {
 // internal/inspect holds for the same artifact (the CLI adds nothing to the
 // library's bytes), and the text report and the timeline have goldens here.
 // The fixture served over HTTP, as datamimed serves a job's /artifact, reads
-// to the same bytes, and a URL that does not answer 2xx is an error.
+// to the same bytes and diffs -exact against itself, and a URL that does not
+// answer 2xx is an input error (exit 2), never a regression.
 func TestReportAndTimelineGolden(t *testing.T) {
 	dir := t.TempDir()
 	diag := filepath.Join(dir, "diag.json")
@@ -106,6 +107,10 @@ func TestReportAndTimelineGolden(t *testing.T) {
 	if err := runTimeline([]string{"-artifact", srv.URL + "/missing.jsonl"}); err == nil {
 		t.Error("timeline of a 404 URL succeeded")
 	}
+	stdoutOf(t, runDiff, "-a", url, "-b", fixture, "-exact")
+	if err := runDiff([]string{"-a", url, "-b", srv.URL + "/missing.jsonl"}); err == nil || err == errRegressed {
+		t.Errorf("diff against a 404 URL = %v, want an input error", err)
+	}
 }
 
 // TestTimelineWritesTrace: `timeline -trace` writes the fixture's Perfetto
@@ -133,10 +138,11 @@ func TestTimelineWritesTrace(t *testing.T) {
 	}
 }
 
-// TestCorpusGolden pins `corpus list` and `corpus trends` on a fixture corpus
-// of three indexed runs (two of one scenario sharing the fixture artifact,
-// one of another with no artifact), and checks that `corpus compare -exact`
-// of a run against its identical rerun passes the gate.
+// TestCorpusGolden pins `corpus list` and `corpus trends` on a fixture
+// checkpoint directory of three job logs with record lines (two of one
+// scenario holding the fixture artifact's events, one of another holding
+// none), and checks that `diff -exact` of a run's log against its identical
+// rerun's passes the gate.
 func TestCorpusGolden(t *testing.T) {
 	const dir = "testdata/corpus"
 	for _, c := range []struct {
@@ -151,6 +157,6 @@ func TestCorpusGolden(t *testing.T) {
 		}
 	}
 	for _, pair := range [][2]string{{"job-1", "job-2"}, {"job-2", "job-2"}} {
-		stdoutOf(t, runCorpusCompare, "-dir", dir, "-a", pair[0], "-b", pair[1], "-exact")
+		stdoutOf(t, runDiff, "-a", dir+"/"+pair[0]+".jsonl", "-b", dir+"/"+pair[1]+".jsonl", "-exact")
 	}
 }

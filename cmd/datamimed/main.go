@@ -4,6 +4,9 @@
 // worker pool, share a content-addressed evaluation cache, and append to a
 // per-job log (<id>.jsonl) as they run — kill the server mid-search and the
 // next start resumes every unfinished job from its last logged iteration.
+// A succeeded job's log also carries its run-corpus record, judged against
+// its scenario's first run, so the corpus lives in the checkpoint directory
+// (and in memory only, without one).
 //
 // Usage:
 //
@@ -17,7 +20,7 @@
 //	curl localhost:8080/v1/jobs/job-1/artifact   # JSONL run artifact
 //	curl localhost:8080/v1/jobs/job-1/profiles   # target + best profiles (JSON)
 //	curl -X POST localhost:8080/v1/jobs/job-1/cancel
-//	curl localhost:8080/v1/corpus             # indexed run history (needs -corpus-dir)
+//	curl localhost:8080/v1/corpus             # run history: the succeeded jobs' records
 //	curl localhost:8080/metrics               # Prometheus text metrics
 //
 // A job's HTML report and Perfetto trace are rendered from its artifact by
@@ -56,7 +59,6 @@ func main() {
 		workers       = flag.Int("workers", 2, "concurrent search jobs")
 		queueDepth    = flag.Int("queue-depth", 1024, "maximum queued jobs")
 		checkpointDir = flag.String("checkpoint-dir", "", "directory for job logs, <id>.jsonl, appended as each job records (empty disables persistence and resume)")
-		corpusDir     = flag.String("corpus-dir", "", "directory for the run corpus: every finished job is indexed with its artifact, served at /v1/corpus, and watched for regressions against its scenario baseline (empty disables)")
 		cacheCapacity = flag.Int("cache-capacity", 4096, "evaluation-cache capacity (profiles)")
 		profWorkers   = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "default concurrent simulator runs per profile for jobs that do not set profiling.profile_workers; profiles are bit-identical at any setting")
 		quiet         = flag.Bool("quiet", false, "suppress job lifecycle logs")
@@ -86,7 +88,6 @@ func main() {
 		workers:         *workers,
 		queueDepth:      *queueDepth,
 		checkpointDir:   *checkpointDir,
-		corpusDir:       *corpusDir,
 		cacheCapacity:   *cacheCapacity,
 		profWorkers:     *profWorkers,
 		quiet:           *quiet,
@@ -108,7 +109,6 @@ type options struct {
 	workers       int
 	queueDepth    int
 	checkpointDir string
-	corpusDir     string
 	cacheCapacity int
 	profWorkers   int
 	quiet         bool
@@ -140,7 +140,6 @@ func run(o options) error {
 		Workers:               o.workers,
 		QueueDepth:            o.queueDepth,
 		CheckpointDir:         o.checkpointDir,
-		CorpusDir:             o.corpusDir,
 		CacheCapacity:         o.cacheCapacity,
 		DefaultProfileWorkers: o.profWorkers,
 		Telemetry:             o.telemetry,
@@ -172,9 +171,6 @@ func run(o options) error {
 	fmt.Printf("datamimed listening on %s (workers=%d", o.addr, o.workers)
 	if o.checkpointDir != "" {
 		fmt.Printf(", job logs in %s", o.checkpointDir)
-	}
-	if o.corpusDir != "" {
-		fmt.Printf(", corpus in %s", o.corpusDir)
 	}
 	if n := len(o.workerURLs); n > 0 {
 		fmt.Printf(", fleet of %d", n)

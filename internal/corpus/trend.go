@@ -2,10 +2,10 @@ package corpus
 
 import "datamime/internal/stats"
 
-// The verdict words the corpus itself reads. A scenario's first indexed run
-// is its baseline; every later run carries the verdict of
-// inspect.DiffRuns(baseline, run) — the judge `corpus compare` runs — and
-// Trend counts the regressed ones (DESIGN §3g).
+// The verdict words the corpus itself reads. A scenario's first record is its
+// baseline; every later run carries the verdict of
+// inspect.DiffRuns(baseline, run) — the judge `datamime-inspect diff` runs —
+// and Trend counts the regressed ones (DESIGN §3g).
 const (
 	VerdictBaseline  = "baseline"
 	VerdictRegressed = "regressed"
@@ -31,14 +31,30 @@ type Trend struct {
 	ModelUnhealthy  int     `json:"model_unhealthy,omitempty"`
 }
 
-// Trend builds the longitudinal series for one scenario from the index, in
-// index (completion) order.
-func (c *Corpus) Trend(scenario string) Trend {
-	recs := c.Select(Filter{Scenario: scenario})
-	t := Trend{Scenario: scenario, Runs: len(recs), Points: recs}
-	if len(recs) == 0 {
-		return t
+// Trends builds the longitudinal series of each scenario in recs, in
+// first-seen order, each over its records in their order.
+func Trends(recs []Record) []Trend {
+	var out []Trend
+	at := make(map[string]int)
+	for _, rec := range recs {
+		i, ok := at[rec.Scenario]
+		if !ok {
+			i = len(out)
+			at[rec.Scenario] = i
+			out = append(out, Trend{Scenario: rec.Scenario})
+		}
+		out[i].Points = append(out[i].Points, rec)
 	}
+	for i := range out {
+		out[i].summarize()
+	}
+	return out
+}
+
+// summarize fills the trend's figures from its points.
+func (t *Trend) summarize() {
+	recs := t.Points
+	t.Runs = len(recs)
 	t.Target = recs[0].Target
 	t.Generator = recs[0].Generator
 	t.BestError = recs[0].BestError
@@ -66,5 +82,4 @@ func (c *Corpus) Trend(scenario string) Trend {
 	if len(covs) > 0 {
 		t.MedianCoverage1 = stats.Median(covs)
 	}
-	return t
 }

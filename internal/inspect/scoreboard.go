@@ -3,6 +3,7 @@ package inspect
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -11,9 +12,9 @@ import (
 	"datamime/internal/stats"
 )
 
-// ScoreboardRun is one corpus run on the scoreboard: its index record plus,
-// when the caller loaded the stored artifact, the best-error trajectory for
-// the cross-run convergence overlay.
+// ScoreboardRun is one corpus run on the scoreboard: its record plus, when
+// the caller read its job log, the best-error trajectory for the cross-run
+// convergence overlay.
 type ScoreboardRun struct {
 	Record     corpus.Record
 	Trajectory []float64
@@ -197,21 +198,20 @@ func writeTrendPlot(b *strings.Builder, heading, xLabel, yLabel string, xs, ys [
 	b.WriteString("</svg>\n")
 }
 
-// ScoreboardRuns assembles scoreboard rows from a corpus, loading each
-// stored artifact (best-effort) for the convergence overlays.
-func ScoreboardRuns(c *corpus.Corpus, recs []corpus.Record) []ScoreboardRun {
+// ScoreboardRuns assembles scoreboard rows from corpus records, reading each
+// run's trajectory (best-effort) from its job log, <dir>/<id>.jsonl, for the
+// convergence overlays.
+func ScoreboardRuns(dir string, recs []corpus.Record) []ScoreboardRun {
 	out := make([]ScoreboardRun, 0, len(recs))
 	for _, rec := range recs {
 		row := ScoreboardRun{Record: rec}
-		if data, err := c.Artifact(rec); err == nil {
-			if run, err := LoadRun(strings.NewReader(string(data))); err == nil {
-				row.Trajectory = run.BestTrace()
-			}
+		if run, err := LoadRunFile(filepath.Join(dir, rec.ID+".jsonl")); err == nil {
+			row.Trajectory = run.BestTrace()
 		}
 		out = append(out, row)
 	}
-	// Stable order: corpus order is append order already, but guard against
-	// callers passing filtered slices in arbitrary order.
+	// Stable order: corpus.Load returns corpus order already, but guard
+	// against callers passing filtered slices in arbitrary order.
 	sort.SliceStable(out, func(i, j int) bool {
 		return out[i].Record.FinishedAt.Before(out[j].Record.FinishedAt)
 	})

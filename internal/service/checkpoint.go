@@ -13,12 +13,14 @@ import (
 	"strings"
 	"time"
 
+	"datamime/internal/corpus"
 	"datamime/internal/datagen"
 	"datamime/internal/telemetry"
 )
 
 // A job persists as its log, <CheckpointDir>/<id>.jsonl: a job.spec header,
-// then its events and a job.state line per transition, each appended as one
+// then its events and a job.state line per transition — and, for a succeeded
+// job, its corpus.record line before the terminal one — each appended as one
 // whole O_APPEND line as it happens. A restart folds the log back
 // (Job.applyLocked) and resumes an unfinished job from its eval events.
 const (
@@ -27,11 +29,13 @@ const (
 )
 
 // jobLine is one line of a job log. It embeds the event, so every line is an
-// artifact line too: inspect.LoadRun reads a job log, skipping the job.* types.
+// artifact line too: inspect.LoadRun reads a job log, skipping the job.* and
+// corpus.record types.
 type jobLine struct {
 	telemetry.Event
-	Spec  *JobSpec `json:"spec,omitempty"`
-	State JobState `json:"state,omitempty"`
+	Spec   *JobSpec       `json:"spec,omitempty"`
+	State  JobState       `json:"state,omitempty"`
+	Record *corpus.Record `json:"record,omitempty"`
 }
 
 // setStateLocked records a state transition happening now. Callers hold j.mu.
@@ -173,8 +177,9 @@ func (s *Server) rewindLocked(j *Job, it int) {
 }
 
 // loadCheckpoints restores the jobs logged in the checkpoint directory,
-// re-queueing unfinished ones. IDs advance past every job-N.* file, so none is
-// reissued over a file that did not load or predates job logs (<id>.json).
+// re-queueing unfinished ones, and the corpus from the succeeded ones' record
+// lines. IDs advance past every job-N.* file, so none is reissued over a file
+// that did not load or predates job logs (<id>.json).
 func (s *Server) loadCheckpoints() error {
 	dir := s.cfg.CheckpointDir
 	if dir == "" {
@@ -210,11 +215,15 @@ func (s *Server) loadCheckpoints() error {
 	for _, job := range loaded {
 		s.jobs[job.id] = job
 		s.order = append(s.order, job.id)
+		if job.state == JobSucceeded && job.rec != nil {
+			s.records = append(s.records, *job.rec)
+		}
 		if !job.state.terminal() {
 			s.queue <- job
 			s.logf("job %s restored with %d logged iterations; re-queued", job.id, job.evals+job.skipped)
 		}
 	}
+	corpus.Sort(s.records)
 	return nil
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"datamime/internal/backend"
 	"datamime/internal/core"
+	"datamime/internal/corpus"
 	"datamime/internal/datagen"
 	"datamime/internal/inspect"
 	"datamime/internal/telemetry"
@@ -113,8 +114,9 @@ func TestUnreadableJobFileIsNotReissued(t *testing.T) {
 
 // TestJobLogIsWrittenOnce: an uninterrupted job's log is its header, then
 // exactly the events /artifact serves after its synthesized header,
-// interleaved with the job's state lines, in order — appended as they
-// happened to the one file the job created.
+// interleaved with the job's state lines and, before the terminal one, its
+// corpus record line, in order — appended as they happened to the one file
+// the job created.
 func TestJobLogIsWrittenOnce(t *testing.T) {
 	dir := t.TempDir()
 	svc := newTelemetryServer(t, dir)
@@ -155,13 +157,13 @@ func TestJobLogIsWrittenOnce(t *testing.T) {
 			t.Fatalf("log line %d: %v", i, err)
 		}
 		switch {
-		case l.Type == typeJobSpec && i == 0, l.Type == typeJobState:
+		case l.Type == typeJobSpec && i == 0, l.Type == typeJobState, l.Type == corpus.TypeRecord && l.Record != nil:
 			jobLines = append(jobLines, l.Type+" "+string(l.State))
 		default:
 			events.Write(line)
 		}
 	}
-	if want := []string{"job.spec ", "job.state running", "job.state succeeded"}; !reflect.DeepEqual(jobLines, want) {
+	if want := []string{"job.spec ", "job.state running", "corpus.record ", "job.state succeeded"}; !reflect.DeepEqual(jobLines, want) {
 		t.Errorf("job lines %q, want %q", jobLines, want)
 	}
 	_, artifact, _ := bytes.Cut(getBody(t, ts, "/v1/jobs/"+job.ID()+"/artifact"), []byte("\n"))
@@ -461,10 +463,10 @@ func TestCheckpointFromEventsIsTheSearchCheckpoint(t *testing.T) {
 
 // FuzzCheckpoint writes arbitrary bytes as one job log in a checkpoint
 // directory, starts a server on it and reads the restored job back: its
-// status, /profiles and /artifact. None of it may panic. The committed seeds
-// (testdata/fuzz/FuzzCheckpoint) are the log of a job datamimed ran, the same
-// log torn mid-line, a point of the wrong dimension, an unknown generator and
-// an eval without its point.
+// status, /profiles and /artifact, and the corpus. None of it may panic. The
+// committed seeds (testdata/fuzz/FuzzCheckpoint) are the log of a job
+// datamimed ran, the same log torn mid-line, a point of the wrong dimension,
+// an unknown generator and an eval without its point.
 func FuzzCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -490,6 +492,7 @@ func FuzzCheckpoint(f *testing.F) {
 			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
 		}
 		get("/v1/jobs")
+		get("/v1/corpus")
 		for _, j := range svc.Jobs() {
 			base := "/v1/jobs/" + url.PathEscape(j.ID())
 			for _, route := range []string{"", "/profiles", "/artifact"} {

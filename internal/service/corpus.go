@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -82,27 +83,20 @@ func scenarioHash(spec JobSpec) string {
 	return h
 }
 
-// indexRun appends a just-succeeded job to the run corpus and judges it
-// against the scenario baseline: the first indexed run of a scenario is its
-// baseline, and every later run takes the verdict inspect.DiffRuns gives it
-// against the baseline's stored artifact — the judgment `datamime-inspect
-// corpus compare` prints for the same pair. Called on the job's worker
-// goroutine before finish(), so a corpus.regression event appended here
-// still reaches SSE subscribers ahead of the terminal frame. Indexing
-// failures are logged, never fatal: the job's own result is already safe.
+// indexRun adds a just-succeeded job to the run corpus and judges it against
+// the scenario baseline, the scenario's earliest record: the first run of a
+// scenario is its baseline, and every later run takes the verdict
+// inspect.DiffRuns gives it against the baseline job's events — the judgment
+// `datamime-inspect diff` prints for the two jobs' logs or /artifact URLs.
+// The record becomes the job's corpus.record line. Called on the job's worker
+// goroutine before finish(), so that line, and a corpus.regression event
+// appended here, precede the terminal state in the log and reach SSE
+// subscribers ahead of the terminal frame. Indexing failures are logged,
+// never fatal: the job's own result is already safe.
 func (s *Server) indexRun(job *Job) {
-	if s.corpus == nil {
-		return
-	}
-	run, events, err := jobRun(job)
+	run, err := inspect.NewRun(artifactEvents(job))
 	if err != nil {
 		s.logf("job %s corpus: artifact parse failed: %v", job.ID(), err)
-		return
-	}
-	// The one encode: these are the artifact bytes the corpus stores.
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, events); err != nil {
-		s.logf("job %s corpus: artifact encode failed: %v", job.ID(), err)
 		return
 	}
 
@@ -132,28 +126,30 @@ func (s *Server) indexRun(job *Job) {
 		Skipped:        report.Counts.Skipped,
 		TrajectoryHash: corpus.TrajectoryHash(report.Trace),
 		ModelHealth:    report.Health.ModelHealth(),
-		FinishedAt:     time.Now().UTC(),
 	}
 	if !started.IsZero() {
 		rec.WallSeconds = time.Since(started).Seconds()
 	}
 
 	var d *inspect.RunDiff
-	if bl, ok := s.corpus.Baseline(rec.Scenario, rec.ID); !ok || rec.Scenario == "" {
+	s.recordsMu.Lock()
+	rec.FinishedAt = time.Now().UTC()
+	bl := slices.IndexFunc(s.records, func(r corpus.Record) bool { return r.Scenario == rec.Scenario })
+	if bl < 0 || rec.Scenario == "" {
 		rec.Verdict = corpus.VerdictBaseline
-	} else if baseRun, err := s.corpusRun(bl); err != nil {
-		s.logf("job %s corpus: indexed without a verdict, baseline %s unreadable: %v", job.ID(), bl.ID, err)
+	} else if blJob, ok := s.Job(s.records[bl].ID); !ok {
+		s.logf("job %s corpus: indexed without a verdict, baseline %s is not a job here", job.ID(), s.records[bl].ID)
+	} else if baseRun, err := inspect.NewRun(artifactEvents(blJob)); err != nil {
+		s.logf("job %s corpus: indexed without a verdict, baseline %s unreadable: %v", job.ID(), blJob.ID(), err)
 	} else {
 		d = inspect.DiffRuns(baseRun, run, inspect.DiffOptions{})
 		rec.Verdict = d.Verdict
-		rec.BaselineID = bl.ID
+		rec.BaselineID = blJob.ID()
 		rec.BaselineDelta = d.BestError.Delta
 	}
+	s.records = append(s.records, rec)
+	s.recordsMu.Unlock()
 
-	if _, err := s.corpus.Add(rec, buf.Bytes()); err != nil {
-		s.logf("job %s corpus: index append failed: %v", job.ID(), err)
-		return
-	}
 	s.metrics.corpusIndexed.Inc()
 	if rec.Verdict != "" {
 		s.metrics.corpusVerdicts.With(rec.Verdict).Inc()
@@ -161,55 +157,37 @@ func (s *Server) indexRun(job *Job) {
 	if d == nil || !d.Regressed() {
 		s.logf("job %s indexed into corpus (scenario %s, verdict %s)",
 			job.ID(), rec.Scenario, rec.Verdict)
-		return
+	} else {
+		s.metrics.corpusRegressions.Inc()
+		msg := fmt.Sprintf("corpus regression vs baseline %s: %s",
+			rec.BaselineID, strings.Join(d.Regressions, "; "))
+		s.addEvent(job, telemetry.Event{
+			Type:   telemetry.TypeCorpusRegression,
+			Job:    job.ID(),
+			TimeNS: time.Now().UnixNano(),
+			Msg:    msg,
+			Attrs: map[string]float64{
+				telemetry.AttrBestError: rec.BestError,
+				"baseline_delta":        rec.BaselineDelta,
+			},
+		})
+		s.logf("job %s %s", job.ID(), msg)
 	}
-	s.metrics.corpusRegressions.Inc()
-	msg := fmt.Sprintf("corpus regression vs baseline %s: %s",
-		rec.BaselineID, strings.Join(d.Regressions, "; "))
-	s.addEvent(job, telemetry.Event{
-		Type:   telemetry.TypeCorpusRegression,
-		Job:    job.ID(),
-		TimeNS: time.Now().UnixNano(),
-		Msg:    msg,
-		Attrs: map[string]float64{
-			telemetry.AttrBestError: rec.BestError,
-			"baseline_delta":        rec.BaselineDelta,
-		},
-	})
-	s.logf("job %s %s", job.ID(), msg)
+	job.mu.Lock()
+	s.addLocked(job, jobLine{Event: telemetry.Event{Type: corpus.TypeRecord}, Record: &rec})
+	job.mu.Unlock()
 }
-
-// corpusRun loads rec's stored artifact back into a run.
-func (s *Server) corpusRun(rec corpus.Record) (*inspect.Run, error) {
-	data, err := s.corpus.Artifact(rec)
-	if err != nil {
-		return nil, err
-	}
-	return inspect.LoadRun(bytes.NewReader(data))
-}
-
-// Corpus exposes the run corpus (nil when persistence is disabled).
-func (s *Server) Corpus() *corpus.Corpus { return s.corpus }
-
-var errCorpusDisabled = fmt.Errorf(
-	"service: run corpus is disabled (start datamimed with -corpus-dir)")
 
 // corpusListResponse is the GET /v1/corpus body.
 type corpusListResponse struct {
 	Runs []corpus.Record `json:"runs"`
-	// Total counts records in the whole index, before filtering.
+	// Total counts the corpus's records, before filtering.
 	Total int `json:"total"`
-	// Malformed counts index lines dropped at open (truncated tail etc).
-	Malformed int `json:"malformed,omitempty"`
 }
 
 // handleCorpus serves GET /v1/corpus with optional scenario=, target=,
 // since=, until= (RFC 3339) and limit= filters.
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
-	if s.corpus == nil {
-		writeError(w, http.StatusNotFound, errCorpusDisabled)
-		return
-	}
 	q := r.URL.Query()
 	f := corpus.Filter{
 		Scenario: q.Get("scenario"),
@@ -234,30 +212,11 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Limit = n
 	}
-	runs := s.corpus.Select(f)
-	if runs == nil {
-		runs = []corpus.Record{}
+	s.recordsMu.Lock()
+	resp := corpusListResponse{Runs: corpus.Select(s.records, f), Total: len(s.records)}
+	s.recordsMu.Unlock()
+	if resp.Runs == nil {
+		resp.Runs = []corpus.Record{}
 	}
-	writeJSON(w, http.StatusOK, corpusListResponse{
-		Runs:      runs,
-		Total:     s.corpus.Len(),
-		Malformed: s.corpus.Malformed(),
-	})
-}
-
-// handleCorpusTrends serves GET /v1/corpus/{scenario}/trends: the scenario's
-// best-error and duration series across runs, with medians.
-func (s *Server) handleCorpusTrends(w http.ResponseWriter, r *http.Request) {
-	if s.corpus == nil {
-		writeError(w, http.StatusNotFound, errCorpusDisabled)
-		return
-	}
-	scenario := r.PathValue("scenario")
-	trend := s.corpus.Trend(scenario)
-	if trend.Runs == 0 {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("service: no corpus runs for scenario %q", scenario))
-		return
-	}
-	writeJSON(w, http.StatusOK, trend)
+	writeJSON(w, http.StatusOK, resp)
 }

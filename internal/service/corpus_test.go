@@ -1,12 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,18 +18,47 @@ import (
 	"datamime/internal/telemetry"
 )
 
-func newCorpusServer(t *testing.T, checkpointDir, corpusDir string) *Server {
+func newCorpusServer(t *testing.T, checkpointDir string) *Server {
 	t.Helper()
 	s, err := New(Config{
 		Workers:       1,
 		CheckpointDir: checkpointDir,
-		CorpusDir:     corpusDir,
 		Generators:    []datagen.Generator{testGenerator()},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// corpusRecords returns a copy of the server's corpus.
+func corpusRecords(s *Server) []corpus.Record {
+	s.recordsMu.Lock()
+	defer s.recordsMu.Unlock()
+	return slices.Clone(s.records)
+}
+
+// findRecord returns the corpus record of job id.
+func findRecord(t *testing.T, s *Server, id string) corpus.Record {
+	t.Helper()
+	recs := corpusRecords(s)
+	i := slices.IndexFunc(recs, func(r corpus.Record) bool { return r.ID == id })
+	if i < 0 {
+		t.Fatalf("run %s not indexed", id)
+	}
+	return recs[i]
+}
+
+// listCorpus reads GET /v1/corpus.
+func listCorpus(t *testing.T, s *Server) corpusListResponse {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var list corpusListResponse
+	if code := httpJSON(t, ts, "GET", "/v1/corpus", nil, &list); code != http.StatusOK {
+		t.Fatalf("GET /v1/corpus = %d", code)
+	}
+	return list
 }
 
 func submitAndWait(t *testing.T, svc *Server, spec JobSpec) JobStatus {
@@ -55,8 +85,7 @@ func submitAndWait(t *testing.T, svc *Server, spec JobSpec) JobStatus {
 // trajectory hash. This is the acceptance invariant the CI fleet-gate
 // asserts over HTTP.
 func TestCorpusIndexesIdenticalSeededRuns(t *testing.T) {
-	corpusDir := t.TempDir()
-	svc := newCorpusServer(t, t.TempDir(), corpusDir)
+	svc := newCorpusServer(t, t.TempDir())
 	defer svc.Close()
 
 	spec := testSpec(6, 42)
@@ -108,22 +137,20 @@ func TestCorpusIndexesIdenticalSeededRuns(t *testing.T) {
 		}
 	}
 
-	// The trends surface serves the same scenario longitudinally.
-	var trend corpus.Trend
-	if code := httpJSON(t, ts, "GET", "/v1/corpus/"+a.Scenario+"/trends", nil, &trend); code != http.StatusOK {
-		t.Fatalf("GET trends = %d", code)
+	// The scenario's trend is corpus.Trends over the listed runs; no route
+	// serves it a second time.
+	trends := corpus.Trends(list.Runs)
+	if len(trends) != 1 || trends[0].Runs != 2 || trends[0].Regressions != 0 {
+		t.Fatalf("trends = %+v, want one of 2 runs, 0 regressions", trends)
 	}
-	if trend.Runs != 2 || trend.Regressions != 0 {
-		t.Fatalf("trend = %+v, want 2 runs, 0 regressions", trend)
-	}
-	if last := trend.Points[len(trend.Points)-1]; last.ID != second.ID || last.Verdict != inspect.VerdictIdentical {
+	if last := trends[0].Points[1]; last.ID != second.ID || last.Verdict != inspect.VerdictIdentical {
 		t.Fatalf("trend's latest run = %s %q, want %s identical", last.ID, last.Verdict, second.ID)
 	}
-	if code := httpJSON(t, ts, "GET", "/v1/corpus/nope/trends", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("unknown scenario trends = %d, want 404", code)
+	if code := httpJSON(t, ts, "GET", "/v1/corpus/"+a.Scenario+"/trends", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET trends = %d, want 404", code)
 	}
 
-	// The trends are the corpus figures' one publisher: the fleet view
+	// /v1/corpus is the corpus figures' one publisher: the fleet view
 	// carries none of them.
 	var fleet map[string]json.RawMessage
 	if code := httpJSON(t, ts, "GET", "/v1/fleet", nil, &fleet); code != http.StatusOK {
@@ -134,52 +161,91 @@ func TestCorpusIndexesIdenticalSeededRuns(t *testing.T) {
 	}
 }
 
+// TestCorpusConcurrentIndexing: identical jobs finishing at once on two
+// workers, while /v1/corpus and /metrics are read, index as one scenario with
+// exactly one baseline — the earliest record — and every other run identical
+// against it.
+func TestCorpusConcurrentIndexing(t *testing.T) {
+	svc, err := New(Config{Workers: 2, Generators: []datagen.Generator{testGenerator()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	const n = 4
+	var jobs []*Job
+	for i := 0; i < n; i++ {
+		job, err := svc.Submit(testSpec(6, 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		for done := false; !done; {
+			select {
+			case <-job.Done():
+				done = true
+			default:
+				httpJSON(t, ts, "GET", "/v1/corpus", nil, nil)
+				getBody(t, ts, "/metrics")
+			}
+		}
+	}
+	runs := listCorpus(t, svc).Runs
+	if len(runs) != n {
+		t.Fatalf("corpus lists %d runs, want %d", len(runs), n)
+	}
+	if runs[0].Verdict != corpus.VerdictBaseline {
+		t.Errorf("the first run %s is %q, want baseline", runs[0].ID, runs[0].Verdict)
+	}
+	for _, r := range runs[1:] {
+		if r.Verdict != inspect.VerdictIdentical || r.BaselineID != runs[0].ID {
+			t.Errorf("run %s is %q vs %q, want identical vs %s", r.ID, r.Verdict, r.BaselineID, runs[0].ID)
+		}
+	}
+}
+
 // TestCorpusWatchdogFlagsRegression: against a pre-seeded (artificially
 // better) baseline, a finished run must trip the watchdog — the regressions
 // counter increments, the record is indexed verdict "regressed", and a
 // corpus.regression frame reaches the job's SSE stream before done.
 func TestCorpusWatchdogFlagsRegression(t *testing.T) {
-	corpusDir := t.TempDir()
 	spec := testSpec(6, 42)
 
-	// Seed a baseline no run of the spec can match: the spec's own run with
-	// every error halved, indexed under the scenario hash the submitted job
-	// will compute.
-	pre := newTestServer(t, t.TempDir())
+	// Seed a baseline no run of the spec can match: the log of the spec's own
+	// run with every error halved, its record line included, restored as job
+	// seed-baseline.
+	preDir, dir := t.TempDir(), t.TempDir()
+	pre := newCorpusServer(t, preDir)
 	st := submitAndWait(t, pre, spec)
-	job, _ := pre.Job(st.ID)
-	events := artifactEvents(job)
 	pre.Close()
-	for _, ev := range events {
-		if ev.Type == telemetry.TypeEval && !ev.Skipped {
-			ev.Attrs[telemetry.AttrError] /= 2
-			ev.Attrs[telemetry.AttrBestError] /= 2
-		}
-	}
-	var artifact bytes.Buffer
-	if err := telemetry.WriteJSONL(&artifact, events); err != nil {
-		t.Fatal(err)
-	}
-	c, err := corpus.Open(corpusDir)
+	lines, err := readLog(filepath.Join(preDir, st.ID+".jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded := corpus.Record{
-		ID:         "seed-baseline",
-		Scenario:   scenarioHash(spec),
-		Seed:       spec.Seed,
-		BestError:  st.Result.BestError / 2,
-		Verdict:    corpus.VerdictBaseline,
-		FinishedAt: time.Now().UTC().Add(-time.Hour),
+	var seeded *corpus.Record
+	for _, l := range lines {
+		switch {
+		case l.Type == telemetry.TypeEval && !l.Skipped:
+			l.Attrs[telemetry.AttrError] /= 2
+			l.Attrs[telemetry.AttrBestError] /= 2
+		case l.Record != nil:
+			seeded = l.Record
+			seeded.ID = "seed-baseline"
+			seeded.BestError /= 2
+		}
 	}
-	if _, err := c.Add(seeded, artifact.Bytes()); err != nil {
-		t.Fatal(err)
+	if seeded == nil || seeded.Verdict != corpus.VerdictBaseline {
+		t.Fatalf("the run's log holds record %+v, want a baseline record line", seeded)
 	}
-	if err := c.Close(); err != nil {
+	if err := writeLog(filepath.Join(dir, "seed-baseline.jsonl"), lines); err != nil {
 		t.Fatal(err)
 	}
 
-	svc := newCorpusServer(t, t.TempDir(), corpusDir)
+	svc := newCorpusServer(t, dir)
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -217,10 +283,7 @@ func TestCorpusWatchdogFlagsRegression(t *testing.T) {
 	if got := svc.metrics.corpusRegressions.Value(); got != 1 {
 		t.Fatalf("datamimed_corpus_regressions_total = %g, want 1", got)
 	}
-	rec, ok := svc.Corpus().Find(submitted.ID)
-	if !ok {
-		t.Fatalf("run %s not indexed", submitted.ID)
-	}
+	rec := findRecord(t, svc, submitted.ID)
 	if rec.Verdict != inspect.VerdictRegressed || rec.BaselineID != "seed-baseline" {
 		t.Fatalf("record = verdict %q baseline %q, want regressed vs seed-baseline", rec.Verdict, rec.BaselineID)
 	}
@@ -267,7 +330,7 @@ func verdictJob(id string, p *plan, iters []verdictIter) *Job {
 }
 
 // TestCorpusVerdictIsDiffRuns: the verdict the corpus watchdog indexes a run
-// with is the one `corpus compare` prints for the same two stored artifacts —
+// with is the one `diff` prints for the two jobs' artifacts —
 // inspect.DiffRuns with default options, baseline first. The last two rows
 // are the pairs a best-error-and-trajectory judge gets wrong: a skip that
 // costs no best error, and a better best error bought with a worse
@@ -278,6 +341,20 @@ func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 	p, err := svc.resolve(testSpec(4, 42))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// judge indexes cand against a corpus holding base's baseline record,
+	// base being a job of the server only when given, and returns cand's
+	// record.
+	judge := func(base, cand *Job) corpus.Record {
+		svc.mu.Lock()
+		delete(svc.jobs, "base")
+		if base != nil {
+			svc.jobs["base"] = base
+		}
+		svc.mu.Unlock()
+		svc.records = []corpus.Record{{ID: "base", Scenario: scenarioHash(p.spec), Verdict: corpus.VerdictBaseline}}
+		svc.indexRun(cand)
+		return findRecord(t, svc, "cand")
 	}
 	base := []verdictIter{
 		{err: 3, comps: split(3, 0.4)},
@@ -298,179 +375,119 @@ func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 		{"better best, llc worse", []verdictIter{base[0], base[1], {err: 1.2, comps: split(1.2, 0.75)}, base[3]}, inspect.VerdictRegressed},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cp, err := corpus.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cp.Close()
-			svc.corpus = cp
-			defer func() { svc.corpus = nil }()
-
-			baseJob := verdictJob("base", p, base)
-			baseRun, events, err := jobRun(baseJob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			baseBest, _ := baseRun.Best()
-			var artifact bytes.Buffer
-			if err := telemetry.WriteJSONL(&artifact, events); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cp.Add(corpus.Record{
-				ID:             "base",
-				Scenario:       scenarioHash(p.spec),
-				BestError:      baseBest.Error,
-				Skipped:        baseRun.Counts().Skipped,
-				TrajectoryHash: corpus.TrajectoryHash(baseRun.BestTrace()),
-				Verdict:        corpus.VerdictBaseline,
-			}, artifact.Bytes()); err != nil {
-				t.Fatal(err)
-			}
-
-			svc.indexRun(verdictJob("cand", p, c.cand))
-			rec, ok := cp.Find("cand")
-			if !ok {
-				t.Fatal("candidate not indexed")
-			}
-			stored := func(id string) *inspect.Run {
-				r, _ := cp.Find(id)
-				data, err := cp.Artifact(r)
+			baseJob, candJob := verdictJob("base", p, base), verdictJob("cand", p, c.cand)
+			rec := judge(baseJob, candJob)
+			run := func(j *Job) *inspect.Run {
+				r, err := inspect.NewRun(artifactEvents(j))
 				if err != nil {
 					t.Fatal(err)
 				}
-				run, err := inspect.LoadRun(bytes.NewReader(data))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return run
+				return r
 			}
-			d := inspect.DiffRuns(stored("base"), stored("cand"), inspect.DiffOptions{})
+			d := inspect.DiffRuns(run(baseJob), run(candJob), inspect.DiffOptions{})
 			if d.Verdict != c.want {
-				t.Fatalf("compare verdict %q, want %q (%v)", d.Verdict, c.want, d.Differences)
+				t.Fatalf("diff verdict %q, want %q (%v)", d.Verdict, c.want, d.Differences)
 			}
 			if rec.Verdict != d.Verdict || rec.BaselineID != "base" || rec.BaselineDelta != d.BestError.Delta {
-				t.Fatalf("indexed verdict %q vs %s (delta %g), compare says %q (delta %g)",
+				t.Fatalf("indexed verdict %q vs %s (delta %g), diff says %q (delta %g)",
 					rec.Verdict, rec.BaselineID, rec.BaselineDelta, d.Verdict, d.BestError.Delta)
+			}
+			if candJob.rec == nil || !reflect.DeepEqual(*candJob.rec, rec) {
+				t.Fatalf("the job's record line holds %+v, the corpus %+v", candJob.rec, rec)
 			}
 		})
 	}
 
-	// A baseline whose artifact cannot be read leaves nothing to judge by:
-	// the run is indexed, with no verdict.
-	cp, err := corpus.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	svc.corpus = cp
-	defer func() { svc.corpus = nil }()
-	if _, err := cp.Add(corpus.Record{ID: "base", Scenario: scenarioHash(p.spec)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	svc.indexRun(verdictJob("cand", p, base))
-	if rec, ok := cp.Find("cand"); !ok || rec.Verdict != "" || rec.BaselineID != "" {
-		t.Fatalf("run against an unreadable baseline indexed %v as %+v, want no verdict", ok, rec)
+	// A baseline that is no job here leaves nothing to judge by: the run is
+	// indexed, with no verdict.
+	if rec := judge(nil, verdictJob("cand", p, base)); rec.Verdict != "" || rec.BaselineID != "" {
+		t.Fatalf("run against a missing baseline indexed as %+v, want no verdict", rec)
 	}
 }
 
 // TestCorpusRecordsModelHealth: a GP-backed job on a server without
 // telemetry indexes with a model-health rollup equal to the one its stored
 // artifact yields (the artifact carries the snapshots), and the rollup
-// surfaces through the trend points and the fleet scoreboard for
-// calibration-drift tracking.
+// surfaces through the listed records' trend for calibration-drift tracking.
 func TestCorpusRecordsModelHealth(t *testing.T) {
-	svc := newCorpusServer(t, t.TempDir(), t.TempDir())
+	svc := newCorpusServer(t, t.TempDir())
 	defer svc.Close()
 
 	spec := testSpec(9, 42)
 	spec.Optimizer = "" // default bayesopt: the only optimizer with a surrogate
 	st := submitAndWait(t, svc, spec)
 
-	rec, ok := svc.Corpus().Find(st.ID)
-	if !ok {
-		t.Fatalf("run %s not indexed", st.ID)
-	}
+	rec := findRecord(t, svc, st.ID)
 	if rec.ModelHealth == nil {
 		t.Fatal("GP run indexed without a model-health rollup")
 	}
 	if rec.ModelHealth.Snapshots == 0 || rec.ModelHealth.MeanCoverage1 < 0 || rec.ModelHealth.MeanCoverage1 > 1 {
 		t.Fatalf("model health implausible: %+v", rec.ModelHealth)
 	}
-	stored, err := svc.corpusRun(rec)
+	job, _ := svc.Job(st.ID)
+	stored, err := inspect.NewRun(artifactEvents(job))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mh := inspect.NewSearchHealth(stored).ModelHealth(); !reflect.DeepEqual(mh, rec.ModelHealth) {
-		t.Fatalf("record model health %+v, stored artifact's %+v", rec.ModelHealth, mh)
+		t.Fatalf("record model health %+v, the artifact's %+v", rec.ModelHealth, mh)
 	}
 
-	trend := svc.Corpus().Trend(rec.Scenario)
-	if len(trend.Points) != 1 || trend.Points[0].ModelHealth == nil {
-		t.Fatalf("trend point lacks model health: %+v", trend.Points)
+	trends := corpus.Trends(listCorpus(t, svc).Runs)
+	if len(trends) != 1 || len(trends[0].Points) != 1 || trends[0].Points[0].ModelHealth == nil {
+		t.Fatalf("trend point lacks model health: %+v", trends)
 	}
-	if trend.MedianCoverage1 != rec.ModelHealth.MeanCoverage1 {
+	if trends[0].MedianCoverage1 != rec.ModelHealth.MeanCoverage1 {
 		t.Fatalf("trend median coverage %g != record coverage %g",
-			trend.MedianCoverage1, rec.ModelHealth.MeanCoverage1)
-	}
-
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	var served corpus.Trend
-	if code := httpJSON(t, ts, "GET", "/v1/corpus/"+rec.Scenario+"/trends", nil, &served); code != http.StatusOK ||
-		served.MedianCoverage1 != trend.MedianCoverage1 || served.Points[0].ModelHealth == nil {
-		t.Fatalf("GET trends = %d %+v, missing the calibration figures", code, served)
+			trends[0].MedianCoverage1, rec.ModelHealth.MeanCoverage1)
 	}
 
 	// A surrogate-free optimizer indexes with no model health.
 	st2 := submitAndWait(t, svc, testSpec(6, 42))
-	rec2, ok := svc.Corpus().Find(st2.ID)
-	if !ok {
-		t.Fatalf("run %s not indexed", st2.ID)
-	}
-	if rec2.ModelHealth != nil {
+	if rec2 := findRecord(t, svc, st2.ID); rec2.ModelHealth != nil {
 		t.Fatalf("random-search run carries model health: %+v", rec2.ModelHealth)
 	}
 }
 
-// TestCorpusSurvivesRestart: the index written by one coordinator process is
-// served intact by the next one pointed at the same directory, and new runs
-// append behind the old ones.
+// TestCorpusSurvivesRestart: the corpus is the checkpoint directory's job
+// logs. A coordinator restarted on it serves the first job's record exactly
+// as it was served live, continues the job-N sequence, judges a repeat of the
+// spec identical to the pre-restart run, and a further restart keeps both
+// records.
 func TestCorpusSurvivesRestart(t *testing.T) {
-	corpusDir := t.TempDir()
-	// Share the checkpoint dir so the restarted process continues the job-N
-	// sequence instead of reusing IDs already in the corpus.
-	checkpointDir := t.TempDir()
+	dir := t.TempDir()
 	spec := testSpec(6, 42)
 
-	svc := newCorpusServer(t, checkpointDir, corpusDir)
+	svc := newCorpusServer(t, dir)
 	first := submitAndWait(t, svc, spec)
+	live := listCorpus(t, svc).Runs
 	svc.Close()
 
-	svc2 := newCorpusServer(t, checkpointDir, corpusDir)
-	defer svc2.Close()
-	if got := svc2.Corpus().Len(); got != 1 {
-		t.Fatalf("reopened corpus has %d runs, want 1", got)
+	svc2 := newCorpusServer(t, dir)
+	restored := listCorpus(t, svc2).Runs
+	if !reflect.DeepEqual(restored, live) {
+		t.Fatalf("restored corpus %+v\nlive corpus     %+v", restored, live)
 	}
 	second := submitAndWait(t, svc2, spec)
-
-	ts := httptest.NewServer(svc2.Handler())
-	defer ts.Close()
-	var list corpusListResponse
-	if code := httpJSON(t, ts, "GET", "/v1/corpus", nil, &list); code != http.StatusOK {
-		t.Fatalf("GET /v1/corpus = %d", code)
-	}
-	if len(list.Runs) != 2 {
-		t.Fatalf("corpus lists %d runs after restart, want 2", len(list.Runs))
+	list := listCorpus(t, svc2)
+	svc2.Close()
+	if len(list.Runs) != 2 || list.Total != 2 {
+		t.Fatalf("corpus lists %d/%d runs after restart, want 2", len(list.Runs), list.Total)
 	}
 	a, b := list.Runs[0], list.Runs[1]
-	if a.ID != first.ID || b.ID != second.ID {
+	if a.ID != first.ID || b.ID != second.ID || a.ID == b.ID {
 		t.Fatalf("corpus order %s,%s want %s,%s", a.ID, b.ID, first.ID, second.ID)
 	}
 	// Restart must not perturb determinism bookkeeping: the post-restart run
 	// is judged identical to the pre-restart baseline.
-	if b.Verdict != inspect.VerdictIdentical || b.TrajectoryHash != a.TrajectoryHash {
-		t.Fatalf("post-restart verdict %q (traj %q vs %q), want identical",
-			b.Verdict, b.TrajectoryHash, a.TrajectoryHash)
+	if b.Verdict != inspect.VerdictIdentical || b.BaselineID != a.ID || b.TrajectoryHash != a.TrajectoryHash {
+		t.Fatalf("post-restart verdict %q vs %q (traj %q vs %q), want identical vs %s",
+			b.Verdict, b.BaselineID, b.TrajectoryHash, a.TrajectoryHash, a.ID)
+	}
+
+	svc3 := newCorpusServer(t, dir)
+	defer svc3.Close()
+	if again := listCorpus(t, svc3).Runs; !reflect.DeepEqual(again, list.Runs) {
+		t.Fatalf("a further restart lists %+v\nwant %+v", again, list.Runs)
 	}
 }

@@ -39,13 +39,14 @@ import (
 //	GET  /v1/fleet           fleet view: per-worker routing state, load and
 //	                         version, dispatch queue depth and counters
 //
-// The run corpus (requires Config.CorpusDir / datamimed -corpus-dir):
+// The run corpus, the records of the succeeded jobs (restored ones
+// included, so it outlives a restart exactly when Config.CheckpointDir is
+// set):
 //
-//	GET  /v1/corpus                     indexed run records (filter with
-//	                                    scenario=, target=, since=, until=
-//	                                    RFC 3339, limit=N most recent)
-//	GET  /v1/corpus/{scenario}/trends   best-error + duration series across
-//	                                    the scenario's runs, with medians
+//	GET  /v1/corpus          run records (filter with scenario=, target=,
+//	                         since=, until= RFC 3339, limit=N most recent);
+//	                         corpus.Trends over them, or datamime-inspect
+//	                         corpus trends, gives the per-scenario series
 //
 // A request body past maxBodyBytes is refused with 413.
 func (s *Server) Handler() http.Handler {
@@ -61,19 +62,18 @@ func (s *Server) Handler() http.Handler {
 // (TestRoutesAreVersioned).
 func (s *Server) routes() map[string]http.HandlerFunc {
 	return map[string]http.HandlerFunc{
-		"POST /v1/jobs":                    s.handleSubmit,
-		"GET /v1/jobs":                     s.handleList,
-		"GET /v1/jobs/{id}":                s.withJob(s.handleStatus),
-		"GET /v1/jobs/{id}/events":         s.withJob(s.handleEvents),
-		"GET /v1/jobs/{id}/artifact":       s.withJob(s.handleArtifact),
-		"GET /v1/jobs/{id}/profiles":       s.withJob(s.handleProfiles),
-		"POST /v1/jobs/{id}/cancel":        s.handleCancel,
-		"POST /v1/workers":                 s.handleWorkerAnnounce,
-		"DELETE /v1/workers":               s.handleWorkerWithdraw,
-		"GET /v1/fleet":                    s.handleFleet,
-		"GET /v1/corpus":                   s.handleCorpus,
-		"GET /v1/corpus/{scenario}/trends": s.handleCorpusTrends,
-		"GET /metrics":                     s.handleMetrics,
+		"POST /v1/jobs":              s.handleSubmit,
+		"GET /v1/jobs":               s.handleList,
+		"GET /v1/jobs/{id}":          s.withJob(s.handleStatus),
+		"GET /v1/jobs/{id}/events":   s.withJob(s.handleEvents),
+		"GET /v1/jobs/{id}/artifact": s.withJob(s.handleArtifact),
+		"GET /v1/jobs/{id}/profiles": s.withJob(s.handleProfiles),
+		"POST /v1/jobs/{id}/cancel":  s.handleCancel,
+		"POST /v1/workers":           s.handleWorkerAnnounce,
+		"DELETE /v1/workers":         s.handleWorkerWithdraw,
+		"GET /v1/fleet":              s.handleFleet,
+		"GET /v1/corpus":             s.handleCorpus,
+		"GET /metrics":               s.handleMetrics,
 		"GET /healthz": func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		},

@@ -12,6 +12,7 @@ import (
 
 	"datamime/internal/backend"
 	"datamime/internal/core"
+	"datamime/internal/corpus"
 	"datamime/internal/datagen"
 	"datamime/internal/harness"
 	"datamime/internal/opt"
@@ -196,6 +197,9 @@ type Job struct {
 	state  JobState
 	errMsg string
 	jobRecord
+	// rec is the job's corpus record, once its search succeeded and
+	// indexRun judged it.
+	rec *corpus.Record
 
 	// logPath is the job's log; empty without persistence, or after a failed
 	// write.
@@ -290,6 +294,8 @@ func (j *Job) applyLocked(l jobLine) {
 		case l.State.terminal():
 			j.finished, j.errMsg = at, l.Msg
 		}
+	case corpus.TypeRecord:
+		j.rec = l.Record
 	default:
 		j.add(l.Event)
 	}

@@ -63,8 +63,8 @@ type serverMetrics struct {
 	fleetBusySeconds       *telemetry.CounterVec
 	fleetBudgetWaitSeconds *telemetry.Counter
 
-	// Run-corpus watchdog metrics (incremented by indexRun on every job
-	// completion when Config.CorpusDir enables the corpus).
+	// Run-corpus watchdog metrics (incremented by indexRun on every
+	// succeeded job).
 	corpusIndexed     *telemetry.Counter
 	corpusRegressions *telemetry.Counter
 	corpusVerdicts    *telemetry.CounterVec
@@ -182,17 +182,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.dispatchHist = reg.NewHistogramVec("datamimed_dispatch_seconds",
 		"End-to-end dispatched-evaluation latency, by serving side.", "side", nil)
 
-	// Run-corpus watchdog. The gauge reads the on-disk index size so a
-	// coordinator restart doesn't zero it; the counters are this process's
-	// indexing/watchdog activity. All families exist even with the corpus
-	// disabled (they just stay at zero) so dashboards never 404.
+	// Run-corpus watchdog. The gauge counts the corpus's records, restored
+	// ones included, so a coordinator restart on its checkpoint directory
+	// doesn't zero it; the counters are this process's indexing/watchdog
+	// activity.
 	reg.NewGaugeFunc("datamimed_corpus_runs",
-		"Run records in the persistent corpus index.",
+		"Run records in the corpus.",
 		func() float64 {
-			if s.corpus == nil {
-				return 0
-			}
-			return float64(s.corpus.Len())
+			s.recordsMu.Lock()
+			defer s.recordsMu.Unlock()
+			return float64(len(s.records))
 		})
 	m.corpusIndexed = reg.NewCounter("datamimed_corpus_runs_indexed_total",
 		"Finished jobs indexed into the run corpus by this process.")

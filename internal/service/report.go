@@ -5,7 +5,6 @@ import (
 
 	"datamime/internal/core"
 	"datamime/internal/inspect"
-	"datamime/internal/telemetry"
 )
 
 // jobProfiles assembles the target/best profile pair behind a job's eCDF
@@ -54,15 +53,4 @@ func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 // compute eCDFs) plus the final per-component error attribution.
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request, j *Job) {
 	writeJSON(w, http.StatusOK, s.jobProfiles(j))
-}
-
-// jobRun builds the inspect view of a job from the events the server already
-// holds in memory, for the corpus indexer, and returns those events, which
-// the indexer stores. The event log carries each record's search-health
-// snapshot with or without telemetry (addEval), so the run reads them as any
-// artifact reader does.
-func jobRun(j *Job) (*inspect.Run, []telemetry.Event, error) {
-	events := artifactEvents(j)
-	run, err := inspect.NewRun(events)
-	return run, events, err
 }

@@ -92,7 +92,7 @@ func TestProfilesEndpoint(t *testing.T) {
 // /profiles, and gets the same bytes the server would render from memory.
 // A telemetry-on GP job runs through a fleet Dispatcher to success; then
 //   - the HTML report from the downloaded artifact and profiles doc is
-//     byte-equal to the one rendered from jobRun and jobProfiles;
+//     byte-equal to the one rendered from artifactEvents and jobProfiles;
 //   - WriteTrace over the scanned artifact is byte-equal to WriteTrace over
 //     artifactEvents, and validates with fleet processes and no drops;
 //   - the report's search health is NewSearchHealth of the job's run.
@@ -133,7 +133,7 @@ func TestReportEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := inspect.NewReport(run, doc, "")
-	served, _, err := jobRun(job)
+	served, err := inspect.NewRun(artifactEvents(job))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func refusedSpecs() []refusedSpec {
 // accepted.
 func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 	ckpt := t.TempDir()
-	svc := newCorpusServer(t, ckpt, t.TempDir())
+	svc := newCorpusServer(t, ckpt)
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -72,9 +72,9 @@ func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Jobs) != 0 || len(files) != 0 || svc.Corpus().Len() != 0 {
+	if len(list.Jobs) != 0 || len(files) != 0 || len(corpusRecords(svc)) != 0 {
 		t.Fatalf("refused specs left %d jobs, %d checkpoint files, %d corpus records",
-			len(list.Jobs), len(files), svc.Corpus().Len())
+			len(list.Jobs), len(files), len(corpusRecords(svc)))
 	}
 	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(3, 1), nil); code != http.StatusAccepted {
 		t.Fatalf("the unmutated spec = %d, want 202", code)

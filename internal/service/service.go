@@ -6,7 +6,9 @@
 // resumable after a crash or restart, and a dispatcher can shard candidate
 // evaluations across registered datamime-worker processes. A job is served
 // as its record (status, artifact, profiles, events); clients such as
-// datamime-inspect render reports and traces from it. cmd/datamimed is the
+// datamime-inspect render reports and traces from it. A succeeded job's log
+// also carries its run-corpus record, judged against its scenario's baseline,
+// so the corpus is the succeeded jobs (GET /v1/corpus). cmd/datamimed is the
 // server binary.
 package service
 
@@ -82,11 +84,6 @@ type Config struct {
 	DispatchMaxQueue int
 	// WorkerHealthInterval is the fleet health-probe period (default 15s).
 	WorkerHealthInterval time.Duration
-	// CorpusDir, when non-empty, enables the persistent run corpus: every
-	// finished job is indexed there (summary record + content-addressed
-	// JSONL artifact), the regression watchdog judges it against the
-	// scenario baseline, and GET /v1/corpus serves longitudinal queries.
-	CorpusDir string
 }
 
 // Server schedules and tracks search jobs. Create with New, serve its
@@ -108,9 +105,12 @@ type Server struct {
 	local      *backend.LocalBackend
 	dispatcher *backend.Dispatcher
 
-	// corpus is the persistent run index (nil unless Config.CorpusDir is
-	// set); indexRun appends to it on every job completion.
-	corpus *corpus.Corpus
+	// records is the run corpus: the record of every succeeded job that
+	// carries one, restored ones included, in corpus order (corpus.Sort).
+	// indexRun appends to it under recordsMu, which it holds while it picks
+	// and judges against the baseline.
+	recordsMu sync.Mutex
+	records   []corpus.Record
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -162,17 +162,6 @@ func New(cfg Config) (*Server, error) {
 		s.logger = telemetry.NewLineLogger(cfg.Log)
 	}
 	s.initDispatch()
-	if cfg.CorpusDir != "" {
-		// Open (and, if the last shutdown truncated the index tail,
-		// compact) the run corpus before the metrics registry so its
-		// scrape-time collectors can close over it.
-		c, err := corpus.Open(cfg.CorpusDir)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.corpus = c
-	}
 	s.metrics = newServerMetrics(s)
 	if err := s.loadCheckpoints(); err != nil {
 		cancel()
@@ -289,9 +278,6 @@ func (s *Server) Close() {
 	s.rootCancel()
 	close(s.queue)
 	s.wg.Wait()
-	if s.corpus != nil {
-		s.corpus.Close()
-	}
 }
 
 // worker pulls jobs off the queue until shutdown.
@@ -400,8 +386,9 @@ func (s *Server) runJob(job *Job) {
 		job.bestProf = res.BestProfile
 		job.mu.Unlock()
 		// Index into the run corpus (and run the regression watchdog)
-		// before finish: a corpus.regression event appended here still
-		// reaches SSE subscribers ahead of the terminal "done" frame.
+		// before finish: a corpus.regression event and the record line
+		// appended here precede the terminal state, in the log and on the
+		// SSE stream.
 		s.indexRun(job)
 		s.finish(job, JobSucceeded, "")
 	case ctx.Err() != nil:

@@ -468,13 +468,13 @@ func TestEffectiveProfileWorkers(t *testing.T) {
 
 // TestRoutesAreVersioned: one route scheme — every pattern the server
 // registers lives under /v1, the two operational probes aside — and the
-// table holds the 14 routes the API documents. A job's report, diagnostics
+// table holds the 13 routes the API documents. A job's report, diagnostics
 // and trace are the client's renderings of /artifact, not routes.
 func TestRoutesAreVersioned(t *testing.T) {
 	svc := newTestServer(t, "")
 	defer svc.Close()
-	if n := len(svc.routes()); n != 14 {
-		t.Errorf("%d routes, want 14", n)
+	if n := len(svc.routes()); n != 13 {
+		t.Errorf("%d routes, want 13", n)
 	}
 	for pattern := range svc.routes() {
 		_, path, ok := strings.Cut(pattern, " ")
