@@ -9,7 +9,9 @@ package profile
 // concurrency never exceeds the budget regardless of how the axes compose.
 //
 // Tokens are held per run, never across runs, so acquisition order cannot
-// deadlock. A nil *Budget is valid and imposes no cap.
+// deadlock; a sweep takes its first wave's tokens when it starts only if
+// they are free (TryAcquire), never waiting for them while holding some. A
+// nil *Budget is valid and imposes no cap.
 type Budget struct {
 	tokens chan struct{}
 }
@@ -28,6 +30,22 @@ func (b *Budget) Acquire() {
 		return
 	}
 	b.tokens <- struct{}{}
+}
+
+// TryAcquire takes up to n tokens without blocking and returns how many it
+// took; the caller releases each. A nil budget has no limit: it returns n.
+func (b *Budget) TryAcquire(n int) int {
+	if b == nil {
+		return n
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case b.tokens <- struct{}{}:
+		default:
+			return i
+		}
+	}
+	return n
 }
 
 // Release returns a token. No-op on a nil budget.

@@ -10,6 +10,8 @@ import (
 
 	"datamime/internal/sim"
 	"datamime/internal/telemetry"
+	"datamime/internal/trace"
+	"datamime/internal/workload"
 )
 
 // TestParallelProfileMatchesSerial is the tentpole determinism guarantee:
@@ -95,7 +97,8 @@ func TestWorkerClampToGOMAXPROCS(t *testing.T) {
 }
 
 // TestParallelProfileCancellation: a canceled context aborts the parallel
-// sweep with the context's error.
+// sweep with the context's error — also one canceled mid-sweep, which hands
+// back every Budget token, the first wave's included.
 func TestParallelProfileCancellation(t *testing.T) {
 	pr := fastProfiler()
 	pr.Workers = 4
@@ -104,6 +107,23 @@ func TestParallelProfileCancellation(t *testing.T) {
 	cancel()
 	if _, err := pr.ProfileContext(ctx, kvBenchmark(256, 60_000), 7); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+
+	const tokens = 4
+	pr.CurvePoints = 12
+	pr.Budget = NewBudget(tokens)
+	ctx, cancel = context.WithCancel(context.Background())
+	b := kvBenchmark(256, 60_000)
+	newServer := b.NewServer
+	b.NewServer = func(l *trace.CodeLayout, seed uint64) workload.Server {
+		cancel()
+		return newServer(l, seed)
+	}
+	if _, err := pr.ProfileContext(ctx, b, 7); err != context.Canceled {
+		t.Fatalf("mid-sweep cancel: err = %v, want context.Canceled", err)
+	}
+	if free := pr.Budget.TryAcquire(tokens); free != tokens {
+		t.Fatalf("%d of %d budget tokens free after a canceled sweep", free, tokens)
 	}
 }
 
@@ -143,7 +163,7 @@ func TestLLCPartitionIsolation(t *testing.T) {
 	ref := make([]runResult, len(allocs))
 	for i, ways := range allocs {
 		m := sim.NewMachine(pr.Machine, pr.WindowCycles)
-		ref[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, nil, nil)
+		ref[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, sim.WarmClassic, nil, nil)
 	}
 
 	got := make([]runResult, len(allocs))
@@ -153,7 +173,7 @@ func TestLLCPartitionIsolation(t *testing.T) {
 		go func(i, ways int) {
 			defer wg.Done()
 			m := sim.NewMachine(pr.Machine, pr.WindowCycles)
-			got[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, nil, nil)
+			got[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, sim.WarmClassic, nil, nil)
 		}(i, ways)
 	}
 	wg.Wait()

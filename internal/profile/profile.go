@@ -8,6 +8,7 @@ package profile
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -175,11 +176,13 @@ func (s Spec) Key() string {
 		s.CurvePoints, s.MaxRequestsPerRun, s.SkipCurves)
 }
 
-// Cycles approximates the simulated cycles one fresh profiling run costs,
-// from the windows it closes: warmup, the main run, and CurveWindows per
-// measured curve point.
+// Cycles approximates the simulated cycles one fresh profile costs, from
+// the windows its runs close: every run — the main run and one per measured
+// curve point — closes WarmupWindows before it measures, then the main run
+// closes Windows and each curve point CurveWindows. The dataset warm that
+// precedes them is excluded.
 func (s Spec) Cycles(curvePoints int) float64 {
-	windows := s.WarmupWindows + s.Windows + curvePoints*s.CurveWindows
+	windows := (1+curvePoints)*s.WarmupWindows + s.Windows + curvePoints*s.CurveWindows
 	return s.WindowCycles * float64(windows)
 }
 
@@ -194,8 +197,8 @@ type Profiler struct {
 	// Workers bounds how many of one profile's partition runs (the main run
 	// plus one run per sensitivity-curve point) execute concurrently. Each
 	// run has its own server, derived seed and worker-local machine; the
-	// runs share one read-only recording of the dataset warm (see execute),
-	// whose replay leaves the machine a warm from cold would. Results
+	// runs past the first wave restore one recording of the dataset warm
+	// (see execute), which leaves the machine a warm from cold would. Results
 	// collected by index are therefore bit-for-bit identical to the serial
 	// order. <= 1 runs serially. Workers has no effect on measured values
 	// and is excluded from core.EvalKey.
@@ -203,7 +206,8 @@ type Profiler struct {
 	// Budget, when non-nil, caps simulation runs in flight across *all*
 	// profilers sharing it — the knob that composes intra-profile Workers
 	// with candidate-level batch parallelism under one machine-wide limit.
-	// Each run holds one token while it executes.
+	// Each run holds one token while it executes, and the tokens free when
+	// a sweep starts bound its first wave (see execute).
 	Budget *Budget
 	// Telemetry, when non-nil, receives one span per main profiling run
 	// ("profile.run") and one per sensitivity-curve sweep
@@ -218,7 +222,7 @@ type Profiler struct {
 	// benefit from more workers than schedulable threads.
 	disableWorkerClamp bool
 	// classicWarm makes every run of a sweep warm its dataset from cold
-	// instead of sharing a warm tape — the reference the taped sweep is
+	// instead of restoring a warm tape — the reference the taped sweep is
 	// tested against, bit for bit.
 	classicWarm bool
 }
@@ -444,29 +448,49 @@ func (pr *Profiler) ProfileContext(ctx context.Context, b workload.Benchmark, se
 // runs inline in job order; otherwise a pool of workers pulls jobs from a
 // shared counter, each reusing one worker-local machine across its jobs.
 // Either way each run holds a Budget token (when one is shared) while the
-// simulation executes.
+// simulation executes. Machines and warm tapes come from the free list of
+// the profiler's machine configuration and go back to it.
 //
-// The runs of a sweep warm identical datasets, so they share one warm tape
-// (sim.WarmTape): the first run to reach its warm records what the levels
-// above the LLC did, and every run that warms after that recording is sealed
-// replays it into its own way allocation. Nobody waits for the tape — a pool
-// run that warms while the recording is in progress warms classically — so
-// the serial loop replays all but one warm and a wide pool is never slower
-// than it was.
+// The runs of a sweep warm identical datasets, so one warm serves them
+// (sim.WarmTape). Run 0 records it, carrying one LLC lane per allocation of
+// the runs that restore it; they wait for its seal outside the Budget, and
+// a recording that fails releases them with its error. The first wave,
+// runs 0..wave-1, starts together, and its runs after run 0 warm
+// classically so that workers with nothing else to do do not idle through
+// the recording. It is as wide as the pool and the Budget's free tokens
+// allow when the sweep starts, each of its runs keeping the token taken for
+// it, and always leaves at least the last run to restore. Serially, or when
+// no token is free, every run but the first restores.
 func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint64, jobs []runJob, workers int) ([]runResult, error) {
 	results := make([]runResult, len(jobs))
-	var tape *sim.WarmTape
+	free := freeListFor(pr.Machine)
+	// Runs 0..held-1 hold a token taken here. Every worker claims a run
+	// before it can stop, so each of them is claimed, and released when it
+	// runs or is skipped.
+	held := 0
+	var share *warmShare
 	if len(jobs) > 1 && !pr.classicWarm {
-		tape = sim.NewWarmTape()
+		wave := min(workers, len(jobs)-1)
+		if workers > 1 && pr.Budget != nil {
+			held = pr.Budget.TryAcquire(wave)
+			wave = max(held, 1)
+		}
+		allocs := make([]int, 0, len(jobs)-wave)
+		for _, job := range jobs[wave:] {
+			allocs = append(allocs, job.ways)
+		}
+		share = &warmShare{tape: free.tape(allocs), restoreFrom: wave, sealed: make(chan struct{})}
+		defer free.putTape(share.tape)
 	}
 	if workers <= 1 {
-		m := sim.NewMachine(pr.Machine, pr.WindowCycles)
+		m := free.machine(pr.WindowCycles)
+		defer free.putMachine(m)
 		for i, job := range jobs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			var err error
-			if results[i], err = pr.runInstrumented(m, b, seed, job, 0, tape); err != nil {
+			if results[i], err = pr.runInstrumented(ctx, m, b, seed, i, job, 0, share, false); err != nil {
 				return nil, err
 			}
 		}
@@ -485,19 +509,38 @@ func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// The worker-local machine is built lazily on the first claimed
+			// The worker-local machine is taken lazily on the first claimed
 			// job: a worker that never wins a claim (more workers than jobs
-			// remaining) skips the multi-megabyte cache-slab allocation.
+			// remaining) leaves the free list alone.
 			var m *sim.Machine
+			defer func() {
+				if m != nil {
+					free.putMachine(m)
+				}
+			}()
 			for {
 				i := int(next.n.Add(1)) - 1
-				if i >= len(jobs) || ctx.Err() != nil || failed.Load() {
+				if i >= len(jobs) {
+					return
+				}
+				if ctx.Err() != nil || failed.Load() {
+					if i == 0 {
+						share.release(errors.New("profile: sweep stopped before its warm was recorded"))
+					}
+					if i < held {
+						pr.Budget.Release()
+					}
 					return
 				}
 				if m == nil {
-					m = sim.NewMachine(pr.Machine, pr.WindowCycles)
+					m = free.machine(pr.WindowCycles)
 				}
-				if results[i], errs[i] = pr.runInstrumented(m, b, seed, jobs[i], worker, tape); errs[i] != nil {
+				results[i], errs[i] = pr.runInstrumented(ctx, m, b, seed, i, jobs[i], worker, share, i < held)
+				if i == 0 {
+					// A no-op once the warm is sealed.
+					share.release(errs[i])
+				}
+				if errs[i] != nil {
 					failed.Store(true)
 				}
 			}
@@ -515,6 +558,53 @@ func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint
 	return results, nil
 }
 
+// warmShare is how the runs of one sweep share its dataset warm: run 0
+// records the tape, runs from restoreFrom on restore it once it is sealed,
+// and the runs between warm classically.
+type warmShare struct {
+	tape        *sim.WarmTape
+	restoreFrom int
+	sealed      chan struct{} // closed by release
+	once        sync.Once
+	err         error // why there is no recording to restore
+}
+
+// mode returns how run i warms. A nil share warms every run classically.
+func (s *warmShare) mode(i int) sim.WarmMode {
+	switch {
+	case s == nil:
+		return sim.WarmClassic
+	case i == 0:
+		return sim.WarmRecord
+	case i < s.restoreFrom:
+		return sim.WarmClassic
+	}
+	return sim.WarmRestore
+}
+
+// release lets the restoring runs go: after the seal with a nil err, or
+// with the error that kept the recording from being sealed. Only the first
+// call counts.
+func (s *warmShare) release(err error) {
+	if s == nil {
+		return
+	}
+	s.once.Do(func() {
+		s.err = err
+		close(s.sealed)
+	})
+}
+
+// wait blocks a restoring run until release, or until ctx ends.
+func (s *warmShare) wait(ctx context.Context) error {
+	select {
+	case <-s.sealed:
+		return s.err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // runInstrumented wraps one runOn in the per-run telemetry spans: a
 // budget.wait span for time blocked on the shared simulation budget (only
 // when a budget is actually shared — a nil Budget never waits) and a
@@ -522,11 +612,23 @@ func (pr *Profiler) execute(ctx context.Context, b workload.Benchmark, seed uint
 // the raw material of the per-worker trace timelines and the utilization
 // report, and with where the run's time went (build, warm, measure).
 // Telemetry never affects which jobs run or in what order, so results stay
-// bit-identical with it on or off.
-func (pr *Profiler) runInstrumented(m *sim.Machine, b workload.Benchmark, seed uint64, job runJob, worker int, tape *sim.WarmTape) (runResult, error) {
+// bit-identical with it on or off. A restoring run first waits for the
+// recording's seal, holding no budget token; a held run already holds its
+// token (see execute) and only releases it.
+func (pr *Profiler) runInstrumented(ctx context.Context, m *sim.Machine, b workload.Benchmark, seed uint64, i int, job runJob, worker int, share *warmShare, held bool) (runResult, error) {
+	mode := share.mode(i)
+	if mode == sim.WarmRestore {
+		if err := share.wait(ctx); err != nil {
+			return runResult{}, err
+		}
+	}
 	if pr.Budget != nil {
+		// A held run's wait is empty: its token was free when the sweep
+		// started.
 		wait := pr.Telemetry.StartSpan(telemetry.PhaseBudgetWait, 0)
-		pr.Budget.Acquire()
+		if !held {
+			pr.Budget.Acquire()
+		}
 		wait.End(pr.runAttrs(worker, job))
 		defer pr.Budget.Release()
 	}
@@ -535,7 +637,7 @@ func (pr *Profiler) runInstrumented(m *sim.Machine, b workload.Benchmark, seed u
 		ph = new(runPhases)
 	}
 	span := pr.Telemetry.StartSpan(telemetry.PhaseSimRun, 0)
-	res, err := pr.runOn(m, b, seed, job, tape, ph)
+	res, err := pr.runOn(m, b, seed, job, mode, share, ph)
 	attrs := pr.runAttrs(worker, job)
 	if ph != nil {
 		attrs[telemetry.AttrBuildNS] = float64(ph.ns[phaseBuild])
@@ -586,16 +688,17 @@ func (p *runPhases) lap(phase int) {
 	p.last = now
 }
 
-// runOn executes one profiling run on a reused machine: Reset to the cold
-// state, optional LLC partition, fresh server, warmup, then measured
-// windows. Reset is bit-for-bit equivalent to a fresh machine (pinned by
+// runOn executes one profiling run on a reused machine: ResetWindows to the
+// cold state at the profiler's window length, optional LLC partition, fresh
+// server, warmup, then measured windows. ResetWindows is bit-for-bit
+// equivalent to a fresh machine (pinned by
 // internal/sim's reset-equivalence test), so reuse does not perturb
-// measurements. With a tape the dataset warm records it, replays it, or —
-// while another run is recording — runs classically; a replay that does not
-// see the recorded event stream fails the run.
-func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job runJob, tape *sim.WarmTape, ph *runPhases) (runResult, error) {
+// measurements. The dataset warm runs in mode: classically, recording the
+// share's tape (whose seal releases the restoring runs), or restoring it —
+// and a restore that does not see the recorded event stream fails the run.
+func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job runJob, mode sim.WarmMode, share *warmShare, ph *runPhases) (runResult, error) {
 	ph.lap(phaseBuild)
-	m.Reset()
+	m.ResetWindows(pr.WindowCycles)
 	if job.ways > 0 {
 		m.SetLLCPartition(job.ways)
 	}
@@ -604,9 +707,11 @@ func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job
 	srv := b.NewServer(layout, stats.HashSeed(seed, "dataset"))
 	ph.lap(phaseBuild)
 	if w, ok := srv.(workload.Warmable); ok {
-		mode := sim.WarmClassic
-		if tape != nil {
-			mode = m.BeginWarm(tape)
+		switch mode {
+		case sim.WarmRecord:
+			m.RecordWarm(share.tape)
+		case sim.WarmRestore:
+			m.RestoreWarm(share.tape)
 		}
 		if ph != nil {
 			ph.warm = mode
@@ -617,8 +722,15 @@ func (pr *Profiler) runOn(m *sim.Machine, b workload.Benchmark, seed uint64, job
 				return runResult{}, fmt.Errorf("profile: benchmark %q: warming the %d-way run: %w (identically built servers must emit identical warm events)", b.Name, job.ways, err)
 			}
 		}
+		if mode == sim.WarmRecord {
+			share.release(nil)
+		}
 		m.FlushSamples()
 		ph.lap(phaseWarm)
+	} else if mode == sim.WarmRecord {
+		// Nothing to record, and the other runs' servers have no warm
+		// either.
+		share.release(nil)
 	}
 	if pr.WarmupWindows > 0 {
 		workload.Run(m, b, srv, pr.WarmupWindows, stats.HashSeed(seed, "warmup"), pr.MaxRequestsPerRun)

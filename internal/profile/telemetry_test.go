@@ -96,3 +96,33 @@ func TestSerialTelemetrySimSpans(t *testing.T) {
 		t.Fatal("no profile.sim spans recorded on the serial path")
 	}
 }
+
+// TestCyclesCountsEveryRunsWarmup: Spec.Cycles is the windows a profile's
+// runs close — WarmupWindows before every run, counted from the sweep's
+// profile.sim spans, then Windows for the main run and CurveWindows for
+// each curve point.
+func TestCyclesCountsEveryRunsWarmup(t *testing.T) {
+	for _, skip := range []bool{false, true} {
+		var collector telemetry.Collector
+		pr := fastProfiler()
+		pr.SkipCurves = skip
+		pr.Telemetry = telemetry.New(telemetry.Options{OnEvent: collector.Record})
+		p, err := pr.Profile(kvBenchmark(256, 60_000), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := 0
+		for _, ev := range collector.Events() {
+			if ev.Type == telemetry.TypeSpan && ev.Phase == telemetry.PhaseSimRun {
+				runs++
+			}
+		}
+		if runs != 1+len(p.Curve) {
+			t.Fatalf("skip=%v: %d profile.sim spans for %d curve points", skip, runs, len(p.Curve))
+		}
+		windows := runs*pr.WarmupWindows + pr.Windows + (runs-1)*pr.CurveWindows
+		if got, want := pr.Cycles(len(p.Curve)), pr.WindowCycles*float64(windows); got != want {
+			t.Errorf("skip=%v: Cycles = %g over %d runs, want %g (%d windows)", skip, got, runs, want, windows)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"datamime/internal/trace"
 )
@@ -55,33 +56,38 @@ func (c CacheConfig) Sets() int {
 	return lines / c.Ways
 }
 
-// cacheLine is one way of one set. A line is valid iff its gen equals the
-// cache's current generation; invalidating the whole cache is then a single
-// generation bump instead of a multi-megabyte zeroing pass (the Broadwell L3
-// alone holds 196 608 lines), which is what makes Machine.Reset cheaper than
-// rebuilding. gen 0 never equals the cache generation (which starts at 1),
-// so freshly zeroed lines are invalid.
-type cacheLine struct {
-	tag uint64
-	// meta is the LRU stamp (for LRU) or the RRPV (for DRRIP).
-	meta uint32
-	gen  uint32
-}
+// maxWays bounds a cache level's associativity: one set's packed state — a
+// 2-bit RRPV per way in 32 bits and the fill count beside it in one uint64 —
+// holds at most this many ways (MachineConfig.Validate).
+const maxWays = 16
 
-// Cache is a set-associative cache over 64-byte lines.
+// A set's state word: the fill count above fillShift, and for DRRIP the
+// RRPV of way i in bits 2i and 2i+1 below it. RRPV bits of ways at or past
+// the fill count are always zero.
+const (
+	fillShift = 32
+	rrpvOnes  = 0x55555555 // the low bit of every way's RRPV field
+)
+
+// Cache is a set-associative cache over 64-byte lines. Set s keeps its
+// valid lines as a prefix of tags[s*partWays:] — fill(s) tags, the rest of
+// the set invalid — so a partition of w ways occupies sets×w tags, 8 bytes a
+// line, contiguous however narrow it is. Under LRU the prefix is in recency
+// order, most recent first, and that order is the whole replacement state.
+// Under DRRIP a line keeps its physical way, and the set's state word holds
+// the ways' 2-bit re-reference predictions.
 type Cache struct {
 	cfg      CacheConfig
 	sets     int
 	ways     int
-	lines    []cacheLine // sets × ways
-	partWays int         // ways visible to the workload (CAT partition); 0 = all
+	partWays int      // ways visible to the workload (CAT partition); also the set stride of tags
+	tags     []uint64 // sets × partWays in use; capacity for sets × ways
+	state    []uint64 // per set: fill count and packed RRPVs
 	// setMask/setShift replace the per-access modulo and division of the
 	// set/tag split when the set count is a power of two (true for every
 	// Table II cache level); setShift < 0 selects the general path.
 	setMask    uint64
 	setShift   int
-	gen        uint32 // current line generation; lines with a stale gen are invalid
-	lruClock   uint32
 	accesses   uint64
 	misses     uint64
 	psel       int  // DRRIP set-dueling policy selector
@@ -94,26 +100,35 @@ type Cache struct {
 const rrpvMax = 3
 
 // NewCache builds a cache from its configuration. It panics on
-// non-positive sizes or ways — machine configs are static and must be
-// valid.
+// non-positive sizes, or on ways a set's packed state cannot hold — machine
+// configs are static and must be valid.
 func NewCache(cfg CacheConfig) *Cache {
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 {
+	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > maxWays {
 		panic(fmt.Sprintf("sim: invalid cache config %+v", cfg))
 	}
 	sets := cfg.Sets()
-	c := &Cache{
+	c := new(Cache)
+	c.init(cfg, make([]uint64, sets*cfg.Ways), make([]uint64, sets))
+	return c
+}
+
+// init makes c an empty cache of configuration cfg over the given tag and
+// state storage, with the full way allocation.
+func (c *Cache) init(cfg CacheConfig, tags, state []uint64) {
+	sets := cfg.Sets()
+	*c = Cache{
 		cfg:      cfg,
 		sets:     sets,
 		ways:     cfg.Ways,
-		lines:    make([]cacheLine, sets*cfg.Ways),
 		partWays: cfg.Ways,
+		tags:     tags,
+		state:    state,
 		setMask:  uint64(sets - 1),
 		setShift: log2OrMinusOne(sets),
-		gen:      1,
 		duelMask: 31, // every 32nd set leads a policy
 		isDRRIP:  cfg.Policy == DRRIP,
 	}
-	return c
+	clear(state)
 }
 
 // log2OrMinusOne returns log2(n) when n is a positive power of two and -1
@@ -133,21 +148,35 @@ func log2OrMinusOne(n int) int {
 // Config returns the cache's configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
+// fill returns how many valid lines set s holds.
+func (c *Cache) fill(s int) int { return int(c.state[s] >> fillShift) }
+
 // SetPartition limits the ways the workload may use, emulating Intel CAT
 // way-partitioning (the paper uses CAT to measure miss and IPC curves
 // across cache allocations, §IV). ways <= 0 or >= total restores the full
-// cache. Changing the partition flushes lines in now-forbidden ways.
+// cache. Shrinking the partition to w ways drops lines past the first w of
+// each set — under LRU the least recent, under DRRIP those in ways at or
+// above w — and re-lays the sets out at the new stride.
 func (c *Cache) SetPartition(ways int) {
 	if ways <= 0 || ways > c.ways {
 		ways = c.ways
 	}
-	if ways < c.partWays {
-		// Invalidate lines outside the new partition.
+	old := c.partWays
+	switch {
+	case ways < old:
 		for s := 0; s < c.sets; s++ {
-			base := s * c.ways
-			for w := ways; w < c.partWays; w++ {
-				c.lines[base+w] = cacheLine{}
+			n := c.fill(s)
+			if n > ways {
+				n = ways
+				rrpv := c.state[s] & (1<<(2*ways) - 1)
+				c.state[s] = uint64(n)<<fillShift | rrpv
 			}
+			copy(c.tags[s*ways:s*ways+n], c.tags[s*old:s*old+n])
+		}
+	case ways > old:
+		for s := c.sets - 1; s >= 0; s-- {
+			n := c.fill(s)
+			copy(c.tags[s*ways:s*ways+n], c.tags[s*old:s*old+n])
 		}
 	}
 	c.partWays = ways
@@ -164,192 +193,173 @@ func (c *Cache) PartitionBytes() int {
 // Access looks up the line containing addr, updating replacement state, and
 // reports whether it hit. On a miss the line is installed.
 func (c *Cache) Access(addr uint64) (hit bool) {
-	c.accesses++
 	lineAddr := addr / trace.LineSize
-	var set int
-	var tag uint64
 	if c.setShift >= 0 {
-		set = int(lineAddr & c.setMask)
-		tag = lineAddr >> uint(c.setShift)
-	} else {
-		set = int(lineAddr % uint64(c.sets))
-		tag = lineAddr / uint64(c.sets)
+		return c.access(lineAddr&c.setMask, lineAddr>>uint(c.setShift))
 	}
-	base := set * c.ways
-	ways := c.lines[base : base+c.partWays]
+	return c.access(lineAddr%uint64(c.sets), lineAddr/uint64(c.sets))
+}
 
-	for i := range ways {
-		if ways[i].gen == c.gen && ways[i].tag == tag {
-			c.touch(ways, i)
+// access looks tag up in set, updating replacement state and installing it
+// on a miss — the one implementation of both policies, which the kernel
+// (kernel.go) and a recording warm's lanes (tape.go) call with the set and
+// tag already split. Under DRRIP a hit promotes the line to RRPV 0, and a
+// miss fills the first invalid way without dueling or, in a full set,
+// evicts the first way holding the set's maximum RRPV after aging every way
+// by rrpvMax minus that maximum — the algebraic collapse of the policy's
+// age-until-a-max-RRPV-appears loop.
+func (c *Cache) access(set, tag uint64) bool {
+	c.accesses++
+	pw := c.partWays
+	base := int(set) * pw
+	ways := c.tags[base : base+pw : base+pw]
+	sp := &c.state[set]
+	st := *sp
+	n := int(st >> fillShift)
+	if c.isDRRIP {
+		for i, t := range ways[:n] {
+			if t == tag {
+				*sp = st &^ (rrpvMax << (2 * i))
+				return true
+			}
+		}
+		c.misses++
+		if n < pw {
+			ways[n] = tag
+			*sp = (st + 1<<fillShift) | c.insertRRPV(int(set))<<(2*n)
+			return false
+		}
+		victim, delta := rrpvVictim(uint32(st))
+		st += delta * (rrpvOnes >> (2 * (maxWays - n)))
+		ways[victim] = tag
+		*sp = st&^(rrpvMax<<(2*victim)) | c.evictRRPV(int(set))<<(2*victim)
+		return false
+	}
+	for i, t := range ways[:n] {
+		if t == tag {
+			// Move to the front: shift the more recent lines down one.
+			for ; i > 0; i-- {
+				ways[i] = ways[i-1]
+			}
+			ways[0] = tag
 			return true
 		}
 	}
 	c.misses++
-	c.install(ways, set, tag)
+	if n < pw {
+		*sp = st + 1<<fillShift
+		n++
+	}
+	// Install at the front; a full set drops its least recent line.
+	for i := n - 1; i > 0; i-- {
+		ways[i] = ways[i-1]
+	}
+	ways[0] = tag
 	return false
 }
 
-// touch updates replacement metadata on a hit.
-func (c *Cache) touch(ways []cacheLine, i int) {
-	if c.isDRRIP {
-		ways[i].meta = 0 // promote to near-immediate re-reference
-		return
+// rrpvVictim returns the first way holding the maximum RRPV of a full set's
+// packed RRPVs, and how far the set must age for that maximum to reach
+// rrpvMax. The choice is written as overrides, lowest maximum first, which
+// compile to conditional moves: the branches they replace mispredicted.
+func rrpvVictim(r uint32) (way int, delta uint64) {
+	hi := r >> 1 & rrpvOnes // RRPV >= 2
+	lo := r & rrpvOnes      // RRPV odd
+	m := lo
+	delta = 2
+	if lo == 0 {
+		m, delta = 1, rrpvMax
 	}
-	c.lruClock++
-	ways[i].meta = c.lruClock
+	if hi != 0 {
+		m, delta = hi, 1
+	}
+	if hi&lo != 0 {
+		m, delta = hi&lo, 0
+	}
+	return bits.TrailingZeros32(m) / 2, delta
 }
 
-// install places a new line, evicting per policy.
-func (c *Cache) install(ways []cacheLine, set int, tag uint64) {
-	// Prefer an invalid way.
-	for i := range ways {
-		if ways[i].gen != c.gen {
-			ways[i] = cacheLine{tag: tag, meta: c.insertMeta(set), gen: c.gen}
-			return
-		}
+// insertRRPV returns the RRPV of a line filling an invalid way of set:
+// leader sets insert by their fixed policy, follower sets by the policy
+// selector's winner.
+func (c *Cache) insertRRPV(set int) uint64 {
+	switch set & c.duelMask {
+	case 0: // SRRIP leader
+		return rrpvMax - 1
+	case 1: // BRRIP leader
+		return c.brripRRPV()
 	}
-	if c.isDRRIP {
-		c.installDRRIP(ways, set, tag)
-		return
+	if c.psel > 0 {
+		return c.brripRRPV()
 	}
-	// LRU eviction: smallest stamp.
-	victim := 0
-	for i := 1; i < len(ways); i++ {
-		if ways[i].meta < ways[victim].meta {
-			victim = i
-		}
-	}
-	ways[victim] = cacheLine{tag: tag, meta: c.insertMeta(set), gen: c.gen}
-}
-
-// insertMeta returns the replacement metadata for a newly-installed line.
-func (c *Cache) insertMeta(set int) uint32 {
-	if !c.isDRRIP {
-		c.lruClock++
-		return c.lruClock
-	}
-	if c.useBRRIP(set) {
-		// BRRIP: insert at distant (rrpvMax) almost always; rarely at
-		// rrpvMax-1. Deterministic 1/32 de-rating.
-		c.brripCount++
-		if c.brripCount%32 == 0 {
-			return rrpvMax - 1
-		}
-		return rrpvMax
-	}
-	// SRRIP: insert at long re-reference interval.
 	return rrpvMax - 1
 }
 
-// installDRRIP evicts the first line with RRPV == max, aging until found.
-func (c *Cache) installDRRIP(ways []cacheLine, set int, tag uint64) {
-	for {
-		for i := range ways {
-			if ways[i].meta >= rrpvMax {
-				// A miss in a leader set trains the dueling counter.
-				c.duelTrain(set)
-				ways[i] = cacheLine{tag: tag, meta: c.insertMeta(set), gen: c.gen}
-				return
-			}
-		}
-		for i := range ways {
-			ways[i].meta++
-		}
-	}
-}
-
-// useBRRIP decides the insertion policy for a set: leader sets use their
-// fixed policy; follower sets use the policy-selector's winner.
-func (c *Cache) useBRRIP(set int) bool {
-	switch set & c.duelMask {
-	case 0:
-		return false // SRRIP leader
-	case 1:
-		return true // BRRIP leader
-	default:
-		return c.psel > 0
-	}
-}
-
-// duelTrain updates the policy selector on leader-set misses: misses in
-// SRRIP leaders vote for BRRIP and vice versa.
-func (c *Cache) duelTrain(set int) {
+// evictRRPV is insertRRPV for a line that evicts another, whose miss first
+// trains the selector if set leads a policy: a miss in an SRRIP leader
+// votes for BRRIP and one in a BRRIP leader for SRRIP. A leader's insertion
+// does not read the selector, so one switch does both.
+func (c *Cache) evictRRPV(set int) uint64 {
 	const pselMax = 512
 	switch set & c.duelMask {
-	case 0: // SRRIP leader missed -> BRRIP gains
+	case 0:
 		if c.psel < pselMax {
 			c.psel++
 		}
-	case 1: // BRRIP leader missed -> SRRIP gains
+		return rrpvMax - 1
+	case 1:
 		if c.psel > -pselMax {
 			c.psel--
 		}
+		return c.brripRRPV()
 	}
+	if c.psel > 0 {
+		return c.brripRRPV()
+	}
+	return rrpvMax - 1
+}
+
+// brripRRPV is BRRIP's insertion: at distant re-reference (rrpvMax) almost
+// always, at rrpvMax-1 on every 32nd insertion — a deterministic de-rating.
+// SRRIP inserts at rrpvMax-1.
+func (c *Cache) brripRRPV() uint64 {
+	c.brripCount++
+	if c.brripCount%32 == 0 {
+		return rrpvMax - 1
+	}
+	return rrpvMax
 }
 
 // Stats returns lifetime accesses and misses.
 func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
 
-// Flush invalidates every line and resets statistics. Invalidation is a
-// generation bump, not a zeroing pass: stale lines are overwritten lazily as
-// the next run installs into them, so flushing a 12 MB L3 costs the same as
-// flushing a 32 KB L1.
+// Flush invalidates every line and resets statistics: every set's fill
+// count drops to zero (8 bytes a set; tags are left to be overwritten).
 func (c *Cache) Flush() {
-	c.gen++
-	if c.gen == 0 {
-		// The generation counter wrapped (once per 2^32 flushes): erase the
-		// stale lines for real so none of them can alias a reused generation.
-		for i := range c.lines {
-			c.lines[i] = cacheLine{}
-		}
-		c.gen = 1
-	}
+	clear(c.state)
 	c.accesses, c.misses = 0, 0
 	c.psel, c.brripCount = 0, 0
 }
 
 // Reset restores the cache to the exact state of a freshly-constructed one:
-// Flush plus the full way partition and a zeroed LRU clock. Flush alone is
-// not enough for run-to-run byte identity — the LRU clock keeps counting
-// across flushes, and installed-line stamps embed it.
+// Flush plus the full way partition.
 func (c *Cache) Reset() {
 	c.Flush()
 	c.partWays = c.ways
-	c.lruClock = 0
 }
 
-// cacheState is a copy of everything a cache's future behaviour depends on:
-// lines, replacement clock, dueling state and statistics. A warm tape seals
-// one per level above the LLC (tape.go).
-type cacheState struct {
-	lines            []cacheLine
-	gen              uint32 // generation the copied lines are valid under
-	lruClock         uint32
-	accesses, misses uint64
-	psel, brripCount int
-}
-
-// save copies the cache's state into s.
-func (c *Cache) save(s *cacheState) {
-	s.lines = append([]cacheLine(nil), c.lines...)
-	s.gen, s.lruClock = c.gen, c.lruClock
-	s.accesses, s.misses = c.accesses, c.misses
-	s.psel, s.brripCount = c.psel, c.brripCount
-}
-
-// load makes the cache behave exactly as the saved one would. Generations
-// are per cache, so valid lines are re-stamped with this cache's and stale
-// ones erased rather than left to alias it.
-func (c *Cache) load(s *cacheState) {
-	for i, ln := range s.lines {
-		if ln.gen != s.gen {
-			ln = cacheLine{}
-		} else {
-			ln.gen = c.gen
-		}
-		c.lines[i] = ln
+// copyFrom makes c the cache src is — geometry, partition, lines,
+// replacement and dueling state, statistics — keeping c's own storage when
+// it is large enough. A warm tape saves levels into images with it and
+// installs them back (tape.go).
+func (c *Cache) copyFrom(src *Cache) {
+	tags, state := c.tags, c.state
+	*c = *src
+	n := src.sets * src.partWays
+	if len(tags) < n {
+		tags = make([]uint64, n)
 	}
-	c.lruClock = s.lruClock
-	c.accesses, c.misses = s.accesses, s.misses
-	c.psel, c.brripCount = s.psel, s.brripCount
+	copy(tags, src.tags[:n])
+	c.tags = tags
+	c.state = append(state[:0], src.state...)
 }

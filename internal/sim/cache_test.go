@@ -334,13 +334,15 @@ func TestBranchPredictorPanicsOnBadConfig(t *testing.T) {
 	NewBranchPredictor(BranchConfig{TableBits: 0})
 }
 
-// TestFlushGenerationWraparound forces the latent uint32 generation-counter
-// wrap: after 2^32 flushes the counter would land back on 0, where every
-// freshly-zeroed (never-written) line — whose gen is 0 — would suddenly read
-// as valid. Flush must detect the wrap, erase stale lines for real, and
-// restart at generation 1 so nothing aliases.
+// TestFlushGenerationWraparound forces the reference cache's latent uint32
+// generation-counter wrap: after 2^32 flushes the counter would land back
+// on 0, where every freshly-zeroed (never-written) line — whose gen is 0 —
+// would suddenly read as valid. Flush must detect the wrap, erase stale
+// lines for real, and restart at generation 1 so nothing aliases. The
+// kernel's caches have no generations: a flush zeroes each set's fill
+// count, which the machine-level half checks.
 func TestFlushGenerationWraparound(t *testing.T) {
-	c := NewCache(CacheConfig{Name: "L", SizeBytes: 4096, Ways: 4, Policy: LRU})
+	c := newRefCache(CacheConfig{Name: "L", SizeBytes: 4096, Ways: 4, Policy: LRU})
 	// Simulate 2^32-2 intervening flushes, then install lines at the final
 	// pre-wrap generation.
 	c.gen = ^uint32(0)
@@ -361,17 +363,17 @@ func TestFlushGenerationWraparound(t *testing.T) {
 	if c.Access(0) {
 		t.Fatal("stale line read as valid after generation wrap")
 	}
-	// And a machine-level wrap: Reset must leave the kernel path coherent.
+	// A machine's Reset empties every set, tag 0 included.
 	m := NewMachine(Broadwell(), 1e9)
 	m.Load(0, 8)
-	m.l1d.gen = ^uint32(0)
 	m.Reset()
-	if m.l1d.gen != 1 || m.kern.l1d.gen != 1 {
-		t.Fatalf("post-wrap generations: cache %d kernel %d, want 1/1",
-			m.l1d.gen, m.kern.l1d.gen)
+	for s := range m.l1d.state {
+		if m.l1d.fill(s) != 0 {
+			t.Fatalf("set %d holds %d lines after Reset", s, m.l1d.fill(s))
+		}
 	}
 	m.Load(0, 8)
 	if _, miss := m.l1d.Stats(); miss != 1 {
-		t.Fatalf("post-wrap load should miss once, got %d misses", miss)
+		t.Fatalf("post-Reset load should miss once, got %d misses", miss)
 	}
 }

@@ -82,13 +82,10 @@ type Machine struct {
 	baseCPI   float64
 	burstMiss int // index of the miss within the current access burst (MLP)
 
-	// kern is the packed batched-access kernel state (see kernel.go); scalar
-	// routes events through the reference walk instead, which only the
-	// equivalence tests ask for (setScalarPath). lastDataLine/lastInstrLine
-	// track the most recent line touched on each side for same-line
-	// coalescing.
+	// kern is the packed batched-access kernel state (see kernel.go).
+	// lastDataLine/lastInstrLine track the most recent line touched on each
+	// side for same-line coalescing.
 	kern            machKernel
-	scalar          bool
 	lastDataLine    uint64
 	lastInstrLine   uint64
 	lastDataPage    uint64
@@ -98,9 +95,10 @@ type Machine struct {
 	lastDataPageOK  bool
 	lastInstrPageOK bool
 
-	// tape is non-nil between BeginWarm and EndWarm: the kernel walk then
-	// records onto, or replays from, a WarmTape (see tape.go).
-	tape *tapeHead
+	// warm is non-nil between RecordWarm or RestoreWarm and EndWarm (see
+	// tape.go), and then points at head.
+	warm *warmHead
+	head warmHead
 }
 
 // NewMachine builds a machine with the given counter-window length in
@@ -183,8 +181,19 @@ func (m *Machine) Reset() {
 	m.wallSamples = m.wallSamples[:0]
 	m.totalBusy, m.totalIdle = 0, 0
 	m.burstMiss = 0
-	m.tape = nil
+	m.warm = nil
 	m.syncKernel()
+}
+
+// ResetWindows is Reset with a new counter-window length: afterwards the
+// machine is exactly what NewMachine(m.Config(), windowCycles) builds, so a
+// pooled machine serves profilers of any window length.
+func (m *Machine) ResetWindows(windowCycles float64) {
+	if windowCycles <= 0 {
+		panic(fmt.Sprintf("sim: windowCycles must be positive, got %g", windowCycles))
+	}
+	m.windowCycles = windowCycles
+	m.Reset()
 }
 
 // ReserveSamples grows the sample buffers to hold at least windows entries
@@ -202,8 +211,18 @@ func (m *Machine) ReserveSamples(windows int) {
 	}
 }
 
-// busy advances busy time by cyc cycles.
+// busy advances busy time by cyc cycles. During a taped warm it adds only
+// to the busy totals — the machine's and, while recording, every lane's:
+// EndWarm flushes the warm's windows, so the window bookkeeping would be
+// thrown away.
 func (m *Machine) busy(cyc float64) {
+	if h := m.warm; h != nil {
+		m.totalBusy += cyc
+		for i := range h.lanes {
+			h.lanes[i].busy += cyc
+		}
+		return
+	}
 	m.win.busyCyc += cyc
 	m.win.totalCyc += cyc
 	m.wall.busyCyc += cyc
@@ -239,128 +258,29 @@ func (m *Machine) Idle(cyc float64) {
 	}
 }
 
-// missPenalty charges the latency of a miss serviced at a level with the
-// given latency, applying the machine's OOO overlap factor and, for
-// back-to-back misses within one burst, its MLP divisor.
-func (m *Machine) missPenalty(latency float64) {
-	p := latency * (1 - m.cfg.Overlap)
+// missPenalty charges the penalty of a miss serviced at a level (its
+// kernelLevel.pen): the first miss of an access burst pays the level's
+// latency net of the OOO overlap, back-to-back misses within the burst that
+// over the MLP divisor.
+func (m *Machine) missPenalty(pen *[2]float64) {
+	p := pen[0]
 	if m.burstMiss > 0 {
-		p /= m.cfg.MLP
+		p = pen[1]
 	}
 	m.burstMiss++
 	m.busy(p)
 }
 
-// scalarDataAccess walks the data-side hierarchy one line at a time through
-// the general-purpose Cache/TLB methods. It is the reference implementation
-// the batched kernel (kernel.go) must match bit for bit — a test oracle, not
-// a production path: geometries the kernel cannot walk are a
-// MachineConfig.Validate error.
-func (m *Machine) scalarDataAccess(addr uint64, size int) {
-	if size <= 0 {
-		return
-	}
-	instrs := trace.InstrsForSize(size)
-	m.win.instrs += uint64(instrs)
-	m.busy(float64(instrs) * m.baseCPI)
-
-	first := addr / trace.LineSize
-	last := (addr + uint64(size) - 1) / trace.LineSize
-	m.burstMiss = 0
-	for line := first; line <= last; line++ {
-		la := line * trace.LineSize
-		if !m.dtlb.Access(la) {
-			m.win.dtlbMiss++
-			m.busy(m.cfg.TLBPenalty)
-		}
-		if m.l1d.Access(la) {
-			continue
-		}
-		m.win.l1dMiss++
-		if m.l2.Access(la) {
-			m.missPenalty(float64(m.cfg.L2.LatencyCyc))
-			continue
-		}
-		m.win.l2Miss++
-		if m.l3 != nil {
-			if m.l3.Access(la) {
-				m.missPenalty(float64(m.cfg.L3.LatencyCyc))
-				continue
-			}
-		}
-		m.win.llcMiss++
-		m.win.memBytes += trace.LineSize
-		m.wall.memBytes += trace.LineSize
-		m.missPenalty(m.cfg.MemLatency)
-	}
-}
-
 // Load implements trace.Collector.
-func (m *Machine) Load(addr uint64, size int) {
-	if m.scalar {
-		m.scalarDataAccess(addr, size)
-		return
-	}
-	m.batchData(addr, size)
-}
+func (m *Machine) Load(addr uint64, size int) { m.batchData(addr, size) }
 
 // Store implements trace.Collector. Stores and loads traverse the same
 // hierarchy; write-allocate means a store miss also fetches the line.
-func (m *Machine) Store(addr uint64, size int) {
-	if m.scalar {
-		m.scalarDataAccess(addr, size)
-		return
-	}
-	m.batchData(addr, size)
-}
+func (m *Machine) Store(addr uint64, size int) { m.batchData(addr, size) }
 
 // Exec implements trace.Collector: it fetches the instruction lines the
 // execution touches and accounts the dynamic instructions.
-func (m *Machine) Exec(r *trace.CodeRegion, instrs int) {
-	if m.scalar {
-		m.scalarExec(r, instrs)
-		return
-	}
-	m.batchInstr(r, instrs)
-}
-
-// scalarExec is the reference instruction-side walk; see scalarDataAccess.
-func (m *Machine) scalarExec(r *trace.CodeRegion, instrs int) {
-	if instrs <= 0 {
-		return
-	}
-	m.win.instrs += uint64(instrs)
-	m.busy(float64(instrs) * m.baseCPI)
-
-	start, n := r.NextLines(instrs)
-	m.burstMiss = 0
-	for i := 0; i < n; i++ {
-		la := r.LineAddr(start + i)
-		if !m.itlb.Access(la) {
-			m.win.itlbMiss++
-			m.busy(m.cfg.TLBPenalty)
-		}
-		if m.l1i.Access(la) {
-			continue
-		}
-		m.win.icMiss++
-		if m.l2.Access(la) {
-			m.missPenalty(float64(m.cfg.L2.LatencyCyc))
-			continue
-		}
-		m.win.l2Miss++
-		if m.l3 != nil {
-			if m.l3.Access(la) {
-				m.missPenalty(float64(m.cfg.L3.LatencyCyc))
-				continue
-			}
-		}
-		m.win.llcMiss++
-		m.win.memBytes += trace.LineSize
-		m.wall.memBytes += trace.LineSize
-		m.missPenalty(m.cfg.MemLatency)
-	}
-}
+func (m *Machine) Exec(r *trace.CodeRegion, instrs int) { m.batchInstr(r, instrs) }
 
 // Branch implements trace.Collector.
 func (m *Machine) Branch(site uint64, taken bool) {

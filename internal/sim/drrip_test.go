@@ -62,37 +62,32 @@ func TestDRRIPInsertsAtDistantInterval(t *testing.T) {
 
 // resident inspects cache state non-destructively.
 func resident(c *Cache, set int, tag uint64) bool {
-	base := set * c.ways
-	for i := base; i < base+c.partWays; i++ {
-		if c.lines[i].gen == c.gen && c.lines[i].tag == tag {
-			return true
+	_, ok := rrpvOf(c, set, tag)
+	return ok
+}
+
+// rrpvOf returns the RRPV of a resident line of a DRRIP cache.
+func rrpvOf(c *Cache, set int, tag uint64) (uint64, bool) {
+	ways := c.tags[set*c.partWays:][:c.fill(set)]
+	for i, t := range ways {
+		if t == tag {
+			return c.state[set] >> (2 * i) & rrpvMax, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // TestBRRIPDeRating: the BRRIP leader sets insert at RRPV max-1 only every
 // 32nd insertion; verify the deterministic de-rater cycles.
 func TestBRRIPDeRating(t *testing.T) {
 	c := drripCache(64*trace.LineSize, 4) // 16 sets; set 1 is the BRRIP leader
-	metaOf := func(set int, tag uint64) (uint32, bool) {
-		base := set * c.ways
-		for i := base; i < base+c.partWays; i++ {
-			lineAddr := tag*uint64(c.sets) + uint64(set)
-			_ = lineAddr
-			if c.lines[i].gen == c.gen && c.lines[i].tag == tag {
-				return c.lines[i].meta, true
-			}
-		}
-		return 0, false
-	}
 	// Insert 64 distinct lines into leader set 1 (set index = line % sets).
 	longCount, distantCount := 0, 0
 	for k := 0; k < 64; k++ {
 		tag := uint64(k)
 		addr := (tag*uint64(c.sets) + 1) * trace.LineSize // maps to set 1
 		c.Access(addr)
-		if m, ok := metaOf(1, tag); ok {
+		if m, ok := rrpvOf(c, 1, tag); ok {
 			if m == rrpvMax {
 				distantCount++
 			} else if m == rrpvMax-1 {

@@ -3,14 +3,14 @@ package sim
 import "datamime/internal/trace"
 
 // This file implements the batched access kernel — the flattened hot path
-// the profiler spends nearly all of its time in. pprof on the way-curve
-// sweep shows >90% of samples inside Cache.Access / Cache.install /
-// TLB.Access / CodeRegion.LineAddr; the kernel removes the per-access call
-// chain, the redundant set/tag recomputation at every level, the multi-pass
-// install scans, and the per-line modulo of the instruction walk, while
-// producing output bit-for-bit identical to the scalar reference walk
-// (scalarDataAccess / scalarExec in cpu.go). The equivalence is pinned by
-// kernel_test.go across every Table II machine, replacement policy, and LLC
+// the profiler spends nearly all of its time in. It splits an access into
+// its lines once, walks them with an incremental wrap instead of the
+// instruction walk's per-line modulo, computes each level's set and tag
+// with a shift and a mask, and charges precomputed penalties, while
+// producing output bit-for-bit identical to the scalar reference walk over
+// stamp-and-generation caches (reference_test.go). The equivalence is
+// pinned by kernel_test.go and differential_test.go across every Table II
+// machine, random geometries, both replacement policies, and every LLC
 // partition.
 //
 // Bit-identity ground rules the kernel obeys:
@@ -18,10 +18,11 @@ import "datamime/internal/trace"
 //   - Window-close cadence is untouched: cycle charges go through the same
 //     busy()/missPenalty() calls in the same order, so every counter
 //     increment lands in the same sample window as the scalar walk.
-//   - Replacement decisions are identical: the fused single-pass installs
-//     pick the same victim (first invalid way, else first least-recent /
-//     first max-RRPV way) and the DRRIP delta-aging below is an exact
-//     algebraic collapse of the scalar age-until-victim loop.
+//   - Replacement decisions are identical: LRU keeps each set in recency
+//     order, which is what the reference's unique stamps encode, and DRRIP
+//     fills the first invalid way, else evicts the first max-RRPV way after
+//     the one-step aging that collapses the reference's age-until-victim
+//     loop.
 //   - Same-line coalescing elides only probes that are provably hits with
 //     no counter effect (see batchData), and still counts them in the
 //     cache/TLB access statistics so Stats() match the scalar walk exactly.
@@ -33,126 +34,41 @@ const lineShift = 6
 
 var _ = [1]struct{}{}[trace.LineSize-1<<lineShift]
 
-// kernelLevel packs one cache level's hot lookup state into a single flat,
-// cache-line-friendly struct: the line slab, the set/tag split, the visible
-// ways, and the current generation all sit contiguously in the Machine
-// instead of behind a *Cache indirection per level. Slow-path state that
-// mutates per access (replacement clocks, dueling counters, statistics)
-// stays authoritative in the Cache; syncKernel refreshes the packed copies
-// whenever structural state changes (construction, Reset, partitioning).
+// kernelLevel is one cache level as the walk sees it: the set/tag split,
+// the penalty a hit here charges, and the cache (cache.go), whose access
+// method holds both policies. The split is computed once per line step and
+// shared by every cache of the level's geometry — the recording warm's
+// lanes probe with the LLC's split (tape.go).
 type kernelLevel struct {
-	lines    []cacheLine // the cache's slab (sets × ways), never reallocated
+	c        *Cache
 	setMask  uint64
 	tagShift uint8
-	gen      uint32  // copy of Cache.gen, refreshed by syncKernel
-	ways     int     // set stride in lines
-	partWays int     // ways visible to the workload (CAT partition)
-	latency  float64 // hit latency at this level, cycles
-	drrip    bool
-	c        *Cache // replacement clocks, dueling state, statistics
+	// pen is the miss penalty of a line served at this level:
+	// latency*(1-Overlap) for the first miss of a burst, that over MLP for
+	// the rest — the float operations the reference walk runs per miss.
+	pen [2]float64
 }
 
 // sync packs the level from its cache, whose set count is a power of two
-// (MachineConfig.Validate).
-func (lv *kernelLevel) sync(c *Cache) {
-	lv.lines = c.lines
+// (MachineConfig.Validate), for a machine with the given overlap and MLP.
+func (lv *kernelLevel) sync(c *Cache, latency float64, cfg *MachineConfig) {
+	lv.c = c
 	lv.setMask = c.setMask
 	lv.tagShift = uint8(c.setShift)
-	lv.gen = c.gen
-	lv.ways = c.ways
-	lv.partWays = c.partWays
-	lv.latency = float64(c.cfg.LatencyCyc)
-	lv.drrip = c.isDRRIP
-	lv.c = c
+	lv.pen = missPenalties(latency, cfg)
+}
+
+// missPenalties returns a miss's penalty for a level of the given latency,
+// first of its burst and later.
+func missPenalties(latency float64, cfg *MachineConfig) [2]float64 {
+	p := latency * (1 - cfg.Overlap)
+	return [2]float64{p, p / cfg.MLP}
 }
 
 // access looks up la (a line address) at this level, updating replacement
-// state and installing on a miss — the fused equivalent of Cache.Access.
-// One scan does triple duty: it probes for a hit (tag compared first —
-// valid-generation checks almost always pass in steady state, tags almost
-// always don't, so the cheap discriminating compare leads), tracks the
-// first invalid way, and tracks the replacement victim, so a miss installs
-// with no second pass over the set.
+// state and installing on a miss.
 func (lv *kernelLevel) access(la uint64) bool {
-	c := lv.c
-	c.accesses++
-	set := la & lv.setMask
-	tag := la >> lv.tagShift
-	base := int(set) * lv.ways
-	end := base + lv.partWays
-	ways := lv.lines[base:end:end]
-	gen := lv.gen
-	if lv.drrip {
-		return accessDRRIP(c, ways, int(set), tag, gen)
-	}
-	for i := range ways {
-		w := &ways[i]
-		if w.tag == tag && w.gen == gen {
-			c.lruClock++
-			w.meta = c.lruClock
-			return true
-		}
-	}
-	c.misses++
-	// Victim scan, second pass: the set is host-cache-resident after the
-	// probe, so this costs arithmetic only. First invalid way wins (the
-	// scalar install prefers it), else the first way with the smallest
-	// stamp — the scalar argmin.
-	victim, vstamp := 0, ^uint32(0)
-	for i := range ways {
-		w := &ways[i]
-		if w.gen != gen {
-			victim = i
-			break
-		}
-		if w.meta < vstamp {
-			victim, vstamp = i, w.meta
-		}
-	}
-	c.lruClock++
-	ways[victim] = cacheLine{tag: tag, meta: c.lruClock, gen: gen}
-	return false
-}
-
-// accessDRRIP is the DRRIP arm of the fused lookup. On a miss with no
-// invalid way it collapses the scalar walk's age-until-a-max-RRPV-appears
-// loop algebraically: that loop always ages every line by exactly
-// rrpvMax-maxMeta and then evicts the first way that held the maximum — so
-// one scan finds the victim and one adds the aging delta. duelTrain and
-// insertMeta run in the scalar order (train the selector, then read it for
-// the insertion policy), and invalid-way fills skip dueling exactly as the
-// scalar install does.
-func accessDRRIP(c *Cache, ways []cacheLine, set int, tag uint64, gen uint32) bool {
-	for i := range ways {
-		w := &ways[i]
-		if w.tag == tag && w.gen == gen {
-			w.meta = 0 // promote to near-immediate re-reference
-			return true
-		}
-	}
-	c.misses++
-	// Victim scan, second pass on the now host-cache-resident set: first
-	// invalid way fills without eviction or dueling (as the scalar install
-	// does), else the first way holding the maximum RRPV is the victim.
-	victim, maxMeta := 0, uint32(0)
-	for i := range ways {
-		w := &ways[i]
-		if w.gen != gen {
-			ways[i] = cacheLine{tag: tag, meta: c.insertMeta(set), gen: gen}
-			return false
-		}
-		if w.meta > maxMeta {
-			victim, maxMeta = i, w.meta
-		}
-	}
-	if delta := rrpvMax - maxMeta; delta > 0 {
-		for i := range ways {
-			ways[i].meta += delta
-		}
-	}
-	c.duelTrain(set)
-	ways[victim] = cacheLine{tag: tag, meta: c.insertMeta(set), gen: gen}
-	return false
+	return lv.c.access(la&lv.setMask, la>>lv.tagShift)
 }
 
 // tlbKernel packs a TLB's hot lookup state; the entry slab is the TLB's own
@@ -231,51 +147,38 @@ type machKernel struct {
 	coalesceData  bool // same-line elision valid on the data side (LRU L1D)
 	coalesceInstr bool // same-line elision valid on the instruction side
 	hasL3         bool
-	l2HitOut      uint8 // outcome of an L2 hit: private with an L3 below, else the LLC itself
 	tlbPenalty    float64
-	memLatency    float64
-	l1d, l2, l3   kernelLevel
-	l1i           kernelLevel
+	memPen        [2]float64 // miss penalties of a line served by memory
+	l1d, l1i, l2  kernelLevel
+	llc           kernelLevel // the L3, or the L2 on machines without one
 	dtlb, itlb    tlbKernel
 }
 
-// syncKernel (re)packs the kernel from the machine's components. Every
-// machine that passed MachineConfig.Validate is on the kernel path; only
-// setScalarPath routes around it. It runs at construction, after Reset
-// (generation bumps), and after SetLLCPartition (visible-way changes) — the
-// only places structural cache state changes under a Machine. It also
-// invalidates the coalescing trackers: elision claims must never survive a
-// cache flush.
+// syncKernel (re)packs the kernel from the machine's components. It runs at
+// construction, after Reset and after SetLLCPartition. It also invalidates
+// the coalescing trackers: elision claims must never survive a cache flush.
 func (m *Machine) syncKernel() {
 	k := &m.kern
-	k.l1d.sync(m.l1d)
-	k.l2.sync(m.l2)
-	k.l1i.sync(m.l1i)
+	cfg := &m.cfg
+	k.l1d.sync(m.l1d, float64(cfg.L1D.LatencyCyc), cfg)
+	k.l1i.sync(m.l1i, float64(cfg.L1I.LatencyCyc), cfg)
+	k.l2.sync(m.l2, float64(cfg.L2.LatencyCyc), cfg)
 	k.dtlb.sync(m.dtlb)
 	k.itlb.sync(m.itlb)
 	k.hasL3 = m.l3 != nil
-	k.l2HitOut = outLLC
+	k.llc = k.l2
 	if k.hasL3 {
-		k.l3.sync(m.l3)
-		k.l2HitOut = outL2Hit
+		k.llc.sync(m.l3, float64(cfg.L3.LatencyCyc), cfg)
 	}
 	// Elision relies on a re-touched MRU line keeping its relative
-	// replacement order, which holds for LRU stamps but not for a DRRIP L1
+	// replacement order, which holds for LRU recency but not for a DRRIP L1
 	// whose inserted lines sit at distant RRPV until re-touched.
-	k.coalesceData = !k.l1d.drrip
-	k.coalesceInstr = !k.l1i.drrip
-	k.tlbPenalty = m.cfg.TLBPenalty
-	k.memLatency = m.cfg.MemLatency
+	k.coalesceData = !m.l1d.isDRRIP
+	k.coalesceInstr = !m.l1i.isDRRIP
+	k.tlbPenalty = cfg.TLBPenalty
+	k.memPen = missPenalties(cfg.MemLatency, cfg)
 	m.lastDataValid, m.lastInstrValid = false, false
 	m.lastDataPageOK, m.lastInstrPageOK = false, false
-}
-
-// setScalarPath routes all events through the scalar reference walk; the
-// batched-vs-scalar equivalence tests use it to drive both paths over
-// identical streams.
-func (m *Machine) setScalarPath(on bool) {
-	m.scalar = on
-	m.syncKernel()
 }
 
 // stepData walks one line through the data-side hierarchy: DTLB, then
@@ -286,10 +189,7 @@ func (m *Machine) setScalarPath(on bool) {
 // touches the data TLB in between), so the probe is a guaranteed hit whose
 // re-stamp cannot change LRU recency order. The elided probe still counts
 // as an access so TLB statistics match the scalar walk.
-//
-// The returned outcome says what the levels above the LLC did with the line
-// (see tape.go); only a recording warm reads it.
-func (m *Machine) stepData(la uint64) (out uint8) {
+func (m *Machine) stepData(la uint64) {
 	k := &m.kern
 	if page := la >> k.dtlb.pageLineShift; m.lastDataPageOK && page == m.lastDataPage {
 		m.dtlb.accesses++
@@ -297,37 +197,21 @@ func (m *Machine) stepData(la uint64) (out uint8) {
 		if !k.dtlb.access(la) {
 			m.win.dtlbMiss++
 			m.busy(k.tlbPenalty)
-			out = outTLBMiss
 		}
 		m.lastDataPage = page
 		m.lastDataPageOK = true
 	}
 	if k.l1d.access(la) {
-		return out
+		return
 	}
 	m.win.l1dMiss++
-	if k.l2.access(la) {
-		m.missPenalty(k.l2.latency)
-		return out | k.l2HitOut
-	}
-	m.win.l2Miss++
-	if k.hasL3 {
-		if k.l3.access(la) {
-			m.missPenalty(k.l3.latency)
-			return out | outLLC
-		}
-	}
-	m.win.llcMiss++
-	m.win.memBytes += trace.LineSize
-	m.wall.memBytes += trace.LineSize
-	m.missPenalty(k.memLatency)
-	return out | outLLC
+	m.stepBelowL1(la)
 }
 
 // stepInstr walks one instruction line: ITLB, then L1I → L2 → L3 → memory,
 // with the same same-page ITLB elision as stepData (fetch loops sit on one
-// code page for long stretches). It returns the same outcome stepData does.
-func (m *Machine) stepInstr(la uint64) (out uint8) {
+// code page for long stretches).
+func (m *Machine) stepInstr(la uint64) {
 	k := &m.kern
 	if page := la >> k.itlb.pageLineShift; m.lastInstrPageOK && page == m.lastInstrPage {
 		m.itlb.accesses++
@@ -335,31 +219,44 @@ func (m *Machine) stepInstr(la uint64) (out uint8) {
 		if !k.itlb.access(la) {
 			m.win.itlbMiss++
 			m.busy(k.tlbPenalty)
-			out = outTLBMiss
 		}
 		m.lastInstrPage = page
 		m.lastInstrPageOK = true
 	}
 	if k.l1i.access(la) {
-		return out
+		return
 	}
 	m.win.icMiss++
-	if k.l2.access(la) {
-		m.missPenalty(k.l2.latency)
-		return out | k.l2HitOut
-	}
-	m.win.l2Miss++
+	m.stepBelowL1(la)
+}
+
+// stepBelowL1 walks an L1 miss through the private L2, when there is an L3,
+// and the LLC. During a recording warm the LLC step is the recording's
+// (tape.go): it probes every lane as well.
+func (m *Machine) stepBelowL1(la uint64) {
+	k := &m.kern
 	if k.hasL3 {
-		if k.l3.access(la) {
-			m.missPenalty(k.l3.latency)
-			return out | outLLC
+		if k.l2.access(la) {
+			m.missPenalty(&k.l2.pen)
+			return
 		}
+		m.win.l2Miss++
+	}
+	if m.warm != nil {
+		m.recordLLC(la)
+		return
+	}
+	if k.llc.access(la) {
+		m.missPenalty(&k.llc.pen)
+		return
+	}
+	if !k.hasL3 {
+		m.win.l2Miss++
 	}
 	m.win.llcMiss++
 	m.win.memBytes += trace.LineSize
 	m.wall.memBytes += trace.LineSize
-	m.missPenalty(k.memLatency)
-	return out | outLLC
+	m.missPenalty(&k.memPen)
 }
 
 // batchData is the batched data-side step: it splits the access into its
@@ -371,10 +268,10 @@ func (m *Machine) stepInstr(la uint64) (out uint8) {
 // The elided probe is provably a DTLB+L1D hit with zero counter and zero
 // cycle effect: the previous data access left that line MRU at both, and
 // no other event type touches the data-side TLB or L1D. Eliding the
-// re-touch preserves every future replacement decision — re-stamping an
-// already-MRU line never changes the relative stamp order LRU victims are
-// chosen by — and the elided probes still count as accesses so cache and
-// TLB statistics match the scalar walk bit for bit.
+// re-touch preserves every future replacement decision — re-touching an
+// already-MRU line never changes LRU recency order — and the elided probes
+// still count as accesses so cache and TLB statistics match the scalar
+// walk bit for bit.
 func (m *Machine) batchData(addr uint64, size int) {
 	if size <= 0 {
 		return
@@ -394,8 +291,8 @@ func (m *Machine) batchData(addr uint64, size int) {
 		}
 		first++
 	}
-	if m.tape != nil {
-		m.tape.data(m, first, last)
+	if m.warm != nil {
+		m.warm.data(m, first, last)
 	} else {
 		for la := first; la <= last; la++ {
 			m.stepData(la)
@@ -438,8 +335,8 @@ func (m *Machine) batchInstr(r *trace.CodeRegion, instrs int) {
 			continue
 		}
 		coalesce = false
-		if m.tape != nil {
-			m.tape.instr(m, la)
+		if m.warm != nil {
+			m.warm.instr(m, la)
 		} else {
 			m.stepInstr(la)
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,11 +11,26 @@ import (
 )
 
 // The batched kernel must be observationally identical to the scalar
-// reference walk: identical window samples, wall samples, cycle totals,
-// per-level access/miss statistics, and identical cache/TLB residency.
-// Internal LRU clock values are allowed to differ (coalescing elides
+// reference walk over the reference caches (reference_test.go): identical
+// window samples, wall samples, cycle totals, per-level access/miss
+// statistics, and identical cache/TLB residency and replacement order. The
+// reference's LRU clock values are not compared — coalescing elides
 // re-touches of already-MRU lines, which skips clock increments without
-// changing recency order); everything observable is pinned bit for bit.
+// changing recency order, and the kernel's caches keep the order alone.
+
+// eventSink is what the tests drive: a kernel Machine or a refMachine.
+type eventSink interface {
+	trace.Collector
+	Idle(cyc float64)
+}
+
+// testMachine is an eventSink the tests also partition, flush and reset.
+type testMachine interface {
+	eventSink
+	SetLLCPartition(ways int)
+	FlushSamples()
+	Reset()
+}
 
 // kernelEvent is one replayable trace event.
 type kernelEvent struct {
@@ -83,7 +99,7 @@ func kernelTestRegions() []*trace.CodeRegion {
 	}
 }
 
-func replayKernelEvents(m *Machine, regions []*trace.CodeRegion, evs []kernelEvent) {
+func replayKernelEvents(m eventSink, regions []*trace.CodeRegion, evs []kernelEvent) {
 	for _, e := range evs {
 		switch e.kind {
 		case 0:
@@ -102,35 +118,82 @@ func replayKernelEvents(m *Machine, regions []*trace.CodeRegion, evs []kernelEve
 	}
 }
 
-// assertCachesMatch compares everything observable about two caches: stats
-// and residency (valid ways and their tags). LRU stamps may legitimately
-// differ under coalescing; DRRIP metadata may not (RRPVs are a pure
-// function of the access stream, which elision never changes).
-func assertCachesMatch(t *testing.T, name string, a, b *Cache) {
+// refSet returns the valid lines of one reference set in the order the
+// kernel's cache keeps them — most recent first under LRU, physical ways
+// under DRRIP, where they must be a prefix of the set — with their RRPVs.
+func refSet(t *testing.T, name string, c *refCache, set int) (tags, rrpvs []uint64) {
 	t.Helper()
-	aAcc, aMiss := a.Stats()
-	bAcc, bMiss := b.Stats()
-	if aAcc != bAcc || aMiss != bMiss {
-		t.Errorf("%s stats diverge: batched %d/%d scalar %d/%d", name, aAcc, aMiss, bAcc, bMiss)
+	type line struct {
+		tag  uint64
+		meta uint32
 	}
-	if len(a.lines) != len(b.lines) {
-		t.Fatalf("%s line slab sizes differ", name)
+	var lines []line
+	for i, ln := range c.lines[set*c.ways : set*c.ways+c.ways] {
+		if ln.gen != c.gen {
+			continue
+		}
+		if i >= c.partWays || (c.isDRRIP && i != len(lines)) {
+			t.Fatalf("%s set %d: valid reference line in way %d outside the prefix", name, set, i)
+		}
+		lines = append(lines, line{ln.tag, ln.meta})
 	}
-	for i := range a.lines {
-		av := a.lines[i].gen == a.gen
-		bv := b.lines[i].gen == b.gen
-		if av != bv {
-			t.Fatalf("%s line %d validity diverges: batched %v scalar %v", name, i, av, bv)
+	if !c.isDRRIP {
+		sort.Slice(lines, func(i, j int) bool { return lines[i].meta > lines[j].meta })
+	}
+	for _, ln := range lines {
+		tags = append(tags, ln.tag)
+		rrpvs = append(rrpvs, uint64(ln.meta))
+	}
+	return tags, rrpvs
+}
+
+// assertCacheMatchesRef compares a kernel cache with a reference cache:
+// statistics, partition, dueling state, and every set's lines in
+// replacement order, with their RRPVs under DRRIP.
+func assertCacheMatchesRef(t *testing.T, name string, got *Cache, ref *refCache) {
+	t.Helper()
+	gAcc, gMiss := got.Stats()
+	rAcc, rMiss := ref.Stats()
+	if gAcc != rAcc || gMiss != rMiss {
+		t.Errorf("%s stats diverge: kernel %d/%d reference %d/%d", name, gAcc, gMiss, rAcc, rMiss)
+	}
+	if got.partWays != ref.partWays || got.sets != ref.sets {
+		t.Fatalf("%s geometry diverges: kernel %d sets × %d ways, reference %d × %d", name, got.sets, got.partWays, ref.sets, ref.partWays)
+	}
+	for s := 0; s < got.sets; s++ {
+		tags, rrpvs := refSet(t, name, ref, s)
+		have := got.tags[s*got.partWays:][:got.fill(s)]
+		if !reflect.DeepEqual(append([]uint64{}, have...), append([]uint64{}, tags...)) {
+			t.Fatalf("%s set %d lines diverge: kernel %#x reference %#x", name, s, have, tags)
 		}
-		if av && a.lines[i].tag != b.lines[i].tag {
-			t.Fatalf("%s line %d tag diverges: batched %#x scalar %#x", name, i, a.lines[i].tag, b.lines[i].tag)
-		}
-		if av && a.isDRRIP && a.lines[i].meta != b.lines[i].meta {
-			t.Fatalf("%s line %d RRPV diverges: batched %d scalar %d", name, i, a.lines[i].meta, b.lines[i].meta)
+		for i, r := range rrpvs {
+			if got.isDRRIP && got.state[s]>>(2*i)&rrpvMax != r {
+				t.Fatalf("%s set %d way %d RRPV diverges: kernel %d reference %d", name, s, i, got.state[s]>>(2*i)&rrpvMax, r)
+			}
 		}
 	}
-	if a.psel != b.psel || a.brripCount != b.brripCount {
-		t.Errorf("%s dueling state diverges: psel %d/%d brrip %d/%d", name, a.psel, b.psel, a.brripCount, b.brripCount)
+	if got.psel != ref.psel || got.brripCount != ref.brripCount {
+		t.Errorf("%s dueling state diverges: psel %d/%d brrip %d/%d", name, got.psel, ref.psel, got.brripCount, ref.brripCount)
+	}
+}
+
+// assertCachesIdentical compares two kernel caches word for word: every
+// set's state word and lines, the partition, statistics and dueling state.
+func assertCachesIdentical(t *testing.T, name string, a, b *Cache) {
+	t.Helper()
+	if a.partWays != b.partWays || a.accesses != b.accesses || a.misses != b.misses ||
+		a.psel != b.psel || a.brripCount != b.brripCount {
+		t.Fatalf("%s partition, stats or dueling diverge: %d ways %d/%d psel %d brrip %d vs %d ways %d/%d psel %d brrip %d",
+			name, a.partWays, a.accesses, a.misses, a.psel, a.brripCount, b.partWays, b.accesses, b.misses, b.psel, b.brripCount)
+	}
+	for s := range a.state {
+		if a.state[s] != b.state[s] {
+			t.Fatalf("%s set %d state diverges: %#x vs %#x", name, s, a.state[s], b.state[s])
+		}
+		n := a.fill(s)
+		if !reflect.DeepEqual(a.tags[s*a.partWays:][:n], b.tags[s*b.partWays:][:n]) {
+			t.Fatalf("%s set %d lines diverge", name, s)
+		}
 	}
 }
 
@@ -152,10 +215,11 @@ func assertTLBsMatch(t *testing.T, name string, a, b *TLB) {
 	}
 }
 
-// assertMachinesMatch pins every observable output of the two machines.
-func assertMachinesMatch(t *testing.T, batched, scalar *Machine) {
+// assertOutputsMatch pins the two machines' samples, cycle totals, open
+// window and TLBs.
+func assertOutputsMatch(t *testing.T, batched, scalar *Machine) {
 	t.Helper()
-	if !reflect.DeepEqual(batched.Samples(), scalar.Samples()) {
+	if len(batched.Samples())+len(scalar.Samples()) > 0 && !reflect.DeepEqual(batched.Samples(), scalar.Samples()) {
 		t.Errorf("window samples diverge: batched %d windows, scalar %d windows",
 			len(batched.Samples()), len(scalar.Samples()))
 		for i := range batched.Samples() {
@@ -165,7 +229,7 @@ func assertMachinesMatch(t *testing.T, batched, scalar *Machine) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(batched.WallSamples(), scalar.WallSamples()) {
+	if len(batched.WallSamples())+len(scalar.WallSamples()) > 0 && !reflect.DeepEqual(batched.WallSamples(), scalar.WallSamples()) {
 		t.Errorf("wall samples diverge")
 	}
 	if batched.TotalCycles() != scalar.TotalCycles() || batched.BusyCycles() != scalar.BusyCycles() {
@@ -175,14 +239,21 @@ func assertMachinesMatch(t *testing.T, batched, scalar *Machine) {
 	if batched.win != scalar.win {
 		t.Errorf("open window counters diverge:\n  batched %+v\n  scalar  %+v", batched.win, scalar.win)
 	}
-	assertCachesMatch(t, "L1I", batched.l1i, scalar.l1i)
-	assertCachesMatch(t, "L1D", batched.l1d, scalar.l1d)
-	assertCachesMatch(t, "L2", batched.l2, scalar.l2)
-	if batched.l3 != nil {
-		assertCachesMatch(t, "L3", batched.l3, scalar.l3)
-	}
 	assertTLBsMatch(t, "ITLB", batched.itlb, scalar.itlb)
 	assertTLBsMatch(t, "DTLB", batched.dtlb, scalar.dtlb)
+}
+
+// assertMachinesMatch pins every observable output of a kernel machine
+// against the reference walk.
+func assertMachinesMatch(t *testing.T, batched *Machine, ref *refMachine) {
+	t.Helper()
+	assertOutputsMatch(t, batched, ref.Machine)
+	assertCacheMatchesRef(t, "L1I", batched.l1i, ref.l1i)
+	assertCacheMatchesRef(t, "L1D", batched.l1d, ref.l1d)
+	assertCacheMatchesRef(t, "L2", batched.l2, ref.l2)
+	if batched.l3 != nil {
+		assertCacheMatchesRef(t, "L3", batched.l3, ref.l3)
+	}
 }
 
 // equivalenceConfigs is the test matrix: all three Table II machines as
@@ -237,13 +308,9 @@ func TestBatchedMatchesScalar(t *testing.T) {
 			t.Run(label, func(t *testing.T) {
 				t.Parallel()
 				batched := NewMachine(cfg, windowCycles)
-				scalar := NewMachine(cfg, windowCycles)
-				scalar.setScalarPath(true)
-				if batched.scalar {
-					t.Fatalf("kernel path unexpectedly ineligible for %s", cfg.Name)
-				}
+				scalar := newRefMachine(cfg, windowCycles)
 
-				run := func(m *Machine) {
+				run := func(m testMachine) {
 					if part > 0 {
 						m.SetLLCPartition(part)
 					}
@@ -269,15 +336,15 @@ func TestBatchedMatchesScalar(t *testing.T) {
 
 // TestKernelCoalescingElidesProbes proves the fast path actually engages:
 // back-to-back same-line loads must skip the redundant DTLB/L1D probes
-// (visible as a lower LRU clock) while still counting as accesses.
+// (visible as a DTLB clock that advanced once) while still counting as
+// accesses.
 func TestKernelCoalescingElidesProbes(t *testing.T) {
 	batched := NewMachine(Broadwell(), 1e9)
-	scalar := NewMachine(Broadwell(), 1e9)
-	scalar.setScalarPath(true)
+	scalar := newRefMachine(Broadwell(), 1e9)
 	if !batched.kern.coalesceData {
 		t.Fatal("data-side coalescing should be enabled on Broadwell (LRU L1D)")
 	}
-	for _, m := range []*Machine{batched, scalar} {
+	for _, m := range []eventSink{batched, scalar} {
 		m.Load(0x1000, 8)
 		m.Load(0x1000, 8)
 		m.Load(0x1008, 8)
@@ -290,25 +357,21 @@ func TestKernelCoalescingElidesProbes(t *testing.T) {
 	if bAcc != 3 || bMiss != 1 {
 		t.Fatalf("want 3 accesses / 1 miss, got %d/%d", bAcc, bMiss)
 	}
-	// Scalar re-touches the MRU line twice (clock 1+2+3 = 3 bumps); the
-	// kernel installs once and elides both re-touches.
-	if batched.l1d.lruClock >= scalar.l1d.lruClock {
-		t.Fatalf("coalescing did not elide probes: batched clock %d, scalar clock %d",
-			batched.l1d.lruClock, scalar.l1d.lruClock)
+	// The scalar walk probes the DTLB three times; the kernel installs once
+	// and elides both repeats.
+	if batched.dtlb.clock != 1 || scalar.dtlb.clock != 3 {
+		t.Fatalf("coalescing did not elide probes: batched DTLB clock %d, scalar %d",
+			batched.dtlb.clock, scalar.dtlb.clock)
 	}
 }
 
 // TestKernelDisabledOnDRRIPL1 pins the coalescing guard: a DRRIP L1's hit
-// promotion (RRPV to 0) is not elidable, so coalescing must be off while
-// the flattened walk stays on.
+// promotion (RRPV to 0) is not elidable, so coalescing must be off.
 func TestKernelDisabledOnDRRIPL1(t *testing.T) {
 	cfg := Broadwell()
 	cfg.L1D.Policy = DRRIP
 	cfg.L1I.Policy = DRRIP
 	m := NewMachine(cfg, 1e9)
-	if m.scalar {
-		t.Fatal("flattened walk should remain eligible with a DRRIP L1")
-	}
 	if m.kern.coalesceData || m.kern.coalesceInstr {
 		t.Fatal("coalescing must be disabled for DRRIP L1 caches")
 	}
@@ -317,15 +380,13 @@ func TestKernelDisabledOnDRRIPL1(t *testing.T) {
 // TestValidateRejectsExoticGeometry pins the kernel's envelope at the
 // configuration boundary: every Table II machine validates and walks the
 // kernel (Silvermont's 12-set TLBs through its division branch), while a
-// non-power-of-two cache set count or a sub-line page is an error naming the
-// offender — there is no scalar fallback to route it through.
+// non-power-of-two cache set count, more ways than a set's packed state
+// holds, or a sub-line page is an error naming the offender — there is no
+// scalar fallback to route it through.
 func TestValidateRejectsExoticGeometry(t *testing.T) {
 	for _, cfg := range []MachineConfig{Broadwell(), Zen2(), Silvermont()} {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		if NewMachine(cfg, 1e9).scalar {
-			t.Fatalf("%s: not on the kernel path", cfg.Name)
 		}
 	}
 	m := NewMachine(Silvermont(), 1e9)
@@ -339,6 +400,8 @@ func TestValidateRejectsExoticGeometry(t *testing.T) {
 
 	wideL3 := Broadwell()
 	wideL3.L3 = &CacheConfig{Name: "L3", SizeBytes: 36 << 20, Ways: 24, Policy: DRRIP, LatencyCyc: 40}
+	manyWays := Broadwell()
+	manyWays.L3 = &CacheConfig{Name: "L3", SizeBytes: 32 << 20, Ways: 32, Policy: DRRIP, LatencyCyc: 40}
 	tinyPages := Broadwell()
 	tinyPages.DTLB.PageBytes = 32 // smaller than a cache line
 	oddPages := Broadwell()
@@ -348,6 +411,7 @@ func TestValidateRejectsExoticGeometry(t *testing.T) {
 		want string
 	}{
 		{wideL3, "cache L3 has 24576 sets"},
+		{manyWays, "cache L3 has 32 ways"},
 		{tinyPages, "DTLB has 32-byte pages"},
 		{oddPages, "ITLB has 3072-byte pages"},
 	} {

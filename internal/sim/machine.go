@@ -71,14 +71,18 @@ func (c MachineConfig) Validate() error {
 	if c.Overlap < 0 || c.Overlap >= 1 {
 		return fmt.Errorf("sim: machine %q overlap must be in [0, 1)", c.Name)
 	}
-	// The access kernel splits addresses by shift and mask. (TLB set counts
-	// are free: Silvermont's have 12.)
+	// The access kernel splits addresses by shift and mask, and packs a
+	// set's fill count and RRPVs into one word. (TLB set counts are free:
+	// Silvermont's have 12.)
 	for _, cc := range []*CacheConfig{&c.L1I, &c.L1D, &c.L2, c.L3} {
 		if cc == nil { // no L3
 			continue
 		}
 		if sets := cc.Sets(); sets&(sets-1) != 0 {
 			return fmt.Errorf("sim: machine %q cache %s has %d sets; the set count must be a power of two", c.Name, cc.Name, sets)
+		}
+		if cc.Ways > maxWays {
+			return fmt.Errorf("sim: machine %q cache %s has %d ways; a set's packed state holds at most %d", c.Name, cc.Name, cc.Ways, maxWays)
 		}
 	}
 	for _, tc := range []TLBConfig{c.ITLB, c.DTLB} {

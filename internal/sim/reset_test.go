@@ -10,7 +10,7 @@ import (
 // driveMixed replays a deterministic mixed event stream (loads, stores,
 // code fetch, branches, idle gaps) seeded by seed — the same shape of
 // traffic a profiled server generates.
-func driveMixed(m *Machine, seed uint64, events int) {
+func driveMixed(m eventSink, seed uint64, events int) {
 	rng := stats.NewRNG(seed)
 	cl := trace.NewCodeLayout()
 	code := cl.Region("f", 32<<10)
@@ -37,7 +37,8 @@ func driveMixed(m *Machine, seed uint64, events int) {
 // depends on for worker-local machine reuse: a run on a Reset machine is
 // byte-identical to the same run on a freshly-constructed machine, even
 // after the prior run narrowed the LLC partition and left replacement
-// clocks, dueling counters, and partial windows behind.
+// clocks, dueling counters, and partial windows behind — and so is a run on
+// a machine of another window length after ResetWindows.
 func TestResetMatchesFreshMachine(t *testing.T) {
 	for _, cfg := range Machines() {
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -52,32 +53,41 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 			fresh := NewMachine(cfg, 40_000)
 			wantS, wantW, wantTot, wantBusy := collect(fresh)
 
-			reused := NewMachine(cfg, 40_000)
-			// Dirty the machine with a different-seed run at a different
-			// partition, then Reset and repeat the reference run.
-			reused.SetLLCPartition(5)
-			driveMixed(reused, stats.HashSeed(99, cfg.Name), 60_000)
+			// Dirty a machine with a different-seed run at a different
+			// partition, then Reset and repeat the reference run — also
+			// on a machine built with another window length, which
+			// ResetWindows sets.
+			dirty := func(window float64) *Machine {
+				m := NewMachine(cfg, window)
+				m.SetLLCPartition(5)
+				driveMixed(m, stats.HashSeed(99, cfg.Name), 60_000)
+				return m
+			}
+			reused := dirty(40_000)
 			reused.Reset()
-			gotS, gotW, gotTot, gotBusy := collect(reused)
-
-			if len(gotS) != len(wantS) {
-				t.Fatalf("sample count %d != fresh %d", len(gotS), len(wantS))
-			}
-			for i := range gotS {
-				if gotS[i] != wantS[i] {
-					t.Fatalf("window %d diverged after Reset:\n got %+v\nwant %+v", i, gotS[i], wantS[i])
+			rewindowed := dirty(90_000)
+			rewindowed.ResetWindows(40_000)
+			for name, m := range map[string]*Machine{"Reset": reused, "ResetWindows": rewindowed} {
+				gotS, gotW, gotTot, gotBusy := collect(m)
+				if len(gotS) != len(wantS) {
+					t.Fatalf("%s: sample count %d != fresh %d", name, len(gotS), len(wantS))
 				}
-			}
-			if len(gotW) != len(wantW) {
-				t.Fatalf("wall sample count %d != fresh %d", len(gotW), len(wantW))
-			}
-			for i := range gotW {
-				if gotW[i] != wantW[i] {
-					t.Fatalf("wall window %d diverged after Reset: got %+v want %+v", i, gotW[i], wantW[i])
+				for i := range gotS {
+					if gotS[i] != wantS[i] {
+						t.Fatalf("%s: window %d diverged:\n got %+v\nwant %+v", name, i, gotS[i], wantS[i])
+					}
 				}
-			}
-			if gotTot != wantTot || gotBusy != wantBusy {
-				t.Fatalf("cycle totals diverged: got (%g, %g) want (%g, %g)", gotTot, gotBusy, wantTot, wantBusy)
+				if len(gotW) != len(wantW) {
+					t.Fatalf("%s: wall sample count %d != fresh %d", name, len(gotW), len(wantW))
+				}
+				for i := range gotW {
+					if gotW[i] != wantW[i] {
+						t.Fatalf("%s: wall window %d diverged: got %+v want %+v", name, i, gotW[i], wantW[i])
+					}
+				}
+				if gotTot != wantTot || gotBusy != wantBusy {
+					t.Fatalf("%s: cycle totals diverged: got (%g, %g) want (%g, %g)", name, gotTot, gotBusy, wantTot, wantBusy)
+				}
 			}
 		})
 	}
@@ -91,15 +101,14 @@ func TestResetRestoresPartitionAndClocks(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		c.Access(uint64(i * trace.LineSize))
 	}
-	if c.lruClock == 0 {
-		t.Fatal("expected LRU clock to advance")
-	}
 	c.Reset()
 	if c.Partition() != 8 {
 		t.Fatalf("partition %d after Reset, want full 8", c.Partition())
 	}
-	if c.lruClock != 0 {
-		t.Fatalf("lruClock %d after Reset, want 0", c.lruClock)
+	for s := range c.state {
+		if c.state[s] != 0 {
+			t.Fatalf("set %d state %#x after Reset, want empty", s, c.state[s])
+		}
 	}
 	if a, m := c.Stats(); a != 0 || m != 0 {
 		t.Fatalf("stats (%d, %d) after Reset", a, m)

@@ -121,8 +121,8 @@ func (t *TLB) Reset() {
 	t.clock = 0
 }
 
-// tlbState is a copy of a TLB's entries, clock and statistics (see
-// cacheState).
+// tlbState is a copy of a TLB's entries, clock and statistics, which a
+// warm tape seals (tape.go).
 type tlbState struct {
 	entries          []tlbEntry
 	clock            uint32
@@ -130,7 +130,7 @@ type tlbState struct {
 }
 
 func (t *TLB) save(s *tlbState) {
-	s.entries = append([]tlbEntry(nil), t.entries...)
+	s.entries = append(s.entries[:0], t.entries...)
 	s.clock, s.accesses, s.misses = t.clock, t.accesses, t.misses
 }
 

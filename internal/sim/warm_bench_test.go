@@ -11,11 +11,13 @@ import (
 
 // BenchmarkWarm measures one dataset warm of a key-value store at the size
 // the memcached generator builds (110 000 keys, values ≈ 600 B) on Broadwell,
-// the four ways a sweep's run can pay for it: classically, recording the
-// warm tape, and replaying it into a 1-way and into the full LLC. A sweep of
-// n runs costs one record and n-1 replays where it used to cost n classic
-// warms. It lives in the external test package because the store imports
-// nothing of sim but its importers do.
+// the three ways a sweep's run can pay for it: classically, recording the
+// warm tape with the lanes of harness.Quick()'s sweep (1, 3, 5, 7 and 9
+// ways, and a copy of its own LLC for the 12-way point), and restoring it
+// into the full LLC. A serial sweep of n runs costs one record and n-1
+// restores where it used to cost n classic warms. It lives in the external
+// test package because the store imports nothing of sim but its importers
+// do.
 func BenchmarkWarm(b *testing.B) {
 	srv := kvstore.New(kvstore.Config{
 		NumKeys:   110_000,
@@ -24,41 +26,48 @@ func BenchmarkWarm(b *testing.B) {
 		GetRatio:  0.9,
 	}, trace.NewCodeLayout(), 1)
 	cfg := sim.Broadwell()
-	warm := func(m *sim.Machine, ways int, tape *sim.WarmTape) {
+	quickSweep := []int{1, 3, 5, 7, 9, 12}
+	sealed := sim.NewWarmTape(quickSweep...)
+	tape := sim.NewWarmTape(quickSweep...)
+	warm := func(m *sim.Machine, mode sim.WarmMode) {
 		m.Reset()
-		if ways > 0 {
-			m.SetLLCPartition(ways)
-		}
-		if tape == nil {
+		switch mode {
+		case sim.WarmClassic:
 			srv.WarmDataset(m)
 			return
+		case sim.WarmRecord:
+			tape.Reset(quickSweep...)
+			m.RecordWarm(tape)
+		case sim.WarmRestore:
+			m.RestoreWarm(sealed)
 		}
-		m.BeginWarm(tape)
 		srv.WarmDataset(m)
 		if err := m.EndWarm(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	sealed := sim.NewWarmTape()
-	warm(sim.NewMachine(cfg, 200_000), 0, sealed) // records
+	rec := sim.NewMachine(cfg, 200_000)
+	rec.RecordWarm(sealed)
+	srv.WarmDataset(rec)
+	if err := rec.EndWarm(); err != nil {
+		b.Fatal(err)
+	}
 
 	for _, bc := range []struct {
 		name string
-		ways int
-		tape func() *sim.WarmTape
+		mode sim.WarmMode
 	}{
-		{"classic", 0, func() *sim.WarmTape { return nil }},
-		{"record", 0, sim.NewWarmTape},
-		{"replay-1way", 1, func() *sim.WarmTape { return sealed }},
-		{"replay-full", 0, func() *sim.WarmTape { return sealed }},
+		{"classic", sim.WarmClassic},
+		{"record", sim.WarmRecord},
+		{"restore", sim.WarmRestore},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			m := sim.NewMachine(cfg, 200_000)
-			warm(m, bc.ways, bc.tape()) // fault the machine's pages in
+			warm(m, bc.mode) // fault the machine's and the tape's pages in
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				warm(m, bc.ways, bc.tape())
+				warm(m, bc.mode)
 			}
 		})
 	}

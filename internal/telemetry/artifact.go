@@ -37,7 +37,7 @@ const (
 	// into its sub-phases — machine reset plus NewServer, WarmDataset, and
 	// the warmup and measured windows — and AttrWarm says how the dataset
 	// was warmed (a sim.WarmMode): 0 classically or not at all, 1 recording
-	// the sweep's warm tape, 2 replaying it.
+	// the sweep's warm tape, 2 restoring it.
 	AttrBuildNS   = "build_ns"
 	AttrWarmNS    = "warm_ns"
 	AttrMeasureNS = "measure_ns"
