@@ -9,6 +9,8 @@
 # shared one would serve the second run entirely from the evaluation cache.
 # A third coordinator, killed with -9 mid-job and restarted on its
 # checkpoint directory, must resume the same seed to the same artifact.
+# `datamime-inspect tail` follows the fleet job live from its submission and
+# must print its 8 iterations, then the job's end.
 #
 # Expects bin/datamimed, bin/datamime-worker, and bin/datamime-inspect to be
 # prebuilt (see .github/workflows/ci.yml), but builds them if missing so the
@@ -48,12 +50,18 @@ wait_http() { # wait_http URL [PATTERN]
   return 1
 }
 
-# run_job COORDINATOR SPEC_FILE OUT_ARTIFACT: submit, poll to completion,
-# export the artifact. Prints the job ID.
+# submit_job COORDINATOR SPEC_FILE: submit a spec. Prints the job ID.
+submit_job() {
+  curl -fs -X POST -H 'Content-Type: application/json' \
+    --data-binary "@$2" "http://$1/v1/jobs" | json id
+}
+
+# run_job COORDINATOR SPEC_FILE OUT_ARTIFACT [ID]: submit (unless the job ID
+# of an already submitted one is given), poll to completion, export the
+# artifact. Prints the job ID.
 run_job() {
-  local coord=$1 spec=$2 out=$3 id state
-  id=$(curl -fs -X POST -H 'Content-Type: application/json' \
-    --data-binary "@$spec" "http://$coord/v1/jobs" | json id)
+  local coord=$1 spec=$2 out=$3 id=${4:-} state
+  [ -n "$id" ] || id=$(submit_job "$coord" "$spec")
   for _ in $(seq 1 300); do
     state=$(curl -fs "http://$coord/v1/jobs/$id" | json state)
     case "$state" in
@@ -120,8 +128,20 @@ refuse '{"generator": "memcached", "iterations": 8, "metric": "cpu_utl", "metric
 
 echo "== running the seeded search on the fleet (worker 2 dies mid-job)"
 ( sleep 3; echo "== killing worker 2"; kill "$WORKER_2_PID" 2>/dev/null || true ) &
-FLEET_JOB=$(run_job "$COORD_A" spec-fleet.json run-fleet.jsonl)
+FLEET_JOB=$(submit_job "$COORD_A" spec-fleet.json)
+echo "== following fleet job $FLEET_JOB live with tail"
+bin/datamime-inspect tail -server "http://$COORD_A" -job "$FLEET_JOB" > tail-fleet.txt &
+TAIL_PID=$!
+PIDS+=($TAIL_PID)
+run_job "$COORD_A" spec-fleet.json run-fleet.jsonl "$FLEET_JOB" > /dev/null
 echo "== fleet job $FLEET_JOB succeeded"
+
+echo "== the live stream's reader: tail printed each iteration once, then the job's end"
+wait "$TAIL_PID" || { echo "tail of $FLEET_JOB failed:" >&2; cat tail-fleet.txt >&2; exit 1; }
+TAIL_EVALS=$(grep -cE '^iter +[0-9]+  (error|skipped)' tail-fleet.txt || true)
+[ "$TAIL_EVALS" = 8 ] && [ "$(tail -n 1 tail-fleet.txt)" = "done: job succeeded" ] || {
+  echo "tail printed $TAIL_EVALS iter eval lines, want 8, then done: job succeeded:" >&2
+  cat tail-fleet.txt >&2; exit 1; }
 
 echo "== fleet view"
 curl -fs "http://$COORD_A/v1/fleet"

@@ -1,6 +1,6 @@
 // Command datamime-inspect is the introspection CLI over Datamime run
-// artifacts: it renders reports, diffs runs for CI gating, and follows live
-// job event streams.
+// artifacts: it renders reports, diffs runs for CI gating, and follows a live
+// job's artifact as the job records it.
 //
 // Usage:
 //
@@ -87,7 +87,7 @@ commands:
   corpus    query a coordinator's run corpus, the records in its checkpoint
             directory's job logs: list the runs, or render per-scenario
             trends and the HTML scoreboard
-  tail      follow a live datamimed job's SSE event stream
+  tail      follow a live datamimed job's event stream to its end
 
 report, diff and timeline read -artifact, -profiles, -a and -b from a file
 or an http(s):// URL (a datamimed job's /artifact and /profiles). A job's
@@ -329,19 +329,14 @@ func writeTrace(path string, artifact []byte) (telemetry.TraceStats, error) {
 func runTail(args []string) error {
 	fs := flag.NewFlagSet("tail", flag.ExitOnError)
 	server := fs.String("server", "http://localhost:8080", "datamimed base URL")
-	job := fs.String("job", "", "job ID to follow (required unless -url)")
-	rawURL := fs.String("url", "", "full SSE endpoint URL (overrides -server/-job)")
+	job := fs.String("job", "", "job ID to follow (required)")
 	_ = fs.Parse(args)
-	url := *rawURL
-	if url == "" {
-		if *job == "" {
-			return fmt.Errorf("tail: -job (or -url) is required")
-		}
-		url = strings.TrimRight(*server, "/") + "/v1/jobs/" + *job + "/events"
+	if *job == "" {
+		return fmt.Errorf("tail: -job is required")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	st, err := inspect.Follow(ctx, http.DefaultClient, url, os.Stdout)
+	st, err := inspect.Follow(ctx, http.DefaultClient, strings.TrimRight(*server, "/")+"/v1/jobs/"+*job, os.Stdout)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"datamime/internal/service"
 	"datamime/internal/telemetry"
 )
 
@@ -158,5 +159,34 @@ func TestCorpusGolden(t *testing.T) {
 	}
 	for _, pair := range [][2]string{{"job-1", "job-2"}, {"job-2", "job-2"}} {
 		stdoutOf(t, runDiff, "-a", dir+"/"+pair[0]+".jsonl", "-b", dir+"/"+pair[1]+".jsonl", "-exact")
+	}
+}
+
+// TestTailGolden pins `tail`'s stdout on a seeded, telemetry-off job run by
+// an in-process server: one line per iteration, then the job's terminal
+// state.
+func TestTailGolden(t *testing.T) {
+	svc, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	job, err := svc.Submit(service.JobSpec{
+		Generator:   "memcached",
+		Iterations:  8,
+		Seed:        11,
+		Optimizer:   "random",
+		Metric:      "cpu_util",
+		MetricValue: 0.2,
+		Profiling:   &service.ProfilingSpec{WindowCycles: 100_000, Windows: 4, WarmupWindows: 1, SkipCurves: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := stdoutOf(t, runTail, "-server", ts.URL, "-job", job.ID())
+	if want := readFile(t, "testdata/tail.golden"); !bytes.Equal(got, want) {
+		t.Errorf("output drifted from testdata/tail.golden\n--- got ---\n%s", got)
 	}
 }

@@ -16,8 +16,8 @@
 //
 //	curl -X POST localhost:8080/v1/jobs -d '{"workload":"mem-fb","iterations":200,"parallel":4,"seed":1}'
 //	curl localhost:8080/v1/jobs/job-1            # status, counters, result
-//	curl localhost:8080/v1/jobs/job-1/events     # live SSE event stream
 //	curl localhost:8080/v1/jobs/job-1/artifact   # JSONL run artifact
+//	curl -N 'localhost:8080/v1/jobs/job-1/artifact?follow=1'  # the same, live to the job's end
 //	curl localhost:8080/v1/jobs/job-1/profiles   # target + best profiles (JSON)
 //	curl -X POST localhost:8080/v1/jobs/job-1/cancel
 //	curl localhost:8080/v1/corpus             # run history: the succeeded jobs' records
@@ -31,7 +31,7 @@
 //	datamime-inspect timeline -artifact http://localhost:8080/v1/jobs/job-1/artifact -trace trace.json
 //
 // -telemetry enables per-job phase spans (feeding the /metrics latency
-// histograms, the /events stream, and the artifact's span timeline — open
+// histograms and the artifact's span timeline, live stream included — open
 // its trace at https://ui.perfetto.dev); -debug mounts net/http/pprof under
 // /debug/pprof/ for live profiling of the server itself.
 package main
@@ -62,7 +62,7 @@ func main() {
 		cacheCapacity = flag.Int("cache-capacity", 4096, "evaluation-cache capacity (profiles)")
 		profWorkers   = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "default concurrent simulator runs per profile for jobs that do not set profiling.profile_workers; profiles are bit-identical at any setting")
 		quiet         = flag.Bool("quiet", false, "suppress job lifecycle logs")
-		telemetry     = flag.Bool("telemetry", false, "record per-job phase spans (latency histograms in /metrics, spans in /events)")
+		telemetry     = flag.Bool("telemetry", false, "record per-job phase spans (latency histograms in /metrics, spans in /artifact)")
 		debug         = flag.Bool("debug", false, "expose net/http/pprof under /debug/pprof/")
 		version       = flag.Bool("version", false, "print build information and exit")
 

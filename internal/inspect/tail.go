@@ -1,7 +1,6 @@
 package inspect
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,132 +14,90 @@ import (
 
 // TailStats summarizes one Follow session.
 type TailStats struct {
-	// Evals, Spans count the frames rendered by kind.
+	// Evals, Spans count the events rendered by kind.
 	Evals, Spans int
-	// Done reports whether the stream closed with the server's terminal
-	// `done` frame (as opposed to a dropped connection).
-	Done bool
-	// FinalState is the job state carried by the `done` frame.
+	// FinalState is the job's terminal state, once the stream ended there.
 	FinalState string
 }
 
-// Follow connects to a datamimed SSE event stream (GET /v1/jobs/{id}/events)
-// and renders each frame as one line on w until the job reaches a terminal
-// state, the context is canceled, or the stream drops. It is the engine of
+// Follow reads a datamimed job's live stream, GET <jobURL>/artifact?follow=1,
+// and renders each event as one line on w until the stream ends, the context
+// is canceled, or the stream drops. The server ends the stream cleanly only
+// once the job is terminal, so Follow then reads that state from <jobURL>
+// and prints it as a last `done: job <state>` line. It is the engine of
 // `datamime-inspect tail`.
-func Follow(ctx context.Context, client *http.Client, url string, w io.Writer) (TailStats, error) {
+func Follow(ctx context.Context, client *http.Client, jobURL string, w io.Writer) (TailStats, error) {
 	var st TailStats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return st, fmt.Errorf("inspect: %w", err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
 	if client == nil {
 		client = http.DefaultClient
 	}
+	err := get(ctx, client, jobURL+"/artifact?follow=1", func(body io.Reader) error {
+		_, err := telemetry.ScanJSONL(body, func(ev telemetry.Event) error {
+			switch ev.Type {
+			case telemetry.TypeEval:
+				st.Evals++
+			case telemetry.TypeSpan:
+				st.Spans++
+			}
+			if line := renderEvent(ev); line != "" {
+				_, err := fmt.Fprintln(w, line)
+				return err
+			}
+			return nil
+		})
+		return err
+	})
+	var status struct {
+		State string `json:"state"`
+	}
+	if err == nil {
+		err = get(ctx, client, jobURL, func(body io.Reader) error { return json.NewDecoder(body).Decode(&status) })
+	}
+	if err == nil && status.State != "succeeded" && status.State != "failed" && status.State != "canceled" {
+		err = fmt.Errorf("the job is %s", status.State)
+	}
+	if ctx.Err() != nil {
+		// A user interrupt is a clean exit, not a stream failure.
+		return st, nil
+	}
+	if err != nil {
+		// A cut stream: a server restart, a rewound replay, a network drop.
+		return st, fmt.Errorf("inspect: the stream of %s ended before the job did: %w", jobURL, err)
+	}
+	st.FinalState = status.State
+	_, err = fmt.Fprintf(w, "done: job %s\n", st.FinalState)
+	return st, err
+}
+
+// get calls read on the body of a 200 answer to GET url.
+func get(ctx context.Context, client *http.Client, url string, read func(io.Reader) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return st, fmt.Errorf("inspect: connecting to %s: %w", url, err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return st, fmt.Errorf("inspect: %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
+		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
-	err = readSSE(resp.Body, func(event, data string) error {
-		line, kind := renderFrame(event, data)
-		switch kind {
-		case telemetry.TypeEval:
-			st.Evals++
-		case telemetry.TypeSpan:
-			st.Spans++
-		case "done":
-			st.Done = true
-			var d struct {
-				State string `json:"state"`
-			}
-			if json.Unmarshal([]byte(data), &d) == nil {
-				st.FinalState = d.State
-			}
-		}
-		if line != "" {
-			if _, err := fmt.Fprintln(w, line); err != nil {
-				return err
-			}
-		}
-		if st.Done {
-			return errTailDone
-		}
-		return nil
-	})
-	if err == errTailDone {
-		err = nil
+	if err := read(resp.Body); err != nil {
+		return fmt.Errorf("GET %s: %w", url, err)
 	}
-	if err == nil && !st.Done {
-		// The server closed without a done frame (restart, network drop).
-		err = fmt.Errorf("inspect: stream ended before job completion")
-	}
-	if err != nil && ctx.Err() != nil {
-		// A user interrupt is a clean exit, not a stream failure.
-		err = nil
-	}
-	return st, err
+	return nil
 }
 
-// errTailDone signals readSSE to stop after the terminal frame.
-var errTailDone = fmt.Errorf("done")
-
-// readSSE parses text/event-stream frames from r, calling emit for each
-// complete frame. It understands the subset datamimed emits: `event:` and
-// `data:` fields, frames separated by blank lines.
-func readSSE(r io.Reader, emit func(event, data string) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var event string
-	var data strings.Builder
-	flush := func() error {
-		if event == "" && data.Len() == 0 {
-			return nil
-		}
-		err := emit(event, data.String())
-		event = ""
-		data.Reset()
-		return err
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if err := flush(); err != nil {
-				return err
-			}
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			if data.Len() > 0 {
-				data.WriteByte('\n')
-			}
-			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	return sc.Err()
-}
-
-// renderFrame turns one SSE frame into a display line and reports the frame
-// kind ("" for frames it does not recognize).
-func renderFrame(event, data string) (line, kind string) {
-	switch event {
+// renderEvent turns one event of the stream into a display line ("" for the
+// types it does not show).
+func renderEvent(ev telemetry.Event) string {
+	switch ev.Type {
 	case telemetry.TypeEval:
-		var ev telemetry.Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			return "", ""
-		}
 		eval, err := core.EvalEventFromTelemetry(ev)
 		if err != nil {
-			return fmt.Sprintf("iter %4d  (unparseable eval: %v)", ev.Iter, err), telemetry.TypeEval
+			return fmt.Sprintf("iter %4d  (unparseable eval: %v)", ev.Iter, err)
 		}
 		rec := eval.Record
 		if eval.Skipped {
@@ -148,7 +105,7 @@ func renderFrame(event, data string) (line, kind string) {
 			if msg == "" {
 				msg = "skipped"
 			}
-			return fmt.Sprintf("iter %4d  skipped: %s", rec.Iteration, msg), telemetry.TypeEval
+			return fmt.Sprintf("iter %4d  skipped: %s", rec.Iteration, msg)
 		}
 		var flags []string
 		if eval.CacheHit {
@@ -165,23 +122,10 @@ func renderFrame(event, data string) (line, kind string) {
 			suffix = "  [" + strings.Join(flags, ",") + "]"
 		}
 		return fmt.Sprintf("iter %4d  error %-12s best %-12s%s",
-			rec.Iteration, fnum(rec.Error), fnum(rec.BestError), suffix), telemetry.TypeEval
+			rec.Iteration, fnum(rec.Error), fnum(rec.BestError), suffix)
 	case telemetry.TypeSpan:
-		var ev telemetry.Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			return "", ""
-		}
-		return fmt.Sprintf("iter %4d  span %-14s %s", ev.Iter, ev.Phase, fms(ev.DurNS)), telemetry.TypeSpan
-	case "done":
-		var d struct {
-			State string `json:"state"`
-		}
-		state := "?"
-		if json.Unmarshal([]byte(data), &d) == nil && d.State != "" {
-			state = d.State
-		}
-		return fmt.Sprintf("done: job %s", state), "done"
+		return fmt.Sprintf("iter %4d  span %-14s %s", ev.Iter, ev.Phase, fms(ev.DurNS))
 	default:
-		return "", ""
+		return ""
 	}
 }

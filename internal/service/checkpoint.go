@@ -51,8 +51,8 @@ func (s *Server) addEvent(j *Job, ev telemetry.Event) {
 }
 
 // addLocked records one line: it is folded into the job, appended to its log
-// (the header creates it, never over an existing file) and announced to
-// /events subscribers. Callers hold j.mu, or the only reference to j.
+// (the header creates it, never over an existing file) and announced to the
+// job's followers. Callers hold j.mu, or the only reference to j.
 func (s *Server) addLocked(j *Job, l jobLine) {
 	j.applyLocked(l)
 	j.wakeLocked()
@@ -159,7 +159,9 @@ func (s *Server) rewindLocked(j *Job, it int) {
 			keep = i + 1
 		}
 	}
+	// A fresh slice: a follower writing from the old one keeps what it read.
 	j.jobRecord = jobRecord{}
+	j.rewinds++
 	for _, ev := range events[:keep] {
 		j.add(ev)
 	}

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"datamime/internal/backend"
@@ -244,6 +247,47 @@ func TestRestoredJobMatchesLiveSelf(t *testing.T) {
 	}
 }
 
+// unfinishedLog returns a job log's lines without its state lines, each with
+// the eval iteration it carries (-1 for other lines).
+func unfinishedLog(data []byte) (lines [][]byte, evalIter []int) {
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		var l jobLine
+		if len(line) == 0 || json.Unmarshal(line, &l) != nil || l.Type == typeJobState {
+			continue
+		}
+		it := -1
+		if l.Type == telemetry.TypeEval {
+			it = l.Iter
+		}
+		lines, evalIter = append(lines, line), append(evalIter, it)
+	}
+	return lines, evalIter
+}
+
+// divergedLog is a finished job's log, unfinished, with iteration it's logged
+// point altered in place, so a resume's replay diverges from the log there.
+func divergedLog(t *testing.T, data []byte, it int) []byte {
+	t.Helper()
+	lines, iters := unfinishedLog(data)
+	var out []byte
+	for i, line := range lines {
+		if iters[i] == it {
+			var l jobLine
+			if err := json.Unmarshal(line, &l); err != nil {
+				t.Fatal(err)
+			}
+			l.U[0] = 1 - l.U[0]
+			altered, err := json.Marshal(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line = append(altered, '\n')
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
 // TestResumeFromTornOrDivergedLog: an unfinished job resumes exactly from
 // whatever its log holds whole. Each case takes a finished job's log, drops
 // its state lines and damages it: torn mid-line inside a later eval line, or
@@ -269,29 +313,13 @@ func TestResumeFromTornOrDivergedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// unfinished returns the log's lines without its state lines, each with
-	// the eval iteration it carries (-1 for other lines).
-	unfinished := func() (lines [][]byte, evalIter []int) {
-		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-			var l jobLine
-			if len(line) == 0 || json.Unmarshal(line, &l) != nil || l.Type == typeJobState {
-				continue
-			}
-			it := -1
-			if l.Type == telemetry.TypeEval {
-				it = l.Iter
-			}
-			lines, evalIter = append(lines, line), append(evalIter, it)
-		}
-		return lines, evalIter
-	}
 
 	for _, tc := range []struct {
 		name   string
 		damage func() []byte
 	}{
 		{"torn", func() []byte {
-			lines, iters := unfinished()
+			lines, iters := unfinishedLog(data)
 			var out []byte
 			for i, line := range lines {
 				if iters[i] == 7 {
@@ -302,26 +330,7 @@ func TestResumeFromTornOrDivergedLog(t *testing.T) {
 			t.Fatal("the log has no eval of iteration 7")
 			return nil
 		}},
-		{"diverged", func() []byte {
-			lines, iters := unfinished()
-			var out []byte
-			for i, line := range lines {
-				if iters[i] == 3 {
-					var l jobLine
-					if err := json.Unmarshal(line, &l); err != nil {
-						t.Fatal(err)
-					}
-					l.U[0] = 1 - l.U[0]
-					altered, err := json.Marshal(l)
-					if err != nil {
-						t.Fatal(err)
-					}
-					line = append(altered, '\n')
-				}
-				out = append(out, line...)
-			}
-			return out
-		}},
+		{"diverged", func() []byte { return divergedLog(t, data, 3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -365,6 +374,77 @@ func TestResumeFromTornOrDivergedLog(t *testing.T) {
 				t.Fatalf("the compacted log has %d malformed lines, differences %v", compacted.Malformed, d.Differences)
 			}
 		})
+	}
+}
+
+// TestFollowEndsAtRewind: a follower attached while a resumed job replays a
+// diverged log never sees two histories spliced. The resumed job is held (its
+// generator blocks) until the follower has read the log's iterations; when
+// the replay then diverges and the job rewinds, the stream ends without the
+// job's terminal state, which tail reports as an incomplete stream: no
+// iteration twice, and no done line. The job itself still succeeds.
+func TestFollowEndsAtRewind(t *testing.T) {
+	const iterations = 10
+	dir := t.TempDir()
+	svc := newTestServer(t, dir)
+	job, err := svc.Submit(testSpec(iterations, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	svc.Close()
+	data, err := os.ReadFile(filepath.Join(dir, job.ID()+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, job.ID()+".jsonl"), divergedLog(t, data, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	svc, err = New(Config{Workers: 1, CheckpointDir: dir, Generators: []datagen.Generator{heldGenerator(release)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	out, w := io.Pipe()
+	followed := make(chan error, 1)
+	go func() {
+		_, err := inspect.Follow(context.Background(), ts.Client(), ts.URL+"/v1/jobs/"+job.ID(), w)
+		w.Close()
+		followed <- err
+	}()
+	var lines []string
+	sc := bufio.NewScanner(out)
+	for sc.Scan() {
+		if lines = append(lines, sc.Text()); len(lines) == iterations {
+			once.Do(func() { close(release) })
+		}
+	}
+	err = <-followed
+
+	seen := make(map[string]bool)
+	for _, line := range lines {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "iter" {
+			if seen[f[1]] {
+				t.Fatalf("iteration %s followed twice:\n%s", f[1], strings.Join(lines, "\n"))
+			}
+			seen[f[1]] = true
+		}
+	}
+	if len(lines) == 0 || strings.HasPrefix(lines[len(lines)-1], "done:") || err == nil {
+		t.Fatalf("the stream of a rewound job ended as complete (err %v):\n%s", err, strings.Join(lines, "\n"))
+	}
+	resumed, _ := svc.Job(job.ID())
+	<-resumed.Done()
+	if st := resumed.status(); st.State != JobSucceeded || st.Iterations != iterations {
+		t.Fatalf("resumed job %s after %d iterations: %s", st.State, st.Iterations, st.Error)
 	}
 }
 

@@ -90,8 +90,8 @@ func scenarioHash(spec JobSpec) string {
 // `datamime-inspect diff` prints for the two jobs' logs or /artifact URLs.
 // The record becomes the job's corpus.record line. Called on the job's worker
 // goroutine before finish(), so that line, and a corpus.regression event
-// appended here, precede the terminal state in the log and reach SSE
-// subscribers ahead of the terminal frame. Indexing failures are logged,
+// appended here, precede the terminal state in the log and reach the job's
+// followers before its live stream ends. Indexing failures are logged,
 // never fatal: the job's own result is already safe.
 func (s *Server) indexRun(job *Job) {
 	run, err := inspect.NewRun(artifactEvents(job))

@@ -210,8 +210,8 @@ func TestCorpusConcurrentIndexing(t *testing.T) {
 
 // TestCorpusWatchdogFlagsRegression: against a pre-seeded (artificially
 // better) baseline, a finished run must trip the watchdog — the regressions
-// counter increments, the record is indexed verdict "regressed", and a
-// corpus.regression frame reaches the job's SSE stream before done.
+// counter increments, the record is indexed verdict "regressed", and one
+// corpus.regression line reaches the job's follow stream before it ends.
 func TestCorpusWatchdogFlagsRegression(t *testing.T) {
 	spec := testSpec(6, 42)
 
@@ -256,28 +256,14 @@ func TestCorpusWatchdogFlagsRegression(t *testing.T) {
 	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := readSSE(t, resp)
-	if len(frames) < 2 {
-		t.Fatalf("only %d SSE frames", len(frames))
-	}
-	if last := frames[len(frames)-1]; last.event != "done" {
-		t.Fatalf("stream did not end with done: %+v", last)
-	}
-	regressionFrames := 0
-	for i, fr := range frames {
-		if fr.event == telemetry.TypeCorpusRegression {
-			regressionFrames++
-			if i >= len(frames)-1 {
-				t.Fatalf("corpus.regression frame %d not before the done frame", i)
-			}
+	regressions := 0
+	for _, ev := range followJob(t, ts, submitted.ID) {
+		if ev.Type == telemetry.TypeCorpusRegression {
+			regressions++
 		}
 	}
-	if regressionFrames != 1 {
-		t.Fatalf("saw %d corpus.regression SSE frames, want 1", regressionFrames)
+	if regressions != 1 {
+		t.Fatalf("saw %d corpus.regression lines before the stream ended, want 1", regressions)
 	}
 
 	if got := svc.metrics.corpusRegressions.Value(); got != 1 {

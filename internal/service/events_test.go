@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -36,46 +34,61 @@ func newTelemetryServer(t *testing.T, dir string) *Server {
 	return s
 }
 
-// sseFrame is one parsed server-sent event.
-type sseFrame struct {
-	event string
-	data  string
+// followJob reads job id's live stream, GET /v1/jobs/{id}/artifact?follow=1,
+// to its end and returns its lines as events, the artifact's header first.
+// The stream must end cleanly, which it does only once the job is terminal.
+func followJob(t *testing.T, ts *httptest.Server, id string) []telemetry.Event {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/artifact?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow = %d", resp.StatusCode)
+	}
+	var events []telemetry.Event
+	malformed, err := telemetry.ScanJSONL(resp.Body, func(ev telemetry.Event) error {
+		events = append(events, ev)
+		return nil
+	})
+	if err != nil || malformed != 0 {
+		t.Fatalf("reading the stream: %d malformed lines, %v", malformed, err)
+	}
+	if len(events) == 0 || events[0].Type != telemetry.TypeLog {
+		t.Fatalf("the stream does not open with the artifact's header: %+v", events)
+	}
+	var st JobStatus
+	httpJSON(t, ts, "GET", "/v1/jobs/"+id, nil, &st)
+	if !st.State.terminal() {
+		t.Fatalf("the stream ended with the job %s", st.State)
+	}
+	return events
 }
 
-// readSSE consumes an SSE stream until EOF, returning the frames.
-func readSSE(t *testing.T, resp *http.Response) []sseFrame {
-	t.Helper()
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
+// followerStacks returns the stacks of the goroutines serving a job's
+// artifact, live streams included.
+func followerStacks() []string {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
 	}
-	var frames []sseFrame
-	var cur sseFrame
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if cur.event != "" || cur.data != "" {
-				frames = append(frames, cur)
-			}
-			cur = sseFrame{}
-		case strings.HasPrefix(line, "event: "):
-			cur.event = line[len("event: "):]
-		case strings.HasPrefix(line, "data: "):
-			cur.data = line[len("data: "):]
+	var stacks []string
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "(*Server).handleArtifact(") {
+			stacks = append(stacks, g)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("reading SSE stream: %v", err)
-	}
-	return frames
+	return stacks
 }
 
-// TestSSEStreamsEventsInOrder: a live job's /events stream delivers one eval
+func followers() int { return len(followerStacks()) }
+
+// TestSSEStreamsEventsInOrder: a live job's follow stream delivers one eval
 // event per iteration in iteration order, interleaves phase spans when
-// telemetry is on, and closes cleanly with a done frame at completion.
+// telemetry is on, and ends cleanly once the job succeeded.
 func TestSSEStreamsEventsInOrder(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -90,29 +103,15 @@ func TestSSEStreamsEventsInOrder(t *testing.T) {
 		t.Fatalf("submit = %d", code)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := readSSE(t, resp)
-	if len(frames) == 0 {
-		t.Fatal("no SSE frames received")
-	}
-	last := frames[len(frames)-1]
-	if last.event != "done" || !strings.Contains(last.data, "succeeded") {
-		t.Fatalf("stream did not end with done/succeeded: %+v", last)
+	events := followJob(t, ts, submitted.ID)
+	var st JobStatus
+	if httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st); st.State != JobSucceeded {
+		t.Fatalf("the stream ended with the job %s, want succeeded", st.State)
 	}
 
 	var evalIters []int
 	spans := 0
-	for _, fr := range frames[:len(frames)-1] {
-		var ev telemetry.Event
-		if err := json.Unmarshal([]byte(fr.data), &ev); err != nil {
-			t.Fatalf("frame %q: %v", fr.data, err)
-		}
-		if fr.event != ev.Type {
-			t.Fatalf("SSE event name %q != payload type %q", fr.event, ev.Type)
-		}
+	for _, ev := range events {
 		if ev.Job != submitted.ID {
 			t.Fatalf("event for job %q on %q's stream", ev.Job, submitted.ID)
 		}
@@ -141,6 +140,52 @@ func TestSSEStreamsEventsInOrder(t *testing.T) {
 	}
 }
 
+// TestFollowIsTheArtifact: the live stream is /artifact's bytes. Followed
+// after the job finished, its body equals /artifact's; followed from before
+// the job finished (its generator is held until the follower is attached),
+// everything after its header line equals the finished job's /artifact after
+// its header.
+func TestFollowIsTheArtifact(t *testing.T) {
+	release := make(chan struct{})
+	svc, err := New(Config{Workers: 1, Generators: []datagen.Generator{heldGenerator(release)}, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(8, 27), &submitted); code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	path := "/v1/jobs/" + submitted.ID + "/artifact"
+	resp, err := ts.Client().Get(ts.URL + path + "?follow=1") // answers once its first lines are flushed
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	live, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact := getBody(t, ts, path)
+	if followed := getBody(t, ts, path+"?follow=1"); !bytes.Equal(followed, artifact) {
+		t.Fatalf("the finished job's stream differs from its artifact:\n%s\n--- artifact ---\n%s", followed, artifact)
+	}
+	liveHeader, liveRest, _ := bytes.Cut(live, []byte("\n"))
+	_, rest, _ := bytes.Cut(artifact, []byte("\n"))
+	if bytes.Contains(liveHeader, []byte("state="+string(JobSucceeded))) {
+		t.Fatalf("the job finished before it was followed: %s", liveHeader)
+	}
+	if !bytes.Equal(liveRest, rest) {
+		t.Fatalf("the stream followed from mid-run differs from the artifact after its header:\n%s\n--- artifact ---\n%s", liveRest, rest)
+	}
+}
+
 // bayesSpec is testSpec with the default (GP) optimizer, so the search emits
 // search.diagnostics snapshots once past the initial design.
 func bayesSpec(iterations int, seed uint64) JobSpec {
@@ -149,10 +194,11 @@ func bayesSpec(iterations int, seed uint64) JobSpec {
 	return spec
 }
 
-// TestSSEDiagnosticsFramesPrecedeDone: a GP-backed job's event stream carries
-// search.diagnostics frames, each immediately before the eval frame of the
-// iteration it names and all strictly before the terminal done frame, and
-// the job's artifact carries the matching search-health summary.
+// TestSSEDiagnosticsFramesPrecedeDone: a GP-backed job's follow stream
+// carries search.diagnostics lines, each immediately before the eval line of
+// the iteration it names and all before the stream ends at the job's
+// terminal state, and the job's artifact carries the matching search-health
+// summary.
 func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -165,45 +211,22 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	if code := httpJSON(t, ts, "POST", "/v1/jobs", bayesSpec(10, 7), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + submitted.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := readSSE(t, resp)
-	doneIdx := -1
+	events := followJob(t, ts, submitted.ID)
 	var diagIdx []int
-	for i, fr := range frames {
-		switch fr.event {
-		case "done":
-			doneIdx = i
-		case telemetry.TypeSearchDiagnostics:
-			diagIdx = append(diagIdx, i)
-			var ev telemetry.Event
-			if err := json.Unmarshal([]byte(fr.data), &ev); err != nil {
-				t.Fatalf("diagnostics frame %q: %v", fr.data, err)
-			}
-			if d := opt.DiagnosticsFromAttrs(ev.Attrs); d.Observations == 0 || d.Candidates == 0 {
-				t.Fatalf("diagnostics frame incomplete: %+v", ev)
-			}
-			var next telemetry.Event
-			if i+1 < len(frames) && frames[i+1].event == telemetry.TypeEval {
-				_ = json.Unmarshal([]byte(frames[i+1].data), &next)
-			}
-			if next.Type != telemetry.TypeEval || next.Iter != ev.Iter || next.Skipped {
-				t.Fatalf("diagnostics frame for iteration %d not followed by that iteration's eval frame", ev.Iter)
-			}
+	for i, ev := range events {
+		if ev.Type != telemetry.TypeSearchDiagnostics {
+			continue
+		}
+		diagIdx = append(diagIdx, i)
+		if d := opt.DiagnosticsFromAttrs(ev.Attrs); d.Observations == 0 || d.Candidates == 0 {
+			t.Fatalf("diagnostics line incomplete: %+v", ev)
+		}
+		if i+1 >= len(events) || events[i+1].Type != telemetry.TypeEval || events[i+1].Iter != ev.Iter || events[i+1].Skipped {
+			t.Fatalf("diagnostics line for iteration %d not followed by that iteration's eval line", ev.Iter)
 		}
 	}
 	if len(diagIdx) == 0 {
-		t.Fatal("no search.diagnostics frames streamed")
-	}
-	if doneIdx != len(frames)-1 {
-		t.Fatalf("done frame at %d of %d, want last", doneIdx, len(frames))
-	}
-	for _, i := range diagIdx {
-		if i >= doneIdx {
-			t.Fatalf("search.diagnostics frame %d not before done frame %d", i, doneIdx)
-		}
+		t.Fatal("no search.diagnostics lines streamed")
 	}
 
 	// The artifact carries the same snapshots as the stream.
@@ -216,7 +239,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 		t.Fatal("the artifact of a GP job carries no diagnostics")
 	}
 	if health.Snapshots != len(diagIdx) {
-		t.Fatalf("artifact has %d snapshots, stream carried %d frames",
+		t.Fatalf("artifact has %d snapshots, stream carried %d lines",
 			health.Snapshots, len(diagIdx))
 	}
 	if len(health.Records) != health.Snapshots {
@@ -225,8 +248,8 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 	}
 }
 
-// TestSSEClientDisconnect: an abandoned subscription is cleaned up (the
-// handler returns and the subscriber gauge drops) without affecting the job.
+// TestSSEClientDisconnect: an abandoned follow stream is cleaned up (its
+// handler goroutine returns) without affecting the job.
 func TestSSEClientDisconnect(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -239,9 +262,15 @@ func TestSSEClientDisconnect(t *testing.T) {
 	if code := httpJSON(t, ts, "POST", "/v1/jobs", testSpec(500, 8), &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
+	waitFor(t, "job to run", func() bool {
+		var st JobStatus
+		httpJSON(t, ts, "GET", "/v1/jobs/"+submitted.ID, nil, &st)
+		return st.State == JobRunning
+	})
+	baseline := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+submitted.ID+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+submitted.ID+"/artifact?follow=1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +278,12 @@ func TestSSEClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "subscriber to register", func() bool { return svc.metrics.sseActive.Value() == 1 })
+	waitFor(t, "follower to attach", func() bool { return followers() == 1 })
 	cancel()
 	resp.Body.Close()
-	waitFor(t, "subscriber cleanup after disconnect", func() bool { return svc.metrics.sseActive.Value() == 0 })
+	waitFor(t, "follower cleanup after disconnect", func() bool {
+		return followers() == 0 && runtime.NumGoroutine() <= baseline+2
+	})
 
 	if code := httpJSON(t, ts, "POST", "/v1/jobs/"+submitted.ID+"/cancel", nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel = %d", code)
@@ -264,9 +295,10 @@ func TestSSEClientDisconnect(t *testing.T) {
 	})
 }
 
-// TestSSESubscriberLifecycle: repeated connect/drop cycles leak nothing —
-// after the subscribers disconnect, both the sse_subscribers gauge and the
-// process goroutine count return to their pre-subscription baseline.
+// TestSSESubscriberLifecycle: repeated connect/drop cycles of follow streams
+// leak nothing — after the followers disconnect, their handler goroutines
+// return and the process goroutine count returns to its pre-follow
+// baseline.
 func TestSSESubscriberLifecycle(t *testing.T) {
 	svc := newTelemetryServer(t, "")
 	defer svc.Close()
@@ -293,7 +325,7 @@ func TestSSESubscriberLifecycle(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var resps []*http.Response
 		for i := 0; i < subscribers; i++ {
-			req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+submitted.ID+"/events", nil)
+			req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+submitted.ID+"/artifact?follow=1", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,16 +335,12 @@ func TestSSESubscriberLifecycle(t *testing.T) {
 			}
 			resps = append(resps, resp)
 		}
-		waitFor(t, "subscribers to register", func() bool {
-			return svc.metrics.sseActive.Value() == subscribers
-		})
+		waitFor(t, "followers to attach", func() bool { return followers() == subscribers })
 		cancel()
 		for _, resp := range resps {
 			resp.Body.Close()
 		}
-		waitFor(t, "subscriber gauge to return to baseline", func() bool {
-			return svc.metrics.sseActive.Value() == 0
-		})
+		waitFor(t, "follower handlers to return", func() bool { return followers() == 0 })
 		waitFor(t, "goroutine count to return to baseline", func() bool {
 			return runtime.NumGoroutine() <= baseline+2
 		})
@@ -465,7 +493,7 @@ func flakyGenerator(breakOn ...int32) datagen.Generator {
 // fail) and retries another; after a restart the artifact summarizes to the
 // same evaluation and skip counts, best point, trajectory and per-metric
 // attribution, the status counters still satisfy hits + misses =
-// evaluations, and /events replays the iterations before `done`.
+// evaluations, and following it replays the iterations before `done`.
 func TestRestoredJobKeepsWhatCheckpointKnows(t *testing.T) {
 	dir := t.TempDir()
 	newServer := func(gen datagen.Generator) *Server {
@@ -543,9 +571,8 @@ func TestRestoredJobKeepsWhatCheckpointKnows(t *testing.T) {
 			liveSt.Evaluations, liveSt.Skipped, liveSt.CacheHits, liveSt.CacheMisses)
 	}
 
-	tail, err := inspect.Follow(context.Background(), ts2.Client(),
-		ts2.URL+"/v1/jobs/"+submitted.ID+"/events", io.Discard)
-	if err != nil || !tail.Done || tail.Evals != 6 {
-		t.Errorf("restored /events: %+v, err %v; want 6 eval frames then done", tail, err)
+	tail, err := inspect.Follow(context.Background(), ts2.Client(), ts2.URL+"/v1/jobs/"+submitted.ID, io.Discard)
+	if err != nil || tail.Evals != 6 || tail.FinalState != string(JobSucceeded) {
+		t.Errorf("restored job followed: %+v, err %v; want 6 evals then done", tail, err)
 	}
 }

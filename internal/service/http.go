@@ -16,11 +16,13 @@ import (
 //	GET  /v1/jobs               list job summaries
 //	GET  /v1/jobs/{id}          status: state, counters, best error and, once
 //	                            the job succeeded, its result (the iterations
-//	                            are the eval events of /artifact and /events)
-//	GET  /v1/jobs/{id}/events   live SSE stream of eval events + phase spans
+//	                            are the eval events of /artifact)
 //	GET  /v1/jobs/{id}/artifact JSONL run artifact (inspect.LoadRun reads it
 //	                            back; its best-error series is the job's
-//	                            convergence trace exactly)
+//	                            convergence trace exactly); with ?follow=1
+//	                            the job's live stream, which writes each
+//	                            event as it is recorded and ends once the
+//	                            job is terminal
 //	GET  /v1/jobs/{id}/profiles target + best-candidate profiles as JSON
 //	POST /v1/jobs/{id}/cancel   cancel a queued or running job
 //	GET  /metrics               Prometheus text-format metrics registry
@@ -65,7 +67,6 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 		"POST /v1/jobs":              s.handleSubmit,
 		"GET /v1/jobs":               s.handleList,
 		"GET /v1/jobs/{id}":          s.withJob(s.handleStatus),
-		"GET /v1/jobs/{id}/events":   s.withJob(s.handleEvents),
 		"GET /v1/jobs/{id}/artifact": s.withJob(s.handleArtifact),
 		"GET /v1/jobs/{id}/profiles": s.withJob(s.handleProfiles),
 		"POST /v1/jobs/{id}/cancel":  s.handleCancel,

@@ -231,13 +231,16 @@ type Job struct {
 	finished time.Time
 
 	// eventsSig is closed and replaced whenever the job records a line,
-	// waking SSE subscribers.
+	// waking the readers following its artifact.
 	eventsSig chan struct{}
-	recorder  *telemetry.Recorder
+	// rewinds counts rewindLocked's truncations of the log; a follower that
+	// sees it change ends, rather than splice two histories.
+	rewinds  int
+	recorder *telemetry.Recorder
 }
 
-// jobRecord is a job's event log, which backs /events and /artifact (one eval
-// event per iteration, its search.diagnostics event before it when it has a
+// jobRecord is a job's event log, which backs /artifact (one eval event per
+// iteration, its search.diagnostics event before it when it has a
 // snapshot, and phase spans with telemetry), and the fold status reads.
 type jobRecord struct {
 	events      []telemetry.Event
@@ -360,7 +363,7 @@ func (j *Job) resultLocked() *JobResult {
 	return r
 }
 
-// wakeLocked signals event subscribers. Callers hold j.mu.
+// wakeLocked wakes the job's followers. Callers hold j.mu.
 func (j *Job) wakeLocked() {
 	if j.eventsSig != nil {
 		close(j.eventsSig)

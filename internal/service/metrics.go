@@ -26,10 +26,6 @@ type serverMetrics struct {
 	retriedTotal *telemetry.Counter
 	cyclesTotal  *telemetry.Counter
 
-	// SSE subscription gauge and slow-consumer drop counter.
-	sseActive  *telemetry.Gauge
-	sseDropped *telemetry.Counter
-
 	// Parallel-search contention metrics, fed from telemetry spans by
 	// observeSpan: profiler-pool occupancy per worker, budget-semaphore
 	// wait time, and the GP surrogate's incremental-vs-refactorization
@@ -107,10 +103,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Evaluations that succeeded on their perturbed-seed retry.")
 	m.cyclesTotal = reg.NewCounter("datamimed_simulated_cycles_total",
 		"Estimated simulated cycles spent profiling.")
-
-	m.sseActive = reg.NewGauge("datamimed_sse_subscribers", "Open /events subscriptions.")
-	m.sseDropped = reg.NewCounter("datamimed_sse_dropped_total",
-		"Events dropped from slow SSE subscribers' backlogs.")
 
 	m.simRuns = reg.NewCounter("datamimed_sim_runs_total",
 		"Partition simulations executed by the profiler pools.")

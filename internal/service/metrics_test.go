@@ -115,11 +115,16 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"datamimed_jobs", "datamimed_workers", "datamimed_workers_busy",
 		"datamimed_eval_cache_hits_total", "datamimed_evaluations_total",
-		"datamimed_simulated_cycles_total", "datamimed_sse_subscribers",
-		"datamimed_uptime_seconds",
+		"datamimed_simulated_cycles_total", "datamimed_uptime_seconds",
 	} {
 		if len(byName[want]) == 0 {
 			t.Errorf("missing metric family %s", want)
+		}
+	}
+	// A follower holds no backlog, so there is nothing of its to count.
+	for _, gone := range []string{"datamimed_sse_subscribers", "datamimed_sse_dropped_total"} {
+		if len(byName[gone]) != 0 {
+			t.Errorf("metric family %s is still exposed", gone)
 		}
 	}
 

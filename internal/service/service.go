@@ -5,11 +5,11 @@
 // before it leaves), each job's append-only event log makes its search
 // resumable after a crash or restart, and a dispatcher can shard candidate
 // evaluations across registered datamime-worker processes. A job is served
-// as its record (status, artifact, profiles, events); clients such as
-// datamime-inspect render reports and traces from it. A succeeded job's log
-// also carries its run-corpus record, judged against its scenario's baseline,
-// so the corpus is the succeeded jobs (GET /v1/corpus). cmd/datamimed is the
-// server binary.
+// as its record (status, profiles, and its artifact, whole or followed
+// live); clients such as datamime-inspect render reports and traces from
+// it. A succeeded job's log also carries its run-corpus record, judged
+// against its scenario's baseline, so the corpus is the succeeded jobs (GET
+// /v1/corpus). cmd/datamimed is the server binary.
 package service
 
 import (
@@ -59,15 +59,10 @@ type Config struct {
 	Log io.Writer
 	// Telemetry enables per-job span recording: each running job gets a
 	// telemetry.Recorder whose phase spans feed the /metrics latency
-	// histograms and the job's SSE event stream. Off by default; eval
-	// events (and therefore /events and /artifact) work either way —
+	// histograms and the job's artifact, live stream included. Off by
+	// default; eval events (and therefore /artifact) work either way —
 	// telemetry only adds the phase spans.
 	Telemetry bool
-	// SSEMaxBacklog bounds how many undelivered events a slow /events
-	// subscriber may accumulate before the oldest are dropped (default
-	// 4096). Dropping never blocks the search goroutine; the subscriber
-	// receives a "dropped" SSE frame carrying the count.
-	SSEMaxBacklog int
 	// WorkerURLs statically registers remote datamime-worker endpoints at
 	// startup (cmd/datamimed -worker). Workers may also self-register at
 	// runtime via POST /v1/workers.
@@ -143,9 +138,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
-	}
-	if cfg.SSEMaxBacklog <= 0 {
-		cfg.SSEMaxBacklog = 4096
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -388,7 +380,7 @@ func (s *Server) runJob(job *Job) {
 		// Index into the run corpus (and run the regression watchdog)
 		// before finish: a corpus.regression event and the record line
 		// appended here precede the terminal state, in the log and on the
-		// SSE stream.
+		// job's live stream.
 		s.indexRun(job)
 		s.finish(job, JobSucceeded, "")
 	case ctx.Err() != nil:
@@ -459,7 +451,7 @@ func (s *Server) endInterrupted(job *Job) {
 }
 
 // finish moves a job to a terminal state, which addLocked logs and announces
-// to SSE subscribers.
+// to the job's followers.
 func (s *Server) finish(job *Job, state JobState, errMsg string) {
 	job.mu.Lock()
 	if job.state.terminal() {

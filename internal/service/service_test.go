@@ -52,6 +52,18 @@ func testGenerator() datagen.Generator {
 	}
 }
 
+// heldGenerator is testGenerator holding every benchmark it builds until
+// release is closed, so a test can attach to a job before it evaluates.
+func heldGenerator(release <-chan struct{}) datagen.Generator {
+	gen := testGenerator()
+	benchmark := gen.Benchmark
+	gen.Benchmark = func(x []float64) workload.Benchmark {
+		<-release
+		return benchmark(x)
+	}
+	return gen
+}
+
 // testSpec builds a fast metric-objective job spec.
 func testSpec(iterations int, seed uint64) JobSpec {
 	return JobSpec{
@@ -468,13 +480,13 @@ func TestEffectiveProfileWorkers(t *testing.T) {
 
 // TestRoutesAreVersioned: one route scheme — every pattern the server
 // registers lives under /v1, the two operational probes aside — and the
-// table holds the 13 routes the API documents. A job's report, diagnostics
+// table holds the 12 routes the API documents. A job's report, diagnostics
 // and trace are the client's renderings of /artifact, not routes.
 func TestRoutesAreVersioned(t *testing.T) {
 	svc := newTestServer(t, "")
 	defer svc.Close()
-	if n := len(svc.routes()); n != 13 {
-		t.Errorf("%d routes, want 13", n)
+	if n := len(svc.routes()); n != 12 {
+		t.Errorf("%d routes, want 12", n)
 	}
 	for pattern := range svc.routes() {
 		_, path, ok := strings.Cut(pattern, " ")

@@ -17,7 +17,7 @@ import (
 )
 
 // Canonical phase names emitted by the search pipeline. Span consumers
-// (phase histograms, SSE streams) key on these.
+// (phase histograms, the timeline) key on these.
 const (
 	// PhasePropose covers one batch proposal (optimizer.Next/NextBatch).
 	PhasePropose = "propose"
@@ -72,8 +72,8 @@ const (
 	TypeLog = "log"
 	// TypeCorpusRegression is emitted by the coordinator's corpus watchdog
 	// when a finished run converges worse than its scenario baseline. It is
-	// streamed over SSE and appended to the artifact; consumers that don't
-	// know it (inspect.LoadRun) skip it by design.
+	// appended to the job's artifact; consumers that don't know it
+	// (inspect.LoadRun) skip it by design.
 	TypeCorpusRegression = "corpus.regression"
 	// TypeSearchDiagnostics is one trace record's GP search-health
 	// snapshot: Attrs is opt.Diagnostics.Attrs(), which owns the attribute
