@@ -102,10 +102,10 @@ PIDS+=($!)
 wait_http "http://$COORD_A/healthz"
 
 echo "== starting 2 datamime-worker processes"
-bin/datamime-worker -addr "$WORKER_1" -name w1 -profile-workers 2 \
+GOMAXPROCS=2 bin/datamime-worker -addr "$WORKER_1" -name w1 \
   -coordinator "http://$COORD_A" -advertise "http://$WORKER_1" &
 PIDS+=($!)
-bin/datamime-worker -addr "$WORKER_2" -name w2 -profile-workers 2 \
+GOMAXPROCS=2 bin/datamime-worker -addr "$WORKER_2" -name w2 \
   -coordinator "http://$COORD_A" -advertise "http://$WORKER_2" &
 WORKER_2_PID=$!
 PIDS+=($WORKER_2_PID)

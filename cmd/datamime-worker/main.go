@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -48,7 +47,6 @@ func main() {
 		name          = flag.String("name", "", "worker display name (default: the advertise URL or hostname)")
 		capacity      = flag.Int("capacity", 1, "maximum concurrent evaluations")
 		backlog       = flag.Int("backlog", 0, "queued evaluations beyond capacity before shedding 503s (default: capacity)")
-		profWorkers   = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "concurrent simulator runs per profile; profiles are bit-identical at any setting")
 		cacheCapacity = flag.Int("cache-capacity", 1024, "profile-cache capacity")
 		coordinator   = flag.String("coordinator", "", "coordinator base URL to announce to, heartbeat and withdraw from")
 		advertise     = flag.String("advertise", "", "base URL the coordinator should dial this worker at (required with -coordinator)")
@@ -60,13 +58,13 @@ func main() {
 		fmt.Println("datamime-worker", buildinfo.Read())
 		return
 	}
-	if err := run(*addr, *name, *capacity, *backlog, *profWorkers, *cacheCapacity, *coordinator, *advertise, *interval); err != nil {
+	if err := run(*addr, *name, *capacity, *backlog, *cacheCapacity, *coordinator, *advertise, *interval); err != nil {
 		fmt.Fprintln(os.Stderr, "datamime-worker:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, name string, capacity, backlog, profWorkers, cacheCapacity int, coordinator, advertise string, interval time.Duration) error {
+func run(addr, name string, capacity, backlog, cacheCapacity int, coordinator, advertise string, interval time.Duration) error {
 	if coordinator != "" && advertise == "" {
 		return fmt.Errorf("-advertise is required with -coordinator (the URL the coordinator dials back)")
 	}
@@ -78,11 +76,10 @@ func run(addr, name string, capacity, backlog, profWorkers, cacheCapacity int, c
 		}
 	}
 	w := backend.NewWorker(backend.WorkerConfig{
-		Name:           name,
-		Capacity:       capacity,
-		MaxBacklog:     backlog,
-		ProfileWorkers: profWorkers,
-		CacheCapacity:  cacheCapacity,
+		Name:          name,
+		Capacity:      capacity,
+		MaxBacklog:    backlog,
+		CacheCapacity: cacheCapacity,
 		// Heartbeats and health probes carry the build identity, so the
 		// coordinator's /v1/fleet surfaces version skew.
 		Version: buildinfo.Read().String(),
@@ -95,8 +92,8 @@ func run(addr, name string, capacity, backlog, profWorkers, cacheCapacity int, c
 			errc <- err
 		}
 	}()
-	fmt.Printf("datamime-worker %q listening on %s (capacity=%d, profile-workers=%d",
-		w.Name(), addr, w.Capacity(), profWorkers)
+	fmt.Printf("datamime-worker %q listening on %s (capacity=%d",
+		w.Name(), addr, w.Capacity())
 	if coordinator != "" {
 		fmt.Printf(", announcing to %s as %s", coordinator, advertise)
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 	"strings"
 
 	"datamime"
@@ -39,7 +38,6 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress per-iteration progress")
 		quick        = flag.Bool("quick", false, "use reduced profiling budgets (faster, noisier)")
 		parallel     = flag.Int("parallel", 4, "concurrent candidate evaluations per batch (1 = the paper's serial loop)")
-		profWorkers  = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "concurrent simulator runs per profile (the way-curve sweep); profiles are bit-identical at any setting")
 		targetFile   = flag.String("target-profile", "", "load the target profile from a JSON file (as produced by cmd/profiler) instead of profiling the workload — the paper's share-profiles-not-data workflow")
 		artifactOut  = flag.String("artifact", "", "stream a JSONL run artifact to this file (datamime-inspect report/diff input)")
 		profilesOut  = flag.String("profiles", "", "write the target/best profile pair to this JSON file (datamime-inspect -profiles input)")
@@ -52,13 +50,8 @@ func main() {
 		return
 	}
 
-	if *profWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "datamime: -profile-workers must be >= 0")
-		os.Exit(1)
-	}
-
 	if err := run(*workloadName, *iterations, *seed, *quiet, *quick, *parallel,
-		*profWorkers, *targetFile, *artifactOut, *profilesOut, *workerURLs); err != nil {
+		*targetFile, *artifactOut, *profilesOut, *workerURLs); err != nil {
 		fmt.Fprintln(os.Stderr, "datamime:", err)
 		os.Exit(1)
 	}
@@ -75,7 +68,7 @@ func workloadNames() []string {
 	return names
 }
 
-func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, profileWorkers int,
+func run(name string, iterations int, seed uint64, quiet, quick bool, parallel int,
 	targetFile, artifactOut, profilesOut, workerURLs string) error {
 	w, err := datamime.WorkloadByName(name)
 	if err != nil {
@@ -86,9 +79,12 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 		st = datamime.QuickSettings()
 	}
 
-	profiler := datamime.NewProfiler(datamime.Broadwell())
+	// One LocalBackend per process: its profilers sweep GOMAXPROCS wide on
+	// its one budget, which the target profile, in-process candidates and
+	// -worker fallbacks all share.
+	local := backend.NewLocalBackend()
+	profiler := local.Profiler(datamime.Broadwell())
 	profiler.Spec = st.Spec
-	profiler.Workers = profileWorkers
 
 	// The artifact sink streams events to disk as they happen.
 	var rec *telemetry.Recorder
@@ -101,8 +97,8 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 		sink := telemetry.NewJSONLSink(f)
 		sink(telemetry.Event{
 			Type: telemetry.TypeLog,
-			Msg: fmt.Sprintf("datamime run artifact: workload=%s iterations=%d seed=%d parallel=%d profile_workers=%d",
-				name, iterations, seed, parallel, profileWorkers),
+			Msg: fmt.Sprintf("datamime run artifact: workload=%s iterations=%d seed=%d parallel=%d",
+				name, iterations, seed, parallel),
 		})
 		rec = telemetry.New(telemetry.Options{OnEvent: sink})
 		profiler.Telemetry = rec
@@ -138,8 +134,6 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 	// same seed exactly.
 	var evaluator datamime.Evaluator
 	if workerURLs != "" {
-		local := backend.NewLocalBackend()
-		local.ProfileWorkers = profileWorkers
 		dispatcher := backend.NewDispatcher(backend.DispatcherConfig{Local: local})
 		urls := strings.Split(workerURLs, ",")
 		for _, u := range urls {
@@ -162,15 +156,14 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel, 
 	fmt.Printf("searching %s's %d-parameter space for %d iterations...\n",
 		w.Generator.Name, w.Generator.Space.Dim(), iterations)
 	res, err := datamime.Search(datamime.SearchConfig{
-		Generator:      w.Generator,
-		Objective:      datamime.NewProfileObjective(target, datamime.NewErrorModel()),
-		Profiler:       profiler,
-		Iterations:     iterations,
-		Seed:           seed,
-		Parallel:       parallel,
-		ProfileWorkers: profileWorkers,
-		Evaluator:      evaluator,
-		Telemetry:      rec,
+		Generator:  w.Generator,
+		Objective:  datamime.NewProfileObjective(target, datamime.NewErrorModel()),
+		Profiler:   profiler,
+		Iterations: iterations,
+		Seed:       seed,
+		Parallel:   parallel,
+		Evaluator:  evaluator,
+		Telemetry:  rec,
 		OnEval: func(ev datamime.EvalEvent) {
 			if logger == nil {
 				return

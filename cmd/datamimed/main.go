@@ -45,7 +45,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -60,7 +59,6 @@ func main() {
 		queueDepth    = flag.Int("queue-depth", 1024, "maximum queued jobs")
 		checkpointDir = flag.String("checkpoint-dir", "", "directory for job logs, <id>.jsonl, appended as each job records (empty disables persistence and resume)")
 		cacheCapacity = flag.Int("cache-capacity", 4096, "evaluation-cache capacity (profiles)")
-		profWorkers   = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "default concurrent simulator runs per profile for jobs that do not set profiling.profile_workers; profiles are bit-identical at any setting")
 		quiet         = flag.Bool("quiet", false, "suppress job lifecycle logs")
 		telemetry     = flag.Bool("telemetry", false, "record per-job phase spans (latency histograms in /metrics, spans in /artifact)")
 		debug         = flag.Bool("debug", false, "expose net/http/pprof under /debug/pprof/")
@@ -78,10 +76,6 @@ func main() {
 		fmt.Println("datamimed", buildinfo.Read())
 		return
 	}
-	if *profWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "datamimed: -profile-workers must be >= 0")
-		os.Exit(1)
-	}
 
 	if err := run(options{
 		addr:            *addr,
@@ -89,7 +83,6 @@ func main() {
 		queueDepth:      *queueDepth,
 		checkpointDir:   *checkpointDir,
 		cacheCapacity:   *cacheCapacity,
-		profWorkers:     *profWorkers,
 		quiet:           *quiet,
 		telemetry:       *telemetry,
 		debug:           *debug,
@@ -110,7 +103,6 @@ type options struct {
 	queueDepth    int
 	checkpointDir string
 	cacheCapacity int
-	profWorkers   int
 	quiet         bool
 	telemetry     bool
 	debug         bool
@@ -137,17 +129,16 @@ func (w *workerList) Set(v string) error {
 
 func run(o options) error {
 	cfg := service.Config{
-		Workers:               o.workers,
-		QueueDepth:            o.queueDepth,
-		CheckpointDir:         o.checkpointDir,
-		CacheCapacity:         o.cacheCapacity,
-		DefaultProfileWorkers: o.profWorkers,
-		Telemetry:             o.telemetry,
-		WorkerURLs:            o.workerURLs,
-		DispatchTimeout:       o.dispatchTimeout,
-		DispatchRetries:       o.dispatchRetries,
-		DispatchMaxQueue:      o.dispatchQueue,
-		WorkerHealthInterval:  o.healthInterval,
+		Workers:              o.workers,
+		QueueDepth:           o.queueDepth,
+		CheckpointDir:        o.checkpointDir,
+		CacheCapacity:        o.cacheCapacity,
+		Telemetry:            o.telemetry,
+		WorkerURLs:           o.workerURLs,
+		DispatchTimeout:      o.dispatchTimeout,
+		DispatchRetries:      o.dispatchRetries,
+		DispatchMaxQueue:     o.dispatchQueue,
+		WorkerHealthInterval: o.healthInterval,
 	}
 	if !o.quiet {
 		cfg.Log = os.Stdout

@@ -12,9 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"datamime"
+	"datamime/internal/backend"
 	"datamime/internal/buildinfo"
 	"datamime/internal/harness"
 	"datamime/internal/sim"
@@ -27,7 +27,6 @@ func main() {
 		scheme       = flag.String("scheme", "target", "scheme: target or public")
 		seed         = flag.Uint64("seed", 1, "profiling seed")
 		quick        = flag.Bool("quick", false, "use reduced profiling budgets")
-		profWorkers  = flag.Int("profile-workers", runtime.GOMAXPROCS(0), "concurrent simulator runs for the way-curve sweep; the profile is bit-identical at any setting")
 		version      = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -35,18 +34,13 @@ func main() {
 		fmt.Println("profiler", buildinfo.Read())
 		return
 	}
-	if *profWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "profiler: -profile-workers must be >= 0")
-		os.Exit(1)
-	}
-
-	if err := run(*workloadName, *machineName, *scheme, *seed, *quick, *profWorkers); err != nil {
+	if err := run(*workloadName, *machineName, *scheme, *seed, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "profiler:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workloadName, machineName, scheme string, seed uint64, quick bool, profileWorkers int) error {
+func run(workloadName, machineName, scheme string, seed uint64, quick bool) error {
 	w, err := harness.WorkloadByName(workloadName)
 	if err != nil {
 		return err
@@ -67,8 +61,7 @@ func run(workloadName, machineName, scheme string, seed uint64, quick bool, prof
 		return fmt.Errorf("unknown scheme %q (target, public)", scheme)
 	}
 
-	pr := datamime.NewProfiler(machine)
-	pr.Workers = profileWorkers
+	pr := backend.NewLocalBackend().Profiler(machine)
 	if quick {
 		pr.Spec = datamime.QuickSettings().Spec
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -23,23 +24,28 @@ import (
 // profiler is bit-deterministic and the spec excludes all
 // speed-not-substance knobs, a LocalBackend evaluation is byte-identical to
 // the in-process path for the same request.
+//
+// Every profiler it builds (Profiler) — for its own evaluations and for
+// whatever else its process profiles — sweeps GOMAXPROCS wide and draws on
+// the backend's one budget, so the process never runs more simulations at
+// once than the budget holds. Neither the width nor the budget can change
+// a measured value (DESIGN §3c).
 type LocalBackend struct {
-	// ProfileWorkers bounds intra-profile parallelism (the way-curve
-	// sweep) for every evaluation; 0/1 runs sweeps serially. Like
-	// profile.Profiler.Workers, it can never change measured values.
-	ProfileWorkers int
-	// Budget, when non-nil, caps concurrent simulations across all
-	// evaluations this backend runs (shared with any other profilers).
-	Budget *profile.Budget
-
+	// budget caps the simulations in flight across every profiler the
+	// backend builds.
+	budget *profile.Budget
 	// gens is fixed at construction, so lookups need no lock.
 	gens map[string]datagen.Generator
 }
 
 // NewLocalBackend builds a local backend with the built-in Table III
-// generators plus any extras registered.
+// generators plus any extras registered, and a budget of GOMAXPROCS
+// simulations.
 func NewLocalBackend(extra ...datagen.Generator) *LocalBackend {
-	l := &LocalBackend{gens: make(map[string]datagen.Generator)}
+	l := &LocalBackend{
+		budget: profile.NewBudget(runtime.GOMAXPROCS(0)),
+		gens:   make(map[string]datagen.Generator),
+	}
 	for _, g := range datagen.All() {
 		l.gens[g.Name] = g
 	}
@@ -47,6 +53,17 @@ func NewLocalBackend(extra ...datagen.Generator) *LocalBackend {
 		l.gens[g.Name] = g
 	}
 	return l
+}
+
+// Profiler returns a profiler for machine with the evaluation defaults,
+// sweeping GOMAXPROCS wide on the backend's budget. It is the one place a
+// process decides its sweep width: every binary builds its profilers here,
+// so everything a process simulates shares one pool of tokens.
+func (l *LocalBackend) Profiler(machine sim.MachineConfig) *profile.Profiler {
+	pr := profile.New(machine)
+	pr.Workers = runtime.GOMAXPROCS(0)
+	pr.Budget = l.budget
+	return pr
 }
 
 // Generator looks a generator up in the backend's registry — the one map of
@@ -76,8 +93,8 @@ func (l *LocalBackend) Capacity() int { return 0 }
 
 // resolve is the one place a request's names and numbers are checked: the
 // protocol version, the kind, the machine and budgets (the profiler it
-// returns passes Validate and carries this backend's parallelism), and the
-// generator with a parameter vector of its space's dimension, or the
+// returns passes Validate and carries this backend's width and budget), and
+// the generator with a parameter vector of its space's dimension, or the
 // workload. Every failure wraps ErrRequest. The benchmark comes back as a
 // builder: generation is real work that belongs inside whatever admission
 // slot the caller takes after resolving (a Worker answers 400 before taking
@@ -98,7 +115,8 @@ func (l *LocalBackend) resolve(req EvalRequest) (pr *profile.Profiler, build fun
 	if err != nil {
 		return nil, nil, err
 	}
-	pr = &profile.Profiler{Machine: machine, Spec: req.Profiler.Spec, Workers: l.ProfileWorkers, Budget: l.Budget}
+	pr = l.Profiler(machine)
+	pr.Spec = req.Profiler.Spec
 	if err = pr.Validate(); err != nil {
 		return nil, nil, err
 	}

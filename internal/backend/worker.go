@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -27,10 +26,6 @@ type WorkerConfig struct {
 	// MaxBacklog bounds queued (admitted but not yet running) evaluations
 	// (default = Capacity).
 	MaxBacklog int
-	// ProfileWorkers is the intra-profile parallelism per evaluation
-	// (default GOMAXPROCS, shared across concurrent evaluations through
-	// one budget).
-	ProfileWorkers int
 	// CacheCapacity bounds the worker's profile cache (default 1024).
 	CacheCapacity int
 	// Generators registers extra generators beyond the built-in set.
@@ -73,15 +68,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.MaxBacklog <= 0 {
 		cfg.MaxBacklog = cfg.Capacity
 	}
-	if cfg.ProfileWorkers <= 0 {
-		cfg.ProfileWorkers = runtime.GOMAXPROCS(0)
-	}
 	local := NewLocalBackend(cfg.Generators...)
-	local.ProfileWorkers = cfg.ProfileWorkers
-	if cap := cfg.Capacity * cfg.ProfileWorkers; cap > 1 {
-		// One machine-wide budget across concurrent evaluations, so
-		// Capacity × ProfileWorkers goroutines never oversubscribe.
-		local.Budget = profile.NewBudget(max(cfg.Capacity, cfg.ProfileWorkers))
+	if cfg.Capacity > local.budget.Cap() {
+		// Room for every admitted evaluation to run at once.
+		local.budget = profile.NewBudget(cfg.Capacity)
 	}
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 1024

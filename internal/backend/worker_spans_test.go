@@ -83,7 +83,7 @@ func TestWorkerShipsSpansWithTraceContext(t *testing.T) {
 // behind its cache probe ships the earliest MaxWireSpans, and
 // datamime_worker_spans_truncated_total rises by every span dropped.
 func TestWorkerCountsEveryTruncatedSpan(t *testing.T) {
-	w := NewWorker(WorkerConfig{ProfileWorkers: 1})
+	w := NewWorker(WorkerConfig{})
 	events := make([]telemetry.Event, MaxWireSpans+905)
 	for i := range events {
 		events[i] = telemetry.Event{Type: telemetry.TypeSpan, Phase: telemetry.PhaseSimRun,

@@ -27,9 +27,6 @@ func newTestWorker(t *testing.T, cfg WorkerConfig) (*Worker, *RemoteBackend, *ht
 	if cfg.Name == "" {
 		cfg.Name = "test-worker"
 	}
-	if cfg.ProfileWorkers == 0 {
-		cfg.ProfileWorkers = 1
-	}
 	if cfg.Generators == nil {
 		cfg.Generators = []datagen.Generator{testGenerator()}
 	}

@@ -160,7 +160,7 @@ type IterationRecord struct {
 
 // EvalEvent describes one finished iteration: live, for OnEval observers
 // (the datamimed service grows job traces, metrics, and event streams from
-// it), and read back from an artifact or SSE frame (inspect.Run.Evals).
+// it), and read back from an artifact line (inspect.Run.Evals).
 type EvalEvent struct {
 	// Record is the trace record; zero-valued except Iteration when
 	// Skipped.
@@ -189,10 +189,10 @@ type EvalEvent struct {
 }
 
 // TelemetryEvent encodes the iteration as the eval event of the JSONL run
-// artifact and the SSE stream — the one place the eval attribute conventions
-// are written: error/best_error (completed evaluations only), 0/1 flags,
-// sim_cycles, per-metric "emd_*" attribution, per-phase "phase_*_ns"
-// timings, and the skip reason as the message. EvalEventFromTelemetry below
+// artifact, which /artifact?follow=1 streams live — the one place the eval
+// attribute conventions are written: error/best_error (completed
+// evaluations only), 0/1 flags, sim_cycles, per-metric "emd_*" attribution,
+// per-phase "phase_*_ns" timings, and the skip reason as the message. EvalEventFromTelemetry below
 // is its inverse. Build it only for an enabled recorder or a sink that
 // wants it: it allocates.
 func (ev EvalEvent) TelemetryEvent() telemetry.Event {
@@ -247,7 +247,7 @@ func (ev EvalEvent) DiagnosticsEvent() (tev telemetry.Event, ok bool) {
 }
 
 // EvalEventFromTelemetry is the inverse of TelemetryEvent: it decodes an
-// eval event read back from a run artifact or an SSE frame. A completed
+// eval event read back from a run artifact line. A completed
 // evaluation without a best_error attribute is an error — every writer sets
 // one, so its absence means the artifact convention was broken, not the file
 // truncated. Record.Diagnostics is not part of the eval event (the snapshot

@@ -89,7 +89,7 @@ func (d *Diagnostics) fields() []diagField {
 }
 
 // Attrs flattens the snapshot into the attributes of a search.diagnostics
-// artifact/SSE event. Only deterministic model-derived values enter the map
+// artifact event. Only deterministic model-derived values enter the map
 // — no clocks, no durations — so two identically-seeded runs emit byte-equal
 // diagnostics.
 func (d Diagnostics) Attrs() map[string]float64 {

@@ -21,7 +21,6 @@ import (
 // stop answering.
 func (s *Server) initDispatch() {
 	s.local = backend.NewLocalBackend(s.cfg.Generators...)
-	s.local.ProfileWorkers = s.cfg.DefaultProfileWorkers
 	s.dispatcher = backend.NewDispatcher(backend.DispatcherConfig{
 		Local:          s.local,
 		AttemptTimeout: s.cfg.DispatchTimeout,

@@ -240,8 +240,8 @@ func TestRestoredJobMatchesLiveSelf(t *testing.T) {
 	if !bytes.Equal(artifact, liveArtifact) {
 		t.Errorf("the restored /artifact differs from the live one:\nrestored %s\nlive     %s", artifact, liveArtifact)
 	}
-	// Where the job ran (its profile workers and backend) is not logged.
-	live.ProfileWorkers, live.Backend = 0, ""
+	// Where the job ran (its backend) is not logged.
+	live.Backend = ""
 	if !reflect.DeepEqual(restored, live) {
 		t.Errorf("restored status %+v\nlive status     %+v", restored, live)
 	}

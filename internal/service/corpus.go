@@ -19,10 +19,10 @@ import (
 // scenarioSpec is the canonical semantic subset of a JobSpec that defines a
 // corpus scenario: two jobs with equal scenario hashes are required (by the
 // determinism invariants, DESIGN §3c/§3e) to produce bit-identical results,
-// so any divergence between them is a real behavior change. Knobs that only
-// move where or how fast work executes — Backend, Profiling.ProfileWorkers —
-// are deliberately excluded, mirroring what core.EvalKey excludes. The seed
-// is included: different seeds legitimately converge differently.
+// so any divergence between them is a real behavior change. Backend, which
+// only moves where work executes, is deliberately excluded, mirroring what
+// core.EvalKey excludes. The seed is included: different seeds legitimately
+// converge differently.
 type scenarioSpec struct {
 	Workload      string          `json:"workload,omitempty"`
 	Generator     string          `json:"generator,omitempty"`
@@ -37,7 +37,7 @@ type scenarioSpec struct {
 	OnEvalError   string          `json:"on_eval_error"`
 
 	// Profiler budgets change the simulated measurements, so they are
-	// semantic. ProfileWorkers is zeroed (and so omitted) on purpose.
+	// semantic.
 	ProfilingSpec
 }
 
@@ -72,7 +72,6 @@ func scenarioHash(spec JobSpec) string {
 	}
 	if p := spec.Profiling; p != nil {
 		ss.ProfilingSpec = *p
-		ss.ProfileWorkers = 0
 	}
 	h, err := corpus.HashJSON(ss)
 	if err != nil {

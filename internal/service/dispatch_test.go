@@ -20,10 +20,9 @@ import (
 func newFleetWorker(t *testing.T, name string) (*backend.Worker, *httptest.Server) {
 	t.Helper()
 	w := backend.NewWorker(backend.WorkerConfig{
-		Name:           name,
-		Capacity:       1,
-		ProfileWorkers: 1,
-		Generators:     []datagen.Generator{testGenerator()},
+		Name:       name,
+		Capacity:   1,
+		Generators: []datagen.Generator{testGenerator()},
 	})
 	ts := httptest.NewServer(w.Handler())
 	t.Cleanup(ts.Close)

@@ -55,12 +55,6 @@ type ProfilingSpec struct {
 	CurvePoints       int     `json:"curve_points,omitempty"`
 	MaxRequestsPerRun int     `json:"max_requests_per_run,omitempty"`
 	SkipCurves        bool    `json:"skip_curves,omitempty"`
-	// ProfileWorkers bounds concurrent simulator runs inside each profile
-	// (the way-curve sweep). 0 uses the server's -profile-workers default;
-	// profiles are bit-identical at any setting, so this knob never changes
-	// a job's results — only its wall-clock time. It is excluded from
-	// evaluation cache keys (see core.EvalKey).
-	ProfileWorkers int `json:"profile_workers,omitempty"`
 }
 
 // JobSpec describes one search job, as submitted over POST /v1/jobs. Exactly
@@ -172,9 +166,6 @@ type JobStatus struct {
 	// DurationSeconds is the job's wall-clock run time: finished−started
 	// for terminal jobs, time since start for running ones, 0 before start.
 	DurationSeconds float64 `json:"duration_seconds,omitempty"`
-	// ProfileWorkers is the effective intra-profile parallelism the job
-	// runs with (spec override or server default); 0 until the job starts.
-	ProfileWorkers int `json:"profile_workers,omitempty"`
 	// Backend is the evaluation plane the job resolved to when it started:
 	// "local" (in-process) or "dispatch" (sharded across the worker
 	// fleet). Empty until the job starts running.
@@ -213,9 +204,6 @@ type Job struct {
 	targetProf *profile.Profile
 	bestProf   *profile.Profile
 
-	// profileWorkers is the effective intra-profile parallelism, resolved
-	// from the spec and server default when the job starts running.
-	profileWorkers int
 	// backend is the evaluation plane the job resolved to at start
 	// ("local" or "dispatch").
 	backend string
@@ -316,21 +304,20 @@ func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:             j.id,
-		State:          j.state,
-		Error:          j.errMsg,
-		Spec:           j.spec,
-		Iterations:     j.evals + j.skipped,
-		Total:          j.spec.Iterations,
-		Evaluations:    j.evals,
-		CacheHits:      j.cacheHits,
-		CacheMisses:    j.cacheMisses,
-		Skipped:        j.skipped,
-		SimCycles:      j.simCycles,
-		BestError:      j.best.Record.Error,
-		Created:        j.created,
-		ProfileWorkers: j.profileWorkers,
-		Backend:        j.backend,
+		ID:          j.id,
+		State:       j.state,
+		Error:       j.errMsg,
+		Spec:        j.spec,
+		Iterations:  j.evals + j.skipped,
+		Total:       j.spec.Iterations,
+		Evaluations: j.evals,
+		CacheHits:   j.cacheHits,
+		CacheMisses: j.cacheMisses,
+		Skipped:     j.skipped,
+		SimCycles:   j.simCycles,
+		BestError:   j.best.Record.Error,
+		Created:     j.created,
+		Backend:     j.backend,
 	}
 	if j.state == JobSucceeded {
 		st.Result = j.resultLocked()
@@ -417,9 +404,9 @@ type plan struct {
 	spec      JobSpec           // job-level defaults applied
 	workload  *harness.Workload // nil for metric and inline-profile objectives
 	generator datagen.Generator // the spec's, else the workload's own
-	profiler  *profile.Profiler // the machine with the spec's overrides
-	// profileWorkers is the spec's override, else the server's default.
-	profileWorkers int
+	// profiler is the machine with the spec's overrides, built by the
+	// server's LocalBackend so it shares the process's one budget.
+	profiler *profile.Profiler
 	// objective is the metric target or the decoded inline profile; nil for
 	// a workload job, whose hidden target is profiled — or recalled from the
 	// shared cache under targetKey — when the job starts.
@@ -446,12 +433,8 @@ func (s *Server) resolve(spec JobSpec) (*plan, error) {
 	if err != nil {
 		return nil, unknownName("machine", spec.Machine, sim.Machines(), func(m sim.MachineConfig) string { return m.Name })
 	}
-	p.profiler = profile.New(machine)
-	p.profileWorkers = s.cfg.DefaultProfileWorkers
+	p.profiler = s.local.Profiler(machine)
 	if o := spec.Profiling; o != nil {
-		if o.ProfileWorkers < 0 {
-			return nil, fmt.Errorf("service: profiling.profile_workers must be >= 0, got %d", o.ProfileWorkers)
-		}
 		b := &p.profiler.Spec
 		override(&b.WindowCycles, o.WindowCycles)
 		override(&b.Windows, o.Windows)
@@ -460,10 +443,6 @@ func (s *Server) resolve(spec JobSpec) (*plan, error) {
 		override(&b.CurvePoints, o.CurvePoints)
 		override(&b.MaxRequestsPerRun, o.MaxRequestsPerRun)
 		b.SkipCurves = o.SkipCurves
-		if o.ProfileWorkers > 0 {
-			p.profiler.Workers = o.ProfileWorkers
-			p.profileWorkers = o.ProfileWorkers
-		}
 	}
 
 	sources := 0
@@ -564,15 +543,14 @@ func (s *Server) buildSearch(ctx context.Context, p *plan) (core.SearchConfig, e
 	// jobProfiles may be reading the plan's.
 	profiler := *p.profiler
 	cfg := core.SearchConfig{
-		Generator:      p.generator,
-		Profiler:       &profiler,
-		Objective:      p.objective,
-		Optimizer:      p.optimizer(p.generator.Space, p.spec.Seed),
-		OnEvalError:    p.onEvalError,
-		Iterations:     p.spec.Iterations,
-		Parallel:       p.spec.Parallel,
-		ProfileWorkers: p.profileWorkers,
-		Seed:           p.spec.Seed,
+		Generator:   p.generator,
+		Profiler:    &profiler,
+		Objective:   p.objective,
+		Optimizer:   p.optimizer(p.generator.Space, p.spec.Seed),
+		OnEvalError: p.onEvalError,
+		Iterations:  p.spec.Iterations,
+		Parallel:    p.spec.Parallel,
+		Seed:        p.spec.Seed,
 	}
 	if p.workload != nil {
 		target, ok := s.cache.Get(p.targetKey)

@@ -134,7 +134,7 @@ func TestSubmitCapacityIs503(t *testing.T) {
 func TestUnresolvableRequestLeavesFleetHealthy(t *testing.T) {
 	var urls []string
 	for _, name := range []string{"bare-a", "bare-b"} {
-		w := backend.NewWorker(backend.WorkerConfig{Name: name, ProfileWorkers: 1})
+		w := backend.NewWorker(backend.WorkerConfig{Name: name})
 		ts := httptest.NewServer(w.Handler())
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
@@ -169,7 +169,7 @@ func TestUnresolvableRequestLeavesFleetHealthy(t *testing.T) {
 // fast, never what (and must then leave the hash alone). A field added to the
 // struct alone fails here until the scenario hash or the list knows it.
 func TestJobSpecFieldsAreResolved(t *testing.T) {
-	howFastNeverWhat := map[string]bool{"Backend": true, "Profiling.ProfileWorkers": true}
+	howFastNeverWhat := map[string]bool{"Backend": true}
 	base := JobSpec{Workload: "mem-fb", Iterations: 8}
 	scenario := reflect.TypeOf(scenarioSpec{})
 

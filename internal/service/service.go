@@ -41,11 +41,6 @@ type Config struct {
 	// CacheCapacity bounds the shared evaluation cache (default 4096
 	// profiles).
 	CacheCapacity int
-	// DefaultProfileWorkers is the intra-profile parallelism (concurrent
-	// way-curve simulator runs) for jobs whose spec does not set
-	// profiling.profile_workers. 0 leaves profiles serial. Profiles are
-	// bit-identical at any setting.
-	DefaultProfileWorkers int
 	// CheckpointDir, when non-empty, enables persistence: every job appends
 	// everything it records to its log there, <id>.jsonl, as it happens, and
 	// New restores the logged jobs, resuming unfinished ones from their last
@@ -333,7 +328,6 @@ func (s *Server) runJob(job *Job) {
 		cfg.Evaluator = dispatchEv
 	}
 	job.mu.Lock()
-	job.profileWorkers = cfg.ProfileWorkers
 	job.backend = "local"
 	if dispatchEv != nil {
 		job.backend = "dispatch"

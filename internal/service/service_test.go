@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"datamime/internal/inspect"
 	"datamime/internal/opt"
 	"datamime/internal/profile"
+	"datamime/internal/sim"
 	"datamime/internal/stats"
 	"datamime/internal/telemetry"
 	"datamime/internal/trace"
@@ -439,8 +441,6 @@ func TestSpecValidation(t *testing.T) {
 		{Iterations: 5, Metric: "ipc"},                                       // no generator
 		{Iterations: 5, Metric: "ipc", Generator: g, OnEvalError: "explode"}, // bad policy
 		{Iterations: 5, Metric: "ipc", Generator: g, Optimizer: "gradient"},  // bad optimizer
-		{Iterations: 5, Metric: "ipc", Generator: g,
-			Profiling: &ProfilingSpec{ProfileWorkers: -2}}, // negative workers
 	}
 	for i, spec := range bad {
 		if _, err := s.resolve(spec); err == nil {
@@ -451,30 +451,24 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := s.resolve(good); err != nil {
 		t.Fatal(err)
 	}
-	good.Profiling = &ProfilingSpec{ProfileWorkers: 4}
-	if _, err := s.resolve(good); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestEffectiveProfileWorkers: a spec override wins and reaches the plan's
-// profiler; otherwise the server default applies.
-func TestEffectiveProfileWorkers(t *testing.T) {
-	s := &Server{cfg: Config{DefaultProfileWorkers: 3}, local: backend.NewLocalBackend(testGenerator())}
-	spec := testSpec(5, 1)
-	p, err := s.resolve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.profileWorkers != 3 {
-		t.Fatalf("server default not applied: %d", p.profileWorkers)
-	}
-	spec.Profiling.ProfileWorkers = 8
-	if p, err = s.resolve(spec); err != nil {
-		t.Fatal(err)
-	}
-	if p.profileWorkers != 8 || p.profiler.Workers != 8 {
-		t.Fatalf("spec override lost: plan %d, profiler %d, want 8", p.profileWorkers, p.profiler.Workers)
+// TestPlanProfilerUsesProcessBudget: every plan's profiler, which profiles
+// the job's hidden target and its in-process candidates, sweeps GOMAXPROCS
+// wide and draws on the server's one budget, the one its dispatch fallback
+// evaluates under.
+func TestPlanProfilerUsesProcessBudget(t *testing.T) {
+	s := &Server{local: backend.NewLocalBackend(testGenerator())}
+	for _, spec := range []JobSpec{testSpec(5, 1), {Workload: "mem-fb", Iterations: 5}} {
+		p, err := s.resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := s.local.Profiler(sim.Broadwell()).Budget
+		if p.profiler.Workers != runtime.GOMAXPROCS(0) || p.profiler.Budget != budget {
+			t.Fatalf("plan profiler: %d workers, budget %p; want %d workers, the server's budget %p",
+				p.profiler.Workers, p.profiler.Budget, runtime.GOMAXPROCS(0), budget)
+		}
 	}
 }
 

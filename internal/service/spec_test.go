@@ -81,11 +81,10 @@ func TestSpecFieldsAreCovered(t *testing.T) {
 		}
 	}
 
-	// The other direction: the override lists nothing Spec does not, save
-	// the one knob that changes how fast, never what, is measured.
+	// The other direction: the override lists nothing Spec does not.
 	for i := 0; i < overrideType.NumField(); i++ {
 		name := overrideType.Field(i).Name
-		if _, ok := specType.FieldByName(name); !ok && name != "ProfileWorkers" {
+		if _, ok := specType.FieldByName(name); !ok {
 			t.Errorf("ProfilingSpec.%s overrides nothing in profile.Spec", name)
 		}
 	}
@@ -105,7 +104,7 @@ func TestPersistedKeysPinned(t *testing.T) {
 	}
 
 	withBudgets := JobSpec{Workload: "mem-fb", Iterations: 8, Seed: 3, Profiling: &ProfilingSpec{
-		WindowCycles: 60000, Windows: 4, WarmupWindows: 1, SkipCurves: true, ProfileWorkers: 3,
+		WindowCycles: 60000, Windows: 4, WarmupWindows: 1, SkipCurves: true,
 	}}
 	if got, want := scenarioHash(withBudgets), "a3d4b199dc40ffe4"; got != want {
 		t.Errorf("scenarioHash(with budgets) = %s, want %s", got, want)
@@ -113,12 +112,7 @@ func TestPersistedKeysPinned(t *testing.T) {
 	if got, want := scenarioHash(JobSpec{Workload: "mem-fb", Iterations: 8}), "81e52cf7b1e7fcdc"; got != want {
 		t.Errorf("scenarioHash(defaults) = %s, want %s", got, want)
 	}
-	// ProfileWorkers moves no result and must not split a scenario; an
-	// explicit default budget, hashed as submitted, does.
-	withBudgets.Profiling.ProfileWorkers = 0
-	if got := scenarioHash(withBudgets); got != "a3d4b199dc40ffe4" {
-		t.Errorf("profile_workers entered the scenario hash: %s", got)
-	}
+	// An explicit default budget, hashed as submitted, splits a scenario.
 	explicit := JobSpec{Workload: "mem-fb", Iterations: 8, Profiling: &ProfilingSpec{Windows: 36}}
 	if got := scenarioHash(explicit); got == "81e52cf7b1e7fcdc" {
 		t.Error("an explicit default budget hashed like an omitted one; scenarioHash's comment says otherwise")
@@ -131,12 +125,12 @@ func TestPersistedKeysPinned(t *testing.T) {
 // profile.Spec, zero overrides omitted, and decodes back to itself.
 func TestProfilingOverridesRoundTrip(t *testing.T) {
 	spec := JobSpec{Generator: "memcached", Iterations: 5, Metric: "ipc", MetricValue: 1.5,
-		Profiling: &ProfilingSpec{WindowCycles: 60000, Windows: 4, CurvePoints: 3, SkipCurves: true, ProfileWorkers: 2}}
+		Profiling: &ProfilingSpec{WindowCycles: 60000, Windows: 4, CurvePoints: 3, SkipCurves: true}}
 	got, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantProfiling = `"profiling":{"window_cycles":60000,"windows":4,"curve_points":3,"skip_curves":true,"profile_workers":2}`
+	const wantProfiling = `"profiling":{"window_cycles":60000,"windows":4,"curve_points":3,"skip_curves":true}`
 	if !strings.Contains(string(got), wantProfiling) {
 		t.Fatalf("job spec JSON = %s\nwant it to contain %s", got, wantProfiling)
 	}

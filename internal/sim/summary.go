@@ -19,7 +19,7 @@ type WindowSummary struct {
 }
 
 // Attrs renders the summary as telemetry span attributes, using the
-// attribute names the run artifacts and SSE streams carry. Keeping the
+// attribute names the run artifacts carry. Keeping the
 // mapping here means every span producer labels the same statistics the
 // same way.
 func (s WindowSummary) Attrs() map[string]float64 {
