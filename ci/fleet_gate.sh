@@ -153,6 +153,16 @@ if grep -q 'datamime_worker_cache_shared_' worker1-metrics.txt; then
   echo "worker 1 still publishes a shared cache tier:" >&2
   grep 'datamime_worker_cache_shared_' worker1-metrics.txt >&2; exit 1
 fi
+# The worker keeps no cache of its own: the coordinator's is the fleet's one
+# evaluation cache, so no worker cache family and no cache probe span exists.
+if grep -q 'datamime_worker_cache' worker1-metrics.txt; then
+  echo "worker 1 still publishes a profile cache:" >&2
+  grep 'datamime_worker_cache' worker1-metrics.txt >&2; exit 1
+fi
+if grep -q 'cache[.]probe' run-fleet.jsonl; then
+  echo "the fleet artifact carries a worker cache probe span:" >&2
+  grep 'cache[.]probe' run-fleet.jsonl | head -n 3 >&2; exit 1
+fi
 
 echo "== writing and validating the unified fleet trace from the job's artifact"
 bin/datamime-inspect timeline -artifact "http://$COORD_A/v1/jobs/$FLEET_JOB/artifact" \

@@ -14,16 +14,17 @@
 // With -coordinator set, the worker announces itself on start, re-announces
 // periodically (registration is idempotent on URL, so announcements double
 // as heartbeats), and withdraws cleanly on SIGTERM. Without it, register the
-// worker by hand with the coordinator's -worker flag or POST /v1/workers.
-// The coordinator looks every evaluation up in its own cache before it
-// dispatches one; the worker's profile cache serves keys repeated to it.
+// worker by hand with datamimed's -worker flag or POST /v1/workers.
+// The worker keeps no cache: the coordinator looks every evaluation up in
+// its one evaluation cache before it dispatches one, so every request that
+// arrives here is simulated.
 //
 // Endpoints:
 //
 //	POST /v1/evaluate   run one evaluation (503 when saturated)
 //	GET  /v1/healthz    protocol handshake + capacity
 //	GET  /metrics       Prometheus text metrics (datamime_worker_*: load,
-//	                    evaluations, cache hits, ...)
+//	                    evaluations, dropped spans, ...)
 package main
 
 import (
@@ -43,28 +44,27 @@ import (
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":9090", "listen address")
-		name          = flag.String("name", "", "worker display name (default: the advertise URL or hostname)")
-		capacity      = flag.Int("capacity", 1, "maximum concurrent evaluations")
-		backlog       = flag.Int("backlog", 0, "queued evaluations beyond capacity before shedding 503s (default: capacity)")
-		cacheCapacity = flag.Int("cache-capacity", 1024, "profile-cache capacity")
-		coordinator   = flag.String("coordinator", "", "coordinator base URL to announce to, heartbeat and withdraw from")
-		advertise     = flag.String("advertise", "", "base URL the coordinator should dial this worker at (required with -coordinator)")
-		interval      = flag.Duration("register-interval", 30*time.Second, "re-announcement (heartbeat) period with -coordinator")
-		version       = flag.Bool("version", false, "print build information and exit")
+		addr        = flag.String("addr", ":9090", "listen address")
+		name        = flag.String("name", "", "worker display name (default: the advertise URL or hostname)")
+		capacity    = flag.Int("capacity", 1, "maximum concurrent evaluations")
+		backlog     = flag.Int("backlog", 0, "queued evaluations beyond capacity before shedding 503s (default: capacity)")
+		coordinator = flag.String("coordinator", "", "coordinator base URL to announce to, heartbeat and withdraw from")
+		advertise   = flag.String("advertise", "", "base URL the coordinator should dial this worker at (required with -coordinator)")
+		interval    = flag.Duration("register-interval", 30*time.Second, "re-announcement (heartbeat) period with -coordinator")
+		version     = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println("datamime-worker", buildinfo.Read())
 		return
 	}
-	if err := run(*addr, *name, *capacity, *backlog, *cacheCapacity, *coordinator, *advertise, *interval); err != nil {
+	if err := run(*addr, *name, *capacity, *backlog, *coordinator, *advertise, *interval); err != nil {
 		fmt.Fprintln(os.Stderr, "datamime-worker:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, name string, capacity, backlog, cacheCapacity int, coordinator, advertise string, interval time.Duration) error {
+func run(addr, name string, capacity, backlog int, coordinator, advertise string, interval time.Duration) error {
 	if coordinator != "" && advertise == "" {
 		return fmt.Errorf("-advertise is required with -coordinator (the URL the coordinator dials back)")
 	}
@@ -76,10 +76,9 @@ func run(addr, name string, capacity, backlog, cacheCapacity int, coordinator, a
 		}
 	}
 	w := backend.NewWorker(backend.WorkerConfig{
-		Name:          name,
-		Capacity:      capacity,
-		MaxBacklog:    backlog,
-		CacheCapacity: cacheCapacity,
+		Name:       name,
+		Capacity:   capacity,
+		MaxBacklog: backlog,
 		// Heartbeats and health probes carry the build identity, so the
 		// coordinator's /v1/fleet surfaces version skew.
 		Version: buildinfo.Read().String(),

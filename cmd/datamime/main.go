@@ -14,6 +14,11 @@
 // and timeline inputs; `timeline -trace` writes its Chrome/Perfetto
 // trace-event JSON), the profiles doc carries the target and best-candidate
 // distributions behind the report's eCDF overlays.
+//
+// Every simulation runs in this process, on one backend.LocalBackend and its
+// one budget. To spread candidate evaluations over datamime-worker
+// processes, submit the search as a job to cmd/datamimed, whose dispatcher
+// owns the fleet and checks its evaluation cache before every dispatch.
 package main
 
 import (
@@ -41,7 +46,6 @@ func main() {
 		targetFile   = flag.String("target-profile", "", "load the target profile from a JSON file (as produced by cmd/profiler) instead of profiling the workload — the paper's share-profiles-not-data workflow")
 		artifactOut  = flag.String("artifact", "", "stream a JSONL run artifact to this file (datamime-inspect report/diff input)")
 		profilesOut  = flag.String("profiles", "", "write the target/best profile pair to this JSON file (datamime-inspect -profiles input)")
-		workerURLs   = flag.String("worker", "", "comma-separated datamime-worker base URLs to dispatch evaluations to (results are bit-identical to a local run of the same seed)")
 		version      = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -51,7 +55,7 @@ func main() {
 	}
 
 	if err := run(*workloadName, *iterations, *seed, *quiet, *quick, *parallel,
-		*targetFile, *artifactOut, *profilesOut, *workerURLs); err != nil {
+		*targetFile, *artifactOut, *profilesOut); err != nil {
 		fmt.Fprintln(os.Stderr, "datamime:", err)
 		os.Exit(1)
 	}
@@ -69,7 +73,7 @@ func workloadNames() []string {
 }
 
 func run(name string, iterations int, seed uint64, quiet, quick bool, parallel int,
-	targetFile, artifactOut, profilesOut, workerURLs string) error {
+	targetFile, artifactOut, profilesOut string) error {
 	w, err := datamime.WorkloadByName(name)
 	if err != nil {
 		return err
@@ -80,8 +84,7 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel i
 	}
 
 	// One LocalBackend per process: its profilers sweep GOMAXPROCS wide on
-	// its one budget, which the target profile, in-process candidates and
-	// -worker fallbacks all share.
+	// its one budget, which the target profile and every candidate share.
 	local := backend.NewLocalBackend()
 	profiler := local.Profiler(datamime.Broadwell())
 	profiler.Spec = st.Spec
@@ -128,25 +131,6 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel i
 		target.Mean(datamime.MetricIPC), target.Mean(datamime.MetricLLC),
 		target.Mean(datamime.MetricCPUUtil))
 
-	// With -worker, candidate evaluations are sharded across the fleet
-	// (falling back in-process on worker failure); the dispatch layer's
-	// bit-identical-profile contract means results match a local run of the
-	// same seed exactly.
-	var evaluator datamime.Evaluator
-	if workerURLs != "" {
-		dispatcher := backend.NewDispatcher(backend.DispatcherConfig{Local: local})
-		urls := strings.Split(workerURLs, ",")
-		for _, u := range urls {
-			if u = strings.TrimSpace(u); u != "" {
-				dispatcher.Register(backend.NewRemoteBackend(u, ""))
-			}
-		}
-		ev := backend.NewSearchEvaluator(dispatcher, w.Generator.Name, profiler)
-		ev.Telemetry = rec
-		evaluator = ev
-		fmt.Printf("dispatching evaluations to %d worker(s)\n", len(urls))
-	}
-
 	// Per-iteration progress lines ride on OnEval through the telemetry
 	// line logger.
 	var logger *slog.Logger
@@ -162,7 +146,6 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel i
 		Iterations: iterations,
 		Seed:       seed,
 		Parallel:   parallel,
-		Evaluator:  evaluator,
 		Telemetry:  rec,
 		OnEval: func(ev datamime.EvalEvent) {
 			if logger == nil {

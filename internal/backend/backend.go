@@ -4,8 +4,8 @@
 // versioned JSON-over-HTTP protocol to cmd/datamime-worker processes. A
 // Dispatcher shards evaluations across a registered worker fleet with
 // retry, timeout, and backoff, always falling back to local evaluation, so
-// a job never dies with its fleet. A Worker serves the protocol in front of
-// its own LRU evaluation cache.
+// a job never dies with its fleet. A Worker serves the protocol; the one
+// evaluation cache is the coordinator's LRU, looked up before dispatch.
 //
 // The load-bearing design constraint is determinism: a profile is a pure
 // function of (generator, params, seed, machine, profiler budget) — exactly
@@ -45,6 +45,9 @@ import (
 //	    WorkerRegistration's inflight, the cache.probe span's cache_tier
 //	    attr, and the coordinator's /v1/cache (an older worker reads its
 //	    404 as a miss and counts a failed PUT as a shared-tier error).
+//	    Then EvalRequest's key and the cache.probe span, with the worker's
+//	    own cache: a newer worker ignores an older coordinator's key, and
+//	    an older worker skips its cache for a request without one.
 const ProtocolVersion = 2
 
 // Evaluation kinds.
@@ -91,15 +94,10 @@ type EvalRequest struct {
 	Seed uint64 `json:"seed"`
 	// Profiler is the measurement spec.
 	Profiler ProfilerSpec `json:"profiler"`
-	// Key, when set, is the evaluation's content address (core.EvalKey):
-	// workers consult their own cache under it before simulating and store
-	// fresh measurements there.
-	Key string `json:"key,omitempty"`
 	// TraceID, when set, asks the serving side to capture its telemetry
-	// spans (profile.sim, budget.wait, cache probes) for this evaluation and
-	// ship them back in the response envelope. It is pure trace context:
-	// deliberately excluded from core.EvalKey and ignored by the cache, it
-	// can never change what is measured.
+	// spans (profile.sim, budget.wait) for this evaluation and ship them
+	// back in the response envelope. It is pure trace context: deliberately
+	// excluded from core.EvalKey, it can never change what is measured.
 	TraceID string `json:"trace_id,omitempty"`
 }
 

@@ -15,6 +15,7 @@ import (
 	"datamime/internal/profile"
 	"datamime/internal/sim"
 	"datamime/internal/stats"
+	"datamime/internal/telemetry"
 	"datamime/internal/trace"
 	"datamime/internal/workload"
 )
@@ -148,7 +149,8 @@ func unresolvableRequests() []badRequest {
 
 // TestProtocolGoldenRequest pins the v2 request wire format. Changing this
 // encoding requires a ProtocolVersion bump: a silently reinterpreted field
-// could break bit-identity between coordinator and worker.
+// could break bit-identity between coordinator and worker. (Dropping an
+// optional field both sides may ignore, as the key was, does not.)
 func TestProtocolGoldenRequest(t *testing.T) {
 	req := EvalRequest{
 		Version:   2,
@@ -160,7 +162,6 @@ func TestProtocolGoldenRequest(t *testing.T) {
 			Machine: "broadwell",
 			Spec:    profile.Spec{WindowCycles: 60000, Windows: 3, SkipCurves: true},
 		},
-		Key:     "k",
 		TraceID: "t1",
 	}
 	got, err := json.Marshal(&req)
@@ -169,7 +170,7 @@ func TestProtocolGoldenRequest(t *testing.T) {
 	}
 	want := `{"version":2,"kind":"candidate","generator":"g","params":[0.5,3],"seed":42,` +
 		`"profiler":{"machine":"broadwell","window_cycles":60000,"windows":3,"warmup_windows":0,` +
-		`"curve_windows":0,"curve_points":0,"max_requests_per_run":0,"skip_curves":true},"key":"k",` +
+		`"curve_windows":0,"curve_points":0,"max_requests_per_run":0,"skip_curves":true},` +
 		`"trace_id":"t1"}`
 	if string(got) != want {
 		t.Fatalf("request encoding drifted:\n got %s\nwant %s", got, want)
@@ -246,9 +247,9 @@ func TestLRUEvictionAccounting(t *testing.T) {
 	}
 }
 
-// TestSearchEvaluatorBuildsKeyedRequests: the adapter addresses every
-// request by the same core.EvalKey the search cache uses, so workers can
-// deduplicate against their own cache.
+// TestSearchEvaluatorBuildsKeyedRequests: with telemetry on, the adapter
+// names every request by the same core.EvalKey the search cache uses, as its
+// trace ID; with telemetry off the request carries no key at all.
 func TestSearchEvaluatorBuildsKeyedRequests(t *testing.T) {
 	pr := testProfiler()
 	var got EvalRequest
@@ -265,7 +266,14 @@ func TestSearchEvaluatorBuildsKeyedRequests(t *testing.T) {
 	if got.Kind != KindCandidate || got.Generator != "kv-backend-test" || got.Seed != 7 {
 		t.Fatalf("request = %+v", got)
 	}
-	if want := core.EvalKey("kv-backend-test", pr, x, 7); got.Key != want || want == "" {
-		t.Fatalf("key = %q, want %q", got.Key, want)
+	if got.TraceID != "" {
+		t.Fatalf("untraced request carries trace ID %q", got.TraceID)
+	}
+	ev.Telemetry = telemetry.New(telemetry.Options{})
+	if _, err := ev.Evaluate(context.Background(), x, 7); err != nil {
+		t.Fatal(err)
+	}
+	if want := core.EvalKey("kv-backend-test", pr, x, 7); got.TraceID != want || want == "" {
+		t.Fatalf("trace ID = %q, want %q", got.TraceID, want)
 	}
 }

@@ -18,7 +18,7 @@ type CacheStats struct {
 }
 
 // LRU is a bounded least-recently-used implementation of core.EvalCache:
-// the coordinator's evaluation cache and each worker's own.
+// the coordinator's evaluation cache.
 // Hit/miss/eviction counters are atomics so metric scrapes never contend
 // with the structural lock.
 type LRU struct {

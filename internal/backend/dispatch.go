@@ -536,13 +536,16 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 }
 
 // backoff returns the delay before retry attempt+1: exponential from
-// BackoffBase, capped at 2s.
+// BackoffBase, capped at 2s. It doubles only while under the cap, so no
+// attempt count can overflow the Duration into a negative delay, which
+// would not wait at all.
 func (d *Dispatcher) backoff(attempt int) time.Duration {
-	delay := d.cfg.BackoffBase << uint(attempt)
-	if max := 2 * time.Second; delay > max {
-		delay = max
+	const maxDelay = 2 * time.Second
+	delay := d.cfg.BackoffBase
+	for ; attempt > 0 && delay < maxDelay; attempt-- {
+		delay *= 2
 	}
-	return delay
+	return min(delay, maxDelay)
 }
 
 // sleepCtx sleeps for d or until ctx is done.

@@ -419,3 +419,23 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestDispatchBackoffIsBounded: for every attempt count a Retries setting can
+// reach, the delay before the next attempt is positive, at most 2s, and never
+// shorter than the one before. A shift by the attempt count overflows the
+// Duration from attempt 38 at the default 50ms base, and a negative delay
+// retries without waiting.
+func TestDispatchBackoffIsBounded(t *testing.T) {
+	for _, base := range []time.Duration{0, time.Nanosecond, time.Millisecond, 3 * time.Second} {
+		d := NewDispatcher(DispatcherConfig{Local: okBackend("local"), BackoffBase: base})
+		prev := time.Duration(0)
+		for attempt := 0; attempt < 64; attempt++ {
+			delay := d.backoff(attempt)
+			if delay <= 0 || delay > 2*time.Second || delay < prev {
+				t.Fatalf("base %v: backoff(%d) = %v after %v, want in (0, 2s] and non-decreasing",
+					base, attempt, delay, prev)
+			}
+			prev = delay
+		}
+	}
+}

@@ -10,9 +10,8 @@ import (
 )
 
 // SearchEvaluator adapts an EvalBackend (typically a Dispatcher) to
-// core.Evaluator: it wraps each candidate in a versioned EvalRequest keyed
-// by the same core.EvalKey the search's cache uses, so a worker can serve a
-// repeated key from its own cache. The search's own cache lookup,
+// core.Evaluator: it wraps each candidate in a versioned EvalRequest. The
+// search's own cache lookup,
 // seeds, and scoring stay in core — the evaluator only replaces where the
 // simulation runs, which is why a dispatched search stays bit-identical to
 // a local one.
@@ -22,7 +21,7 @@ type SearchEvaluator struct {
 	// Generator is the searched generator's registered name.
 	Generator string
 	// Profiler is the search's measurement spec (also the EvalKey
-	// ingredient).
+	// ingredient that names a traced request).
 	Profiler *profile.Profiler
 	// Telemetry, when non-nil, records one eval.remote span per evaluation
 	// (with worker/retry attributes — the remote lanes of the trace export
@@ -56,13 +55,12 @@ func (e *SearchEvaluator) Evaluate(ctx context.Context, x []float64, seed uint64
 		Params:    x,
 		Seed:      seed,
 		Profiler:  e.spec,
-		Key:       core.EvalKey(e.Generator, e.Profiler, x, seed),
 	}
 	if e.Telemetry.Enabled() {
 		// Trace context: the content address doubles as the trace ID — it is
-		// deterministic, unique per evaluation, and already on the request.
-		// The serving side captures and ships its spans only when set.
-		req.TraceID = req.Key
+		// deterministic and unique per evaluation. The serving side captures
+		// and ships its spans only when set.
+		req.TraceID = core.EvalKey(e.Generator, e.Profiler, x, seed)
 	}
 	start := time.Now()
 	res, err := e.Backend.Evaluate(ctx, req)

@@ -119,7 +119,7 @@ func (r *RemoteBackend) Health(ctx context.Context) error {
 		return fmt.Errorf("backend: health %s: HTTP %d", r.name, resp.StatusCode)
 	}
 	var h WorkerHealth
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := decodeResponse(resp.Body, &h); err != nil {
 		return fmt.Errorf("backend: health %s: decoding: %w", r.name, err)
 	}
 	if h.Protocol != ProtocolVersion {
@@ -162,7 +162,7 @@ func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResu
 			r.name, resp.StatusCode, readWireError(resp.Body))
 	}
 	var wire EvalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+	if err := decodeResponse(resp.Body, &wire); err != nil {
 		return EvalResult{}, fmt.Errorf("backend: evaluate on %s: decoding: %w", r.name, err)
 	}
 	if wire.Profile == nil {
@@ -176,6 +176,29 @@ func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResu
 		res.Worker = r.name
 	}
 	return res, nil
+}
+
+// maxResponseBytes bounds a worker's 200 body as the coordinator reads it. A
+// worker is outside input: a broken or hostile one must not make the
+// coordinator allocate without bound. The bulk of an honest answer is its
+// spans, at most MaxWireSpans of them and each well under 1 KiB encoded (a
+// phase, three integers and a handful of attrs); as much again is left for
+// the profile, whose samples run to tens of KiB at the paper's budgets. A
+// health body is a few dozen bytes under the same bound.
+const maxResponseBytes = 2 * MaxWireSpans << 10 // 8 MiB
+
+// decodeResponse decodes a worker's 200 body into v, reading at most
+// maxResponseBytes of it. A longer body is the worker's failure (it counts
+// toward eviction), not the request's.
+func decodeResponse(body io.Reader, v interface{}) error {
+	data, err := io.ReadAll(io.LimitReader(body, maxResponseBytes+1))
+	if err != nil {
+		return err
+	}
+	if len(data) > maxResponseBytes {
+		return fmt.Errorf("body exceeds %d bytes", maxResponseBytes)
+	}
+	return json.Unmarshal(data, v)
 }
 
 // anchorSpans places a worker's shipped spans on this process's clock by the

@@ -26,8 +26,6 @@ type WorkerConfig struct {
 	// MaxBacklog bounds queued (admitted but not yet running) evaluations
 	// (default = Capacity).
 	MaxBacklog int
-	// CacheCapacity bounds the worker's profile cache (default 1024).
-	CacheCapacity int
 	// Generators registers extra generators beyond the built-in set.
 	Generators []datagen.Generator
 	// Version is the worker binary's build version, reported in health
@@ -36,13 +34,12 @@ type WorkerConfig struct {
 }
 
 // Worker is the evaluation server behind cmd/datamime-worker: a
-// LocalBackend fronted by admission control, its own profile cache, and
-// the versioned HTTP protocol (POST /v1/evaluate, GET /v1/healthz,
-// GET /metrics).
+// LocalBackend fronted by admission control and the versioned HTTP protocol
+// (POST /v1/evaluate, GET /v1/healthz, GET /metrics). It keeps no cache: a
+// request reaches it only after missing the coordinator's.
 type Worker struct {
 	cfg   WorkerConfig
 	local *LocalBackend
-	cache *LRU
 	reg   *telemetry.Registry
 
 	// sem holds one token per admitted-and-running evaluation; queued
@@ -73,13 +70,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		// Room for every admitted evaluation to run at once.
 		local.budget = profile.NewBudget(cfg.Capacity)
 	}
-	if cfg.CacheCapacity <= 0 {
-		cfg.CacheCapacity = 1024
-	}
 	w := &Worker{
 		cfg:     cfg,
 		local:   local,
-		cache:   NewLRU(cfg.CacheCapacity),
 		sem:     make(chan struct{}, cfg.Capacity),
 		started: time.Now(),
 	}
@@ -92,9 +85,6 @@ func (w *Worker) Name() string { return w.cfg.Name }
 
 // Capacity returns the worker's concurrent-evaluation bound.
 func (w *Worker) Capacity() int { return w.cfg.Capacity }
-
-// CacheStats exposes the profile cache's counters (for tests and metrics).
-func (w *Worker) CacheStats() CacheStats { return w.cache.Stats() }
 
 // buildMetrics assembles the worker's /metrics registry.
 func (w *Worker) buildMetrics() *telemetry.Registry {
@@ -111,10 +101,6 @@ func (w *Worker) buildMetrics() *telemetry.Registry {
 		func() float64 { return float64(w.busyRejects.Load()) })
 	reg.NewCounterFunc("datamime_worker_spans_truncated_total", "Telemetry spans dropped at the MaxWireSpans response cap.",
 		func() float64 { return float64(w.spansTruncated.Load()) })
-	reg.NewCounterFunc("datamime_worker_cache_local_hits_total", "Evaluations served from the worker's profile cache.",
-		func() float64 { return float64(w.cache.Stats().Hits) })
-	reg.NewCounterFunc("datamime_worker_cache_misses_total", "Profile-cache lookups that missed.",
-		func() float64 { return float64(w.cache.Stats().Misses) })
 	reg.NewGaugeFunc("datamime_worker_uptime_seconds", "Seconds since the worker started.",
 		func() float64 { return time.Since(w.started).Seconds() })
 	telemetry.RegisterRuntimeMetrics(reg, "datamime_worker")
@@ -153,9 +139,7 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 const maxEvalRequestBytes = 1 << 20
 
 // handleEvaluate serves one evaluation: resolve the request, admission
-// control, the profile cache, then the measurement. Cache hits and fresh
-// measurements are byte-identical by construction, so serving from cache
-// never breaks the determinism contract.
+// control, then the measurement.
 func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -192,31 +176,6 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-w.sem }()
 
-	// The cache probe is itself observable: when the request carries a
-	// TraceID, the lookup becomes a cache.probe span in the response
-	// envelope, hit or miss.
-	var spans []WireSpan
-	if req.Key != "" {
-		probeStart := time.Now()
-		p, ok := w.cache.Get(req.Key)
-		if req.TraceID != "" {
-			attrs := map[string]float64{telemetry.AttrCacheHit: 0}
-			if ok {
-				attrs[telemetry.AttrCacheHit] = 1
-			}
-			spans = append(spans, WireSpan{
-				Phase:  telemetry.PhaseCacheProbe,
-				DurNS:  time.Since(probeStart).Nanoseconds(),
-				TimeNS: time.Now().UnixNano(),
-				Attrs:  attrs,
-			})
-		}
-		if ok {
-			w.evals.Add(1)
-			w.respond(rw, EvalResult{Profile: p, Worker: w.cfg.Name}, spans, req.TraceID)
-			return
-		}
-	}
 	res, err := w.local.measure(r.Context(), req, pr, build)
 	if err != nil {
 		w.evalErrors.Add(1)
@@ -227,29 +186,23 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 		writeWire(rw, status, wireError{Error: err.Error()})
 		return
 	}
-	if req.Key != "" {
-		w.cache.Put(req.Key, res.Profile)
-	}
 	res.Worker = w.cfg.Name
-	spans = append(spans, res.Spans...)
 	w.evals.Add(1)
-	w.respond(rw, res, spans, req.TraceID)
+	w.respond(rw, res)
 }
 
 // respond writes the /v1/evaluate envelope: the deterministic result, the
-// worker's wall clock once every span has ended, and — only when trace
-// context was propagated — the captured spans. It is where MaxWireSpans
-// applies: the earliest spans ship, and every one dropped is counted.
-func (w *Worker) respond(rw http.ResponseWriter, res EvalResult, spans []WireSpan, traceID string) {
-	resp := EvalResponse{EvalResult: res, TimeNS: time.Now().UnixNano()}
-	if traceID != "" {
-		if n := len(spans) - MaxWireSpans; n > 0 {
-			w.spansTruncated.Add(uint64(n))
-			spans = spans[:MaxWireSpans]
-		}
-		resp.Spans = spans
+// worker's wall clock once every span has ended, and the captured spans,
+// which measure collects only when trace context was propagated. It is where
+// MaxWireSpans applies: the earliest spans ship, and every one dropped is
+// counted.
+func (w *Worker) respond(rw http.ResponseWriter, res EvalResult) {
+	spans := res.Spans
+	if n := len(spans) - MaxWireSpans; n > 0 {
+		w.spansTruncated.Add(uint64(n))
+		spans = spans[:MaxWireSpans]
 	}
-	writeWire(rw, http.StatusOK, resp)
+	writeWire(rw, http.StatusOK, EvalResponse{EvalResult: res, Spans: spans, TimeNS: time.Now().UnixNano()})
 }
 
 // RunAnnouncer keeps the worker registered with a coordinator: announce

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -37,20 +38,19 @@ func newTestWorker(t *testing.T, cfg WorkerConfig) (*Worker, *RemoteBackend, *ht
 }
 
 // TestWorkerEvaluateOverWire: a real HTTP round trip returns the profile
-// the local profiler measures, byte for byte, and a repeated key is served
-// from the worker's cache.
+// the local profiler measures, byte for byte, and a repeated request is
+// simulated again, to the same bytes: the worker keeps no cache.
 func TestWorkerEvaluateOverWire(t *testing.T) {
 	w, rb, _ := newTestWorker(t, WorkerConfig{})
 	pr := testProfiler()
 	req := testRequest(pr)
-	req.Key = "eval-key"
 
 	res, err := rb.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := w.CacheStats(); res.Worker != "test-worker" || st.Misses != 1 {
-		t.Fatalf("first eval = worker %q, cache stats %+v", res.Worker, st)
+	if res.Worker != "test-worker" {
+		t.Fatalf("first eval served by %q", res.Worker)
 	}
 	direct, err := pr.Profile(testGenerator().Benchmark(req.Params), req.Seed)
 	if err != nil {
@@ -62,17 +62,47 @@ func TestWorkerEvaluateOverWire(t *testing.T) {
 		t.Fatal("wire profile differs from direct measurement")
 	}
 
-	// Same key again: the worker's cache serves without simulating.
 	res2, err := rb.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := w.CacheStats(); st.Hits != 1 {
-		t.Fatalf("repeat eval cache stats = %+v, want one hit", st)
+	if n := w.evals.Load(); n != 2 || res2.DurationNS == 0 {
+		t.Fatalf("repeat eval: %d evaluations served, duration %d ns; want 2 simulated", n, res2.DurationNS)
 	}
 	got2, _ := json.Marshal(res2.Profile)
 	if string(got2) != string(wantJSON) {
-		t.Fatal("cached profile differs from measured profile")
+		t.Fatal("repeated profile differs from the first")
+	}
+}
+
+// TestWorkerIgnoresParentKey: an older coordinator still sends each
+// evaluation's content address as "key". The worker decodes leniently, so
+// the field is ignored: the request is served, with the profile the same
+// request has without it.
+func TestWorkerIgnoresParentKey(t *testing.T) {
+	_, _, ts := newTestWorker(t, WorkerConfig{})
+	body, err := json.Marshal(testRequest(testProfiler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed := append(bytes.TrimSuffix(body, []byte("}")), []byte(`,"key":"0123456789abcdef0123456789abcdef"}`)...)
+	profiles := make([]string, 2)
+	for i, b := range [][]byte{body, keyed} {
+		resp, err := http.Post(ts.URL+PathEvaluate, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire EvalResponse
+		err = json.NewDecoder(resp.Body).Decode(&wire)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || wire.Profile == nil {
+			t.Fatalf("request %s: HTTP %d, decode err %v", b, resp.StatusCode, err)
+		}
+		p, _ := json.Marshal(wire.Profile)
+		profiles[i] = string(p)
+	}
+	if profiles[0] != profiles[1] {
+		t.Fatal("a request carrying a key was served a different profile")
 	}
 }
 
@@ -215,7 +245,6 @@ func TestWorkerRefusesUnresolvableRequests(t *testing.T) {
 	w, rb, ts := newTestWorker(t, WorkerConfig{})
 	for _, tc := range unresolvableRequests() {
 		req := testRequest(testProfiler())
-		req.Key = "never-cached"
 		tc.mutate(&req)
 		if _, err := rb.Evaluate(context.Background(), req); !errors.Is(err, ErrRequest) {
 			t.Errorf("%s: RemoteBackend err = %v, want ErrRequest", tc.name, err)
@@ -357,12 +386,61 @@ func FuzzEvalResponse(f *testing.F) {
 	})
 }
 
-// TestWorkerMetrics: /metrics exposes the worker metric families with cache
-// accounting that matches the served traffic.
+// TestRemoteBackendBoundsResponses: the coordinator reads at most
+// maxResponseBytes of a worker's answer to /v1/evaluate or /v1/healthz. A
+// body of exactly the bound decodes; one byte more is an error that is
+// neither ErrRequest nor ErrBusy, so a dispatcher books it against the worker
+// and serves the evaluation elsewhere.
+func TestRemoteBackendBoundsResponses(t *testing.T) {
+	var body atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		_, _ = rw.Write(body.Load().([]byte))
+	}))
+	defer srv.Close()
+	rb := NewRemoteBackend(srv.URL, "padded")
+	ctx := context.Background()
+	req := testRequest(testProfiler())
+	// sized is a valid JSON body of exactly n bytes, padded inside a string.
+	sized := func(prefix string, n int) []byte {
+		return []byte(prefix + strings.Repeat("x", n-len(prefix)-2) + `"}`)
+	}
+	evalBody := `{"profile":{"benchmark":"b"},"worker":"`
+	for _, c := range []struct {
+		name, prefix string
+		call         func() error
+	}{
+		{"evaluate", evalBody, func() error { _, err := rb.Evaluate(ctx, req); return err }},
+		{"health", fmt.Sprintf(`{"protocol":%d,"name":"`, ProtocolVersion), func() error { return rb.Health(ctx) }},
+	} {
+		body.Store(sized(c.prefix, maxResponseBytes))
+		if err := c.call(); err != nil {
+			t.Errorf("%s: a %d-byte body, just under the bound: %v", c.name, maxResponseBytes, err)
+		}
+		body.Store(sized(c.prefix, maxResponseBytes+1))
+		if err := c.call(); err == nil || errors.Is(err, ErrRequest) || errors.Is(err, ErrBusy) {
+			t.Errorf("%s: a %d-byte body, just over the bound: err = %v, want a worker failure",
+				c.name, maxResponseBytes+1, err)
+		}
+	}
+
+	body.Store(sized(evalBody, maxResponseBytes+1))
+	d := fastDispatcher(okBackend("local"))
+	d.Register(rb)
+	res, err := d.Evaluate(ctx, req)
+	if err != nil || res.Remote || res.Retries != 1 {
+		t.Fatalf("dispatch = (remote %v, retries %d, %v), want one failed attempt then local", res.Remote, res.Retries, err)
+	}
+	if w := d.Workers()[0]; w.Healthy || w.Failures != 1 {
+		t.Fatalf("worker after an over-bound answer = %+v, want one failure booked", w)
+	}
+}
+
+// TestWorkerMetrics: /metrics exposes the worker metric families with
+// accounting that matches the served traffic, and no cache family: the
+// worker has no cache.
 func TestWorkerMetrics(t *testing.T) {
 	_, rb, ts := newTestWorker(t, WorkerConfig{})
 	req := testRequest(testProfiler())
-	req.Key = "metrics-key"
 	if _, err := rb.Evaluate(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -383,13 +461,14 @@ func TestWorkerMetrics(t *testing.T) {
 	for _, want := range []string{
 		"datamime_worker_capacity 1",
 		"datamime_worker_evaluations_total 2",
-		"datamime_worker_cache_local_hits_total 1",
-		"datamime_worker_cache_misses_total 1",
 		"datamime_worker_busy_rejects_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(text, "datamime_worker_cache") {
+		t.Errorf("metrics publish a worker cache family:\n%s", text)
 	}
 }
 

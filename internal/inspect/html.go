@@ -339,9 +339,6 @@ func (r *Report) writeFleetHTML(b *strings.Builder, tl *Timeline) {
 		notes = append(notes, fmt.Sprintf("dispatch overhead %s over %d samples",
 			fms(tl.DispatchOverheadNS), tl.DispatchOverheadSamples))
 	}
-	if tl.CacheProbes > 0 {
-		notes = append(notes, fmt.Sprintf("%d worker cache probes (%d hits)", tl.CacheProbes, tl.CacheProbeHits))
-	}
 	if tl.FleetBudgetWaits > 0 {
 		notes = append(notes, fmt.Sprintf("%d remote budget stalls totaling %s", tl.FleetBudgetWaits, fms(tl.FleetBudgetWaitNS)))
 	}

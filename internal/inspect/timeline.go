@@ -68,10 +68,6 @@ type Timeline struct {
 	// stalls observed on remote workers.
 	FleetBudgetWaits  int
 	FleetBudgetWaitNS int64
-	// CacheProbes / CacheProbeHits count the worker-side cache lookups
-	// shipped back as cache.probe spans.
-	CacheProbes    int
-	CacheProbeHits int
 	// DispatchOverheadNS sums, over eval.remote round trips that carried a
 	// worker-side duration, the round trip minus the worker's own
 	// evaluation time — serialization, network, and queueing overhead. Both
@@ -218,11 +214,6 @@ func NewTimeline(run *Run) *Timeline {
 			}
 			t.BudgetWaits++
 			t.BudgetWaitNS += sp.EndNS - sp.StartNS
-		case telemetry.PhaseCacheProbe:
-			t.CacheProbes++
-			if sp.Attrs[telemetry.AttrCacheHit] > 0 {
-				t.CacheProbeHits++
-			}
 		case telemetry.PhaseRemoteEval:
 			w := int(sp.Attrs[telemetry.AttrRemoteWorker])
 			rs := byRemote[w]
@@ -389,9 +380,6 @@ func (t *Timeline) RenderText(w io.Writer) error {
 		if t.FleetBudgetWaits > 0 {
 			fmt.Fprintf(&b, "remote budget-semaphore stalls: %d totaling %s\n",
 				t.FleetBudgetWaits, fms(t.FleetBudgetWaitNS))
-		}
-		if t.CacheProbes > 0 {
-			fmt.Fprintf(&b, "worker cache probes: %d (%d hits)\n", t.CacheProbes, t.CacheProbeHits)
 		}
 	}
 	if t.UnstampedSpans > 0 {

@@ -93,7 +93,6 @@ func (s *Server) profileTarget(ctx context.Context, p *plan) (*profile.Profile, 
 			Workload: p.workload.Name,
 			Seed:     p.spec.Seed,
 			Profiler: backend.SpecOf(p.profiler),
-			Key:      p.targetKey,
 		})
 		if err != nil {
 			return nil, err

@@ -274,8 +274,7 @@ func (m *serverMetrics) observeSpan(ev telemetry.Event) {
 
 // observeFleetSpan accounts one remote-shipped span (already anchored to
 // the coordinator clock and tagged with the fleet worker ID, -1 for the
-// local fallback). Worker cache probes are each worker's own
-// datamime_worker_cache_* families.
+// local fallback).
 func (m *serverMetrics) observeFleetSpan(ev telemetry.Event) {
 	secs := float64(ev.DurNS) / 1e9
 	wid := strconv.Itoa(int(ev.Attrs[telemetry.AttrFleetWorker]))

@@ -55,11 +55,6 @@ const (
 	// render as instants on the "fleet" track of the Perfetto export.
 	PhaseWorkerRegister   = "worker.register"
 	PhaseWorkerDeregister = "worker.deregister"
-	// PhaseCacheProbe is a worker-side span covering the worker's
-	// evaluation-cache lookup that preceded a dispatched evaluation. It ships
-	// back to the coordinator in the /v1/evaluate response envelope with an
-	// AttrCacheHit attr.
-	PhaseCacheProbe = "cache.probe"
 )
 
 // Event types.

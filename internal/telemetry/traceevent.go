@@ -102,7 +102,7 @@ func spanBounds(ev Event) spanInterval {
 // fleetProc accumulates the spans shipped back from one fleet worker.
 type fleetProc struct {
 	sims  map[int][]spanInterval // profiler-pool worker index → profile.sim
-	evals []spanInterval         // profile.run/profile.curves/cache.probe/...
+	evals []spanInterval         // profile.run/profile.curves/...
 	waits []Event                // budget.wait instants
 }
 
