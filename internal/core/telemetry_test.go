@@ -68,7 +68,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 			evals++
 		case telemetry.TypeSearchDiagnostics:
 			diagEvents++
-			if opt.DiagnosticsFromAttrs(ev.Attrs).Observations == 0 {
+			if d, err := opt.DiagnosticsFromAttrs(ev.Attrs); err != nil || d.Observations == 0 {
 				t.Fatalf("search.diagnostics event without observations: %+v", ev)
 			}
 		}
@@ -451,8 +451,8 @@ func TestDiagnosticsEventRidesWithItsRecord(t *testing.T) {
 		if !ok {
 			t.Fatalf("search.diagnostics event at iteration %d, whose record carries no snapshot", ev.Iter)
 		}
-		if got := opt.DiagnosticsFromAttrs(ev.Attrs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("iteration %d: event snapshot %+v, record's %+v", ev.Iter, got, want)
+		if got, err := opt.DiagnosticsFromAttrs(ev.Attrs); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d: event snapshot %+v (%v), record's %+v", ev.Iter, got, err, want)
 		}
 		if i+1 == len(events) || events[i+1].Type != telemetry.TypeEval ||
 			events[i+1].Iter != ev.Iter || events[i+1].Skipped {

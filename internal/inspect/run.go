@@ -60,7 +60,8 @@ type Run struct {
 // NewRun builds a Run from in-memory events, in stream order — the same
 // construction LoadRun applies to a file, for callers that already hold the
 // events (the service's job store). Only a structurally broken eval event
-// (no best_error attribute) is an error.
+// (no best_error attribute) or diagnostics event (an integer field that is
+// not a count) is an error.
 func NewRun(events []telemetry.Event) (*Run, error) {
 	run := &Run{Phases: make(map[string]PhaseStat)}
 	for i, ev := range events {
@@ -73,8 +74,9 @@ func NewRun(events []telemetry.Event) (*Run, error) {
 
 // LoadRun parses a JSONL run artifact. Malformed lines are skipped and
 // counted (Run.Malformed) rather than failing the load, so an artifact cut
-// mid-write still reads; only I/O errors and structurally broken eval events
-// (valid JSON missing the best_error attribute) are fatal.
+// mid-write still reads; only I/O errors and structurally broken eval or
+// diagnostics events (valid JSON missing the best_error attribute, or an
+// integer diagnostics field that is not a count) are fatal.
 func LoadRun(r io.Reader) (*Run, error) {
 	run := &Run{Phases: make(map[string]PhaseStat)}
 	var err error
@@ -119,8 +121,11 @@ func (run *Run) add(ev telemetry.Event) error {
 		}
 		run.Evals = append(run.Evals, eval)
 	case telemetry.TypeSearchDiagnostics:
-		run.Diagnostics = append(run.Diagnostics,
-			DiagRecord{Iter: ev.Iter, Diagnostics: opt.DiagnosticsFromAttrs(ev.Attrs)})
+		d, err := opt.DiagnosticsFromAttrs(ev.Attrs)
+		if err != nil {
+			return err
+		}
+		run.Diagnostics = append(run.Diagnostics, DiagRecord{Iter: ev.Iter, Diagnostics: d})
 	}
 	return nil
 }

@@ -114,6 +114,36 @@ func TestLoadRunRejectsBrokenEval(t *testing.T) {
 	}
 }
 
+// TestLoadRunRejectsNonCountDiagnostics: a diagnostics event whose integer
+// field is negative, fractional or past 2³¹ fails the load with the key in
+// the error, where converting it would give whatever the architecture makes
+// of it (amd64 read 1e300 as MinInt64, and the health verdict then skipped
+// the calibration check). The largest count still loads.
+func TestLoadRunRejectsNonCountDiagnostics(t *testing.T) {
+	for _, attr := range []string{
+		`"gp_jitter_level":1e300`,
+		`"gp_observations":1e300`,
+		`"acq_candidates":-3`,
+		`"gp_observations":12.5`,
+		`"acq_candidates":2147483648`,
+	} {
+		art := `{"type":"search.diagnostics","iter":3,"attrs":{` + attr + `}}` + "\n"
+		if _, err := LoadRun(strings.NewReader(art)); err == nil {
+			t.Errorf("%s: loaded, want an error", attr)
+		} else if key := strings.Split(attr, `"`)[1]; !strings.Contains(err.Error(), key) {
+			t.Errorf("%s: error %v should name %s", attr, err, key)
+		}
+	}
+	art := `{"type":"search.diagnostics","iter":3,"attrs":{"gp_observations":2147483647,"acq_candidates":0}}` + "\n"
+	run, err := LoadRun(strings.NewReader(art))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.Diagnostics[0].Observations; got != 1<<31-1 {
+		t.Errorf("Observations = %d, want %d", got, 1<<31-1)
+	}
+}
+
 // FuzzLoadRun feeds arbitrary bytes through LoadRun, the door every artifact
 // comes in by. It must never panic, and every run it accepts must render:
 // the report, its text and HTML views and its JSON summary, with no panic

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 
 	"datamime/internal/opt/linalg"
@@ -13,8 +14,8 @@ import (
 // and what the acquisition surface looked like when the proposal was chosen.
 //
 // Everything here is derived read-only from state the proposal already
-// materialized — the winning Cholesky factor, alpha vector, and EI score
-// pool — so collecting it cannot perturb the proposal stream: an
+// materialized — the winning Cholesky factor, alpha vector, and the EI
+// argmax's scores — so collecting it cannot perturb the proposal stream: an
 // instrumented search is bit-identical to an uninstrumented one.
 //
 // This struct is the only listing of the snapshot's fields: the JSON tags
@@ -44,11 +45,12 @@ type Diagnostics struct {
 	Coverage1 float64 `json:"coverage1"`
 	Coverage2 float64 `json:"coverage2"`
 
-	// Acquisition: the chosen candidate's EI against the scored pool, and
-	// the exploration-vs-exploitation split of the chosen EI's two terms.
-	// A collapsing chosen-vs-mean gap means the EI surface has flattened
-	// (stagnation); an exploit share near 1 means the search has stopped
-	// valuing uncertainty.
+	// Acquisition: the pool size, the chosen candidate's EI against the
+	// mean EI of the proposal's first 64 uniform candidates (all of them
+	// below 64), and the exploration-vs-exploitation split of the chosen
+	// EI's two terms. A collapsing chosen-vs-mean gap means the EI surface
+	// has flattened (stagnation); an exploit share near 1 means the search
+	// has stopped valuing uncertainty.
 	Candidates int     `json:"candidates"`
 	ChosenEI   float64 `json:"chosen_ei"`
 	PoolMeanEI float64 `json:"pool_mean_ei"`
@@ -106,17 +108,22 @@ func (d Diagnostics) Attrs() map[string]float64 {
 }
 
 // DiagnosticsFromAttrs is the inverse of Attrs; absent keys leave their
-// field zero, so snapshots written by older builds still decode.
-func DiagnosticsFromAttrs(attrs map[string]float64) Diagnostics {
+// field zero, so snapshots written by older builds still decode. An integer
+// field outside the whole numbers in [0, 2³¹) is an error: int() would make
+// of it whatever the architecture does (amd64 wraps 1e300 to MinInt64).
+func DiagnosticsFromAttrs(attrs map[string]float64) (Diagnostics, error) {
 	var d Diagnostics
 	for _, fl := range d.fields() {
-		if fl.i != nil {
-			*fl.i = int(attrs[fl.key])
+		v := attrs[fl.key]
+		if fl.f != nil {
+			*fl.f = v
+		} else if v >= 0 && v < 1<<31 && v == math.Trunc(v) {
+			*fl.i = int(v)
 		} else {
-			*fl.f = attrs[fl.key]
+			return Diagnostics{}, fmt.Errorf("opt: diagnostics attribute %s is %v, not a count", fl.key, v)
 		}
 	}
-	return d
+	return d, nil
 }
 
 // DiagnosticsReporter is implemented by optimizers that can report
@@ -146,7 +153,7 @@ func (b *BayesOpt) TakeDiagnostics() (Diagnostics, bool) {
 // captured (later constant-liar proposals are fit on lied observations).
 // All inputs were materialized by the proposal itself; nothing here touches
 // the RNG or mutates optimizer state beyond the snapshot fields.
-func (b *BayesOpt) captureDiagnostics(gp *GP, eis []float64, chosen int, x []float64, bestY float64) {
+func (b *BayesOpt) captureDiagnostics(gp *GP, candidates int, exploit, explore, sampleMean float64) {
 	if b.diagOK {
 		return
 	}
@@ -161,14 +168,10 @@ func (b *BayesOpt) captureDiagnostics(gp *GP, eis []float64, chosen int, x []flo
 	d.Condition = choleskyCondition(&gp.chol)
 	d.LOORMSE, d.LOOMaxZ, d.Coverage1, d.Coverage2 = gp.looStats()
 
-	d.Candidates = len(eis)
-	d.ChosenEI = eis[chosen]
-	var sum float64
-	for _, ei := range eis {
-		sum += ei
-	}
-	d.PoolMeanEI = sum / float64(len(eis))
-	d.ExploitEI, d.ExploreEI = b.scorer.eiTermsAt(gp, x, bestY, b.xi)
+	d.Candidates = candidates
+	d.ChosenEI = exploit + explore
+	d.PoolMeanEI = sampleMean
+	d.ExploitEI, d.ExploreEI = exploit, explore
 	b.diag, b.diagOK = d, true
 }
 

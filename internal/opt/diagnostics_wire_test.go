@@ -1,12 +1,17 @@
 package opt_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"datamime/internal/inspect"
 	"datamime/internal/opt"
+	"datamime/internal/telemetry"
 )
 
 // TestDiagnosticsWireTable pins the snapshot's field table against the struct
@@ -33,8 +38,8 @@ func TestDiagnosticsWireTable(t *testing.T) {
 	if len(attrs) != v.NumField() {
 		t.Fatalf("Attrs has %d keys for %d fields: %v", len(attrs), v.NumField(), attrs)
 	}
-	if back := opt.DiagnosticsFromAttrs(attrs); back != d {
-		t.Fatalf("Attrs -> DiagnosticsFromAttrs is not the identity:\nin  %+v\nout %+v", d, back)
+	if back, err := opt.DiagnosticsFromAttrs(attrs); err != nil || back != d {
+		t.Fatalf("Attrs -> DiagnosticsFromAttrs is not the identity:\nin  %+v\nout %+v (%v)", d, back, err)
 	}
 
 	// inspect.DiagRecord embeds the snapshot, so its JSON is the iteration
@@ -50,4 +55,61 @@ func TestDiagnosticsWireTable(t *testing.T) {
 	if want := `{"iter":7,` + string(snap[1:]); string(got) != want {
 		t.Fatalf("DiagRecord JSON = %s\nwant %s", got, want)
 	}
+}
+
+// FuzzDiagnosticsFromAttrs feeds arbitrary JSON through DiagnosticsFromAttrs,
+// the decoder of every search.diagnostics event an artifact carries. It must
+// never panic; a snapshot it accepts has no negative count, and encoding it
+// and decoding it again gives it back.
+func FuzzDiagnosticsFromAttrs(f *testing.F) {
+	// The seeds are the attributes of the diagnostics events in inspect's
+	// golden run and in FuzzLoadRun's diagnostics-overflow input.
+	golden, err := os.ReadFile("../inspect/testdata/run.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	corpus, err := os.ReadFile("../inspect/testdata/fuzz/FuzzLoadRun/diagnostics-overflow")
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, quoted, _ := strings.Cut(string(corpus), "[]byte(")
+	overflow, err := strconv.Unquote(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(quoted), ")")))
+	if err != nil {
+		f.Fatalf("diagnostics-overflow: %v", err)
+	}
+	seeds := 0
+	for _, artifact := range [][]byte{golden, []byte(overflow)} {
+		_, err := telemetry.ScanJSONL(bytes.NewReader(artifact), func(ev telemetry.Event) error {
+			if ev.Type != telemetry.TypeSearchDiagnostics {
+				return nil
+			}
+			data, err := json.Marshal(ev.Attrs)
+			f.Add(data)
+			seeds++
+			return err
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	if seeds == 0 {
+		f.Fatal("no diagnostics events to seed from")
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var attrs map[string]float64
+		if json.Unmarshal(data, &attrs) != nil {
+			return
+		}
+		d, err := opt.DiagnosticsFromAttrs(attrs)
+		if err != nil {
+			return
+		}
+		if d.Observations < 0 || d.JitterLevel < 0 || d.Candidates < 0 {
+			t.Fatalf("accepted a negative count: %+v", d)
+		}
+		if back, err := opt.DiagnosticsFromAttrs(d.Attrs()); err != nil || back != d {
+			t.Fatalf("Attrs -> DiagnosticsFromAttrs is not the identity:\nin  %+v\nout %+v (%v)", d, back, err)
+		}
+	})
 }

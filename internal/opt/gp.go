@@ -107,12 +107,12 @@ func center(ys, buf []float64) (mean float64, centered []float64) {
 	return mean, centered
 }
 
-// Predict returns the posterior mean and variance at x: the one-candidate
-// case of the acquisition scorer.
+// Predict returns the posterior mean and variance at x, as the acquisition
+// scorer computes them.
 func (g *GP) Predict(x []float64) (mu, sigma2 float64) {
 	var s scorer
-	p := s.predict(g, [][]float64{x})
-	return p.mu[0], p.s2[0]
+	mu, sigma2, _ = s.predict(g, x, 0, 0, math.Inf(-1))
+	return mu, sigma2
 }
 
 // LogMarginalLikelihood returns the GP's log evidence, used to select
@@ -198,106 +198,87 @@ func variance(ys []float64) float64 {
 
 // ExpectedImprovement returns EI(x) for a minimization problem given the
 // incumbent best observed value. xi is the exploration margin. It is the
-// one-candidate case of the acquisition scorer.
+// acquisition scorer's EI.
 func ExpectedImprovement(gp *GP, x []float64, best, xi float64) float64 {
 	var s scorer
-	exploit, explore := s.eiTermsAt(gp, x, best, xi)
+	mu, s2, _ := s.predict(gp, x, best, xi, math.Inf(-1))
+	exploit, explore := eiTerms(mu, s2, gp.noiseVar, best, xi)
 	return exploit + explore
 }
 
-// eiBlock is how many candidates the scorer carries through one pass over
-// the factor.
-const eiBlock = 4
-
-// scorer computes posterior means, variances and Expected Improvement for
-// candidates eiBlock at a time. Each pass reads every row of the factor once
-// for the whole block instead of once per candidate; every candidate keeps
-// its own accumulators and the order of every sum the one-candidate
-// arithmetic has, so a candidate's values do not depend on the block it
-// rides in or the lanes beside it. Its buffers are reused from pass to pass:
-// one scorer per goroutine.
+// scorer computes posterior means, variances and Expected Improvement one
+// candidate at a time, in a buffer reused from candidate to candidate: one
+// scorer per goroutine.
 type scorer struct {
-	v [eiBlock][]float64 // per lane: k* in, then L⁻¹k* in place
+	v []float64 // k* in, then L⁻¹k* in place
 }
 
-// posterior is one block's posterior means and variances, lane by lane.
-type posterior struct{ mu, s2 [eiBlock]float64 }
+// boundEvery is how many rows of a candidate's forward substitution run
+// between two tests of its EI bound.
+const boundEvery = 16
 
-// predict returns the posterior of the up to eiBlock candidates in block.
-// Per candidate, in this order: k* as kernel evaluations in xs order; μ as
-// the mean plus k*·α summed in ascending i; v = L⁻¹k* by forward
-// substitution, each row's sum in ascending k; σ² = k(x,x) − ‖v‖² summed in
-// ascending i, clamped at 0. Lanes past the block hold zeros.
-func (s *scorer) predict(g *GP, block [][]float64) (p posterior) {
+// predict returns the posterior at x. In this order: k* as kernel
+// evaluations in xs order; μ as the mean plus k*·α summed in ascending i;
+// v = L⁻¹k* by forward substitution, each row's sum in ascending k;
+// σ² = k(x,x) − ‖v‖² summed in ascending i, clamped at 0. Against a floor
+// above −Inf it gives up, with ok false, once eiBound at σ² = k(x,x) − q,
+// q the sum so far, is below floor: tested before row 0 and every
+// boundEvery rows. Adding squares never rounds q down, so the finished σ²
+// is at most any tested one.
+func (s *scorer) predict(g *GP, x []float64, best, xi, floor float64) (mu, s2 float64, ok bool) {
 	n := len(g.xs)
 	alpha := g.alpha[:n]
-	for l := range s.v {
-		if cap(s.v[l]) < n {
-			s.v[l] = make([]float64, n)
-		}
-		v := s.v[l][:n]
-		s.v[l] = v
-		if l >= len(block) {
-			clear(v)
-			continue
-		}
-		x := block[l]
-		var dot float64
-		for i, xi := range g.xs {
-			k := g.kernel.Eval(x, xi)
-			v[i] = k
-			dot += k * alpha[i]
-		}
-		p.mu[l] = g.mean + dot
+	if cap(s.v) < n {
+		s.v = make([]float64, n)
 	}
-	v0, v1, v2, v3 := s.v[0], s.v[1], s.v[2], s.v[3]
-	var q [eiBlock]float64
+	v := s.v[:n]
+	var dot float64
+	for i, p := range g.xs {
+		k := g.kernel.Eval(x, p)
+		v[i] = k
+		dot += k * alpha[i]
+	}
+	mu = g.mean + dot
+	kxx := g.kernel.Eval(x, x)
+	prune := floor > math.Inf(-1)
+	var q float64
 	for i, off := 0, 0; i < n; off, i = off+i+1, i+1 {
+		if prune && i%boundEvery == 0 && eiBound(mu, max(kxx-q, 0), g.noiseVar, best, xi) < floor {
+			return mu, 0, false
+		}
 		row := g.chol.Data[off : off+i+1]
-		done := row[:i]
-		a0, a1, a2, a3 := v0[:len(done)], v1[:len(done)], v2[:len(done)], v3[:len(done)]
-		y0, y1, y2, y3 := v0[i], v1[i], v2[i], v3[i]
-		for k, lk := range done {
-			y0 -= lk * a0[k]
-			y1 -= lk * a1[k]
-			y2 -= lk * a2[k]
-			y3 -= lk * a3[k]
+		a := v[:i]
+		y := v[i]
+		for k, lk := range row[:len(a)] {
+			y -= lk * a[k]
 		}
-		d := row[i]
-		y0, y1, y2, y3 = y0/d, y1/d, y2/d, y3/d
-		v0[i], v1[i], v2[i], v3[i] = y0, y1, y2, y3
-		q[0] += y0 * y0
-		q[1] += y1 * y1
-		q[2] += y2 * y2
-		q[3] += y3 * y3
+		y /= row[i]
+		v[i] = y
+		q += y * y
 	}
-	for l, x := range block {
-		s2 := g.kernel.Eval(x, x) - q[l]
-		if s2 < 0 {
-			s2 = 0
-		}
-		p.s2[l] = s2
-	}
-	return p
+	return mu, max(kxx-q, 0), true
 }
 
-// expectedImprovements writes EI(cands[i]) into eis[i] for every candidate.
-func (s *scorer) expectedImprovements(g *GP, cands [][]float64, best, xi float64, eis []float64) {
-	for start := 0; start < len(cands); start += eiBlock {
-		block := cands[start:min(start+eiBlock, len(cands))]
-		p := s.predict(g, block)
-		for l := range block {
-			exploit, explore := eiTerms(p.mu[l], p.s2[l], g.noiseVar, best, xi)
-			eis[start+l] = exploit + explore
-		}
-	}
-}
+// eiSlack scales the margin eiBound adds, in units of |imp| + s. With
+// u = 2⁻⁵³, a computed EI is within 5u·(|imp| + s) of the exact EI at the
+// same computed imp and s: Φ is within 2.5u absolutely, however small (Erf
+// is within 1 ulp, 1 + Erf is exact by Sterbenz where it cancels for z ≪ 0,
+// and Φ's argument is off by 3u relative, moving Φ by under u), so imp·Φ is
+// within 3.5u·|imp|; φ's exponent −z²/2 is off by 3u relative, so s·φ is
+// within (1.5z² + 6)u·sφ ≤ 0.4u·|imp| + 2.4u·s, as s·z² = |imp|·|z| and
+// |z|φ(z) ≤ 0.242; the sum adds u·(|imp| + 0.4s). The exact EI rises with
+// s, and s is computed monotonically from σ², so a candidate with σ² at
+// most the bound's has a computed EI at most the bound's computed EI plus
+// two such errors and the bound's own rounding: 11u·(|imp| + s). 2⁻⁴⁰ is
+// 8 192u, room for Erf and Exp to miss by a thousand ulps. Below s = 1e-12
+// eiTerms returns max(imp, 0), which the exact EI never falls below.
+const eiSlack = 0x1p-40
 
-// eiTermsAt splits EI(x) into its exploitation and exploration terms; EI is
-// their sum.
-func (s *scorer) eiTermsAt(g *GP, x []float64, best, xi float64) (exploit, explore float64) {
-	p := s.predict(g, [][]float64{x})
-	return eiTerms(p.mu[0], p.s2[0], g.noiseVar, best, xi)
+// eiBound bounds the computed EI of any posterior with mean mu and variance
+// at most s2 from above. A NaN anywhere makes it NaN, which prunes nothing.
+func eiBound(mu, s2, noiseVar, best, xi float64) float64 {
+	exploit, explore := eiTerms(mu, s2, noiseVar, best, xi)
+	return exploit + explore + eiSlack*(math.Abs(best-xi-mu)+math.Sqrt(s2+noiseVar))
 }
 
 // eiTerms splits EI at a posterior (μ, σ²) into its exploitation term

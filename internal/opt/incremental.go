@@ -226,24 +226,41 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 	}, nil
 }
 
-// argmaxEI scores every candidate's Expected Improvement and returns the
-// first index attaining the maximum, i.e. exactly the winner the serial
-// consider() loop used to pick. The returned scores are the optimizer's
-// buffer, valid until the next proposal.
-func (b *BayesOpt) argmaxEI(gp *GP, cands [][]float64, bestY float64) (int, []float64) {
-	if len(cands) == 0 {
-		return -1, nil
-	}
-	b.eis = slices.Grow(b.eis[:0], len(cands))[:len(cands)]
-	eis := b.eis
-	b.scorer.expectedImprovements(gp, cands, bestY, b.xi, eis)
-	best := -1
-	bestEI := math.Inf(-1)
-	for i, ei := range eis {
-		if ei > bestEI {
-			bestEI = ei
-			best = i
+// poolSample is how many of a proposal's first global candidates are
+// scored in full whatever their bound, for the diagnostics' PoolMeanEI.
+const poolSample = 64
+
+// argmaxEI returns the first index attaining the maximum EI over cands (the
+// first global uniform, the rest local), that EI's two terms, and the mean
+// EI of the first min(global, poolSample). It visits that sample, then the
+// local candidates, then the other global ones, and gives up on a candidate
+// once its bound is below the best EI so far; one that could win or tie is
+// scored in full, so the order moves nothing. idx is −1 when no EI is above
+// −Inf.
+func (b *BayesOpt) argmaxEI(gp *GP, cands [][]float64, global int, bestY float64) (idx int, exploit, explore, sampleMean float64) {
+	idx = -1
+	best := math.Inf(-1)
+	sample := min(global, poolSample)
+	var sum float64
+	for _, span := range [3][2]int{{0, sample}, {global, len(cands)}, {sample, global}} {
+		for i := span[0]; i < span[1]; i++ {
+			floor := best
+			if i < sample {
+				floor = math.Inf(-1)
+			}
+			mu, s2, ok := b.scorer.predict(gp, cands[i], bestY, b.xi, floor)
+			if !ok {
+				continue
+			}
+			e1, e2 := eiTerms(mu, s2, gp.noiseVar, bestY, b.xi)
+			ei := e1 + e2
+			if i < sample {
+				sum += ei
+			}
+			if ei > best || ei == best && i < idx {
+				idx, best, exploit, explore = i, ei, e1, e2
+			}
 		}
 	}
-	return best, eis
+	return idx, exploit, explore, sum / float64(sample)
 }

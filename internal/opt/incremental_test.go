@@ -276,3 +276,90 @@ func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheMatchesScratchOnNearSingularInserts: over 60 random observation
+// streams, dimensions 1 to 6 — each new point fresh, an exact duplicate of an
+// earlier one, or a duplicate moved by 1 ulp or by 1e-12 to 1e-4 in one
+// coordinate, arriving one at a time, several at once, or after a
+// constant-liar rewind — every cache entry's factor, jitter level, α and
+// log-determinant equal, bit for bit, those of factorize run from scratch on
+// the same observations. The test reports the highest jitter level any
+// entry needed.
+func TestCacheMatchesScratchOnNearSingularInserts(t *testing.T) {
+	rng := stats.NewRNG(11)
+	maxLevel := 0
+	for c := 0; c < 60; c++ {
+		dim := 1 + rng.IntN(6)
+		var xs [][]float64
+		var ys []float64
+		insert := func() {
+			x := make([]float64, dim)
+			for d := range x {
+				x[d] = rng.Float64()
+			}
+			if len(xs) > 0 && rng.IntN(3) > 0 {
+				copy(x, xs[rng.IntN(len(xs))])
+				if rng.IntN(2) == 0 {
+					d := rng.IntN(dim)
+					if eps := [5]float64{0, 1e-12, 1e-8, 1e-6, 1e-4}[rng.IntN(5)]; eps == 0 {
+						x[d] = math.Nextafter(x[d], 1-x[d])
+					} else {
+						x[d] = stats.Clamp(x[d]+eps, 0, 1)
+					}
+				}
+			}
+			xs = append(xs, x)
+			ys = append(ys, rng.NormFloat64())
+		}
+		cache := newSurrogateCache()
+		for len(xs) < 40 {
+			switch rng.IntN(6) {
+			case 0: // several rows arrive at once, as after a batch
+				for k := 2 + rng.IntN(3); k > 0; k-- {
+					insert()
+				}
+			case 1: // a lie is appended and rolled back, then the real row
+				saved, n := cache.snapshot(), len(xs)
+				insert()
+				cache.sync(xs)
+				xs, ys = xs[:n], ys[:n]
+				cache.restore(saved)
+				insert()
+			default:
+				insert()
+			}
+			cache.sync(xs)
+
+			sd := math.Sqrt(max(variance(ys), 1e-12))
+			_, centered := center(ys, nil)
+			solve := func(l *linalg.Tri) ([]float64, float64) {
+				a := make([]float64, l.N)
+				l.SolveLower(sd, centered, a)
+				l.SolveUpperT(sd, a, a)
+				return a, l.LogDet(sd)
+			}
+			for _, e := range cache.entries {
+				chol, jitter, level, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, xs, unitJitter(e.nf))
+				if e.ok != (err == nil) || e.n != len(xs) {
+					t.Fatalf("case %d, %d points, entry (%g, %g): cached ok %v over %d points, scratch error %v",
+						c, len(xs), e.ls, e.nf, e.ok, e.n, err)
+				}
+				if err != nil {
+					continue
+				}
+				maxLevel = max(maxLevel, level)
+				if e.level != level || math.Float64bits(e.jitter) != math.Float64bits(jitter) ||
+					e.chol.N != chol.N || !sameBits(e.chol.Data, chol.Data) {
+					t.Fatalf("case %d, %d points, entry (%g, %g): cached factor (level %d) differs from scratch (level %d)",
+						c, len(xs), e.ls, e.nf, e.level, level)
+				}
+				ca, cd := solve(&e.chol)
+				sa, sdet := solve(&chol)
+				if !sameBits(ca, sa) || math.Float64bits(cd) != math.Float64bits(sdet) {
+					t.Fatalf("case %d, %d points, entry (%g, %g): α or log-determinant differs from scratch", c, len(xs), e.ls, e.nf)
+				}
+			}
+		}
+	}
+	t.Logf("highest jitter level needed: %d", maxLevel)
+}

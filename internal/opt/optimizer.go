@@ -113,12 +113,11 @@ type BayesOpt struct {
 	diag   Diagnostics
 	diagOK bool
 	// A proposal's working storage, reused by the next: the candidate pool
-	// (views into one array), its scores, the scorer's buffers, the
-	// history as the surrogate fit reads it, and the ranking topAnchors
-	// sorts. A proposal hands out only a copy of its winner.
+	// (views into one array), the scorer's buffer, the history as the
+	// surrogate fit reads it, and the ranking topAnchors sorts. A proposal
+	// hands out only a copy of its winner.
 	pool    []float64
 	cands   [][]float64
-	eis     []float64
 	scorer  scorer
 	xs      [][]float64
 	ys      []float64
@@ -217,11 +216,11 @@ func (b *BayesOpt) Next() []float64 {
 			}
 		}
 	}
-	if idx, eis := b.argmaxEI(gp, cands, bestY); idx >= 0 {
+	if idx, exploit, explore, sampleMean := b.argmaxEI(gp, cands, b.candidates, bestY); idx >= 0 {
 		// Snapshot search health from state this proposal already
-		// materialized (factor, alpha, EI pool) — read-only, so the
+		// materialized (factor, alpha, EI scores) — read-only, so the
 		// proposal stream is unchanged whether anyone drains it or not.
-		b.captureDiagnostics(gp, eis, idx, cands[idx], bestY)
+		b.captureDiagnostics(gp, len(cands), exploit, explore, sampleMean)
 		return append([]float64(nil), cands[idx]...)
 	}
 	return b.space.Sample(b.rng)

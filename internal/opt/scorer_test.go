@@ -21,9 +21,9 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// The one-candidate loops the blocked scorer and the unit-factor selection
-// replaced, kept verbatim as their oracle: the factor read element by
-// element through At, one accumulator, one candidate at a time.
+// The loops the scorer and the unit-factor selection replaced, kept verbatim
+// as their oracle: the factor read element by element through At, one
+// accumulator, one candidate at a time.
 
 func refSolveLower(l *linalg.Tri, b []float64) []float64 {
 	y := make([]float64, l.N)
@@ -114,18 +114,19 @@ func refSurrogateFit(c *surrogateCache, ys []float64) (alpha []float64, chol lin
 	return alpha, chol, lml
 }
 
-// TestBlockedScorerMatchesReference: for random GPs — fitted by the
-// surrogate cache and by FitGP, n from 1 to 80, with duplicate observations
-// and candidates that duplicate observations or each other — the blocked
-// scorer gives every candidate's μ, σ² and EI, and the unit-factor
-// selection the winner's α, scaled factor and evidence, with the bit
-// patterns of the one-candidate reference loops. Pools of 1 to 13
-// candidates end in blocks of every width; one scorer serves every case, so
-// its buffers carry the previous case's values into the next.
-func TestBlockedScorerMatchesReference(t *testing.T) {
+// TestScorerMatchesReference: for random GPs — fitted by the surrogate
+// cache and by FitGP, n from 1 to 80, with duplicate observations and
+// candidates that duplicate observations or each other — the scorer gives
+// every candidate's μ, σ² and EI, and the unit-factor selection the winner's
+// α, scaled factor and evidence, with the bit patterns of the reference
+// loops. Scored again against a random floor, a candidate is either given
+// up on with its reference EI below the floor, or scored to the same bits.
+// One scorer serves every case, so its buffer carries the previous case's
+// values into the next.
+func TestScorerMatchesReference(t *testing.T) {
 	rng := stats.NewRNG(26)
 	var s scorer
-	tails := map[int]int{}
+	pruned := 0
 	for c := 0; c < 400; c++ {
 		n, dim := 1+rng.IntN(80), 1+rng.IntN(6)
 		point := func() []float64 {
@@ -165,7 +166,6 @@ func TestBlockedScorerMatchesReference(t *testing.T) {
 		}
 
 		pool := make([][]float64, 1+rng.IntN(13))
-		tails[len(pool)%eiBlock]++
 		for i := range pool {
 			switch rng.IntN(4) {
 			case 0:
@@ -184,31 +184,153 @@ func TestBlockedScorerMatchesReference(t *testing.T) {
 			best = min(best, y)
 		}
 
-		eis := make([]float64, len(pool))
-		s.expectedImprovements(g, pool, best, xi, eis)
-		for start := 0; start < len(pool); start += eiBlock {
-			block := pool[start:min(start+eiBlock, len(pool))]
-			p := s.predict(g, block)
-			for l, x := range block {
-				mu, s2 := refPredict(g, x)
-				ei := refExpectedImprovement(g, x, best, xi)
-				if math.Float64bits(p.mu[l]) != math.Float64bits(mu) || math.Float64bits(p.s2[l]) != math.Float64bits(s2) ||
-					math.Float64bits(eis[start+l]) != math.Float64bits(ei) {
-					t.Fatalf("case %d (n %d, pool %d) candidate %d: blocked (μ %v, σ² %v, EI %v), reference (μ %v, σ² %v, EI %v)",
-						c, n, len(pool), start+l, p.mu[l], p.s2[l], eis[start+l], mu, s2, ei)
-				}
-				if m1, v1 := g.Predict(x); math.Float64bits(m1) != math.Float64bits(mu) || math.Float64bits(v1) != math.Float64bits(s2) {
-					t.Fatalf("case %d candidate %d: Predict (%v, %v), reference (%v, %v)", c, start+l, m1, v1, mu, s2)
-				}
-				if e1 := ExpectedImprovement(g, x, best, xi); math.Float64bits(e1) != math.Float64bits(ei) {
-					t.Fatalf("case %d candidate %d: ExpectedImprovement %v, reference %v", c, start+l, e1, ei)
-				}
+		for i, x := range pool {
+			mu, s2, _ := s.predict(g, x, best, xi, math.Inf(-1))
+			exploit, explore := eiTerms(mu, s2, g.noiseVar, best, xi)
+			rmu, rs2 := refPredict(g, x)
+			ei := refExpectedImprovement(g, x, best, xi)
+			if math.Float64bits(mu) != math.Float64bits(rmu) || math.Float64bits(s2) != math.Float64bits(rs2) ||
+				math.Float64bits(exploit+explore) != math.Float64bits(ei) {
+				t.Fatalf("case %d (n %d) candidate %d: scorer (μ %v, σ² %v, EI %v), reference (μ %v, σ² %v, EI %v)",
+					c, n, i, mu, s2, exploit+explore, rmu, rs2, ei)
+			}
+			if m1, v1 := g.Predict(x); math.Float64bits(m1) != math.Float64bits(rmu) || math.Float64bits(v1) != math.Float64bits(rs2) {
+				t.Fatalf("case %d candidate %d: Predict (%v, %v), reference (%v, %v)", c, i, m1, v1, rmu, rs2)
+			}
+			if e1 := ExpectedImprovement(g, x, best, xi); math.Float64bits(e1) != math.Float64bits(ei) {
+				t.Fatalf("case %d candidate %d: ExpectedImprovement %v, reference %v", c, i, e1, ei)
+			}
+			floor := ei * rng.Range(0.5, 1.5)
+			mu, s2, ok := s.predict(g, x, best, xi, floor)
+			switch {
+			case !ok && ei >= floor:
+				t.Fatalf("case %d candidate %d: given up on below floor %v with EI %v", c, i, floor, ei)
+			case !ok:
+				pruned++
+			case math.Float64bits(mu) != math.Float64bits(rmu) || math.Float64bits(s2) != math.Float64bits(rs2):
+				t.Fatalf("case %d candidate %d: scored against a floor (μ %v, σ² %v), reference (μ %v, σ² %v)", c, i, mu, s2, rmu, rs2)
 			}
 		}
 	}
-	for tail := 0; tail < eiBlock; tail++ {
-		if tails[tail] == 0 {
-			t.Fatalf("no pool ending in a block of %d: %v", (tail+eiBlock-1)%eiBlock+1, tails)
+	if pruned == 0 {
+		t.Fatal("no candidate was given up on: the floors never bit")
+	}
+}
+
+// fullScan is the argmax the pruned one replaced: every candidate's EI, in
+// index order, the first index attaining the maximum, and the mean of the
+// first min(global, poolSample).
+func fullScan(eis []float64, global int) (idx int, best, sampleMean float64) {
+	idx, best = -1, math.Inf(-1)
+	for i, ei := range eis {
+		if ei > best {
+			idx, best = i, ei
 		}
 	}
+	sample := min(global, poolSample)
+	var sum float64
+	for _, ei := range eis[:sample] {
+		sum += ei
+	}
+	return idx, best, sum / float64(sample)
+}
+
+// TestPrunedArgmaxMatchesFullScan: over 500 random GPs — n from 1 to 250,
+// dimensions 1 to 8, duplicate observations, FitGP's jitter ladder — and
+// pools of up to 150 global and 60 local candidates sprinkled with copies
+// and 1-ulp perturbations of one point, with the incumbent set so that a
+// reference candidate's z runs from −40 to +10, the pruned argmax returns
+// the full scan's index, its EI bits and the sample mean's bits; the full
+// scan scores every candidate to the end, to the reference's bits
+// (TestScorerMatchesReference). Each pool is then rearranged so that its
+// winner sits in a local slot, visited before the later global ones, and a
+// copy of it in a global slot past the sample, visited last but at the lower
+// index: the copy must still win the tie.
+func TestPrunedArgmaxMatchesFullScan(t *testing.T) {
+	rng := stats.NewRNG(39)
+	b := &BayesOpt{xi: 0.01}
+	var full scorer
+	ties := 0
+	for c := 0; c < 500; c++ {
+		n, dim := 1+rng.IntN(250), 1+rng.IntN(8)
+		point := func() []float64 {
+			x := make([]float64, dim)
+			for d := range x {
+				x[d] = rng.Float64()
+			}
+			return x
+		}
+		xs, ys := make([][]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = point()
+			if i > 0 && rng.IntN(5) == 0 {
+				xs[i] = xs[rng.IntN(i)]
+			}
+			ys[i] = rng.NormFloat64()
+		}
+		kernel := Matern52{Variance: rng.Range(0.1, 3), LengthScale: rng.Range(0.05, 1)}
+		noise := [3]float64{0, 1e-6, 1e-2}[rng.IntN(3)]
+		g, err := FitGP(kernel, noise, xs, ys)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+
+		global, local := 1+rng.IntN(150), rng.IntN(61)
+		cands := make([][]float64, global+local)
+		base := point()
+		for i := range cands {
+			switch rng.IntN(6) {
+			case 0:
+				cands[i] = append([]float64(nil), base...)
+			case 1:
+				x := append([]float64(nil), base...)
+				d := rng.IntN(dim)
+				x[d] = math.Nextafter(x[d], float64(rng.IntN(2)))
+				cands[i] = x
+			case 2:
+				cands[i] = append([]float64(nil), xs[rng.IntN(n)]...)
+			default:
+				cands[i] = point()
+			}
+		}
+		mu, s2 := g.Predict(base)
+		best := b.xi + mu + rng.Range(-40, 10)*math.Sqrt(s2+g.noiseVar)
+
+		eis := make([]float64, len(cands))
+		for i, x := range cands {
+			mu, s2, _ := full.predict(g, x, best, b.xi, math.Inf(-1))
+			exploit, explore := eiTerms(mu, s2, g.noiseVar, best, b.xi)
+			eis[i] = exploit + explore
+		}
+		check := func(what string) {
+			t.Helper()
+			wantIdx, wantEI, wantMean := fullScan(eis, global)
+			idx, exploit, explore, mean := b.argmaxEI(g, cands, global, best)
+			ei := exploit + explore
+			if idx != wantIdx || math.Float64bits(ei) != math.Float64bits(wantEI) ||
+				math.Float64bits(mean) != math.Float64bits(wantMean) {
+				t.Fatalf("case %d (n %d, %d+%d candidates) %s: pruned (%d, EI %v, mean %v), full scan (%d, EI %v, mean %v)",
+					c, n, global, local, what, idx, ei, mean, wantIdx, wantEI, wantMean)
+			}
+		}
+		check("as drawn")
+
+		sample := min(global, poolSample)
+		if local == 0 || global <= sample {
+			continue
+		}
+		w, _, _ := fullScan(eis, global)
+		l, j := global+rng.IntN(local), sample+rng.IntN(global-sample)
+		cands[w], cands[l] = cands[l], cands[w]
+		eis[w], eis[l] = eis[l], eis[w]
+		cands[j], eis[j] = append([]float64(nil), cands[l]...), eis[l]
+		if w, _, _ := fullScan(eis, global); w == j {
+			ties++
+		}
+		check("with the winner local and a copy at a later-visited global index")
+	}
+	if ties < 100 {
+		t.Fatalf("only %d cases had a later-visited global copy win the tie", ties)
+	}
+	t.Logf("%d cases had a later-visited global copy win the tie", ties)
 }

@@ -218,7 +218,7 @@ func TestSSEDiagnosticsFramesPrecedeDone(t *testing.T) {
 			continue
 		}
 		diagIdx = append(diagIdx, i)
-		if d := opt.DiagnosticsFromAttrs(ev.Attrs); d.Observations == 0 || d.Candidates == 0 {
+		if d, err := opt.DiagnosticsFromAttrs(ev.Attrs); err != nil || d.Observations == 0 || d.Candidates == 0 {
 			t.Fatalf("diagnostics line incomplete: %+v", ev)
 		}
 		if i+1 >= len(events) || events[i+1].Type != telemetry.TypeEval || events[i+1].Iter != ev.Iter || events[i+1].Skipped {
