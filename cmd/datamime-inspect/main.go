@@ -231,7 +231,7 @@ func runTimeline(args []string) error {
 	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
 	artifact := fs.String("artifact", "", "run artifact (JSONL) with timed spans, a file or http(s) URL (required)")
 	trace := fs.String("trace", "", "also write the run's Chrome/Perfetto trace-event JSON to this file and validate it")
-	minSpeedup := fs.Float64("min-efficiency", 0, "fail (exit 1) when the profiler pool's speedup over serial falls below this factor")
+	minSpeedup := fs.Float64("min-efficiency", 0, "fail (exit 1) when the profiles' busy/wall speedup over serial falls below this factor")
 	_ = fs.Parse(args)
 	if *artifact == "" {
 		return fmt.Errorf("timeline: -artifact is required")

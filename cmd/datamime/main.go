@@ -83,8 +83,9 @@ func run(name string, iterations int, seed uint64, quiet, quick bool, parallel i
 		st = datamime.QuickSettings()
 	}
 
-	// One LocalBackend per process: its profilers sweep GOMAXPROCS wide on
-	// its one budget, which the target profile and every candidate share.
+	// One LocalBackend per process: its profilers draw on its one budget of
+	// GOMAXPROCS profiles, which the target profile and every candidate
+	// share.
 	local := backend.NewLocalBackend()
 	profiler := local.Profiler(datamime.Broadwell())
 	profiler.Spec = st.Spec

@@ -64,17 +64,13 @@ func Run(m *Machine, b Benchmark, srv Server, windows int, seed uint64, maxReque
 // Optional server capabilities: implement these alongside Server to opt
 // into richer profiling.
 //
-// A Benchmark's NewServer is called once per profiling run, concurrently in
-// a pooled sweep. It may hand its servers immutable built state (the dnn
-// generator shares one weight build per dataset seed, the memcached
-// generators one store population) but nothing a server writes; the Warmable
-// contract below is unchanged by such sharing. Such state lives as long as
-// the Benchmark holding the factory: share in a Benchmark made per candidate
-// and dropped after its profile, not in one held for the life of the process.
+// A Benchmark's NewServer is called once per profile — concurrently when
+// candidates are profiled in parallel — and the one server it returns
+// serves every cache allocation the profile measures.
 type (
 	// Warmable servers pre-touch their dataset before measurement, so
-	// profiles reflect a long-running service's steady state. Identically
-	// built servers must emit identical warm events (see workload.Warmable).
+	// profiles reflect a long-running service's steady state. The warm is
+	// the first phase of the profile's one pass (see workload.Warmable).
 	Warmable = workload.Warmable
 	// Compressible servers report their snapshot compression ratio (the
 	// §III-D extension metric).

@@ -20,28 +20,14 @@ func generatorSize() Config {
 	}
 }
 
-// BenchmarkNew measures one population — what every run of a sweep paid
-// before the build was shared per candidate, and what a candidate pays once.
+// BenchmarkNew measures one population — what a candidate's profile pays
+// once.
 func BenchmarkNew(b *testing.B) {
 	b.Run("generator-size", func(b *testing.B) {
 		b.ReportAllocs()
 		cfg := generatorSize()
 		for i := 0; i < b.N; i++ {
 			benchServer = New(cfg, trace.NewCodeLayout(), 1)
-		}
-	})
-}
-
-// BenchmarkSharedServer measures one server taken from a kept build: the
-// copy of the value halves and the heap, and twelve code regions.
-func BenchmarkSharedServer(b *testing.B) {
-	b.Run("generator-size", func(b *testing.B) {
-		b.ReportAllocs()
-		newServer := Shared(generatorSize())
-		benchServer = newServer(trace.NewCodeLayout(), 1) // populates
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			benchServer = newServer(trace.NewCodeLayout(), 1)
 		}
 	})
 }

@@ -124,59 +124,6 @@ func TestOracle(t *testing.T) {
 	}
 }
 
-// TestSharedEqualsNew: a server from a kept build is New's server, on every
-// config — the churning ones reach the copy-before-write no generator
-// candidate does. A server's writes never reach the build: a second one,
-// taken after the first handled its 30 000 requests, is still New's. Another
-// seed replaces the build.
-func TestSharedEqualsNew(t *testing.T) {
-	for _, c := range oracleConfigs() {
-		newServer := Shared(c.cfg)
-		for _, i := range [3]int{0, 0, 1} {
-			seed, want := oracleSeeds[i], oracle[c.name][i]
-			if got := observe(newServer(trace.NewCodeLayout(), seed)); got != want {
-				t.Errorf("%s seed %d:\n got %#v\nwant %#v", c.name, seed, got, want)
-			}
-		}
-	}
-}
-
-// sameArray reports whether two non-empty slices start at one element.
-func sameArray[T any](a, b []T) bool { return &a[0] == &b[0] }
-
-// TestSharedBuildsOncePerSeed: servers of one seed read one build's key
-// halves and own their value halves; only a server that inserts or removes a
-// key copies the former; another seed's server reads another build.
-func TestSharedBuildsOncePerSeed(t *testing.T) {
-	cfg := smallConfig()
-	newServer := Shared(cfg)
-	a, b := newServer(trace.NewCodeLayout(), 5), newServer(trace.NewCodeLayout(), 5)
-	if !sameArray(a.store.keys, b.store.keys) || !sameArray(a.perm, b.perm) {
-		t.Fatal("two servers of one seed populated twice")
-	}
-	if sameArray(a.store.entries, b.store.entries) || a.store.heap == b.store.heap {
-		t.Fatal("two servers share what requests write")
-	}
-	if c := newServer(trace.NewCodeLayout(), 6); sameArray(c.store.keys, a.store.keys) {
-		t.Fatal("a server of another seed got the first seed's build")
-	}
-
-	var null trace.Null
-	a.store.Get(null, 1)
-	a.store.Set(null, 1, 16, 64, 9, a.budget) // a replacement
-	if !sameArray(a.store.keys, b.store.keys) {
-		t.Fatal("a read and a replacement copied the key halves")
-	}
-	a.store.Set(null, uint64(cfg.NumKeys), 16, 64, 9, a.budget) // a fresh insert
-	if sameArray(a.store.keys, b.store.keys) || sameArray(a.store.heads, b.store.heads) {
-		t.Fatal("an insert wrote the kept build's key halves")
-	}
-	b.store.Delete(null, 1)
-	if b.store.borrowed {
-		t.Fatal("a removal wrote the kept build's key halves")
-	}
-}
-
 // TestOracleStore drives a bare store with long chains (500 ids over 64
 // buckets) through inserts, replacements, hits, misses, deletes and
 // memory-limit evictions, so the unlink sees heads, middles and tails.

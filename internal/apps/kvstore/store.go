@@ -24,10 +24,8 @@ import (
 // item header: a 48-byte header plus separately-allocated key and value
 // storage.
 //
-// slotKey is the half only an insert or a removal writes: once population
-// ends it is a pure function of (Config, seed), so the servers of one kept
-// build read the same array (Shared). next threads the bucket's chain through
-// the slots in insertion order; -1 ends it.
+// slotKey is the half only an insert or a removal writes. next threads the
+// bucket's chain through the slots in insertion order; -1 ends it.
 type slotKey struct {
 	hash    uint64
 	keyAddr uint64
@@ -57,10 +55,6 @@ type Store struct {
 	keys    []slotKey
 	entries []entry
 	free    []int32 // recycled slots
-	// borrowed: keys and heads belong to a kept build other servers read;
-	// own copies them before the first write.
-	borrowed bool
-
 	lruHead int32
 	lruTail int32
 	count   int
@@ -81,22 +75,6 @@ type storeCode struct {
 	evict  *trace.CodeRegion
 	lru    *trace.CodeRegion
 	crawl  *trace.CodeRegion
-}
-
-// like lays c's regions out in layout, in NewStore's order, each cursor
-// where c's stands.
-func (c storeCode) like(layout *trace.CodeLayout) storeCode {
-	return storeCode{
-		hash:   layout.RegionLike(c.hash),
-		lookup: layout.RegionLike(c.lookup),
-		getHit: layout.RegionLike(c.getHit),
-		getMis: layout.RegionLike(c.getMis),
-		set:    layout.RegionLike(c.set),
-		alloc:  layout.RegionLike(c.alloc),
-		evict:  layout.RegionLike(c.evict),
-		lru:    layout.RegionLike(c.lru),
-		crawl:  layout.RegionLike(c.crawl),
-	}
 }
 
 // NewStore builds an empty store with the given number of hash buckets. The
@@ -212,9 +190,7 @@ func (s *Store) Set(col trace.Collector, id uint64, keySize, valSize int, fprint
 		s.lruBump(col, idx)
 		return
 	}
-	// Fresh insert, linked at the tail find stopped at (an index, so it
-	// survives own's copy).
-	s.own()
+	// Fresh insert, linked at the tail find stopped at.
 	col.Exec(s.code.alloc, 950)
 	ni := s.newEntry()
 	keyAddr := s.heap.Alloc(keySize + entryHeaderBytes)
@@ -279,18 +255,6 @@ func (s *Store) find(col trace.Collector, h uint64) (idx, tail int32) {
 		pos++
 	}
 	return -1, tail
-}
-
-// own makes the key halves and chain heads this store's to write: a store
-// built from a kept build copies them, once, before its first insert or
-// removal. A store that only reads and replaces values never does.
-func (s *Store) own() {
-	if !s.borrowed {
-		return
-	}
-	s.keys = append([]slotKey(nil), s.keys...)
-	s.heads = append([]int32(nil), s.heads...)
-	s.borrowed = false
 }
 
 // newEntry returns a fresh or recycled slot for the caller to fill.
@@ -366,7 +330,6 @@ func (s *Store) evictTail(col trace.Collector) {
 // removeEntry unlinks an entry from its chain and the LRU list and frees
 // its storage.
 func (s *Store) removeEntry(col trace.Collector, idx int32) {
-	s.own()
 	k := &s.keys[idx]
 	// Chain unlink: walk the bucket to find the position (pointer chase).
 	b := k.hash % uint64(len(s.heads))

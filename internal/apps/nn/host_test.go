@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -69,34 +68,5 @@ func TestHandleAllocatesNothing(t *testing.T) {
 	s.Handle(null, rng)
 	if n := testing.AllocsPerRun(3, func() { s.Handle(null, rng) }); n != 0 {
 		t.Fatalf("Handle allocates %v times per call", n)
-	}
-}
-
-// TestSharedBuildsOncePerSeed: servers of one seed read the same parameters
-// and emit what a one-shot server does; another seed replaces them; nothing
-// shared names a code region.
-func TestSharedBuildsOncePerSeed(t *testing.T) {
-	newServer := Shared(tinySpec(), "dnn")
-	a, b := newServer(trace.NewCodeLayout(), 5), newServer(trace.NewCodeLayout(), 5)
-	if a.model.shared != b.model.shared {
-		t.Fatal("two servers of one seed built their parameters twice")
-	}
-	for i, l := range a.model.shared.layers {
-		if l.code != nil {
-			t.Fatalf("shared layer %d holds a code region", i)
-		}
-	}
-	if c := newServer(trace.NewCodeLayout(), 6); c.model.shared == a.model.shared {
-		t.Fatal("a server of another seed got the first seed's parameters")
-	}
-
-	// b runs after a on the parameters they share: it must see none of a's
-	// run and emit what a server that shares nothing does.
-	a.Handle(trace.NewRecorder(), stats.NewRNG(7))
-	want, got := trace.NewRecorder(), trace.NewRecorder()
-	New(tinySpec(), trace.NewCodeLayout(), 5).Handle(want, stats.NewRNG(8))
-	b.Handle(got, stats.NewRNG(8))
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("shared server emitted %+v, one-shot server %+v", got, want)
 	}
 }

@@ -63,8 +63,8 @@ func (s NetSpec) Validate() error {
 // params is the part of a built model that is a pure function of
 // (spec, seed) and is never written once buildParams returns: the drawn
 // parameters, their simulated placement and the two simulated activation
-// arenas. The runs of a sweep share one (Shared), so its layers carry no
-// code region — regions hold a cursor and belong to one run's layout.
+// arenas. Its layers carry no code region: regions hold a cursor and
+// belong to the model's layout (params.model).
 type params struct {
 	spec       NetSpec
 	layers     []layer

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"sync"
-
 	"datamime/internal/stats"
 	"datamime/internal/trace"
 )
@@ -30,33 +28,6 @@ func NewServer(model *Model, name string) *Server {
 // New builds the model from spec and wraps it, in one step.
 func New(spec NetSpec, layout *trace.CodeLayout, seed uint64) *Server {
 	return NewServer(Build(spec, layout, seed), "dnn")
-}
-
-// Shared returns a server constructor for spec that builds the model's
-// parameters once per seed and hands every server of that seed the same
-// ones: the profiler builds one server per run of a sweep, all with one
-// dataset seed, and the parameters — drawn weights and their simulated
-// addresses — are a pure function of (spec, seed) that no server writes.
-// What a run advances (code-region cursors, host activations, the input
-// tensor) is built per call, in that call's layout, so a shared server emits
-// exactly what New's would. One seed is kept: a call with another seed
-// replaces it. The lock is held across a build so that concurrent runs of
-// one sweep wait for the first instead of each drawing the weights.
-func Shared(spec NetSpec, name string) func(*trace.CodeLayout, uint64) *Server {
-	var (
-		mu   sync.Mutex
-		seed uint64
-		p    *params
-	)
-	return func(layout *trace.CodeLayout, s uint64) *Server {
-		mu.Lock()
-		if p == nil || seed != s {
-			p, seed = buildParams(spec, s), s
-		}
-		built := p
-		mu.Unlock()
-		return NewServer(built.model(layout), name)
-	}
 }
 
 // Name implements workload.Server.

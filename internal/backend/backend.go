@@ -48,7 +48,10 @@ import (
 //	    Then EvalRequest's key and the cache.probe span, with the worker's
 //	    own cache: a newer worker ignores an older coordinator's key, and
 //	    an older worker skips its cache for a request without one.
-const ProtocolVersion = 2
+//	3 — one-pass profiles (profile.Method): the same EvalRequest measures
+//	    another profile than a version-2 worker's multi-run sweep, so a
+//	    version-2 worker is refused at registration and at healthz.
+const ProtocolVersion = 3
 
 // Evaluation kinds.
 const (
@@ -62,8 +65,8 @@ const (
 
 // ProfilerSpec is the serializable description of a profile.Profiler: the
 // machine by name plus what is measured (profile.Spec — every budget knob
-// that enters core.EvalKey, marshaled flat). Workers, Budget, and Telemetry
-// are deliberately absent — they change how fast a profile is measured,
+// that enters core.EvalKey, marshaled flat). Budget and Telemetry are
+// deliberately absent — they change how fast a profile is measured,
 // never what is measured — so the receiving side is free to pick its own
 // parallelism. Zero-valued fields are meaningful (e.g. WarmupWindows 0) and
 // are always marshaled.

@@ -281,12 +281,16 @@ func TestDispatchHeartbeatDedup(t *testing.T) {
 		t.Fatalf("registered = %d, want 1 (heartbeats are not churn)", c.Registered)
 	}
 
-	// A version-mismatched registration is rejected outright.
+	// A version-mismatched registration is rejected outright: a newer
+	// worker's, and a version-2 worker's, which profiles as a multi-run
+	// sweep.
 	bad := reg
 	bad.URL = "http://w1:9090"
-	bad.Protocol = ProtocolVersion + 1
-	if _, err := d.RegisterURL(bad); err == nil {
-		t.Fatal("accepted a protocol-mismatched registration")
+	for _, v := range []int{ProtocolVersion + 1, 2} {
+		bad.Protocol = v
+		if _, err := d.RegisterURL(bad); err == nil {
+			t.Fatalf("accepted a protocol-%d registration", v)
+		}
 	}
 }
 

@@ -26,10 +26,9 @@ import (
 // the in-process path for the same request.
 //
 // Every profiler it builds (Profiler) — for its own evaluations and for
-// whatever else its process profiles — sweeps GOMAXPROCS wide and draws on
-// the backend's one budget, so the process never runs more simulations at
-// once than the budget holds. Neither the width nor the budget can change
-// a measured value (DESIGN §3c).
+// whatever else its process profiles — draws on the backend's one budget,
+// so the process never runs more profiles at once than the budget holds.
+// The budget cannot change a measured value (DESIGN §3c).
 type LocalBackend struct {
 	// budget caps the simulations in flight across every profiler the
 	// backend builds.
@@ -55,13 +54,11 @@ func NewLocalBackend(extra ...datagen.Generator) *LocalBackend {
 	return l
 }
 
-// Profiler returns a profiler for machine with the evaluation defaults,
-// sweeping GOMAXPROCS wide on the backend's budget. It is the one place a
-// process decides its sweep width: every binary builds its profilers here,
-// so everything a process simulates shares one pool of tokens.
+// Profiler returns a profiler for machine with the evaluation defaults, on
+// the backend's budget. Every binary builds its profilers here, so
+// everything a process simulates shares one pool of tokens.
 func (l *LocalBackend) Profiler(machine sim.MachineConfig) *profile.Profiler {
 	pr := profile.New(machine)
-	pr.Workers = runtime.GOMAXPROCS(0)
 	pr.Budget = l.budget
 	return pr
 }

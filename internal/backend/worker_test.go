@@ -195,14 +195,17 @@ func TestWorkerHealthHandshake(t *testing.T) {
 // protocol version fails the handshake instead of risking silently
 // reinterpreted requests.
 func TestRemoteBackendRejectsProtocolMismatch(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		writeWire(rw, http.StatusOK, WorkerHealth{Protocol: ProtocolVersion + 1, Name: "future"})
-	}))
-	defer ts.Close()
-	rb := NewRemoteBackend(ts.URL, "future")
-	err := rb.Health(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "protocol") {
-		t.Fatalf("err = %v, want protocol mismatch", err)
+	// A version-2 worker profiles as a multi-run sweep.
+	for _, v := range []int{ProtocolVersion + 1, 2} {
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			writeWire(rw, http.StatusOK, WorkerHealth{Protocol: v, Name: "other"})
+		}))
+		rb := NewRemoteBackend(ts.URL, "other")
+		err := rb.Health(context.Background())
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), "protocol") {
+			t.Fatalf("protocol %d: err = %v, want protocol mismatch", v, err)
+		}
 	}
 }
 

@@ -30,8 +30,7 @@ type EvalCache interface {
 // simulator is deterministic), so the profile — not the objective value —
 // is what the cache stores: one cached measurement serves any objective.
 //
-// Profiler.Workers, Profiler.Budget, and Profiler.Telemetry are
-// deliberately excluded: they control how fast (and how observably) a
+// Profiler.Budget and Profiler.Telemetry are deliberately excluded: they control how fast (and how observably) a
 // profile is measured, never what is measured, so serial and parallel runs
 // share cache entries.
 func EvalKey(generator string, pr *profile.Profiler, x []float64, seed uint64) string {

@@ -77,15 +77,12 @@ type SearchConfig struct {
 	// structure either way: the trace holds one record per evaluation, and
 	// the run is deterministic for a given (Seed, Parallel).
 	Parallel int
-	// ProfileWorkers bounds the intra-evaluation profiler parallelism: each
-	// candidate's way-curve sweep runs its independent partition simulations
-	// on up to this many workers (see profile.Profiler.Workers). 0 leaves
-	// the Profiler's own setting; 1 forces serial sweeps. Profiles are
-	// bit-identical at any worker count, so this knob — like Parallel — can
-	// never change a search's results, only its wall-clock time. The two
-	// levels compose under one shared budget of max(Parallel,
-	// ProfileWorkers) concurrent simulations, so Parallel×ProfileWorkers
-	// goroutines never oversubscribe the machine.
+	// ProfileWorkers has no effect. When the Profiler has no Budget, the
+	// search gives a private copy of it one of max(Parallel,
+	// ProfileWorkers) concurrent profiles, but a profile is one pass on one
+	// core and the search runs at most Parallel at once, so a width above
+	// Parallel never binds. It is kept only because the benchmark harness
+	// sets it; it goes, with its max term, when that harness next changes.
 	ProfileWorkers int
 	// OnEvalError selects the failure policy (default EvalFailFast).
 	OnEvalError EvalErrorPolicy
@@ -376,24 +373,14 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		parallel = 1
 	}
 
-	// Apply the profile-level parallelism knob on a copy, leaving the
-	// caller's Profiler untouched, and cap the total number of concurrent
-	// simulations across candidate batching × way-curve sweeps with one
-	// shared budget. Neither Workers nor Budget enters EvalKey: they cannot
-	// change measured profiles (see profile.Profiler.Workers).
+	// Cap the simulations in flight with one budget of max(Parallel,
+	// ProfileWorkers) profiles, on a copy, leaving the caller's Profiler
+	// untouched. The Budget does not enter EvalKey: it cannot change a
+	// measured profile.
 	profiler := cfg.Profiler
-	if cfg.ProfileWorkers > 0 || parallel > 1 {
+	if simCap := max(parallel, cfg.ProfileWorkers); simCap > 1 && cfg.Profiler.Budget == nil {
 		pc := *cfg.Profiler
-		if cfg.ProfileWorkers > 0 {
-			pc.Workers = cfg.ProfileWorkers
-		}
-		simCap := parallel
-		if pc.Workers > simCap {
-			simCap = pc.Workers
-		}
-		if simCap > 1 && pc.Budget == nil {
-			pc.Budget = profile.NewBudget(simCap)
-		}
+		pc.Budget = profile.NewBudget(simCap)
 		profiler = &pc
 	}
 

@@ -337,7 +337,7 @@ func TestResumeDeterministicWithTelemetry(t *testing.T) {
 // profile.sim and budget.wait spans included) must produce results
 // bit-identical to an uninstrumented run, and the collected stream must
 // export as a structurally valid Perfetto trace. Run under -race this also
-// proves the collector is safe against the pool's concurrent emitters.
+// proves the collector is safe against concurrent profiles' emitters.
 func TestTraceExportTelemetryBitIdentical(t *testing.T) {
 	plain, err := Search(metricSearchConfig(8, 2, 42))
 	if err != nil {
@@ -350,7 +350,6 @@ func TestTraceExportTelemetryBitIdentical(t *testing.T) {
 	cfg.ProfileWorkers = 2
 	cfg.Telemetry = rec
 	cfg.Profiler.Telemetry = rec
-	cfg.Profiler.Workers = 2
 	traced, err := Search(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -53,15 +53,11 @@ func Memcached() Generator {
 				ValueSize: stats.Normal{Mu: x[4], Sigma: x[5], Min: 1},
 				GetRatio:  x[1],
 			}
-			// The store is populated once per candidate and shared by the
-			// runs of its sweep (kvstore.Shared); the build is dropped with
-			// this Benchmark, after the candidate's one profile.
-			newServer := kvstore.Shared(cfg)
 			return workload.Benchmark{
 				Name: fmt.Sprintf("memcached[%s]", space.Values(x)),
 				QPS:  x[0],
 				NewServer: func(layout *trace.CodeLayout, seed uint64) workload.Server {
-					return newServer(layout, seed)
+					return kvstore.New(cfg, layout, seed)
 				},
 			}
 		},
@@ -89,12 +85,11 @@ func MemcachedCompressible() Generator {
 				GetRatio:     x[1],
 				ValueEntropy: x[6],
 			}
-			newServer := kvstore.Shared(cfg) // as in Memcached
 			return workload.Benchmark{
 				Name: fmt.Sprintf("memcached-compressible[%s]", space.Values(x)),
 				QPS:  x[0],
 				NewServer: func(layout *trace.CodeLayout, seed uint64) workload.Server {
-					return newServer(layout, seed)
+					return kvstore.New(cfg, layout, seed)
 				},
 			}
 		},
@@ -206,14 +201,11 @@ func DNN() Generator {
 				InputHW:     16,
 				Classes:     100,
 			})
-			// The network is drawn once per candidate and shared by the
-			// runs of its sweep (nn.Shared).
-			newServer := nn.Shared(spec, "dnn")
 			return workload.Benchmark{
 				Name: fmt.Sprintf("dnn[%s]", space.Values(x)),
 				QPS:  x[0],
 				NewServer: func(layout *trace.CodeLayout, seed uint64) workload.Server {
-					return newServer(layout, seed)
+					return nn.New(spec, layout, seed)
 				},
 			}
 		},

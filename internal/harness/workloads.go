@@ -110,15 +110,13 @@ func xapianPublic() workload.Benchmark {
 	}
 }
 
-// nnBenchmark is a fixed network of the given server family behind
-// nn.Shared: the runs of a profile share one weight build.
+// nnBenchmark is a fixed network of the given server family.
 func nnBenchmark(name, family string, qps float64, spec nn.NetSpec) workload.Benchmark {
-	newServer := nn.Shared(spec, family)
 	return workload.Benchmark{
 		Name: name,
 		QPS:  qps,
 		NewServer: func(l *trace.CodeLayout, seed uint64) workload.Server {
-			return newServer(l, seed)
+			return nn.NewServer(nn.Build(spec, l, seed), family)
 		},
 	}
 }

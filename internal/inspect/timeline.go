@@ -9,7 +9,7 @@ import (
 	"datamime/internal/telemetry"
 )
 
-// WorkerStat is one profiler-pool worker's occupancy over the run.
+// WorkerStat is one simulation budget slot's occupancy over the run.
 type WorkerStat struct {
 	// Worker is the pool index (0 also covers the serial path).
 	Worker int
@@ -57,7 +57,7 @@ type Timeline struct {
 	// shipping.
 	Fleet []FleetStat
 	// FleetBusyNS is the summed remote simulation time across the fleet;
-	// BusyNS above covers only this process's profiler pool, so the two
+	// BusyNS above covers only this process's budget slots, so the two
 	// together are the run's total simulation work.
 	FleetBusyNS int64
 	// FleetWallNS is the union extent of all simulation intervals — local
@@ -107,7 +107,7 @@ type FleetStat struct {
 	BusyNS int64
 	// WallNS is the union extent of this worker's simulation intervals.
 	WallNS int64
-	// Lanes is the number of distinct profiler-pool lanes observed on the
+	// Lanes is the number of distinct budget-slot lanes observed on the
 	// worker — its effective intra-evaluation parallelism.
 	Lanes int
 }

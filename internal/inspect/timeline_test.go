@@ -132,3 +132,22 @@ func TestTimelineRoutingFromEvalRemote(t *testing.T) {
 		}
 	}
 }
+
+// TestTimelineReadsSweepEraSimSpans: an artifact written when a profile was
+// a multi-run sweep — one profile.sim span per run, carrying "ways" and the
+// warm mode ("warm") — still loads, and its spans still land on their
+// worker tracks.
+func TestTimelineReadsSweepEraSimSpans(t *testing.T) {
+	artifact := `{"type":"log","job":"job-1","time_ns":1000,"msg":"datamime run artifact"}
+{"type":"span","job":"job-1","iter":0,"phase":"profile.sim","dur_ns":500000,"time_ns":1800000,"attrs":{"worker":0,"ways":0,"warm":1,"build_ns":1000,"warm_ns":2000,"measure_ns":3000}}
+{"type":"span","job":"job-1","iter":0,"phase":"profile.sim","dur_ns":400000,"time_ns":1900000,"attrs":{"worker":1,"ways":4,"warm":2,"build_ns":1000,"warm_ns":200,"measure_ns":3000}}
+{"type":"eval","job":"job-1","iter":0,"time_ns":2100000,"params":[0.5],"attrs":{"error":0.4,"best_error":0.4}}
+`
+	run, err := LoadRun(strings.NewReader(artifact))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl := NewTimeline(run); len(tl.Workers) != 2 || tl.BusyNS != 900000 {
+		t.Fatalf("%d worker tracks, %d ns busy; want 2 and 900000", len(tl.Workers), tl.BusyNS)
+	}
+}

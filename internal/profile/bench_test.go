@@ -1,30 +1,23 @@
 package profile
 
 import (
-	"fmt"
 	"testing"
 
 	"datamime/internal/datagen"
 	"datamime/internal/sim"
 )
 
-// BenchmarkProfilerSweep measures one full profile — the main run plus the
-// way-curve sweep — at different worker counts. This is the CI-gated
-// benchmark: on a multi-core runner workers=4 must beat workers=1 by ~2×
-// (the sweep is embarrassingly parallel) and workers=2 sits in between; on a
-// single core the pool is clamped and all three are within noise. The
-// profile itself is identical at every worker count. disableWorkerClamp is
-// deliberately NOT set: the benchmark measures the sweep as shipped, so on
-// hosts with fewer cores than workers it reports the clamped reality.
+// BenchmarkProfilerSweep measures one full profile — the pass that carries
+// the main lane and every way-curve lane. This is the CI-gated benchmark.
 //
-// Those rows profile an 8 000-key store, where the dataset warm is a fifth
-// of a run. The generator-size row profiles what a search evaluates: a store
-// of the memcached generator's 110 000 keys under harness.Quick()'s budgets
-// (the numbers are repeated here because harness imports this package),
-// where build and warm are nine tenths of a run — the row that sees a change
-// to either. It profiles a datagen.Memcached candidate, which builds through
-// kvstore.Shared (one population, seven copies of the value halves), so it is
-// also the row that sees the generator's build stop being shared.
+// The 8000-keys rows profile an 8 000-key store, where the dataset warm is
+// a fifth of the pass; main-only is the same profile without its curve
+// lanes (SkipCurves), so the two rows' gap is what the curve lanes cost.
+// The generator-size row profiles what a search evaluates: a store of the
+// memcached generator's 110 000 keys under harness.Quick()'s budgets (the
+// numbers are repeated here because harness imports this package), where
+// build and warm are most of a profile — the row that sees a change to
+// either.
 func BenchmarkProfilerSweep(b *testing.B) {
 	b.Run("generator-size", func(b *testing.B) {
 		b.ReportAllocs()
@@ -33,9 +26,8 @@ func BenchmarkProfilerSweep(b *testing.B) {
 		pr.CurveWindows, pr.CurvePoints = 3, 6
 		gen := datagen.Memcached()
 		for i := 0; i < b.N; i++ {
-			// A candidate as the search makes one: its Benchmark keeps one
-			// population (kvstore.Shared) for the seven runs of its sweep.
-			// Keys ≈ 30 B, values ≈ 600 B, 90 % GETs, as in sim's BenchmarkWarm.
+			// A candidate as the search makes one. Keys ≈ 30 B, values
+			// ≈ 600 B, 90 % GETs, as in sim's BenchmarkWarm.
 			bench := gen.Benchmark([]float64{100_000, 0.9, 30, 8, 600, 100})
 			if _, err := pr.Profile(bench, 7); err != nil {
 				b.Fatal(err)
@@ -43,11 +35,14 @@ func BenchmarkProfilerSweep(b *testing.B) {
 		}
 	})
 	bench := kvBenchmark(256, 60_000)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		skip bool
+	}{{"8000-keys", false}, {"8000-keys-main-only", true}} {
+		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			pr := fastProfiler()
-			pr.Workers = workers
+			pr.SkipCurves = row.skip
 			for i := 0; i < b.N; i++ {
 				if _, err := pr.Profile(bench, 7); err != nil {
 					b.Fatal(err)

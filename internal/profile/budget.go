@@ -1,59 +1,47 @@
 package profile
 
-// Budget is a shared cap on simulation runs in flight. The search core
-// parallelizes along two axes — candidate evaluations (SearchConfig.Parallel)
-// and partition runs within one profile (Profiler.Workers) — and without a
-// shared cap their product could oversubscribe the machine. All profilers of
-// one search share a single Budget sized to the larger of the two knobs;
-// every run acquires one token for the duration of the simulation, so total
-// concurrency never exceeds the budget regardless of how the axes compose.
+// Budget is a shared cap on profiles in flight. The search core evaluates
+// candidates in parallel (SearchConfig.Parallel) and a process may run
+// several searches; all profilers of one process share a single Budget,
+// and every profile holds one token for its pass, so total concurrency
+// never exceeds the budget however the searches compose. A token is a
+// slot number, which telemetry records as the profile's worker track.
 //
-// Tokens are held per run, never across runs, so acquisition order cannot
-// deadlock; a sweep takes its first wave's tokens when it starts only if
-// they are free (TryAcquire), never waiting for them while holding some. A
-// nil *Budget is valid and imposes no cap.
+// A profile holds one token and never waits for another while holding it,
+// so acquisition order cannot deadlock. A nil *Budget is valid and imposes
+// no cap.
 type Budget struct {
-	tokens chan struct{}
+	slots chan int
 }
 
-// NewBudget returns a budget admitting up to n concurrent runs (minimum 1).
+// NewBudget returns a budget admitting up to n concurrent profiles
+// (minimum 1), in slots 0 to n-1.
 func NewBudget(n int) *Budget {
 	if n < 1 {
 		n = 1
 	}
-	return &Budget{tokens: make(chan struct{}, n)}
-}
-
-// Acquire blocks until a token is free. No-op on a nil budget.
-func (b *Budget) Acquire() {
-	if b == nil {
-		return
-	}
-	b.tokens <- struct{}{}
-}
-
-// TryAcquire takes up to n tokens without blocking and returns how many it
-// took; the caller releases each. A nil budget has no limit: it returns n.
-func (b *Budget) TryAcquire(n int) int {
-	if b == nil {
-		return n
-	}
+	b := &Budget{slots: make(chan int, n)}
 	for i := 0; i < n; i++ {
-		select {
-		case b.tokens <- struct{}{}:
-		default:
-			return i
-		}
+		b.slots <- i
 	}
-	return n
+	return b
 }
 
-// Release returns a token. No-op on a nil budget.
-func (b *Budget) Release() {
+// Acquire blocks until a slot is free and returns it. A nil budget returns
+// slot 0 at once.
+func (b *Budget) Acquire() int {
+	if b == nil {
+		return 0
+	}
+	return <-b.slots
+}
+
+// Release returns a slot Acquire handed out. No-op on a nil budget.
+func (b *Budget) Release(slot int) {
 	if b == nil {
 		return
 	}
-	<-b.tokens
+	b.slots <- slot
 }
 
 // Cap returns the budget size (0 for nil).
@@ -61,5 +49,5 @@ func (b *Budget) Cap() int {
 	if b == nil {
 		return 0
 	}
-	return cap(b.tokens)
+	return cap(b.slots)
 }

@@ -3,113 +3,63 @@ package profile
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"datamime/internal/sim"
-	"datamime/internal/telemetry"
 	"datamime/internal/trace"
 	"datamime/internal/workload"
 )
 
-// TestParallelProfileMatchesSerial is the tentpole determinism guarantee:
-// the worker-pool sweep must produce profiles bit-for-bit identical to the
-// serial order, for any worker count, with or without a shared budget. Run
-// under -race this also proves no machine (and hence no SetLLCPartition
-// call) is ever shared across concurrent sweep workers.
+// TestParallelProfileMatchesSerial is the determinism guarantee of
+// candidate-level parallelism: profiles run concurrently — sharing the
+// machine free list, with or without a budget narrower than them — are bit
+// for bit the serial profile. Run under -race this also proves no machine
+// is ever shared by concurrent profiles.
 func TestParallelProfileMatchesSerial(t *testing.T) {
-	b := kvBenchmark(256, 60_000)
-	serial := fastProfiler()
-	want, err := serial.Profile(b, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		pr := fastProfiler()
-		pr.Workers = workers
-		pr.disableWorkerClamp = true // exercise the pool path even on 1-CPU hosts
-		got, err := pr.Profile(b, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d profile diverged from serial", workers)
-		}
-	}
-	// A shared budget smaller than the worker count throttles but must not
-	// change results either.
-	pr := fastProfiler()
-	pr.Workers = 4
-	pr.disableWorkerClamp = true
-	pr.Budget = NewBudget(2)
-	got, err := pr.Profile(b, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("budgeted parallel profile diverged from serial")
-	}
-}
-
-// TestWorkerClampToGOMAXPROCS: asking for more workers than the host can
-// schedule silently clamps the pool to runtime.GOMAXPROCS(0), the run
-// telemetry records the effective count (not the requested one), and the
-// clamped sweep still matches the serial profile bit-for-bit.
-func TestWorkerClampToGOMAXPROCS(t *testing.T) {
 	b := kvBenchmark(256, 60_000)
 	want, err := fastProfiler().Profile(b, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var collector telemetry.Collector
-	pr := fastProfiler()
-	jobs := 1 + len(pr.curveWays())
-	pr.Workers = runtime.GOMAXPROCS(0) + jobs + 8 // absurd ask: clamp must engage
-	pr.Telemetry = telemetry.New(telemetry.Options{OnEvent: collector.Record})
-	got, err := pr.Profile(b, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("clamped profile diverged from serial")
-	}
-
-	effective := runtime.GOMAXPROCS(0)
-	if jobs < effective {
-		effective = jobs
-	}
-	found := false
-	for _, ev := range collector.Events() {
-		if ev.Type != telemetry.TypeSpan || ev.Phase != telemetry.PhaseProfileRun {
-			continue
+	for _, budget := range []*Budget{nil, NewBudget(2)} {
+		pr := fastProfiler()
+		pr.Budget = budget
+		const profiles = 4
+		got := make([]*Profile, profiles)
+		errs := make([]error, profiles)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = pr.Profile(b, 7)
+			}(i)
 		}
-		found = true
-		if w, ok := ev.Attrs["workers"]; !ok || int(w) != effective {
-			t.Errorf("run span workers attr = %v, want effective count %d (requested %d)", w, effective, pr.Workers)
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("budget %d: concurrent profile %d diverged from serial", budget.Cap(), i)
+			}
 		}
-	}
-	if !found {
-		t.Fatal("no profile.run span recorded")
 	}
 }
 
-// TestParallelProfileCancellation: a canceled context aborts the parallel
-// sweep with the context's error — also one canceled mid-sweep, which hands
-// back every Budget token, the first wave's included.
+// TestParallelProfileCancellation: a canceled context aborts the profile
+// with the context's error — also one canceled mid-pass, which hands its
+// Budget token back.
 func TestParallelProfileCancellation(t *testing.T) {
 	pr := fastProfiler()
-	pr.Workers = 4
-	pr.disableWorkerClamp = true
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := pr.ProfileContext(ctx, kvBenchmark(256, 60_000), 7); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	const tokens = 4
+	const tokens = 2
 	pr.CurvePoints = 12
 	pr.Budget = NewBudget(tokens)
 	ctx, cancel = context.WithCancel(context.Background())
@@ -120,10 +70,14 @@ func TestParallelProfileCancellation(t *testing.T) {
 		return newServer(l, seed)
 	}
 	if _, err := pr.ProfileContext(ctx, b, 7); err != context.Canceled {
-		t.Fatalf("mid-sweep cancel: err = %v, want context.Canceled", err)
+		t.Fatalf("mid-pass cancel: err = %v, want context.Canceled", err)
 	}
-	if free := pr.Budget.TryAcquire(tokens); free != tokens {
-		t.Fatalf("%d of %d budget tokens free after a canceled sweep", free, tokens)
+	for i := 0; i < tokens; i++ {
+		select {
+		case <-pr.Budget.slots:
+		default:
+			t.Fatalf("%d of %d budget tokens free after a canceled profile", i, tokens)
+		}
 	}
 }
 
@@ -149,44 +103,45 @@ func TestCurveWaysOversizedPoints(t *testing.T) {
 	}
 }
 
-// TestLLCPartitionIsolation guards the worker-local-machine invariant
-// directly: SetLLCPartition is only ever applied to a machine owned by one
-// worker, so partitioning and running one machine while others run
-// concurrently at different allocations must reproduce each run's serial
-// result exactly. Run under -race this also catches any future change that
-// lets sweep workers share a machine.
+// TestLLCPartitionIsolation: profiles of one machine configuration at
+// different allocations, run concurrently, take their machines from one
+// free list and must still reproduce each one's serial result exactly —
+// a machine, and the lanes it carries, belong to one profile at a time.
 func TestLLCPartitionIsolation(t *testing.T) {
 	b := kvBenchmark(256, 60_000)
-	pr := fastProfiler()
-	allocs := []int{1, 2, pr.Machine.LLCWays()}
-
-	ref := make([]runResult, len(allocs))
-	for i, ways := range allocs {
-		m := sim.NewMachine(pr.Machine, pr.WindowCycles)
-		ref[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, sim.WarmClassic, nil, nil)
+	points := []int{1, 3, 12}
+	profiler := func(points int) *Profiler {
+		pr := fastProfiler()
+		pr.CurvePoints = points
+		return pr
 	}
-
-	got := make([]runResult, len(allocs))
+	ref := make([]*Profile, len(points))
+	for i, n := range points {
+		var err error
+		if ref[i], err = profiler(n).Profile(b, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*Profile, len(points))
 	var wg sync.WaitGroup
-	for i, ways := range allocs {
+	for i, n := range points {
 		wg.Add(1)
-		go func(i, ways int) {
+		go func(i, n int) {
 			defer wg.Done()
-			m := sim.NewMachine(pr.Machine, pr.WindowCycles)
-			got[i], _ = pr.runOn(m, b, 7, runJob{ways: ways, windows: pr.CurveWindows}, sim.WarmClassic, nil, nil)
-		}(i, ways)
+			got[i], _ = profiler(n).Profile(b, 7)
+		}(i, n)
 	}
 	wg.Wait()
-
-	for i, ways := range allocs {
+	for i, n := range points {
 		if !reflect.DeepEqual(got[i], ref[i]) {
-			t.Errorf("ways=%d: concurrent run diverged from serial", ways)
+			t.Errorf("points=%d: concurrent profile diverged from serial", n)
 		}
 	}
 }
 
 // TestBudgetCapsConcurrency drives a budget from more goroutines than
-// tokens and checks in-flight work never exceeds the cap.
+// tokens and checks in-flight work never exceeds the cap, each holder in a
+// slot of its own.
 func TestBudgetCapsConcurrency(t *testing.T) {
 	const cap, workers, rounds = 3, 10, 50
 	b := NewBudget(cap)
@@ -200,7 +155,7 @@ func TestBudgetCapsConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				b.Acquire()
+				slot := b.Acquire()
 				n := inFlight.Add(1)
 				for {
 					p := peak.Load()
@@ -208,8 +163,11 @@ func TestBudgetCapsConcurrency(t *testing.T) {
 						break
 					}
 				}
+				if slot < 0 || slot >= cap {
+					t.Errorf("slot %d outside [0,%d)", slot, cap)
+				}
 				inFlight.Add(-1)
-				b.Release()
+				b.Release(slot)
 			}
 		}()
 	}
@@ -219,8 +177,7 @@ func TestBudgetCapsConcurrency(t *testing.T) {
 	}
 	// Nil budgets are inert.
 	var nb *Budget
-	nb.Acquire()
-	nb.Release()
+	nb.Release(nb.Acquire())
 	if nb.Cap() != 0 {
 		t.Fatal("nil budget has nonzero cap")
 	}

@@ -6,17 +6,17 @@ import (
 	"datamime/internal/sim"
 )
 
-// freeList keeps the idle machines and warm tapes of one machine
-// configuration, so a profile takes its machines and its lane storage from
-// the runs before it instead of allocating them: a Broadwell machine is
-// ≈ 3 MB, and a Quick sweep's lanes ≈ 5 MB. The window length is not part of
-// the key (every run sets it with ResetWindows), so a list holds at most as
-// many machines and tapes as its configuration ever ran at once, and in
-// production there is one list per named machine (sim.MachineByName).
+// freeList keeps the idle machines of one machine configuration, so a
+// profile takes its machine, and the storage of its lanes, from the
+// profiles before it instead of allocating them: a Broadwell machine is
+// ≈ 3 MB, and a Quick profile's lanes ≈ 5 MB more. The window length is not
+// part of the key (every profile sets it with ResetWindows), so a list
+// holds at most as many machines as its configuration ever ran at once,
+// and in production there is one list per named machine
+// (sim.MachineByName).
 type freeList struct {
 	cfg      sim.MachineConfig
 	machines []*sim.Machine
-	tapes    []*sim.WarmTape
 }
 
 // freeKey identifies a free list by value: MachineConfig.L3 is a pointer,
@@ -57,7 +57,7 @@ func freeListFor(cfg sim.MachineConfig) *freeList {
 
 // machine returns an idle machine, or a new one counting windows of
 // windowCycles. An idle machine's state, window length included, is
-// whatever its last run left: every run starts with ResetWindows.
+// whatever its last profile left: every profile starts with ResetWindows.
 func (f *freeList) machine(windowCycles float64) *sim.Machine {
 	free.Lock()
 	if n := len(f.machines); n > 0 {
@@ -73,25 +73,5 @@ func (f *freeList) machine(windowCycles float64) *sim.Machine {
 func (f *freeList) putMachine(m *sim.Machine) {
 	free.Lock()
 	f.machines = append(f.machines, m)
-	free.Unlock()
-}
-
-// tape returns a blank tape serving allocs, reusing an idle one's storage.
-func (f *freeList) tape(allocs []int) *sim.WarmTape {
-	free.Lock()
-	if n := len(f.tapes); n > 0 {
-		t := f.tapes[n-1]
-		f.tapes = f.tapes[:n-1]
-		free.Unlock()
-		t.Reset(allocs...)
-		return t
-	}
-	free.Unlock()
-	return sim.NewWarmTape(allocs...)
-}
-
-func (f *freeList) putTape(t *sim.WarmTape) {
-	free.Lock()
-	f.tapes = append(f.tapes, t)
 	free.Unlock()
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"testing"
 
 	"datamime/internal/apps/kvstore"
@@ -275,4 +276,43 @@ func TestFromSamplePanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	FromSample(sim.WindowSample{}, MetricID("bogus"))
+}
+
+// TestFreeListIgnoresWindowLength: profiles of one machine configuration at
+// different window lengths share one free list, so idle machines do not pile
+// up per window length, and a machine reused at another length profiles as
+// a fresh one does.
+func TestFreeListIgnoresWindowLength(t *testing.T) {
+	cfg := sim.Broadwell()
+	cfg.Name = "free-list-test"
+	b := kvBenchmark(256, 60_000)
+	profileAt := func(window float64) *Profile {
+		pr := fastProfiler()
+		pr.Machine = cfg
+		pr.WindowCycles = window
+		p, err := pr.Profile(b, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	want := profileAt(150_000)
+	if other := profileAt(90_000); reflect.DeepEqual(other, want) {
+		t.Fatal("the window length did not change the profile")
+	}
+	if got := profileAt(150_000); !reflect.DeepEqual(got, want) {
+		t.Fatal("a machine reused from a 90 000-cycle profile changed a 150 000-cycle profile")
+	}
+	free.Lock()
+	defer free.Unlock()
+	var lists, machines int
+	for k, f := range free.lists {
+		if k.cfg.Name == cfg.Name {
+			lists++
+			machines += len(f.machines)
+		}
+	}
+	if lists != 1 || machines != 1 {
+		t.Fatalf("three serial profiles at two window lengths left %d free lists holding %d machines, want 1 and 1", lists, machines)
+	}
 }

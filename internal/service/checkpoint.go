@@ -15,6 +15,7 @@ import (
 
 	"datamime/internal/corpus"
 	"datamime/internal/datagen"
+	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
 
@@ -33,7 +34,11 @@ const (
 // corpus.record types.
 type jobLine struct {
 	telemetry.Event
-	Spec   *JobSpec       `json:"spec,omitempty"`
+	Spec *JobSpec `json:"spec,omitempty"`
+	// Method is the header's profile.Method: how the job's logged
+	// evaluations were measured. A header without one predates one-pass
+	// profiles.
+	Method string         `json:"profile_method,omitempty"`
 	State  JobState       `json:"state,omitempty"`
 	Record *corpus.Record `json:"record,omitempty"`
 }
@@ -252,9 +257,7 @@ func (s *Server) loadJob(id, path string) (*Job, error) {
 	// so it is rebuilt, not persisted.
 	if job.plan, job.planErr = s.resolve(job.spec); job.planErr != nil {
 		s.logf("job %s: restored spec no longer resolves: %v", id, job.planErr)
-	} else if err := logFits(job.plan.generator, job.events); err != nil {
-		// A resume denormalizes every logged point, so a log that does not
-		// fit fails the job here, once, instead of panicking it.
+	} else if err := resumable(job); err != nil {
 		job.plan, job.planErr = nil, err
 		job.state, job.errMsg = JobFailed, err.Error()
 		s.logf("job %s: %v", id, err)
@@ -263,6 +266,26 @@ func (s *Server) loadJob(id, path string) (*Job, error) {
 		close(job.done)
 	}
 	return job, nil
+}
+
+// resumable reports why an unfinished job cannot resume from its log. A
+// resume denormalizes every logged point, so a log that does not fit fails
+// the job here, once, instead of panicking it. A resume also replays the
+// logged errors as its own, so a log measured by another profile method
+// would mix two methods in one run, filed under this method's scenario.
+func resumable(job *Job) error {
+	if err := logFits(job.plan.generator, job.events); err != nil {
+		return err
+	}
+	if !job.state.terminal() && job.method != profile.Method {
+		method := job.method
+		if method == "" {
+			method = "none recorded"
+		}
+		return fmt.Errorf("restored job log cannot resume: its evaluations were measured by profile method %q, this server measures %q",
+			method, profile.Method)
+	}
+	return nil
 }
 
 // logFits reports a logged point not in the generator's space, as a generator

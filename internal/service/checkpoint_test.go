@@ -22,6 +22,7 @@ import (
 	"datamime/internal/corpus"
 	"datamime/internal/datagen"
 	"datamime/internal/inspect"
+	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
 
@@ -77,6 +78,74 @@ func TestRestoredMisfitCheckpointFailsJob(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200", route, resp.StatusCode)
 		}
+	}
+}
+
+// TestResumeRefusesAnotherProfileMethod: a job log's header names the
+// profile method its evaluations were measured by. An unfinished log whose
+// header names none, as servers before one-pass profiles wrote it, or
+// another method fails its job at restore: resuming would replay errors of
+// the old method beside profiles of this one, under this method's scenario.
+// The same log with this server's method resumes and succeeds.
+func TestResumeRefusesAnotherProfileMethod(t *testing.T) {
+	dir := t.TempDir()
+	svc := newTestServer(t, dir)
+	job, err := svc.Submit(testSpec(8, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	svc.Close()
+	data, err := os.ReadFile(filepath.Join(dir, job.ID()+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, iters := unfinishedLog(data)
+	tag := []byte(`,"profile_method":"` + profile.Method + `"`)
+	if !bytes.Contains(lines[0], tag) {
+		t.Fatalf("the header does not record the profile method: %s", lines[0])
+	}
+	for _, tc := range []struct {
+		name, method string
+		resumes      bool
+	}{
+		{"current", string(tag), true},
+		{"none", "", false},
+		{"other", `,"profile_method":"multi-run"`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := bytes.Replace(lines[0], tag, []byte(tc.method), 1)
+			for i, line := range lines[1:] {
+				if iters[i+1] == 4 {
+					break
+				}
+				log = append(log, line...)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, job.ID()+".jsonl"), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc := newTestServer(t, dir)
+			defer svc.Close()
+			restored, ok := svc.Job(job.ID())
+			if !ok {
+				t.Fatal("the job was not restored")
+			}
+			<-restored.Done()
+			st := restored.status()
+			if tc.resumes {
+				if st.State != JobSucceeded {
+					t.Fatalf("resumed job %s: %s", st.State, st.Error)
+				}
+				return
+			}
+			if st.State != JobFailed || !strings.Contains(st.Error, "profile method") || !strings.Contains(st.Error, profile.Method) {
+				t.Fatalf("restored job is %s with error %q, want failed naming the profile methods", st.State, st.Error)
+			}
+			if recs := corpusRecords(svc); len(recs) != 0 {
+				t.Fatalf("a job that could not resume entered the corpus: %+v", recs)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"datamime/internal/buildinfo"
 	"datamime/internal/corpus"
 	"datamime/internal/inspect"
+	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
 
@@ -37,8 +38,10 @@ type scenarioSpec struct {
 	OnEvalError   string          `json:"on_eval_error"`
 
 	// Profiler budgets change the simulated measurements, so they are
-	// semantic.
+	// semantic, and so is how a profile is measured: a run recorded before
+	// profiles were one pass is another scenario.
 	ProfilingSpec
+	ProfileMethod string `json:"profile_method"`
 }
 
 // scenarioHash fingerprints the semantic fields of spec. The job-level
@@ -49,16 +52,17 @@ type scenarioSpec struct {
 func scenarioHash(spec JobSpec) string {
 	spec = spec.withDefaults()
 	ss := scenarioSpec{
-		Workload:    spec.Workload,
-		Generator:   spec.Generator,
-		Machine:     spec.Machine,
-		Iterations:  spec.Iterations,
-		Parallel:    spec.Parallel,
-		Seed:        spec.Seed,
-		Optimizer:   spec.Optimizer,
-		Metric:      spec.Metric,
-		MetricValue: spec.MetricValue,
-		OnEvalError: spec.OnEvalError,
+		Workload:      spec.Workload,
+		Generator:     spec.Generator,
+		Machine:       spec.Machine,
+		Iterations:    spec.Iterations,
+		Parallel:      spec.Parallel,
+		Seed:          spec.Seed,
+		Optimizer:     spec.Optimizer,
+		Metric:        spec.Metric,
+		MetricValue:   spec.MetricValue,
+		OnEvalError:   spec.OnEvalError,
+		ProfileMethod: profile.Method,
 	}
 	if len(spec.TargetProfile) > 0 {
 		// Compact the inline profile so formatting differences in the

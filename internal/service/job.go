@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -43,7 +44,8 @@ func (s JobState) terminal() bool {
 }
 
 // ProfilingSpec overrides profiler budget knobs per job; zero fields keep
-// the machine defaults (see profile.New). It lists profile.Spec's budgets a
+// the machine defaults (see profile.New), and a negative one is refused at
+// submission. It lists profile.Spec's budgets a
 // second time because its omitempty tags and persisted bytes (job logs,
 // GET /v1/jobs/{id}) cannot be the always-marshaled wire form;
 // TestSpecFieldsAreCovered holds the two listings together field by field.
@@ -178,6 +180,8 @@ type Job struct {
 	mu   sync.Mutex
 	id   string
 	spec JobSpec
+	// method is the profile method the job's log header recorded.
+	method string
 	// plan is what spec resolved to (Submit, or loadCheckpoints on a
 	// restart), fixed before the job is published. It is nil, with planErr
 	// saying why, only for a restored job whose spec no longer resolves — a
@@ -275,7 +279,7 @@ func (j *Job) applyLocked(l jobLine) {
 	switch l.Type {
 	case typeJobSpec:
 		if l.Spec != nil {
-			j.spec, j.state, j.created = *l.Spec, JobQueued, at
+			j.spec, j.method, j.state, j.created = *l.Spec, l.Method, JobQueued, at
 		}
 	case typeJobState:
 		j.state = l.State
@@ -436,12 +440,17 @@ func (s *Server) resolve(spec JobSpec) (*plan, error) {
 	p.profiler = s.local.Profiler(machine)
 	if o := spec.Profiling; o != nil {
 		b := &p.profiler.Spec
-		override(&b.WindowCycles, o.WindowCycles)
-		override(&b.Windows, o.Windows)
-		override(&b.WarmupWindows, o.WarmupWindows)
-		override(&b.CurveWindows, o.CurveWindows)
-		override(&b.CurvePoints, o.CurvePoints)
-		override(&b.MaxRequestsPerRun, o.MaxRequestsPerRun)
+		err := errors.Join(
+			override(&b.WindowCycles, o.WindowCycles, "window_cycles"),
+			override(&b.Windows, o.Windows, "windows"),
+			override(&b.WarmupWindows, o.WarmupWindows, "warmup_windows"),
+			override(&b.CurveWindows, o.CurveWindows, "curve_windows"),
+			override(&b.CurvePoints, o.CurvePoints, "curve_points"),
+			override(&b.MaxRequestsPerRun, o.MaxRequestsPerRun, "max_requests_per_run"),
+		)
+		if err != nil {
+			return nil, err
+		}
 		b.SkipCurves = o.SkipCurves
 	}
 
@@ -526,12 +535,16 @@ func unknownName[T any](field, value string, choices []T, name func(T) string) e
 	return fmt.Errorf("service: unknown %s %q (want one of: %s)", field, value, strings.Join(names, ", "))
 }
 
-// override replaces *dst with a job's budget override; zero (or a negative
-// value) keeps the default.
-func override[T int | float64](dst *T, v T) {
+// override replaces *dst with a job's budget override, named field in the
+// job spec; zero keeps the default, and a negative value is refused.
+func override[T int | float64](dst *T, v T, field string) error {
+	if v < 0 {
+		return fmt.Errorf("service: profiling.%s must not be negative, got %v", field, v)
+	}
 	if v > 0 {
 		*dst = v
 	}
+	return nil
 }
 
 // buildSearch turns a plan into a runnable core.SearchConfig. The returned

@@ -27,7 +27,7 @@ type serverMetrics struct {
 	cyclesTotal  *telemetry.Counter
 
 	// Parallel-search contention metrics, fed from telemetry spans by
-	// observeSpan: profiler-pool occupancy per worker, budget-semaphore
+	// observeSpan: simulation occupancy per budget slot, budget-semaphore
 	// wait time, and the GP surrogate's incremental-vs-refactorization
 	// balance with its conditioning diagnostic.
 	simRuns           *telemetry.Counter
@@ -54,7 +54,7 @@ type serverMetrics struct {
 	// Fleet-span metrics: spans shipped back from remote workers (tagged
 	// with the fleet-worker attribute) are accounted here, NOT in the local
 	// pool families above — mixing remote simulation time into the local
-	// profiler-pool gauges would corrupt both views.
+	// budget-slot gauges would corrupt both views.
 	fleetSimRuns           *telemetry.Counter
 	fleetBusySeconds       *telemetry.CounterVec
 	fleetBudgetWaitSeconds *telemetry.Counter
@@ -105,11 +105,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Estimated simulated cycles spent profiling.")
 
 	m.simRuns = reg.NewCounter("datamimed_sim_runs_total",
-		"Partition simulations executed by the profiler pools.")
+		"Profile passes simulated.")
 	m.workerBusySeconds = reg.NewCounterVec("datamimed_profile_worker_busy_seconds_total",
-		"Simulation time per profiler-pool worker index.", "worker")
+		"Simulation time per simulation budget slot.", "worker")
 	m.budgetWaitSeconds = reg.NewCounter("datamimed_budget_wait_seconds_total",
-		"Time profiler runs spent blocked on the shared simulation budget.")
+		"Time profiles spent blocked on the shared simulation budget.")
 	m.gpAppends = reg.NewCounter("datamimed_gp_cholesky_appends_total",
 		"GP surrogate factor updates taking the incremental append fast path.")
 	m.gpRebuilds = reg.NewCounter("datamimed_gp_cholesky_rebuilds_total",
@@ -196,7 +196,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// coordinator's own Go runtime health (each worker exports the matching
 	// datamime_worker_go_* families at its own /metrics).
 	m.fleetSimRuns = reg.NewCounter("datamimed_fleet_sim_runs_total",
-		"Partition simulations executed on remote workers (from shipped spans).")
+		"Profile passes simulated on remote workers (from shipped spans).")
 	m.fleetBusySeconds = reg.NewCounterVec("datamimed_fleet_worker_busy_seconds_total",
 		"Remote simulation time per fleet worker ID (from shipped spans).", "worker")
 	m.fleetBudgetWaitSeconds = reg.NewCounter("datamimed_fleet_budget_wait_seconds_total",

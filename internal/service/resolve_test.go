@@ -351,3 +351,39 @@ func FuzzJobSpec(f *testing.F) {
 		}
 	})
 }
+
+// TestSubmitRefusesNegativeBudgets: a negative profiling budget is a 400
+// naming the field. The override applies only positive values, so such a
+// job used to run at the default budget while its log kept the negative
+// one.
+func TestSubmitRefusesNegativeBudgets(t *testing.T) {
+	svc := newCorpusServer(t, "")
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	typ := reflect.TypeOf(ProfilingSpec{})
+	for i := 0; i < typ.NumField(); i++ {
+		field := typ.Field(i)
+		name := strings.Split(field.Tag.Get("json"), ",")[0]
+		spec := testSpec(3, 1)
+		o := *spec.Profiling
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(-3)
+		case reflect.Float64:
+			v.SetFloat(-3)
+		default:
+			continue
+		}
+		spec.Profiling = &o
+		var body map[string]string
+		if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &body); code != http.StatusBadRequest {
+			t.Errorf("%s = -3: submit = %d %v, want 400", name, code, body)
+		}
+		if !strings.Contains(body["error"], name) {
+			t.Errorf("%s = -3: error %q does not name the field", name, body["error"])
+		}
+	}
+}

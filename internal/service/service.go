@@ -26,6 +26,7 @@ import (
 	"datamime/internal/core"
 	"datamime/internal/corpus"
 	"datamime/internal/datagen"
+	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
 
@@ -189,7 +190,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		job.logPath = filepath.Join(dir, job.id+".jsonl")
 	}
 	// The header starts the job's record and creates its log.
-	s.addLocked(job, jobLine{Event: telemetry.Event{Type: typeJobSpec, TimeNS: time.Now().UnixNano()}, Spec: &spec})
+	s.addLocked(job, jobLine{Event: telemetry.Event{Type: typeJobSpec, TimeNS: time.Now().UnixNano()}, Spec: &spec, Method: profile.Method})
 	s.nextID++
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)

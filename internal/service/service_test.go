@@ -454,8 +454,8 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestPlanProfilerUsesProcessBudget: every plan's profiler, which profiles
-// the job's hidden target and its in-process candidates, sweeps GOMAXPROCS
-// wide and draws on the server's one budget, the one its dispatch fallback
+// the job's hidden target and its in-process candidates, draws on the
+// server's one budget of GOMAXPROCS profiles, the one its dispatch fallback
 // evaluates under.
 func TestPlanProfilerUsesProcessBudget(t *testing.T) {
 	s := &Server{local: backend.NewLocalBackend(testGenerator())}
@@ -465,9 +465,9 @@ func TestPlanProfilerUsesProcessBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := s.local.Profiler(sim.Broadwell()).Budget
-		if p.profiler.Workers != runtime.GOMAXPROCS(0) || p.profiler.Budget != budget {
-			t.Fatalf("plan profiler: %d workers, budget %p; want %d workers, the server's budget %p",
-				p.profiler.Workers, p.profiler.Budget, runtime.GOMAXPROCS(0), budget)
+		if p.profiler.Budget != budget || budget.Cap() != runtime.GOMAXPROCS(0) {
+			t.Fatalf("plan profiler: budget %p of %d; want the server's budget %p of %d",
+				p.profiler.Budget, p.profiler.Budget.Cap(), budget, runtime.GOMAXPROCS(0))
 		}
 	}
 }

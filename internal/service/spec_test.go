@@ -91,30 +91,42 @@ func TestSpecFieldsAreCovered(t *testing.T) {
 }
 
 // TestPersistedKeysPinned pins bytes that outlive a process — evaluation
-// cache keys and corpus scenario hashes — to literals computed before
-// profile.Spec existed. A change here re-keys every cache and corpus.
+// cache keys and corpus scenario hashes. A change here re-keys every cache
+// and corpus. The keys a multi-run sweep wrote, before profiles were one
+// pass (profile.Method), must not be the keys of one-pass profiles: a cache
+// entry or corpus record from then must never hit or compare as one
+// measured now. (A job log from then cannot resume:
+// TestResumeRefusesAnotherProfileMethod.)
 func TestPersistedKeysPinned(t *testing.T) {
 	pr := profile.New(sim.Broadwell())
 	pr.MaxRequestsPerRun = 17
-	if got, want := core.EvalKey("g", pr, []float64{0.5, 3}, 42), "7c15f487934df67d7df817d61f5df817"; got != want {
-		t.Errorf("EvalKey = %s, want %s", got, want)
+	const sweepKey, sweepScenario = "7c15f487934df67d7df817d61f5df817", "81e52cf7b1e7fcdc"
+	key := core.EvalKey("g", pr, []float64{0.5, 3}, 42)
+	if key == sweepKey {
+		t.Error("a one-pass profile keys like a multi-run sweep's")
 	}
-	if got, want := pr.Spec.Key(), "wc=400000|w=36|warm=5|cw=6|cp=0|max=17|skip=false"; got != want {
+	if want := "de2c2600bf3284c2c61143e9fefd49de"; key != want {
+		t.Errorf("EvalKey = %s, want %s", key, want)
+	}
+	if got, want := pr.Spec.Key(), "method=one-pass|wc=400000|w=36|warm=5|cw=6|cp=0|max=17|skip=false"; got != want {
 		t.Errorf("Spec.Key() = %s, want %s", got, want)
+	}
+	if scenarioHash(JobSpec{Workload: "mem-fb", Iterations: 8}) == sweepScenario {
+		t.Error("a one-pass run's corpus scenario is a multi-run sweep's")
 	}
 
 	withBudgets := JobSpec{Workload: "mem-fb", Iterations: 8, Seed: 3, Profiling: &ProfilingSpec{
 		WindowCycles: 60000, Windows: 4, WarmupWindows: 1, SkipCurves: true,
 	}}
-	if got, want := scenarioHash(withBudgets), "a3d4b199dc40ffe4"; got != want {
+	if got, want := scenarioHash(withBudgets), "957e1e91a36614e3"; got != want {
 		t.Errorf("scenarioHash(with budgets) = %s, want %s", got, want)
 	}
-	if got, want := scenarioHash(JobSpec{Workload: "mem-fb", Iterations: 8}), "81e52cf7b1e7fcdc"; got != want {
+	if got, want := scenarioHash(JobSpec{Workload: "mem-fb", Iterations: 8}), "ac318c0b17ae78b7"; got != want {
 		t.Errorf("scenarioHash(defaults) = %s, want %s", got, want)
 	}
 	// An explicit default budget, hashed as submitted, splits a scenario.
 	explicit := JobSpec{Workload: "mem-fb", Iterations: 8, Profiling: &ProfilingSpec{Windows: 36}}
-	if got := scenarioHash(explicit); got == "81e52cf7b1e7fcdc" {
+	if got := scenarioHash(explicit); got == "ac318c0b17ae78b7" {
 		t.Error("an explicit default budget hashed like an omitted one; scenarioHash's comment says otherwise")
 	}
 }

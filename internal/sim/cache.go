@@ -202,8 +202,8 @@ func (c *Cache) Access(addr uint64) (hit bool) {
 
 // access looks tag up in set, updating replacement state and installing it
 // on a miss — the one implementation of both policies, which the kernel
-// (kernel.go) and a recording warm's lanes (tape.go) call with the set and
-// tag already split. Under DRRIP a hit promotes the line to RRPV 0, and a
+// (kernel.go) calls, for every lane at the LLC, with the set and tag already
+// split. Under DRRIP a hit promotes the line to RRPV 0, and a
 // miss fills the first invalid way without dueling or, in a full set,
 // evicts the first way holding the set's maximum RRPV after aging every way
 // by rrpvMax minus that maximum — the algebraic collapse of the policy's
@@ -346,20 +346,4 @@ func (c *Cache) Flush() {
 func (c *Cache) Reset() {
 	c.Flush()
 	c.partWays = c.ways
-}
-
-// copyFrom makes c the cache src is — geometry, partition, lines,
-// replacement and dueling state, statistics — keeping c's own storage when
-// it is large enough. A warm tape saves levels into images with it and
-// installs them back (tape.go).
-func (c *Cache) copyFrom(src *Cache) {
-	tags, state := c.tags, c.state
-	*c = *src
-	n := src.sets * src.partWays
-	if len(tags) < n {
-		tags = make([]uint64, n)
-	}
-	copy(tags, src.tags[:n])
-	c.tags = tags
-	c.state = append(state[:0], src.state...)
 }

@@ -160,10 +160,9 @@ func genMachineEvents(rng *stats.RNG, n int, llcBytes int) []kernelEvent {
 // TestKernelMatchesReferenceOnRandomGeometries drives a kernel machine and
 // a reference machine over random hierarchies, phase by phase, with window
 // flushes, resets and LLC repartitions between phases, comparing every
-// window sample, statistic and set after each phase. Then it records one
-// warm carrying a lane for every allocation and restores each allocation,
-// which must equal a classic warm at that allocation — itself checked
-// against the reference.
+// window sample, statistic and set after each phase. Then it warms one
+// machine carrying a lane for every allocation, whose every lane must equal
+// a classic warm at its allocation — itself checked against the reference.
 func TestKernelMatchesReferenceOnRandomGeometries(t *testing.T) {
 	rng := stats.NewRNG(9)
 	cases := 40
@@ -204,14 +203,12 @@ func TestKernelMatchesReferenceOnRandomGeometries(t *testing.T) {
 
 		warm := genMachineEvents(rng, 1500, llcBytes)
 		drive := func(m eventSink) { replayKernelEvents(m, kernelTestRegions(), warm) }
-		tape := NewWarmTape(allWays(cfg)...)
-		rec := NewMachine(cfg, windowCycles)
-		rec.RecordWarm(tape)
-		drive(rec)
-		if err := rec.EndWarm(); err != nil {
-			t.Fatal(err)
+		multi := NewMachine(cfg, windowCycles)
+		lanes := make([]*Lane, 0, cfg.LLCWays())
+		for _, ways := range allWays(cfg) {
+			lanes = append(lanes, multi.AddLane(ways))
 		}
-		restored := NewMachine(cfg, windowCycles)
+		multi.Warm(warmer(func(trace.Collector) { drive(laned{multi}) }))
 		for ways := 1; ways <= cfg.LLCWays(); ways++ {
 			classic, ref := NewMachine(cfg, windowCycles), newRefMachine(cfg, windowCycles)
 			for _, m := range []testMachine{classic, ref} {
@@ -220,16 +217,9 @@ func TestKernelMatchesReferenceOnRandomGeometries(t *testing.T) {
 				m.FlushSamples()
 			}
 			assertMachinesMatch(t, classic, ref)
-			restored.Reset()
-			restored.SetLLCPartition(ways)
-			restored.RestoreWarm(tape)
-			drive(restored)
-			if err := restored.EndWarm(); err != nil {
-				t.Fatalf("%s ways=%d: %v", cfg.Name, ways, err)
-			}
-			assertMachinesIdentical(t, restored, classic)
+			assertLaneMatches(t, lanes[ways-1], classic)
 			if t.Failed() {
-				t.Fatalf("%s (%+v): the restore at %d ways diverged from a classic warm", cfg.Name, cfg, ways)
+				t.Fatalf("%s (%+v): the %d-way lane diverged from a classic warm", cfg.Name, cfg, ways)
 			}
 		}
 	}

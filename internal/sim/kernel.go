@@ -37,8 +37,8 @@ var _ = [1]struct{}{}[trace.LineSize-1<<lineShift]
 // kernelLevel is one cache level as the walk sees it: the set/tag split,
 // the penalty a hit here charges, and the cache (cache.go), whose access
 // method holds both policies. The split is computed once per line step and
-// shared by every cache of the level's geometry — the recording warm's
-// lanes probe with the LLC's split (tape.go).
+// shared by every cache of the level's geometry — every lane probes its LLC
+// with the LLC's split.
 type kernelLevel struct {
 	c        *Cache
 	setMask  uint64
@@ -230,9 +230,10 @@ func (m *Machine) stepInstr(la uint64) {
 	m.stepBelowL1(la)
 }
 
-// stepBelowL1 walks an L1 miss through the private L2, when there is an L3,
-// and the LLC. During a recording warm the LLC step is the recording's
-// (tape.go): it probes every lane as well.
+// stepBelowL1 walks an L1 miss through the private L2, when there is an
+// L3, and the LLC: every live lane probes its own LLC with the line's one
+// set/tag split and is charged its own hit or miss penalty, at the burst
+// position the lanes share.
 func (m *Machine) stepBelowL1(la uint64) {
 	k := &m.kern
 	if k.hasL3 {
@@ -242,21 +243,33 @@ func (m *Machine) stepBelowL1(la uint64) {
 		}
 		m.win.l2Miss++
 	}
-	if m.warm != nil {
-		m.recordLLC(la)
-		return
+	b := 0
+	if m.burstMiss > 0 {
+		b = 1
 	}
-	if k.llc.access(la) {
-		m.missPenalty(&k.llc.pen)
-		return
+	m.burstMiss++
+	set, tag := la&k.llc.setMask, la>>k.llc.tagShift
+	for _, ln := range m.live {
+		if ln.llc.access(set, tag) {
+			if m.warming {
+				ln.totalBusy += k.llc.pen[b]
+				continue
+			}
+			ln.charge(k.llc.pen[b])
+			continue
+		}
+		if !k.hasL3 {
+			ln.win.l2Miss++
+		}
+		ln.win.llcMiss++
+		ln.win.memBytes += trace.LineSize
+		ln.wall.memBytes += trace.LineSize
+		if m.warming {
+			ln.totalBusy += k.memPen[b]
+			continue
+		}
+		ln.charge(k.memPen[b])
 	}
-	if !k.hasL3 {
-		m.win.l2Miss++
-	}
-	m.win.llcMiss++
-	m.win.memBytes += trace.LineSize
-	m.wall.memBytes += trace.LineSize
-	m.missPenalty(&k.memPen)
 }
 
 // batchData is the batched data-side step: it splits the access into its
@@ -291,12 +304,8 @@ func (m *Machine) batchData(addr uint64, size int) {
 		}
 		first++
 	}
-	if m.warm != nil {
-		m.warm.data(m, first, last)
-	} else {
-		for la := first; la <= last; la++ {
-			m.stepData(la)
-		}
+	for la := first; la <= last; la++ {
+		m.stepData(la)
 	}
 	m.lastDataLine = last
 	m.lastDataValid = true
@@ -335,11 +344,7 @@ func (m *Machine) batchInstr(r *trace.CodeRegion, instrs int) {
 			continue
 		}
 		coalesce = false
-		if m.warm != nil {
-			m.warm.instr(m, la)
-		} else {
-			m.stepInstr(la)
-		}
+		m.stepInstr(la)
 		m.lastInstrLine = la
 		m.lastInstrValid = true
 	}

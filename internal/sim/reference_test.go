@@ -9,7 +9,7 @@ import (
 // This file keeps the simulator's reference implementation: the
 // stamp-and-generation cache and the scalar one-line-at-a-time walk the
 // batched kernel replaced, kept as they were as the oracle the kernel and
-// the warm tape are tested against (kernel_test.go, tape_test.go,
+// its lanes are tested against (kernel_test.go, lane_test.go,
 // differential_test.go). Nothing outside the tests runs it.
 
 // cacheLine is one way of one set. A line is valid iff its gen equals the

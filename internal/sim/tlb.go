@@ -120,21 +120,3 @@ func (t *TLB) Reset() {
 	t.accesses, t.misses = 0, 0
 	t.clock = 0
 }
-
-// tlbState is a copy of a TLB's entries, clock and statistics, which a
-// warm tape seals (tape.go).
-type tlbState struct {
-	entries          []tlbEntry
-	clock            uint32
-	accesses, misses uint64
-}
-
-func (t *TLB) save(s *tlbState) {
-	s.entries = append(s.entries[:0], t.entries...)
-	s.clock, s.accesses, s.misses = t.clock, t.accesses, t.misses
-}
-
-func (t *TLB) load(s *tlbState) {
-	copy(t.entries, s.entries)
-	t.clock, t.accesses, t.misses = s.clock, s.accesses, s.misses
-}

@@ -28,20 +28,20 @@ const (
 	AttrReplayed = "replayed"
 	// AttrSimCycles is the estimated simulated cycles the evaluation cost.
 	AttrSimCycles = "sim_cycles"
-	// AttrWorker and AttrWays identify, on PhaseSimRun and PhaseBudgetWait
-	// spans, which profiler-pool worker ran the simulation and which LLC
-	// way allocation it measured (0 = the full-cache main run).
+	// AttrWorker identifies, on PhaseSimRun and PhaseBudgetWait spans, the
+	// simulation budget slot a profile ran in — its worker track on a
+	// timeline — and AttrLanes, on PhaseSimRun, how many cache allocations
+	// its pass measured (the main lane and one per curve point). Artifacts
+	// written before a profile was one pass carry "ways" and "warm" on their
+	// sim spans instead, which nothing reads.
 	AttrWorker = "worker"
-	AttrWays   = "ways"
+	AttrLanes  = "lanes"
 	// AttrBuildNS, AttrWarmNS and AttrMeasureNS split a PhaseSimRun span
 	// into its sub-phases — machine reset plus NewServer, WarmDataset, and
-	// the warmup and measured windows — and AttrWarm says how the dataset
-	// was warmed (a sim.WarmMode): 0 classically or not at all, 1 recording
-	// the sweep's warm tape, 2 restoring it.
+	// the warmup and measured windows.
 	AttrBuildNS   = "build_ns"
 	AttrWarmNS    = "warm_ns"
 	AttrMeasureNS = "measure_ns"
-	AttrWarm      = "warm"
 	// AttrRemoteWorker, AttrRetries, and AttrRemote ride on PhaseRemoteEval
 	// spans and the fleet-churn instants: the dispatcher-assigned integer ID
 	// of the fleet worker involved, how many failed dispatch attempts

@@ -30,15 +30,15 @@ const (
 	// PhaseProfile covers one full candidate measurement (app run + sim).
 	PhaseProfile = "profile"
 	// PhaseProfileRun and PhaseProfileCurves are the profiler-internal
-	// phases: the main counter-window run and the cache-sensitivity sweep.
+	// phases: the main lane's counter windows and the cache-sensitivity
+	// curves.
 	PhaseProfileRun    = "profile.run"
 	PhaseProfileCurves = "profile.curves"
-	// PhaseSimRun is one partition simulation inside a profile (the main
-	// run or one way-curve point), emitted per run by the profiler worker
-	// pool with AttrWorker/AttrWays attributes — the raw material of the
-	// per-worker trace timelines and utilization reports.
+	// PhaseSimRun is a profile's one simulation pass, emitted per profile
+	// with AttrWorker (its budget slot) and AttrLanes attributes — the raw
+	// material of the per-worker trace timelines and utilization reports.
 	PhaseSimRun = "profile.sim"
-	// PhaseBudgetWait is the time one run spent blocked on the shared
+	// PhaseBudgetWait is the time one profile spent blocked on the shared
 	// simulation budget before starting — the contention signal.
 	PhaseBudgetWait = "budget.wait"
 	// PhaseObserve covers feeding a batch's results back to the optimizer.

@@ -25,7 +25,7 @@ import (
 //	                           profile.run, profile.curves), greedily
 //	                           packed into as few non-overlapping lanes
 //	                           as the run's parallelism needed
-//	tid 100+   "worker W"    — one track per profiler-pool worker, carrying
+//	tid 100+   "worker W"    — one track per simulation budget slot, carrying
 //	                           its profile.sim spans; budget-semaphore
 //	                           waits appear as instant events. When
 //	                           concurrent candidates make one worker's
@@ -61,7 +61,7 @@ const (
 	traceTIDEvalBase  = 10
 	traceTIDWorker    = 100
 	// traceTIDRemote bases the remote-worker lanes high enough that no
-	// realistic profiler-pool worker index collides with them.
+	// realistic budget slot collides with them.
 	traceTIDRemote = 10000
 	// workerLaneStride spaces per-worker overflow lanes; lanes beyond it
 	// fold into the last one (overlap is legal in the format).
@@ -101,7 +101,7 @@ func spanBounds(ev Event) spanInterval {
 
 // fleetProc accumulates the spans shipped back from one fleet worker.
 type fleetProc struct {
-	sims  map[int][]spanInterval // profiler-pool worker index → profile.sim
+	sims  map[int][]spanInterval // budget slot → profile.sim
 	evals []spanInterval         // profile.run/profile.curves/...
 	waits []Event                // budget.wait instants
 }
@@ -285,8 +285,8 @@ func WriteTrace(w io.Writer, events []Event) error {
 		meta(tracePID, traceTIDEvalBase+l, fmt.Sprintf("eval lane %d", l), traceTIDEvalBase+l)
 	}
 
-	// Worker tracks: one per pool worker, overflow lanes per worker when
-	// concurrent candidates overlap the same worker index.
+	// Worker tracks: one per budget slot, overflow lanes per slot when
+	// spans of several budgets overlap the same slot.
 	emitWorkerTracks := func(pid int, spans map[int][]spanInterval) {
 		workers := make([]int, 0, len(spans))
 		for wkr := range spans {

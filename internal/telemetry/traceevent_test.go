@@ -21,9 +21,9 @@ func traceFixture() []Event {
 	return []Event{
 		span(PhaseProfile, 0, 0, 30, nil),
 		span(PhaseProfile, 1, 10, 40, nil), // overlaps → second eval lane
-		span(PhaseSimRun, 0, 0, 10, map[string]float64{AttrWorker: 0, AttrWays: 4}),
-		span(PhaseSimRun, 0, 5, 15, map[string]float64{AttrWorker: 0, AttrWays: 8}), // overlap on worker 0 → overflow lane
-		span(PhaseSimRun, 1, 12, 22, map[string]float64{AttrWorker: 1, AttrWays: 4}),
+		span(PhaseSimRun, 0, 0, 10, map[string]float64{AttrWorker: 0, AttrLanes: 4}),
+		span(PhaseSimRun, 0, 5, 15, map[string]float64{AttrWorker: 0, AttrLanes: 8}), // overlap on worker 0 → overflow lane
+		span(PhaseSimRun, 1, 12, 22, map[string]float64{AttrWorker: 1, AttrLanes: 4}),
 		span(PhaseBudgetWait, 1, 11, 12, map[string]float64{AttrWorker: 1}),
 		span(PhaseGPFit, 2, 41, 43, map[string]float64{
 			AttrCholeskyAppends: 3, AttrCholeskyRebuilds: 1, AttrJitterLevelMax: 2}),
@@ -224,9 +224,9 @@ func BenchmarkTraceExport(b *testing.B) {
 			Event{Type: TypeSpan, Phase: PhaseGenerate, Iter: i, TimeNS: ms(t0 + 5), DurNS: ms(5)},
 			Event{Type: TypeSpan, Phase: PhaseProfile, Iter: i, TimeNS: ms(t0 + 45), DurNS: ms(40)},
 			Event{Type: TypeSpan, Phase: PhaseSimRun, Iter: i, TimeNS: ms(t0 + 25), DurNS: ms(18),
-				Attrs: map[string]float64{AttrWorker: float64(i % 2), AttrWays: 4}},
+				Attrs: map[string]float64{AttrWorker: float64(i % 2), AttrLanes: 4}},
 			Event{Type: TypeSpan, Phase: PhaseSimRun, Iter: i, TimeNS: ms(t0 + 44), DurNS: ms(18),
-				Attrs: map[string]float64{AttrWorker: float64((i + 1) % 2), AttrWays: 8}},
+				Attrs: map[string]float64{AttrWorker: float64((i + 1) % 2), AttrLanes: 8}},
 			Event{Type: TypeEval, Iter: i, TimeNS: ms(t0 + 46),
 				Attrs: map[string]float64{AttrError: 0.5, AttrBestError: 0.5}},
 		)

@@ -118,16 +118,6 @@ func (cl *CodeLayout) Region(name string, bytes int) *CodeRegion {
 	return r
 }
 
-// RegionLike allocates a region with r's name and footprint whose cursor
-// starts where r's stands: a server assembled from state another layout's
-// server built (kvstore.Shared) resumes each loop where that build left it,
-// at this layout's addresses.
-func (cl *CodeLayout) RegionLike(r *CodeRegion) *CodeRegion {
-	like := cl.Region(r.Name, r.Lines*LineSize)
-	like.cursor = r.cursor
-	return like
-}
-
 // Null is a Collector that discards all events; useful for constructing
 // datasets without profiling them.
 type Null struct{}

@@ -8,6 +8,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 
 	"datamime/internal/sim"
@@ -26,19 +27,10 @@ type Server interface {
 }
 
 // Benchmark couples a server factory with its load configuration; it is
-// what the profiler runs. NewServer is called once per profiling run —
-// from several goroutines at once in a pooled sweep — and every run gets a
-// server of its own. A factory may hand its servers built state they only
-// read (apps/nn shares one weight build per dataset seed, nn.Shared;
-// apps/kvstore one population, kvstore.Shared, copied before a server's
-// first write to it); anything a server writes — its dataset if requests
-// mutate it, code-region cursors, scratch buffers — must be that server's
-// alone, so that a run sees exactly what a freshly built server would show
-// it. Built state lives as long as the Benchmark whose factory holds it: a
-// generator's per-candidate Benchmark is dropped after its one profile, so
-// sharing there holds less than it saves; a Benchmark kept for the life of
-// the process (a harness target) keeps its build live with it, and the
-// collector sizes its goal by what is live.
+// what the profiler runs. NewServer is called once per profile — from
+// several goroutines at once when candidates are profiled in parallel — and
+// every profile gets a server of its own, built from nothing the factory
+// shares with another call.
 type Benchmark struct {
 	// Name identifies the benchmark configuration.
 	Name string
@@ -140,12 +132,8 @@ func (n *NetworkStack) copyBuf(col trace.Collector, size int, out bool) {
 // simulated server would otherwise spend entire measurement windows taking
 // cold misses, flattening the cache-sensitivity curves).
 //
-// Contract: servers built by the same NewServer with the same seed emit the
-// same warm events in the same order, whatever the collector — a Collector
-// is write-only, so nothing it does can reach the server. The profiler
-// relies on it: the runs of a sweep share one recording of the first run's
-// warm (sim.WarmTape), and a run whose warm differs fails its profile. Do
-// not iterate a Go map while warming.
+// The warm is the first phase of a profile's one pass: every lane of the
+// machine sees it, so it warms every cache allocation the profile measures.
 type Warmable interface {
 	// WarmDataset touches the resident dataset once, emitting the loads
 	// into col (typically the machine, filling its caches).
@@ -171,7 +159,8 @@ type Sizer interface {
 	LastMessageSizes() (req, resp int)
 }
 
-// RunResult summarizes a driver run.
+// RunResult summarizes a driver run, or one lane of a pass, over its
+// measured phase.
 type RunResult struct {
 	Requests      int
 	WindowsClosed int
@@ -181,19 +170,85 @@ type RunResult struct {
 	AchievedQPS float64
 }
 
-// Run drives the benchmark on the machine until the machine has closed the
-// requested number of counter windows (plus any already closed). Arrivals
-// are Poisson at b.QPS; service is FIFO on the machine's single simulated
-// core. Returns the run summary.
+// Run drives the benchmark on the machine until its main lane has closed
+// the requested number of counter windows (plus any already closed).
+// Arrivals are Poisson at b.QPS; service is FIFO on the machine's single
+// simulated core. Returns the run summary.
 //
 // maxRequests bounds runaway runs (e.g., a mis-parameterized server whose
 // requests never fill a window); <= 0 means a generous default.
 func Run(m *sim.Machine, b Benchmark, srv Server, windows int, seed uint64, maxRequests int) RunResult {
+	var res RunResult
+	pass := Pass{Seed: seed, MaxRequests: maxRequests, Lanes: []Lane{{
+		Lane:    &m.Lane,
+		Windows: windows,
+		Stop:    func(r RunResult) { res = r },
+	}}}
+	_ = pass.Run(context.Background(), m, b, srv) // a background context never ends
+	return res
+}
+
+// Lane is one LLC allocation a pass measures.
+type Lane struct {
+	// Lane is the machine lane it reads. Several pass lanes may read one
+	// machine lane: a curve point at the main lane's allocation does.
+	Lane *sim.Lane
+	// Windows is how many windows it measures: it stops at the first
+	// request boundary where it has closed that many since its measurement
+	// began.
+	Windows int
+	// Stop, when non-nil, is called at the request boundary where the lane
+	// stops, with its result. The machine lane's samples are then the
+	// windows it measured (past any it had closed before the pass, which a
+	// pass with WarmupWindows flushes), and its server state is what its
+	// last request left.
+	Stop func(RunResult)
+}
+
+// Pass drives one request stream through every lane of a machine: the
+// arrival clock and the request RNG are the pass's, so the server handles
+// each request once, and the levels above the LLC walk its events once
+// (sim.Lane). Each machine lane keeps its own server clock (serverFree) and
+// idles on its own, because its busy cycles are its own.
+//
+// A machine lane measures from the pass's start when WarmupWindows is 0;
+// otherwise it flushes its samples at the request boundary after its
+// WarmupWindows-th window closes and measures from there, its arrivals and
+// serverFree carrying over. A lane stops at its Windows, or, measured or
+// not, once the pass has served MaxRequests requests (<= 0 is a generous
+// default); a lane that stops before its warmup ends measured nothing. A
+// machine lane stops (sim.Lane.Stop) when every lane reading it has, and
+// the pass ends when every lane has, leaving the lanes that stopped last
+// live.
+type Pass struct {
+	Lanes         []Lane
+	WarmupWindows int
+	// Seed derives the arrival and request streams.
+	Seed        uint64
+	MaxRequests int
+}
+
+// passLane is a machine lane's state in a pass.
+type passLane struct {
+	ln          *sim.Lane
+	serverFree  float64 // when the lane's worker becomes free, cycles
+	busyBefore  float64
+	measuring   bool
+	startWin    int // windows closed when measurement began
+	startReq    int
+	startCycles float64
+	open        int // pass lanes reading it that have not stopped
+}
+
+// Run drives the pass to its end, or until ctx ends, checked before every
+// request; then it returns ctx's error.
+func (p Pass) Run(ctx context.Context, m *sim.Machine, b Benchmark, srv Server) error {
+	maxRequests := p.MaxRequests
 	if maxRequests <= 0 {
 		maxRequests = 4_000_000
 	}
-	arrivalRNG := stats.NewRNG(stats.HashSeed(seed, "arrivals"))
-	reqRNG := stats.NewRNG(stats.HashSeed(seed, "requests"))
+	arrivalRNG := stats.NewRNG(stats.HashSeed(p.Seed, "arrivals"))
+	reqRNG := stats.NewRNG(stats.HashSeed(p.Seed, "requests"))
 
 	cycPerSec := m.Config().CyclesPerSecond()
 	meanGapCyc := cycPerSec / b.QPS
@@ -203,20 +258,87 @@ func Run(m *sim.Machine, b Benchmark, srv Server, windows int, seed uint64, maxR
 		net = NewNetworkStack(trace.NewCodeLayoutAt(kernelCodeBase))
 	}
 
-	target := len(m.Samples()) + windows
-	var arrivalClock float64 // absolute arrival time, cycles
-	var serverFree float64   // when the worker becomes free, cycles
-	res := RunResult{OfferedQPS: b.QPS}
-	startCycles := m.TotalCycles()
-
-	for len(m.Samples()) < target && res.Requests < maxRequests {
-		arrivalClock += meanGapCyc * arrivalRNG.ExpFloat64()
-		if arrivalClock > serverFree {
-			// The worker idles until the next request arrives.
-			m.Idle(arrivalClock - serverFree)
-			serverFree = arrivalClock
+	var lanes []*passLane
+	of := make([]*passLane, len(p.Lanes)) // the machine lane each pass lane reads
+	for i, l := range p.Lanes {
+		for _, pl := range lanes {
+			if pl.ln == l.Lane {
+				of[i] = pl
+			}
 		}
-		busyBefore := m.BusyCycles()
+		if of[i] == nil {
+			of[i] = &passLane{ln: l.Lane}
+			lanes = append(lanes, of[i])
+		}
+		of[i].open++
+	}
+	requests := 0
+	begin := func(pl *passLane) {
+		pl.measuring = true
+		pl.startWin, pl.startReq, pl.startCycles = len(pl.ln.Samples()), requests, pl.ln.TotalCycles()
+	}
+	if p.WarmupWindows <= 0 {
+		for _, pl := range lanes {
+			begin(pl)
+		}
+	}
+	stopped := make([]bool, len(p.Lanes))
+	var arrivalClock float64 // absolute arrival time, cycles
+	for {
+		live := 0
+		for i, l := range p.Lanes {
+			if stopped[i] {
+				continue
+			}
+			pl := of[i]
+			if requests < maxRequests && (!pl.measuring || len(pl.ln.Samples())-pl.startWin < l.Windows) {
+				live++
+				continue
+			}
+			if !pl.measuring {
+				pl.ln.FlushSamples()
+				begin(pl)
+			}
+			stopped[i] = true
+			if l.Stop != nil {
+				res := RunResult{
+					Requests:      requests - pl.startReq,
+					WindowsClosed: len(pl.ln.Samples()),
+					OfferedQPS:    b.QPS,
+				}
+				if elapsed := pl.ln.TotalCycles() - pl.startCycles; elapsed > 0 {
+					res.AchievedQPS = float64(res.Requests) / (elapsed / cycPerSec)
+				}
+				l.Stop(res)
+			}
+			pl.open--
+		}
+		if live == 0 {
+			// The last lanes stay live: a single-lane Run leaves its
+			// machine as it found it.
+			return nil
+		}
+		for _, pl := range lanes {
+			if pl.open == 0 {
+				pl.ln.Stop()
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+
+		arrivalClock += meanGapCyc * arrivalRNG.ExpFloat64()
+		for _, pl := range lanes {
+			if pl.open == 0 {
+				continue
+			}
+			if arrivalClock > pl.serverFree {
+				// The worker idles until the next request arrives.
+				pl.ln.Idle(arrivalClock - pl.serverFree)
+				pl.serverFree = arrivalClock
+			}
+			pl.busyBefore = pl.ln.BusyCycles()
+		}
 		if net != nil {
 			req, _ := messageSizes(srv)
 			net.Receive(m, req)
@@ -226,15 +348,18 @@ func Run(m *sim.Machine, b Benchmark, srv Server, windows int, seed uint64, maxR
 			_, resp := messageSizes(srv)
 			net.Send(m, resp)
 		}
-		serverFree += m.BusyCycles() - busyBefore
-		res.Requests++
+		requests++
+		for _, pl := range lanes {
+			if pl.open == 0 {
+				continue
+			}
+			pl.serverFree += pl.ln.BusyCycles() - pl.busyBefore
+			if !pl.measuring && len(pl.ln.Samples()) >= p.WarmupWindows {
+				pl.ln.FlushSamples()
+				begin(pl)
+			}
+		}
 	}
-	res.WindowsClosed = len(m.Samples())
-	elapsed := m.TotalCycles() - startCycles
-	if elapsed > 0 {
-		res.AchievedQPS = float64(res.Requests) / (elapsed / cycPerSec)
-	}
-	return res
 }
 
 // messageSizes extracts request/response sizes from servers that report

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"datamime/internal/apps/kvstore"
@@ -176,5 +178,53 @@ func TestNetworkStackHandlesDegenerateSizes(t *testing.T) {
 	ns.Send(rec, -1)
 	if rec.Instrs == 0 {
 		t.Fatal("degenerate messages still carry protocol work")
+	}
+}
+
+// TestPassLanesMatchSingleLaneRuns: every lane of a pass — counter windows,
+// wall-clock windows and its result — is what a pass over a machine of
+// that allocation alone measures, warmup flush and all. A lane that
+// reuses the main lane's server clock idles wrong and fails here.
+func TestPassLanesMatchSingleLaneRuns(t *testing.T) {
+	b := kvBenchmark(50_000, false)
+	type laneOut struct {
+		res         RunResult
+		samples     []sim.WindowSample
+		wallSamples []sim.WallSample
+		ways, quota int
+	}
+	pass := func(m *sim.Machine, lanes []*sim.Lane, quotas []int) []laneOut {
+		srv := b.NewServer(trace.NewCodeLayout(), 1)
+		out := make([]laneOut, len(lanes))
+		p := Pass{WarmupWindows: 2, Seed: 42}
+		for i, ln := range lanes {
+			i, ln := i, ln
+			p.Lanes = append(p.Lanes, Lane{Lane: ln, Windows: quotas[i], Stop: func(r RunResult) {
+				out[i] = laneOut{r, append([]sim.WindowSample(nil), ln.Samples()...),
+					append([]sim.WallSample(nil), ln.WallSamples()...), ln.Ways(), quotas[i]}
+			}})
+		}
+		if err := p.Run(context.Background(), m, b, srv); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ways, quotas := []int{12, 1, 4}, []int{8, 3, 5}
+	m := sim.NewMachine(sim.Broadwell(), 200_000)
+	var lanes []*sim.Lane
+	for _, w := range ways {
+		lanes = append(lanes, m.AddLane(w))
+	}
+	got := pass(m, lanes, quotas)
+	for i, w := range ways {
+		single := sim.NewMachine(sim.Broadwell(), 200_000)
+		single.SetLLCPartition(w)
+		want := pass(single, []*sim.Lane{&single.Lane}, quotas[i:i+1])[0]
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%d-way lane: %+v\nits single-lane pass: %+v", w, got[i].res, want.res)
+		}
+		if len(got[i].samples) < quotas[i] {
+			t.Errorf("%d-way lane measured %d windows, want %d", w, len(got[i].samples), quotas[i])
+		}
 	}
 }
