@@ -520,7 +520,6 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 					rec.RecordSpan(telemetry.PhaseGPFit, it, t.GPFit, map[string]float64{
 						telemetry.AttrCholeskyAppends:  float64(t.CholeskyAppends),
 						telemetry.AttrCholeskyRebuilds: float64(t.CholeskyRebuilds),
-						telemetry.AttrJitterLevelMax:   float64(t.MaxJitterLevel),
 					})
 					rec.RecordSpan(telemetry.PhaseAcquisition, it, t.Acquisition,
 						map[string]float64{"proposals": float64(t.Proposals)})

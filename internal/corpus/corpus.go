@@ -95,8 +95,6 @@ type ModelHealth struct {
 	MeanCoverage2 float64 `json:"mean_coverage2"`
 	// FinalLogMarginal is the last fit's log evidence.
 	FinalLogMarginal float64 `json:"final_log_marginal"`
-	// MaxJitterLevel is the worst jitter escalation any fit needed.
-	MaxJitterLevel int `json:"max_jitter_level"`
 	// Healthy reports whether no search-health verdict flag fired.
 	Healthy bool `json:"healthy"`
 }

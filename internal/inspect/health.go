@@ -64,10 +64,8 @@ type SearchHealth struct {
 	// observations to judge calibration on).
 	MeanCoverage1 float64 `json:"mean_coverage1"`
 	MeanCoverage2 float64 `json:"mean_coverage2"`
-	// MaxJitterLevel and MaxCondition are the worst conditioning any
-	// snapshot reported.
-	MaxJitterLevel int     `json:"max_jitter_level"`
-	MaxCondition   float64 `json:"max_condition"`
+	// MaxCondition is the worst condition estimate any snapshot reported.
+	MaxCondition float64 `json:"max_condition"`
 	// FinalGap and MaxGap track the chosen-vs-pool-mean EI spread.
 	FinalGap float64 `json:"final_acq_gap"`
 	MaxGap   float64 `json:"max_acq_gap"`
@@ -89,7 +87,7 @@ func (h *SearchHealth) VerdictLine() string {
 		return "no diagnostics recorded"
 	}
 	if h.Healthy {
-		return "healthy: calibration near nominal, conditioning clean, acquisition surface still informative"
+		return "healthy: calibration near nominal, acquisition surface still informative"
 	}
 	return strings.Join(h.Verdicts, "; ")
 }
@@ -106,7 +104,6 @@ func (h *SearchHealth) ModelHealth() *corpus.ModelHealth {
 		MeanCoverage1:    h.MeanCoverage1,
 		MeanCoverage2:    h.MeanCoverage2,
 		FinalLogMarginal: h.FinalLogMarginal,
-		MaxJitterLevel:   h.MaxJitterLevel,
 		Healthy:          h.Healthy,
 	}
 }
@@ -135,9 +132,6 @@ func NewSearchHealth(run *Run) *SearchHealth {
 	h.MeanCoverage1 = finite(h.MeanCoverage1) / float64(len(settled))
 	h.MeanCoverage2 = finite(h.MeanCoverage2) / float64(len(settled))
 	for _, d := range recs {
-		if d.JitterLevel > h.MaxJitterLevel {
-			h.MaxJitterLevel = d.JitterLevel
-		}
 		if d.Condition > h.MaxCondition {
 			h.MaxCondition = d.Condition
 		}
@@ -172,14 +166,6 @@ func verdicts(h *SearchHealth) []string {
 				"miscalibrated (underconfident): LOO coverage %s inside 1σ (nominal %s) — predictive bands too wide",
 				fpct(h.MeanCoverage1), fpct(NominalCoverage1)))
 		}
-	}
-	if h.MaxJitterLevel >= 2 {
-		out = append(out, fmt.Sprintf(
-			"ill-conditioned covariance: jitter escalated to level %d (base ×10^%d)",
-			h.MaxJitterLevel, h.MaxJitterLevel))
-	} else if h.MaxCondition > 1e12 {
-		out = append(out, fmt.Sprintf(
-			"ill-conditioned covariance: condition estimate %.2g", h.MaxCondition))
 	}
 	if n >= 3 && h.MaxGap > 0 && h.FinalGap < 0.02*h.MaxGap {
 		out = append(out, fmt.Sprintf(
@@ -243,8 +229,7 @@ func (r *Report) renderHealthText(b *strings.Builder) {
 		fpct(h.MeanCoverage2), fpct(NominalCoverage2), sparkline(s.cov1, 32))
 	fmt.Fprintf(b, "  loo residuals: rmse %s, max |z| %s over %d observations\n",
 		fnum(last.LOORMSE), fnum(last.LOOMaxZ), last.Observations)
-	fmt.Fprintf(b, "  conditioning: max jitter level %d, condition estimate %.3g\n",
-		h.MaxJitterLevel, h.MaxCondition)
+	fmt.Fprintf(b, "  conditioning: condition estimate %.3g\n", h.MaxCondition)
 	fmt.Fprintf(b, "  acquisition: chosen EI %s vs pool mean %s (gap trend |%s|), explore share %s\n",
 		fnum(last.ChosenEI), fnum(last.PoolMeanEI), sparkline(s.gaps, 32), fpct(h.ExploreShare))
 	fmt.Fprintf(b, "  verdict: %s\n", h.VerdictLine())

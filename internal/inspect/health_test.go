@@ -69,17 +69,6 @@ func TestSearchHealthVerdicts(t *testing.T) {
 		t.Fatalf("calibration judged on too few observations: %v", h.Verdicts)
 	}
 
-	// Ill-conditioned: escalated jitter.
-	jittery := healthyRecords(10)
-	jittery[4].JitterLevel = 3
-	h = healthOf(jittery)
-	if h.Healthy || !strings.Contains(h.VerdictLine(), "ill-conditioned") {
-		t.Fatalf("jitter escalation not flagged: %q", h.VerdictLine())
-	}
-	if h.MaxJitterLevel != 3 {
-		t.Fatalf("MaxJitterLevel = %d, want 3", h.MaxJitterLevel)
-	}
-
 	// Stagnating: the acquisition gap collapses to ~0 of its peak.
 	stale := healthyRecords(10)
 	for i := range stale {
@@ -168,7 +157,7 @@ func TestHealthRendersInReports(t *testing.T) {
 func TestNewDiagRecordMatchesEventRecord(t *testing.T) {
 	d := opt.Diagnostics{
 		LengthScale: 0.2, NoiseFrac: 1e-2, SignalVar: 2.5, LogMarginal: -7.5,
-		Observations: 11, JitterLevel: 1, Condition: 3e6, LOORMSE: 0.2,
+		Observations: 11, Condition: 3e6, LOORMSE: 0.2,
 		LOOMaxZ: 2.2, Coverage1: 0.6, Coverage2: 0.9, Candidates: 512,
 		ChosenEI: 0.33, PoolMeanEI: 0.05, ExploitEI: 0.25, ExploreEI: 0.08,
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"datamime/internal/opt"
 	"datamime/internal/telemetry"
 )
 
@@ -118,10 +119,11 @@ func TestLoadRunRejectsBrokenEval(t *testing.T) {
 // field is negative, fractional or past 2³¹ fails the load with the key in
 // the error, where converting it would give whatever the architecture makes
 // of it (amd64 read 1e300 as MinInt64, and the health verdict then skipped
-// the calibration check). The largest count still loads.
+// the calibration check). The largest count still loads, and so does
+// gp_jitter_level, a key artifacts carried before the jitter-escalation
+// level left the snapshot, whatever its value: no field reads it.
 func TestLoadRunRejectsNonCountDiagnostics(t *testing.T) {
 	for _, attr := range []string{
-		`"gp_jitter_level":1e300`,
 		`"gp_observations":1e300`,
 		`"acq_candidates":-3`,
 		`"gp_observations":12.5`,
@@ -134,13 +136,13 @@ func TestLoadRunRejectsNonCountDiagnostics(t *testing.T) {
 			t.Errorf("%s: error %v should name %s", attr, err, key)
 		}
 	}
-	art := `{"type":"search.diagnostics","iter":3,"attrs":{"gp_observations":2147483647,"acq_candidates":0}}` + "\n"
+	art := `{"type":"search.diagnostics","iter":3,"attrs":{"gp_observations":2147483647,"acq_candidates":0,"gp_jitter_level":1e300}}` + "\n"
 	run, err := LoadRun(strings.NewReader(art))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := run.Diagnostics[0].Observations; got != 1<<31-1 {
-		t.Errorf("Observations = %d, want %d", got, 1<<31-1)
+	if got, want := run.Diagnostics[0].Diagnostics, (opt.Diagnostics{Observations: 1<<31 - 1}); got != want {
+		t.Errorf("decoded %+v, want %+v", got, want)
 	}
 }
 

@@ -34,9 +34,9 @@ func (b *BayesOpt) NextBatch(k int) [][]float64 {
 	// Constant liar: temporarily append lies to the history, then roll
 	// them back. The surrogate cache is snapshotted alongside — factors
 	// are immutable, so the snapshot is just the entry structs — and
-	// restored with the rollback, discarding lie rows (and any jitter
-	// escalation the lies provoked) so the cache state a later Observe
-	// extends is exactly the pre-batch state.
+	// restored with the rollback, discarding lie rows (and any rebuild the
+	// lies provoked) so the cache state a later Observe extends is exactly
+	// the pre-batch state.
 	_, bestY, haveBest := b.Best()
 	if b.cache == nil {
 		b.cache = newSurrogateCache()

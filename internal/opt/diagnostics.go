@@ -29,11 +29,9 @@ type Diagnostics struct {
 	SignalVar    float64 `json:"signal_var"`
 	LogMarginal  float64 `json:"log_marginal"`
 	Observations int     `json:"observations"`
-	// JitterLevel is the winning candidate's jitter-escalation level
-	// (0 = factorized at base jitter); Condition estimates the covariance
-	// condition number as (max/min Cholesky diagonal)².
-	JitterLevel int     `json:"jitter_level"`
-	Condition   float64 `json:"condition"`
+	// Condition estimates the covariance condition number as (max/min
+	// Cholesky diagonal)².
+	Condition float64 `json:"condition"`
 
 	// Leave-one-out calibration: residuals of each training point predicted
 	// from the other n−1, standardized by the model's own predictive spread.
@@ -76,7 +74,6 @@ func (d *Diagnostics) fields() []diagField {
 		{key: "gp_signal_var", f: &d.SignalVar},
 		{key: "gp_log_marginal", f: &d.LogMarginal},
 		{key: "gp_observations", i: &d.Observations},
-		{key: "gp_jitter_level", i: &d.JitterLevel},
 		{key: "gp_condition", f: &d.Condition},
 		{key: "loo_rmse", f: &d.LOORMSE},
 		{key: "loo_max_z", f: &d.LOOMaxZ},
@@ -108,7 +105,8 @@ func (d Diagnostics) Attrs() map[string]float64 {
 }
 
 // DiagnosticsFromAttrs is the inverse of Attrs; absent keys leave their
-// field zero, so snapshots written by older builds still decode. An integer
+// field zero and keys no field has are ignored, so snapshots written by
+// older builds still decode. An integer
 // field outside the whole numbers in [0, 2³¹) is an error: int() would make
 // of it whatever the architecture does (amd64 wraps 1e300 to MinInt64).
 func DiagnosticsFromAttrs(attrs map[string]float64) (Diagnostics, error) {
@@ -163,7 +161,6 @@ func (b *BayesOpt) captureDiagnostics(gp *GP, candidates int, exploit, explore, 
 		d.NoiseFrac = sel.nf
 		d.SignalVar = sel.signalVar
 		d.LogMarginal = sel.lml
-		d.JitterLevel = sel.level
 	}
 	d.Condition = choleskyCondition(&gp.chol)
 	d.LOORMSE, d.LOOMaxZ, d.Coverage1, d.Coverage2 = gp.looStats()
@@ -227,8 +224,9 @@ func (g *GP) looStats() (rmse, maxAbsZ, cov1, cov2 float64) {
 }
 
 // choleskyCondition estimates the covariance condition number from the
-// factor's diagonal: cond(K) ⪆ (max dᵢ / min dᵢ)². A cheap lower bound, but
-// it tracks exactly the failure mode jitter escalation fights.
+// factor's diagonal: cond(K) ⪆ (max dᵢ / min dᵢ)², a cheap lower bound. Each
+// Lᵢᵢ² of a surrogate factor of C + nf·I is a Schur complement of it, so
+// nf ≤ Lᵢᵢ² ≤ 1 + nf, and the estimate is at most (1 + nf)/nf.
 func choleskyCondition(l *linalg.Tri) float64 {
 	if l.N == 0 {
 		return 0

@@ -105,7 +105,7 @@ func FuzzDiagnosticsFromAttrs(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if d.Observations < 0 || d.JitterLevel < 0 || d.Candidates < 0 {
+		if d.Observations < 0 || d.Candidates < 0 {
 			t.Fatalf("accepted a negative count: %+v", d)
 		}
 		if back, err := opt.DiagnosticsFromAttrs(d.Attrs()); err != nil || back != d {

@@ -24,9 +24,9 @@ type GP struct {
 }
 
 // FitGP fits a GP with the given kernel and noise variance to the
-// observations. It escalates diagonal jitter until the covariance matrix
-// factorizes, which copes with duplicate or near-duplicate evaluation
-// points (the optimizer may revisit promising regions).
+// observations. The noise variance, floored at 1e-10, on the covariance's
+// diagonal keeps it positive definite over duplicate or near-duplicate
+// evaluation points (the optimizer may revisit promising regions).
 func FitGP(kernel Kernel, noiseVar float64, xs [][]float64, ys []float64) (*GP, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("opt: FitGP got %d points but %d observations", len(xs), len(ys))
@@ -34,13 +34,9 @@ func FitGP(kernel Kernel, noiseVar float64, xs [][]float64, ys []float64) (*GP, 
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("opt: FitGP needs at least one observation")
 	}
-	jitter := noiseVar
-	if jitter < 1e-10 {
-		jitter = 1e-10
-	}
-	chol, _, _, err := factorize(kernel, xs, jitter)
+	chol, err := factorize(kernel, xs, max(noiseVar, 1e-10))
 	if err != nil {
-		return nil, fmt.Errorf("opt: GP covariance not factorizable even with jitter: %w", err)
+		return nil, fmt.Errorf("opt: GP covariance not factorizable: %w", err)
 	}
 	mean, centered := center(ys, nil)
 	alpha := make([]float64, len(xs))
@@ -58,25 +54,15 @@ func FitGP(kernel Kernel, noiseVar float64, xs [][]float64, ys []float64) (*GP, 
 }
 
 // factorize factorizes the kernel matrix over xs plus jitter·I row by row,
-// escalating the jitter tenfold from base — at most seven times — until it
-// factorizes, and reports the jitter and the escalation level it took. The
-// factor is fresh storage.
-func factorize[K Kernel](k K, xs [][]float64, base float64) (chol linalg.Tri, jitter float64, level int, err error) {
-	chol = linalg.NewTri(len(xs))
-	jitter = base
-	for level = 0; level < 8; level++ {
-		chol = linalg.Tri{Data: chol.Data[:0]}
-		for i := range xs {
-			if err = appendRow(&chol, k, xs, i, jitter); err != nil {
-				break
-			}
+// into fresh storage.
+func factorize[K Kernel](k K, xs [][]float64, jitter float64) (linalg.Tri, error) {
+	chol := linalg.NewTri(len(xs))
+	for i := range xs {
+		if err := appendRow(&chol, k, xs, i, jitter); err != nil {
+			return linalg.Tri{}, err
 		}
-		if err == nil {
-			return chol, jitter, level, nil
-		}
-		jitter *= 10
 	}
-	return linalg.Tri{}, 0, 0, err
+	return chol, nil
 }
 
 // appendRow borders chol, the factor of the kernel matrix over xs[:i] plus

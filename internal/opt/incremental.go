@@ -14,7 +14,7 @@ import (
 //  1. Every candidate's covariance is K = varY·(C + nf·I), where C is the
 //     unit-variance Matérn-5/2 correlation matrix — only varY changes
 //     between iterations. Since chol(s²·A) = s·chol(A) exactly in real
-//     arithmetic, one cached factor L of C + jitter·I per (lengthScale,
+//     arithmetic, one cached factor L of C + nf·I per (lengthScale,
 //     noiseFrac) candidate serves every iteration: the per-iteration work
 //     is an O(n²) bordered append (linalg.Tri.Append) in place plus an
 //     O(n²) solve against sd·L, instead of 24 O(n³) refactorizations. The
@@ -27,20 +27,18 @@ import (
 //     same factor bit for bit, preserving the checkpoint/resume determinism
 //     guarantee.
 //
-// Jitter escalation breaks fact 1's cheap path: once an entry needs more
-// than its base jitter, new observations trigger an exact refactorization
-// from the base level (so the resulting level stays a function of the
-// observation set, not of the path that reached it).
+// C is positive semidefinite and every grid noise fraction is at least
+// 1e-4, so every eigenvalue of C + nf·I is at least 1e-4, far above the
+// factorization's round-off: each entry factorizes C + nf·I at its own
+// noise fraction, and nothing in the cache adds to the diagonal.
 
 // surrogateEntry caches one hyperparameter candidate's unit-variance
 // factorization state.
 type surrogateEntry struct {
 	ls, nf float64
-	chol   linalg.Tri // factor of C_n + jitter·I, grown in place
-	jitter float64    // current diagonal jitter (unit-variance space)
-	level  int        // escalation level: jitter = base·10^level
+	chol   linalg.Tri // factor of C_n + nf·I, grown in place
 	n      int        // observations covered by chol
-	ok     bool       // false when no jitter level factorized at n
+	ok     bool       // false when C_n + nf·I did not factorize
 }
 
 // surrogateCache holds one entry per hyperparameter grid candidate, in grid
@@ -48,12 +46,11 @@ type surrogateEntry struct {
 type surrogateCache struct {
 	entries []surrogateEntry
 	// Fit diagnostics since the last takeFitStats drain: how many entries
-	// took the O(n²) append fast path vs the O(n³) rebuild fallback, and
-	// the worst jitter-escalation level seen. Counters live on the cache,
-	// not the entries, so constant-liar rollbacks never un-count work done.
+	// took the O(n²) append fast path vs the O(n³) rebuild fallback.
+	// Counters live on the cache, not the entries, so constant-liar
+	// rollbacks never un-count work done.
 	appends  int
 	rebuilds int
-	maxLevel int
 	// lastFit records which grid candidate won the most recent fit, for
 	// the DiagnosticsReporter snapshot. Selection metadata only — never
 	// read by the fit itself.
@@ -68,7 +65,6 @@ type fitSelection struct {
 	ls, nf    float64
 	signalVar float64
 	lml       float64
-	level     int
 	ok        bool
 }
 
@@ -110,28 +106,15 @@ func (c *surrogateCache) sync(xs [][]float64) {
 		case syncRebuilt:
 			c.rebuilds++
 		}
-		if c.entries[i].level > c.maxLevel {
-			c.maxLevel = c.entries[i].level
-		}
 	}
 }
 
 // takeFitStats returns the diagnostics accumulated since the previous call
 // and resets them; the optimizer drains them into its Timings window.
-func (c *surrogateCache) takeFitStats() (appends, rebuilds, maxLevel int) {
-	appends, rebuilds, maxLevel = c.appends, c.rebuilds, c.maxLevel
-	c.appends, c.rebuilds, c.maxLevel = 0, 0, 0
-	return appends, rebuilds, maxLevel
-}
-
-// unitJitter is the base diagonal jitter in unit-variance space: the noise
-// fraction itself (FitGP's absolute floor of 1e-10 translates to a relative
-// floor here).
-func unitJitter(nf float64) float64 {
-	if nf < 1e-10 {
-		return 1e-10
-	}
-	return nf
+func (c *surrogateCache) takeFitStats() (appends, rebuilds int) {
+	appends, rebuilds = c.appends, c.rebuilds
+	c.appends, c.rebuilds = 0, 0
+	return appends, rebuilds
 }
 
 // Outcomes of one entry sync, for the cache's fit diagnostics.
@@ -146,9 +129,9 @@ func (e *surrogateEntry) sync(xs [][]float64) int {
 	if e.n == n {
 		return syncNoop // state for this observation set already decided
 	}
-	if e.ok && e.level == 0 && e.n == n-1 {
+	if e.ok && e.n == n-1 {
 		// Fast path: border the cached factor with the newest observation.
-		if appendRow(&e.chol, Matern52{Variance: 1, LengthScale: e.ls}, xs, n-1, e.jitter) == nil {
+		if appendRow(&e.chol, Matern52{Variance: 1, LengthScale: e.ls}, xs, n-1, e.nf) == nil {
 			e.n = n
 			return syncAppended
 		}
@@ -157,18 +140,16 @@ func (e *surrogateEntry) sync(xs [][]float64) int {
 	return syncRebuilt
 }
 
-// rebuild refactorizes from scratch into fresh storage, escalating jitter
-// from the base level until the matrix factorizes (as FitGP does). Starting
-// from the base — not the current level — keeps the resulting level a
-// function of the observation set alone.
+// rebuild refactorizes from scratch into fresh storage. A failed
+// factorization leaves the entry !ok at len(xs) observations, and fits skip
+// it until a later sync rebuilds it.
 func (e *surrogateEntry) rebuild(xs [][]float64) {
 	e.n, e.ok, e.chol = len(xs), false, linalg.Tri{}
 	if len(xs) == 0 {
 		return
 	}
-	chol, jitter, level, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, xs, unitJitter(e.nf))
-	if err == nil {
-		e.chol, e.jitter, e.level, e.ok = chol, jitter, level, true
+	if chol, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, xs, e.nf); err == nil {
+		e.chol, e.ok = chol, true
 	}
 }
 
@@ -206,8 +187,7 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 			best = i
 			c.alpha, c.bestAlpha = c.bestAlpha, c.alpha
 			c.lastFit = fitSelection{
-				ls: e.ls, nf: e.nf, signalVar: varY,
-				lml: lml, level: e.level, ok: true,
+				ls: e.ls, nf: e.nf, signalVar: varY, lml: lml, ok: true,
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -124,65 +125,28 @@ func TestCholeskyAppendRejectsNonPD(t *testing.T) {
 }
 
 // TestEntryFallbackOnAppendFailure: when the bordered append hits a
-// non-positive pivot, the entry must recover via a full refactorization
-// (escalating jitter as needed) and end bit-identical to a from-scratch
-// rebuild.
+// non-positive pivot, the entry falls back to a full refactorization, and
+// when that fails too it is left !ok over the new observation set, exactly
+// as a from-scratch rebuild leaves it, and counted as a rebuild. Only a
+// noise fraction of 0, below the grid's, lets an exact duplicate do that.
 func TestEntryFallbackOnAppendFailure(t *testing.T) {
-	xs := [][]float64{{0.3, 0.7}, {0.9, 0.1}, {0.3, 0.7}} // last duplicates the first
-	// Hand-craft an entry whose factor carries no jitter, so appending the
-	// duplicate row fails, forcing the rebuild path.
-	k := Matern52{Variance: 1, LengthScale: 0.4}
-	var f linalg.Tri
-	for i := 0; i < 2; i++ {
-		if err := appendRow(&f, k, xs, i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := surrogateEntry{ls: 0.4, nf: 1e-4, chol: f, jitter: 0, level: 0, n: 2, ok: true}
-	e.sync(xs)
-	if !e.ok || e.n != 3 {
-		t.Fatalf("entry did not recover: ok=%v n=%d", e.ok, e.n)
-	}
-	if e.jitter < unitJitter(e.nf) {
-		t.Fatalf("rebuild used jitter %g below the base", e.jitter)
-	}
-	// The recovered factor must equal a pure from-scratch rebuild.
-	ref := surrogateEntry{ls: 0.4, nf: 1e-4}
-	ref.rebuild(xs)
-	if !ref.ok || ref.level != e.level || ref.jitter != e.jitter {
-		t.Fatalf("fallback state (%d, %g) != scratch state (%d, %g)", e.level, e.jitter, ref.level, ref.jitter)
-	}
-	for i := range e.chol.Data {
-		if e.chol.Data[i] != ref.chol.Data[i] {
-			t.Fatal("fallback factor diverged from scratch rebuild")
-		}
-	}
-}
-
-// TestEscalatedEntryRefactorizesFromBase: once an entry sits above the base
-// jitter level, new observations must refactorize from the base level so
-// the landing state is a function of the observation set, not the path.
-func TestEscalatedEntryRefactorizesFromBase(t *testing.T) {
-	xs, _ := randomObs(12, 6, 2)
-	e := surrogateEntry{ls: 0.4, nf: 1e-3}
-	e.rebuild(xs[:5])
+	xs := [][]float64{{0.3, 0.7}, {0.9, 0.1}, {0.3, 0.7}, {0.5, 0.5}} // the third duplicates the first
+	e := surrogateEntry{ls: 0.4}
+	e.rebuild(xs[:2])
 	if !e.ok {
-		t.Fatal("initial rebuild failed")
+		t.Fatal("two distinct points did not factorize")
 	}
-	e.level, e.jitter = 2, e.jitter*100 // simulate prior escalation
-	e.sync(xs[:6])
-	if !e.ok {
-		t.Fatal("sync failed")
+	if got := e.sync(xs[:3]); got != syncRebuilt || e.ok || e.n != 3 || e.chol.N != 0 {
+		t.Fatalf("after the duplicate: sync %d, ok=%v n=%d rows=%d; want a rebuild, !ok, 3, 0", got, e.ok, e.n, e.chol.N)
 	}
-	if e.level != 0 {
-		t.Fatalf("level %d after rebuild of well-conditioned points, want 0 (base)", e.level)
+	ref := surrogateEntry{ls: 0.4}
+	ref.rebuild(xs[:3])
+	if ref.ok || ref.n != e.n || ref.chol.N != e.chol.N {
+		t.Fatalf("scratch rebuild: ok=%v n=%d rows=%d, want the fallback's state", ref.ok, ref.n, ref.chol.N)
 	}
-	ref := surrogateEntry{ls: 0.4, nf: 1e-3}
-	ref.rebuild(xs[:6])
-	for i := range e.chol.Data {
-		if e.chol.Data[i] != ref.chol.Data[i] {
-			t.Fatal("escalated-entry rebuild diverged from scratch")
-		}
+	// A !ok entry never takes the append path: the next point rebuilds it.
+	if got := e.sync(xs); got != syncRebuilt || e.ok || e.n != 4 {
+		t.Fatalf("after a fourth point: sync %d, ok=%v n=%d; want a rebuild, !ok, 4", got, e.ok, e.n)
 	}
 }
 
@@ -195,26 +159,25 @@ func TestEscalatedEntryRefactorizesFromBase(t *testing.T) {
 //
 // In the second row the incumbent sits on a corner of the cube, where local
 // candidates clamp onto it, and the first proposal is the incumbent itself:
-// a lie duplicates an observed point. Jitter escalation cannot be reached
-// from the grid's base jitters (an exact duplicate factorizes at the 1e-4
-// floor, and at 1e-10), so that row also escalates one entry by hand before
-// the batch, in both optimizers, as TestEscalatedEntryRefactorizesFromBase
-// does: the batch's first lie rebuilds it into fresh storage from the base
-// level, the rollback restores the escalated entry over that rebuild, and
-// the real observation rebuilds it again.
+// a lie duplicates an observed point. An exact duplicate factorizes at the
+// grid's noise fractions, so that row also fails one entry by hand before
+// the batch, in both optimizers, as a factorization that did not succeed
+// leaves it: the batch's first lie rebuilds it into fresh storage, the
+// rollback restores the failed entry over that rebuild, and the real
+// observation rebuilds it again.
 func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 	for _, row := range []struct {
-		name     string
-		design   [][]float64 // observed in place of the initial design, when set
-		f        func(x []float64) float64
-		escalate bool
+		name   string
+		design [][]float64 // observed in place of the initial design, when set
+		f      func(x []float64) float64
+		failed bool
 	}{
 		{name: "distinct lies", f: func(x []float64) float64 { return math.Cos(3*x[0]) + x[1] }},
 		{
-			name:     "lie duplicates an observation",
-			design:   [][]float64{{0, 0}, {1, 0}, {0, 1}, {0.5, 0.5}},
-			f:        func(x []float64) float64 { return x[0] + x[1] },
-			escalate: true,
+			name:   "lie duplicates an observation",
+			design: [][]float64{{0, 0}, {1, 0}, {0, 1}, {0.5, 0.5}},
+			f:      func(x []float64) float64 { return x[0] + x[1] },
+			failed: true,
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -232,18 +195,14 @@ func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 				b.Observe(x, row.f(x))
 				twin.Observe(x, row.f(x))
 			}
-			const escalated = 13 // (ls 0.4, nf 1e-3)
+			const failed = 13 // (ls 0.4, nf 1e-3)
 			for _, o := range []*BayesOpt{b, twin} {
 				if _, err := o.fitSurrogate(); err != nil {
 					t.Fatal(err)
 				}
-				if row.escalate {
-					e := &o.cache.entries[escalated]
-					chol, jitter, _, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, o.xs, 100*unitJitter(e.nf))
-					if err != nil {
-						t.Fatal(err)
-					}
-					e.chol, e.jitter, e.level = chol, jitter, 2
+				if row.failed {
+					e := &o.cache.entries[failed]
+					e.chol, e.ok = linalg.Tri{}, false
 				}
 			}
 			b.TakeTimings()
@@ -255,7 +214,7 @@ func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 			if row.design != nil && !slices.Equal(batch[0], row.design[0]) {
 				t.Fatalf("first proposal %v is not the observed corner %v: no lie duplicates an observation", batch[0], row.design[0])
 			}
-			if tm, _ := b.TakeTimings(); row.escalate && tm.CholeskyRebuilds == 0 {
+			if tm, _ := b.TakeTimings(); row.failed && tm.CholeskyRebuilds == 0 {
 				t.Fatal("no entry rebuilt during the batch")
 			}
 			b.Observe(batch[0], row.f(batch[0]))
@@ -268,7 +227,7 @@ func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 			for i, e := range b.cache.entries {
 				ref := surrogateEntry{ls: e.ls, nf: e.nf}
 				ref.rebuild(b.xs)
-				if e.n != ref.n || e.ok != ref.ok || e.level != ref.level || e.jitter != ref.jitter ||
+				if e.n != ref.n || e.ok != ref.ok ||
 					e.chol.N != ref.chol.N || !sameBits(e.chol.Data, ref.chol.Data) {
 					t.Fatalf("entry %d (ls %g, nf %g) is not the rebuild on the real observations", i, e.ls, e.nf)
 				}
@@ -281,13 +240,49 @@ func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 // streams, dimensions 1 to 6 — each new point fresh, an exact duplicate of an
 // earlier one, or a duplicate moved by 1 ulp or by 1e-12 to 1e-4 in one
 // coordinate, arriving one at a time, several at once, or after a
-// constant-liar rewind — every cache entry's factor, jitter level, α and
-// log-determinant equal, bit for bit, those of factorize run from scratch on
-// the same observations. The test reports the highest jitter level any
-// entry needed.
+// constant-liar rewind — every cache entry's factor, α and log-determinant
+// equal, bit for bit, those of factorize run from scratch on the same
+// observations. Then, in 1, 6 and 20 dimensions, 400 copies of one point and
+// 400 points within 1e-9 of one stream in one at a time. Every entry must
+// factorize at its own noise fraction (the grid's smallest is 1e-4, so every
+// eigenvalue of C + nf·I is at least 1e-4), and its condition estimate must
+// stay within (1 + nf)/nf. Under -short (CI's race step, where 400 points
+// take most of a minute) the last rows hold 100 points.
 func TestCacheMatchesScratchOnNearSingularInserts(t *testing.T) {
+	if nf := slices.Min(hyperNoiseFracs); nf < 1e-4 {
+		t.Fatalf("the grid's smallest noise fraction is %g: below 1e-4 an entry may fail to factorize from data", nf)
+	}
+	check := func(name string, cache *surrogateCache, xs [][]float64, ys []float64) {
+		t.Helper()
+		sd := math.Sqrt(max(variance(ys), 1e-12))
+		_, centered := center(ys, nil)
+		solve := func(l *linalg.Tri) ([]float64, float64) {
+			a := make([]float64, l.N)
+			l.SolveLower(sd, centered, a)
+			l.SolveUpperT(sd, a, a)
+			return a, l.LogDet(sd)
+		}
+		for _, e := range cache.entries {
+			chol, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, xs, e.nf)
+			if !e.ok || err != nil || e.n != len(xs) {
+				t.Fatalf("%s, %d points, entry (%g, %g): cached ok %v over %d points, scratch error %v",
+					name, len(xs), e.ls, e.nf, e.ok, e.n, err)
+			}
+			if e.chol.N != chol.N || !sameBits(e.chol.Data, chol.Data) {
+				t.Fatalf("%s, %d points, entry (%g, %g): cached factor differs from scratch", name, len(xs), e.ls, e.nf)
+			}
+			if c, bound := choleskyCondition(&e.chol), (1+e.nf)/e.nf; c > bound {
+				t.Fatalf("%s, %d points, entry (%g, %g): condition estimate %g above (1+nf)/nf = %g", name, len(xs), e.ls, e.nf, c, bound)
+			}
+			ca, cd := solve(&e.chol)
+			sa, sdet := solve(&chol)
+			if !sameBits(ca, sa) || math.Float64bits(cd) != math.Float64bits(sdet) {
+				t.Fatalf("%s, %d points, entry (%g, %g): α or log-determinant differs from scratch", name, len(xs), e.ls, e.nf)
+			}
+		}
+	}
+
 	rng := stats.NewRNG(11)
-	maxLevel := 0
 	for c := 0; c < 60; c++ {
 		dim := 1 + rng.IntN(6)
 		var xs [][]float64
@@ -329,37 +324,33 @@ func TestCacheMatchesScratchOnNearSingularInserts(t *testing.T) {
 				insert()
 			}
 			cache.sync(xs)
-
-			sd := math.Sqrt(max(variance(ys), 1e-12))
-			_, centered := center(ys, nil)
-			solve := func(l *linalg.Tri) ([]float64, float64) {
-				a := make([]float64, l.N)
-				l.SolveLower(sd, centered, a)
-				l.SolveUpperT(sd, a, a)
-				return a, l.LogDet(sd)
-			}
-			for _, e := range cache.entries {
-				chol, jitter, level, err := factorize(Matern52{Variance: 1, LengthScale: e.ls}, xs, unitJitter(e.nf))
-				if e.ok != (err == nil) || e.n != len(xs) {
-					t.Fatalf("case %d, %d points, entry (%g, %g): cached ok %v over %d points, scratch error %v",
-						c, len(xs), e.ls, e.nf, e.ok, e.n, err)
-				}
-				if err != nil {
-					continue
-				}
-				maxLevel = max(maxLevel, level)
-				if e.level != level || math.Float64bits(e.jitter) != math.Float64bits(jitter) ||
-					e.chol.N != chol.N || !sameBits(e.chol.Data, chol.Data) {
-					t.Fatalf("case %d, %d points, entry (%g, %g): cached factor (level %d) differs from scratch (level %d)",
-						c, len(xs), e.ls, e.nf, e.level, level)
-				}
-				ca, cd := solve(&e.chol)
-				sa, sdet := solve(&chol)
-				if !sameBits(ca, sa) || math.Float64bits(cd) != math.Float64bits(sdet) {
-					t.Fatalf("case %d, %d points, entry (%g, %g): α or log-determinant differs from scratch", c, len(xs), e.ls, e.nf)
-				}
-			}
+			check(fmt.Sprintf("case %d", c), cache, xs, ys)
 		}
 	}
-	t.Logf("highest jitter level needed: %d", maxLevel)
+
+	points := 400
+	if testing.Short() {
+		points = 100
+	}
+	for _, dim := range []int{1, 6, 20} {
+		for _, spread := range []float64{0, 1e-9} {
+			anchor := make([]float64, dim)
+			for d := range anchor {
+				anchor[d] = 0.5 + 0.4*rng.Float64()
+			}
+			var xs [][]float64
+			var ys []float64
+			cache := newSurrogateCache()
+			for len(xs) < points {
+				x := slices.Clone(anchor)
+				for d := range x {
+					x[d] += spread * rng.Float64()
+				}
+				xs = append(xs, x)
+				ys = append(ys, rng.NormFloat64())
+				cache.sync(xs)
+			}
+			check(fmt.Sprintf("%d-dimensional, spread %g", dim, spread), cache, xs, ys)
+		}
+	}
 }

@@ -72,8 +72,8 @@ func (l *Tri) Slot() []float64 {
 // diagonal the square root of the same sum at j = N — so a factor grown row
 // by row from empty is the factorization of the whole matrix, bit for bit.
 // It returns ErrNotPositiveDefinite, and leaves the factor at N rows, when
-// the diagonal's sum is not positive: the caller's cue to refactorize with
-// escalated jitter.
+// the diagonal's sum is not positive: the bordered matrix is not positive
+// definite in floating point.
 func (l *Tri) Append() error {
 	n, base := l.N, len(l.Data)
 	row := l.Data[base : base+n+1]

@@ -41,14 +41,10 @@ type Timings struct {
 	Proposals int
 	// CholeskyAppends and CholeskyRebuilds count how surrogate factors were
 	// brought up to date in the window: O(n²) incremental bordered appends
-	// versus O(n³) refactorization fallbacks. A rising rebuild share means
-	// the fast path is being defeated (jitter escalation or failed appends).
+	// versus O(n³) refactorization fallbacks: a rebuild follows a failed
+	// append, or several observations arriving between two fits (a batch).
 	CholeskyAppends  int
 	CholeskyRebuilds int
-	// MaxJitterLevel is the worst jitter-escalation level any hyperparameter
-	// candidate needed in the window (0 = all factorized at base jitter) —
-	// a GP conditioning diagnostic.
-	MaxJitterLevel int
 }
 
 // TimingReporter is implemented by optimizers that track internal phase
@@ -180,12 +176,9 @@ func (b *BayesOpt) Next() []float64 {
 	b.timings.GPFit += time.Since(fitStart)
 	b.timings.Proposals++
 	if b.cache != nil {
-		app, reb, lvl := b.cache.takeFitStats()
+		app, reb := b.cache.takeFitStats()
 		b.timings.CholeskyAppends += app
 		b.timings.CholeskyRebuilds += reb
-		if lvl > b.timings.MaxJitterLevel {
-			b.timings.MaxJitterLevel = lvl
-		}
 	}
 	if err != nil {
 		// Surrogate fit failed (degenerate observations); fall back to

@@ -517,6 +517,75 @@ func TestFollowEndsAtRewind(t *testing.T) {
 	}
 }
 
+// TestResumeLogWithRetiredDiagnosticsKey: servers before the GP's jitter
+// ladder went wrote gp_jitter_level into every search.diagnostics line. An
+// unfinished log with that key restores and resumes: every logged iteration
+// replays, none is evaluated again and none rewinds the log, and the
+// resumed run is the uninterrupted one.
+func TestResumeLogWithRetiredDiagnosticsKey(t *testing.T) {
+	const iterations, cut = 12, 9
+	dir := t.TempDir()
+	svc := newTestServer(t, dir)
+	job, err := svc.Submit(bayesSpec(iterations, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	want, err := inspect.NewRun(artifactEvents(job))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	data, err := os.ReadFile(filepath.Join(dir, job.ID()+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, iters := unfinishedLog(data)
+	var log []byte
+	diags := 0
+	for i, line := range lines {
+		if iters[i] == cut {
+			break
+		}
+		if bytes.Contains(line, []byte(`"type":"`+telemetry.TypeSearchDiagnostics+`"`)) {
+			line = bytes.Replace(line, []byte(`"gp_length_scale":`), []byte(`"gp_jitter_level":0,"gp_length_scale":`), 1)
+			diags++
+		}
+		log = append(log, line...)
+	}
+	if diags == 0 || !bytes.Contains(log, []byte(`"gp_jitter_level":0`)) {
+		t.Fatalf("the log holds %d diagnostics lines before iteration %d, none with the retired key", diags, cut)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, job.ID()+".jsonl"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc = newTestServer(t, dir)
+	defer svc.Close()
+	resumed, ok := svc.Job(job.ID())
+	if !ok {
+		t.Fatal("the job was not restored")
+	}
+	<-resumed.Done()
+	if st := resumed.status(); st.State != JobSucceeded {
+		t.Fatalf("resumed job %s: %s", st.State, st.Error)
+	}
+	resumed.mu.Lock()
+	rewinds := resumed.rewinds
+	resumed.mu.Unlock()
+	if evaluated := svc.metrics.evalsTotal.Value(); rewinds != 0 || evaluated != iterations-cut {
+		t.Fatalf("the resumed job rewound %d times and evaluated %g iterations; want 0 and the %d after the log", rewinds, evaluated, iterations-cut)
+	}
+	got, err := inspect.NewRun(artifactEvents(resumed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := inspect.DiffRuns(want, got, inspect.DiffOptions{}); !d.Identical() {
+		t.Fatalf("the resumed run differs from the uninterrupted one: %v", d.Differences)
+	}
+}
+
 // TestResumedJobKeepsCacheHits: a resumed job keeps what its first leg
 // served from the evaluation cache. Random search draws the same first ten
 // points under the same seed at any budget, so the second job serves those

@@ -28,19 +28,12 @@ type serverMetrics struct {
 
 	// Parallel-search contention metrics, fed from telemetry spans by
 	// observeSpan: simulation occupancy per budget slot, budget-semaphore
-	// wait time, and the GP surrogate's incremental-vs-refactorization
-	// balance with its conditioning diagnostic.
+	// wait time, and the GP surrogate's factor appends vs rebuilds.
 	simRuns           *telemetry.Counter
 	workerBusySeconds *telemetry.CounterVec
 	budgetWaitSeconds *telemetry.Counter
 	gpAppends         *telemetry.Counter
 	gpRebuilds        *telemetry.Counter
-	gpJitterLevel     *telemetry.Gauge
-
-	// Search-health diagnostics, counted by foldEval from each record's
-	// snapshot: fits that needed escalated jitter. Each job's own fit
-	// figures are in its artifact.
-	gpJitterEscalations *telemetry.Counter
 
 	// phaseHist aggregates search-phase latencies across all jobs;
 	// populated only when telemetry is on.
@@ -114,10 +107,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"GP surrogate factor updates taking the incremental append fast path.")
 	m.gpRebuilds = reg.NewCounter("datamimed_gp_cholesky_rebuilds_total",
 		"GP surrogate factor updates falling back to full refactorization.")
-	m.gpJitterLevel = reg.NewGauge("datamimed_gp_jitter_level_max",
-		"Highest GP jitter-escalation level observed (conditioning diagnostic).")
-	m.gpJitterEscalations = reg.NewCounter("datamimed_gp_jitter_escalations_total",
-		"Surrogate fits whose winning hyperparameters needed escalated jitter to factorize.")
 
 	m.phaseHist = reg.NewHistogramVec("datamimed_phase_seconds",
 		"Search phase latency, by phase.", "phase", nil)
@@ -266,9 +255,6 @@ func (m *serverMetrics) observeSpan(ev telemetry.Event) {
 	case telemetry.PhaseGPFit:
 		m.gpAppends.Add(ev.Attrs[telemetry.AttrCholeskyAppends])
 		m.gpRebuilds.Add(ev.Attrs[telemetry.AttrCholeskyRebuilds])
-		if lvl := ev.Attrs[telemetry.AttrJitterLevelMax]; lvl > m.gpJitterLevel.Value() {
-			m.gpJitterLevel.Set(lvl)
-		}
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"datamime/internal/core"
-	"datamime/internal/opt"
+	"datamime/internal/backend"
 )
 
 // metricSample is one parsed exposition line: name{labels} value.
@@ -241,30 +241,58 @@ func TestMetricsWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// TestJitterEscalationsCountedWithoutTelemetry: every record's snapshot is
-// folded into its job where the eval is, so on a server without telemetry
-// datamimed_gp_jitter_escalations_total counts each snapshot whose fit needed
-// escalated jitter, and no other.
-func TestJitterEscalationsCountedWithoutTelemetry(t *testing.T) {
+// TestReadmeMetricsTable: README's metrics table is the listing of every
+// family the coordinator's registry holds, samples or not, and of every
+// family a worker's /metrics serves, with each family's type. A family
+// missing from the table fails, and so does a row no registry holds.
+func TestReadmeMetricsTable(t *testing.T) {
 	svc := newTestServer(t, "")
 	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	job := &Job{id: "job-fold"}
-	for i, level := range []int{0, 1, 0, 3} {
-		svc.foldEval(job, core.EvalEvent{Record: core.IterationRecord{
-			Iteration:   i,
-			Diagnostics: &opt.Diagnostics{Observations: 6, JitterLevel: level},
-		}})
+	want := svc.metrics.reg.Families()
+	ws := httptest.NewServer(backend.NewWorker(backend.WorkerConfig{}).Handler())
+	defer ws.Close()
+	resp, err := ws.Client().Get(ws.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range scrape(t, ts) {
-		if s.name == "datamimed_gp_jitter_escalations_total" {
-			if s.value != 2 {
-				t.Fatalf("jitter escalations = %g, want 2", s.value)
-			}
-			return
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			want[f[2]] = f[3]
 		}
 	}
-	t.Fatal("no datamimed_gp_jitter_escalations_total family")
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n### Metrics\n")
+	if !ok {
+		t.Fatal("README has no Metrics section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	got := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		got[strings.Trim(strings.TrimSpace(cells[1]), "`")] = strings.TrimSpace(cells[2])
+	}
+	for name, typ := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("README's metrics table does not list %s, a %s", name, typ)
+		} else if g != typ {
+			t.Errorf("README's metrics table lists %s as a %s; the registry holds a %s", name, g, typ)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("README's metrics table lists %s, which no registry holds", name)
+		}
+	}
 }

@@ -47,7 +47,6 @@ func TestObservatoryMetricsFamilies(t *testing.T) {
 		"datamimed_budget_wait_seconds_total",
 		"datamimed_gp_cholesky_appends_total",
 		"datamimed_gp_cholesky_rebuilds_total",
-		"datamimed_gp_jitter_level_max",
 		"datamimed_eval_cache_misses_total",
 	} {
 		if len(byName[want]) == 0 {

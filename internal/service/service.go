@@ -388,13 +388,10 @@ func (s *Server) runJob(job *Job) {
 // foldEval records one iteration of a running search in its job (its
 // search.diagnostics event when the record carries a snapshot, then its eval
 // event) and counts it in the server's metrics, with or without telemetry. A
-// replayed iteration is already in the job's record, from its log, so only
-// its refit surrogate's jitter counts; a live eval of an iteration the record
-// holds means the replay diverged, and the job rewinds to it first.
+// replayed iteration is already in the job's record, from its log, and
+// counted; a live eval of an iteration the record holds means the replay
+// diverged, and the job rewinds to it first.
 func (s *Server) foldEval(job *Job, ev core.EvalEvent) {
-	if d := ev.Record.Diagnostics; d != nil && d.JitterLevel > 0 {
-		s.metrics.gpJitterEscalations.Inc()
-	}
 	if ev.Replayed {
 		return
 	}

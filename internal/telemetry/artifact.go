@@ -60,14 +60,11 @@ const (
 	// evaluation duration, so dispatch overhead (round trip minus remote
 	// compute) is recoverable from the artifact alone.
 	AttrWorkerNS = "worker_ns"
-	// AttrCholeskyAppends, AttrCholeskyRebuilds, and AttrJitterLevelMax
-	// ride on PhaseGPFit spans: how many incremental O(n²) factor appends
-	// vs O(n³) refactorization fallbacks the surrogate update needed, and
-	// the worst jitter-escalation level any hyperparameter candidate hit
-	// (a GP conditioning diagnostic; 0 = well-conditioned).
+	// AttrCholeskyAppends and AttrCholeskyRebuilds ride on PhaseGPFit
+	// spans: how many incremental O(n²) factor appends vs O(n³)
+	// refactorization fallbacks the surrogate update needed.
 	AttrCholeskyAppends  = "cholesky_appends"
 	AttrCholeskyRebuilds = "cholesky_rebuilds"
-	AttrJitterLevelMax   = "jitter_level_max"
 	// EMDPrefix prefixes per-component EMD attribution attributes
 	// ("emd_l1d_mpki", "emd_ipc_curve", ...).
 	EMDPrefix = "emd_"

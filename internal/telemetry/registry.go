@@ -61,6 +61,19 @@ func (r *Registry) register(f *family) {
 	r.families[f.name] = f
 }
 
+// Families returns the type ("counter", "gauge" or "histogram") of every
+// registered family by name, including those WritePrometheus leaves out
+// because they have no samples yet.
+func (r *Registry) Families() map[string]string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	types := make(map[string]string, len(r.families))
+	for name, f := range r.families {
+		types[name] = f.typ
+	}
+	return types
+}
+
 // Counter is a monotonically increasing metric.
 type Counter struct{ v Float64 }
 

@@ -220,10 +220,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 				span(tracePID, traceTIDOptimizer, iv, spanArgs(ev))
 				if ev.Phase == PhaseGPFit && ev.Attrs[AttrCholeskyRebuilds] > 0 {
 					instant(tracePID, traceTIDOptimizer, "cholesky refactorization", ev.TimeNS,
-						map[string]interface{}{
-							"rebuilds":         ev.Attrs[AttrCholeskyRebuilds],
-							"jitter_level_max": ev.Attrs[AttrJitterLevelMax],
-						})
+						map[string]interface{}{"rebuilds": ev.Attrs[AttrCholeskyRebuilds]})
 				}
 			case PhaseGenerate, PhaseProfile, PhaseProfileRun, PhaseProfileCurves:
 				evalSpans = append(evalSpans, iv)

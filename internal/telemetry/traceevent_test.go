@@ -26,7 +26,7 @@ func traceFixture() []Event {
 		span(PhaseSimRun, 1, 12, 22, map[string]float64{AttrWorker: 1, AttrLanes: 4}),
 		span(PhaseBudgetWait, 1, 11, 12, map[string]float64{AttrWorker: 1}),
 		span(PhaseGPFit, 2, 41, 43, map[string]float64{
-			AttrCholeskyAppends: 3, AttrCholeskyRebuilds: 1, AttrJitterLevelMax: 2}),
+			AttrCholeskyAppends: 3, AttrCholeskyRebuilds: 1}),
 		span(PhaseAcquisition, 2, 43, 45, nil),
 		{Type: TypeEval, Iter: 0, TimeNS: ms(31),
 			Attrs: map[string]float64{AttrError: 0.5, AttrBestError: 0.5}},
