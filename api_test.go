@@ -3,8 +3,10 @@ package datamime_test
 import (
 	"flag"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,17 +18,19 @@ var update = flag.Bool("update", false, "rewrite testdata/api.golden")
 
 // TestExportedAPIGolden: the package's exported names — every exported
 // constant, variable, type, function and method its non-test files declare,
-// one "kind name" line each, sorted — are testdata/api.golden. A name added
-// or removed is a diff here; rewrite the golden with -update when it is
-// meant.
+// one "kind name" line each, plus one "field Type.Field type" line for each
+// exported field of an exported struct type (aliases resolved), sorted — are
+// testdata/api.golden. A name or field added, removed or retyped is a diff
+// here; rewrite the golden with -update when it is meant.
 func TestExportedAPIGolden(t *testing.T) {
-	files, err := filepath.Glob("*.go")
+	paths, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
 	var names []string
-	for _, path := range files {
+	var files []*ast.File
+	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
@@ -34,6 +38,7 @@ func TestExportedAPIGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		files = append(files, f)
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -69,6 +74,7 @@ func TestExportedAPIGolden(t *testing.T) {
 			}
 		}
 	}
+	names = append(names, exportedFields(t, fset, files)...)
 	sort.Strings(names)
 	got := []byte(strings.Join(names, "\n") + "\n")
 	const golden = "testdata/api.golden"
@@ -84,4 +90,35 @@ func TestExportedAPIGolden(t *testing.T) {
 	if string(got) != string(want) {
 		t.Errorf("the exported API drifted from %s (re-run with -update if intended)\n--- got ---\n%s", golden, got)
 	}
+}
+
+// exportedFields type-checks the package from source and lists the exported
+// fields of its exported struct types, each type written with its full
+// package path.
+func exportedFields(t *testing.T, fset *token.FileSet, files []*ast.File) []string {
+	t.Helper()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	pkg, err := conf.Check("datamime", fset, files, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qual := types.RelativeTo(pkg)
+	var lines []string
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !obj.Exported() {
+			continue
+		}
+		st, ok := obj.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				lines = append(lines, "field "+name+"."+f.Name()+" "+types.TypeString(f.Type(), qual))
+			}
+		}
+	}
+	return lines
 }

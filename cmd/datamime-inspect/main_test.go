@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -159,6 +160,46 @@ func TestCorpusGolden(t *testing.T) {
 	}
 	for _, pair := range [][2]string{{"job-1", "job-2"}, {"job-2", "job-2"}} {
 		stdoutOf(t, runDiff, "-a", dir+"/"+pair[0]+".jsonl", "-b", dir+"/"+pair[1]+".jsonl", "-exact")
+	}
+}
+
+// TestDiffExactComparesEveryIteration: the fixture with one iteration that
+// is not the best altered (its error, first parameter and every component
+// distance) keeps its best point and its convergence series.
+// `diff` finds no regression in it, and `diff -exact` exits 1 on it.
+func TestDiffExactComparesEveryIteration(t *testing.T) {
+	var out bytes.Buffer
+	altered := false
+	for _, line := range bytes.SplitAfter(readFile(t, fixture), []byte("\n")) {
+		var ev telemetry.Event
+		if json.Unmarshal(line, &ev) == nil && ev.Type == telemetry.TypeEval && ev.Iter == 3 {
+			for k := range ev.Attrs {
+				if strings.HasPrefix(k, telemetry.EMDPrefix) {
+					ev.Attrs[k] += 0.01
+				}
+			}
+			ev.Attrs[telemetry.AttrError] += 0.5
+			ev.Params[0] *= 1.5
+			data, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, altered = append(data, '\n'), true
+		}
+		out.Write(line)
+	}
+	if !altered {
+		t.Fatal("the fixture has no eval of iteration 3")
+	}
+	path := filepath.Join(t.TempDir(), "altered.jsonl")
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := stdoutOf(t, runDiff, "-a", fixture, "-b", path); !bytes.Contains(got, []byte("iteration 3 differs")) {
+		t.Errorf("diff does not name iteration 3:\n%s", got)
+	}
+	if err := runDiff([]string{"-a", fixture, "-b", path, "-exact"}); err != errRegressed {
+		t.Errorf("diff -exact = %v, want exit 1 (%v)", err, errRegressed)
 	}
 }
 

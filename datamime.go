@@ -108,11 +108,9 @@ type (
 	// (SearchConfig.Evaluator) — e.g. internal/backend's dispatcher for
 	// fleet execution. Results are bit-identical wherever they run.
 	Evaluator = core.Evaluator
-	// Checkpoint is the resumable state of a search (SearchConfig.Resume).
-	Checkpoint = core.Checkpoint
-	// CheckpointEntry is one recorded search iteration.
-	CheckpointEntry = core.CheckpointEntry
-	// EvalEvent describes one finished iteration to SearchConfig.OnEval.
+	// EvalEvent describes one finished iteration to SearchConfig.OnEval;
+	// the events of an earlier run's leading iterations resume it
+	// (SearchConfig.Resume).
 	EvalEvent = core.EvalEvent
 	// EvalErrorPolicy selects how a search reacts to profiling failures.
 	EvalErrorPolicy = core.EvalErrorPolicy
@@ -202,8 +200,9 @@ func Search(cfg SearchConfig) (*Result, error) { return core.Search(cfg) }
 
 // SearchContext is Search with cancellation: ctx is checked between
 // evaluation batches and profiling phases, so canceling stops the search
-// within roughly one batch, returning the partial result (whose Checkpoint
-// can later resume it) alongside ctx's error.
+// within roughly one batch, returning the partial result alongside ctx's
+// error. The events its OnEval saw resume it later: pass them as
+// SearchConfig.Resume to a search of the same configuration.
 func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	return core.SearchContext(ctx, cfg)
 }

@@ -88,11 +88,11 @@ func flakyGenerator(breakOn ...int32) datagen.Generator {
 
 // TestRetrySkipRecoversOnRetry: under EvalRetrySkip, a transient failure is
 // retried with a perturbed seed; when the retry succeeds, the search loses
-// nothing and the checkpoint records the retry.
+// nothing and its eval event records the retry.
 func TestRetrySkipRecoversOnRetry(t *testing.T) {
 	pr := fastProfiler()
 	pr.SkipCurves = true
-	res, err := Search(SearchConfig{
+	res, events := searchEvents(t, SearchConfig{
 		Generator:   flakyGenerator(3), // iteration 2's first attempt breaks; its retry (call 4) works
 		Objective:   MetricObjective{Metric: profile.MetricIPC, Value: 1},
 		Profiler:    pr,
@@ -100,15 +100,12 @@ func TestRetrySkipRecoversOnRetry(t *testing.T) {
 		Seed:        2,
 		OnEvalError: EvalRetrySkip,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Evaluations != 8 || res.Skipped != 0 || len(res.Trace) != 8 {
 		t.Fatalf("evals %d, skipped %d, trace %d; want 8, 0, 8",
 			res.Evaluations, res.Skipped, len(res.Trace))
 	}
-	if !res.Checkpoint.Entries[2].Retried {
-		t.Fatal("checkpoint did not record the retry")
+	if !events[2].Retried {
+		t.Fatal("the eval event did not record the retry")
 	}
 }
 
@@ -118,7 +115,7 @@ func TestRetrySkipRecoversOnRetry(t *testing.T) {
 func TestRetrySkipRecordsPersistentFailure(t *testing.T) {
 	pr := fastProfiler()
 	pr.SkipCurves = true
-	res, err := Search(SearchConfig{
+	res, events := searchEvents(t, SearchConfig{
 		Generator:   flakyGenerator(3, 4), // iteration 2 breaks on both attempts
 		Objective:   MetricObjective{Metric: profile.MetricIPC, Value: 1},
 		Profiler:    pr,
@@ -126,16 +123,12 @@ func TestRetrySkipRecordsPersistentFailure(t *testing.T) {
 		Seed:        2,
 		OnEvalError: EvalRetrySkip,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Evaluations != 7 || res.Skipped != 1 || len(res.Trace) != 7 {
 		t.Fatalf("evals %d, skipped %d, trace %d; want 7, 1, 7",
 			res.Evaluations, res.Skipped, len(res.Trace))
 	}
-	ent := res.Checkpoint.Entries[2]
-	if !ent.Skipped || !ent.Retried || ent.Err == "" {
-		t.Fatalf("skip not recorded in checkpoint: %+v", ent)
+	if ev := events[2]; !ev.Skipped || !ev.Retried || ev.Err == "" {
+		t.Fatalf("skip not recorded in the eval event: %+v", ev)
 	}
 	// The trace skips iteration 2 but keeps global numbering.
 	if res.Trace[2].Iteration != 3 {

@@ -65,7 +65,7 @@ func TestProfileObjectiveSortedCache(t *testing.T) {
 }
 
 // TestSearchProfileWorkersIdentical: a search is bit-for-bit identical at
-// any ProfileWorkers setting — same trace, same best, same checkpoint.
+// any ProfileWorkers setting — same trace, same best, same eval events.
 func TestSearchProfileWorkersIdentical(t *testing.T) {
 	gen := smallKVGenerator()
 	hidden := gen.Benchmark([]float64{90_000, 0.8, 400})
@@ -73,8 +73,8 @@ func TestSearchProfileWorkersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *Result {
-		res, err := Search(SearchConfig{
+	run := func(workers int) (*Result, []EvalEvent) {
+		return searchEvents(t, SearchConfig{
 			Generator:      gen,
 			Objective:      NewProfileObjective(target, NewErrorModel()),
 			Profiler:       fastProfiler(),
@@ -82,13 +82,9 @@ func TestSearchProfileWorkersIdentical(t *testing.T) {
 			Seed:           13,
 			ProfileWorkers: workers,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
-	serial := run(1)
-	parallel := run(3)
+	serial, serialEvents := run(1)
+	parallel, parallelEvents := run(3)
 	if !reflect.DeepEqual(serial.Trace, parallel.Trace) {
 		t.Fatalf("traces diverged:\nserial:   %+v\nparallel: %+v", serial.Trace, parallel.Trace)
 	}
@@ -99,8 +95,8 @@ func TestSearchProfileWorkersIdentical(t *testing.T) {
 	if !reflect.DeepEqual(serial.BestProfile, parallel.BestProfile) {
 		t.Fatal("best profile diverged across ProfileWorkers settings")
 	}
-	if !reflect.DeepEqual(serial.Checkpoint, parallel.Checkpoint) {
-		t.Fatal("checkpoints diverged across ProfileWorkers settings")
+	if !reflect.DeepEqual(serialEvents, parallelEvents) {
+		t.Fatal("eval events diverged across ProfileWorkers settings")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"datamime/internal/opt"
 	"datamime/internal/profile"
+	"datamime/internal/telemetry"
 )
 
 // mapCache is a minimal EvalCache for tests.
@@ -33,6 +35,30 @@ func (c *mapCache) Put(key string, p *profile.Profile) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = p
+}
+
+// searchEvents runs a search and returns its result with the events its
+// OnEval saw.
+func searchEvents(t *testing.T, cfg SearchConfig) (*Result, []EvalEvent) {
+	t.Helper()
+	var evs []EvalEvent
+	cfg.OnEval = func(ev EvalEvent) { evs = append(evs, ev) }
+	res, err := Search(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, evs
+}
+
+// replayFields keeps of each event what a replay reads back from it (with
+// its trace record), dropping how the iteration was served: a resumed run
+// agrees with an uninterrupted one on these.
+func replayFields(evs []EvalEvent) []EvalEvent {
+	out := make([]EvalEvent, len(evs))
+	for i, ev := range evs {
+		out[i] = EvalEvent{Record: ev.Record, U: ev.U, Skipped: ev.Skipped, Err: ev.Err, Retried: ev.Retried}
+	}
+	return out
 }
 
 func metricSearchConfig(iterations, parallel int, seed uint64) SearchConfig {
@@ -83,32 +109,25 @@ func TestParallelTraceMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeBitForBit: a search resumed from a mid-run checkpoint
-// must match an uninterrupted run exactly — same trace, same best, same
-// final checkpoint — because replaying the (u, y) history reconstructs the
+// TestCheckpointResumeBitForBit: a search resumed from the events of a run's
+// first iterations must match an uninterrupted run exactly — same trace, same
+// best, same events — because replaying the (u, y) history reconstructs the
 // optimizer and RNG state deterministically.
 func TestCheckpointResumeBitForBit(t *testing.T) {
 	cache := newMapCache()
 
 	full := metricSearchConfig(14, 2, 55)
 	full.Cache = cache
-	ref, err := Search(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Checkpoint.Entries) != 14 {
-		t.Fatalf("checkpoint has %d entries, want 14", len(ref.Checkpoint.Entries))
+	ref, refEvents := searchEvents(t, full)
+	if len(refEvents) != 14 {
+		t.Fatalf("the search emitted %d events, want 14", len(refEvents))
 	}
 
 	// Resume from the 4th batch boundary (8 iterations done).
-	prefix := Checkpoint{Entries: ref.Checkpoint.Entries[:8]}
 	resumed := metricSearchConfig(14, 2, 55)
 	resumed.Cache = cache
-	resumed.Resume = &prefix
-	res, err := SearchContext(context.Background(), resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed.Resume = refEvents[:8]
+	res, events := searchEvents(t, resumed)
 
 	if !reflect.DeepEqual(ref.Trace, res.Trace) {
 		t.Fatalf("resumed trace diverged:\nref     %v\nresumed %v", ref.Trace, res.Trace)
@@ -117,8 +136,13 @@ func TestCheckpointResumeBitForBit(t *testing.T) {
 		t.Fatalf("resumed best diverged: %g %v vs %g %v",
 			ref.BestError, ref.BestParams, res.BestError, res.BestParams)
 	}
-	if !reflect.DeepEqual(ref.Checkpoint, res.Checkpoint) {
-		t.Fatal("resumed final checkpoint diverged")
+	if !reflect.DeepEqual(replayFields(refEvents), replayFields(events)) {
+		t.Fatal("resumed events diverged")
+	}
+	for i, ev := range events {
+		if ev.Replayed != (i < 8) {
+			t.Fatalf("event %d: Replayed %v, want %v", i, ev.Replayed, i < 8)
+		}
 	}
 	if res.Evaluations != 14 {
 		t.Fatalf("resumed Evaluations = %d, want 14", res.Evaluations)
@@ -167,10 +191,10 @@ func TestSearchCacheSkipsResimulation(t *testing.T) {
 func TestSearchContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := metricSearchConfig(40, 2, 12)
-	events := 0
-	cfg.OnEval = func(EvalEvent) {
-		events++
-		if events == 4 {
+	var events []EvalEvent
+	cfg.OnEval = func(ev EvalEvent) {
+		events = append(events, ev)
+		if len(events) == 4 {
 			cancel()
 		}
 	}
@@ -181,10 +205,10 @@ func TestSearchContextCancel(t *testing.T) {
 	if res == nil || len(res.Trace) == 0 || len(res.Trace) > 6 {
 		t.Fatalf("partial result trace = %v", res)
 	}
-	// The partial checkpoint resumes to the same outcome as an
-	// uninterrupted run.
+	// The events OnEval saw resume to the same outcome as an uninterrupted
+	// run.
 	resumed := metricSearchConfig(40, 2, 12)
-	resumed.Resume = &res.Checkpoint
+	resumed.Resume = events
 	ref, err := Search(metricSearchConfig(40, 2, 12))
 	if err != nil {
 		t.Fatal(err)
@@ -200,5 +224,71 @@ func TestSearchContextCancel(t *testing.T) {
 	// An already-canceled context fails fast.
 	if _, err := SearchContext(ctx, metricSearchConfig(4, 1, 1)); err != context.Canceled {
 		t.Fatalf("pre-canceled context: err = %v", err)
+	}
+}
+
+// TestResumeDivergesToLive: a Parallel: 4 search resumed from the events of
+// a Parallel: 1 run of the same seed replays while the two runs propose the
+// same points (the initial design) and evaluates live from the first batch
+// proposal that differs. It ends where a fresh Parallel: 4 run does.
+// ResumeFromEvents of the serial run's artifact, cut at an eval without its
+// point, yields the events before that eval only.
+func TestResumeDivergesToLive(t *testing.T) {
+	const iterations = 12
+	var artifact bytes.Buffer
+	serialCfg := metricSearchConfig(iterations, 1, 21)
+	serialCfg.Telemetry = telemetry.New(telemetry.Options{OnEvent: telemetry.NewJSONLSink(&artifact)})
+	_, serial := searchEvents(t, serialCfg)
+	ref, fresh := searchEvents(t, metricSearchConfig(iterations, 4, 21))
+	matching := 0
+	for matching < iterations && sameUnitPoint(serial[matching].U, fresh[matching].U) {
+		matching++
+	}
+	if matching < 6 || matching >= iterations-2 {
+		t.Fatalf("the serial and batched runs share %d leading points; want the 6-point initial design, then a divergence before iteration %d", matching, iterations-2)
+	}
+
+	var logged []telemetry.Event
+	if _, err := telemetry.ScanJSONL(&artifact, func(ev telemetry.Event) error {
+		logged = append(logged, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	evals := 0
+	for i := range logged {
+		if logged[i].Type != telemetry.TypeEval {
+			continue
+		}
+		if evals++; evals == iterations-1 {
+			logged[i].U = nil
+		}
+	}
+	resume, err := ResumeFromEvents(logged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resume) != iterations-2 {
+		t.Fatalf("ResumeFromEvents read %d iterations before the eval without u, want %d", len(resume), iterations-2)
+	}
+	for i, ev := range resume {
+		if !reflect.DeepEqual(ev.U, serial[i].U) || ev.Record.Error != serial[i].Record.Error {
+			t.Fatalf("resume[%d] = %+v, the serial run's event %+v", i, ev, serial[i])
+		}
+	}
+
+	cfg := metricSearchConfig(iterations, 4, 21)
+	cfg.Resume = resume
+	res, events := searchEvents(t, cfg)
+	for i, ev := range events {
+		if ev.Replayed != (i < matching) {
+			t.Fatalf("event %d: Replayed %v, want %v (the runs share %d leading points)", i, ev.Replayed, i < matching, matching)
+		}
+	}
+	if !reflect.DeepEqual(ref.Trace, res.Trace) {
+		t.Fatalf("the diverged resume's trace differs from a fresh run's:\nfresh   %v\nresumed %v", ref.Trace, res.Trace)
+	}
+	if ref.BestError != res.BestError || !reflect.DeepEqual(ref.BestParams, res.BestParams) {
+		t.Fatalf("the diverged resume's best %g %v, a fresh run's %g %v", res.BestError, res.BestParams, ref.BestError, ref.BestParams)
 	}
 }

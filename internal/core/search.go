@@ -22,7 +22,7 @@ const (
 	EvalFailFast EvalErrorPolicy = iota
 	// EvalRetrySkip retries a failed evaluation once with a perturbed
 	// profiling seed; if that fails too, the iteration is skipped and
-	// recorded (Result.Skipped, checkpoint entry with Skipped set) and the
+	// recorded (Result.Skipped, an EvalEvent with Skipped set) and the
 	// search continues. Long searches degrade gracefully instead of losing
 	// hours of progress to one flaky candidate.
 	EvalRetrySkip
@@ -46,7 +46,7 @@ type SearchConfig struct {
 	// Objective scores each candidate profile (ProfileObjective for the
 	// paper's search, MetricObjective for range sweeps). Objectives that
 	// also implement AttributedObjective get per-component error
-	// attribution recorded in the trace and checkpoints.
+	// attribution recorded in the trace and eval events.
 	Objective Objective
 	// Profiler measures candidates. For MetricObjective sweeps without
 	// curve components, have its Spec skip the curve sweep to save time.
@@ -100,15 +100,17 @@ type SearchConfig struct {
 	// Profiler is still required: it defines the measurement spec the
 	// Evaluator must honor, and keys the cache.
 	Evaluator Evaluator
-	// Resume, when non-nil, warm-starts the search from a checkpoint:
-	// recorded iterations are replayed through the optimizer (identical
-	// proposals, Observe calls, and trace records) without re-profiling,
-	// then the search continues live. A resumed search is bit-for-bit
-	// identical to an uninterrupted one.
-	Resume *Checkpoint
+	// Resume warm-starts the search from the leading iterations of an
+	// earlier run with the same configuration: the events its OnEval saw,
+	// or ResumeFromEvents of its artifact. Each is replayed through the
+	// optimizer (identical proposals, Observe calls, and trace records)
+	// without re-profiling while its point matches the live proposal; from
+	// the first that does not, the search continues live. A resumed search
+	// is bit-for-bit identical to an uninterrupted one.
+	Resume []EvalEvent
 	// OnEval, when non-nil, is called after every iteration (including
 	// replayed and skipped ones), in iteration order, from the search
-	// goroutine. CheckpointFromEvents resumes from recorded ones.
+	// goroutine. The events it saw are what Resume takes.
 	OnEval func(EvalEvent)
 }
 
@@ -150,25 +152,27 @@ type IterationRecord struct {
 	// batch carries its batch's snapshot; initial-design iterations carry
 	// none). Derived read-only from factorizations the proposal already
 	// materialized, so it is present and bit-identical whether or not
-	// telemetry is enabled, and — like Components — it never enters
-	// EvalKey or checkpoints. EvalEvent.DiagnosticsEvent writes it out.
+	// telemetry is enabled, and it never enters EvalKey or Resume (a
+	// replay recomputes it). EvalEvent.DiagnosticsEvent writes it out.
 	Diagnostics *opt.Diagnostics `json:"diagnostics,omitempty"`
 }
 
 // EvalEvent describes one finished iteration: live, for OnEval observers
 // (the datamimed service grows job traces, metrics, and event streams from
-// it), and read back from an artifact line (inspect.Run.Evals).
+// it), read back from an artifact line (inspect.Run.Evals), and replayed
+// from SearchConfig.Resume.
 type EvalEvent struct {
 	// Record is the trace record; zero-valued except Iteration when
 	// Skipped.
 	Record IterationRecord
-	// U is the proposed point in the unit cube (the checkpoint entry's).
+	// U is the proposed point in the unit cube, which a replay matches
+	// against the live proposal.
 	U []float64
 	// Skipped marks a failed evaluation excluded from the trace.
 	Skipped bool
 	// Err is the profiling error message for skipped iterations.
 	Err string
-	// Replayed marks an iteration reconstructed from a checkpoint.
+	// Replayed marks an iteration replayed from SearchConfig.Resume.
 	Replayed bool
 	// CacheHit marks an evaluation served from the EvalCache.
 	CacheHit bool
@@ -178,22 +182,17 @@ type EvalEvent struct {
 	// SimCycles estimates the simulated cycles this evaluation cost
 	// (0 for cache hits and replays).
 	SimCycles float64
-	// PhaseNS maps evaluation phases ("generate", "profile") to their
-	// wall-clock duration in nanoseconds. Populated only when
-	// SearchConfig.Telemetry is enabled; nil otherwise (and for cache hits
-	// and replays, which run neither phase).
-	PhaseNS map[string]int64
 }
 
 // TelemetryEvent encodes the iteration as the eval event of the JSONL run
 // artifact, which /artifact?follow=1 streams live — the one place the eval
 // attribute conventions are written: error/best_error (completed
 // evaluations only), 0/1 flags, sim_cycles, per-metric "emd_*" attribution,
-// per-phase "phase_*_ns" timings, and the skip reason as the message. EvalEventFromTelemetry below
-// is its inverse. Build it only for an enabled recorder or a sink that
-// wants it: it allocates.
+// and the skip reason as the message. EvalEventFromTelemetry below is its
+// inverse. Build it only for an enabled recorder or a sink that wants it: it
+// allocates.
 func (ev EvalEvent) TelemetryEvent() telemetry.Event {
-	attrs := make(map[string]float64, 4+len(ev.Record.Components)+len(ev.PhaseNS))
+	attrs := make(map[string]float64, 4+len(ev.Record.Components))
 	if !ev.Skipped {
 		attrs[telemetry.AttrError] = ev.Record.Error
 		attrs[telemetry.AttrBestError] = ev.Record.BestError
@@ -212,9 +211,6 @@ func (ev EvalEvent) TelemetryEvent() telemetry.Event {
 	}
 	for k, v := range ev.Record.Components {
 		attrs[telemetry.EMDPrefix+k] = v
-	}
-	for ph, ns := range ev.PhaseNS {
-		attrs[telemetry.PhaseNSPrefix+ph+"_ns"] = float64(ns)
 	}
 	return telemetry.Event{
 		Type:    telemetry.TypeEval,
@@ -247,9 +243,10 @@ func (ev EvalEvent) DiagnosticsEvent() (tev telemetry.Event, ok bool) {
 // eval event read back from a run artifact line. A completed
 // evaluation without a best_error attribute is an error — every writer sets
 // one, so its absence means the artifact convention was broken, not the file
-// truncated. Record.Diagnostics is not part of the eval event (the snapshot
-// is the preceding search.diagnostics event, see DiagnosticsEvent) and stays
-// nil.
+// truncated. Attributes it does not know are ignored, so lines written with
+// retired attributes still load. Record.Diagnostics is not part of the eval
+// event (the snapshot is the preceding search.diagnostics event, see
+// DiagnosticsEvent) and stays nil.
 func EvalEventFromTelemetry(tev telemetry.Event) (EvalEvent, error) {
 	ev := EvalEvent{
 		Record:    IterationRecord{Iteration: tev.Iter, Params: tev.Params},
@@ -275,11 +272,6 @@ func EvalEventFromTelemetry(tev telemetry.Event) (EvalEvent, error) {
 				ev.Record.Components = make(map[string]float64)
 			}
 			ev.Record.Components[name] = v
-		} else if name, ok := strings.CutPrefix(k, telemetry.PhaseNSPrefix); ok && strings.HasSuffix(name, "_ns") {
-			if ev.PhaseNS == nil {
-				ev.PhaseNS = make(map[string]int64)
-			}
-			ev.PhaseNS[strings.TrimSuffix(name, "_ns")] = int64(v)
 		}
 	}
 	return ev, nil
@@ -292,7 +284,7 @@ type Result struct {
 	// BestError is its objective value.
 	BestError float64
 	// BestProfile is the profile measured at the best parameters. It can
-	// be nil if the best iteration was replayed from a checkpoint and its
+	// be nil if the best iteration was replayed from Resume and its
 	// profile could not be recovered from the cache or re-measured.
 	BestProfile *profile.Profile
 	// Trace is the per-iteration history (for convergence plots). Skipped
@@ -308,8 +300,6 @@ type Result struct {
 	// SimulatedCycles estimates the total simulated cycles spent on fresh
 	// profiling (cache hits and replays cost none).
 	SimulatedCycles float64
-	// Checkpoint is the final resumable state of the search.
-	Checkpoint Checkpoint
 }
 
 // Search runs the optimization loop: propose parameters, generate the
@@ -319,44 +309,20 @@ func Search(cfg SearchConfig) (*Result, error) {
 	return SearchContext(context.Background(), cfg)
 }
 
-// evalResult is the outcome of evaluating one candidate.
+// evalResult is one batch slot's outcome: the iteration's event, the profile
+// it measured (nil for skips and replays), and an error that aborts the
+// search.
 type evalResult struct {
-	prof     *profile.Profile
-	err      error
-	e        float64
-	x        []float64
-	comps    map[string]float64
-	cacheHit bool
-	retried  bool
-	replayed bool
-	skipped  bool
-	cycles   float64
-	phases   map[string]int64
-}
-
-// evalTimings accumulates one evaluation's phase durations (including a
-// retry's second attempt). It is allocated only when telemetry is enabled.
-type evalTimings struct {
-	generateNS int64
-	profileNS  int64
-}
-
-// toMap renders the timings for EvalEvent.PhaseNS; nil-safe.
-func (t *evalTimings) toMap() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	return map[string]int64{
-		telemetry.PhaseGenerate: t.generateNS,
-		telemetry.PhaseProfile:  t.profileNS,
-	}
+	ev   EvalEvent
+	prof *profile.Profile
+	err  error
 }
 
 // SearchContext is Search with cancellation: the context is checked between
 // batches, before each candidate evaluation, and between profiling phases,
 // so a cancel or deadline stops the search within roughly one batch. On
-// cancellation it returns the partial Result (including its checkpoint,
-// from which the search can later resume) alongside ctx's error.
+// cancellation it returns the partial Result alongside ctx's error; the
+// events OnEval saw resume the search later (SearchConfig.Resume).
 func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -385,36 +351,14 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	}
 
 	batchRNG := stats.NewRNG(stats.HashSeed(cfg.Seed, "batch-fallback"))
-
-	var replay []CheckpointEntry
-	if cfg.Resume != nil {
-		replay = cfg.Resume.Entries
-	}
+	replay := cfg.Resume
 
 	res := &Result{BestError: 0}
 	best := -1
 	bestRetried := false
-	record := func(it int, x []float64, prof *profile.Profile, e float64, retried bool, comps map[string]float64) {
-		res.Evaluations++
-		if best < 0 || e < res.BestError {
-			best = it
-			bestRetried = retried
-			res.BestError = e
-			res.BestParams = x
-			res.BestProfile = prof
-		}
-		res.Trace = append(res.Trace, IterationRecord{
-			Iteration:  it,
-			Params:     x,
-			Error:      e,
-			BestError:  res.BestError,
-			Components: comps,
-		})
-	}
 
-	// profileAt measures (or recalls) the candidate x under one seed,
-	// timing the generate and profile phases into tm when telemetry is on.
-	profileAt := func(it int, x []float64, seed uint64, tm *evalTimings) (prof *profile.Profile, hit bool, err error) {
+	// profileAt measures (or recalls) the candidate x under one seed.
+	profileAt := func(it int, x []float64, seed uint64) (prof *profile.Profile, hit bool, err error) {
 		var key string
 		if cfg.Cache != nil {
 			key = EvalKey(cfg.Generator.Name, profiler, x, seed)
@@ -429,21 +373,14 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 			// whole round-trip is accounted to the profile phase.
 			profSpan := rec.StartSpan(telemetry.PhaseProfile, it)
 			p, err = cfg.Evaluator.Evaluate(ctx, x, seed)
-			profDur := profSpan.End(nil)
-			if tm != nil {
-				tm.profileNS += profDur.Nanoseconds()
-			}
+			profSpan.End(nil)
 		} else {
 			genSpan := rec.StartSpan(telemetry.PhaseGenerate, it)
 			bench := cfg.Generator.Benchmark(x)
-			genDur := genSpan.End(nil)
+			genSpan.End(nil)
 			profSpan := rec.StartSpan(telemetry.PhaseProfile, it)
 			p, err = profiler.ProfileContext(ctx, bench, seed)
-			profDur := profSpan.End(nil)
-			if tm != nil {
-				tm.generateNS += genDur.Nanoseconds()
-				tm.profileNS += profDur.Nanoseconds()
-			}
+			profSpan.End(nil)
 		}
 		if err != nil {
 			return nil, false, err
@@ -462,34 +399,28 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 			return evalResult{err: err}
 		}
 		x := space.Denormalize(u)
-		var tm *evalTimings
-		if rec.Enabled() {
-			tm = new(evalTimings)
-		}
-		prof, hit, err := profileAt(it, x, iterSeed(cfg.Seed, it, false), tm)
+		prof, hit, err := profileAt(it, x, IterationSeed(cfg.Seed, it, false))
 		retried := false
 		if err != nil && cfg.OnEvalError == EvalRetrySkip && ctx.Err() == nil {
 			retried = true
-			prof, hit, err = profileAt(it, x, iterSeed(cfg.Seed, it, true), tm)
+			prof, hit, err = profileAt(it, x, IterationSeed(cfg.Seed, it, true))
 		}
 		if err != nil {
 			if cfg.OnEvalError == EvalRetrySkip && ctx.Err() == nil {
-				return evalResult{skipped: true, err: err, x: x, retried: retried, phases: tm.toMap()}
+				return evalResult{ev: EvalEvent{Record: IterationRecord{Iteration: it}, Skipped: true, Err: err.Error(), Retried: retried}}
 			}
 			return evalResult{err: err}
 		}
-		var e float64
-		var comps map[string]float64
+		ev := EvalEvent{Record: IterationRecord{Iteration: it, Params: x}, CacheHit: hit, Retried: retried}
 		if ao, ok := cfg.Objective.(AttributedObjective); ok {
-			e, comps = ao.EvaluateAttributed(prof)
+			ev.Record.Error, ev.Record.Components = ao.EvaluateAttributed(prof)
 		} else {
-			e = cfg.Objective.Evaluate(prof)
+			ev.Record.Error = cfg.Objective.Evaluate(prof)
 		}
-		r := evalResult{prof: prof, e: e, x: x, comps: comps, cacheHit: hit, retried: retried, phases: tm.toMap()}
 		if !hit {
-			r.cycles = profiler.Cycles(len(prof.Curve))
+			ev.SimCycles = profiler.Cycles(len(prof.Curve))
 		}
-		return r
+		return evalResult{ev: ev, prof: prof}
 	}
 
 	for it := 0; it < cfg.Iterations; {
@@ -532,21 +463,20 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		for i, u := range batch {
 			gi := it + i
 			if gi < len(replay) && sameUnitPoint(replay[gi].U, u) {
-				ent := replay[gi]
-				results[i] = evalResult{
-					replayed: true,
-					skipped:  ent.Skipped,
-					retried:  ent.Retried,
-					e:        ent.Y,
-					x:        space.Denormalize(u),
-					comps:    ent.Components,
-					err:      replayErr(ent),
+				was := replay[gi]
+				ev := EvalEvent{Record: IterationRecord{Iteration: gi}, Skipped: was.Skipped, Retried: was.Retried, Replayed: true}
+				if was.Skipped {
+					ev.Err = was.Err
+				} else {
+					ev.Record.Params = space.Denormalize(u)
+					ev.Record.Error, ev.Record.Components = was.Record.Error, was.Record.Components
 				}
+				results[i] = evalResult{ev: ev}
 				continue
 			}
 			if gi < len(replay) {
-				// The checkpoint diverged from the live proposal stream
-				// (e.g. a different binary wrote it). Stop replaying and
+				// The resumed run diverged from the live proposal stream
+				// (e.g. a different binary recorded it). Stop replaying and
 				// evaluate the rest live.
 				replay = replay[:gi]
 			}
@@ -564,48 +494,30 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		observeSpan := rec.StartSpan(telemetry.PhaseObserve, it)
 		for i, u := range batch {
 			r := results[i]
-			gi := it + i
-			if r.err != nil && !r.skipped {
-				return res, fmt.Errorf("core: profiling iteration %d: %w", gi, r.err)
+			if r.err != nil {
+				return res, fmt.Errorf("core: profiling iteration %d: %w", it+i, r.err)
 			}
-			ent := CheckpointEntry{
-				Iteration:  gi,
-				U:          append([]float64(nil), u...),
-				Y:          r.e,
-				Skipped:    r.skipped,
-				Retried:    r.retried,
-				Components: r.comps,
-			}
-			ev := EvalEvent{
-				U:         ent.U,
-				Skipped:   r.skipped,
-				Replayed:  r.replayed,
-				CacheHit:  r.cacheHit,
-				Retried:   r.retried,
-				SimCycles: r.cycles,
-				PhaseNS:   r.phases,
-			}
-			if r.skipped {
+			ev := r.ev
+			ev.U = append([]float64(nil), u...)
+			if ev.Skipped {
 				res.Skipped++
-				ent.Err = r.err.Error()
-				ev.Err = ent.Err
-				ev.Record = IterationRecord{Iteration: gi}
 			} else {
-				optimizer.Observe(u, r.e)
-				record(gi, r.x, r.prof, r.e, r.retried, r.comps)
-				if diag != nil {
-					// The batch's snapshot rides on its first recorded
-					// iteration (the proposal the diagnosed fit chose).
-					res.Trace[len(res.Trace)-1].Diagnostics = diag
-					diag = nil
+				optimizer.Observe(u, ev.Record.Error)
+				res.Evaluations++
+				if best < 0 || ev.Record.Error < res.BestError {
+					best, bestRetried = ev.Record.Iteration, ev.Retried
+					res.BestError, res.BestParams, res.BestProfile = ev.Record.Error, ev.Record.Params, r.prof
 				}
-				if r.cacheHit {
+				ev.Record.BestError = res.BestError
+				// The batch's snapshot rides on its first recorded
+				// iteration (the proposal the diagnosed fit chose).
+				ev.Record.Diagnostics, diag = diag, nil
+				res.Trace = append(res.Trace, ev.Record)
+				if ev.CacheHit {
 					res.CacheHits++
 				}
-				res.SimulatedCycles += r.cycles
-				ev.Record = res.Trace[len(res.Trace)-1]
+				res.SimulatedCycles += ev.SimCycles
 			}
-			res.Checkpoint.Entries = append(res.Checkpoint.Entries, ent)
 			if rec.Enabled() {
 				if dev, ok := ev.DiagnosticsEvent(); ok {
 					rec.Emit(dev)
@@ -620,11 +532,11 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		it += len(batch)
 	}
 
-	// A best iteration replayed from a checkpoint carries no profile;
-	// recover it — free when the evaluation cache still holds it, one
-	// extra profiling run otherwise.
+	// A best iteration replayed from Resume carries no profile; recover it
+	// — free when the evaluation cache still holds it, one extra profiling
+	// run otherwise.
 	if res.BestProfile == nil && best >= 0 && ctx.Err() == nil {
-		if prof, _, err := profileAt(best, res.BestParams, iterSeed(cfg.Seed, best, bestRetried), nil); err == nil {
+		if prof, _, err := profileAt(best, res.BestParams, IterationSeed(cfg.Seed, best, bestRetried)); err == nil {
 			res.BestProfile = prof
 		}
 	}
@@ -644,29 +556,16 @@ func (r Result) BestComponents() map[string]float64 {
 }
 
 // IterationSeed returns the deterministic profiling seed of one iteration
-// of a search configured with seed. It is the content-address ingredient a
-// caller needs to look a past evaluation up in an EvalCache (together with
-// EvalKey) without re-running the search — e.g. to recover the best
-// candidate's profile from a checkpoint after a restart.
+// of a search configured with seed; the retry stream is disjoint so a flaky
+// measurement is re-attempted under different noise. It is the
+// content-address ingredient a caller needs to look a past evaluation up in
+// an EvalCache (together with EvalKey) without re-running the search — e.g.
+// to recover the best candidate's profile from a job log after a restart.
 func IterationSeed(seed uint64, it int, retry bool) uint64 {
-	return iterSeed(seed, it, retry)
-}
-
-// iterSeed derives the profiling seed for one iteration; the retry stream
-// is disjoint so a flaky measurement is re-attempted under different noise.
-func iterSeed(seed uint64, it int, retry bool) uint64 {
 	if retry {
 		return stats.HashSeed(seed, fmt.Sprintf("retry-%d", it))
 	}
 	return stats.HashSeed(seed, fmt.Sprintf("iter-%d", it))
-}
-
-// replayErr reconstructs the recorded error of a skipped checkpoint entry.
-func replayErr(ent CheckpointEntry) error {
-	if !ent.Skipped {
-		return nil
-	}
-	return fmt.Errorf("%s", ent.Err)
 }
 
 // MinEMDTrace extracts the Fig. 10 series from a result: the running

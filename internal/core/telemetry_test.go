@@ -17,26 +17,20 @@ import (
 // TestTelemetryDoesNotPerturbSearch: enabling the recorder must not change
 // proposals, seeds, or the trace — telemetry is observation only.
 func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
-	plain, err := Search(metricSearchConfig(8, 1, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, plainEvents := searchEvents(t, metricSearchConfig(8, 1, 42))
 
 	var col telemetry.Collector
 	rec := telemetry.New(telemetry.Options{OnEvent: col.Record})
 	cfg := metricSearchConfig(8, 1, 42)
 	cfg.Telemetry = rec
 	cfg.Profiler.Telemetry = rec
-	traced, err := Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traced, tracedEvents := searchEvents(t, cfg)
 
 	if !reflect.DeepEqual(plain.Trace, traced.Trace) {
 		t.Fatalf("telemetry perturbed the trace:\nplain  %v\ntraced %v", plain.Trace, traced.Trace)
 	}
-	if !reflect.DeepEqual(plain.Checkpoint, traced.Checkpoint) {
-		t.Fatal("telemetry perturbed the checkpoint")
+	if !reflect.DeepEqual(plainEvents, tracedEvents) {
+		t.Fatal("telemetry perturbed the eval events")
 	}
 
 	// Search-health diagnostics are computed whether or not telemetry is on
@@ -87,37 +81,6 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	}
 	if evals != 8 {
 		t.Errorf("recorded %d eval events, want 8", evals)
-	}
-}
-
-// TestEvalEventPhaseTimings: with telemetry on, fresh evaluations report
-// generate and profile wall-clock in EvalEvent.PhaseNS; with telemetry off,
-// PhaseNS stays nil (the disabled path allocates nothing).
-func TestEvalEventPhaseTimings(t *testing.T) {
-	var withTel, without []EvalEvent
-	cfg := metricSearchConfig(4, 1, 9)
-	cfg.Telemetry = telemetry.New(telemetry.Options{})
-	cfg.OnEval = func(ev EvalEvent) { withTel = append(withTel, ev) }
-	if _, err := Search(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg = metricSearchConfig(4, 1, 9)
-	cfg.OnEval = func(ev EvalEvent) { without = append(without, ev) }
-	if _, err := Search(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for i, ev := range withTel {
-		if ev.PhaseNS == nil {
-			t.Fatalf("event %d: PhaseNS nil with telemetry enabled", i)
-		}
-		if ev.PhaseNS[telemetry.PhaseProfile] <= 0 {
-			t.Fatalf("event %d: profile phase %dns, want > 0", i, ev.PhaseNS[telemetry.PhaseProfile])
-		}
-	}
-	for i, ev := range without {
-		if ev.PhaseNS != nil {
-			t.Fatalf("event %d: PhaseNS = %v with telemetry disabled, want nil", i, ev.PhaseNS)
-		}
 	}
 }
 
@@ -250,10 +213,7 @@ func TestAttributedComponentsRoundTrip(t *testing.T) {
 		Cache:      newMapCache(),
 	}
 
-	full, err := Search(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, events := searchEvents(t, base)
 	model := NewErrorModel()
 	for i, rec := range full.Trace {
 		if len(rec.Components) == 0 {
@@ -267,24 +227,35 @@ func TestAttributedComponentsRoundTrip(t *testing.T) {
 			t.Fatalf("trace[%d]: components sum to %g, Error = %g", i, sum, rec.Error)
 		}
 	}
-	for i, ent := range full.Checkpoint.Entries {
-		if len(ent.Components) == 0 {
-			t.Fatalf("checkpoint entry %d has no components", i)
-		}
+	// Persist → restore → resume: the events written as artifact lines and
+	// read back replay to a trace (components included) identical to the
+	// uninterrupted run's.
+	tevs := make([]telemetry.Event, len(events))
+	for i, ev := range events {
+		tevs[i] = ev.TelemetryEvent()
 	}
-
-	// Persist → restore → resume: the replayed trace (components included)
-	// must be identical to the uninterrupted run's.
-	data, err := json.Marshal(full.Checkpoint)
+	var buf bytes.Buffer
+	if err := telemetry.WriteJSONL(&buf, tevs); err != nil {
+		t.Fatal(err)
+	}
+	var logged []telemetry.Event
+	if _, err := telemetry.ScanJSONL(&buf, func(ev telemetry.Event) error {
+		logged = append(logged, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ResumeFromEvents(logged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored Checkpoint
-	if err := json.Unmarshal(data, &restored); err != nil {
-		t.Fatal(err)
+	for i, ev := range restored {
+		if len(ev.Record.Components) == 0 {
+			t.Fatalf("restored event %d has no components", i)
+		}
 	}
 	resumeCfg := base
-	resumeCfg.Resume = &restored
+	resumeCfg.Resume = restored
 	resumed, err := Search(resumeCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,18 +277,14 @@ func TestResumeDeterministicWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First leg (telemetry on): keep the checkpoint of ~half the budget.
+	// First leg (telemetry on): keep the events of ~half the budget.
 	firstLeg := base
 	firstLeg.Telemetry = telemetry.New(telemetry.Options{})
-	first, err := Search(firstLeg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := Checkpoint{Entries: first.Checkpoint.Entries[:5]}
+	_, first := searchEvents(t, firstLeg)
 
 	// Second leg (telemetry on too): resume to the full budget.
 	second := base
-	second.Resume = &mid
+	second.Resume = first[:5]
 	second.Telemetry = telemetry.New(telemetry.Options{})
 	resumed, err := Search(second)
 	if err != nil {
@@ -339,10 +306,7 @@ func TestResumeDeterministicWithTelemetry(t *testing.T) {
 // export as a structurally valid Perfetto trace. Run under -race this also
 // proves the collector is safe against concurrent profiles' emitters.
 func TestTraceExportTelemetryBitIdentical(t *testing.T) {
-	plain, err := Search(metricSearchConfig(8, 2, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, plainEvents := searchEvents(t, metricSearchConfig(8, 2, 42))
 
 	var collector telemetry.Collector
 	rec := telemetry.New(telemetry.Options{OnEvent: collector.Record})
@@ -350,17 +314,14 @@ func TestTraceExportTelemetryBitIdentical(t *testing.T) {
 	cfg.ProfileWorkers = 2
 	cfg.Telemetry = rec
 	cfg.Profiler.Telemetry = rec
-	traced, err := Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traced, tracedEvents := searchEvents(t, cfg)
 
 	if !reflect.DeepEqual(plain.Trace, traced.Trace) {
 		t.Fatalf("trace instrumentation perturbed the search:\nplain  %v\ntraced %v",
 			plain.Trace, traced.Trace)
 	}
-	if !reflect.DeepEqual(plain.Checkpoint, traced.Checkpoint) {
-		t.Fatal("trace instrumentation perturbed the checkpoint")
+	if !reflect.DeepEqual(plainEvents, tracedEvents) {
+		t.Fatal("trace instrumentation perturbed the eval events")
 	}
 
 	var buf bytes.Buffer
@@ -422,11 +383,8 @@ func TestDiagnosticsEventRidesWithItsRecord(t *testing.T) {
 		IterationSeed(seed, first, true):  true,
 	}}
 	cfg.Telemetry = telemetry.New(telemetry.Options{OnEvent: col.Record})
-	res, err := Search(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Skipped != 1 || !res.Checkpoint.Entries[first].Skipped {
+	res, evalEvents := searchEvents(t, cfg)
+	if res.Skipped != 1 || !evalEvents[first].Skipped {
 		t.Fatalf("iteration %d was not the one skip (skipped %d)", first, res.Skipped)
 	}
 	snapshots := make(map[int]opt.Diagnostics)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"datamime/internal/core"
 	"datamime/internal/corpus"
 )
 
@@ -26,8 +27,9 @@ const (
 // DiffOptions sets the comparison thresholds.
 type DiffOptions struct {
 	// Tolerance is the absolute slack applied to every numeric comparison
-	// (best error, component distances, convergence series, parameters)
-	// before it counts as a difference or regression. Default 1e-9.
+	// (best error, component distances, convergence series, parameters,
+	// each iteration's point and error) before it counts as a difference or
+	// regression. Default 1e-9.
 	Tolerance float64
 	// ErrorTolerance, when positive, overrides Tolerance for the best-error
 	// regression check only — CI can allow small error drift while still
@@ -101,9 +103,9 @@ func (d *RunDiff) Regressed() bool { return len(d.Regressions) > 0 }
 func (d *RunDiff) Identical() bool { return len(d.Differences) == 0 }
 
 // DiffRuns compares run b against baseline a. The comparison covers only
-// semantic search state — errors, attribution, parameters, history shape —
-// never wall-clock timings, so two runs of a deterministic search diff
-// clean regardless of machine speed.
+// semantic search state — errors, attribution, parameters, history shape,
+// and every iteration of the shared history — never wall-clock timings, so
+// two runs of a deterministic search diff clean regardless of machine speed.
 func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
 	tol := opts.tolerance()
 	d := &RunDiff{FirstDivergence: -1}
@@ -157,6 +159,7 @@ func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
 
 	d.diffComponents(bestA.Components, bestB.Components, opts, regress, differ)
 	d.diffSeries(a.BestTrace(), b.BestTrace(), tol, differ)
+	diffEvals(a.Evals, b.Evals, tol, differ)
 
 	switch {
 	case len(d.Regressions) > 0:
@@ -237,4 +240,64 @@ func (d *RunDiff) diffSeries(sa, sb []float64, tol float64, differ func(string, 
 			d.FirstDivergence, d.SeriesMaxDelta)
 	}
 	// Length mismatch is already reported via the iteration counts.
+}
+
+// diffEvals reports the first iteration of the shared history that differs:
+// in its number, point, parameters, error, attribution, or skip and retry
+// outcome. How an iteration was served (cache hit, replay, simulated cycles)
+// legitimately differs between a cold run, a cached rerun and a restored
+// run, and a skip's message names where the evaluation failed; neither is
+// compared.
+func diffEvals(ea, eb []core.EvalEvent, tol float64, differ func(string, ...interface{})) {
+	for i := range min(len(ea), len(eb)) {
+		a, b := ea[i], eb[i]
+		var what string
+		switch {
+		case a.Record.Iteration != b.Record.Iteration:
+			what = fmt.Sprintf("numbered %d -> %d", a.Record.Iteration, b.Record.Iteration)
+		case a.Skipped != b.Skipped:
+			what = fmt.Sprintf("skipped %v -> %v", a.Skipped, b.Skipped)
+		case a.Retried != b.Retried:
+			what = fmt.Sprintf("retried %v -> %v", a.Retried, b.Retried)
+		case !closeVec(a.U, b.U, tol):
+			what = "point u moved"
+		case !closeVec(a.Record.Params, b.Record.Params, tol):
+			what = "params moved"
+		case math.Abs(b.Record.Error-a.Record.Error) > tol:
+			what = fmt.Sprintf("error %.6g -> %.6g", a.Record.Error, b.Record.Error)
+		case !closeMap(a.Record.Components, b.Record.Components, tol):
+			what = "component attribution changed"
+		default:
+			continue
+		}
+		differ("iteration %d differs (%s)", i, what)
+		return
+	}
+}
+
+// closeVec reports whether two vectors have one length and agree within tol.
+func closeVec(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(b[i]-a[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// closeMap reports whether two attributions have the same components and
+// agree within tol.
+func closeMap(a, b map[string]float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, va := range a {
+		if vb, ok := b[k]; !ok || math.Abs(vb-va) > tol {
+			return false
+		}
+	}
+	return true
 }

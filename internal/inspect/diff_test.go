@@ -119,3 +119,44 @@ func TestDiffRunsEmptyB(t *testing.T) {
 		t.Fatalf("verdict %q", d.Verdict)
 	}
 }
+
+// TestDiffRunsComparesEveryIteration: a change to an iteration that is not
+// the best, and leaves the convergence series alone, is a difference (not a
+// regression) naming that iteration. How an iteration was served — a cache
+// hit, a replay, a skip's message, a timing — is not a difference.
+func TestDiffRunsComparesEveryIteration(t *testing.T) {
+	a := loadTestRun(t, testArtifact())
+	for _, c := range []struct {
+		name, old, new string
+		want           string // "" for identical
+	}{
+		{"error", `"error":0.6,`, `"error":0.65,`, "iteration 5 differs (error 0.6 -> 0.65)"},
+		{"params", `"params":[0.4,0.5]`, `"params":[0.4,0.55]`, "iteration 5 differs (params moved)"},
+		{"skip", `"iter":2,"skipped":true,"msg":"generator failed"}`, `"iter":2,"params":[0.15,0.5],"attrs":{"error":0.95,"best_error":0.7}}`, "iteration 2 differs (skipped true -> false)"},
+		{"served from the cache", `,"cache_hit":1`, `,"replayed":1,"sim_cycles":5`, ""},
+		{"skip message", `"msg":"generator failed"`, `"msg":"profiler failed"`, ""},
+		{"timing", `"phase_profile_ns":1000000`, `"phase_profile_ns":7`, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			art := testArtifact()
+			if !strings.Contains(art, c.old) {
+				t.Fatalf("the artifact has no %s", c.old)
+			}
+			b := loadTestRun(t, strings.Replace(art, c.old, c.new, 1))
+			d := DiffRuns(a, b, DiffOptions{})
+			if c.want == "" {
+				if !d.Identical() {
+					t.Fatalf("differences %v, want none", d.Differences)
+				}
+				return
+			}
+			found := false
+			for _, msg := range d.Differences {
+				found = found || msg == c.want
+			}
+			if !found || d.Regressed() {
+				t.Fatalf("verdict %q, differences %v, regressions %v; want the difference %q", d.Verdict, d.Differences, d.Regressions, c.want)
+			}
+		})
+	}
+}

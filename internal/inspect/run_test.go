@@ -13,7 +13,9 @@ import (
 )
 
 // testArtifact builds a small deterministic artifact: a header, spans, six
-// evals (one skipped, one cache hit) with EMD attribution on the last.
+// evals (one skipped, one cache hit) with EMD attribution on the best. Each
+// completed eval also carries phase_profile_ns, an attribute servers wrote
+// before it was retired; loading ignores it.
 func testArtifact() string {
 	var b strings.Builder
 	write := func(format string, args ...interface{}) {
@@ -81,9 +83,6 @@ func TestLoadRunParsesArtifact(t *testing.T) {
 	}
 	if comps := bestRec.Components; comps["cpu_util"] != 0.25 || comps["l2_mpki"] != 0.15 {
 		t.Errorf("best record components %v", comps)
-	}
-	if run.Evals[len(run.Evals)-1].PhaseNS["profile"] != 1000000 {
-		t.Errorf("PhaseNS %v", run.Evals[len(run.Evals)-1].PhaseNS)
 	}
 }
 

@@ -517,11 +517,14 @@ func TestFollowEndsAtRewind(t *testing.T) {
 	}
 }
 
-// TestResumeLogWithRetiredDiagnosticsKey: servers before the GP's jitter
-// ladder went wrote gp_jitter_level into every search.diagnostics line. An
-// unfinished log with that key restores and resumes: every logged iteration
-// replays, none is evaluated again and none rewinds the log, and the
-// resumed run is the uninterrupted one.
+// TestResumeLogWithRetiredDiagnosticsKey: an unfinished log written by an
+// older server, with a key this one no longer writes, restores and resumes:
+// every logged iteration replays, none is evaluated again and none rewinds
+// the log, and the resumed run is the uninterrupted one. Servers before the
+// GP's jitter ladder went wrote gp_jitter_level into every search.diagnostics
+// line; telemetry-on servers before eval events lost their phase timings
+// wrote phase_generate_ns and phase_profile_ns into every completed eval
+// line.
 func TestResumeLogWithRetiredDiagnosticsKey(t *testing.T) {
 	const iterations, cut = 12, 9
 	dir := t.TempDir()
@@ -541,48 +544,60 @@ func TestResumeLogWithRetiredDiagnosticsKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines, iters := unfinishedLog(data)
-	var log []byte
-	diags := 0
-	for i, line := range lines {
-		if iters[i] == cut {
-			break
-		}
-		if bytes.Contains(line, []byte(`"type":"`+telemetry.TypeSearchDiagnostics+`"`)) {
-			line = bytes.Replace(line, []byte(`"gp_length_scale":`), []byte(`"gp_jitter_level":0,"gp_length_scale":`), 1)
-			diags++
-		}
-		log = append(log, line...)
-	}
-	if diags == 0 || !bytes.Contains(log, []byte(`"gp_jitter_level":0`)) {
-		t.Fatalf("the log holds %d diagnostics lines before iteration %d, none with the retired key", diags, cut)
-	}
 
-	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, job.ID()+".jsonl"), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	svc = newTestServer(t, dir)
-	defer svc.Close()
-	resumed, ok := svc.Job(job.ID())
-	if !ok {
-		t.Fatal("the job was not restored")
-	}
-	<-resumed.Done()
-	if st := resumed.status(); st.State != JobSucceeded {
-		t.Fatalf("resumed job %s: %s", st.State, st.Error)
-	}
-	resumed.mu.Lock()
-	rewinds := resumed.rewinds
-	resumed.mu.Unlock()
-	if evaluated := svc.metrics.evalsTotal.Value(); rewinds != 0 || evaluated != iterations-cut {
-		t.Fatalf("the resumed job rewound %d times and evaluated %g iterations; want 0 and the %d after the log", rewinds, evaluated, iterations-cut)
-	}
-	got, err := inspect.NewRun(artifactEvents(resumed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := inspect.DiffRuns(want, got, inspect.DiffOptions{}); !d.Identical() {
-		t.Fatalf("the resumed run differs from the uninterrupted one: %v", d.Differences)
+	for _, tc := range []struct {
+		name      string
+		lineType  string
+		old, with string
+	}{
+		{"gp_jitter_level", telemetry.TypeSearchDiagnostics, `"gp_length_scale":`, `"gp_jitter_level":0,"gp_length_scale":`},
+		{"phase timings", telemetry.TypeEval, `"attrs":{`, `"attrs":{"phase_generate_ns":13372,"phase_profile_ns":351064489,`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var log []byte
+			altered := 0
+			for i, line := range lines {
+				if iters[i] == cut {
+					break
+				}
+				if bytes.Contains(line, []byte(`"type":"`+tc.lineType+`"`)) && bytes.Contains(line, []byte(tc.old)) {
+					line = bytes.Replace(line, []byte(tc.old), []byte(tc.with), 1)
+					altered++
+				}
+				log = append(log, line...)
+			}
+			if altered == 0 {
+				t.Fatalf("the log holds no %s line before iteration %d to write the retired key into", tc.lineType, cut)
+			}
+
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, job.ID()+".jsonl"), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			svc := newTestServer(t, dir)
+			defer svc.Close()
+			resumed, ok := svc.Job(job.ID())
+			if !ok {
+				t.Fatal("the job was not restored")
+			}
+			<-resumed.Done()
+			if st := resumed.status(); st.State != JobSucceeded {
+				t.Fatalf("resumed job %s: %s", st.State, st.Error)
+			}
+			resumed.mu.Lock()
+			rewinds := resumed.rewinds
+			resumed.mu.Unlock()
+			if evaluated := svc.metrics.evalsTotal.Value(); rewinds != 0 || evaluated != iterations-cut {
+				t.Fatalf("the resumed job rewound %d times and evaluated %g iterations; want 0 and the %d after the log", rewinds, evaluated, iterations-cut)
+			}
+			got, err := inspect.NewRun(artifactEvents(resumed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := inspect.DiffRuns(want, got, inspect.DiffOptions{}); !d.Identical() {
+				t.Fatalf("the resumed run differs from the uninterrupted one: %v", d.Differences)
+			}
+		})
 	}
 }
 
@@ -627,11 +642,12 @@ func TestResumedJobKeepsCacheHits(t *testing.T) {
 	}
 }
 
-// TestCheckpointFromEventsIsTheSearchCheckpoint: the checkpoint derived from
-// a search's recorded events is the one the search returned. The retry-skip
-// search on testGenerator skips one iteration and retries another; its
-// integer val_mu is why the events carry each point: a point does not
-// survive denormalizing and normalizing back.
+// TestCheckpointFromEventsIsTheSearchCheckpoint: what a resume reads from a
+// search's recorded events (core.ResumeFromEvents) is the events the search
+// gave its OnEval, less the search-health snapshots the eval lines do not
+// carry. The retry-skip search on testGenerator skips one iteration and
+// retries another; its integer val_mu is why the events carry each point: a
+// point does not survive denormalizing and normalizing back.
 func TestCheckpointFromEventsIsTheSearchCheckpoint(t *testing.T) {
 	gen := flakyGenerator(3, 4, 6)
 	svc := &Server{local: backend.NewLocalBackend(gen)}
@@ -649,27 +665,31 @@ func TestCheckpointFromEventsIsTheSearchCheckpoint(t *testing.T) {
 	}
 	var artifact bytes.Buffer
 	cfg.Telemetry = telemetry.New(telemetry.Options{OnEvent: telemetry.NewJSONLSink(&artifact)})
-	res, err := core.Search(cfg)
+	var events []core.EvalEvent
+	cfg.OnEval = func(ev core.EvalEvent) {
+		ev.Record.Diagnostics = nil
+		events = append(events, ev)
+	}
+	if _, err := core.Search(cfg); err != nil {
+		t.Fatal(err)
+	}
+	resume, err := core.ResumeFromEvents(scanEvents(t, artifact.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := core.CheckpointFromEvents(scanEvents(t, artifact.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cp, res.Checkpoint) {
-		t.Fatalf("derived checkpoint %+v\nsearch's          %+v", cp, res.Checkpoint)
+	if !reflect.DeepEqual(resume, events) {
+		t.Fatalf("resume read from the artifact %+v\nthe search's events        %+v", resume, events)
 	}
 
 	skipped, retried, moved := 0, 0, 0
-	for _, ent := range res.Checkpoint.Entries {
-		if ent.Skipped {
+	for _, ev := range events {
+		if ev.Skipped {
 			skipped++
 		}
-		if ent.Retried {
+		if ev.Retried {
 			retried++
 		}
-		if u := gen.Space.Normalize(gen.Space.Denormalize(ent.U)); !reflect.DeepEqual(u, ent.U) {
+		if u := gen.Space.Normalize(gen.Space.Denormalize(ev.U)); !reflect.DeepEqual(u, ev.U) {
 			moved++
 		}
 	}

@@ -317,10 +317,11 @@ func verdictJob(id string, p *plan, iters []verdictIter) *Job {
 
 // TestCorpusVerdictIsDiffRuns: the verdict the corpus watchdog indexes a run
 // with is the one `diff` prints for the two jobs' artifacts —
-// inspect.DiffRuns with default options, baseline first. The last two rows
+// inspect.DiffRuns with default options, baseline first. The last three rows
 // are the pairs a best-error-and-trajectory judge gets wrong: a skip that
-// costs no best error, and a better best error bought with a worse
-// component.
+// costs no best error, a better best error bought with a worse component,
+// and a non-best iteration that moved without touching the best or the
+// running minimum.
 func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 	svc := newTestServer(t, t.TempDir())
 	defer svc.Close()
@@ -359,6 +360,7 @@ func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 		{"worse best", []verdictIter{base[0], base[1], {err: 1.9, comps: split(1.9, 0.4)}, base[3]}, inspect.VerdictRegressed},
 		{"skips rose, best equal", []verdictIter{base[0], base[1], base[2], {skip: true}}, inspect.VerdictRegressed},
 		{"better best, llc worse", []verdictIter{base[0], base[1], {err: 1.2, comps: split(1.2, 0.75)}, base[3]}, inspect.VerdictRegressed},
+		{"non-best iteration moved", []verdictIter{base[0], base[1], base[2], {err: 1.9, comps: split(1.9, 0.4)}}, inspect.VerdictChanged},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			baseJob, candJob := verdictJob("base", p, base), verdictJob("cand", p, c.cand)

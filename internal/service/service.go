@@ -296,7 +296,7 @@ func (s *Server) runJob(job *Job) {
 	job.cancel = cancel
 	s.setStateLocked(job, JobRunning, "")
 	// A restored job resumes from the evaluations its log holds.
-	resume, err := core.CheckpointFromEvents(job.events)
+	resume, err := core.ResumeFromEvents(job.events)
 	job.mu.Unlock()
 	s.logf("job %s running", job.id)
 
@@ -361,9 +361,7 @@ func (s *Server) runJob(job *Job) {
 			dispatchEv.Telemetry = rec
 		}
 	}
-	if len(resume.Entries) > 0 {
-		cfg.Resume = &resume
-	}
+	cfg.Resume = resume
 	cfg.OnEval = func(ev core.EvalEvent) { s.foldEval(job, ev) }
 
 	res, err := core.SearchContext(ctx, cfg)

@@ -68,9 +68,6 @@ const (
 	// EMDPrefix prefixes per-component EMD attribution attributes
 	// ("emd_l1d_mpki", "emd_ipc_curve", ...).
 	EMDPrefix = "emd_"
-	// PhaseNSPrefix prefixes per-phase wall-clock attributes on eval
-	// events ("phase_generate_ns", "phase_profile_ns").
-	PhaseNSPrefix = "phase_"
 )
 
 // WriteJSONL writes events to w, one JSON object per line.

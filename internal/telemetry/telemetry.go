@@ -156,22 +156,19 @@ func (r *Recorder) StartSpan(phase string, iter int) Span {
 }
 
 // End closes the span, emitting a span event with the monotonic elapsed
-// time, and returns that duration. attrs may be nil; when attaching
-// attributes, build the map under an Enabled() guard so the disabled path
-// does not allocate.
-func (s Span) End(attrs map[string]float64) time.Duration {
+// time. attrs may be nil; when attaching attributes, build the map under an
+// Enabled() guard so the disabled path does not allocate.
+func (s Span) End(attrs map[string]float64) {
 	if s.r == nil {
-		return 0
+		return
 	}
-	d := time.Since(s.start)
 	s.r.Emit(Event{
 		Type:  TypeSpan,
 		Iter:  s.iter,
 		Phase: s.phase,
-		DurNS: d.Nanoseconds(),
+		DurNS: time.Since(s.start).Nanoseconds(),
 		Attrs: attrs,
 	})
-	return d
 }
 
 // RecordSpan emits a span event for an externally timed phase (e.g. the

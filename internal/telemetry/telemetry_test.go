@@ -15,10 +15,7 @@ func TestSpanEmitsDuration(t *testing.T) {
 	r := New(Options{OnEvent: func(ev Event) { got = append(got, ev) }})
 	sp := r.StartSpan(PhasePropose, 3)
 	time.Sleep(time.Millisecond)
-	d := sp.End(map[string]float64{"batch": 2})
-	if d <= 0 {
-		t.Fatalf("span duration = %v, want > 0", d)
-	}
+	sp.End(map[string]float64{"batch": 2})
 	if len(got) != 1 {
 		t.Fatalf("OnEvent called %d times, want 1", len(got))
 	}
@@ -26,8 +23,8 @@ func TestSpanEmitsDuration(t *testing.T) {
 	if ev.Type != TypeSpan || ev.Phase != PhasePropose || ev.Iter != 3 {
 		t.Fatalf("span event = %+v", ev)
 	}
-	if ev.DurNS != d.Nanoseconds() {
-		t.Fatalf("DurNS = %d, want %d", ev.DurNS, d.Nanoseconds())
+	if ev.DurNS < time.Millisecond.Nanoseconds() {
+		t.Fatalf("DurNS = %d, want at least the 1ms the span slept", ev.DurNS)
 	}
 	if ev.Attrs["batch"] != 2 {
 		t.Fatalf("attrs = %v", ev.Attrs)
@@ -44,9 +41,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.Emit(Event{Type: TypeLog})
 	r.RecordSpan(PhaseGPFit, 0, time.Second, nil)
-	if d := r.StartSpan(PhaseProfile, 1).End(nil); d != 0 {
-		t.Fatalf("nil span duration = %v, want 0", d)
-	}
+	r.StartSpan(PhaseProfile, 1).End(nil)
 }
 
 // TestDisabledSpanNoAllocs demonstrates the acceptance criterion: the
