@@ -198,11 +198,14 @@ func DecodeProfile(data []byte) (*Profile, error) { return profile.DecodeJSON(da
 // Search runs Datamime's optimization loop (Eq. 2).
 func Search(cfg SearchConfig) (*Result, error) { return core.Search(cfg) }
 
-// SearchContext is Search with cancellation: ctx is checked between
-// evaluation batches and profiling phases, so canceling stops the search
-// within roughly one batch, returning the partial result alongside ctx's
-// error. The events its OnEval saw resume it later: pass them as
-// SearchConfig.Resume to a search of the same configuration.
+// SearchContext is Search with cancellation: ctx is checked before each
+// proposal, observation and evaluation and between profiling phases, so
+// canceling stops the search within roughly one evaluation, returning the
+// partial result alongside ctx's error once the evaluations in flight have
+// stopped. SearchConfig.Parallel keeps at most that many evaluations in
+// flight; design points do not wait for a batch. The events its OnEval saw
+// resume it later: pass them as SearchConfig.Resume to a search of the same
+// configuration.
 func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	return core.SearchContext(ctx, cfg)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -187,7 +188,7 @@ func TestSearchCacheSkipsResimulation(t *testing.T) {
 }
 
 // TestSearchContextCancel: canceling mid-run stops the search within one
-// batch and returns the context error plus the partial result.
+// batch and returns the context error itself plus the partial result.
 func TestSearchContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := metricSearchConfig(40, 2, 12)
@@ -224,6 +225,35 @@ func TestSearchContextCancel(t *testing.T) {
 	// An already-canceled context fails fast.
 	if _, err := SearchContext(ctx, metricSearchConfig(4, 1, 1)); err != context.Canceled {
 		t.Fatalf("pre-canceled context: err = %v", err)
+	}
+
+	// A cancel while design points are in flight: nothing is observed after
+	// it, and no evaluation outlives the search.
+	const seed, iterations = 3, 16
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("mid-design/parallel=%d", parallel), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ev := newSynthEvaluator(seed, iterations)
+			cfg := synthSearchConfig(iterations, parallel, seed, ev)
+			var events []EvalEvent
+			cfg.OnEval = func(e EvalEvent) {
+				if events = append(events, e); len(events) == 3 {
+					cancel()
+				}
+			}
+			res, err := SearchContext(ctx, cfg)
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled itself", err)
+			}
+			if n := ev.inFlight(); n != 0 {
+				t.Fatalf("%d evaluations still in flight after SearchContext returned", n)
+			}
+			if len(res.Trace) != 3 || len(events) != 3 {
+				t.Fatalf("trace %d, events %d; want the 3 iterations observed before the cancel", len(res.Trace), len(events))
+			}
+			resumesToUninterrupted(t, iterations, parallel, seed, events)
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"datamime/internal/datagen"
 	"datamime/internal/opt"
@@ -70,12 +69,17 @@ type SearchConfig struct {
 	// perturbs determinism — enabling or disabling it cannot change
 	// proposals, seeds, traces, or results.
 	Telemetry *telemetry.Recorder
-	// Parallel evaluates batches of this many candidates concurrently,
-	// using constant-liar batch proposals when the optimizer supports them
+	// Parallel proposes batches of this many candidates, using
+	// constant-liar batch proposals when the optimizer supports them
 	// (parallel Bayesian optimization — the future work the paper defers
-	// in §IV). <= 1 runs the paper's serial loop. Results are identical in
-	// structure either way: the trace holds one record per evaluation, and
-	// the run is deterministic for a given (Seed, Parallel).
+	// in §IV), and keeps at most this many evaluations in flight. Design
+	// points do not wait for a batch: a batch whose points depend on no
+	// observation (opt.Planner, e.g. BayesOpt's initial design) starts as
+	// slots free, while a batch holding proposals waits until every earlier
+	// iteration has been observed. Results are observed in iteration order
+	// either way. <= 1 runs the paper's serial loop. The trace holds one
+	// record per evaluation, and the run is deterministic for a given
+	// (Seed, Parallel).
 	Parallel int
 	// ProfileWorkers has no effect. When the Profiler has no Budget, the
 	// search gives a private copy of it one of max(Parallel,
@@ -309,20 +313,32 @@ func Search(cfg SearchConfig) (*Result, error) {
 	return SearchContext(context.Background(), cfg)
 }
 
-// evalResult is one batch slot's outcome: the iteration's event, the profile
-// it measured (nil for skips and replays), and an error that aborts the
-// search.
+// evalResult is one iteration's outcome: its event, the profile it measured
+// (nil for skips and replays), and an error that aborts the search.
 type evalResult struct {
 	ev   EvalEvent
 	prof *profile.Profile
 	err  error
 }
 
-// SearchContext is Search with cancellation: the context is checked between
-// batches, before each candidate evaluation, and between profiling phases,
-// so a cancel or deadline stops the search within roughly one batch. On
-// cancellation it returns the partial Result alongside ctx's error; the
-// events OnEval saw resume the search later (SearchConfig.Resume).
+// slot is one iteration in the scheduler: the point proposed for it, whether
+// it opens a batch (first) and that batch's search-health snapshot, and its
+// outcome once done. An evaluation goroutine writes only its own slot's
+// evalResult.
+type slot struct {
+	evalResult
+	u     []float64
+	first bool
+	diag  *opt.Diagnostics
+	done  bool
+}
+
+// SearchContext is Search with cancellation: the context is checked before
+// each proposal, observation and candidate evaluation, and between profiling
+// phases, so a cancel or deadline stops the search within roughly one
+// evaluation. On cancellation it returns the partial Result alongside ctx's
+// error, once the evaluations in flight have stopped; the events OnEval saw
+// resume the search later (SearchConfig.Resume).
 func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -331,6 +347,7 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	if optimizer == nil {
 		optimizer = opt.NewBayesOpt(cfg.Generator.Space, opt.BayesOptConfig{Seed: cfg.Seed})
 	}
+	planner, _ := optimizer.(opt.Planner)
 	space := cfg.Generator.Space
 	rec := cfg.Telemetry
 
@@ -357,6 +374,11 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	best := -1
 	bestRetried := false
 
+	// Evaluations run under evalCtx, which the search cancels when it stops
+	// early, so none outlives it.
+	evalCtx, cancelEvals := context.WithCancel(ctx)
+	defer cancelEvals()
+
 	// profileAt measures (or recalls) the candidate x under one seed.
 	profileAt := func(it int, x []float64, seed uint64) (prof *profile.Profile, hit bool, err error) {
 		var key string
@@ -372,14 +394,14 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 			// behind the Evaluator (possibly on another machine), so the
 			// whole round-trip is accounted to the profile phase.
 			profSpan := rec.StartSpan(telemetry.PhaseProfile, it)
-			p, err = cfg.Evaluator.Evaluate(ctx, x, seed)
+			p, err = cfg.Evaluator.Evaluate(evalCtx, x, seed)
 			profSpan.End(nil)
 		} else {
 			genSpan := rec.StartSpan(telemetry.PhaseGenerate, it)
 			bench := cfg.Generator.Benchmark(x)
 			genSpan.End(nil)
 			profSpan := rec.StartSpan(telemetry.PhaseProfile, it)
-			p, err = profiler.ProfileContext(ctx, bench, seed)
+			p, err = profiler.ProfileContext(evalCtx, bench, seed)
 			profSpan.End(nil)
 		}
 		if err != nil {
@@ -395,18 +417,18 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 	// profiling, the retry-then-skip policy, and objective scoring with
 	// per-component attribution when the objective supports it.
 	evalOne := func(it int, u []float64) evalResult {
-		if err := ctx.Err(); err != nil {
+		if err := evalCtx.Err(); err != nil {
 			return evalResult{err: err}
 		}
 		x := space.Denormalize(u)
 		prof, hit, err := profileAt(it, x, IterationSeed(cfg.Seed, it, false))
 		retried := false
-		if err != nil && cfg.OnEvalError == EvalRetrySkip && ctx.Err() == nil {
+		if err != nil && cfg.OnEvalError == EvalRetrySkip && evalCtx.Err() == nil {
 			retried = true
 			prof, hit, err = profileAt(it, x, IterationSeed(cfg.Seed, it, true))
 		}
 		if err != nil {
-			if cfg.OnEvalError == EvalRetrySkip && ctx.Err() == nil {
+			if cfg.OnEvalError == EvalRetrySkip && evalCtx.Err() == nil {
 				return evalResult{ev: EvalEvent{Record: IterationRecord{Iteration: it}, Skipped: true, Err: err.Error(), Retried: retried}}
 			}
 			return evalResult{err: err}
@@ -423,24 +445,46 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 		return evalResult{ev: ev, prof: prof}
 	}
 
-	for it := 0; it < cfg.Iterations; {
-		if err := ctx.Err(); err != nil {
-			return res, err
+	// The scheduler. Iterations are proposed, started and observed in
+	// order, with proposed >= started >= observed, and at most parallel
+	// evaluations in flight. The optimizer sees NextBatch and Observe calls
+	// at exactly the boundaries of a lockstep batch loop: a batch is proposed
+	// once every earlier iteration has been observed, or earlier when the
+	// optimizer's next k points depend on no observation (opt.Planner, e.g.
+	// an initial design), and only when a slot is free and every proposed
+	// iteration has started. So only when an evaluation starts can change.
+	slots := make([]slot, cfg.Iterations)
+	// done carries finished iterations. It holds as many as can be in
+	// flight, so an evaluation's send never blocks.
+	done := make(chan int, parallel)
+	proposed, started, observed, inflight := 0, 0, 0, 0
+	failed := false
+	var diag *opt.Diagnostics
+
+	// stop cancels the evaluations in flight and waits for them.
+	stop := func() {
+		cancelEvals()
+		for ; inflight > 0; inflight-- {
+			<-done
 		}
-		k := parallel
-		if rem := cfg.Iterations - it; k > rem {
-			k = rem
-		}
+	}
+
+	// propose asks the optimizer for the batch of k iterations starting at
+	// proposed, drains its diagnostics and timings, and replays the leading
+	// iterations that match Resume (they have nothing to start).
+	propose := func(k int) {
+		it := proposed
 		proposeSpan := rec.StartSpan(telemetry.PhasePropose, it)
 		batch := opt.FallbackBatch(optimizer, space, k, batchRNG)
+		batch = batch[:min(len(batch), cfg.Iterations-it)]
 		// Drain the search-health snapshot unconditionally: it rides on a
 		// trace record whether or not telemetry is on (it is deterministic
 		// and read-only, so both runs carry bit-equal values), and leaving
 		// it undrained would smear one batch's snapshot into the next.
-		var diag *opt.Diagnostics
+		slots[it].first = true
 		if dr, ok := optimizer.(opt.DiagnosticsReporter); ok {
 			if d, ok := dr.TakeDiagnostics(); ok {
-				diag = &d
+				slots[it].diag = &d
 			}
 		}
 		var proposeAttrs map[string]float64
@@ -458,20 +502,20 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 			}
 		}
 		proposeSpan.End(proposeAttrs)
-		results := make([]evalResult, len(batch))
-		var wg sync.WaitGroup
 		for i, u := range batch {
 			gi := it + i
+			s := &slots[gi]
+			s.u = u
 			if gi < len(replay) && sameUnitPoint(replay[gi].U, u) {
 				was := replay[gi]
-				ev := EvalEvent{Record: IterationRecord{Iteration: gi}, Skipped: was.Skipped, Retried: was.Retried, Replayed: true}
+				s.ev = EvalEvent{Record: IterationRecord{Iteration: gi}, Skipped: was.Skipped, Retried: was.Retried, Replayed: true}
 				if was.Skipped {
-					ev.Err = was.Err
+					s.ev.Err = was.Err
 				} else {
-					ev.Record.Params = space.Denormalize(u)
-					ev.Record.Error, ev.Record.Components = was.Record.Error, was.Record.Components
+					s.ev.Record.Params = space.Denormalize(u)
+					s.ev.Record.Error, s.ev.Record.Components = was.Record.Error, was.Record.Components
 				}
-				results[i] = evalResult{ev: ev}
+				s.done = true
 				continue
 			}
 			if gi < len(replay) {
@@ -480,56 +524,94 @@ func SearchContext(ctx context.Context, cfg SearchConfig) (*Result, error) {
 				// evaluate the rest live.
 				replay = replay[:gi]
 			}
-			wg.Add(1)
-			go func(i, gi int, u []float64) {
-				defer wg.Done()
-				results[i] = evalOne(gi, u)
-			}(i, gi, u)
 		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return res, err
+		proposed += len(batch)
+		// Replayed iterations lead their batch, and nothing is in flight
+		// while they are proposed.
+		for started < proposed && slots[started].done {
+			started++
 		}
-		// Observe and record in batch order for determinism.
-		observeSpan := rec.StartSpan(telemetry.PhaseObserve, it)
-		for i, u := range batch {
-			r := results[i]
-			if r.err != nil {
-				return res, fmt.Errorf("core: profiling iteration %d: %w", it+i, r.err)
+	}
+
+	// observe feeds the next iteration in order back to the optimizer and
+	// records it.
+	observe := func(s *slot) {
+		observeSpan := rec.StartSpan(telemetry.PhaseObserve, observed)
+		if s.first {
+			diag = s.diag
+		}
+		ev := s.ev
+		ev.U = append([]float64(nil), s.u...)
+		if ev.Skipped {
+			res.Skipped++
+		} else {
+			optimizer.Observe(s.u, ev.Record.Error)
+			res.Evaluations++
+			if best < 0 || ev.Record.Error < res.BestError {
+				best, bestRetried = ev.Record.Iteration, ev.Retried
+				res.BestError, res.BestParams, res.BestProfile = ev.Record.Error, ev.Record.Params, s.prof
 			}
-			ev := r.ev
-			ev.U = append([]float64(nil), u...)
-			if ev.Skipped {
-				res.Skipped++
-			} else {
-				optimizer.Observe(u, ev.Record.Error)
-				res.Evaluations++
-				if best < 0 || ev.Record.Error < res.BestError {
-					best, bestRetried = ev.Record.Iteration, ev.Retried
-					res.BestError, res.BestParams, res.BestProfile = ev.Record.Error, ev.Record.Params, r.prof
-				}
-				ev.Record.BestError = res.BestError
-				// The batch's snapshot rides on its first recorded
-				// iteration (the proposal the diagnosed fit chose).
-				ev.Record.Diagnostics, diag = diag, nil
-				res.Trace = append(res.Trace, ev.Record)
-				if ev.CacheHit {
-					res.CacheHits++
-				}
-				res.SimulatedCycles += ev.SimCycles
+			ev.Record.BestError = res.BestError
+			// The batch's snapshot rides on its first recorded iteration
+			// (the proposal the diagnosed fit chose).
+			ev.Record.Diagnostics, diag = diag, nil
+			res.Trace = append(res.Trace, ev.Record)
+			if ev.CacheHit {
+				res.CacheHits++
 			}
-			if rec.Enabled() {
-				if dev, ok := ev.DiagnosticsEvent(); ok {
-					rec.Emit(dev)
-				}
-				rec.Emit(ev.TelemetryEvent())
+			res.SimulatedCycles += ev.SimCycles
+		}
+		if rec.Enabled() {
+			if dev, ok := ev.DiagnosticsEvent(); ok {
+				rec.Emit(dev)
 			}
-			if cfg.OnEval != nil {
-				cfg.OnEval(ev)
-			}
+			rec.Emit(ev.TelemetryEvent())
+		}
+		if cfg.OnEval != nil {
+			cfg.OnEval(ev)
 		}
 		observeSpan.End(nil)
-		it += len(batch)
+	}
+
+	for observed < cfg.Iterations {
+		if err := ctx.Err(); err != nil {
+			stop()
+			return res, err
+		}
+		if s := &slots[observed]; s.done {
+			if s.err != nil {
+				stop()
+				return res, fmt.Errorf("core: profiling iteration %d: %w", observed, s.err)
+			}
+			observe(s)
+			// Release the slot's profile; observed iterations are not read
+			// again.
+			*s = slot{}
+			observed++
+			continue
+		}
+		if inflight < parallel && !failed {
+			if started < proposed {
+				inflight++
+				go func(it int, u []float64) {
+					slots[it].evalResult = evalOne(it, u)
+					done <- it
+				}(started, slots[started].u)
+				started++
+				continue
+			}
+			if k := min(parallel, cfg.Iterations-proposed); k > 0 &&
+				(observed == proposed || planner != nil && planner.Planned() >= k) {
+				propose(k)
+				continue
+			}
+		}
+		it := <-done
+		inflight--
+		slots[it].done = true
+		// A failed evaluation ends the search once the iterations before it
+		// are observed; start nothing more meanwhile.
+		failed = failed || slots[it].err != nil
 	}
 
 	// A best iteration replayed from Resume carries no profile; recover it

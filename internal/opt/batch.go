@@ -1,6 +1,10 @@
 package opt
 
-import "datamime/internal/stats"
+import (
+	"math"
+
+	"datamime/internal/stats"
+)
 
 // BatchOptimizer is implemented by optimizers that can propose several
 // points at once for parallel evaluation. The paper notes that
@@ -11,6 +15,25 @@ type BatchOptimizer interface {
 	// NextBatch proposes k points to evaluate concurrently.
 	NextBatch(k int) [][]float64
 }
+
+// Planner is a BatchOptimizer that knows how many of its next points are
+// fixed already: they read no observation, so a search may ask for them
+// before it has observed every earlier point and still receive exactly the
+// points it would have received after. Optimizers that do not implement it
+// (and FallbackBatch's jitter path) are asked only once every earlier point
+// has been observed.
+type Planner interface {
+	BatchOptimizer
+	// Planned is how many of the next points NextBatch deals out depend on
+	// no observation, the ones already made or any still to come.
+	Planned() int
+}
+
+// Planned implements Planner: the initial-design points not yet dealt out.
+func (b *BayesOpt) Planned() int { return len(b.pending) }
+
+// Planned implements Planner: every draw, since none reads the history.
+func (r *RandomSearch) Planned() int { return math.MaxInt }
 
 // NextBatch implements batch proposals for BayesOpt with the constant-liar
 // strategy (Ginsbourger et al.): after selecting each point, pretend it was
@@ -74,8 +97,8 @@ func (r *RandomSearch) NextBatch(k int) [][]float64 {
 }
 
 var (
-	_ BatchOptimizer = (*BayesOpt)(nil)
-	_ BatchOptimizer = (*RandomSearch)(nil)
+	_ Planner        = (*BayesOpt)(nil)
+	_ Planner        = (*RandomSearch)(nil)
 	_ TimingReporter = (*BayesOpt)(nil)
 )
 

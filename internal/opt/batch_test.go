@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"datamime/internal/stats"
@@ -55,6 +56,58 @@ func TestNextBatchSizeOne(t *testing.T) {
 	}
 	if got := bo.NextBatch(0); len(got) != 1 {
 		t.Fatalf("k=0 batch size %d", len(got))
+	}
+}
+
+// TestPlannedIgnoresObservations is the Planner contract: while Planned() >=
+// k, the NextBatch sequence with every Observe deferred equals the sequence
+// with each batch observed before the next is asked for, and the optimizer
+// it leaves proposes the same batch after. BayesOpt's Planned() counts down
+// as its design points are dealt out; random search's never does.
+func TestPlannedIgnoresObservations(t *testing.T) {
+	space := MustSpace(Param{Name: "a", Lo: 0, Hi: 1}, Param{Name: "b", Lo: 0, Hi: 1}, Param{Name: "c", Lo: 0, Hi: 1})
+	f := quadratic([]float64{0.3, 0.6, 0.5}, 0, stats.NewRNG(1))
+	for _, tc := range []struct {
+		name string
+		make func() Planner
+		// planned is Planned() before each deferred batch of k, then after
+		// the last.
+		planned []int
+	}{
+		{"bayesopt", func() Planner {
+			return NewBayesOpt(space, BayesOptConfig{Seed: 2, InitPoints: 12, Candidates: 64})
+		}, []int{12, 7, 2}},
+		{"random", func() Planner { return NewRandomSearch(space, 2) },
+			[]int{math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const k = 5
+			interleaved, deferred := tc.make(), tc.make()
+			var want, got [][]float64
+			for _, p := range tc.planned[:len(tc.planned)-1] {
+				batch := interleaved.NextBatch(k)
+				for _, x := range batch {
+					interleaved.Observe(x, f(x))
+				}
+				want = append(want, batch...)
+				if n := deferred.Planned(); n != p {
+					t.Fatalf("Planned() = %d before batch %d, want %d", n, len(got)/k, p)
+				}
+				got = append(got, deferred.NextBatch(k)...)
+			}
+			if n, p := deferred.Planned(), tc.planned[len(tc.planned)-1]; n != p {
+				t.Fatalf("Planned() = %d after the last batch, want %d", n, p)
+			}
+			for _, x := range got {
+				deferred.Observe(x, f(x))
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("deferred observations moved the proposals:\ninterleaved %v\ndeferred    %v", want, got)
+			}
+			if a, b := interleaved.NextBatch(k), deferred.NextBatch(k); !reflect.DeepEqual(a, b) {
+				t.Fatalf("the batch after differs:\ninterleaved %v\ndeferred    %v", a, b)
+			}
+		})
 	}
 }
 

@@ -41,7 +41,8 @@ const (
 	// PhaseBudgetWait is the time one profile spent blocked on the shared
 	// simulation budget before starting — the contention signal.
 	PhaseBudgetWait = "budget.wait"
-	// PhaseObserve covers feeding a batch's results back to the optimizer.
+	// PhaseObserve covers feeding one iteration's result back to the
+	// optimizer and recording it.
 	PhaseObserve = "observe"
 	// PhaseRemoteEval covers one candidate evaluation dispatched through an
 	// eval backend (a remote worker, or the dispatcher's local fallback).
