@@ -219,6 +219,33 @@ for ev in shipped:
     lo, hi = ev["time_ns"] - ev.get("dur_ns", 0), ev["time_ns"]
     assert any(a <= lo and hi <= b for a, b in trips), f"shipped span lies outside every eval.remote span: {ev}"
 print(f"nesting ok: {len(shipped)} shipped spans inside {len(trips)} eval.remote round trips")
+# A profile ships one profile.sim span, and one budget.wait under the
+# serving side's shared budget; nothing else crosses the wire.
+phases = {ev["phase"] for ev in shipped}
+assert phases <= {"profile.sim", "budget.wait"}, f"shipped phases {sorted(phases)}, want profile.sim and budget.wait only"
+# Each round trip carries exactly one shipped profile.sim: a killed worker's
+# failed attempt ships nothing, and the retry ships one. Round trips overlap
+# under "parallel": 2, so trips and sims must pair off one to one, each sim
+# inside its trip and from the worker (or fallback, -1) that served it.
+trip_evs = [ev for ev in spans if ev.get("phase") == "eval.remote"]
+sims = [ev for ev in shipped if ev["phase"] == "profile.sim"]
+assert len(sims) == len(trip_evs), f"{len(sims)} shipped profile.sim spans for {len(trip_evs)} eval.remote round trips"
+def holds(trip, sim):
+    a, b = trip["time_ns"] - trip.get("dur_ns", 0), trip["time_ns"]
+    return (trip["attrs"].get("remote_worker") == sim["attrs"]["fleet_worker"]
+            and a <= sim["time_ns"] - sim.get("dur_ns", 0) and sim["time_ns"] <= b)
+owner = {}  # sim index -> trip index
+def pair(t, seen):
+    for s, sim in enumerate(sims):
+        if s not in seen and holds(trip_evs[t], sim):
+            seen.add(s)
+            if s not in owner or pair(owner[s], seen):
+                owner[s] = t
+                return True
+    return False
+for t in range(len(trip_evs)):
+    assert pair(t, set()), f"eval.remote round trip holds no shipped profile.sim of its own: {trip_evs[t]}"
+print(f"one profile.sim per round trip: {len(sims)} sims paired with {len(trip_evs)} trips")
 runs = doc["runs"]
 assert len(runs) == 2 and doc["total"] == 2, f"corpus has {len(runs)}/{doc['total']} runs, want 2"
 a, b = runs

@@ -65,7 +65,6 @@ func main() {
 		version       = flag.Bool("version", false, "print build information and exit")
 
 		dispatchTimeout = flag.Duration("dispatch-timeout", 5*time.Minute, "per-attempt timeout for remote evaluations")
-		dispatchRetries = flag.Int("dispatch-retries", 2, "remote attempts after a failure before an evaluation falls back in-process")
 		dispatchQueue   = flag.Int("dispatch-max-queue", 64, "evaluations waiting for a remote slot before admission control sheds to local")
 		healthInterval  = flag.Duration("worker-health-interval", 15*time.Second, "fleet health-probe period")
 	)
@@ -88,7 +87,6 @@ func main() {
 		debug:           *debug,
 		workerURLs:      workerURLs,
 		dispatchTimeout: *dispatchTimeout,
-		dispatchRetries: *dispatchRetries,
 		dispatchQueue:   *dispatchQueue,
 		healthInterval:  *healthInterval,
 	}); err != nil {
@@ -109,7 +107,6 @@ type options struct {
 
 	workerURLs      []string
 	dispatchTimeout time.Duration
-	dispatchRetries int
 	dispatchQueue   int
 	healthInterval  time.Duration
 }
@@ -136,7 +133,6 @@ func run(o options) error {
 		Telemetry:            o.telemetry,
 		WorkerURLs:           o.workerURLs,
 		DispatchTimeout:      o.dispatchTimeout,
-		DispatchRetries:      o.dispatchRetries,
 		DispatchMaxQueue:     o.dispatchQueue,
 		WorkerHealthInterval: o.healthInterval,
 	}

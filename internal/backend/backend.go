@@ -155,12 +155,6 @@ type WireSpan struct {
 	Attrs  map[string]float64 `json:"attrs,omitempty"`
 }
 
-// MaxWireSpans bounds how many spans one evaluation ships back; beyond it
-// the worker keeps the earliest spans and counts the rest in
-// datamime_worker_spans_truncated_total (the count of sim runs per
-// evaluation is budget-bounded, so the cap is generous).
-const MaxWireSpans = 4096
-
 // EvalResponse is the /v1/evaluate 200 body: the deterministic EvalResult
 // plus observability sidecars that must never enter search state. Keeping
 // them outside EvalResult's marshaled form — rather than as more json:"-"

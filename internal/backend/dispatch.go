@@ -28,6 +28,11 @@ const (
 	FleetDeregister = "deregister"
 )
 
+// dispatchRetries is the number of additional remote attempts after a
+// failed one, each on the then-least-loaded worker, before an evaluation
+// falls back to the local backend.
+const dispatchRetries = 2
+
 // DispatcherConfig tunes a Dispatcher. The zero value of every field picks
 // a sensible default; Local is required.
 type DispatcherConfig struct {
@@ -40,10 +45,6 @@ type DispatcherConfig struct {
 	// simulator evaluations are seconds-to-minutes, and a hung worker must
 	// not hang the search).
 	AttemptTimeout time.Duration
-	// Retries is the number of additional remote attempts after a failed
-	// one, each on the then-least-loaded worker, before falling back local
-	// (default 2).
-	Retries int
 	// BackoffBase is the first retry's backoff delay, doubling per attempt
 	// (default 50ms, capped at 2s).
 	BackoffBase time.Duration
@@ -153,11 +154,6 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 5 * time.Minute
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 2
 	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 50 * time.Millisecond
@@ -464,7 +460,7 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 	req.Version = ProtocolVersion
 	failed := 0
 	shed := false
-	for attempt := 0; attempt <= d.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= dispatchRetries; attempt++ {
 		w, err := d.acquire(ctx)
 		if err == errNoRemote {
 			break
@@ -509,7 +505,7 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 			// eviction.
 			d.noteFailure(w, err.Error())
 		}
-		if attempt < d.cfg.Retries {
+		if attempt < dispatchRetries {
 			if err := sleepCtx(ctx, d.backoff(attempt)); err != nil {
 				return EvalResult{}, err
 			}
@@ -537,8 +533,8 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 
 // backoff returns the delay before retry attempt+1: exponential from
 // BackoffBase, capped at 2s. It doubles only while under the cap, so no
-// attempt count can overflow the Duration into a negative delay, which
-// would not wait at all.
+// base can overflow the Duration into a negative delay, which would not
+// wait at all.
 func (d *Dispatcher) backoff(attempt int) time.Duration {
 	const maxDelay = 2 * time.Second
 	delay := d.cfg.BackoffBase

@@ -122,7 +122,6 @@ func TestDispatchFailureFallback(t *testing.T) {
 	var evmu sync.Mutex
 	local := okBackend("local")
 	d := fastDispatcher(local, func(cfg *DispatcherConfig) {
-		cfg.Retries = 2
 		cfg.FailureLimit = 3
 		cfg.OnEvent = func(ev FleetEvent) {
 			evmu.Lock()
@@ -173,7 +172,7 @@ func TestDispatchRequestFaultGoesLocal(t *testing.T) {
 			}}
 	}
 	local := okBackend("local")
-	d := fastDispatcher(local, func(cfg *DispatcherConfig) { cfg.Retries = 2 })
+	d := fastDispatcher(local)
 	w0, w1 := refuse("w0"), refuse("w1")
 	d.Register(w0)
 	d.Register(w1)
@@ -203,7 +202,6 @@ func TestDispatchRequestFaultGoesLocal(t *testing.T) {
 func TestDispatchBusyNotEvicted(t *testing.T) {
 	local := okBackend("local")
 	d := fastDispatcher(local, func(cfg *DispatcherConfig) {
-		cfg.Retries = 2
 		cfg.FailureLimit = 2
 	})
 	busy := &funcBackend{
@@ -234,7 +232,7 @@ func TestDispatchBusyNotEvicted(t *testing.T) {
 // on the other and the evaluation stays remote.
 func TestDispatchRetriesSecondWorker(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local, func(cfg *DispatcherConfig) { cfg.Retries = 2 })
+	d := fastDispatcher(local)
 	bad := failBackend("bad")
 	good := okBackend("good")
 	// Inflight ties break on registration order, so "bad" takes attempt 0.
@@ -424,8 +422,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestDispatchBackoffIsBounded: for every attempt count a Retries setting can
-// reach, the delay before the next attempt is positive, at most 2s, and never
+// TestDispatchBackoffIsBounded: for every attempt count, the delay before the next attempt is positive, at most 2s, and never
 // shorter than the one before. A shift by the attempt count overflows the
 // Duration from attempt 38 at the default 50ms base, and a negative delay
 // retries without waiting.

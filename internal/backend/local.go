@@ -179,8 +179,9 @@ func (l *LocalBackend) measure(ctx context.Context, req EvalRequest, pr *profile
 	return res, nil
 }
 
-// wireSpans converts captured telemetry spans to their wire form, all of
-// them: a Worker caps what it ships (respond).
+// wireSpans converts captured telemetry spans to their wire form: one
+// profile's profile.sim span, and its budget.wait span when the profiler
+// shares a Budget.
 func wireSpans(events []telemetry.Event) []WireSpan {
 	var out []WireSpan
 	for _, ev := range events {

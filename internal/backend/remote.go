@@ -180,12 +180,11 @@ func (r *RemoteBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResu
 
 // maxResponseBytes bounds a worker's 200 body as the coordinator reads it. A
 // worker is outside input: a broken or hostile one must not make the
-// coordinator allocate without bound. The bulk of an honest answer is its
-// spans, at most MaxWireSpans of them and each well under 1 KiB encoded (a
-// phase, three integers and a handful of attrs); as much again is left for
-// the profile, whose samples run to tens of KiB at the paper's budgets. A
-// health body is a few dozen bytes under the same bound.
-const maxResponseBytes = 2 * MaxWireSpans << 10 // 8 MiB
+// coordinator allocate without bound. An honest answer is a profile, whose
+// samples run to tens of KiB at the paper's budgets, plus a fixed handful of
+// spans of well under 1 KiB each; 8 MiB leaves room for far larger budgets.
+// A health body is a few dozen bytes under the same bound.
+const maxResponseBytes = 8 << 20
 
 // decodeResponse decodes a worker's 200 body into v, reading at most
 // maxResponseBytes of it. A longer body is the worker's failure (it counts

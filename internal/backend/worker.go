@@ -47,11 +47,10 @@ type Worker struct {
 	sem    chan struct{}
 	queued atomic.Int64
 
-	evals          atomic.Uint64
-	evalErrors     atomic.Uint64
-	busyRejects    atomic.Uint64
-	spansTruncated atomic.Uint64
-	started        time.Time
+	evals       atomic.Uint64
+	evalErrors  atomic.Uint64
+	busyRejects atomic.Uint64
+	started     time.Time
 }
 
 // NewWorker builds a worker.
@@ -99,8 +98,6 @@ func (w *Worker) buildMetrics() *telemetry.Registry {
 		func() float64 { return float64(w.evalErrors.Load()) })
 	reg.NewCounterFunc("datamime_worker_busy_rejects_total", "Requests shed with 503 at capacity.",
 		func() float64 { return float64(w.busyRejects.Load()) })
-	reg.NewCounterFunc("datamime_worker_spans_truncated_total", "Telemetry spans dropped at the MaxWireSpans response cap.",
-		func() float64 { return float64(w.spansTruncated.Load()) })
 	reg.NewGaugeFunc("datamime_worker_uptime_seconds", "Seconds since the worker started.",
 		func() float64 { return time.Since(w.started).Seconds() })
 	telemetry.RegisterRuntimeMetrics(reg, "datamime_worker")
@@ -188,21 +185,10 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	}
 	res.Worker = w.cfg.Name
 	w.evals.Add(1)
-	w.respond(rw, res)
-}
-
-// respond writes the /v1/evaluate envelope: the deterministic result, the
-// worker's wall clock once every span has ended, and the captured spans,
-// which measure collects only when trace context was propagated. It is where
-// MaxWireSpans applies: the earliest spans ship, and every one dropped is
-// counted.
-func (w *Worker) respond(rw http.ResponseWriter, res EvalResult) {
-	spans := res.Spans
-	if n := len(spans) - MaxWireSpans; n > 0 {
-		w.spansTruncated.Add(uint64(n))
-		spans = spans[:MaxWireSpans]
-	}
-	writeWire(rw, http.StatusOK, EvalResponse{EvalResult: res, Spans: spans, TimeNS: time.Now().UnixNano()})
+	// The envelope: the deterministic result, the captured spans (which
+	// measure collects only when trace context was propagated) and the
+	// worker's wall clock once every span has ended.
+	writeWire(rw, http.StatusOK, EvalResponse{EvalResult: res, Spans: res.Spans, TimeNS: time.Now().UnixNano()})
 }
 
 // RunAnnouncer keeps the worker registered with a coordinator: announce

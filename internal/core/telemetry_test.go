@@ -73,7 +73,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	}
 	for _, want := range []string{
 		telemetry.PhasePropose, telemetry.PhaseGenerate, telemetry.PhaseProfile,
-		telemetry.PhaseProfileRun, telemetry.PhaseObserve,
+		telemetry.PhaseSimRun, telemetry.PhaseObserve,
 	} {
 		if phases[want] == 0 {
 			t.Errorf("no %q spans recorded (phases: %v)", want, phases)

@@ -25,9 +25,9 @@ type Settings struct {
 	RangePoints int
 	// RangeIterations is the per-point search budget of Fig. 11.
 	RangeIterations int
-	// Parallel evaluates this many search candidates concurrently per
-	// batch (parallel Bayesian optimization; 0/1 = the paper's serial
-	// loop).
+	// Parallel keeps at most this many search candidates in flight
+	// (parallel Bayesian optimization, core.SearchConfig.Parallel; 0/1 =
+	// the paper's serial loop).
 	Parallel int
 	// Seed derives all stochastic streams.
 	Seed uint64

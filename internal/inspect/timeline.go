@@ -107,8 +107,8 @@ type FleetStat struct {
 	BusyNS int64
 	// WallNS is the union extent of this worker's simulation intervals.
 	WallNS int64
-	// Lanes is the number of distinct budget-slot lanes observed on the
-	// worker — its effective intra-evaluation parallelism.
+	// Lanes is the number of distinct budget slots the worker's
+	// profile.sim spans held: how many profiles it ran at once.
 	Lanes int
 }
 

@@ -201,12 +201,10 @@ type Profiler struct {
 	// Budget, when non-nil, caps the profiles in flight across *all*
 	// profilers sharing it: each profile holds one token for its pass.
 	Budget *Budget
-	// Telemetry, when non-nil, receives per profile a "profile.run" span
-	// for the main lane and a "profile.curves" span for the sensitivity
-	// curves, carrying per-window counter summaries as attributes, and a
-	// "profile.sim" span for the pass. It is deliberately excluded from
-	// evaluation cache keys (see core.EvalKey) and has no effect on
-	// measurements.
+	// Telemetry, when non-nil, receives per profile one "profile.sim" span
+	// for its pass, plus one "budget.wait" span when Budget is shared. It
+	// is deliberately excluded from evaluation cache keys (see core.EvalKey)
+	// and has no effect on measurements.
 	Telemetry *telemetry.Recorder
 }
 
@@ -295,12 +293,6 @@ func (pr *Profiler) ProfileContext(ctx context.Context, b workload.Benchmark, se
 	if !pr.SkipCurves {
 		ways = pr.curveWays()
 	}
-
-	runSpan := pr.Telemetry.StartSpan(telemetry.PhaseProfileRun, 0)
-	var curveSpan telemetry.Span
-	if !pr.SkipCurves {
-		curveSpan = pr.Telemetry.StartSpan(telemetry.PhaseProfileCurves, 0)
-	}
 	main, curve, err := pr.execute(ctx, b, seed, ways)
 	if err != nil {
 		return nil, err
@@ -317,12 +309,6 @@ func (pr *Profiler) ProfileContext(ctx context.Context, b workload.Benchmark, se
 	// come from busy-cycle windows (hardware sampling semantics); CPU
 	// utilization and memory bandwidth come from wall-clock windows, since
 	// they are defined over elapsed time.
-	var runAttrs map[string]float64
-	if pr.Telemetry.Enabled() {
-		runAttrs = sim.SummarizeWindows(main.samples).Attrs()
-		runAttrs["requests"] = float64(main.requests)
-	}
-	runSpan.End(runAttrs)
 	p.Requests = main.requests
 	if main.ratio > 0 {
 		// A snapshot property, not a time series: record one sample per
@@ -355,20 +341,6 @@ func (pr *Profiler) ProfileContext(ctx context.Context, b workload.Benchmark, se
 			p.Samples[id] = vals
 		}
 	}
-
-	if pr.SkipCurves {
-		return p, nil
-	}
-	var curveAttrs map[string]float64
-	if pr.Telemetry.Enabled() {
-		curveAttrs = map[string]float64{
-			"points":          float64(len(p.Curve)),
-			"windows_per_pt":  float64(pr.CurveWindows),
-			"full_cache_ways": float64(pr.Machine.LLCWays()),
-			"bytes_per_way":   float64(pr.Machine.LLC().Sets() * trace.LineSize),
-		}
-	}
-	curveSpan.End(curveAttrs)
 	return p, nil
 }
 

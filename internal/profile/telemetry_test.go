@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -157,5 +158,36 @@ func TestSimSpanCarriesRunPhases(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Fatalf("%d profile.sim spans, want the pass's one", runs)
+	}
+}
+
+// TestProfileSpans: one ProfileContext reports its pass as exactly one
+// profile.sim span, plus exactly one budget.wait span when the profiler
+// shares a Budget — with the curves on or off, and nothing else.
+func TestProfileSpans(t *testing.T) {
+	for _, skipCurves := range []bool{true, false} {
+		for _, budget := range []*Budget{nil, NewBudget(1)} {
+			var collector telemetry.Collector
+			pr := fastProfiler()
+			pr.SkipCurves = skipCurves
+			pr.Budget = budget
+			pr.Telemetry = telemetry.New(telemetry.Options{OnEvent: collector.Record})
+			if _, err := pr.ProfileContext(context.Background(), kvBenchmark(256, 60_000), 7); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int{}
+			for _, ev := range collector.Events() {
+				if ev.Type == telemetry.TypeSpan {
+					got[ev.Phase]++
+				}
+			}
+			want := map[string]int{telemetry.PhaseSimRun: 1}
+			if budget != nil {
+				want[telemetry.PhaseBudgetWait] = 1
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("skip_curves=%v budget=%v: spans %v, want %v", skipCurves, budget != nil, got, want)
+			}
+		}
 	}
 }

@@ -24,7 +24,6 @@ func (s *Server) initDispatch() {
 	s.dispatcher = backend.NewDispatcher(backend.DispatcherConfig{
 		Local:          s.local,
 		AttemptTimeout: s.cfg.DispatchTimeout,
-		Retries:        s.cfg.DispatchRetries,
 		MaxQueue:       s.cfg.DispatchMaxQueue,
 		OnEvent:        s.onFleetEvent,
 	})

@@ -74,7 +74,8 @@ type JobSpec struct {
 	Machine string `json:"machine,omitempty"`
 	// Iterations is the evaluation budget. Required.
 	Iterations int `json:"iterations"`
-	// Parallel is the per-batch evaluation concurrency (default 1).
+	// Parallel is how many evaluations the search keeps in flight at most
+	// (default 1).
 	Parallel int `json:"parallel,omitempty"`
 	// Seed derives every stochastic stream.
 	Seed uint64 `json:"seed,omitempty"`

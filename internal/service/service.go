@@ -65,10 +65,6 @@ type Config struct {
 	WorkerURLs []string
 	// DispatchTimeout bounds one remote evaluation attempt (default 5m).
 	DispatchTimeout time.Duration
-	// DispatchRetries is the number of additional remote attempts after a
-	// failure before an evaluation falls back to in-process execution
-	// (default 2).
-	DispatchRetries int
 	// DispatchMaxQueue bounds evaluations waiting for a remote slot;
 	// beyond it admission control sheds work to the local backend
 	// (default 64).

@@ -29,11 +29,6 @@ const (
 	PhaseGenerate = "generate"
 	// PhaseProfile covers one full candidate measurement (app run + sim).
 	PhaseProfile = "profile"
-	// PhaseProfileRun and PhaseProfileCurves are the profiler-internal
-	// phases: the main lane's counter windows and the cache-sensitivity
-	// curves.
-	PhaseProfileRun    = "profile.run"
-	PhaseProfileCurves = "profile.curves"
 	// PhaseSimRun is a profile's one simulation pass, emitted per profile
 	// with AttrWorker (its budget slot) and AttrLanes attributes — the raw
 	// material of the per-worker trace timelines and utilization reports.

@@ -21,10 +21,9 @@ import (
 //	tid 3      "fleet"       — instant events for fleet churn (worker
 //	                           registrations and deregistrations); present
 //	                           only when the fleet changed during the run
-//	tid 10+L   "eval lane L" — per-candidate spans (generate, profile,
-//	                           profile.run, profile.curves), greedily
-//	                           packed into as few non-overlapping lanes
-//	                           as the run's parallelism needed
+//	tid 10+L   "eval lane L" — per-candidate spans (generate, profile),
+//	                           greedily packed into as few non-overlapping
+//	                           lanes as the run's parallelism needed
 //	tid 100+   "worker W"    — one track per simulation budget slot, carrying
 //	                           its profile.sim spans; budget-semaphore
 //	                           waits appear as instant events. When
@@ -40,9 +39,11 @@ import (
 // /v1/evaluate response envelope (marked by AttrFleetWorker, anchored to
 // the coordinator clock before emission) render as separate *processes*:
 // pid 100+W "fleet worker W" (pid 99 "fleet fallback" for the local
-// fallback backend), each with its own sim-worker tracks, eval lanes, and
-// budget-wait instants — one Perfetto file shows coordinator scheduling and
-// remote execution side by side.
+// fallback backend), each with its own sim-worker tracks and budget-wait
+// instants — one Perfetto file shows coordinator scheduling and remote
+// execution side by side. Any other shipped phase (the profile.run and
+// profile.curves spans of logs written before a profile was one span)
+// lands on the process's eval lanes.
 //
 // Timestamps are microseconds from the earliest event in the stream, so
 // traces from different runs all start at zero. The exporter is a pure
@@ -102,7 +103,7 @@ func spanBounds(ev Event) spanInterval {
 // fleetProc accumulates the spans shipped back from one fleet worker.
 type fleetProc struct {
 	sims  map[int][]spanInterval // budget slot → profile.sim
-	evals []spanInterval         // profile.run/profile.curves/...
+	evals []spanInterval         // any other shipped phase
 	waits []Event                // budget.wait instants
 }
 
@@ -222,7 +223,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 					instant(tracePID, traceTIDOptimizer, "cholesky refactorization", ev.TimeNS,
 						map[string]interface{}{"rebuilds": ev.Attrs[AttrCholeskyRebuilds]})
 				}
-			case PhaseGenerate, PhaseProfile, PhaseProfileRun, PhaseProfileCurves:
+			case PhaseGenerate, PhaseProfile:
 				evalSpans = append(evalSpans, iv)
 			case PhaseSimRun:
 				wkr := int(ev.Attrs[AttrWorker])

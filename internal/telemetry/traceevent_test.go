@@ -116,14 +116,16 @@ func TestWriteTraceFleetProcesses(t *testing.T) {
 		// Coordinator-local sim span: stays on pid 1.
 		{Type: TypeSpan, Phase: PhaseSimRun, TimeNS: ms(10), DurNS: ms(10),
 			Attrs: map[string]float64{AttrWorker: 0}},
-		// Fleet worker 1: two sim lanes, a budget wait, and a run span.
+		// Fleet worker 1: two sim lanes, a budget wait, and a legacy
+		// profile.run span, which logs written before a profile was one
+		// profile.sim span still carry.
 		{Type: TypeSpan, Phase: PhaseSimRun, Iter: 3, TimeNS: ms(20), DurNS: ms(8),
 			Attrs: fleet(1, map[string]float64{AttrWorker: 0})},
 		{Type: TypeSpan, Phase: PhaseSimRun, Iter: 3, TimeNS: ms(21), DurNS: ms(8),
 			Attrs: fleet(1, map[string]float64{AttrWorker: 1})},
 		{Type: TypeSpan, Phase: PhaseBudgetWait, Iter: 3, TimeNS: ms(13), DurNS: ms(1),
 			Attrs: fleet(1, map[string]float64{AttrWorker: 2})},
-		{Type: TypeSpan, Phase: PhaseProfileRun, Iter: 3, TimeNS: ms(22), DurNS: ms(10),
+		{Type: TypeSpan, Phase: "profile.run", Iter: 3, TimeNS: ms(22), DurNS: ms(10),
 			Attrs: fleet(1, nil)},
 		// Dispatcher fallback (-1): its shipped spans get their own process.
 		{Type: TypeSpan, Phase: PhaseSimRun, Iter: 4, TimeNS: ms(30), DurNS: ms(5),
@@ -143,7 +145,7 @@ func TestWriteTraceFleetProcesses(t *testing.T) {
 	if st.FleetProcesses != 2 {
 		t.Errorf("FleetProcesses = %d, want 2", st.FleetProcesses)
 	}
-	// 4 fleet-routed spans + 1 local sim + 1 run span = 5 "X"
+	// 4 fleet-routed spans + 1 local sim + 1 legacy run span = 5 "X"
 	// (budget wait renders as an instant).
 	if st.Spans != 5 {
 		t.Errorf("Spans = %d, want 5", st.Spans)
