@@ -14,9 +14,7 @@
 // least-noise estimator for a regression gate) into a baseline file.
 // compare reports every benchmark's delta against the baseline and fails
 // (exit 1) when a benchmark matching -gate regresses by more than
-// -max-regression. It also prints the parallel speedup for any benchmark
-// family measured at several worker counts (.../workers=N variants), since
-// that ratio — unlike absolute ns/op — is comparable across machines.
+// -max-regression.
 // text re-emits the baseline in `go test -bench` format so external tools
 // (e.g. benchstat) can diff it against a fresh run.
 package main
@@ -226,9 +224,6 @@ func compare(args []string) error {
 			fmt.Fprintf(&buf, "%-60s %15s %15.0f %9s\n", name, "new", cur[name].NsPerOp, "-")
 		}
 	}
-	for _, line := range speedups(cur) {
-		fmt.Fprintln(&buf, line)
-	}
 
 	fmt.Print(buf.String())
 	if *report != "" {
@@ -241,56 +236,6 @@ func compare(args []string) error {
 	}
 	fmt.Printf("gate ok: no %q regression above %.0f%%\n", *gate, *maxReg*100)
 	return nil
-}
-
-// workersVariant matches ".../workers=N" benchmark sub-names.
-var workersVariant = regexp.MustCompile(`^(.*)/workers=(\d+)(-\d+)?$`)
-
-// speedups derives machine-independent parallel-scaling ratios: for every
-// benchmark family with a workers=1 variant, the ratio of its time to each
-// workers=N variant's.
-func speedups(cur map[string]Measurement) []string {
-	type variant struct {
-		workers int
-		ns      float64
-	}
-	families := make(map[string][]variant)
-	for name, m := range cur {
-		if g := workersVariant.FindStringSubmatch(name); g != nil {
-			w, _ := strconv.Atoi(g[2])
-			families[g[1]] = append(families[g[1]], variant{w, m.NsPerOp})
-		}
-	}
-	var out []string
-	for _, fam := range sortedNames(measKeys(families)) {
-		vs := families[fam]
-		sort.Slice(vs, func(i, j int) bool { return vs[i].workers < vs[j].workers })
-		var serial float64
-		for _, v := range vs {
-			if v.workers == 1 {
-				serial = v.ns
-			}
-		}
-		if serial == 0 {
-			continue
-		}
-		for _, v := range vs {
-			if v.workers > 1 {
-				out = append(out, fmt.Sprintf("speedup %s: workers=%d is %.2fx vs workers=1",
-					fam, v.workers, serial/v.ns))
-			}
-		}
-	}
-	return out
-}
-
-// measKeys adapts a families map for sortedNames.
-func measKeys[V any](m map[string]V) map[string]Measurement {
-	out := make(map[string]Measurement, len(m))
-	for k := range m {
-		out[k] = Measurement{}
-	}
-	return out
 }
 
 func text(args []string) error {

@@ -43,18 +43,3 @@ func TestParseBenchRejectsEmpty(t *testing.T) {
 		t.Fatal("expected error for input with no benchmark lines")
 	}
 }
-
-func TestSpeedups(t *testing.T) {
-	cur := map[string]Measurement{
-		"BenchmarkProfilerSweep/workers=1": {NsPerOp: 80000000},
-		"BenchmarkProfilerSweep/workers=4": {NsPerOp: 20000000},
-		"BenchmarkSimRun":                  {NsPerOp: 1500000},
-	}
-	lines := speedups(cur)
-	if len(lines) != 1 {
-		t.Fatalf("got %d speedup lines, want 1: %v", len(lines), lines)
-	}
-	if !strings.Contains(lines[0], "workers=4 is 4.00x") {
-		t.Errorf("unexpected speedup line: %q", lines[0])
-	}
-}

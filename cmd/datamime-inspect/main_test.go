@@ -140,6 +140,58 @@ func TestTimelineWritesTrace(t *testing.T) {
 	}
 }
 
+// TestTimelineTraceSlicesNest: on every track of an exported trace, two
+// slices either nest or do not overlap. The corpus fixture job-1.jsonl was
+// logged when a profile still carried the profile.run and profile.curves
+// spans, which the exporter does not know; they land on eval lanes packed so
+// that none overlaps another.
+func TestTimelineTraceSlicesNest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	stdoutOf(t, runTimeline, "-artifact", "testdata/corpus/job-1.jsonl", "-trace", path)
+	var trace struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			PID, TID int
+			TS, Dur  float64
+		}
+	}
+	if err := json.Unmarshal(readFile(t, path), &trace); err != nil {
+		t.Fatal(err)
+	}
+	type track struct{ pid, tid int }
+	type slice struct {
+		name       string
+		start, end float64
+	}
+	tracks := map[track][]slice{}
+	legacy := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" {
+			k := track{ev.PID, ev.TID}
+			tracks[k] = append(tracks[k], slice{ev.Name, ev.TS, ev.TS + ev.Dur})
+			if ev.Name == "profile.run" || ev.Name == "profile.curves" {
+				legacy++
+			}
+		}
+	}
+	if legacy == 0 {
+		t.Fatal("the fixture's trace has no profile.run or profile.curves slice")
+	}
+	for k, slices := range tracks {
+		for i, a := range slices {
+			for _, b := range slices[i+1:] {
+				overlap := a.start < b.end && b.start < a.end
+				nested := (a.start <= b.start && b.end <= a.end) || (b.start <= a.start && a.end <= b.end)
+				if overlap && !nested {
+					t.Errorf("pid %d tid %d: %s [%g, %g] and %s [%g, %g] overlap without nesting",
+						k.pid, k.tid, a.name, a.start, a.end, b.name, b.start, b.end)
+				}
+			}
+		}
+	}
+}
+
 // TestCorpusGolden pins `corpus list` and `corpus trends` on a fixture
 // checkpoint directory of three job logs with record lines (two of one
 // scenario holding the fixture artifact's events, one of another holding

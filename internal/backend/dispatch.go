@@ -33,6 +33,10 @@ const (
 // falls back to the local backend.
 const dispatchRetries = 2
 
+// failureLimit deregisters a worker after this many consecutive failed
+// evaluations or health probes. ErrBusy and ErrRequest do not count.
+const failureLimit = 3
+
 // DispatcherConfig tunes a Dispatcher. The zero value of every field picks
 // a sensible default; Local is required.
 type DispatcherConfig struct {
@@ -52,10 +56,6 @@ type DispatcherConfig struct {
 	// slot beyond this are shed to the local backend instead of queueing
 	// (default 64).
 	MaxQueue int
-	// FailureLimit deregisters a worker after this many consecutive failed
-	// evaluations or health probes (default 3). ErrBusy and ErrRequest do
-	// not count.
-	FailureLimit int
 	// OnEvent, when non-nil, receives fleet churn events. Called without
 	// dispatcher locks held.
 	OnEvent func(FleetEvent)
@@ -160,9 +160,6 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
-	}
-	if cfg.FailureLimit <= 0 {
-		cfg.FailureLimit = 3
 	}
 	d := &Dispatcher{cfg: cfg}
 	d.cond = sync.NewCond(&d.mu)
@@ -359,7 +356,7 @@ func (d *Dispatcher) noteFailure(w *workerState, reason string) {
 	d.mu.Lock()
 	w.fails++
 	w.healthy = false
-	if w.fails >= d.cfg.FailureLimit {
+	if w.fails >= failureLimit {
 		for i, cur := range d.workers {
 			if cur == w {
 				d.workers = append(d.workers[:i], d.workers[i+1:]...)

@@ -115,14 +115,13 @@ func TestDispatchRemote(t *testing.T) {
 // TestDispatchFailureFallback: a failing single-worker fleet degrades to
 // the local backend without failing the evaluation. The failed worker is
 // marked unhealthy (so subsequent attempts skip it) but not yet evicted —
-// eviction needs FailureLimit consecutive failed probes (see
+// eviction needs failureLimit consecutive failed probes (see
 // TestDispatchHealthProbeEviction).
 func TestDispatchFailureFallback(t *testing.T) {
 	var events []FleetEvent
 	var evmu sync.Mutex
 	local := okBackend("local")
 	d := fastDispatcher(local, func(cfg *DispatcherConfig) {
-		cfg.FailureLimit = 3
 		cfg.OnEvent = func(ev FleetEvent) {
 			evmu.Lock()
 			events = append(events, ev)
@@ -201,9 +200,7 @@ func TestDispatchRequestFaultGoesLocal(t *testing.T) {
 // must never count toward eviction.
 func TestDispatchBusyNotEvicted(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local, func(cfg *DispatcherConfig) {
-		cfg.FailureLimit = 2
-	})
+	d := fastDispatcher(local)
 	busy := &funcBackend{
 		name:     "busy",
 		capacity: 1,
@@ -359,7 +356,7 @@ func TestDispatchAdmissionShed(t *testing.T) {
 }
 
 // TestDispatchHealthProbeEviction: CheckHealth evicts a worker that fails
-// FailureLimit consecutive probes, and a recovered probe resets the count.
+// failureLimit consecutive probes, and a recovered probe resets the count.
 func TestDispatchHealthProbeEviction(t *testing.T) {
 	var healthy atomic.Bool
 	healthy.Store(true)
@@ -377,20 +374,24 @@ func TestDispatchHealthProbeEviction(t *testing.T) {
 		},
 	}
 	local := okBackend("local")
-	d := fastDispatcher(local, func(cfg *DispatcherConfig) { cfg.FailureLimit = 2 })
+	d := fastDispatcher(local)
 	d.Register(w)
 
 	ctx := context.Background()
 	healthy.Store(false)
-	d.CheckHealth(ctx)
+	for i := 1; i < failureLimit; i++ {
+		d.CheckHealth(ctx)
+	}
 	healthy.Store(true)
 	d.CheckHealth(ctx) // recovery resets the failure count
 	healthy.Store(false)
-	d.CheckHealth(ctx)
+	for i := 1; i < failureLimit; i++ {
+		d.CheckHealth(ctx)
+	}
 	if !d.HasWorkers() {
 		t.Fatal("evicted after non-consecutive failures")
 	}
-	d.CheckHealth(ctx) // second consecutive failure → eviction
+	d.CheckHealth(ctx) // the failureLimit-th consecutive failure → eviction
 	if d.HasWorkers() {
 		t.Fatal("worker survived the probe failure limit")
 	}

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"datamime/internal/telemetry"
-)
-
 // Resuming lets a long search survive its process. The optimizer and the
 // profiling seeds are deterministic functions of (SearchConfig.Seed,
 // Parallel), so the complete search state is captured by the iterations'
@@ -14,28 +8,6 @@ import (
 // proposals and Observe calls in the same order, but skipping the expensive
 // profiling — reconstructs the exact optimizer, RNG, and trace state, bit
 // for bit.
-
-// ResumeFromEvents decodes a recorded search's iterations for
-// SearchConfig.Resume from its events (a run artifact, a datamimed job log):
-// one EvalEvent per eval event, decoded by EvalEventFromTelemetry, stopping at
-// the first one without a u, which cannot be replayed.
-func ResumeFromEvents(events []telemetry.Event) ([]EvalEvent, error) {
-	var resume []EvalEvent
-	for _, tev := range events {
-		if tev.Type != telemetry.TypeEval {
-			continue
-		}
-		if len(tev.U) == 0 {
-			break
-		}
-		ev, err := EvalEventFromTelemetry(tev)
-		if err != nil {
-			return resume, fmt.Errorf("core: iteration %d: %w", tev.Iter, err)
-		}
-		resume = append(resume, ev)
-	}
-	return resume, nil
-}
 
 // sameUnitPoint reports whether a replayed proposal matches the live one.
 // Proposals are deterministic, so these should be identical up to JSON

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -261,8 +262,8 @@ func TestSearchContextCancel(t *testing.T) {
 // a Parallel: 1 run of the same seed replays while the two runs propose the
 // same points (the initial design) and evaluates live from the first batch
 // proposal that differs. It ends where a fresh Parallel: 4 run does.
-// ResumeFromEvents of the serial run's artifact, cut at an eval without its
-// point, yields the events before that eval only.
+// The serial run's artifact, cut at an eval without its point, resumes from
+// the events before that eval only.
 func TestResumeDivergesToLive(t *testing.T) {
 	const iterations = 12
 	var artifact bytes.Buffer
@@ -278,13 +279,7 @@ func TestResumeDivergesToLive(t *testing.T) {
 		t.Fatalf("the serial and batched runs share %d leading points; want the 6-point initial design, then a divergence before iteration %d", matching, iterations-2)
 	}
 
-	var logged []telemetry.Event
-	if _, err := telemetry.ScanJSONL(&artifact, func(ev telemetry.Event) error {
-		logged = append(logged, ev)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	logged := scanArtifact(t, &artifact)
 	evals := 0
 	for i := range logged {
 		if logged[i].Type != telemetry.TypeEval {
@@ -294,12 +289,9 @@ func TestResumeDivergesToLive(t *testing.T) {
 			logged[i].U = nil
 		}
 	}
-	resume, err := ResumeFromEvents(logged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resume := resumeFrom(t, logged)
 	if len(resume) != iterations-2 {
-		t.Fatalf("ResumeFromEvents read %d iterations before the eval without u, want %d", len(resume), iterations-2)
+		t.Fatalf("the resume read %d iterations before the eval without u, want %d", len(resume), iterations-2)
 	}
 	for i, ev := range resume {
 		if !reflect.DeepEqual(ev.U, serial[i].U) || ev.Record.Error != serial[i].Record.Error {
@@ -321,4 +313,38 @@ func TestResumeDivergesToLive(t *testing.T) {
 	if ref.BestError != res.BestError || !reflect.DeepEqual(ref.BestParams, res.BestParams) {
 		t.Fatalf("the diverged resume's best %g %v, a fresh run's %g %v", res.BestError, res.BestParams, ref.BestError, ref.BestParams)
 	}
+}
+
+// scanArtifact reads a JSONL run artifact's events.
+func scanArtifact(t *testing.T, r io.Reader) []telemetry.Event {
+	t.Helper()
+	var events []telemetry.Event
+	if _, err := telemetry.ScanJSONL(r, func(ev telemetry.Event) error {
+		events = append(events, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// resumeFrom decodes a recorded search's eval events for SearchConfig.Resume,
+// stopping at the first one without a u, which cannot be replayed.
+func resumeFrom(t *testing.T, events []telemetry.Event) []EvalEvent {
+	t.Helper()
+	var resume []EvalEvent
+	for _, tev := range events {
+		if tev.Type != telemetry.TypeEval {
+			continue
+		}
+		if len(tev.U) == 0 {
+			break
+		}
+		ev, err := EvalEventFromTelemetry(tev)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", tev.Iter, err)
+		}
+		resume = append(resume, ev)
+	}
+	return resume
 }

@@ -106,7 +106,8 @@ type SearchConfig struct {
 	Evaluator Evaluator
 	// Resume warm-starts the search from the leading iterations of an
 	// earlier run with the same configuration: the events its OnEval saw,
-	// or ResumeFromEvents of its artifact. Each is replayed through the
+	// or inspect.LoadRun's Evals of its artifact, up to the first without a
+	// U. Each is replayed through the
 	// optimizer (identical proposals, Observe calls, and trace records)
 	// without re-profiling while its point matches the live proposal; from
 	// the first that does not, the search continues live. A resumed search

@@ -238,17 +238,7 @@ func TestAttributedComponentsRoundTrip(t *testing.T) {
 	if err := telemetry.WriteJSONL(&buf, tevs); err != nil {
 		t.Fatal(err)
 	}
-	var logged []telemetry.Event
-	if _, err := telemetry.ScanJSONL(&buf, func(ev telemetry.Event) error {
-		logged = append(logged, ev)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ResumeFromEvents(logged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := resumeFrom(t, scanArtifact(t, &buf))
 	for i, ev := range restored {
 		if len(ev.Record.Components) == 0 {
 			t.Fatalf("restored event %d has no components", i)

@@ -136,8 +136,9 @@ func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
 		differ("skipped evaluations fell: %d -> %d", ca.Skipped, cb.Skipped)
 	}
 
-	bestA, okA := a.Best()
-	bestB, okB := b.Best()
+	evA, okA := a.Best()
+	evB, okB := b.Best()
+	bestA, bestB := evA.Record, evB.Record
 	d.BestIter = [2]int{bestA.Iteration, bestB.Iteration}
 	d.BestError = Delta{Name: "best_error", A: bestA.Error, B: bestB.Error, Delta: bestB.Error - bestA.Error}
 	switch {

@@ -53,7 +53,8 @@ func NewReport(run *Run, profiles *ProfilesDoc, title string) *Report {
 		Health:   NewSearchHealth(run),
 		Timeline: NewTimeline(run),
 	}
-	r.Best, r.BestFound = run.Best()
+	best, ok := run.Best()
+	r.Best, r.BestFound = best.Record, ok
 	if r.Title == "" {
 		if run.Job != "" {
 			r.Title = run.Job

@@ -65,7 +65,7 @@ type Run struct {
 func NewRun(events []telemetry.Event) (*Run, error) {
 	run := &Run{Phases: make(map[string]PhaseStat)}
 	for i, ev := range events {
-		if err := run.add(ev); err != nil {
+		if err := run.Add(ev); err != nil {
 			return nil, fmt.Errorf("inspect: event %d: %w", i, err)
 		}
 	}
@@ -80,15 +80,17 @@ func NewRun(events []telemetry.Event) (*Run, error) {
 func LoadRun(r io.Reader) (*Run, error) {
 	run := &Run{Phases: make(map[string]PhaseStat)}
 	var err error
-	if run.Malformed, err = telemetry.ScanJSONL(r, run.add); err != nil {
+	if run.Malformed, err = telemetry.ScanJSONL(r, run.Add); err != nil {
 		return nil, fmt.Errorf("inspect: %w", err)
 	}
 	return run, nil
 }
 
-// add folds one event into the run; event types it does not know are
-// skipped by design.
-func (run *Run) add(ev telemetry.Event) error {
+// Add folds one event into the run, as it is recorded (the service's job
+// store folds each job's events here); event types it does not know are
+// skipped by design. An event it refuses, a structurally broken eval or
+// diagnostics event, leaves the run as it was. The zero Run is ready to use.
+func (run *Run) Add(ev telemetry.Event) error {
 	if run.Job == "" && ev.Job != "" {
 		run.Job = ev.Job
 	}
@@ -98,6 +100,9 @@ func (run *Run) add(ev telemetry.Event) error {
 			run.Header = ev.Msg
 		}
 	case telemetry.TypeSpan:
+		if run.Phases == nil {
+			run.Phases = make(map[string]PhaseStat)
+		}
 		st := run.Phases[ev.Phase]
 		st.Count++
 		st.TotalNS += ev.DurNS
@@ -156,18 +161,18 @@ func (r *Run) BestTrace() []float64 {
 	return out
 }
 
-// Best returns the run's best evaluation: the earliest non-skipped record
-// with the minimum error. ok is false when the run has no evaluations.
-func (r *Run) Best() (rec core.IterationRecord, ok bool) {
+// Best returns the run's best evaluation: the earliest non-skipped one with
+// the minimum error. ok is false when the run has no evaluations.
+func (r *Run) Best() (best core.EvalEvent, ok bool) {
 	for _, e := range r.Evals {
 		if e.Skipped {
 			continue
 		}
-		if !ok || e.Record.Error < rec.Error {
-			rec, ok = e.Record, true
+		if !ok || e.Record.Error < best.Record.Error {
+			best, ok = e, true
 		}
 	}
-	return rec, ok
+	return best, ok
 }
 
 // Counts summarizes the evaluation history. The JSON tags are the run

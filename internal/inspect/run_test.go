@@ -67,9 +67,9 @@ func TestLoadRunParsesArtifact(t *testing.T) {
 	if c.Evals != 5 || c.Skipped != 1 || c.CacheHits != 1 {
 		t.Errorf("Counts %+v", c)
 	}
-	bestRec, ok := run.Best()
-	if !ok || bestRec.Error != 0.4 || bestRec.Iteration != 4 {
-		t.Errorf("Best %+v ok=%v", bestRec, ok)
+	best, ok := run.Best()
+	if !ok || best.Record.Error != 0.4 || best.Record.Iteration != 4 {
+		t.Errorf("Best %+v ok=%v", best, ok)
 	}
 	trace := run.BestTrace()
 	want := []float64{0.9, 0.7, 0.7, 0.4, 0.4}
@@ -81,7 +81,7 @@ func TestLoadRunParsesArtifact(t *testing.T) {
 			t.Errorf("trace[%d] = %g, want %g", i, trace[i], want[i])
 		}
 	}
-	if comps := bestRec.Components; comps["cpu_util"] != 0.25 || comps["l2_mpki"] != 0.15 {
+	if comps := best.Record.Components; comps["cpu_util"] != 0.25 || comps["l2_mpki"] != 0.15 {
 		t.Errorf("best record components %v", comps)
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"strings"
 	"time"
 
+	"datamime/internal/core"
 	"datamime/internal/corpus"
 	"datamime/internal/datagen"
+	"datamime/internal/inspect"
 	"datamime/internal/profile"
 	"datamime/internal/telemetry"
 )
@@ -154,8 +156,8 @@ func replayLog(id string, lines []jobLine) (*Job, error) {
 }
 
 // rewindLocked drops the job's events from iteration it on, in its record and
-// its log, where the replay diverged (as after a binary change). Callers hold
-// j.mu.
+// its log, where the replay diverged (as after a binary change), and folds its
+// run afresh from the events it keeps. Callers hold j.mu.
 func (s *Server) rewindLocked(j *Job, it int) {
 	s.logf("job %s: the replay diverged from the log at iteration %d; evaluating from there", j.id, it)
 	events, keep := j.events, 0
@@ -165,7 +167,7 @@ func (s *Server) rewindLocked(j *Job, it int) {
 		}
 	}
 	// A fresh slice: a follower writing from the old one keeps what it read.
-	j.jobRecord = jobRecord{}
+	j.events, j.run, j.foldErr = nil, inspect.Run{}, nil
 	j.rewinds++
 	for _, ev := range events[:keep] {
 		j.add(ev)
@@ -227,7 +229,7 @@ func (s *Server) loadCheckpoints() error {
 		}
 		if !job.state.terminal() {
 			s.queue <- job
-			s.logf("job %s restored with %d logged iterations; re-queued", job.id, job.evals+job.skipped)
+			s.logf("job %s restored with %d logged iterations; re-queued", job.id, len(job.run.Evals))
 		}
 	}
 	corpus.Sort(s.records)
@@ -274,7 +276,7 @@ func (s *Server) loadJob(id, path string) (*Job, error) {
 // logged errors as its own, so a log measured by another profile method
 // would mix two methods in one run, filed under this method's scenario.
 func resumable(job *Job) error {
-	if err := logFits(job.plan.generator, job.events); err != nil {
+	if err := logFits(job.plan.generator, job.run.Evals); err != nil {
 		return err
 	}
 	if !job.state.terminal() && job.method != profile.Method {
@@ -290,11 +292,11 @@ func resumable(job *Job) error {
 
 // logFits reports a logged point not in the generator's space, as a generator
 // re-registered with another space, or an edited file, leaves behind.
-func logFits(g datagen.Generator, events []telemetry.Event) error {
-	for _, ev := range events {
-		if ev.Type == telemetry.TypeEval && len(ev.U) > 0 && len(ev.U) != g.Space.Dim() {
+func logFits(g datagen.Generator, evals []core.EvalEvent) error {
+	for _, ev := range evals {
+		if len(ev.U) > 0 && len(ev.U) != g.Space.Dim() {
 			return fmt.Errorf("restored job log does not fit generator %q: iteration %d has %d dimensions, the generator takes %d",
-				g.Name, ev.Iter, len(ev.U), g.Space.Dim())
+				g.Name, ev.Record.Iteration, len(ev.U), g.Space.Dim())
 		}
 	}
 	return nil

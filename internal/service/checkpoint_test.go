@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"datamime/internal/backend"
@@ -474,7 +475,7 @@ func TestFollowEndsAtRewind(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(release) })
-	svc, err = New(Config{Workers: 1, CheckpointDir: dir, Generators: []datagen.Generator{heldGenerator(release)}})
+	svc, err = New(Config{Workers: 1, CheckpointDir: dir, Generators: []datagen.Generator{heldGenerator(nil, release)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,11 +605,16 @@ func TestResumeLogWithRetiredDiagnosticsKey(t *testing.T) {
 // TestResumedJobKeepsCacheHits: a resumed job keeps what its first leg
 // served from the evaluation cache. Random search draws the same first ten
 // points under the same seed at any budget, so the second job serves those
-// from the first job's cache entries; it is interrupted past them and resumed
-// on a server whose cache is cold.
+// from the first job's cache entries; it is interrupted right after them and
+// resumed on a server whose cache is cold.
 func TestResumedJobKeepsCacheHits(t *testing.T) {
 	dir := t.TempDir()
-	svcA := newTestServer(t, dir)
+	// The generator builds the first job's ten benchmarks and holds the
+	// second job's first, so the second job stops right after its cached
+	// prefix, with its first two misses in flight.
+	release := make(chan struct{})
+	var built atomic.Int32
+	svcA := heldServer(t, dir, func([]float64) bool { return built.Add(1) <= 10 }, release)
 	first, err := svcA.Submit(testSpec(10, 19))
 	if err != nil {
 		t.Fatal(err)
@@ -618,11 +624,11 @@ func TestResumedJobKeepsCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the second job to pass its cached prefix", func() bool { return job.status().Iterations >= 14 })
-	svcA.Close()
+	waitFor(t, "the second job to pass its cached prefix", func() bool { return job.status().Iterations >= 10 })
+	closeHeld(svcA, release)
 	leg := job.status()
 	if leg.State != JobQueued || leg.CacheHits < 10 {
-		t.Fatalf("first leg: %s with %d cache hits; want interrupted past 10 hits", leg.State, leg.CacheHits)
+		t.Fatalf("first leg: %s with %d cache hits; want interrupted after 10 hits", leg.State, leg.CacheHits)
 	}
 
 	svcB := newTestServer(t, dir)
@@ -643,7 +649,7 @@ func TestResumedJobKeepsCacheHits(t *testing.T) {
 }
 
 // TestCheckpointFromEventsIsTheSearchCheckpoint: what a resume reads from a
-// search's recorded events (core.ResumeFromEvents) is the events the search
+// search's recorded events (the evals of the job's run) is the events the search
 // gave its OnEval, less the search-health snapshots the eval lines do not
 // carry. The retry-skip search on testGenerator skips one iteration and
 // retries another; its integer val_mu is why the events carry each point: a
@@ -673,11 +679,14 @@ func TestCheckpointFromEventsIsTheSearchCheckpoint(t *testing.T) {
 	if _, err := core.Search(cfg); err != nil {
 		t.Fatal(err)
 	}
-	resume, err := core.ResumeFromEvents(scanEvents(t, artifact.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	var job Job
+	for _, ev := range scanEvents(t, artifact.Bytes()) {
+		job.add(ev)
 	}
-	if !reflect.DeepEqual(resume, events) {
+	if job.foldErr != nil {
+		t.Fatal(job.foldErr)
+	}
+	if resume := job.run.Evals; !reflect.DeepEqual(resume, events) {
 		t.Fatalf("resume read from the artifact %+v\nthe search's events        %+v", resume, events)
 	}
 

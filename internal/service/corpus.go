@@ -89,7 +89,7 @@ func scenarioHash(spec JobSpec) string {
 // indexRun adds a just-succeeded job to the run corpus and judges it against
 // the scenario baseline, the scenario's earliest record: the first run of a
 // scenario is its baseline, and every later run takes the verdict
-// inspect.DiffRuns gives it against the baseline job's events — the judgment
+// inspect.DiffRuns gives it against the baseline job's run — the judgment
 // `datamime-inspect diff` prints for the two jobs' logs or /artifact URLs.
 // The record becomes the job's corpus.record line. Called on the job's worker
 // goroutine before finish(), so that line, and a corpus.regression event
@@ -97,21 +97,24 @@ func scenarioHash(spec JobSpec) string {
 // followers before its live stream ends. Indexing failures are logged,
 // never fatal: the job's own result is already safe.
 func (s *Server) indexRun(job *Job) {
-	run, err := inspect.NewRun(artifactEvents(job))
+	job.mu.Lock()
+	p := job.plan
+	started := job.started
+	backendName := job.backend
+	run, err := &job.run, job.foldErr
+	// The record is a view of the run's report: every figure below is read
+	// off it, none derived a second time. The report is made under the lock,
+	// as a fleet event may still add a span to the run; its evals are final.
+	var report *inspect.Report
+	if err == nil {
+		report = inspect.NewReport(run, nil, "")
+	}
+	job.mu.Unlock()
 	if err != nil {
 		s.logf("job %s corpus: artifact parse failed: %v", job.ID(), err)
 		return
 	}
 
-	job.mu.Lock()
-	p := job.plan
-	started := job.started
-	backendName := job.backend
-	job.mu.Unlock()
-
-	// The record is a view of the run's report: every figure below is read
-	// off it, none derived a second time.
-	report := inspect.NewReport(run, nil, "")
 	rec := corpus.Record{
 		ID:             job.ID(),
 		Scenario:       scenarioHash(p.spec),
@@ -142,13 +145,19 @@ func (s *Server) indexRun(job *Job) {
 		rec.Verdict = corpus.VerdictBaseline
 	} else if blJob, ok := s.Job(s.records[bl].ID); !ok {
 		s.logf("job %s corpus: indexed without a verdict, baseline %s is not a job here", job.ID(), s.records[bl].ID)
-	} else if baseRun, err := inspect.NewRun(artifactEvents(blJob)); err != nil {
-		s.logf("job %s corpus: indexed without a verdict, baseline %s unreadable: %v", job.ID(), blJob.ID(), err)
 	} else {
-		d = inspect.DiffRuns(baseRun, run, inspect.DiffOptions{})
-		rec.Verdict = d.Verdict
-		rec.BaselineID = blJob.ID()
-		rec.BaselineDelta = d.BestError.Delta
+		// The baseline job's search has ended, so its evals are final too.
+		blJob.mu.Lock()
+		baseRun, err := &blJob.run, blJob.foldErr
+		blJob.mu.Unlock()
+		if err != nil {
+			s.logf("job %s corpus: indexed without a verdict, baseline %s unreadable: %v", job.ID(), blJob.ID(), err)
+		} else {
+			d = inspect.DiffRuns(baseRun, run, inspect.DiffOptions{})
+			rec.Verdict = d.Verdict
+			rec.BaselineID = blJob.ID()
+			rec.BaselineDelta = d.BestError.Delta
+		}
 	}
 	s.records = append(s.records, rec)
 	s.recordsMu.Unlock()

@@ -8,7 +8,10 @@ import (
 	"net/url"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"datamime/internal/backend"
 	"datamime/internal/datagen"
@@ -173,15 +176,42 @@ func TestServiceFleetBitIdentityWithTelemetry(t *testing.T) {
 	}
 }
 
+// holdAfter wraps a fleet worker's handler so that it answers n evaluations
+// and holds every later one until release is closed, then drops its
+// connection as a killed worker would. held is closed once one is held.
+func holdAfter(h http.Handler, n int32, release <-chan struct{}) (wrapped http.Handler, held <-chan struct{}) {
+	var evals atomic.Int32
+	var once sync.Once
+	holding := make(chan struct{})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == backend.PathEvaluate && evals.Add(1) > n {
+			once.Do(func() { close(holding) })
+			<-release
+			panic(http.ErrAbortHandler)
+		}
+		h.ServeHTTP(w, r)
+	}), holding
+}
+
 // TestServiceFleetWorkerKilledMidJob kills the only worker while a remote
 // job is running: the dispatcher must degrade to local fallback and the job
-// must still finish, bit-identical to a local run.
+// must still finish, bit-identical to a local run. The worker answers four
+// evaluations and holds the fifth, so the kill lands mid-job at a fixed
+// point, however the host schedules the job.
 func TestServiceFleetWorkerKilledMidJob(t *testing.T) {
 	spec := testSpec(24, 33)
 	spec.Backend = "local"
 	ref, refTrace := runToCompletion(t, newTestServer(t, ""), spec)
 
-	_, ts := newFleetWorker(t, "doomed")
+	w := backend.NewWorker(backend.WorkerConfig{
+		Name:       "doomed",
+		Capacity:   1,
+		Generators: []datagen.Generator{testGenerator()},
+	})
+	release := make(chan struct{})
+	handler, held := holdAfter(w.Handler(), 4, release)
+	ts := httptest.NewServer(handler)
+	t.Cleanup(ts.Close)
 	svc := newFleetServer(t, []string{ts.URL})
 	defer svc.Close()
 
@@ -191,10 +221,17 @@ func TestServiceFleetWorkerKilledMidJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "job to make progress on the fleet", func() bool {
-		return job.status().Iterations >= 4
-	})
+	select {
+	case <-held:
+	case <-job.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker was never sent a fifth evaluation")
+	}
+	if st := job.status(); st.State.terminal() {
+		t.Fatalf("job %s before the kill, after %d iterations", st.State, st.Iterations)
+	}
 	ts.CloseClientConnections()
+	close(release)
 	ts.Close() // the fleet is gone mid-job
 
 	<-job.Done()

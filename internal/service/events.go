@@ -17,16 +17,6 @@ func artifactHeader(id string, state JobState, events int) telemetry.Event {
 	}
 }
 
-// artifactEvents assembles a job's complete artifact event sequence: the
-// header log line followed by every recorded event. A job restored from its
-// log holds the events it recorded live, so its artifact is the live one.
-func artifactEvents(j *Job) []telemetry.Event {
-	j.mu.Lock()
-	events, state := j.events, j.state
-	j.mu.Unlock()
-	return append([]telemetry.Event{artifactHeader(j.ID(), state, len(events))}, events...)
-}
-
 // handleArtifact exports a job's JSONL run artifact: a log header line
 // followed by every recorded event. inspect.LoadRun over the artifact
 // reconstructs the job's best-error series exactly.

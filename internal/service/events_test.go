@@ -147,7 +147,7 @@ func TestSSEStreamsEventsInOrder(t *testing.T) {
 // its header.
 func TestFollowIsTheArtifact(t *testing.T) {
 	release := make(chan struct{})
-	svc, err := New(Config{Workers: 1, Generators: []datagen.Generator{heldGenerator(release)}, Telemetry: true})
+	svc, err := New(Config{Workers: 1, Generators: []datagen.Generator{heldGenerator(nil, release)}, Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}

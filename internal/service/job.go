@@ -16,6 +16,7 @@ import (
 	"datamime/internal/corpus"
 	"datamime/internal/datagen"
 	"datamime/internal/harness"
+	"datamime/internal/inspect"
 	"datamime/internal/opt"
 	"datamime/internal/profile"
 	"datamime/internal/sim"
@@ -125,7 +126,7 @@ func (s JobSpec) withDefaults() JobSpec {
 	return s
 }
 
-// JobResult summarizes a finished search, computed from the job's fold.
+// JobResult summarizes a finished search, computed from the job's run.
 type JobResult struct {
 	// BestParams is the lowest-error parameter vector, in parameter units.
 	BestParams []float64 `json:"best_params"`
@@ -176,7 +177,8 @@ type JobStatus struct {
 }
 
 // Job is one tracked search. All mutable fields are guarded by mu; its spec,
-// state, timestamps and record are the fold of its log's lines (applyLocked).
+// state, timestamps, events and run are the fold of its log's lines
+// (applyLocked).
 type Job struct {
 	mu   sync.Mutex
 	id   string
@@ -192,7 +194,15 @@ type Job struct {
 
 	state  JobState
 	errMsg string
-	jobRecord
+	// events is the job's record, which backs /artifact: one eval event per
+	// iteration, its search.diagnostics event before it when it has a
+	// snapshot, and phase spans with telemetry. run is their one fold, made
+	// as each is recorded (add); status, the result, the per-job gauges, the
+	// corpus record and a resume all read it. foldErr is the first event the
+	// fold refused: such a job is neither resumed nor indexed.
+	events  []telemetry.Event
+	run     inspect.Run
+	foldErr error
 	// rec is the job's corpus record, once its search succeeded and
 	// indexRun judged it.
 	rec *corpus.Record
@@ -232,44 +242,13 @@ type Job struct {
 	recorder *telemetry.Recorder
 }
 
-// jobRecord is a job's event log, which backs /artifact (one eval event per
-// iteration, its search.diagnostics event before it when it has a
-// snapshot, and phase spans with telemetry), and the fold status reads.
-type jobRecord struct {
-	events      []telemetry.Event
-	evals       int
-	cacheHits   int
-	cacheMisses int
-	skipped     int
-	simCycles   float64
-	// best is the earliest evaluation with the lowest error, once found.
-	best  core.EvalEvent
-	found bool
-}
-
-// add appends one event and folds an eval event into the counters; one that
-// does not decode (an edited log's) is kept but not counted.
-func (r *jobRecord) add(tev telemetry.Event) {
-	r.events = append(r.events, tev)
-	if tev.Type != telemetry.TypeEval {
-		return
-	}
-	ev, err := core.EvalEventFromTelemetry(tev)
-	switch {
-	case err != nil:
-	case ev.Skipped:
-		r.skipped++
-	default:
-		r.evals++
-		if ev.CacheHit {
-			r.cacheHits++
-		} else {
-			r.cacheMisses++
-		}
-		r.simCycles += ev.SimCycles
-		if !r.found || ev.Record.Error < r.best.Record.Error {
-			r.best, r.found = ev, true
-		}
+// add records one event of the job and folds it into its run. The first
+// event the fold refuses (an edited log's) is kept as the job's fold error.
+// Callers hold j.mu, or the only reference to j.
+func (j *Job) add(ev telemetry.Event) {
+	j.events = append(j.events, ev)
+	if err := j.run.Add(ev); err != nil && j.foldErr == nil {
+		j.foldErr = fmt.Errorf("job log event %d: %w", len(j.events)-1, err)
 	}
 }
 
@@ -308,21 +287,25 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	c := j.run.Counts()
+	best, _ := j.run.Best()
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
 		Error:       j.errMsg,
 		Spec:        j.spec,
-		Iterations:  j.evals + j.skipped,
+		Iterations:  len(j.run.Evals),
 		Total:       j.spec.Iterations,
-		Evaluations: j.evals,
-		CacheHits:   j.cacheHits,
-		CacheMisses: j.cacheMisses,
-		Skipped:     j.skipped,
-		SimCycles:   j.simCycles,
-		BestError:   j.best.Record.Error,
+		Evaluations: c.Evals,
+		CacheHits:   c.CacheHits,
+		CacheMisses: c.Misses,
+		Skipped:     c.Skipped,
+		BestError:   best.Record.Error,
 		Created:     j.created,
 		Backend:     j.backend,
+	}
+	for _, ev := range j.run.Evals {
+		st.SimCycles += ev.SimCycles
 	}
 	if j.state == JobSucceeded {
 		st.Result = j.resultLocked()
@@ -343,11 +326,12 @@ func (j *Job) status() JobStatus {
 	return st
 }
 
-// resultLocked computes the job's result from its fold. Callers hold j.mu.
+// resultLocked computes the job's result from its run. Callers hold j.mu.
 func (j *Job) resultLocked() *JobResult {
-	r := &JobResult{Evaluations: j.evals, CacheHits: j.cacheHits, Skipped: j.skipped}
-	if j.found {
-		r.BestParams, r.BestError, r.Components = j.best.Record.Params, j.best.Record.Error, j.best.Record.Components
+	c := j.run.Counts()
+	r := &JobResult{Evaluations: c.Evals, CacheHits: c.CacheHits, Skipped: c.Skipped}
+	if best, ok := j.run.Best(); ok {
+		r.BestParams, r.BestError, r.Components = best.Record.Params, best.Record.Error, best.Record.Components
 		if j.plan != nil && len(r.BestParams) == j.plan.generator.Space.Dim() {
 			r.BestValues = j.plan.generator.Space.Values(r.BestParams)
 		}

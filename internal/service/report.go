@@ -22,7 +22,7 @@ func (s *Server) jobProfiles(j *Job) *inspect.ProfilesDoc {
 		Target: j.targetProf,
 		Best:   j.bestProf,
 	}
-	best, found := j.best, j.found
+	best, found := j.run.Best()
 	p := j.plan
 	j.mu.Unlock()
 

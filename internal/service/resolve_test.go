@@ -245,7 +245,7 @@ func TestPlanSurvivesRestart(t *testing.T) {
 		t.Fatalf("job %s: %s", st.State, st.Error)
 	}
 	bestKey := func(j *Job) string {
-		best, ok := j.best, j.found
+		best, ok := j.run.Best()
 		if !ok {
 			t.Fatal("the job has no best evaluation")
 		}

@@ -19,6 +19,7 @@ import (
 	"io"
 	"log/slog"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -291,8 +292,12 @@ func (s *Server) runJob(job *Job) {
 	job.mu.Lock()
 	job.cancel = cancel
 	s.setStateLocked(job, JobRunning, "")
-	// A restored job resumes from the evaluations its log holds.
-	resume, err := core.ResumeFromEvents(job.events)
+	// A restored job resumes from the evaluations its log holds, up to the
+	// first without its point, which cannot be replayed.
+	resume, err := slices.Clone(job.run.Evals), job.foldErr
+	if i := slices.IndexFunc(resume, func(ev core.EvalEvent) bool { return len(ev.U) == 0 }); i >= 0 {
+		resume = resume[:i]
+	}
 	job.mu.Unlock()
 	s.logf("job %s running", job.id)
 
@@ -409,7 +414,7 @@ func (s *Server) foldEval(job *Job, ev core.EvalEvent) {
 	now := time.Now().UnixNano()
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	if it := ev.Record.Iteration; it < job.evals+job.skipped {
+	if it := ev.Record.Iteration; it < len(job.run.Evals) {
 		s.rewindLocked(job, it)
 	}
 	for _, tev := range tevs {
@@ -431,7 +436,7 @@ func (s *Server) endInterrupted(job *Job) {
 	// Server shutdown: log the job as queued; loadCheckpoints resumes it.
 	job.mu.Lock()
 	s.setStateLocked(job, JobQueued, "")
-	logged := job.evals + job.skipped
+	logged := len(job.run.Evals)
 	job.mu.Unlock()
 	s.logf("job %s interrupted by shutdown; %d iterations logged", job.id, logged)
 }

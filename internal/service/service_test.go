@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -54,16 +55,55 @@ func testGenerator() datagen.Generator {
 	}
 }
 
-// heldGenerator is testGenerator holding every benchmark it builds until
-// release is closed, so a test can attach to a job before it evaluates.
-func heldGenerator(release <-chan struct{}) datagen.Generator {
+// heldGenerator is testGenerator holding every benchmark it builds, save
+// those pass lets through (none when pass is nil), until release is closed,
+// so a test can attach to a job before it evaluates, or stop it at a fixed
+// iteration.
+func heldGenerator(pass func(x []float64) bool, release <-chan struct{}) datagen.Generator {
 	gen := testGenerator()
 	benchmark := gen.Benchmark
 	gen.Benchmark = func(x []float64) workload.Benchmark {
-		<-release
+		if pass == nil || !pass(x) {
+			<-release
+		}
 		return benchmark(x)
 	}
 	return gen
+}
+
+// passPoints lets through the benchmarks of the given iterations' points.
+func passPoints(records []core.IterationRecord) func(x []float64) bool {
+	return func(x []float64) bool {
+		return slices.ContainsFunc(records, func(r core.IterationRecord) bool { return slices.Equal(r.Params, x) })
+	}
+}
+
+// heldServer is newTestServer over heldGenerator.
+func heldServer(t *testing.T, dir string, pass func(x []float64) bool, release <-chan struct{}) *Server {
+	t.Helper()
+	s, err := New(Config{
+		Workers:       1,
+		CheckpointDir: dir,
+		Generators:    []datagen.Generator{heldGenerator(pass, release)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// closeHeld shuts down a server whose job is held by heldGenerator, as a
+// restart does mid-job: release is closed only once the shutdown has
+// canceled the job, so the job cannot finish in between.
+func closeHeld(svc *Server, release chan<- struct{}) {
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	<-svc.rootCtx.Done()
+	close(release)
+	<-closed
 }
 
 // testSpec builds a fast metric-objective job spec.
@@ -161,6 +201,16 @@ func scanEvents(t *testing.T, artifact []byte) []telemetry.Event {
 		t.Fatal(err)
 	}
 	return events
+}
+
+// artifactEvents assembles a job's complete artifact event sequence: the
+// header log line followed by every recorded event. A job restored from its
+// log holds the events it recorded live, so its artifact is the live one.
+func artifactEvents(j *Job) []telemetry.Event {
+	j.mu.Lock()
+	events, state := j.events, j.state
+	j.mu.Unlock()
+	return append([]telemetry.Event{artifactHeader(j.ID(), state, len(events))}, events...)
 }
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -311,8 +361,11 @@ func TestServiceCheckpointResume(t *testing.T) {
 	ref, refTrace := runToCompletion(t, newTestServer(t, ""), spec)
 
 	// Interrupted run: close the server once the job has checkpointed a
-	// few batches.
-	svcA := newTestServer(t, dir)
+	// few batches. Its generator builds the first eight iterations' points
+	// and holds the rest, so the job stops at iteration 8 whatever the
+	// host's speed.
+	release := make(chan struct{})
+	svcA := heldServer(t, dir, passPoints(refTrace[:8]), release)
 	jobA, err := svcA.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +374,10 @@ func TestServiceCheckpointResume(t *testing.T) {
 		st := jobA.status()
 		return st.Iterations >= 6 && st.Iterations < 30
 	})
-	svcA.Close() // simulated kill: running job persists as queued
+	if st := jobA.status(); st.State.terminal() {
+		t.Fatalf("job %s before the kill", st.State)
+	}
+	closeHeld(svcA, release) // simulated kill: running job persists as queued
 
 	// Restart: the job comes back, resumes, and finishes.
 	svcB := newTestServer(t, dir)

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Registry is a small metrics registry — counters, gauges, and histogram
@@ -305,10 +304,4 @@ func labelString(names, values []string) string {
 // (shortest round-trippable decimal).
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// ObserveSince is a convenience for timing a code region into a histogram
-// family: h.Observe(label, time.Since(start)).
-func ObserveSince(h *HistogramVec, label string, start time.Time) {
-	h.Observe(label, time.Since(start))
 }

@@ -21,9 +21,12 @@ import (
 //	tid 3      "fleet"       — instant events for fleet churn (worker
 //	                           registrations and deregistrations); present
 //	                           only when the fleet changed during the run
-//	tid 10+L   "eval lane L" — per-candidate spans (generate, profile),
-//	                           greedily packed into as few non-overlapping
-//	                           lanes as the run's parallelism needed
+//	tid 10+L   "eval lane L" — per-candidate spans (generate, profile)
+//	                           and any phase the exporter does not know
+//	                           (the profile.run and profile.curves spans
+//	                           of logs written before a profile was one
+//	                           span), greedily packed into as few
+//	                           non-overlapping lanes as they need
 //	tid 100+   "worker W"    — one track per simulation budget slot, carrying
 //	                           its profile.sim spans; budget-semaphore
 //	                           waits appear as instant events. When
@@ -41,9 +44,8 @@ import (
 // pid 100+W "fleet worker W" (pid 99 "fleet fallback" for the local
 // fallback backend), each with its own sim-worker tracks and budget-wait
 // instants — one Perfetto file shows coordinator scheduling and remote
-// execution side by side. Any other shipped phase (the profile.run and
-// profile.curves spans of logs written before a profile was one span)
-// lands on the process's eval lanes.
+// execution side by side. Any other shipped phase lands on the process's
+// eval lanes, as on the coordinator's.
 //
 // Timestamps are microseconds from the earliest event in the stream, so
 // traces from different runs all start at zero. The exporter is a pure
@@ -223,8 +225,6 @@ func WriteTrace(w io.Writer, events []Event) error {
 					instant(tracePID, traceTIDOptimizer, "cholesky refactorization", ev.TimeNS,
 						map[string]interface{}{"rebuilds": ev.Attrs[AttrCholeskyRebuilds]})
 				}
-			case PhaseGenerate, PhaseProfile:
-				evalSpans = append(evalSpans, iv)
 			case PhaseSimRun:
 				wkr := int(ev.Attrs[AttrWorker])
 				workerSpans[wkr] = append(workerSpans[wkr], iv)
@@ -243,9 +243,10 @@ func WriteTrace(w io.Writer, events []Event) error {
 				fleetUsed = true
 				instant(tracePID, traceTIDFleet, ev.Phase, ev.TimeNS, spanArgs(ev))
 			default:
-				// Unknown phases land on the search track so nothing a
-				// future instrumentation site emits silently disappears.
-				span(tracePID, traceTIDSearch, iv, spanArgs(ev))
+				// generate, profile and any phase the exporter does not
+				// know: packed into eval lanes, such a span neither
+				// disappears nor overlaps another on its track.
+				evalSpans = append(evalSpans, iv)
 			}
 		}
 	}
