@@ -7,8 +7,9 @@
 # local-backend coordinator and requires `datamime-inspect diff -exact` to
 # find the two run artifacts identical. Separate coordinators matter: a
 # shared one would serve the second run entirely from the evaluation cache.
-# A third coordinator, killed with -9 mid-job and restarted on its
-# checkpoint directory, must resume the same seed to the same artifact.
+# A third coordinator, killed with -9 while a stopped worker holds its job
+# at iteration 4 and restarted on its checkpoint directory without that
+# worker, must resume the same seed to the same artifact.
 # `datamime-inspect tail` follows the fleet job live from its submission and
 # must print its 8 iterations, then the job's end.
 #
@@ -22,13 +23,18 @@ COORD_B=127.0.0.1:18081
 COORD_C=127.0.0.1:18082
 WORKER_1=127.0.0.1:19091
 WORKER_2=127.0.0.1:19092
+WORKER_3=127.0.0.1:19093
 
 for tool in datamimed datamime-worker datamime-inspect; do
   [ -x "bin/$tool" ] || go build -o "bin/$tool" "./cmd/$tool"
 done
 
 PIDS=()
+STOPPED_PID=
 cleanup() {
+  # A stopped process ignores a plain kill until it is continued, and wait
+  # would hang on it.
+  [ -z "$STOPPED_PID" ] || kill -9 "$STOPPED_PID" 2>/dev/null || true
   for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null || true; done
   wait 2>/dev/null || true
 }
@@ -301,19 +307,45 @@ echo "== determinism gate: fleet artifact must be exactly identical to local"
 bin/datamime-inspect diff -a run-local.jsonl -b run-fleet.jsonl -exact
 
 echo "== restart gate: coordinator C ($COORD_C) is killed with -9 mid-job and restarted on its log"
+# The job is held mid-run by a worker that never answers: a stopped
+# datamime-worker accepts a dispatched evaluation and holds it for the whole
+# attempt timeout (5 minutes).
+bin/datamime-worker -addr "$WORKER_3" -name w3 &
+STOPPED_PID=$!
+PIDS+=($STOPPED_PID)
+wait_http "http://$WORKER_3/v1/healthz"
+kill -STOP "$STOPPED_PID"
 rm -rf ckpt-c
-bin/datamimed -addr "$COORD_C" -workers 1 -quiet -checkpoint-dir ckpt-c &
+bin/datamimed -addr "$COORD_C" -workers 1 -quiet -checkpoint-dir ckpt-c -worker "http://$WORKER_3" &
 COORD_C_PID=$!
 PIDS+=($COORD_C_PID)
 wait_http "http://$COORD_C/healthz"
-RESTART_JOB=$(curl -fs -X POST -H 'Content-Type: application/json' \
-  --data-binary @spec-local.json "http://$COORD_C/v1/jobs" | json id)
-wait_http "http://$COORD_C/v1/jobs/$RESTART_JOB" '"iterations_done": [2-9]'
+# A 4-iteration run of the same seed draws the same first four points, so it
+# fills C's cache with them.
+sed 's/"iterations": 8/"iterations": 4/' spec-local.json > spec-local-4.json
+run_job "$COORD_C" spec-local-4.json run-local-4.jsonl > /dev/null
+# Re-announce w3 with capacity 2, as its own heartbeat would, so that both of
+# the remote job's slots dispatch to it and neither falls back in-process.
+curl -fs -X POST -H 'Content-Type: application/json' \
+  -d "{\"url\": \"http://$WORKER_3\", \"name\": \"w3\", \"capacity\": 2}" \
+  "http://$COORD_C/v1/workers" > /dev/null
+# Iterations 0-3 hit the cache, and 4 and 5 wait on w3. Observation is in
+# iteration order, so the job holds at exactly 4 iterations.
+RESTART_JOB=$(submit_job "$COORD_C" spec-fleet.json)
+wait_http "http://$COORD_C/v1/jobs/$RESTART_JOB" '"iterations_done": 4,'
+sleep 1
+HELD=$(curl -fs "http://$COORD_C/v1/jobs/$RESTART_JOB" | json iterations_done)
+[ "$HELD" = 4 ] || { echo "job $RESTART_JOB moved past its hold: $HELD iterations a second later" >&2; exit 1; }
+echo "== job $RESTART_JOB held at $HELD iterations for a second; killing C"
 kill -9 "$COORD_C_PID"
 wait "$COORD_C_PID" 2>/dev/null || true
 if grep -q '"type":"job.state".*"state":"\(succeeded\|failed\|canceled\)"' "ckpt-c/$RESTART_JOB.jsonl"; then
   echo "job $RESTART_JOB finished before the kill; the restart gate would pass vacuously" >&2; exit 1
 fi
+LOGGED=$(grep -c '"type":"eval"' "ckpt-c/$RESTART_JOB.jsonl" || true)
+[ "$LOGGED" = 4 ] || { echo "job $RESTART_JOB logged $LOGGED iterations before the kill, want 4" >&2; exit 1; }
+# Restarted without w3, the job resumes through the dispatcher's in-process
+# fallback.
 bin/datamimed -addr "$COORD_C" -workers 1 -quiet -checkpoint-dir ckpt-c &
 PIDS+=($!)
 wait_http "http://$COORD_C/v1/jobs/$RESTART_JOB" '"state": "succeeded"'

@@ -176,8 +176,6 @@ func runDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	aPath := fs.String("a", "", "baseline run artifact, a file or http(s) URL (required)")
 	bPath := fs.String("b", "", "candidate run artifact, a file or http(s) URL (required)")
-	tol := fs.Float64("tolerance", 0, "absolute numeric tolerance (default 1e-9)")
-	errTol := fs.Float64("error-tolerance", 0, "allowed best-error drift before it counts as a regression (default: -tolerance)")
 	exact := fs.Bool("exact", false, "treat ANY difference as a failure (determinism gate), not just regressions")
 	asJSON := fs.Bool("json", false, "emit the machine-readable RunDiff JSON instead of text")
 	_ = fs.Parse(args)
@@ -192,7 +190,7 @@ func runDiff(args []string) error {
 	if err != nil {
 		return err
 	}
-	d := inspect.DiffRuns(a, b, inspect.DiffOptions{Tolerance: *tol, ErrorTolerance: *errTol})
+	d := inspect.DiffRuns(a, b)
 	if *asJSON {
 		if err := writeJSON(os.Stdout, d); err != nil {
 			return err

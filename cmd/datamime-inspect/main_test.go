@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,6 +23,49 @@ const (
 	fixtureDir = "../../internal/inspect/testdata"
 	fixture    = fixtureDir + "/run.jsonl"
 )
+
+// TestMain runs main itself when a test re-executes this binary as the
+// command, so the command's real flag sets parse real arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("DATAMIME_RUN_MAIN") == "1" {
+		// The test binary's own -test.* flags are not the command's.
+		flag.CommandLine = flag.NewFlagSet("datamime-inspect", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCommand runs main with args in a child process and returns its stderr
+// and exit code.
+func runCommand(t *testing.T, args ...string) ([]byte, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DATAMIME_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return stderr.Bytes(), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stderr.Bytes(), 0
+}
+
+// TestDiffRemovedFlagsAreRefused: diff compares at one fixed tolerance, so
+// -tolerance and -error-tolerance are unknown flags like any other, refused
+// with exit 2 (an input error, not a regression) before anything is read.
+func TestDiffRemovedFlagsAreRefused(t *testing.T) {
+	for _, flagName := range []string{"-tolerance", "-error-tolerance"} {
+		got, code := runCommand(t, "diff", "-a", fixture, "-b", fixture, flagName, "0.1")
+		if code != 2 || !strings.Contains(string(got), "flag provided but not defined: "+flagName) {
+			t.Errorf("diff %s exited %d:\n%s", flagName, code, got)
+		}
+	}
+}
 
 // stdoutOf runs one subcommand the way main dispatches it and returns what
 // it printed.
@@ -137,6 +183,25 @@ func TestTimelineWritesTrace(t *testing.T) {
 	}
 	if bytes.Contains(data, []byte("dropped_unstamped")) {
 		t.Error("the fixture's trace reports dropped unstamped events")
+	}
+}
+
+// TestTimelineTraceOfArtifactPrefix: an artifact cut after its first
+// budget.wait line, as /artifact reads while a slot runs its first profile,
+// exports a trace that validates.
+func TestTimelineTraceOfArtifactPrefix(t *testing.T) {
+	dir := t.TempDir()
+	cut := filepath.Join(dir, "cut.jsonl")
+	prefix := `{"type":"log","msg":"datamime run artifact: workload=mem-fb iterations=2 seed=1 parallel=2"}
+{"type":"span","phase":"budget.wait","dur_ns":1879,"time_ns":1792382808931911562,"attrs":{"worker":0}}
+`
+	if err := os.WriteFile(cut, []byte(prefix), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "trace.json")
+	out := stdoutOf(t, runTimeline, "-artifact", cut, "-trace", path)
+	if !bytes.Contains(out, []byte("trace "+path+" ok: ")) {
+		t.Errorf("timeline -trace printed no validation line:\n%s", out)
 	}
 }
 

@@ -47,10 +47,8 @@ func main() {
 		addr        = flag.String("addr", ":9090", "listen address")
 		name        = flag.String("name", "", "worker display name (default: the advertise URL or hostname)")
 		capacity    = flag.Int("capacity", 1, "maximum concurrent evaluations")
-		backlog     = flag.Int("backlog", 0, "queued evaluations beyond capacity before shedding 503s (default: capacity)")
 		coordinator = flag.String("coordinator", "", "coordinator base URL to announce to, heartbeat and withdraw from")
 		advertise   = flag.String("advertise", "", "base URL the coordinator should dial this worker at (required with -coordinator)")
-		interval    = flag.Duration("register-interval", 30*time.Second, "re-announcement (heartbeat) period with -coordinator")
 		version     = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -58,13 +56,13 @@ func main() {
 		fmt.Println("datamime-worker", buildinfo.Read())
 		return
 	}
-	if err := run(*addr, *name, *capacity, *backlog, *coordinator, *advertise, *interval); err != nil {
+	if err := run(*addr, *name, *capacity, *coordinator, *advertise); err != nil {
 		fmt.Fprintln(os.Stderr, "datamime-worker:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, name string, capacity, backlog int, coordinator, advertise string, interval time.Duration) error {
+func run(addr, name string, capacity int, coordinator, advertise string) error {
 	if coordinator != "" && advertise == "" {
 		return fmt.Errorf("-advertise is required with -coordinator (the URL the coordinator dials back)")
 	}
@@ -76,9 +74,8 @@ func run(addr, name string, capacity, backlog int, coordinator, advertise string
 		}
 	}
 	w := backend.NewWorker(backend.WorkerConfig{
-		Name:       name,
-		Capacity:   capacity,
-		MaxBacklog: backlog,
+		Name:     name,
+		Capacity: capacity,
 		// Heartbeats and health probes carry the build identity, so the
 		// coordinator's /v1/fleet surfaces version skew.
 		Version: buildinfo.Read().String(),
@@ -103,7 +100,7 @@ func run(addr, name string, capacity, backlog int, coordinator, advertise string
 	if coordinator != "" {
 		go func() {
 			defer close(announcerDone)
-			w.RunAnnouncer(ctx, coordinator, advertise, interval, func(err error) {
+			w.RunAnnouncer(ctx, coordinator, advertise, func(err error) {
 				fmt.Fprintln(os.Stderr, "datamime-worker: announce:", err)
 			})
 		}()

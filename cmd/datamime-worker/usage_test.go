@@ -54,11 +54,19 @@ func TestUsageGolden(t *testing.T) {
 	}
 }
 
-// TestRemovedFlagsAreRefused: the worker keeps no cache, so -cache-capacity
-// is an unknown flag like any other, refused with exit 2 before it listens.
+// TestRemovedFlagsAreRefused: the worker keeps no cache, its backlog is its
+// capacity and its heartbeat period is a constant, so -cache-capacity,
+// -backlog and -register-interval are unknown flags like any other, refused
+// with exit 2 before it listens.
 func TestRemovedFlagsAreRefused(t *testing.T) {
-	got, code := runCommand(t, "-cache-capacity", "8")
-	if code != 2 || !strings.Contains(string(got), "flag provided but not defined: -cache-capacity") {
-		t.Fatalf("-cache-capacity exited %d:\n%s", code, got)
+	for _, args := range [][]string{
+		{"-cache-capacity", "8"},
+		{"-backlog", "8"},
+		{"-register-interval", "1s"},
+	} {
+		got, code := runCommand(t, args...)
+		if code != 2 || !strings.Contains(string(got), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s exited %d:\n%s", args[0], code, got)
+		}
 	}
 }

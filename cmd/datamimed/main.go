@@ -56,17 +56,11 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		workers       = flag.Int("workers", 2, "concurrent search jobs")
-		queueDepth    = flag.Int("queue-depth", 1024, "maximum queued jobs")
 		checkpointDir = flag.String("checkpoint-dir", "", "directory for job logs, <id>.jsonl, appended as each job records (empty disables persistence and resume)")
-		cacheCapacity = flag.Int("cache-capacity", 4096, "evaluation-cache capacity (profiles)")
 		quiet         = flag.Bool("quiet", false, "suppress job lifecycle logs")
 		telemetry     = flag.Bool("telemetry", false, "record per-job phase spans (latency histograms in /metrics, spans in /artifact)")
 		debug         = flag.Bool("debug", false, "expose net/http/pprof under /debug/pprof/")
 		version       = flag.Bool("version", false, "print build information and exit")
-
-		dispatchTimeout = flag.Duration("dispatch-timeout", 5*time.Minute, "per-attempt timeout for remote evaluations")
-		dispatchQueue   = flag.Int("dispatch-max-queue", 64, "evaluations waiting for a remote slot before admission control sheds to local")
-		healthInterval  = flag.Duration("worker-health-interval", 15*time.Second, "fleet health-probe period")
 	)
 	var workerURLs workerList
 	flag.Var(&workerURLs, "worker", "datamime-worker base URL to dispatch evaluations to (repeatable; workers may also self-register via POST /v1/workers)")
@@ -77,18 +71,13 @@ func main() {
 	}
 
 	if err := run(options{
-		addr:            *addr,
-		workers:         *workers,
-		queueDepth:      *queueDepth,
-		checkpointDir:   *checkpointDir,
-		cacheCapacity:   *cacheCapacity,
-		quiet:           *quiet,
-		telemetry:       *telemetry,
-		debug:           *debug,
-		workerURLs:      workerURLs,
-		dispatchTimeout: *dispatchTimeout,
-		dispatchQueue:   *dispatchQueue,
-		healthInterval:  *healthInterval,
+		addr:          *addr,
+		workers:       *workers,
+		checkpointDir: *checkpointDir,
+		quiet:         *quiet,
+		telemetry:     *telemetry,
+		debug:         *debug,
+		workerURLs:    workerURLs,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "datamimed:", err)
 		os.Exit(1)
@@ -98,17 +87,11 @@ func main() {
 type options struct {
 	addr          string
 	workers       int
-	queueDepth    int
 	checkpointDir string
-	cacheCapacity int
 	quiet         bool
 	telemetry     bool
 	debug         bool
-
-	workerURLs      []string
-	dispatchTimeout time.Duration
-	dispatchQueue   int
-	healthInterval  time.Duration
+	workerURLs    []string
 }
 
 // workerList accumulates repeated -worker flags.
@@ -126,15 +109,10 @@ func (w *workerList) Set(v string) error {
 
 func run(o options) error {
 	cfg := service.Config{
-		Workers:              o.workers,
-		QueueDepth:           o.queueDepth,
-		CheckpointDir:        o.checkpointDir,
-		CacheCapacity:        o.cacheCapacity,
-		Telemetry:            o.telemetry,
-		WorkerURLs:           o.workerURLs,
-		DispatchTimeout:      o.dispatchTimeout,
-		DispatchMaxQueue:     o.dispatchQueue,
-		WorkerHealthInterval: o.healthInterval,
+		Workers:       o.workers,
+		CheckpointDir: o.checkpointDir,
+		Telemetry:     o.telemetry,
+		WorkerURLs:    o.workerURLs,
 	}
 	if !o.quiet {
 		cfg.Log = os.Stdout

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +51,24 @@ func TestUsageGolden(t *testing.T) {
 	}
 	if code != 0 || !bytes.Equal(got, want) {
 		t.Errorf("-h exited %d, output drifted from testdata/usage.golden\n--- got ---\n%s", code, got)
+	}
+}
+
+// TestRemovedFlagsAreRefused: the job queue depth, the cache capacity, the
+// dispatch timeout and admission queue, and the health-probe period are
+// constants, so their old flags are unknown flags like any other, refused
+// with exit 2 before the server listens.
+func TestRemovedFlagsAreRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-queue-depth", "8"},
+		{"-cache-capacity", "8"},
+		{"-dispatch-timeout", "1s"},
+		{"-dispatch-max-queue", "8"},
+		{"-worker-health-interval", "1s"},
+	} {
+		got, code := runCommand(t, args...)
+		if code != 2 || !strings.Contains(string(got), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s exited %d:\n%s", args[0], code, got)
+		}
 	}
 }

@@ -172,19 +172,32 @@ type EvalResponse struct {
 	TimeNS int64 `json:"time_ns,omitempty"`
 }
 
-// EvalBackend measures candidates. Implementations must uphold the
-// determinism contract: for a given request, return exactly the profile the
-// in-process profiler would measure.
-type EvalBackend interface {
-	// Name identifies the backend in telemetry and logs.
-	Name() string
+// Evaluator measures candidates: all a SearchEvaluator asks of its backend
+// (typically a Dispatcher). Implementations must uphold the determinism
+// contract: for a given request, return exactly the profile the in-process
+// profiler would measure.
+type Evaluator interface {
 	// Evaluate measures one request. The context carries cancellation and
 	// per-attempt timeouts.
 	Evaluate(ctx context.Context, req EvalRequest) (EvalResult, error)
+}
+
+// NamedEvaluator is an Evaluator that names itself in telemetry and logs:
+// what the dispatcher's local fallback is.
+type NamedEvaluator interface {
+	Evaluator
+	// Name identifies the evaluator in telemetry and logs.
+	Name() string
+}
+
+// EvalBackend is a fleet member: a NamedEvaluator the dispatcher also
+// probes and sizes.
+type EvalBackend interface {
+	NamedEvaluator
 	// Health probes liveness (and, for remote backends, refreshes the
 	// advertised capacity); a nil error means the backend can serve.
 	Health(ctx context.Context) error
 	// Capacity is the backend's advertised maximum concurrent evaluations;
-	// 0 means unknown or unbounded.
+	// 0 means unknown.
 	Capacity() int
 }

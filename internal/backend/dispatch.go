@@ -37,25 +37,28 @@ const dispatchRetries = 2
 // evaluations or health probes. ErrBusy and ErrRequest do not count.
 const failureLimit = 3
 
-// DispatcherConfig tunes a Dispatcher. The zero value of every field picks
-// a sensible default; Local is required.
+// attemptTimeout bounds one remote evaluation attempt: simulator
+// evaluations are seconds to minutes, and a hung worker must not hang the
+// search.
+const attemptTimeout = 5 * time.Minute
+
+// backoffBase is the first retry's backoff delay, doubling per attempt up
+// to maxBackoff.
+const (
+	backoffBase = 50 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
+
+// maxQueue is the admission limit: evaluations waiting for a remote slot
+// beyond it are shed to the local backend instead of queueing.
+const maxQueue = 64
+
+// DispatcherConfig configures a Dispatcher. Local is required.
 type DispatcherConfig struct {
-	// Local is the fallback backend: evaluations land here when no workers
-	// are registered, the admission queue is full, or every remote attempt
-	// failed. Required — it is what guarantees a job never dies with the
-	// fleet.
-	Local EvalBackend
-	// AttemptTimeout bounds one remote evaluation attempt (default 5m;
-	// simulator evaluations are seconds-to-minutes, and a hung worker must
-	// not hang the search).
-	AttemptTimeout time.Duration
-	// BackoffBase is the first retry's backoff delay, doubling per attempt
-	// (default 50ms, capped at 2s).
-	BackoffBase time.Duration
-	// MaxQueue is the admission limit: evaluations waiting for a remote
-	// slot beyond this are shed to the local backend instead of queueing
-	// (default 64).
-	MaxQueue int
+	// Local is the fallback: evaluations land here when no workers are
+	// registered, the admission queue is full, or every remote attempt
+	// failed. It is what guarantees a job never dies with the fleet.
+	Local NamedEvaluator
 	// OnEvent, when non-nil, receives fleet churn events. Called without
 	// dispatcher locks held.
 	OnEvent func(FleetEvent)
@@ -121,9 +124,9 @@ func (w *workerState) capacity() int {
 // Dispatcher shards evaluations across a fleet of registered workers:
 // least-loaded healthy worker first, per-attempt timeout, exponential
 // backoff between retries, failure-count-based eviction, and admission
-// control that sheds overload to the local backend. It implements
-// EvalBackend itself, so a search evaluator needs no special casing —
-// with an empty fleet it degenerates to the local backend.
+// control that sheds overload to the local backend. It is an Evaluator
+// itself, so a search evaluator needs no special casing — with an empty
+// fleet it degenerates to the local backend.
 //
 // Dispatch order is load- and timing-dependent and therefore NOT
 // deterministic; determinism lives one level down (every backend returns
@@ -152,39 +155,9 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	if cfg.Local == nil {
 		panic("backend: Dispatcher requires a local fallback backend")
 	}
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = 5 * time.Minute
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 64
-	}
 	d := &Dispatcher{cfg: cfg}
 	d.cond = sync.NewCond(&d.mu)
 	return d
-}
-
-// Name implements EvalBackend.
-func (d *Dispatcher) Name() string { return "dispatcher" }
-
-// Health implements EvalBackend: a dispatcher can always serve (via the
-// local fallback if nothing else).
-func (d *Dispatcher) Health(ctx context.Context) error { return nil }
-
-// Capacity implements EvalBackend: the sum of healthy workers' capacities
-// (0 with an empty fleet — local evaluation is unbounded).
-func (d *Dispatcher) Capacity() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	total := 0
-	for _, w := range d.workers {
-		if w.healthy {
-			total += w.capacity()
-		}
-	}
-	return total
 }
 
 // Register adds a worker backend to the fleet and returns its stable ID.
@@ -425,7 +398,7 @@ func (d *Dispatcher) acquire(ctx context.Context) (*workerState, error) {
 		if !healthy {
 			return nil, errNoRemote
 		}
-		if d.waiting >= d.cfg.MaxQueue {
+		if d.waiting >= maxQueue {
 			return nil, errSaturated
 		}
 		d.waiting++
@@ -448,7 +421,7 @@ func (d *Dispatcher) release(w *workerState, ok bool) {
 	d.mu.Unlock()
 }
 
-// Evaluate implements EvalBackend: dispatch to the least-loaded healthy
+// Evaluate implements Evaluator: dispatch to the least-loaded healthy
 // worker, retry with backoff on another worker after a failure, and fall
 // back to the local backend when the fleet cannot serve or refuses the
 // request as unresolvable (ErrRequest — not retried). The returned
@@ -472,7 +445,7 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 		if attempt > 0 {
 			d.retries.Add(1)
 		}
-		actx, cancel := context.WithTimeout(ctx, d.cfg.AttemptTimeout)
+		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 		res, err := w.backend.Evaluate(actx, req)
 		cancel()
 		d.release(w, err == nil)
@@ -503,7 +476,7 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 			d.noteFailure(w, err.Error())
 		}
 		if attempt < dispatchRetries {
-			if err := sleepCtx(ctx, d.backoff(attempt)); err != nil {
+			if err := sleepCtx(ctx, backoff(attempt)); err != nil {
 				return EvalResult{}, err
 			}
 		}
@@ -529,16 +502,15 @@ func (d *Dispatcher) Evaluate(ctx context.Context, req EvalRequest) (EvalResult,
 }
 
 // backoff returns the delay before retry attempt+1: exponential from
-// BackoffBase, capped at 2s. It doubles only while under the cap, so no
-// base can overflow the Duration into a negative delay, which would not
-// wait at all.
-func (d *Dispatcher) backoff(attempt int) time.Duration {
-	const maxDelay = 2 * time.Second
-	delay := d.cfg.BackoffBase
-	for ; attempt > 0 && delay < maxDelay; attempt-- {
+// backoffBase, capped at maxBackoff. It doubles only while under the cap,
+// so no attempt count can overflow the Duration into a negative delay,
+// which would not wait at all.
+func backoff(attempt int) time.Duration {
+	delay := backoffBase
+	for ; attempt > 0 && delay < maxBackoff; attempt-- {
 		delay *= 2
 	}
-	return min(delay, maxDelay)
+	return min(delay, maxBackoff)
 }
 
 // sleepCtx sleeps for d or until ctx is done.
@@ -553,4 +525,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-var _ EvalBackend = (*Dispatcher)(nil)
+var _ Evaluator = (*Dispatcher)(nil)

@@ -54,11 +54,10 @@ func failBackend(name string) *funcBackend {
 	}
 }
 
-func fastDispatcher(local EvalBackend, opts ...func(*DispatcherConfig)) *Dispatcher {
-	cfg := DispatcherConfig{
-		Local:       local,
-		BackoffBase: time.Millisecond,
-	}
+// newTestDispatcher builds a dispatcher over local. Its retries back off
+// for real: backoffBase, then twice that.
+func newTestDispatcher(local NamedEvaluator, opts ...func(*DispatcherConfig)) *Dispatcher {
+	cfg := DispatcherConfig{Local: local}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -78,7 +77,7 @@ func dispatchRequest() EvalRequest {
 // local backend, with routing metadata saying so.
 func TestDispatchEmptyFleetGoesLocal(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	res, err := d.Evaluate(context.Background(), dispatchRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestDispatchEmptyFleetGoesLocal(t *testing.T) {
 // TestDispatchRemote: a healthy worker serves, metadata identifies it.
 func TestDispatchRemote(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	id := d.Register(okBackend("w0"))
 	res, err := d.Evaluate(context.Background(), dispatchRequest())
 	if err != nil {
@@ -121,7 +120,7 @@ func TestDispatchFailureFallback(t *testing.T) {
 	var events []FleetEvent
 	var evmu sync.Mutex
 	local := okBackend("local")
-	d := fastDispatcher(local, func(cfg *DispatcherConfig) {
+	d := newTestDispatcher(local, func(cfg *DispatcherConfig) {
 		cfg.OnEvent = func(ev FleetEvent) {
 			evmu.Lock()
 			events = append(events, ev)
@@ -171,7 +170,7 @@ func TestDispatchRequestFaultGoesLocal(t *testing.T) {
 			}}
 	}
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	w0, w1 := refuse("w0"), refuse("w1")
 	d.Register(w0)
 	d.Register(w1)
@@ -200,7 +199,7 @@ func TestDispatchRequestFaultGoesLocal(t *testing.T) {
 // must never count toward eviction.
 func TestDispatchBusyNotEvicted(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	busy := &funcBackend{
 		name:     "busy",
 		capacity: 1,
@@ -229,7 +228,7 @@ func TestDispatchBusyNotEvicted(t *testing.T) {
 // on the other and the evaluation stays remote.
 func TestDispatchRetriesSecondWorker(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	bad := failBackend("bad")
 	good := okBackend("good")
 	// Inflight ties break on registration order, so "bad" takes attempt 0.
@@ -255,7 +254,7 @@ func TestDispatchRetriesSecondWorker(t *testing.T) {
 // instead of duplicating it, and restores an unhealthy one.
 func TestDispatchHeartbeatDedup(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	reg := WorkerRegistration{URL: "http://w0:9090", Name: "w0", Capacity: 2, Protocol: ProtocolVersion}
 	id1, err := d.RegisterURL(reg)
 	if err != nil {
@@ -294,7 +293,7 @@ func TestDispatchHeartbeatDedup(t *testing.T) {
 // queueing behind the fleet.
 func TestDispatchAdmissionShed(t *testing.T) {
 	release := make(chan struct{})
-	started := make(chan struct{}, 8)
+	started := make(chan struct{}, 1+maxQueue)
 	blocking := &funcBackend{
 		name:     "blocking",
 		capacity: 1,
@@ -309,7 +308,7 @@ func TestDispatchAdmissionShed(t *testing.T) {
 		},
 	}
 	local := okBackend("local")
-	d := fastDispatcher(local, func(cfg *DispatcherConfig) { cfg.MaxQueue = 1 })
+	d := newTestDispatcher(local)
 	d.Register(blocking)
 
 	// Occupy the only remote slot.
@@ -323,20 +322,19 @@ func TestDispatchAdmissionShed(t *testing.T) {
 	}()
 	<-started
 
-	// Fill the single queue slot with a second waiter.
-	waiterIn := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		close(waiterIn)
-		if _, err := d.Evaluate(context.Background(), dispatchRequest()); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-waiterIn
-	waitUntil(t, "queue depth 1", func() bool { return d.QueueDepth() == 1 })
+	// Fill every queue slot with a waiter.
+	for range maxQueue {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := d.Evaluate(context.Background(), dispatchRequest()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitUntil(t, fmt.Sprintf("queue depth %d", maxQueue), func() bool { return d.QueueDepth() == maxQueue })
 
-	// The third evaluation must shed local immediately.
+	// The next evaluation must shed local immediately.
 	res, err := d.Evaluate(context.Background(), dispatchRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +348,8 @@ func TestDispatchAdmissionShed(t *testing.T) {
 
 	close(release)
 	wg.Wait()
-	if c := d.Counters(); c.RemoteEvals != 2 {
-		t.Fatalf("remote evals = %d, want 2 (blocked + queued)", c.RemoteEvals)
+	if c := d.Counters(); c.RemoteEvals != 1+maxQueue {
+		t.Fatalf("remote evals = %d, want %d (blocked + queued)", c.RemoteEvals, 1+maxQueue)
 	}
 }
 
@@ -374,7 +372,7 @@ func TestDispatchHealthProbeEviction(t *testing.T) {
 		},
 	}
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	d.Register(w)
 
 	ctx := context.Background()
@@ -401,7 +399,7 @@ func TestDispatchHealthProbeEviction(t *testing.T) {
 // instead of falling back.
 func TestDispatchContextCancel(t *testing.T) {
 	local := okBackend("local")
-	d := fastDispatcher(local)
+	d := newTestDispatcher(local)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	d.Register(okBackend("w0"))
@@ -423,21 +421,22 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestDispatchBackoffIsBounded: for every attempt count, the delay before the next attempt is positive, at most 2s, and never
-// shorter than the one before. A shift by the attempt count overflows the
-// Duration from attempt 38 at the default 50ms base, and a negative delay
-// retries without waiting.
+// TestDispatchBackoffIsBounded: for every attempt count, the delay before
+// the next attempt is positive, at most maxBackoff, and never shorter than
+// the one before; the first is backoffBase. A shift by the attempt count
+// overflows the Duration from attempt 38 at a 50ms base, and a negative
+// delay retries without waiting.
 func TestDispatchBackoffIsBounded(t *testing.T) {
-	for _, base := range []time.Duration{0, time.Nanosecond, time.Millisecond, 3 * time.Second} {
-		d := NewDispatcher(DispatcherConfig{Local: okBackend("local"), BackoffBase: base})
-		prev := time.Duration(0)
-		for attempt := 0; attempt < 64; attempt++ {
-			delay := d.backoff(attempt)
-			if delay <= 0 || delay > 2*time.Second || delay < prev {
-				t.Fatalf("base %v: backoff(%d) = %v after %v, want in (0, 2s] and non-decreasing",
-					base, attempt, delay, prev)
-			}
-			prev = delay
+	if got := backoff(0); got != backoffBase {
+		t.Fatalf("backoff(0) = %v, want %v", got, backoffBase)
+	}
+	prev := time.Duration(0)
+	for attempt := 0; attempt < 64; attempt++ {
+		delay := backoff(attempt)
+		if delay <= 0 || delay > maxBackoff || delay < prev {
+			t.Fatalf("backoff(%d) = %v after %v, want in (0, %v] and non-decreasing",
+				attempt, delay, prev, maxBackoff)
 		}
+		prev = delay
 	}
 }

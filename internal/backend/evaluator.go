@@ -9,7 +9,7 @@ import (
 	"datamime/internal/telemetry"
 )
 
-// SearchEvaluator adapts an EvalBackend (typically a Dispatcher) to
+// SearchEvaluator adapts an Evaluator (typically a Dispatcher) to
 // core.Evaluator: it wraps each candidate in a versioned EvalRequest. The
 // search's own cache lookup,
 // seeds, and scoring stay in core — the evaluator only replaces where the
@@ -17,7 +17,7 @@ import (
 // a local one.
 type SearchEvaluator struct {
 	// Backend serves the evaluations.
-	Backend EvalBackend
+	Backend Evaluator
 	// Generator is the searched generator's registered name.
 	Generator string
 	// Profiler is the search's measurement spec (also the EvalKey
@@ -37,7 +37,7 @@ type SearchEvaluator struct {
 }
 
 // NewSearchEvaluator builds the adapter for one search.
-func NewSearchEvaluator(b EvalBackend, generator string, pr *profile.Profiler) *SearchEvaluator {
+func NewSearchEvaluator(b Evaluator, generator string, pr *profile.Profiler) *SearchEvaluator {
 	return &SearchEvaluator{
 		Backend:   b,
 		Generator: generator,

@@ -78,15 +78,8 @@ func (l *LocalBackend) Generator(name string) (datagen.Generator, error) {
 	return datagen.Generator{}, fmt.Errorf("unknown generator %q (registered: %s)", name, strings.Join(names, ", "))
 }
 
-// Name implements EvalBackend.
+// Name implements NamedEvaluator.
 func (l *LocalBackend) Name() string { return "local" }
-
-// Health implements EvalBackend; the in-process backend is always healthy.
-func (l *LocalBackend) Health(ctx context.Context) error { return nil }
-
-// Capacity implements EvalBackend; local evaluation is bounded only by the
-// shared Budget, so the backend itself advertises no limit.
-func (l *LocalBackend) Capacity() int { return 0 }
 
 // resolve is the one place a request's names and numbers are checked: the
 // protocol version, the kind, the machine and budgets (the profiler it
@@ -143,7 +136,7 @@ func (l *LocalBackend) resolve(req EvalRequest) (pr *profile.Profiler, build fun
 	}
 }
 
-// Evaluate implements EvalBackend: resolve the request, then measure it.
+// Evaluate implements Evaluator: resolve the request, then measure it.
 func (l *LocalBackend) Evaluate(ctx context.Context, req EvalRequest) (EvalResult, error) {
 	pr, build, err := l.resolve(req)
 	if err != nil {
@@ -199,4 +192,4 @@ func wireSpans(events []telemetry.Event) []WireSpan {
 	return out
 }
 
-var _ EvalBackend = (*LocalBackend)(nil)
+var _ NamedEvaluator = (*LocalBackend)(nil)

@@ -19,13 +19,10 @@ type WorkerConfig struct {
 	// Name is the worker's self-reported identity (required in practice;
 	// defaults to "worker").
 	Name string
-	// Capacity bounds concurrent evaluations (default 1). Requests beyond
-	// capacity queue up to MaxBacklog, then shed with HTTP 503 so the
-	// dispatcher retries elsewhere.
+	// Capacity bounds concurrent evaluations (default 1). As many more
+	// requests may queue behind them; beyond that the worker sheds with
+	// HTTP 503 so the dispatcher retries elsewhere.
 	Capacity int
-	// MaxBacklog bounds queued (admitted but not yet running) evaluations
-	// (default = Capacity).
-	MaxBacklog int
 	// Generators registers extra generators beyond the built-in set.
 	Generators []datagen.Generator
 	// Version is the worker binary's build version, reported in health
@@ -60,9 +57,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1
-	}
-	if cfg.MaxBacklog <= 0 {
-		cfg.MaxBacklog = cfg.Capacity
 	}
 	local := NewLocalBackend(cfg.Generators...)
 	if cfg.Capacity > local.budget.Cap() {
@@ -155,10 +149,10 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 		writeWire(rw, http.StatusBadRequest, wireError{Error: err.Error()})
 		return
 	}
-	// Admission: shed once running + queued requests exceed the backlog
-	// bound, so the dispatcher re-routes instead of piling onto a busy
-	// worker.
-	if int(w.queued.Add(1)) > w.cfg.Capacity+w.cfg.MaxBacklog {
+	// Admission: shed once running + queued requests exceed twice the
+	// capacity (a backlog as deep as the capacity), so the dispatcher
+	// re-routes instead of piling onto a busy worker.
+	if int(w.queued.Add(1)) > 2*w.cfg.Capacity {
 		w.queued.Add(-1)
 		w.busyRejects.Add(1)
 		writeWire(rw, http.StatusServiceUnavailable, wireError{Error: "worker is at capacity"})
@@ -191,14 +185,15 @@ func (w *Worker) handleEvaluate(rw http.ResponseWriter, r *http.Request) {
 	writeWire(rw, http.StatusOK, EvalResponse{EvalResult: res, Spans: res.Spans, TimeNS: time.Now().UnixNano()})
 }
 
+// announceInterval is the period of a worker's re-announcements
+// (heartbeats) to its coordinator.
+const announceInterval = 30 * time.Second
+
 // RunAnnouncer keeps the worker registered with a coordinator: announce
-// immediately, re-announce every interval (heartbeat), and withdraw on
-// context cancellation. Errors are reported through onErr (nil ignores
+// immediately, re-announce every announceInterval (heartbeat), and withdraw
+// on context cancellation. Errors are reported through onErr (nil ignores
 // them) — a briefly unreachable coordinator only delays registration.
-func (w *Worker) RunAnnouncer(ctx context.Context, coordinator, selfURL string, interval time.Duration, onErr func(error)) {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
+func (w *Worker) RunAnnouncer(ctx context.Context, coordinator, selfURL string, onErr func(error)) {
 	reg := WorkerRegistration{
 		URL:      selfURL,
 		Name:     w.cfg.Name,
@@ -211,7 +206,7 @@ func (w *Worker) RunAnnouncer(ctx context.Context, coordinator, selfURL string, 
 		}
 	}
 	announce()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(announceInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -134,15 +134,14 @@ func blockingGenerator(started chan<- struct{}, release <-chan struct{}) datagen
 	}
 }
 
-// TestWorkerShedsAtCapacity: with Capacity 1 and MaxBacklog 1, the third
-// concurrent evaluation is shed with 503, which the RemoteBackend reports
+// TestWorkerShedsAtCapacity: with Capacity 1, and so a backlog of 1, the
+// third concurrent evaluation is shed with 503, which the RemoteBackend reports
 // as ErrBusy so the dispatcher re-routes without counting a failure.
 func TestWorkerShedsAtCapacity(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
 	w, rb, _ := newTestWorker(t, WorkerConfig{
 		Capacity:   1,
-		MaxBacklog: 1,
 		Generators: []datagen.Generator{blockingGenerator(started, release)},
 	})
 
@@ -427,7 +426,7 @@ func TestRemoteBackendBoundsResponses(t *testing.T) {
 	}
 
 	body.Store(sized(evalBody, maxResponseBytes+1))
-	d := fastDispatcher(okBackend("local"))
+	d := newTestDispatcher(okBackend("local"))
 	d.Register(rb)
 	res, err := d.Evaluate(ctx, req)
 	if err != nil || res.Remote || res.Retries != 1 {

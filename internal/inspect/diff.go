@@ -24,32 +24,11 @@ const (
 	VerdictRegressed = corpus.VerdictRegressed
 )
 
-// DiffOptions sets the comparison thresholds.
-type DiffOptions struct {
-	// Tolerance is the absolute slack applied to every numeric comparison
-	// (best error, component distances, convergence series, parameters,
-	// each iteration's point and error) before it counts as a difference or
-	// regression. Default 1e-9.
-	Tolerance float64
-	// ErrorTolerance, when positive, overrides Tolerance for the best-error
-	// regression check only — CI can allow small error drift while still
-	// flagging structural divergence.
-	ErrorTolerance float64
-}
-
-func (o DiffOptions) tolerance() float64 {
-	if o.Tolerance > 0 {
-		return o.Tolerance
-	}
-	return 1e-9
-}
-
-func (o DiffOptions) errorTolerance() float64 {
-	if o.ErrorTolerance > 0 {
-		return o.ErrorTolerance
-	}
-	return o.tolerance()
-}
+// tolerance is the absolute slack applied to every numeric comparison
+// (best error, component distances, convergence series, parameters, each
+// iteration's point and error) before it counts as a difference or
+// regression.
+const tolerance = 1e-9
 
 // Delta is one compared quantity.
 type Delta struct {
@@ -106,8 +85,7 @@ func (d *RunDiff) Identical() bool { return len(d.Differences) == 0 }
 // semantic search state — errors, attribution, parameters, history shape,
 // and every iteration of the shared history — never wall-clock timings, so
 // two runs of a deterministic search diff clean regardless of machine speed.
-func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
-	tol := opts.tolerance()
+func DiffRuns(a, b *Run) *RunDiff {
 	d := &RunDiff{FirstDivergence: -1}
 	regress := func(format string, args ...interface{}) {
 		msg := fmt.Sprintf(format, args...)
@@ -147,27 +125,27 @@ func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
 	case !okA && okB:
 		differ("run A has no evaluations")
 	case okA && okB:
-		if d.BestError.Delta > opts.errorTolerance() {
+		if d.BestError.Delta > tolerance {
 			regress("best error worsened: %.6g -> %.6g (+%.3g)", bestA.Error, bestB.Error, d.BestError.Delta)
-		} else if d.BestError.abs() > tol {
+		} else if d.BestError.abs() > tolerance {
 			differ("best error changed: %.6g -> %.6g (%+.3g)", bestA.Error, bestB.Error, d.BestError.Delta)
 		}
 		if bestA.Iteration != bestB.Iteration {
 			differ("best iteration moved: %d -> %d", bestA.Iteration, bestB.Iteration)
 		}
-		d.diffParams(bestA.Params, bestB.Params, tol, differ)
+		d.diffParams(bestA.Params, bestB.Params, differ)
 	}
 
-	d.diffComponents(bestA.Components, bestB.Components, opts, regress, differ)
-	d.diffSeries(a.BestTrace(), b.BestTrace(), tol, differ)
-	diffEvals(a.Evals, b.Evals, tol, differ)
+	d.diffComponents(bestA.Components, bestB.Components, regress, differ)
+	d.diffSeries(a.BestTrace(), b.BestTrace(), differ)
+	diffEvals(a.Evals, b.Evals, differ)
 
 	switch {
 	case len(d.Regressions) > 0:
 		d.Verdict = VerdictRegressed
 	case len(d.Differences) == 0:
 		d.Verdict = VerdictIdentical
-	case d.BestError.Delta < -opts.errorTolerance():
+	case d.BestError.Delta < -tolerance:
 		d.Verdict = VerdictImproved
 	default:
 		d.Verdict = VerdictChanged
@@ -176,7 +154,7 @@ func DiffRuns(a, b *Run, opts DiffOptions) *RunDiff {
 }
 
 // diffParams compares best-point parameter vectors.
-func (d *RunDiff) diffParams(pa, pb []float64, tol float64, differ func(string, ...interface{})) {
+func (d *RunDiff) diffParams(pa, pb []float64, differ func(string, ...interface{})) {
 	if len(pa) != len(pb) {
 		differ("best params dimension changed: %d -> %d", len(pa), len(pb))
 		return
@@ -185,14 +163,13 @@ func (d *RunDiff) diffParams(pa, pb []float64, tol float64, differ func(string, 
 	for i := range pa {
 		d.ParamsMaxDelta = math.Max(d.ParamsMaxDelta, math.Abs(pb[i]-pa[i]))
 	}
-	if d.ParamsMaxDelta > tol {
+	if d.ParamsMaxDelta > tolerance {
 		differ("best params moved: max |delta| %.6g", d.ParamsMaxDelta)
 	}
 }
 
 // diffComponents compares the per-metric attribution of the best points.
-func (d *RunDiff) diffComponents(ma, mb map[string]float64, opts DiffOptions, regress, differ func(string, ...interface{})) {
-	tol := opts.tolerance()
+func (d *RunDiff) diffComponents(ma, mb map[string]float64, regress, differ func(string, ...interface{})) {
 	union := make(map[string]struct{}, len(ma)+len(mb))
 	for k := range ma {
 		union[k] = struct{}{}
@@ -215,16 +192,16 @@ func (d *RunDiff) diffComponents(ma, mb map[string]float64, opts DiffOptions, re
 			differ("component %s disappeared", name)
 		case !inA && inB:
 			differ("component %s appeared", name)
-		case delta.Delta > tol:
+		case delta.Delta > tolerance:
 			regress("component %s worsened: %.6g -> %.6g (+%.3g)", name, va, vb, delta.Delta)
-		case delta.abs() > tol:
+		case delta.abs() > tolerance:
 			differ("component %s improved: %.6g -> %.6g (%+.3g)", name, va, vb, delta.Delta)
 		}
 	}
 }
 
 // diffSeries compares the best-error convergence series.
-func (d *RunDiff) diffSeries(sa, sb []float64, tol float64, differ func(string, ...interface{})) {
+func (d *RunDiff) diffSeries(sa, sb []float64, differ func(string, ...interface{})) {
 	n := len(sa)
 	if len(sb) < n {
 		n = len(sb)
@@ -232,7 +209,7 @@ func (d *RunDiff) diffSeries(sa, sb []float64, tol float64, differ func(string, 
 	for i := 0; i < n; i++ {
 		diff := math.Abs(sb[i] - sa[i])
 		d.SeriesMaxDelta = math.Max(d.SeriesMaxDelta, diff)
-		if diff > tol && d.FirstDivergence < 0 {
+		if diff > tolerance && d.FirstDivergence < 0 {
 			d.FirstDivergence = i
 		}
 	}
@@ -249,7 +226,7 @@ func (d *RunDiff) diffSeries(sa, sb []float64, tol float64, differ func(string, 
 // legitimately differs between a cold run, a cached rerun and a restored
 // run, and a skip's message names where the evaluation failed; neither is
 // compared.
-func diffEvals(ea, eb []core.EvalEvent, tol float64, differ func(string, ...interface{})) {
+func diffEvals(ea, eb []core.EvalEvent, differ func(string, ...interface{})) {
 	for i := range min(len(ea), len(eb)) {
 		a, b := ea[i], eb[i]
 		var what string
@@ -260,13 +237,13 @@ func diffEvals(ea, eb []core.EvalEvent, tol float64, differ func(string, ...inte
 			what = fmt.Sprintf("skipped %v -> %v", a.Skipped, b.Skipped)
 		case a.Retried != b.Retried:
 			what = fmt.Sprintf("retried %v -> %v", a.Retried, b.Retried)
-		case !closeVec(a.U, b.U, tol):
+		case !closeVec(a.U, b.U):
 			what = "point u moved"
-		case !closeVec(a.Record.Params, b.Record.Params, tol):
+		case !closeVec(a.Record.Params, b.Record.Params):
 			what = "params moved"
-		case math.Abs(b.Record.Error-a.Record.Error) > tol:
+		case math.Abs(b.Record.Error-a.Record.Error) > tolerance:
 			what = fmt.Sprintf("error %.6g -> %.6g", a.Record.Error, b.Record.Error)
-		case !closeMap(a.Record.Components, b.Record.Components, tol):
+		case !closeMap(a.Record.Components, b.Record.Components):
 			what = "component attribution changed"
 		default:
 			continue
@@ -276,13 +253,14 @@ func diffEvals(ea, eb []core.EvalEvent, tol float64, differ func(string, ...inte
 	}
 }
 
-// closeVec reports whether two vectors have one length and agree within tol.
-func closeVec(a, b []float64, tol float64) bool {
+// closeVec reports whether two vectors have one length and agree within
+// tolerance.
+func closeVec(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if math.Abs(b[i]-a[i]) > tol {
+		if math.Abs(b[i]-a[i]) > tolerance {
 			return false
 		}
 	}
@@ -290,13 +268,13 @@ func closeVec(a, b []float64, tol float64) bool {
 }
 
 // closeMap reports whether two attributions have the same components and
-// agree within tol.
-func closeMap(a, b map[string]float64, tol float64) bool {
+// agree within tolerance.
+func closeMap(a, b map[string]float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for k, va := range a {
-		if vb, ok := b[k]; !ok || math.Abs(vb-va) > tol {
+		if vb, ok := b[k]; !ok || math.Abs(vb-va) > tolerance {
 			return false
 		}
 	}

@@ -18,7 +18,7 @@ func loadTestRun(t *testing.T, art string) *Run {
 // — the property the CI determinism gate relies on.
 func TestDiffRunsSelfIdentical(t *testing.T) {
 	run := loadTestRun(t, testArtifact())
-	d := DiffRuns(run, run, DiffOptions{})
+	d := DiffRuns(run, run)
 	if d.Verdict != VerdictIdentical || !d.Identical() || d.Regressed() {
 		t.Fatalf("self-diff: verdict %q, differences %v", d.Verdict, d.Differences)
 	}
@@ -37,7 +37,7 @@ func perturbedArtifact() string {
 func TestDiffRunsRegression(t *testing.T) {
 	a := loadTestRun(t, testArtifact())
 	b := loadTestRun(t, perturbedArtifact())
-	d := DiffRuns(a, b, DiffOptions{})
+	d := DiffRuns(a, b)
 	if d.Verdict != VerdictRegressed || !d.Regressed() {
 		t.Fatalf("verdict %q, regressions %v", d.Verdict, d.Regressions)
 	}
@@ -48,23 +48,9 @@ func TestDiffRunsRegression(t *testing.T) {
 		t.Errorf("FirstDivergence %d, want 3", d.FirstDivergence)
 	}
 	// The reverse direction is an improvement, not a regression.
-	rev := DiffRuns(b, a, DiffOptions{})
+	rev := DiffRuns(b, a)
 	if rev.Verdict != VerdictImproved || rev.Regressed() {
 		t.Errorf("reverse verdict %q, regressions %v", rev.Verdict, rev.Regressions)
-	}
-}
-
-// TestDiffRunsErrorTolerance: a small error drift under ErrorTolerance is a
-// change, not a regression.
-func TestDiffRunsErrorTolerance(t *testing.T) {
-	a := loadTestRun(t, testArtifact())
-	b := loadTestRun(t, perturbedArtifact())
-	d := DiffRuns(a, b, DiffOptions{ErrorTolerance: 0.1})
-	if d.Verdict != VerdictChanged || d.Regressed() {
-		t.Fatalf("verdict %q, regressions %v", d.Verdict, d.Regressions)
-	}
-	if d.Identical() {
-		t.Error("tolerated drift must still register as a difference")
 	}
 }
 
@@ -73,7 +59,7 @@ func TestDiffRunsShrunkHistory(t *testing.T) {
 	a := loadTestRun(t, testArtifact())
 	lines := strings.Split(strings.TrimSpace(testArtifact()), "\n")
 	b := loadTestRun(t, strings.Join(lines[:len(lines)-1], "\n"))
-	d := DiffRuns(a, b, DiffOptions{})
+	d := DiffRuns(a, b)
 	if d.Verdict != VerdictRegressed {
 		t.Fatalf("verdict %q", d.Verdict)
 	}
@@ -94,7 +80,7 @@ func TestDiffRunsComponentRegression(t *testing.T) {
 	a := loadTestRun(t, testArtifact())
 	art := strings.ReplaceAll(testArtifact(), `"emd_cpu_util":0.25`, `"emd_cpu_util":0.35`)
 	b := loadTestRun(t, art)
-	d := DiffRuns(a, b, DiffOptions{})
+	d := DiffRuns(a, b)
 	if d.Verdict != VerdictRegressed {
 		t.Fatalf("verdict %q, differences %v", d.Verdict, d.Differences)
 	}
@@ -114,7 +100,7 @@ func TestDiffRunsComponentRegression(t *testing.T) {
 func TestDiffRunsEmptyB(t *testing.T) {
 	a := loadTestRun(t, testArtifact())
 	b := &Run{Phases: map[string]PhaseStat{}}
-	d := DiffRuns(a, b, DiffOptions{})
+	d := DiffRuns(a, b)
 	if d.Verdict != VerdictRegressed {
 		t.Fatalf("verdict %q", d.Verdict)
 	}
@@ -143,7 +129,7 @@ func TestDiffRunsComparesEveryIteration(t *testing.T) {
 				t.Fatalf("the artifact has no %s", c.old)
 			}
 			b := loadTestRun(t, strings.Replace(art, c.old, c.new, 1))
-			d := DiffRuns(a, b, DiffOptions{})
+			d := DiffRuns(a, b)
 			if c.want == "" {
 				if !d.Identical() {
 					t.Fatalf("differences %v, want none", d.Differences)

@@ -17,29 +17,23 @@ import (
 // dead fleet) and a Dispatcher that shards evaluations across registered
 // datamime-worker processes. Statically configured workers (-worker flags)
 // are registered immediately; dynamically announced ones arrive via
-// POST /v1/workers. A health loop probes the fleet and evicts workers that
-// stop answering.
+// POST /v1/workers. A health loop probes the fleet every
+// workerHealthInterval and evicts workers that stop answering.
 func (s *Server) initDispatch() {
 	s.local = backend.NewLocalBackend(s.cfg.Generators...)
 	s.dispatcher = backend.NewDispatcher(backend.DispatcherConfig{
-		Local:          s.local,
-		AttemptTimeout: s.cfg.DispatchTimeout,
-		MaxQueue:       s.cfg.DispatchMaxQueue,
-		OnEvent:        s.onFleetEvent,
+		Local:   s.local,
+		OnEvent: s.onFleetEvent,
 	})
 	for _, u := range s.cfg.WorkerURLs {
 		if _, err := s.dispatcher.RegisterURL(backend.WorkerRegistration{URL: u}); err != nil {
 			s.logf("worker %s rejected: %v", u, err)
 		}
 	}
-	interval := s.cfg.WorkerHealthInterval
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		t := time.NewTicker(interval)
+		t := time.NewTicker(workerHealthInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -51,6 +45,9 @@ func (s *Server) initDispatch() {
 		}
 	}()
 }
+
+// workerHealthInterval is the fleet health-probe period.
+const workerHealthInterval = 15 * time.Second
 
 // Dispatcher exposes the evaluation dispatcher (for tests and debug).
 func (s *Server) Dispatcher() *backend.Dispatcher { return s.dispatcher }

@@ -120,7 +120,7 @@ func TestFallbackRunsUnderProcessBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := inspect.DiffRuns(want, got, inspect.DiffOptions{}); !d.Identical() {
+	if d := inspect.DiffRuns(want, got); !d.Identical() {
 		t.Fatalf("the fallback run differs from the in-process one: %v", d.Differences)
 	}
 }
@@ -185,7 +185,7 @@ func TestLogWithProfileWorkersResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := inspect.DiffRuns(want, got, inspect.DiffOptions{}); !d.Identical() {
+	if d := inspect.DiffRuns(want, got); !d.Identical() {
 		t.Fatalf("the resumed run differs from the uninterrupted one: %v", d.Differences)
 	}
 	if got := findRecord(t, svc, job.ID()).Scenario; got != scenario || got != scenarioHash(spec) {

@@ -424,7 +424,7 @@ func TestResumeFromTornOrDivergedLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := inspect.DiffRuns(want, got, inspect.DiffOptions{}); !d.Identical() {
+			if d := inspect.DiffRuns(want, got); !d.Identical() {
 				t.Fatalf("the resumed run differs from the uninterrupted one: %v", d.Differences)
 			}
 			seen := make(map[int]int)
@@ -440,7 +440,7 @@ func TestResumeFromTornOrDivergedLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := inspect.DiffRuns(want, compacted, inspect.DiffOptions{}); compacted.Malformed != 0 || !d.Identical() {
+			if d := inspect.DiffRuns(want, compacted); compacted.Malformed != 0 || !d.Identical() {
 				t.Fatalf("the compacted log has %d malformed lines, differences %v", compacted.Malformed, d.Differences)
 			}
 		})
@@ -595,7 +595,7 @@ func TestResumeLogWithRetiredDiagnosticsKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := inspect.DiffRuns(want, got, inspect.DiffOptions{}); !d.Identical() {
+			if d := inspect.DiffRuns(want, got); !d.Identical() {
 				t.Fatalf("the resumed run differs from the uninterrupted one: %v", d.Differences)
 			}
 		})

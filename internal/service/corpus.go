@@ -153,7 +153,7 @@ func (s *Server) indexRun(job *Job) {
 		if err != nil {
 			s.logf("job %s corpus: indexed without a verdict, baseline %s unreadable: %v", job.ID(), blJob.ID(), err)
 		} else {
-			d = inspect.DiffRuns(baseRun, run, inspect.DiffOptions{})
+			d = inspect.DiffRuns(baseRun, run)
 			rec.Verdict = d.Verdict
 			rec.BaselineID = blJob.ID()
 			rec.BaselineDelta = d.BestError.Delta

@@ -372,7 +372,7 @@ func TestCorpusVerdictIsDiffRuns(t *testing.T) {
 				}
 				return r
 			}
-			d := inspect.DiffRuns(run(baseJob), run(candJob), inspect.DiffOptions{})
+			d := inspect.DiffRuns(run(baseJob), run(candJob))
 			if d.Verdict != c.want {
 				t.Fatalf("diff verdict %q, want %q (%v)", d.Verdict, c.want, d.Differences)
 			}

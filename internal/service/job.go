@@ -372,11 +372,11 @@ var (
 	// evalBackends say where candidate evaluations run, asked when the job
 	// starts: nil is the classic in-process path (cfg.Evaluator unset),
 	// bit-identical to the dispatched one by the backend contract.
-	evalBackends = map[string]func(*backend.Dispatcher) backend.EvalBackend{
-		"local": func(*backend.Dispatcher) backend.EvalBackend { return nil },
+	evalBackends = map[string]func(*backend.Dispatcher) backend.Evaluator{
+		"local": func(*backend.Dispatcher) backend.Evaluator { return nil },
 		// The dispatcher still falls back in-process if the fleet fails.
-		"remote": func(d *backend.Dispatcher) backend.EvalBackend { return d },
-		"auto": func(d *backend.Dispatcher) backend.EvalBackend {
+		"remote": func(d *backend.Dispatcher) backend.Evaluator { return d },
+		"auto": func(d *backend.Dispatcher) backend.Evaluator {
 			if d.HasWorkers() {
 				return d
 			}
@@ -405,7 +405,7 @@ type plan struct {
 
 	optimizer   func(*opt.Space, uint64) opt.Optimizer
 	onEvalError core.EvalErrorPolicy
-	evalBackend func(*backend.Dispatcher) backend.EvalBackend
+	evalBackend func(*backend.Dispatcher) backend.Evaluator
 }
 
 // resolve is the coordinator's door, the only place a spec's names and

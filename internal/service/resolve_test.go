@@ -96,7 +96,7 @@ func TestSubmitCapacityIs503(t *testing.T) {
 		<-release
 		return build(x)
 	}
-	svc, err := New(Config{Workers: 1, QueueDepth: 1, Generators: []datagen.Generator{blocking}})
+	svc, err := New(Config{Workers: 1, Generators: []datagen.Generator{blocking}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,10 @@ func TestSubmitCapacityIs503(t *testing.T) {
 		t.Fatalf("first submit = %d", code)
 	}
 	<-started // the only worker is inside job 1; the queue is empty again
-	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, nil); code != http.StatusAccepted {
-		t.Fatalf("second submit = %d, want it queued", code)
+	for i := range queueDepth {
+		if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, nil); code != http.StatusAccepted {
+			t.Fatalf("submit %d of %d = %d, want it queued", i+1, queueDepth, code)
+		}
 	}
 	var body map[string]string
 	if code := httpJSON(t, ts, "POST", "/v1/jobs", spec, &body); code != http.StatusServiceUnavailable ||

@@ -37,12 +37,6 @@ type Config struct {
 	// concurrently (default 2). Each job may additionally evaluate
 	// candidates in parallel per its spec.
 	Workers int
-	// QueueDepth bounds the number of queued jobs (default 1024); Submit
-	// fails once full.
-	QueueDepth int
-	// CacheCapacity bounds the shared evaluation cache (default 4096
-	// profiles).
-	CacheCapacity int
 	// CheckpointDir, when non-empty, enables persistence: every job appends
 	// everything it records to its log there, <id>.jsonl, as it happens, and
 	// New restores the logged jobs, resuming unfinished ones from their last
@@ -64,14 +58,6 @@ type Config struct {
 	// startup (cmd/datamimed -worker). Workers may also self-register at
 	// runtime via POST /v1/workers.
 	WorkerURLs []string
-	// DispatchTimeout bounds one remote evaluation attempt (default 5m).
-	DispatchTimeout time.Duration
-	// DispatchMaxQueue bounds evaluations waiting for a remote slot;
-	// beyond it admission control sheds work to the local backend
-	// (default 64).
-	DispatchMaxQueue int
-	// WorkerHealthInterval is the fleet health-probe period (default 15s).
-	WorkerHealthInterval time.Duration
 }
 
 // Server schedules and tracks search jobs. Create with New, serve its
@@ -123,22 +109,25 @@ type Server struct {
 	started time.Time
 }
 
+// queueDepth bounds the number of queued jobs; Submit fails once full.
+const queueDepth = 1024
+
+// cacheCapacity bounds the shared evaluation cache, in profiles.
+const cacheCapacity = 4096
+
 // New builds a Server, restores the jobs logged in Config.CheckpointDir
 // (resuming unfinished ones), and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		cache:      backend.NewLRU(cfg.CacheCapacity),
+		cache:      backend.NewLRU(cacheCapacity),
 		jobs:       make(map[string]*Job),
 		nextID:     1,
-		queue:      make(chan *Job, cfg.QueueDepth),
+		queue:      make(chan *Job, queueDepth),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		started:    time.Now(),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -102,11 +103,28 @@ func spanBounds(ev Event) spanInterval {
 	return spanInterval{ev: ev, start: ev.TimeNS - ev.DurNS, end: ev.TimeNS}
 }
 
-// fleetProc accumulates the spans shipped back from one fleet worker.
-type fleetProc struct {
+// procSpans accumulates what one process draws on its own tracks: the
+// coordinator's, or one fleet worker's, whose spans were shipped back.
+type procSpans struct {
+	evals []spanInterval         // generate, profile and any unknown phase
 	sims  map[int][]spanInterval // budget slot → profile.sim
-	evals []spanInterval         // any other shipped phase
 	waits []Event                // budget.wait instants
+}
+
+// add files a span under the process's eval lanes, worker tracks or
+// budget waits.
+func (p *procSpans) add(ev Event) {
+	switch ev.Phase {
+	case PhaseSimRun:
+		wkr := int(ev.Attrs[AttrWorker])
+		p.sims[wkr] = append(p.sims[wkr], spanBounds(ev))
+	case PhaseBudgetWait:
+		p.waits = append(p.waits, ev)
+	default:
+		// Packed into eval lanes, such a span neither disappears nor
+		// overlaps another on its track.
+		p.evals = append(p.evals, spanBounds(ev))
+	}
 }
 
 // WriteTrace renders events (a run artifact's stream, in any order) as
@@ -169,10 +187,9 @@ func WriteTrace(w io.Writer, events []Event) error {
 		})
 	}
 
-	var evalSpans []spanInterval
-	workerSpans := map[int][]spanInterval{}
+	coord := &procSpans{sims: map[int][]spanInterval{}}
 	remoteSpans := map[int][]spanInterval{}
-	fleetProcs := map[int]*fleetProc{}
+	fleetProcs := map[int]*procSpans{}
 	fleetUsed := false
 	for _, ev := range events {
 		if ev.TimeNS == 0 {
@@ -196,26 +213,18 @@ func WriteTrace(w io.Writer, events []Event) error {
 					map[string]interface{}{"iter": ev.Iter})
 			}
 		case TypeSpan:
-			iv := spanBounds(ev)
 			if fw, remote := ev.Attrs[AttrFleetWorker]; remote {
 				// A span shipped back from a fleet worker: route it to that
 				// worker's process rather than the coordinator's tracks.
 				fp := fleetProcs[int(fw)]
 				if fp == nil {
-					fp = &fleetProc{sims: map[int][]spanInterval{}}
+					fp = &procSpans{sims: map[int][]spanInterval{}}
 					fleetProcs[int(fw)] = fp
 				}
-				switch ev.Phase {
-				case PhaseSimRun:
-					wkr := int(ev.Attrs[AttrWorker])
-					fp.sims[wkr] = append(fp.sims[wkr], iv)
-				case PhaseBudgetWait:
-					fp.waits = append(fp.waits, ev)
-				default:
-					fp.evals = append(fp.evals, iv)
-				}
+				fp.add(ev)
 				continue
 			}
+			iv := spanBounds(ev)
 			switch ev.Phase {
 			case PhasePropose, PhaseObserve:
 				span(tracePID, traceTIDSearch, iv, spanArgs(ev))
@@ -225,17 +234,6 @@ func WriteTrace(w io.Writer, events []Event) error {
 					instant(tracePID, traceTIDOptimizer, "cholesky refactorization", ev.TimeNS,
 						map[string]interface{}{"rebuilds": ev.Attrs[AttrCholeskyRebuilds]})
 				}
-			case PhaseSimRun:
-				wkr := int(ev.Attrs[AttrWorker])
-				workerSpans[wkr] = append(workerSpans[wkr], iv)
-			case PhaseBudgetWait:
-				wkr := int(ev.Attrs[AttrWorker])
-				instant(tracePID, traceTIDWorker+wkr*workerLaneStride, "budget wait", iv.start,
-					map[string]interface{}{
-						"wait_ms": float64(ev.DurNS) / 1e6,
-						"worker":  wkr,
-						"iter":    ev.Iter,
-					})
 			case PhaseRemoteEval:
 				wkr := int(ev.Attrs[AttrRemoteWorker])
 				remoteSpans[wkr] = append(remoteSpans[wkr], iv)
@@ -243,27 +241,21 @@ func WriteTrace(w io.Writer, events []Event) error {
 				fleetUsed = true
 				instant(tracePID, traceTIDFleet, ev.Phase, ev.TimeNS, spanArgs(ev))
 			default:
-				// generate, profile and any phase the exporter does not
-				// know: packed into eval lanes, such a span neither
-				// disappears nor overlaps another on its track.
-				evalSpans = append(evalSpans, iv)
+				coord.add(ev)
 			}
 		}
 	}
 
 	// laneTracks packs intervals into non-overlapping lanes under one pid and
-	// emits them with per-lane thread metadata named via nameFor.
-	laneTracks := func(pid, tidBase int, ivs []spanInterval, nameFor func(lane int) string) {
+	// emits them with per-lane thread metadata named via nameFor. Lanes
+	// beyond maxLanes fold into the last one (overlap is legal in the
+	// format).
+	laneTracks := func(pid, tidBase, maxLanes int, ivs []spanInterval, nameFor func(lane int) string) {
 		ls := assignLanes(ivs)
 		maxL := -1
 		for i, iv := range ivs {
-			lane := ls[i]
-			if lane >= workerLaneStride {
-				lane = workerLaneStride - 1
-			}
-			if lane > maxL {
-				maxL = lane
-			}
+			lane := min(ls[i], maxLanes-1)
+			maxL = max(maxL, lane)
 			span(pid, tidBase+lane, iv, spanArgs(iv.ev))
 		}
 		for l := 0; l <= maxL; l++ {
@@ -271,39 +263,44 @@ func WriteTrace(w io.Writer, events []Event) error {
 		}
 	}
 
-	// Per-candidate spans: greedy interval coloring into "eval lane" tracks.
-	lanes := assignLanes(evalSpans)
-	maxLane := -1
-	for i, iv := range evalSpans {
-		if lanes[i] > maxLane {
-			maxLane = lanes[i]
-		}
-		span(tracePID, traceTIDEvalBase+lanes[i], iv, spanArgs(iv.ev))
-	}
-	for l := 0; l <= maxLane; l++ {
-		meta(tracePID, traceTIDEvalBase+l, fmt.Sprintf("eval lane %d", l), traceTIDEvalBase+l)
-	}
-
-	// Worker tracks: one per budget slot, overflow lanes per slot when
-	// spans of several budgets overlap the same slot.
-	emitWorkerTracks := func(pid int, spans map[int][]spanInterval) {
-		workers := make([]int, 0, len(spans))
-		for wkr := range spans {
+	// layout draws one process's own tracks: its eval lanes (greedy
+	// interval coloring), one worker track per budget slot with overflow
+	// lanes when spans of several budgets overlap the slot, and its
+	// budget-wait instants, whose track is named even when its slot has
+	// run no profile yet.
+	layout := func(pid int, p *procSpans) {
+		laneTracks(pid, traceTIDEvalBase, math.MaxInt, p.evals, func(lane int) string {
+			return fmt.Sprintf("eval lane %d", lane)
+		})
+		workers := make([]int, 0, len(p.sims))
+		for wkr := range p.sims {
 			workers = append(workers, wkr)
 		}
 		sort.Ints(workers)
 		for _, wkr := range workers {
-			base := traceTIDWorker + wkr*workerLaneStride
-			w := wkr
-			laneTracks(pid, base, spans[wkr], func(lane int) string {
+			laneTracks(pid, traceTIDWorker+wkr*workerLaneStride, workerLaneStride, p.sims[wkr], func(lane int) string {
 				if lane == 0 {
-					return fmt.Sprintf("worker %d", w)
+					return fmt.Sprintf("worker %d", wkr)
 				}
-				return fmt.Sprintf("worker %d (+%d)", w, lane)
+				return fmt.Sprintf("worker %d (+%d)", wkr, lane)
 			})
 		}
+		named := map[int]bool{}
+		for _, ev := range p.waits {
+			wkr := int(ev.Attrs[AttrWorker])
+			tid := traceTIDWorker + wkr*workerLaneStride
+			instant(pid, tid, "budget wait", ev.TimeNS-ev.DurNS, map[string]interface{}{
+				"wait_ms": float64(ev.DurNS) / 1e6,
+				"worker":  wkr,
+				"iter":    ev.Iter,
+			})
+			if len(p.sims[wkr]) == 0 && !named[wkr] {
+				named[wkr] = true
+				meta(pid, tid, fmt.Sprintf("worker %d", wkr), tid)
+			}
+		}
 	}
-	emitWorkerTracks(tracePID, workerSpans)
+	layout(tracePID, coord)
 
 	// Remote evaluation lanes: one track per remote worker ID (a dispatched
 	// run's eval.remote round trips), with the local-fallback lane (worker
@@ -323,7 +320,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 		if wkr < 0 {
 			name = "remote fallback"
 		}
-		laneTracks(tracePID, trackBase, remoteSpans[wkr], func(lane int) string {
+		laneTracks(tracePID, trackBase, workerLaneStride, remoteSpans[wkr], func(lane int) string {
 			if lane == 0 {
 				return name
 			}
@@ -332,41 +329,20 @@ func WriteTrace(w io.Writer, events []Event) error {
 	}
 
 	// Fleet worker processes: spans shipped back over the wire, one process
-	// per dispatcher worker ID, mirroring the coordinator's internal layout
-	// (eval lanes + per-pool-worker sim tracks + budget-wait instants).
+	// per dispatcher worker ID, laid out as the coordinator's own tracks.
 	fleetIDs := make([]int, 0, len(fleetProcs))
 	for fw := range fleetProcs {
 		fleetIDs = append(fleetIDs, fw)
 	}
 	sort.Ints(fleetIDs)
 	for _, fw := range fleetIDs {
-		fp := fleetProcs[fw]
 		pid := traceFleetPIDBase + fw
 		name := fmt.Sprintf("fleet worker %d", fw)
 		if fw < 0 {
 			name = "fleet fallback"
 		}
 		process(pid, name)
-		laneTracks(pid, traceTIDEvalBase, fp.evals, func(lane int) string {
-			return fmt.Sprintf("eval lane %d", lane)
-		})
-		emitWorkerTracks(pid, fp.sims)
-		namedWaitTracks := map[int]bool{}
-		for _, ev := range fp.waits {
-			wkr := int(ev.Attrs[AttrWorker])
-			instant(pid, traceTIDWorker+wkr*workerLaneStride, "budget wait",
-				ev.TimeNS-ev.DurNS, map[string]interface{}{
-					"wait_ms": float64(ev.DurNS) / 1e6,
-					"worker":  wkr,
-					"iter":    ev.Iter,
-				})
-			// An instant needs a named track even if the worker ran no sims.
-			if len(fp.sims[wkr]) == 0 && !namedWaitTracks[wkr] {
-				namedWaitTracks[wkr] = true
-				meta(pid, traceTIDWorker+wkr*workerLaneStride,
-					fmt.Sprintf("worker %d", wkr), traceTIDWorker+wkr*workerLaneStride)
-			}
-		}
+		layout(pid, fleetProcs[fw])
 	}
 
 	tf := traceFile{TraceEvents: out, DisplayTimeUnit: "ms"}

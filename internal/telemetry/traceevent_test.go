@@ -160,6 +160,33 @@ func TestWriteTraceFleetProcesses(t *testing.T) {
 	}
 }
 
+// TestWriteTraceNamesWaitOnlyTrack: an artifact read while a slot runs its
+// first profile holds that slot's budget wait and not yet its profile.sim
+// span. The coordinator names the wait's track as a fleet worker's process
+// does, so the prefix validates either way.
+func TestWriteTraceNamesWaitOnlyTrack(t *testing.T) {
+	for _, attrs := range []map[string]float64{
+		{AttrWorker: 0},
+		{AttrWorker: 0, AttrFleetWorker: 1},
+	} {
+		events := []Event{
+			{Type: TypeLog, Msg: "header"},
+			{Type: TypeSpan, Phase: PhaseBudgetWait, TimeNS: 5_000_000, DurNS: 2_000, Attrs: attrs},
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ValidateTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("attrs %v: %v", attrs, err)
+		}
+		if st.Instants != 1 || st.WorkerTracks != 1 {
+			t.Errorf("attrs %v: stats %+v, want one budget wait on one worker track", attrs, st)
+		}
+	}
+}
+
 func TestWriteTraceTimestampsRelativeToBase(t *testing.T) {
 	var buf bytes.Buffer
 	events := []Event{
