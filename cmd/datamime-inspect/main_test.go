@@ -188,7 +188,8 @@ func TestTimelineWritesTrace(t *testing.T) {
 
 // TestTimelineTraceOfArtifactPrefix: an artifact cut after its first
 // budget.wait line, as /artifact reads while a slot runs its first profile,
-// exports a trace that validates.
+// exports a trace that validates, and the report names the wait instead of
+// advising to record a run that is recorded.
 func TestTimelineTraceOfArtifactPrefix(t *testing.T) {
 	dir := t.TempDir()
 	cut := filepath.Join(dir, "cut.jsonl")
@@ -202,6 +203,9 @@ func TestTimelineTraceOfArtifactPrefix(t *testing.T) {
 	out := stdoutOf(t, runTimeline, "-artifact", cut, "-trace", path)
 	if !bytes.Contains(out, []byte("trace "+path+" ok: ")) {
 		t.Errorf("timeline -trace printed no validation line:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("1 budget wait, no finished profile yet\n")) || bytes.Contains(out, []byte("record the run")) {
+		t.Errorf("timeline of a live prefix does not name its budget wait:\n%s", out)
 	}
 }
 

@@ -309,7 +309,16 @@ func (t *Timeline) RenderText(w io.Writer) error {
 	var b strings.Builder
 	if len(t.Workers) == 0 && len(t.Fleet) == 0 {
 		b.WriteString("no timed profile.sim spans in the artifact\n")
-		b.WriteString("(record the run with datamime -artifact, or datamimed -telemetry)\n")
+		// Budget waits without a finished profile are a live artifact read
+		// before its first profile.sim span: the run is recorded already.
+		switch waits := t.BudgetWaits + t.FleetBudgetWaits; waits {
+		case 0:
+			b.WriteString("(record the run with datamime -artifact, or datamimed -telemetry)\n")
+		case 1:
+			b.WriteString("1 budget wait, no finished profile yet\n")
+		default:
+			fmt.Fprintf(&b, "%d budget waits, no finished profile yet\n", waits)
+		}
 		if t.UnstampedSpans > 0 {
 			fmt.Fprintf(&b, "%d span events carried no wall-clock stamp\n", t.UnstampedSpans)
 		}

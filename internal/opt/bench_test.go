@@ -75,3 +75,13 @@ func BenchmarkPropose(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkOracleSearch is TestProposalOracle's 200-proposal search: the
+// shape of a search served from the evaluation cache, without the
+// simulator, so its wall is the proposals' (fits, scoring, diagnostics).
+func BenchmarkOracleSearch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		oracleSearch(200, false)
+	}
+}

@@ -163,7 +163,8 @@ func (b *BayesOpt) captureDiagnostics(gp *GP, candidates int, exploit, explore, 
 		d.LogMarginal = sel.lml
 	}
 	d.Condition = choleskyCondition(&gp.chol)
-	d.LOORMSE, d.LOOMaxZ, d.Coverage1, d.Coverage2 = gp.looStats()
+	b.cache.loo = grow(b.cache.loo, 4*len(gp.ys))
+	d.LOORMSE, d.LOOMaxZ, d.Coverage1, d.Coverage2 = gp.looStats(b.cache.loo)
 
 	d.Candidates = candidates
 	d.ChosenEI = exploit + explore
@@ -178,43 +179,71 @@ func (b *BayesOpt) captureDiagnostics(gp *GP, candidates int, exploit, explore, 
 // predictive variance 1/(K⁻¹)ᵢᵢ. Column i of L⁻¹ is zero above row i, so
 // its forward substitution starts at row i: the terms it skips, and the
 // zeros it does not square into ‖L⁻¹eᵢ‖², are exact +0 and would change no
-// sum. O(n³/6) total over the cached factor — no refits, no mutation.
-func (g *GP) looStats() (rmse, maxAbsZ, cov1, cov2 float64) {
+// sum. O(n³/6) total over the cached factor — no refits, no mutation of g;
+// v, of length at least 4n, is its scratch.
+//
+// Four columns are substituted at once: past the fourth column's first row
+// they share each load of L, and each column's sum still runs in ascending
+// k, its terms below that row first. The statistics are taken column by
+// column in ascending i.
+func (g *GP) looStats(v []float64) (rmse, maxAbsZ, cov1, cov2 float64) {
 	n := len(g.ys)
 	if n == 0 {
 		return 0, 0, 0, 0
 	}
-	v := make([]float64, n)
+	cols := [4][]float64{v[:n], v[n : 2*n], v[2*n : 3*n], v[3*n : 4*n]}
 	var sumSq float64
 	in1, in2 := 0, 0
-	for i := 0; i < n; i++ {
-		var kinv float64
+	for i := 0; i < n; i += 4 {
+		m := min(4, n-i) // columns i … i+m−1
+		var kinv [4]float64
 		for r := i; r < n; r++ {
 			row := g.chol.Row(r)
-			s := 0.0
-			if r == i {
-				s = 1
+			var s [4]float64
+			for c := 0; c < m && i+c <= r; c++ {
+				x := cols[c]
+				if r == i+c {
+					s[c] = 1
+				}
+				for k := i + c; k < min(r, i+3); k++ {
+					s[c] -= row[k] * x[k]
+				}
 			}
-			for k, lk := range row[i:r] {
-				s -= lk * v[i+k]
+			if r > i+3 {
+				s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+				l := row[i+3 : r]
+				x0, x1, x2, x3 := cols[0][i+3:r], cols[1][i+3:r], cols[2][i+3:r], cols[3][i+3:r]
+				x0, x1, x2, x3 = x0[:len(l)], x1[:len(l)], x2[:len(l)], x3[:len(l)]
+				for k, lk := range l {
+					s0 -= lk * x0[k]
+					s1 -= lk * x1[k]
+					s2 -= lk * x2[k]
+					s3 -= lk * x3[k]
+				}
+				s = [4]float64{s0, s1, s2, s3}
 			}
-			v[r] = s / row[r]
-			kinv += v[r] * v[r]
+			for c := 0; c < m && i+c <= r; c++ {
+				y := s[c] / row[r]
+				cols[c][r] = y
+				kinv[c] += y * y
+			}
 		}
-		if kinv <= 0 || math.IsNaN(kinv) {
-			continue
-		}
-		resid := g.alpha[i] / kinv
-		sumSq += resid * resid
-		z := math.Abs(resid) * math.Sqrt(kinv)
-		if z > maxAbsZ {
-			maxAbsZ = z
-		}
-		if z <= 1 {
-			in1++
-		}
-		if z <= 2 {
-			in2++
+		for c, kv := range kinv[:m] {
+			if kv <= 0 || math.IsNaN(kv) {
+				continue
+			}
+			resid := g.alpha[i+c] / kv
+			sumSq += resid * resid
+			z := math.Abs(resid) * math.Sqrt(kv)
+			if z > maxAbsZ {
+				maxAbsZ = z
+			}
+			if z <= 1 {
+				in1++
+			}
+			if z <= 2 {
+				in2++
+			}
 		}
 	}
 	rmse = math.Sqrt(sumSq / float64(n))

@@ -151,7 +151,7 @@ func TestLOOStatsMatchDirectRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmse, maxZ, cov1, cov2 := gp.looStats()
+	rmse, maxZ, cov1, cov2 := gp.looStats(make([]float64, 4*len(ys)))
 
 	n := len(xs)
 	mean := 0.0

@@ -13,8 +13,12 @@ import (
 // is refit from scratch on every update — observation counts in a Datamime
 // search are small (≤ a few hundred, §IV), so O(n³) refits are cheap
 // relative to a single profile evaluation.
+//
+// A GP fitted by the surrogate cache views the cache's buffers (its scaled
+// factor and α), which the next fit overwrites: such a GP never outlives the
+// proposal it was fitted for. FitGP's GPs own their storage.
 type GP struct {
-	kernel   Kernel
+	kernel   Matern52
 	noiseVar float64
 	xs       [][]float64
 	ys       []float64
@@ -27,7 +31,7 @@ type GP struct {
 // observations. The noise variance, floored at 1e-10, on the covariance's
 // diagonal keeps it positive definite over duplicate or near-duplicate
 // evaluation points (the optimizer may revisit promising regions).
-func FitGP(kernel Kernel, noiseVar float64, xs [][]float64, ys []float64) (*GP, error) {
+func FitGP(kernel Matern52, noiseVar float64, xs [][]float64, ys []float64) (*GP, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("opt: FitGP got %d points but %d observations", len(xs), len(ys))
 	}
@@ -55,7 +59,7 @@ func FitGP(kernel Kernel, noiseVar float64, xs [][]float64, ys []float64) (*GP, 
 
 // factorize factorizes the kernel matrix over xs plus jitter·I row by row,
 // into fresh storage.
-func factorize[K Kernel](k K, xs [][]float64, jitter float64) (linalg.Tri, error) {
+func factorize(k Matern52, xs [][]float64, jitter float64) (linalg.Tri, error) {
 	chol := linalg.NewTri(len(xs))
 	for i := range xs {
 		if err := appendRow(&chol, k, xs, i, jitter); err != nil {
@@ -67,9 +71,7 @@ func factorize[K Kernel](k K, xs [][]float64, jitter float64) (linalg.Tri, error
 
 // appendRow borders chol, the factor of the kernel matrix over xs[:i] plus
 // jitter·I, with row i: k(x_i, x_j) for j < i, then k(x_i, x_i) + jitter.
-// It is generic in the kernel so that a concrete kernel is called directly
-// rather than boxed into an interface on every call.
-func appendRow[K Kernel](chol *linalg.Tri, k K, xs [][]float64, i int, jitter float64) error {
+func appendRow(chol *linalg.Tri, k Matern52, xs [][]float64, i int, jitter float64) error {
 	row := chol.Slot()
 	x := xs[i]
 	for j := 0; j < i; j++ {
@@ -192,59 +194,6 @@ func ExpectedImprovement(gp *GP, x []float64, best, xi float64) float64 {
 	return exploit + explore
 }
 
-// scorer computes posterior means, variances and Expected Improvement one
-// candidate at a time, in a buffer reused from candidate to candidate: one
-// scorer per goroutine.
-type scorer struct {
-	v []float64 // k* in, then L⁻¹k* in place
-}
-
-// boundEvery is how many rows of a candidate's forward substitution run
-// between two tests of its EI bound.
-const boundEvery = 16
-
-// predict returns the posterior at x. In this order: k* as kernel
-// evaluations in xs order; μ as the mean plus k*·α summed in ascending i;
-// v = L⁻¹k* by forward substitution, each row's sum in ascending k;
-// σ² = k(x,x) − ‖v‖² summed in ascending i, clamped at 0. Against a floor
-// above −Inf it gives up, with ok false, once eiBound at σ² = k(x,x) − q,
-// q the sum so far, is below floor: tested before row 0 and every
-// boundEvery rows. Adding squares never rounds q down, so the finished σ²
-// is at most any tested one.
-func (s *scorer) predict(g *GP, x []float64, best, xi, floor float64) (mu, s2 float64, ok bool) {
-	n := len(g.xs)
-	alpha := g.alpha[:n]
-	if cap(s.v) < n {
-		s.v = make([]float64, n)
-	}
-	v := s.v[:n]
-	var dot float64
-	for i, p := range g.xs {
-		k := g.kernel.Eval(x, p)
-		v[i] = k
-		dot += k * alpha[i]
-	}
-	mu = g.mean + dot
-	kxx := g.kernel.Eval(x, x)
-	prune := floor > math.Inf(-1)
-	var q float64
-	for i, off := 0, 0; i < n; off, i = off+i+1, i+1 {
-		if prune && i%boundEvery == 0 && eiBound(mu, max(kxx-q, 0), g.noiseVar, best, xi) < floor {
-			return mu, 0, false
-		}
-		row := g.chol.Data[off : off+i+1]
-		a := v[:i]
-		y := v[i]
-		for k, lk := range row[:len(a)] {
-			y -= lk * a[k]
-		}
-		y /= row[i]
-		v[i] = y
-		q += y * y
-	}
-	return mu, max(kxx-q, 0), true
-}
-
 // eiSlack scales the margin eiBound adds, in units of |imp| + s. With
 // u = 2⁻⁵³, a computed EI is within 5u·(|imp| + s) of the exact EI at the
 // same computed imp and s: Φ is within 2.5u absolutely, however small (Erf
@@ -260,11 +209,15 @@ func (s *scorer) predict(g *GP, x []float64, best, xi, floor float64) (mu, s2 fl
 // eiTerms returns max(imp, 0), which the exact EI never falls below.
 const eiSlack = 0x1p-40
 
-// eiBound bounds the computed EI of any posterior with mean mu and variance
-// at most s2 from above. A NaN anywhere makes it NaN, which prunes nothing.
-func eiBound(mu, s2, noiseVar, best, xi float64) float64 {
+// eiBound bounds from above the computed EI of any posterior with mean in
+// [mu, mu + dmu] and variance at most s2. The exact EI falls as the mean
+// rises, and imp is computed monotonically from it, so a larger mean only
+// lowers imp: |imp| grows, by at most dmu and two roundings, where imp is
+// negative, which adds 5u·dmu to that EI's error (see eiSlack), well inside
+// eiSlack·dmu. A NaN anywhere makes it NaN, which prunes nothing.
+func eiBound(mu, dmu, s2, noiseVar, best, xi float64) float64 {
 	exploit, explore := eiTerms(mu, s2, noiseVar, best, xi)
-	return exploit + explore + eiSlack*(math.Abs(best-xi-mu)+math.Sqrt(s2+noiseVar))
+	return exploit + explore + eiSlack*(math.Abs(best-xi-mu)+dmu+math.Sqrt(s2+noiseVar))
 }
 
 // eiTerms splits EI at a posterior (μ, σ²) into its exploitation term

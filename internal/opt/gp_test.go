@@ -8,33 +8,25 @@ import (
 )
 
 func TestKernelProperties(t *testing.T) {
-	kernels := []Kernel{
-		Matern52{Variance: 2, LengthScale: 0.3},
-		RBF{Variance: 2, LengthScale: 0.3},
-	}
+	k := Matern52{Variance: 2, LengthScale: 0.3}
 	a := []float64{0.1, 0.2}
 	b := []float64{0.4, 0.9}
-	for _, k := range kernels {
-		if k.Name() == "" {
-			t.Fatal("kernel without a name")
-		}
-		// Symmetry.
-		if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-15 {
-			t.Fatalf("%s not symmetric", k.Name())
-		}
-		// k(x, x) = variance.
-		if math.Abs(k.Eval(a, a)-2) > 1e-12 {
-			t.Fatalf("%s: k(x,x) = %g, want 2", k.Name(), k.Eval(a, a))
-		}
-		// Decay with distance.
-		far := []float64{0.9, 0.05}
-		if k.Eval(a, far) >= k.Eval(a, []float64{0.12, 0.22}) {
-			t.Fatalf("%s does not decay with distance", k.Name())
-		}
-		// Positivity.
-		if k.Eval(a, far) <= 0 {
-			t.Fatalf("%s non-positive", k.Name())
-		}
+	// Symmetry.
+	if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-15 {
+		t.Fatal("not symmetric")
+	}
+	// k(x, x) = variance.
+	if math.Abs(k.Eval(a, a)-2) > 1e-12 {
+		t.Fatalf("k(x,x) = %g, want 2", k.Eval(a, a))
+	}
+	// Decay with distance.
+	far := []float64{0.9, 0.05}
+	if k.Eval(a, far) >= k.Eval(a, []float64{0.12, 0.22}) {
+		t.Fatal("does not decay with distance")
+	}
+	// Positivity.
+	if k.Eval(a, far) <= 0 {
+		t.Fatal("non-positive")
 	}
 }
 
@@ -101,10 +93,10 @@ func TestGPHandlesDuplicatePoints(t *testing.T) {
 }
 
 func TestGPErrors(t *testing.T) {
-	if _, err := FitGP(RBF{Variance: 1, LengthScale: 1}, 0, nil, nil); err == nil {
+	if _, err := FitGP(Matern52{Variance: 1, LengthScale: 1}, 0, nil, nil); err == nil {
 		t.Fatal("empty fit must error")
 	}
-	if _, err := FitGP(RBF{Variance: 1, LengthScale: 1}, 0, [][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := FitGP(Matern52{Variance: 1, LengthScale: 1}, 0, [][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 }

@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"datamime/internal/opt/linalg"
 )
@@ -58,6 +57,48 @@ type surrogateCache struct {
 	// Selection's buffers, reused from fit to fit: the centered
 	// observations, and α of the entry being scored and of the best so far.
 	centered, alpha, bestAlpha []float64
+	// The winner's scaled factor and looStats' vector, also reused: the GP
+	// a fit returns views scaled and bestAlpha, so it never outlives the
+	// proposal it was fitted for.
+	scaled linalg.Tri
+	loo    []float64
+	// row is sync's kernel row of the newest observation.
+	row newRow
+}
+
+// newRow is the newest observation's unit-variance kernel row against the
+// others, computed once per length scale: the grid's noise fractions of one
+// scale share it, each with its own diagonal 1 + nf. Its squared distances
+// are computed once for every scale.
+type newRow struct {
+	ls    float64 // the scale k holds; 0 when none since the last reset
+	d2, k []float64
+}
+
+// reset forgets the row, for a sync over a new observation set.
+func (r *newRow) reset() { r.ls = 0 }
+
+// at returns the row of xs's last point against the others at length scale
+// ls: k(x_n, x_j) for j < n, with Eval's bits.
+func (r *newRow) at(xs [][]float64, ls float64) []float64 {
+	n := len(xs) - 1
+	if r.ls == ls {
+		return r.k[:n]
+	}
+	if r.ls == 0 {
+		r.d2 = grow(r.d2, n)
+		for j, p := range xs[:n] {
+			r.d2[j] = sqDist(xs[n], p)
+		}
+	}
+	r.k = grow(r.k, n)
+	k := Matern52{Variance: 1, LengthScale: ls}
+	for lo := 0; lo < n; lo += boundEvery {
+		hi := min(lo+boundEvery, n)
+		k.fromSqBlock(r.d2[lo:hi], r.k[lo:hi])
+	}
+	r.ls = ls
+	return r.k[:n]
 }
 
 // fitSelection is the winning hyperparameter candidate of one surrogate fit.
@@ -91,7 +132,7 @@ func (c *surrogateCache) snapshot() []surrogateEntry {
 // restored header's end, and the next real append overwrites them. That is
 // safe only while NextBatch, which runs on one goroutine, is the one taker
 // of snapshots, and while no GP views an entry's storage: a fit's winner
-// gets a scaled copy.
+// gets a scaled copy in the cache's own buffer.
 func (c *surrogateCache) restore(s []surrogateEntry) {
 	copy(c.entries, s)
 }
@@ -99,8 +140,9 @@ func (c *surrogateCache) restore(s []surrogateEntry) {
 // sync brings every entry's factor up to the observation set xs, counting
 // how each one got there.
 func (c *surrogateCache) sync(xs [][]float64) {
+	c.row.reset()
 	for i := range c.entries {
-		switch c.entries[i].sync(xs) {
+		switch c.entries[i].sync(xs, &c.row) {
 		case syncAppended:
 			c.appends++
 		case syncRebuilt:
@@ -124,14 +166,21 @@ const (
 	syncRebuilt
 )
 
-func (e *surrogateEntry) sync(xs [][]float64) int {
+// sync brings the entry's factor up to xs, reading the newest
+// observation's kernel row from row, which holds nothing of another
+// observation set.
+func (e *surrogateEntry) sync(xs [][]float64, row *newRow) int {
 	n := len(xs)
 	if e.n == n {
 		return syncNoop // state for this observation set already decided
 	}
 	if e.ok && e.n == n-1 {
-		// Fast path: border the cached factor with the newest observation.
-		if appendRow(&e.chol, Matern52{Variance: 1, LengthScale: e.ls}, xs, n-1, e.nf) == nil {
+		// Fast path: border the cached factor with the newest observation,
+		// appendRow's row: k(x, x) is 1 at unit variance.
+		slot := e.chol.Slot()
+		copy(slot, row.at(xs, e.ls))
+		slot[n-1] = 1 + e.nf
+		if e.chol.Append() == nil {
 			e.n = n
 			return syncAppended
 		}
@@ -170,8 +219,8 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 	n := len(xs)
 	var mean float64
 	mean, c.centered = center(ys, c.centered)
-	c.alpha = slices.Grow(c.alpha[:0], n)[:n]
-	c.bestAlpha = slices.Grow(c.bestAlpha[:0], n)[:n]
+	c.alpha = grow(c.alpha, n)
+	c.bestAlpha = grow(c.bestAlpha, n)
 	best := -1
 	bestLML := math.Inf(-1)
 	c.lastFit = fitSelection{}
@@ -195,14 +244,15 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 		return nil, fmt.Errorf("opt: no GP hyperparameters produced a valid fit")
 	}
 	e := &c.entries[best]
+	c.scaled = e.chol.Scaled(sd, c.scaled.Data)
 	return &GP{
 		kernel:   Matern52{Variance: varY, LengthScale: e.ls},
 		noiseVar: e.nf * varY,
 		xs:       xs,
 		ys:       ys,
 		mean:     mean,
-		chol:     e.chol.Scaled(sd),
-		alpha:    slices.Clone(c.bestAlpha),
+		chol:     c.scaled,
+		alpha:    c.bestAlpha,
 	}, nil
 }
 

@@ -136,7 +136,7 @@ func TestEntryFallbackOnAppendFailure(t *testing.T) {
 	if !e.ok {
 		t.Fatal("two distinct points did not factorize")
 	}
-	if got := e.sync(xs[:3]); got != syncRebuilt || e.ok || e.n != 3 || e.chol.N != 0 {
+	if got := e.sync(xs[:3], &newRow{}); got != syncRebuilt || e.ok || e.n != 3 || e.chol.N != 0 {
 		t.Fatalf("after the duplicate: sync %d, ok=%v n=%d rows=%d; want a rebuild, !ok, 3, 0", got, e.ok, e.n, e.chol.N)
 	}
 	ref := surrogateEntry{ls: 0.4}
@@ -145,7 +145,7 @@ func TestEntryFallbackOnAppendFailure(t *testing.T) {
 		t.Fatalf("scratch rebuild: ok=%v n=%d rows=%d, want the fallback's state", ref.ok, ref.n, ref.chol.N)
 	}
 	// A !ok entry never takes the append path: the next point rebuilds it.
-	if got := e.sync(xs); got != syncRebuilt || e.ok || e.n != 4 {
+	if got := e.sync(xs, &newRow{}); got != syncRebuilt || e.ok || e.n != 4 {
 		t.Fatalf("after a fourth point: sync %d, ok=%v n=%d; want a rebuild, !ok, 4", got, e.ok, e.n)
 	}
 }

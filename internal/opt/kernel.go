@@ -2,54 +2,69 @@ package opt
 
 import "math"
 
-// Kernel is a positive-definite covariance function over unit-cube points.
-type Kernel interface {
-	// Eval returns k(a, b).
-	Eval(a, b []float64) float64
-	// Name identifies the kernel family for logs.
-	Name() string
-}
-
 // Matern52 is the Matérn-5/2 kernel, the standard choice for Bayesian
 // optimization of engineering objectives (twice-differentiable sample
-// paths; less smooth than RBF, which suits noisy profile measurements).
+// paths; less smooth than the squared-exponential kernel, which suits noisy
+// profile measurements).
 type Matern52 struct {
 	Variance    float64 // signal variance σ²
 	LengthScale float64 // isotropic length scale ℓ
 }
 
-// Eval computes σ²(1 + √5 r/ℓ + 5r²/3ℓ²)·exp(−√5 r/ℓ).
+// Eval computes σ²(1 + √5 r/ℓ + 5r²/3ℓ²)·exp(−√5 r/ℓ). It is the one kernel
+// formula: fromSq of sqDist, which the scorer and the surrogate fit call as
+// passes over many rows, so every kernel value they compute has Eval's bits.
 func (k Matern52) Eval(a, b []float64) float64 {
-	r := euclid(a, b)
-	s := math.Sqrt(5) * r / k.LengthScale
-	return k.Variance * (1 + s + s*s/3) * math.Exp(-s)
+	return k.fromSq(sqDist(a, b))
 }
 
-// Name returns "matern52".
-func (k Matern52) Name() string { return "matern52" }
-
-// RBF is the squared-exponential kernel σ²·exp(−r²/2ℓ²).
-type RBF struct {
-	Variance    float64
-	LengthScale float64
+// fromSq is the kernel at squared distance d2.
+func (k Matern52) fromSq(d2 float64) float64 {
+	s := k.scale(d2)
+	return k.poly(s) * math.Exp(-s)
 }
 
-// Eval computes the squared-exponential covariance.
-func (k RBF) Eval(a, b []float64) float64 {
-	r := euclid(a, b)
-	return k.Variance * math.Exp(-r*r/(2*k.LengthScale*k.LengthScale))
+// scale is s = √5·r/ℓ at squared distance d2.
+func (k Matern52) scale(d2 float64) float64 {
+	return math.Sqrt(5) * math.Sqrt(d2) / k.LengthScale
 }
 
-// Name returns "rbf".
-func (k RBF) Name() string { return "rbf" }
+// poly is σ²(1 + s + s²/3), the factor of the kernel that multiplies
+// exp(−s).
+func (k Matern52) poly(s float64) float64 {
+	return k.Variance * (1 + s + s*s/3)
+}
 
-func euclid(a, b []float64) float64 {
+// fromSqBlock sets out[j] = fromSq(d2[j]) for at most boundEvery values: a
+// pass that forms every s and poly(s), then a pass of math.Exp calls, so
+// the call does not break up the arithmetic of the first. Each value has
+// fromSq's bits.
+func (k Matern52) fromSqBlock(d2, out []float64) {
+	var pb [boundEvery]float64
+	p := pb[:len(d2)]
+	out = out[:len(d2)]
+	for j, e := range d2 {
+		s := k.scale(e)
+		out[j] = s
+		p[j] = k.poly(s)
+	}
+	for j, s := range out {
+		out[j] = p[j] * math.Exp(-s)
+	}
+}
+
+// sqDist is the squared Euclidean distance, the dimensions summed in
+// ascending order from 0. The explicit float64 conversion rounds each square
+// before it is added, so no architecture fuses the two and every site that
+// sums squares this way, as the scorer's dimension-major passes do, gets
+// these bits.
+func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
-	return math.Sqrt(s)
+	return s
 }
 
 func pow(x, y float64) float64 { return math.Pow(x, y) }

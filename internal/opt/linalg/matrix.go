@@ -11,6 +11,7 @@ package linalg
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrNotPositiveDefinite is returned by Tri.Append when the matrix being
@@ -77,16 +78,7 @@ func (l *Tri) Slot() []float64 {
 func (l *Tri) Append() error {
 	n, base := l.N, len(l.Data)
 	row := l.Data[base : base+n+1]
-	for j, off := 0, 0; j < n; off, j = off+j+1, j+1 {
-		lj := l.Data[off : off+j+1]
-		done := row[:j]
-		lk := lj[:len(done)]
-		sum := row[j]
-		for k, v := range done {
-			sum -= v * lk[k]
-		}
-		row[j] = sum / lj[j]
-	}
+	l.Forward(row, 0, n)
 	sum := row[n]
 	for _, v := range row[:n] {
 		sum -= v * v
@@ -100,11 +92,56 @@ func (l *Tri) Append() error {
 	return nil
 }
 
-// Scaled returns s·L in fresh storage, each element rounded as
-// float64(L_ik·s): the factor of s²·A given the factor L of A, exact in real
-// arithmetic.
-func (l *Tri) Scaled(s float64) Tri {
-	out := Tri{N: l.N, Data: make([]float64, len(l.Data))}
+// Forward runs rows [lo, hi) of the forward substitution L·y = b in place:
+// on entry x[:lo] holds y's rows already solved and x[lo:hi] b's, on return
+// x[lo:hi] holds y's. Row i is (b_i − Σ_{k<i} L_ik·y_k) / L_ii with k
+// ascending. Rows go four at a time, sharing each load of y below the
+// first of them, so a row's sum is still the one-row loop's, bit for bit.
+func (l *Tri) Forward(x []float64, lo, hi int) {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		o0 := packed(i)
+		o1 := o0 + i + 1
+		o2 := o1 + i + 2
+		o3 := o2 + i + 3
+		r0, r1, r2, r3 := l.Data[o0:o0+i+1], l.Data[o1:o1+i+2], l.Data[o2:o2+i+3], l.Data[o3:o3+i+4]
+		a := x[:i]
+		l0, l1, l2, l3 := r0[:len(a)], r1[:len(a)], r2[:len(a)], r3[:len(a)]
+		y0, y1, y2, y3 := x[i], x[i+1], x[i+2], x[i+3]
+		for k, v := range a {
+			y0 -= l0[k] * v
+			y1 -= l1[k] * v
+			y2 -= l2[k] * v
+			y3 -= l3[k] * v
+		}
+		y0 /= r0[i]
+		y1 -= r1[i] * y0
+		y1 /= r1[i+1]
+		y2 -= r2[i] * y0
+		y2 -= r2[i+1] * y1
+		y2 /= r2[i+2]
+		y3 -= r3[i] * y0
+		y3 -= r3[i+1] * y1
+		y3 -= r3[i+2] * y2
+		y3 /= r3[i+3]
+		x[i], x[i+1], x[i+2], x[i+3] = y0, y1, y2, y3
+	}
+	for ; i < hi; i++ {
+		row := l.Row(i)
+		a := x[:i]
+		y := x[i]
+		for k, lk := range row[:len(a)] {
+			y -= lk * a[k]
+		}
+		x[i] = y / row[i]
+	}
+}
+
+// Scaled returns s·L, each element rounded as float64(L_ik·s), in buf's
+// storage when it has room: the factor of s²·A given the factor L of A,
+// exact in real arithmetic.
+func (l *Tri) Scaled(s float64, buf []float64) Tri {
+	out := Tri{N: l.N, Data: slices.Grow(buf[:0], len(l.Data))[:len(l.Data)]}
 	for i, v := range l.Data {
 		out.Data[i] = float64(v * s)
 	}

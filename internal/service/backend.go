@@ -17,8 +17,10 @@ import (
 // dead fleet) and a Dispatcher that shards evaluations across registered
 // datamime-worker processes. Statically configured workers (-worker flags)
 // are registered immediately; dynamically announced ones arrive via
-// POST /v1/workers. A health loop probes the fleet every
-// workerHealthInterval and evicts workers that stop answering.
+// POST /v1/workers. A health loop probes the fleet once as it starts, so a
+// static worker is routed at its own capacity from its first answer rather
+// than at 1 until a tick, then every workerHealthInterval, and evicts workers
+// that stop answering. The loop runs beside startup, never in front of it.
 func (s *Server) initDispatch() {
 	s.local = backend.NewLocalBackend(s.cfg.Generators...)
 	s.dispatcher = backend.NewDispatcher(backend.DispatcherConfig{
@@ -35,6 +37,7 @@ func (s *Server) initDispatch() {
 		defer s.wg.Done()
 		t := time.NewTicker(workerHealthInterval)
 		defer t.Stop()
+		s.dispatcher.CheckHealth(s.rootCtx)
 		for {
 			select {
 			case <-s.rootCtx.Done():

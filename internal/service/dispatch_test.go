@@ -327,6 +327,42 @@ func TestServiceFleetHTTP(t *testing.T) {
 	}
 }
 
+// TestStaticWorkerCapacityFromFirstProbe: a -worker registration carries no
+// capacity, so the coordinator routes it at 1 until a health probe answers.
+// The health loop probes once as it starts, so /v1/fleet reports a capacity-2
+// worker's 2 within seconds, not after workerHealthInterval (15 s).
+func TestStaticWorkerCapacityFromFirstProbe(t *testing.T) {
+	w := backend.NewWorker(backend.WorkerConfig{
+		Name:       "wide",
+		Capacity:   2,
+		Generators: []datagen.Generator{testGenerator()},
+	})
+	worker := httptest.NewServer(w.Handler())
+	defer worker.Close()
+	svc := newFleetServer(t, []string{worker.URL})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	deadline := time.Now().Add(workerHealthInterval / 3)
+	for {
+		var fleet FleetStatus
+		if code := httpJSON(t, ts, "GET", "/v1/fleet", nil, &fleet); code != http.StatusOK {
+			t.Fatalf("/v1/fleet = %d", code)
+		}
+		if len(fleet.Workers) != 1 {
+			t.Fatalf("/v1/fleet rows %+v, want the one static worker", fleet.Workers)
+		}
+		if fleet.Workers[0].Capacity == 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("capacity %d after %v, want 2 from the first probe", fleet.Workers[0].Capacity, workerHealthInterval/3)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestServiceFleetEndpoint: GET /v1/fleet is the dispatcher's view of the
 // fleet, row for row. Each figure has one publisher: the coordinator's
 // /metrics carries no datamime_worker_* family (every worker serves its own),
