@@ -123,13 +123,12 @@ func New(cfg Config, layout *trace.CodeLayout, seed uint64) *Server {
 		s.perm[rank] = int32(idx)
 	}
 
-	var null trace.Null
-	for id := 0; id < cfg.NumKeys; id++ {
+	st.populate(cfg.NumKeys, func(id int) (int, int, uint64) {
 		ks := sizeAtLeast(cfg.KeySize.Sample(popRNG), 4)
 		vs := sizeAtLeast(cfg.ValueSize.Sample(popRNG), 1)
 		s.keySizes[id] = int32(ks)
-		st.Set(null, uint64(id), ks, vs, popRNG.Uint64(), 0)
-	}
+		return ks, vs, popRNG.Uint64()
+	})
 	s.nextNewID = uint64(cfg.NumKeys)
 	// Memory budget: modest headroom above the populated footprint, so
 	// churn triggers evictions like a sized memcached instance.

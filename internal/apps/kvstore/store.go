@@ -217,6 +217,42 @@ func (s *Store) Set(col trace.Collector, id uint64, keySize, valSize int, fprint
 	}
 }
 
+// populate inserts the items with ids 0…n−1, in order, into the empty store
+// with no memory budget, item(id) giving each one's (positive) sizes and
+// fingerprint. It leaves the store, region cursors included, as
+// Set(trace.Null{}, id, …, 0) for each id in turn does, without walking a
+// chain: hashKey is a bijection, so no id finds another's item and every
+// Set is a fresh insert at its chain's tail. The chains are linked last, in
+// one reverse pass that puts each slot at its bucket's head, which leaves
+// every chain in insertion order.
+func (s *Store) populate(n int, item func(id int) (keySize, valSize int, fprint uint64)) {
+	if len(s.keys) != 0 {
+		panic("kvstore: populate needs an empty store")
+	}
+	var null trace.Null
+	for id := 0; id < n; id++ {
+		keySize, valSize, fprint := item(id)
+		// Set's Execs, which move the cursors: hash, find's lookup, set,
+		// alloc, and lruInsertHead's lru below.
+		null.Exec(s.code.hash, 160)
+		null.Exec(s.code.lookup, 420)
+		null.Exec(s.code.set, 1700)
+		null.Exec(s.code.alloc, 950)
+		ni := s.newEntry()
+		keyAddr := s.heap.Alloc(keySize + entryHeaderBytes)
+		valAddr := s.heap.Alloc(valSize)
+		s.keys[ni] = slotKey{hash: hashKey(uint64(id)), keyAddr: keyAddr, keySize: int32(keySize), next: -1}
+		s.entries[ni] = entry{valAddr: valAddr, fprint: fprint, valSize: int32(valSize), lruPrev: -1, lruNext: -1, occupied: true}
+		s.lruInsertHead(null, ni)
+		s.count++
+	}
+	for i := int32(len(s.keys)) - 1; i >= 0; i-- {
+		k := &s.keys[i]
+		b := k.hash % uint64(len(s.heads))
+		k.next, s.heads[b] = s.heads[b], i
+	}
+}
+
 // Delete removes a key id, reporting whether it was present.
 func (s *Store) Delete(col trace.Collector, id uint64) bool {
 	h := hashKey(id)

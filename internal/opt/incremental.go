@@ -120,19 +120,20 @@ func newSurrogateCache() *surrogateCache {
 }
 
 // snapshot captures the cache state by copying the entry structs, each
-// factor's slice header included. That is a full snapshot because a factor's
-// first n rows are never rewritten: an append writes past the end, and a
-// rebuild moves the entry to fresh storage.
+// factor's chunk list included. That is a full snapshot because a factor's
+// first n rows are never rewritten and its chunks never move: an append
+// writes past the end, and a rebuild moves the entry to fresh storage.
 func (c *surrogateCache) snapshot() []surrogateEntry {
 	return append([]surrogateEntry(nil), c.entries...)
 }
 
 // restore rewinds the cache to a snapshot — the constant-liar rollback. The
-// lie rows appended after the snapshot stay in each backing array past the
-// restored header's end, and the next real append overwrites them. That is
-// safe only while NextBatch, which runs on one goroutine, is the one taker
-// of snapshots, and while no GP views an entry's storage: a fit's winner
-// gets a scaled copy in the cache's own buffer.
+// lie rows appended after the snapshot stay in each factor's storage past
+// the restored N, and the next real append overwrites them, or takes over
+// the chunk they started. That is safe only while NextBatch, which runs on
+// one goroutine, is the one taker of snapshots, and while no GP views an
+// entry's storage: a fit's winner gets a scaled copy in the cache's own
+// chunks.
 func (c *surrogateCache) restore(s []surrogateEntry) {
 	copy(c.entries, s)
 }
@@ -244,7 +245,7 @@ func (c *surrogateCache) fit(xs [][]float64, ys []float64) (*GP, error) {
 		return nil, fmt.Errorf("opt: no GP hyperparameters produced a valid fit")
 	}
 	e := &c.entries[best]
-	c.scaled = e.chol.Scaled(sd, c.scaled.Data)
+	c.scaled = e.chol.Scaled(sd, c.scaled)
 	return &GP{
 		kernel:   Matern52{Variance: varY, LengthScale: e.ls},
 		noiseVar: e.nf * varY,

@@ -119,8 +119,8 @@ func TestCholeskyAppendRejectsNonPD(t *testing.T) {
 	if err := appendRow(&f, k, xs, 1, 0); err != linalg.ErrNotPositiveDefinite {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
-	if f.N != 1 || len(f.Data) != 1 {
-		t.Fatalf("refused append left %d rows (%d entries), want 1", f.N, len(f.Data))
+	if f.N != 1 || f.At(0, 0) != 1 {
+		t.Fatalf("refused append left %d rows (L00 %g), want the one row [1]", f.N, f.At(0, 0))
 	}
 }
 
@@ -228,7 +228,7 @@ func TestNextBatchRollsBackSurrogateCache(t *testing.T) {
 				ref := surrogateEntry{ls: e.ls, nf: e.nf}
 				ref.rebuild(b.xs)
 				if e.n != ref.n || e.ok != ref.ok ||
-					e.chol.N != ref.chol.N || !sameBits(e.chol.Data, ref.chol.Data) {
+					!sameFactor(&e.chol, &ref.chol) {
 					t.Fatalf("entry %d (ls %g, nf %g) is not the rebuild on the real observations", i, e.ls, e.nf)
 				}
 			}
@@ -268,7 +268,7 @@ func TestCacheMatchesScratchOnNearSingularInserts(t *testing.T) {
 				t.Fatalf("%s, %d points, entry (%g, %g): cached ok %v over %d points, scratch error %v",
 					name, len(xs), e.ls, e.nf, e.ok, e.n, err)
 			}
-			if e.chol.N != chol.N || !sameBits(e.chol.Data, chol.Data) {
+			if !sameFactor(&e.chol, &chol) {
 				t.Fatalf("%s, %d points, entry (%g, %g): cached factor differs from scratch", name, len(xs), e.ls, e.nf)
 			}
 			if c, bound := choleskyCondition(&e.chol), (1+e.nf)/e.nf; c > bound {

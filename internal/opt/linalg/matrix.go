@@ -4,43 +4,65 @@
 // libraries, so this is implemented from scratch on the standard library
 // only.
 //
-// A Cholesky factor is a Tri: lower-triangular, packed by rows, grown one
-// bordered row at a time by the one recurrence in Tri.Append.
+// A Cholesky factor is a Tri: lower-triangular, packed by rows in chunks of
+// chunkRows rows, grown one bordered row at a time by the one recurrence in
+// Tri.Append. A chunk is allocated at its final size when its first row is
+// slotted and never moves, so growing a factor copies nothing; a copy of the
+// struct is a snapshot of the factor (see Tri).
 package linalg
 
 import (
 	"errors"
 	"math"
-	"slices"
 )
 
 // ErrNotPositiveDefinite is returned by Tri.Append when the matrix being
 // factorized is not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
-// Tri is a lower-triangular matrix packed by rows: row i's entries
-// (i,0)…(i,i) sit at Data[i(i+1)/2:], so a factor's rows are contiguous and
-// a new row goes on the end. The zero value is the empty factor.
+// chunkRows is how many rows one chunk of a Tri holds.
+const chunkRows = 16
+
+// Tri is a lower-triangular matrix packed by rows into chunks: chunk c
+// holds rows [c·chunkRows, (c+1)·chunkRows), row i's entries (i,0)…(i,i)
+// contiguous and each row right after the one before it. The zero value is
+// the empty factor.
 //
-// A factor grows in place (Slot, then Append) and rows already in it are
-// never rewritten, so a copy of the struct is a snapshot of the factor at
-// its N rows: appends made after the copy write only past the copy's end.
+// A factor grows in place (Slot, then Append), rows already in it are never
+// rewritten, and a chunk never moves once allocated, so a copy of the struct
+// is a snapshot of the factor at its N rows: rows appended after the copy go
+// past the copy's N, into the chunk the two share or into chunks the copy
+// does not hold. Growing the copy afterwards reuses that storage — it
+// overwrites the rows past its N and takes over the chunks past its last —
+// so of a copy and the factor it was taken from only one may go on growing
+// and be read (the constant liar's rewind: grow, then restore the copy).
 type Tri struct {
-	N    int       // rows
-	Data []float64 // len N(N+1)/2; spare capacity holds the next rows
+	N      int         // rows
+	chunks [][]float64 // chunk c packs rows [c·chunkRows, (c+1)·chunkRows)
 }
 
 // packed is the storage of n packed rows.
 func packed(n int) int { return n * (n + 1) / 2 }
 
-// NewTri returns an empty factor with storage for rows rows, allocated as
-// Slot grows it: twice what it must hold.
-func NewTri(rows int) Tri { return Tri{Data: make([]float64, 0, 2*packed(rows))} }
+// chunkLen is the storage of chunk c: its chunkRows rows, packed.
+func chunkLen(c int) int { return packed((c+1)*chunkRows) - packed(c*chunkRows) }
+
+// locate returns the chunk holding row i and the offset of (i,0) in it.
+func locate(i int) (c, off int) {
+	c = i / chunkRows
+	return c, packed(i) - packed(c*chunkRows)
+}
+
+// NewTri returns an empty factor with room for the chunk list of rows rows;
+// the chunks themselves are allocated as Slot reaches them.
+func NewTri(rows int) Tri {
+	return Tri{chunks: make([][]float64, 0, (rows+chunkRows-1)/chunkRows)}
+}
 
 // Row returns row i's entries (i,0)…(i,i).
 func (l *Tri) Row(i int) []float64 {
-	o := packed(i)
-	return l.Data[o : o+i+1 : o+i+1]
+	c, o := locate(i)
+	return l.chunks[c][o : o+i+1 : o+i+1]
 }
 
 // At returns element (i, j); it is 0 above the diagonal.
@@ -48,22 +70,32 @@ func (l *Tri) At(i, j int) float64 {
 	if j > i {
 		return 0
 	}
-	return l.Data[packed(i)+j]
+	return l.Row(i)[j]
+}
+
+// grow adds the chunk past the factor's last: the one a snapshot's factor
+// left there when there is one (its rows lie past every row this factor
+// holds), else a new one at its final size.
+func (l *Tri) grow() {
+	c := len(l.chunks)
+	if c < cap(l.chunks) && l.chunks[:c+1][c] != nil {
+		l.chunks = l.chunks[:c+1]
+		return
+	}
+	l.chunks = append(l.chunks, make([]float64, chunkLen(c)))
 }
 
 // Slot returns the storage of row N, the row Append adds: N+1 entries past
 // the factor's end, for the caller to fill with the new row of the matrix
-// being factorized, (A_{N,0}, …, A_{N,N}). When the backing array has no
-// room it moves to a new one of twice the size it must hold; the old array,
-// and any snapshot reading it, is left as it was.
+// being factorized, (A_{N,0}, …, A_{N,N}). When row N starts a chunk the
+// factor does not hold yet, Slot adds it; no row already in the factor
+// moves.
 func (l *Tri) Slot() []float64 {
-	end := len(l.Data) + l.N + 1
-	if end > cap(l.Data) {
-		grown := make([]float64, len(l.Data), 2*end)
-		copy(grown, l.Data)
-		l.Data = grown
+	c, o := locate(l.N)
+	if c == len(l.chunks) {
+		l.grow()
 	}
-	return l.Data[len(l.Data):end]
+	return l.chunks[c][o : o+l.N+1]
 }
 
 // Append factorizes the row in Slot in place and makes it row N: given the
@@ -76,8 +108,7 @@ func (l *Tri) Slot() []float64 {
 // the diagonal's sum is not positive: the bordered matrix is not positive
 // definite in floating point.
 func (l *Tri) Append() error {
-	n, base := l.N, len(l.Data)
-	row := l.Data[base : base+n+1]
+	n, row := l.N, l.Slot()
 	l.Forward(row, 0, n)
 	sum := row[n]
 	for _, v := range row[:n] {
@@ -87,7 +118,6 @@ func (l *Tri) Append() error {
 		return ErrNotPositiveDefinite
 	}
 	row[n] = math.Sqrt(sum)
-	l.Data = l.Data[:base+n+1]
 	l.N++
 	return nil
 }
@@ -95,16 +125,28 @@ func (l *Tri) Append() error {
 // Forward runs rows [lo, hi) of the forward substitution L·y = b in place:
 // on entry x[:lo] holds y's rows already solved and x[lo:hi] b's, on return
 // x[lo:hi] holds y's. Row i is (b_i − Σ_{k<i} L_ik·y_k) / L_ii with k
-// ascending. Rows go four at a time, sharing each load of y below the
-// first of them, so a row's sum is still the one-row loop's, bit for bit.
+// ascending. Rows go four at a time where four lie in one chunk, sharing
+// each load of y below the first of them, so a row's sum is still the
+// one-row loop's, bit for bit.
 func (l *Tri) Forward(x []float64, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		o0 := packed(i)
+	for i := lo; i < hi; {
+		if i+4 > hi || i%chunkRows > chunkRows-4 {
+			row := l.Row(i)
+			a := x[:i]
+			y := x[i]
+			for k, lk := range row[:len(a)] {
+				y -= lk * a[k]
+			}
+			x[i] = y / row[i]
+			i++
+			continue
+		}
+		c, o0 := locate(i)
+		rows := l.chunks[c]
 		o1 := o0 + i + 1
 		o2 := o1 + i + 2
 		o3 := o2 + i + 3
-		r0, r1, r2, r3 := l.Data[o0:o0+i+1], l.Data[o1:o1+i+2], l.Data[o2:o2+i+3], l.Data[o3:o3+i+4]
+		r0, r1, r2, r3 := rows[o0:o0+i+1], rows[o1:o1+i+2], rows[o2:o2+i+3], rows[o3:o3+i+4]
 		a := x[:i]
 		l0, l1, l2, l3 := r0[:len(a)], r1[:len(a)], r2[:len(a)], r3[:len(a)]
 		y0, y1, y2, y3 := x[i], x[i+1], x[i+2], x[i+3]
@@ -125,25 +167,22 @@ func (l *Tri) Forward(x []float64, lo, hi int) {
 		y3 -= r3[i+2] * y2
 		y3 /= r3[i+3]
 		x[i], x[i+1], x[i+2], x[i+3] = y0, y1, y2, y3
-	}
-	for ; i < hi; i++ {
-		row := l.Row(i)
-		a := x[:i]
-		y := x[i]
-		for k, lk := range row[:len(a)] {
-			y -= lk * a[k]
-		}
-		x[i] = y / row[i]
+		i += 4
 	}
 }
 
 // Scaled returns s·L, each element rounded as float64(L_ik·s), in buf's
-// storage when it has room: the factor of s²·A given the factor L of A,
-// exact in real arithmetic.
-func (l *Tri) Scaled(s float64, buf []float64) Tri {
-	out := Tri{N: l.N, Data: slices.Grow(buf[:0], len(l.Data))[:len(l.Data)]}
-	for i, v := range l.Data {
-		out.Data[i] = float64(v * s)
+// chunks where it has them: the factor of s²·A given the factor L of A,
+// exact in real arithmetic. The result shares buf's storage, which no
+// factor buf was taken from may read again.
+func (l *Tri) Scaled(s float64, buf Tri) Tri {
+	out := Tri{N: l.N, chunks: buf.chunks[:0]}
+	for c, lo := 0, 0; lo < l.N; c, lo = c+1, lo+chunkRows {
+		out.grow()
+		dst := out.chunks[c]
+		for k, v := range l.chunks[c][:packed(min(lo+chunkRows, l.N))-packed(lo)] {
+			dst[k] = float64(v * s)
+		}
 	}
 	return out
 }
@@ -158,20 +197,24 @@ func (l *Tri) SolveLower(s float64, b, y []float64) {
 	if len(b) != n || len(y) != n {
 		panic("linalg: SolveLower dimension mismatch")
 	}
-	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		done := row[:i]
-		yk := y[:len(done)]
-		sum := b[i]
-		for k, v := range done {
-			sum -= float64(v*s) * yk[k]
+	for c, i := 0, 0; i < n; c++ {
+		rows, end := l.chunks[c], min(i+chunkRows, n)
+		for o := 0; i < end; o, i = o+i+1, i+1 {
+			row := rows[o : o+i+1]
+			done := row[:i]
+			yk := y[:len(done)]
+			sum := b[i]
+			for k, v := range done {
+				sum -= float64(v*s) * yk[k]
+			}
+			y[i] = sum / float64(row[i]*s)
 		}
-		y[i] = sum / float64(row[i]*s)
 	}
 }
 
 // SolveUpperT solves (s·L)ᵀ·x = y by back substitution, writing x (which
-// may be y), with s·L formed as in SolveLower.
+// may be y), with s·L formed as in SolveLower. Row i's sum runs down column
+// i in ascending k, one chunk's stretch of the column at a time.
 func (l *Tri) SolveUpperT(s float64, y, x []float64) {
 	n := l.N
 	if len(y) != n || len(x) != n {
@@ -179,10 +222,16 @@ func (l *Tri) SolveUpperT(s float64, y, x []float64) {
 	}
 	for i := n - 1; i >= 0; i-- {
 		sum := y[i]
-		for k, off := i+1, packed(i+1)+i; k < n; off, k = off+k+1, k+1 {
-			sum -= float64(l.Data[off]*s) * x[k]
+		k := i + 1
+		c, off := locate(k)
+		for off += i; k < n; c, off = c+1, i {
+			// (k, i) is at off in chunk c, and at i once k starts the next chunk.
+			chunk, end := l.chunks[c], min((c+1)*chunkRows, n)
+			for ; k < end; off, k = off+k+1, k+1 {
+				sum -= float64(chunk[off]*s) * x[k]
+			}
 		}
-		x[i] = sum / float64(l.Data[packed(i)+i]*s)
+		x[i] = sum / float64(l.Row(i)[i]*s)
 	}
 }
 
@@ -191,7 +240,7 @@ func (l *Tri) SolveUpperT(s float64, y, x []float64) {
 func (l *Tri) LogDet(s float64) float64 {
 	var sum float64
 	for i := 0; i < l.N; i++ {
-		sum += math.Log(float64(l.Data[packed(i)+i] * s))
+		sum += math.Log(float64(l.Row(i)[i] * s))
 	}
 	return 2 * sum
 }

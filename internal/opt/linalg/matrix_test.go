@@ -22,6 +22,16 @@ func factor(a [][]float64) (Tri, error) {
 	return l, nil
 }
 
+// triOf lays rows packed one after another out as a Tri, as they are.
+func triOf(data []float64) Tri {
+	var l Tri
+	for packed(l.N) < len(data) {
+		copy(l.Slot(), data[packed(l.N):packed(l.N+1)])
+		l.N++
+	}
+	return l
+}
+
 // mulVec returns a·x.
 func mulVec(a [][]float64, x []float64) []float64 {
 	out := make([]float64, len(a))
@@ -97,8 +107,8 @@ func TestCholeskyRejectsNonPD(t *testing.T) {
 	if err != ErrNotPositiveDefinite {
 		t.Fatalf("expected ErrNotPositiveDefinite, got %v", err)
 	}
-	if l.N != 1 || len(l.Data) != 1 || l.At(0, 0) != 1 {
-		t.Fatalf("refused append left the factor at N=%d %v, want the one row [1]", l.N, l.Data)
+	if l.N != 1 || len(l.Row(0)) != 1 || l.At(0, 0) != 1 {
+		t.Fatalf("refused append left the factor at N=%d, row 0 %v, want the one row [1]", l.N, l.Row(0))
 	}
 }
 
@@ -137,7 +147,7 @@ func TestCholeskySolve(t *testing.T) {
 
 func TestTriangularSolves(t *testing.T) {
 	// L = [[2, 0, 0], [1, 3, 0], [4, 5, 6]], packed by rows.
-	l := Tri{N: 3, Data: []float64{2, 1, 3, 4, 5, 6}}
+	l := triOf([]float64{2, 1, 3, 4, 5, 6})
 	y := make([]float64, 3)
 	l.SolveLower(1, []float64{2, 5, 32}, y)
 	want := []float64{1, 4.0 / 3, 32.0 / 9}

@@ -21,13 +21,54 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// sameFactor reports whether two factors hold the same rows, bit for bit.
+func sameFactor(a, b *linalg.Tri) bool {
+	if a.N != b.N {
+		return false
+	}
+	for i := 0; i < a.N; i++ {
+		if !sameBits(a.Row(i), b.Row(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRows reports whether a factor holds rows, bit for bit.
+func sameRows(l *linalg.Tri, rows rowsTri) bool {
+	if l.N != len(rows) {
+		return false
+	}
+	for i, r := range rows {
+		if !sameBits(l.Row(i), r) {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerTri is a lower-triangular matrix read element by element: a
+// linalg.Tri, or the reference's own rows.
+type lowerTri interface{ At(i, j int) float64 }
+
+// rowsTri is a lower-triangular matrix stored as its rows.
+type rowsTri [][]float64
+
+func (r rowsTri) At(i, j int) float64 {
+	if j > i {
+		return 0
+	}
+	return r[i][j]
+}
+
 // The loops the scorer and the unit-factor selection replaced, kept verbatim
 // as their oracle: the factor read element by element through At, one
 // accumulator, one candidate at a time.
 
-func refSolveLower(l *linalg.Tri, b []float64) []float64 {
-	y := make([]float64, l.N)
-	for i := 0; i < l.N; i++ {
+func refSolveLower(l lowerTri, b []float64) []float64 {
+	n := len(b)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
 			s -= l.At(i, k) * y[k]
@@ -37,11 +78,12 @@ func refSolveLower(l *linalg.Tri, b []float64) []float64 {
 	return y
 }
 
-func refSolveUpperT(l *linalg.Tri, y []float64) []float64 {
-	x := make([]float64, l.N)
-	for i := l.N - 1; i >= 0; i-- {
+func refSolveUpperT(l lowerTri, y []float64) []float64 {
+	n := len(y)
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
 		s := y[i]
-		for k := i + 1; k < l.N; k++ {
+		for k := i + 1; k < n; k++ {
 			s -= l.At(k, i) * x[k]
 		}
 		x[i] = s / l.At(i, i)
@@ -80,7 +122,7 @@ func refExpectedImprovement(gp *GP, x []float64, best, xi float64) float64 {
 // refSurrogateFit is the selection the cache ran before it solved against
 // its unit factors: every entry's factor scaled into a copy, α solved and
 // the evidence taken against the copy, first best wins.
-func refSurrogateFit(c *surrogateCache, ys []float64) (alpha []float64, chol linalg.Tri, lml float64) {
+func refSurrogateFit(c *surrogateCache, ys []float64) (alpha []float64, chol rowsTri, lml float64) {
 	varY := max(variance(ys), 1e-12)
 	sd := math.Sqrt(varY)
 	mean := 0.0
@@ -97,13 +139,15 @@ func refSurrogateFit(c *surrogateCache, ys []float64) (alpha []float64, chol lin
 		if !e.ok {
 			continue
 		}
-		scaled := linalg.Tri{N: e.chol.N, Data: make([]float64, len(e.chol.Data))}
-		for i, v := range e.chol.Data {
-			scaled.Data[i] = v * sd
+		scaled := make(rowsTri, e.chol.N)
+		for i := range scaled {
+			for _, v := range e.chol.Row(i) {
+				scaled[i] = append(scaled[i], v*sd)
+			}
 		}
-		a := refSolveUpperT(&scaled, refSolveLower(&scaled, centered))
+		a := refSolveUpperT(scaled, refSolveLower(scaled, centered))
 		var logDet float64
-		for i := 0; i < scaled.N; i++ {
+		for i := range scaled {
 			logDet += math.Log(scaled.At(i, i))
 		}
 		l := -0.5*linalg.Dot(centered, a) + -0.5*(2*logDet) + -0.5*float64(len(ys))*math.Log(2*math.Pi)
@@ -153,7 +197,7 @@ func TestScorerMatchesReference(t *testing.T) {
 				t.Fatalf("case %d: %v", c, err)
 			}
 			alpha, chol, lml := refSurrogateFit(cache, ys)
-			if !sameBits(g.alpha, alpha) || g.chol.N != chol.N || !sameBits(g.chol.Data, chol.Data) ||
+			if !sameBits(g.alpha, alpha) || !sameRows(&g.chol, chol) ||
 				math.Float64bits(cache.lastFit.lml) != math.Float64bits(lml) {
 				t.Fatalf("case %d (n %d): the unit-factor selection differs from solving against scaled copies", c, n)
 			}
