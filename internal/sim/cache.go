@@ -91,13 +91,16 @@ type Cache struct {
 	accesses   uint64
 	misses     uint64
 	psel       int  // DRRIP set-dueling policy selector
-	duelMask   int  // identifies leader sets
 	brripCount int  // BRRIP insertion de-rater
 	isDRRIP    bool // cached policy check
 }
 
-// rrpvMax is the maximum re-reference prediction value for 2-bit DRRIP.
-const rrpvMax = 3
+// rrpvMax is the maximum re-reference prediction value for 2-bit DRRIP,
+// and duelMask picks out DRRIP's leader sets: every 32nd set leads a policy.
+const (
+	rrpvMax  = 3
+	duelMask = 31
+)
 
 // NewCache builds a cache from its configuration. It panics on
 // non-positive sizes, or on ways a set's packed state cannot hold — machine
@@ -125,7 +128,6 @@ func (c *Cache) init(cfg CacheConfig, tags, state []uint64) {
 		state:    state,
 		setMask:  uint64(sets - 1),
 		setShift: log2OrMinusOne(sets),
-		duelMask: 31, // every 32nd set leads a policy
 		isDRRIP:  cfg.Policy == DRRIP,
 	}
 	clear(state)
@@ -203,13 +205,44 @@ func (c *Cache) Access(addr uint64) (hit bool) {
 // access looks tag up in set, updating replacement state and installing it
 // on a miss — the one implementation of both policies, which the kernel
 // (kernel.go) calls, for every lane at the LLC, with the set and tag already
-// split. Under DRRIP a hit promotes the line to RRPV 0, and a
-// miss fills the first invalid way without dueling or, in a full set,
-// evicts the first way holding the set's maximum RRPV after aging every way
-// by rrpvMax minus that maximum — the algebraic collapse of the policy's
-// age-until-a-max-RRPV-appears loop.
+// split. Under LRU a hit moves the line to the front; under DRRIP it
+// promotes the line to RRPV 0. A miss is install's.
 func (c *Cache) access(set, tag uint64) bool {
+	pw := c.partWays
+	base := int(set) * pw
+	ways := c.tags[base : base+pw : base+pw]
+	st := c.state[set]
+	for i, t := range ways[:st>>fillShift] {
+		if t != tag {
+			continue
+		}
+		c.accesses++
+		if c.isDRRIP {
+			c.state[set] = st &^ (rrpvMax << (2 * i))
+			return true
+		}
+		// Move to the front: shift the more recent lines down one.
+		for ; i > 0; i-- {
+			ways[i] = ways[i-1]
+		}
+		ways[0] = tag
+		return true
+	}
+	c.install(set, tag)
+	return false
+}
+
+// install puts tag, known to be absent from set, into it: a miss, which
+// reads nothing the compares of a probe would have. Under LRU the line goes
+// to the front and the set moves down one at its full partition width
+// (tags past the fill count are never read), dropping the least recent
+// line of a full set. Under DRRIP it fills the first invalid way without
+// dueling or, in a full set, evicts the first way holding the set's
+// maximum RRPV after aging every way by rrpvMax minus that maximum — the
+// algebraic collapse of the policy's age-until-a-max-RRPV-appears loop.
+func (c *Cache) install(set, tag uint64) {
 	c.accesses++
+	c.misses++
 	pw := c.partWays
 	base := int(set) * pw
 	ways := c.tags[base : base+pw : base+pw]
@@ -217,45 +250,25 @@ func (c *Cache) access(set, tag uint64) bool {
 	st := *sp
 	n := int(st >> fillShift)
 	if c.isDRRIP {
-		for i, t := range ways[:n] {
-			if t == tag {
-				*sp = st &^ (rrpvMax << (2 * i))
-				return true
-			}
-		}
-		c.misses++
+		// Shift counts are masked to 63, which they never reach, so the
+		// shifts compile without range checks: this runs for every lane.
 		if n < pw {
 			ways[n] = tag
-			*sp = (st + 1<<fillShift) | c.insertRRPV(int(set))<<(2*n)
-			return false
+			*sp = (st + 1<<fillShift) | c.insertRRPV(int(set))<<(uint(2*n)&63)
+			return
 		}
 		victim, delta := rrpvVictim(uint32(st))
-		st += delta * (rrpvOnes >> (2 * (maxWays - n)))
+		st += delta * (rrpvOnes >> (uint(2*(maxWays-n)) & 63))
 		ways[victim] = tag
-		*sp = st&^(rrpvMax<<(2*victim)) | c.evictRRPV(int(set))<<(2*victim)
-		return false
+		sh := uint(2*victim) & 63
+		*sp = st&^(rrpvMax<<sh) | c.evictRRPV(int(set))<<sh
+		return
 	}
-	for i, t := range ways[:n] {
-		if t == tag {
-			// Move to the front: shift the more recent lines down one.
-			for ; i > 0; i-- {
-				ways[i] = ways[i-1]
-			}
-			ways[0] = tag
-			return true
-		}
-	}
-	c.misses++
 	if n < pw {
 		*sp = st + 1<<fillShift
-		n++
 	}
-	// Install at the front; a full set drops its least recent line.
-	for i := n - 1; i > 0; i-- {
-		ways[i] = ways[i-1]
-	}
+	copy(ways[1:], ways)
 	ways[0] = tag
-	return false
 }
 
 // rrpvVictim returns the first way holding the maximum RRPV of a full set's
@@ -283,7 +296,7 @@ func rrpvVictim(r uint32) (way int, delta uint64) {
 // leader sets insert by their fixed policy, follower sets by the policy
 // selector's winner.
 func (c *Cache) insertRRPV(set int) uint64 {
-	switch set & c.duelMask {
+	switch set & duelMask {
 	case 0: // SRRIP leader
 		return rrpvMax - 1
 	case 1: // BRRIP leader
@@ -301,7 +314,7 @@ func (c *Cache) insertRRPV(set int) uint64 {
 // does not read the selector, so one switch does both.
 func (c *Cache) evictRRPV(set int) uint64 {
 	const pselMax = 512
-	switch set & c.duelMask {
+	switch set & duelMask {
 	case 0:
 		if c.psel < pselMax {
 			c.psel++

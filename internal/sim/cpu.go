@@ -135,6 +135,12 @@ type Machine struct {
 	lastInstrValid  bool
 	lastDataPageOK  bool
 	lastInstrPageOK bool
+
+	// mark is one past the highest line stepped since Reset. Caches only
+	// hold lines stepped since Reset, so a line at or above it is in none
+	// of them (kernel.go's known-miss walk). lines counts the lines stepped
+	// since Reset, knownMisses those that were at or above the mark.
+	mark, lines, knownMisses uint64
 }
 
 // NewMachine builds a machine with the given counter-window length in
@@ -257,6 +263,7 @@ func (m *Machine) Reset() {
 	m.extra = m.extra[:0]
 	m.live = append(m.live[:0], &m.Lane)
 	m.burstMiss = 0
+	m.mark, m.lines, m.knownMisses = 0, 0, 0
 	m.syncKernel()
 }
 
@@ -272,8 +279,10 @@ func (m *Machine) ResetWindows(windowCycles float64) {
 }
 
 // Warm runs w's dataset warm on the machine and then flushes every lane.
-// The warm's windows are flushed unread, so while it runs the lanes keep
-// only their busy totals: the one thing of the warm a later window reads.
+// The warm's windows are flushed unread, so while it runs a lane keeps only
+// its cache and its busy total, the one thing of the warm a later window
+// reads (and, where the LLC is the L2, its L2 misses, which the flush reads
+// into the lane's base).
 func (m *Machine) Warm(w interface{ WarmDataset(trace.Collector) }) {
 	m.warming = true
 	w.WarmDataset(m)
@@ -392,17 +401,21 @@ func (ln *Lane) Idle(cyc float64) {
 	}
 }
 
+// memMiss counts a line the lane's LLC missed, served by memory, and
+// charges it pen.
+func (ln *Lane) memMiss(pen float64) {
+	ln.win.llcMiss++
+	ln.win.memBytes += trace.LineSize
+	ln.wall.memBytes += trace.LineSize
+	ln.charge(pen)
+}
+
 // missPenalty charges the penalty of a miss serviced at a level (its
 // kernelLevel.pen): the first miss of an access burst pays the level's
 // latency net of the OOO overlap, back-to-back misses within the burst that
 // over the MLP divisor.
 func (m *Machine) missPenalty(pen *[2]float64) {
-	p := pen[0]
-	if m.burstMiss > 0 {
-		p = pen[1]
-	}
-	m.burstMiss++
-	m.busy(p)
+	m.busy(pen[m.burst()])
 }
 
 // Load implements trace.Collector.

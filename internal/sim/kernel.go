@@ -26,6 +26,12 @@ import "datamime/internal/trace"
 //   - Same-line coalescing elides only probes that are provably hits with
 //     no counter effect (see batchData), and still counts them in the
 //     cache/TLB access statistics so Stats() match the scalar walk exactly.
+//   - Compares are elided only where they provably miss: a cache holds only
+//     lines stepped since Reset, so a line at or above the machine's mark
+//     (one past the highest line stepped since Reset) is in none of them,
+//     and takes the known-miss walk (stepKnownMiss). A miss's replacement
+//     decision reads the set's state word and lines, never the compares, so
+//     Cache.install is the probe's own miss path.
 
 // lineShift is log2(trace.LineSize); kernel walks operate on line addresses
 // (byte address >> lineShift). The index below is a compile error unless
@@ -69,6 +75,11 @@ func missPenalties(latency float64, cfg *MachineConfig) [2]float64 {
 // state and installing on a miss.
 func (lv *kernelLevel) access(la uint64) bool {
 	return lv.c.access(la&lv.setMask, la>>lv.tagShift)
+}
+
+// install installs la, known to be absent from this level.
+func (lv *kernelLevel) install(la uint64) {
+	lv.c.install(la&lv.setMask, la>>lv.tagShift)
 }
 
 // tlbKernel packs a TLB's hot lookup state; the entry slab is the TLB's own
@@ -188,7 +199,8 @@ func (m *Machine) syncKernel() {
 // (the previous access either hit it or installed it, and nothing else
 // touches the data TLB in between), so the probe is a guaranteed hit whose
 // re-stamp cannot change LRU recency order. The elided probe still counts
-// as an access so TLB statistics match the scalar walk.
+// as an access so TLB statistics match the scalar walk. A line at or above
+// the machine's mark is in no cache, and takes the known-miss walk.
 func (m *Machine) stepData(la uint64) {
 	k := &m.kern
 	if page := la >> k.dtlb.pageLineShift; m.lastDataPageOK && page == m.lastDataPage {
@@ -201,6 +213,14 @@ func (m *Machine) stepData(la uint64) {
 		m.lastDataPage = page
 		m.lastDataPageOK = true
 	}
+	m.lines++
+	if la >= m.mark {
+		m.mark = la + 1
+		k.l1d.install(la)
+		m.win.l1dMiss++
+		m.stepKnownMiss(la)
+		return
+	}
 	if k.l1d.access(la) {
 		return
 	}
@@ -209,8 +229,8 @@ func (m *Machine) stepData(la uint64) {
 }
 
 // stepInstr walks one instruction line: ITLB, then L1I → L2 → L3 → memory,
-// with the same same-page ITLB elision as stepData (fetch loops sit on one
-// code page for long stretches).
+// with the same same-page ITLB elision and the same known-miss walk as
+// stepData (fetch loops sit on one code page for long stretches).
 func (m *Machine) stepInstr(la uint64) {
 	k := &m.kern
 	if page := la >> k.itlb.pageLineShift; m.lastInstrPageOK && page == m.lastInstrPage {
@@ -223,6 +243,14 @@ func (m *Machine) stepInstr(la uint64) {
 		m.lastInstrPage = page
 		m.lastInstrPageOK = true
 	}
+	m.lines++
+	if la >= m.mark {
+		m.mark = la + 1
+		k.l1i.install(la)
+		m.win.icMiss++
+		m.stepKnownMiss(la)
+		return
+	}
 	if k.l1i.access(la) {
 		return
 	}
@@ -230,10 +258,24 @@ func (m *Machine) stepInstr(la uint64) {
 	m.stepBelowL1(la)
 }
 
+// burst returns the burst position of the next miss that reaches the LLC —
+// 0 for the first of its access, 1 after — and advances it.
+func (m *Machine) burst() int {
+	b := 0
+	if m.burstMiss > 0 {
+		b = 1
+	}
+	m.burstMiss++
+	return b
+}
+
 // stepBelowL1 walks an L1 miss through the private L2, when there is an
 // L3, and the LLC: every live lane probes its own LLC with the line's one
 // set/tag split and is charged its own hit or miss penalty, at the burst
-// position the lanes share.
+// position the lanes share. A machine whose LLC is its L2 counts each
+// lane's L2 misses. While the machine warms, a lane is only charged to its
+// busy total (see busy), and its LLC misses and memory bytes are not
+// counted: the flush that ends the warm zeroes them unread.
 func (m *Machine) stepBelowL1(la uint64) {
 	k := &m.kern
 	if k.hasL3 {
@@ -243,11 +285,7 @@ func (m *Machine) stepBelowL1(la uint64) {
 		}
 		m.win.l2Miss++
 	}
-	b := 0
-	if m.burstMiss > 0 {
-		b = 1
-	}
-	m.burstMiss++
+	b := m.burst()
 	set, tag := la&k.llc.setMask, la>>k.llc.tagShift
 	for _, ln := range m.live {
 		if ln.llc.access(set, tag) {
@@ -261,14 +299,47 @@ func (m *Machine) stepBelowL1(la uint64) {
 		if !k.hasL3 {
 			ln.win.l2Miss++
 		}
-		ln.win.llcMiss++
-		ln.win.memBytes += trace.LineSize
-		ln.wall.memBytes += trace.LineSize
 		if m.warming {
 			ln.totalBusy += k.memPen[b]
 			continue
 		}
-		ln.charge(k.memPen[b])
+		ln.memMiss(k.memPen[b])
+	}
+}
+
+// stepKnownMiss is stepBelowL1 for a line at or above the mark, which no
+// cache holds: the line is installed at the L2, when there is an L3, and in
+// every live lane's LLC without a compare, and every lane is charged the
+// memory penalty at the shared burst position — the penalties, order and
+// counts the probing walk would have charged.
+func (m *Machine) stepKnownMiss(la uint64) {
+	k := &m.kern
+	m.knownMisses++
+	if k.hasL3 {
+		k.l2.install(la)
+		m.win.l2Miss++
+	}
+	pen := k.memPen[m.burst()]
+	set, tag := la&k.llc.setMask, la>>k.llc.tagShift
+	if m.warming && k.hasL3 {
+		// The warm's hot loop: all a lane keeps of it is its cache and busy
+		// total.
+		for _, ln := range m.live {
+			ln.llc.install(set, tag)
+			ln.totalBusy += pen
+		}
+		return
+	}
+	for _, ln := range m.live {
+		ln.llc.install(set, tag)
+		if !k.hasL3 {
+			ln.win.l2Miss++
+		}
+		if m.warming {
+			ln.totalBusy += pen
+			continue
+		}
+		ln.memMiss(pen)
 	}
 }
 
