@@ -83,11 +83,10 @@ type Cache struct {
 	partWays int      // ways visible to the workload (CAT partition); also the set stride of tags
 	tags     []uint64 // sets × partWays in use; capacity for sets × ways
 	state    []uint64 // per set: fill count and packed RRPVs
-	// setMask/setShift replace the per-access modulo and division of the
-	// set/tag split when the set count is a power of two (true for every
-	// Table II cache level); setShift < 0 selects the general path.
+	// setMask/setShift split a line address into set and tag (split); the
+	// set count is a power of two (NewCache).
 	setMask    uint64
-	setShift   int
+	setShift   uint8
 	accesses   uint64
 	misses     uint64
 	psel       int  // DRRIP set-dueling policy selector
@@ -103,13 +102,14 @@ const (
 )
 
 // NewCache builds a cache from its configuration. It panics on
-// non-positive sizes, or on ways a set's packed state cannot hold — machine
-// configs are static and must be valid.
+// non-positive sizes, on ways a set's packed state cannot hold, or on a set
+// count that is not a power of two — what MachineConfig.Validate refuses:
+// machine configs are static and must be valid.
 func NewCache(cfg CacheConfig) *Cache {
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > maxWays {
+	sets := cfg.Sets()
+	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > maxWays || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("sim: invalid cache config %+v", cfg))
 	}
-	sets := cfg.Sets()
 	c := new(Cache)
 	c.init(cfg, make([]uint64, sets*cfg.Ways), make([]uint64, sets))
 	return c
@@ -127,24 +127,10 @@ func (c *Cache) init(cfg CacheConfig, tags, state []uint64) {
 		tags:     tags,
 		state:    state,
 		setMask:  uint64(sets - 1),
-		setShift: log2OrMinusOne(sets),
+		setShift: uint8(bits.TrailingZeros(uint(sets))),
 		isDRRIP:  cfg.Policy == DRRIP,
 	}
 	clear(state)
-}
-
-// log2OrMinusOne returns log2(n) when n is a positive power of two and -1
-// otherwise, signalling that the general modulo path must be used.
-func log2OrMinusOne(n int) int {
-	if n <= 0 || n&(n-1) != 0 {
-		return -1
-	}
-	s := 0
-	for n > 1 {
-		n >>= 1
-		s++
-	}
-	return s
 }
 
 // Config returns the cache's configuration.
@@ -194,19 +180,17 @@ func (c *Cache) PartitionBytes() int {
 
 // Access looks up the line containing addr, updating replacement state, and
 // reports whether it hit. On a miss the line is installed.
-func (c *Cache) Access(addr uint64) (hit bool) {
-	lineAddr := addr / trace.LineSize
-	if c.setShift >= 0 {
-		return c.access(lineAddr&c.setMask, lineAddr>>uint(c.setShift))
-	}
-	return c.access(lineAddr%uint64(c.sets), lineAddr/uint64(c.sets))
-}
+func (c *Cache) Access(addr uint64) (hit bool) { return c.access(c.split(addr >> lineShift)) }
+
+// split returns the set and tag of line address la. Caches of one geometry
+// split alike, so the kernel (kernel.go) splits a line once for every
+// lane's LLC.
+func (c *Cache) split(la uint64) (set, tag uint64) { return la & c.setMask, la >> c.setShift }
 
 // access looks tag up in set, updating replacement state and installing it
-// on a miss — the one implementation of both policies, which the kernel
-// (kernel.go) calls, for every lane at the LLC, with the set and tag already
-// split. Under LRU a hit moves the line to the front; under DRRIP it
-// promotes the line to RRPV 0. A miss is install's.
+// on a miss — the one implementation of both policies. Under LRU a hit
+// moves the line to the front; under DRRIP it promotes the line to RRPV 0.
+// A miss is install's.
 func (c *Cache) access(set, tag uint64) bool {
 	pw := c.partWays
 	base := int(set) * pw

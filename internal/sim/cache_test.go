@@ -188,13 +188,22 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
+// TestCachePanicsOnInvalidConfig pins that NewCache refuses what
+// MachineConfig.Validate refuses: the cache has no path for them.
 func TestCachePanicsOnInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid cache config did not panic")
-		}
-	}()
-	NewCache(CacheConfig{SizeBytes: 0, Ways: 4})
+	for _, cfg := range []CacheConfig{
+		{SizeBytes: 0, Ways: 4},
+		{SizeBytes: 768, Ways: 4}, // 3 sets
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("invalid cache config %+v did not panic", cfg)
+				}
+			}()
+			NewCache(cfg)
+		}()
+	}
 }
 
 func TestPolicyString(t *testing.T) {
@@ -259,13 +268,24 @@ func TestTLBCapacityBehavior(t *testing.T) {
 	}
 }
 
+// TestTLBPanicsOnInvalidConfig pins that NewTLB refuses what
+// MachineConfig.Validate refuses: a page must be a power-of-two multiple of
+// the line.
 func TestTLBPanicsOnInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid TLB config did not panic")
-		}
-	}()
-	NewTLB(TLBConfig{Entries: 0, Ways: 1, PageBytes: 4096})
+	for _, cfg := range []TLBConfig{
+		{Entries: 0, Ways: 1, PageBytes: 4096},
+		{Entries: 64, Ways: 4, PageBytes: 100}, // not a power of two
+		{Entries: 64, Ways: 4, PageBytes: 32},  // smaller than a line
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("invalid TLB config %+v did not panic", cfg)
+				}
+			}()
+			NewTLB(cfg)
+		}()
+	}
 }
 
 func TestBranchPredictorLearnsBias(t *testing.T) {

@@ -123,10 +123,13 @@ type Machine struct {
 	extra, spare []*Lane
 	live         []*Lane
 
-	// kern is the packed batched-access kernel state (see kernel.go).
+	// l2Pen, llcPen and memPen are the miss penalties (missPenalties) of a
+	// line served by the L2, the LLC and memory.
+	l2Pen, llcPen, memPen [2]float64
+
 	// lastDataLine/lastInstrLine track the most recent line touched on each
-	// side for same-line coalescing.
-	kern            machKernel
+	// side for same-line coalescing, lastDataPage/lastInstrPage the page for
+	// same-page TLB elision (kernel.go).
 	lastDataLine    uint64
 	lastInstrLine   uint64
 	lastDataPage    uint64
@@ -165,12 +168,15 @@ func NewMachine(cfg MachineConfig, windowCycles float64) *Machine {
 		baseCPI:      cfg.BaseCPI(),
 	}
 	m.Lane.m, m.Lane.llc = m, m.l2
+	m.l2Pen = missPenalties(float64(cfg.L2.LatencyCyc), &cfg)
+	m.llcPen = m.l2Pen
 	if cfg.L3 != nil {
 		m.l3 = NewCache(*cfg.L3)
 		m.Lane.llc = m.l3
+		m.llcPen = missPenalties(float64(cfg.L3.LatencyCyc), &cfg)
 	}
+	m.memPen = missPenalties(cfg.MemLatency, &cfg)
 	m.live = append(m.live, &m.Lane)
-	m.syncKernel()
 	return m
 }
 
@@ -186,7 +192,7 @@ func (m *Machine) WindowCycles() float64 { return m.windowCycles }
 // last-level L2.
 func (m *Machine) SetLLCPartition(ways int) {
 	m.Lane.llc.SetPartition(ways)
-	m.syncKernel()
+	m.forgetLines()
 }
 
 // LLCPartitionBytes returns the capacity currently available in the main
@@ -264,7 +270,7 @@ func (m *Machine) Reset() {
 	m.live = append(m.live[:0], &m.Lane)
 	m.burstMiss = 0
 	m.mark, m.lines, m.knownMisses = 0, 0, 0
-	m.syncKernel()
+	m.forgetLines()
 }
 
 // ResetWindows is Reset with a new counter-window length: afterwards the
@@ -410,10 +416,10 @@ func (ln *Lane) memMiss(pen float64) {
 	ln.charge(pen)
 }
 
-// missPenalty charges the penalty of a miss serviced at a level (its
-// kernelLevel.pen): the first miss of an access burst pays the level's
-// latency net of the OOO overlap, back-to-back misses within the burst that
-// over the MLP divisor.
+// missPenalty charges the penalty of a miss serviced at a level (one of
+// the machine's missPenalties pairs): the first miss of an access burst
+// pays the level's latency net of the OOO overlap, back-to-back misses
+// within the burst that over the MLP divisor.
 func (m *Machine) missPenalty(pen *[2]float64) {
 	m.busy(pen[m.burst()])
 }
@@ -452,7 +458,7 @@ func (m *Machine) Ops(n int) {
 // them (see eventCounts).
 func (ln *Lane) counts() eventCounts {
 	c := ln.m.win.eventCounts
-	if !ln.m.kern.hasL3 {
+	if ln.m.l3 == nil {
 		c.l2Miss = ln.win.l2Miss
 	}
 	return c

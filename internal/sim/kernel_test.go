@@ -341,7 +341,7 @@ func TestBatchedMatchesScalar(t *testing.T) {
 func TestKernelCoalescingElidesProbes(t *testing.T) {
 	batched := NewMachine(Broadwell(), 1e9)
 	scalar := newRefMachine(Broadwell(), 1e9)
-	if !batched.kern.coalesceData {
+	if batched.l1d.isDRRIP {
 		t.Fatal("data-side coalescing should be enabled on Broadwell (LRU L1D)")
 	}
 	for _, m := range []eventSink{batched, scalar} {
@@ -372,7 +372,7 @@ func TestKernelDisabledOnDRRIPL1(t *testing.T) {
 	cfg.L1D.Policy = DRRIP
 	cfg.L1I.Policy = DRRIP
 	m := NewMachine(cfg, 1e9)
-	if m.kern.coalesceData || m.kern.coalesceInstr {
+	if !m.l1d.isDRRIP || !m.l1i.isDRRIP {
 		t.Fatal("coalescing must be disabled for DRRIP L1 caches")
 	}
 }
@@ -390,8 +390,8 @@ func TestValidateRejectsExoticGeometry(t *testing.T) {
 		}
 	}
 	m := NewMachine(Silvermont(), 1e9)
-	if m.kern.dtlb.pow2Sets || m.kern.itlb.pow2Sets || m.kern.dtlb.sets != 12 {
-		t.Fatalf("Silvermont TLBs should take the division branch: %+v", m.kern.dtlb)
+	if m.dtlb.setShift >= 0 || m.itlb.setShift >= 0 || m.dtlb.sets != 12 {
+		t.Fatalf("Silvermont TLBs should take the division branch: %+v", m.dtlb)
 	}
 	m.Load(0x2000, 128)
 	if acc, _ := m.l1d.Stats(); acc != 2 {
@@ -418,6 +418,54 @@ func TestValidateRejectsExoticGeometry(t *testing.T) {
 		err := tc.cfg.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Validate() = %v, want an error containing %q", err, tc.want)
+		}
+	}
+}
+
+// TestEventPathAllocatesNothing pins that the walk allocates nothing: on
+// every Table II machine carrying two extra lanes with reserved sample
+// buffers, loads, stores, fetches, branches, ops and idles — window closes
+// and known misses included — make no allocation.
+func TestEventPathAllocatesNothing(t *testing.T) {
+	code := trace.NewCodeLayout().Region("f", 32<<10)
+	for _, cfg := range Machines() {
+		m := NewMachine(cfg, 20_000)
+		lanes := []*Lane{&m.Lane, m.AddLane(1), m.AddLane(cfg.LLCWays() / 2)}
+		for _, ln := range lanes {
+			ln.ReserveSamples(1 << 12)
+		}
+		col := laned{m}
+		// Stores ascend, so every run also steps lines above the mark
+		// (stepKnownMiss).
+		x, top := uint64(1), uint64(0x40000000)
+		drive := func() {
+			for i := 0; i < 3000; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				r := x >> 33
+				switch i % 6 {
+				case 0:
+					col.Load(0x10000000+r%(48<<20), 1+int(r%256))
+				case 1:
+					col.Store(top, 1+int(r%64))
+					top += r % 256
+				case 2:
+					col.Exec(code, 1+int(r%200))
+				case 3:
+					col.Branch(r%256, r&1 == 0)
+				case 4:
+					col.Ops(1 + int(r%40))
+				case 5:
+					col.Idle(float64(r % 5000))
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, drive); allocs != 0 {
+			t.Errorf("%s: the event path allocated %v times per run", cfg.Name, allocs)
+		}
+		for _, ln := range lanes {
+			if len(ln.Samples()) == 0 || len(ln.WallSamples()) == 0 {
+				t.Fatalf("%s: the %d-way lane closed no window", cfg.Name, ln.Ways())
+			}
 		}
 	}
 }

@@ -145,7 +145,7 @@ func TestKnownMissWalkMatchesReference(t *testing.T) {
 				kern.SetLLCPartition(w)
 				ref.SetLLCPartition(w)
 			case 2:
-				if w > kern.kern.llc.c.partWays || cfg.LLC().Policy == DRRIP {
+				if w > kern.Lane.llc.partWays || cfg.LLC().Policy == DRRIP {
 					kern.SetLLCPartition(w)
 					ref.SetLLCPartition(w)
 				}

@@ -132,37 +132,18 @@ func TestResetRestoresPartitionAndClocks(t *testing.T) {
 	}
 }
 
-// TestPow2IndexingMatchesDivision forces the general modulo path on a
-// power-of-two cache and TLB and checks the hit/miss stream is identical to
-// the shift-and-mask fast path.
+// TestPow2IndexingMatchesDivision forces the TLB's set-division path on a
+// power-of-two TLB and checks the hit/miss stream is identical to the
+// shift-and-mask fast path.
 func TestPow2IndexingMatchesDivision(t *testing.T) {
-	cfg := CacheConfig{Name: "L", SizeBytes: 256 << 10, Ways: 8, Policy: DRRIP}
-	fast := NewCache(cfg)
-	slow := NewCache(cfg)
-	if fast.setShift < 0 {
-		t.Fatalf("expected pow2 sets for %+v", cfg)
-	}
-	slow.setShift = -1 // force the division path
 	rng := stats.NewRNG(21)
-	for i := 0; i < 200_000; i++ {
-		addr := uint64(rng.IntN(16 << 20))
-		if fast.Access(addr) != slow.Access(addr) {
-			t.Fatalf("cache hit/miss diverged at access %d", i)
-		}
-	}
-	fa, fm := fast.Stats()
-	sa, sm := slow.Stats()
-	if fa != sa || fm != sm {
-		t.Fatalf("cache stats diverged: (%d, %d) vs (%d, %d)", fa, fm, sa, sm)
-	}
-
 	tcfg := TLBConfig{Name: "T", Entries: 128, Ways: 4, PageBytes: 4096}
 	ft := NewTLB(tcfg)
 	st := NewTLB(tcfg)
-	if ft.setShift < 0 || ft.pageShift < 0 {
+	if ft.setShift < 0 {
 		t.Fatalf("expected pow2 TLB for %+v", tcfg)
 	}
-	st.setShift, st.pageShift = -1, -1
+	st.setShift = -1
 	for i := 0; i < 200_000; i++ {
 		addr := uint64(rng.IntN(1 << 28))
 		if ft.Access(addr) != st.Access(addr) {

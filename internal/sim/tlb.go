@@ -1,6 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"datamime/internal/trace"
+)
 
 // TLBConfig describes a translation lookaside buffer.
 type TLBConfig struct {
@@ -24,21 +29,25 @@ type TLB struct {
 	cfg  TLBConfig
 	sets int
 	ways int
-	// pageShift/setShift select shift-and-mask address splitting when page
-	// size / set count are powers of two; -1 falls back to division. Page
-	// sizes always are; Silvermont's 48-entry TLBs give a non-pow2 12 sets.
-	pageShift int
-	setMask   uint64
-	setShift  int
-	entries   []tlbEntry
-	clock     uint32
-	accesses  uint64
-	misses    uint64
+	// pageLineShift converts a line address to its page number: a page is a
+	// power-of-two number of lines (NewTLB). setMask/setShift split the page
+	// number into set and tag when the set count is a power of two; setShift
+	// -1 divides instead (Silvermont's 48-entry TLBs have 12 sets).
+	pageLineShift uint8
+	setMask       uint64
+	setShift      int
+	entries       []tlbEntry
+	clock         uint32
+	accesses      uint64
+	misses        uint64
 }
 
-// NewTLB builds a TLB. It panics on invalid configuration.
+// NewTLB builds a TLB. It panics on an invalid configuration, including a
+// page that is not a power-of-two multiple of the line — what
+// MachineConfig.Validate refuses.
 func NewTLB(cfg TLBConfig) *TLB {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.PageBytes <= 0 {
+	p := cfg.PageBytes
+	if cfg.Entries <= 0 || cfg.Ways <= 0 || p < trace.LineSize || p&(p-1) != 0 {
 		panic(fmt.Sprintf("sim: invalid TLB config %+v", cfg))
 	}
 	sets := cfg.Entries / cfg.Ways
@@ -46,14 +55,28 @@ func NewTLB(cfg TLBConfig) *TLB {
 		sets = 1
 	}
 	return &TLB{
-		cfg:       cfg,
-		sets:      sets,
-		ways:      cfg.Ways,
-		pageShift: log2OrMinusOne(cfg.PageBytes),
-		setMask:   uint64(sets - 1),
-		setShift:  log2OrMinusOne(sets),
-		entries:   make([]tlbEntry, sets*cfg.Ways),
+		cfg:           cfg,
+		sets:          sets,
+		ways:          cfg.Ways,
+		pageLineShift: uint8(bits.TrailingZeros(uint(p)) - lineShift),
+		setMask:       uint64(sets - 1),
+		setShift:      log2OrMinusOne(sets),
+		entries:       make([]tlbEntry, sets*cfg.Ways),
 	}
+}
+
+// log2OrMinusOne returns log2(n) when n is a positive power of two and -1
+// otherwise, signalling that the division path must be used.
+func log2OrMinusOne(n int) int {
+	if n <= 0 || n&(n-1) != 0 {
+		return -1
+	}
+	s := 0
+	for n > 1 {
+		n >>= 1
+		s++
+	}
+	return s
 }
 
 // Config returns the TLB's configuration.
@@ -61,14 +84,15 @@ func (t *TLB) Config() TLBConfig { return t.cfg }
 
 // Access translates addr, reporting whether the page was resident. Missing
 // pages are installed with LRU replacement.
-func (t *TLB) Access(addr uint64) (hit bool) {
+func (t *TLB) Access(addr uint64) (hit bool) { return t.access(addr >> lineShift) }
+
+// access translates the page containing line address la — the TLB's one
+// probe, which the kernel (kernel.go) calls with the line it steps: a
+// single pass that hits, or installs the page over an invalid way, else
+// over the least recently used one.
+func (t *TLB) access(la uint64) bool {
 	t.accesses++
-	var page uint64
-	if t.pageShift >= 0 {
-		page = addr >> uint(t.pageShift)
-	} else {
-		page = addr / uint64(t.cfg.PageBytes)
-	}
+	page := la >> t.pageLineShift
 	var set int
 	var tag uint64
 	if t.setShift >= 0 {

@@ -160,14 +160,14 @@ func NewRecorder() *Recorder {
 func (r *Recorder) Load(_ uint64, size int) {
 	r.Loads++
 	r.LoadBytes += size
-	r.Instrs += instrsForSize(size)
+	r.Instrs += InstrsForSize(size)
 }
 
 // Store tallies a data write.
 func (r *Recorder) Store(_ uint64, size int) {
 	r.Stores++
 	r.StoreBytes += size
-	r.Instrs += instrsForSize(size)
+	r.Instrs += InstrsForSize(size)
 }
 
 // Exec tallies an instruction-block execution.
@@ -190,16 +190,13 @@ func (r *Recorder) Branch(_ uint64, taken bool) {
 // Ops tallies plain instructions.
 func (r *Recorder) Ops(n int) { r.Instrs += n }
 
-// instrsForSize converts a memory operation size into a dynamic instruction
-// count: one 8-byte memory instruction per 8 bytes moved, minimum one.
-func instrsForSize(size int) int {
+// InstrsForSize converts a memory operation size into a dynamic instruction
+// count: one 8-byte memory instruction per 8 bytes moved, minimum one. Every
+// collector that counts instructions uses it, so their counts agree.
+func InstrsForSize(size int) int {
 	n := size / 8
 	if n < 1 {
 		n = 1
 	}
 	return n
 }
-
-// InstrsForSize is the public version of the size→instruction mapping used
-// by collectors that need consistent instruction accounting.
-func InstrsForSize(size int) int { return instrsForSize(size) }
