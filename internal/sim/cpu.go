@@ -114,6 +114,17 @@ type Machine struct {
 	burstMiss    int  // index of the miss within the current access burst (MLP)
 	warming      bool // in Warm: lanes keep only their busy totals
 
+	// The taped warm (Warm): while taping, a known miss's line goes on the
+	// tape, which every live lane's LLC replays when it fills or taping
+	// ends, and every busy charge goes to warmBusy, the one busy total all
+	// lanes share until then. While ring, the L1D and the L2 keep their
+	// sets as rings (Cache.ringInstall). taped counts the lines the tape
+	// took since Reset.
+	tape         []uint64
+	warmBusy     float64
+	taped        uint64
+	taping, ring bool
+
 	// Lane is the main lane: the machine's own LLC, at SetLLCPartition's
 	// allocation.
 	Lane
@@ -209,7 +220,7 @@ func (m *Machine) LLCWays() int { return m.cfg.LLCWays() }
 // start cold with the machine: add them right after NewMachine or Reset,
 // and after SetLLCPartition, before any event. Reset drops them.
 func (m *Machine) AddLane(ways int) *Lane {
-	if m.totalBusy != 0 || m.totalIdle != 0 {
+	if m.taping || m.totalBusy != 0 || m.totalIdle != 0 {
 		panic("sim: AddLane on a machine that has run; add lanes right after Reset")
 	}
 	cfg := m.Lane.llc.cfg
@@ -269,7 +280,9 @@ func (m *Machine) Reset() {
 	m.extra = m.extra[:0]
 	m.live = append(m.live[:0], &m.Lane)
 	m.burstMiss = 0
-	m.mark, m.lines, m.knownMisses = 0, 0, 0
+	m.mark, m.lines, m.knownMisses, m.taped = 0, 0, 0, 0
+	m.warming, m.taping, m.ring = false, false, false
+	m.tape = m.tape[:0]
 	m.forgetLines()
 }
 
@@ -284,16 +297,73 @@ func (m *Machine) ResetWindows(windowCycles float64) {
 	m.Reset()
 }
 
+// tapeLines is the taped warm's tape length: 32 KB of line addresses,
+// which every lane replays while they are still in the host's L1.
+const tapeLines = 4096
+
 // Warm runs w's dataset warm on the machine and then flushes every lane.
 // The warm's windows are flushed unread, so while it runs a lane keeps only
 // its cache and its busy total, the one thing of the warm a later window
 // reads (and, where the LLC is the L2, its L2 misses, which the flush reads
 // into the lane's base).
+//
+// The first warm after Reset on a machine with an L3 is taped until a lane
+// is probed (DESIGN §3h "Taped warm"): a known miss's line goes on the
+// tape and each lane replays the tape in a loop of its own, and on an LRU
+// L1D and L2 each set is a ring until one of them is probed.
 func (m *Machine) Warm(w interface{ WarmDataset(trace.Collector) }) {
 	m.warming = true
+	if m.lines == 0 && m.l3 != nil {
+		if m.tape == nil {
+			m.tape = make([]uint64, 0, tapeLines)
+		}
+		m.taping, m.warmBusy = true, m.totalBusy
+		m.ring = !m.l1d.isDRRIP && !m.l2.isDRRIP
+	}
 	w.WarmDataset(m)
+	if m.taping {
+		m.endTape()
+	}
+	if m.ring {
+		m.unring()
+	}
 	m.warming = false
 	m.FlushSamples()
+}
+
+// replayTape installs the tape's lines in every live lane's LLC, one lane
+// at a time, and empties it. No lane has been probed since Reset, so no
+// line of a DRRIP lane has hit: replayPure's precondition.
+func (m *Machine) replayTape() {
+	for _, ln := range m.live {
+		c := ln.llc
+		if c.isDRRIP {
+			c.replayPure(m.tape)
+			continue
+		}
+		for _, la := range m.tape {
+			c.install(c.split(la))
+		}
+	}
+	m.taped += uint64(len(m.tape))
+	m.tape = m.tape[:0]
+}
+
+// endTape ends the taped warm: the lanes replay what is left of the tape
+// and take the busy total they shared.
+func (m *Machine) endTape() {
+	m.replayTape()
+	for _, ln := range m.live {
+		ln.totalBusy = m.warmBusy
+	}
+	m.taping = false
+}
+
+// unring lays the L1D's and the L2's ring sets back out in recency order.
+func (m *Machine) unring() {
+	m.l1d.unring()
+	m.l2.unring()
+	m.ring = false
 }
 
 // FlushSamples flushes every lane (Lane.FlushSamples) — used after the
@@ -308,6 +378,10 @@ func (m *Machine) FlushSamples() {
 // busy advances every live lane's busy time by cyc cycles.
 func (m *Machine) busy(cyc float64) {
 	if m.warming {
+		if m.taping {
+			m.warmBusy += cyc
+			return
+		}
 		for _, ln := range m.live {
 			ln.totalBusy += cyc
 		}

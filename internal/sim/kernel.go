@@ -33,6 +33,9 @@ import "datamime/internal/trace"
 //     and takes the known-miss walk (stepKnownMiss). A miss's replacement
 //     decision reads the set's state word and lines, never the compares, so
 //     Cache.install is the probe's own miss path.
+//   - A taped warm (Machine.Warm) reorders only what nothing reads until
+//     it ends: lanes replay the known misses' lines lane by lane, and the
+//     L1D and L2 keep ring sets until their first probe.
 
 // lineShift is log2(trace.LineSize); kernel walks operate on line addresses
 // (byte address >> lineShift). The index below is a compile error unless
@@ -81,10 +84,17 @@ func (m *Machine) stepData(la uint64) {
 	m.lines++
 	if la >= m.mark {
 		m.mark = la + 1
-		m.l1d.install(m.l1d.split(la))
+		if m.ring {
+			m.l1d.ringInstall(m.l1d.split(la))
+		} else {
+			m.l1d.install(m.l1d.split(la))
+		}
 		m.win.l1dMiss++
 		m.stepKnownMiss(la)
 		return
+	}
+	if m.ring {
+		m.unring()
 	}
 	if m.l1d.access(m.l1d.split(la)) {
 		return
@@ -139,14 +149,21 @@ func (m *Machine) burst() int {
 // position the lanes share. A machine whose LLC is its L2 counts each
 // lane's L2 misses. While the machine warms, a lane is only charged to its
 // busy total (see busy), and its LLC misses and memory bytes are not
-// counted: the flush that ends the warm zeroes them unread.
+// counted: the flush that ends the warm zeroes them unread. The first
+// probe of the L2 ends its ring sets, and the first of the lanes the tape.
 func (m *Machine) stepBelowL1(la uint64) {
 	if m.l3 != nil {
+		if m.ring {
+			m.unring()
+		}
 		if m.l2.access(m.l2.split(la)) {
 			m.missPenalty(&m.l2Pen)
 			return
 		}
 		m.win.l2Miss++
+	}
+	if m.taping {
+		m.endTape()
 	}
 	b := m.burst()
 	set, tag := m.Lane.llc.split(la)
@@ -174,24 +191,28 @@ func (m *Machine) stepBelowL1(la uint64) {
 // cache holds: the line is installed at the L2, when there is an L3, and in
 // every live lane's LLC without a compare, and every lane is charged the
 // memory penalty at the shared burst position — the penalties, order and
-// counts the probing walk would have charged.
+// counts the probing walk would have charged. A taped warm puts the line
+// on the tape for the lanes instead, and the penalty on their shared busy
+// total.
 func (m *Machine) stepKnownMiss(la uint64) {
 	m.knownMisses++
 	if m.l3 != nil {
-		m.l2.install(m.l2.split(la))
+		if m.ring {
+			m.l2.ringInstall(m.l2.split(la))
+		} else {
+			m.l2.install(m.l2.split(la))
+		}
 		m.win.l2Miss++
 	}
 	pen := m.memPen[m.burst()]
-	set, tag := m.Lane.llc.split(la)
-	if m.warming && m.l3 != nil {
-		// The warm's hot loop: all a lane keeps of it is its cache and busy
-		// total.
-		for _, ln := range m.live {
-			ln.llc.install(set, tag)
-			ln.totalBusy += pen
+	if m.taping {
+		m.warmBusy += pen
+		if m.tape = append(m.tape, la); len(m.tape) == tapeLines {
+			m.replayTape()
 		}
 		return
 	}
+	set, tag := m.Lane.llc.split(la)
 	for _, ln := range m.live {
 		ln.llc.install(set, tag)
 		if m.l3 == nil {

@@ -41,9 +41,11 @@ func warmed(w interface{ WarmDataset(trace.Collector) }, lanes []int) *sim.Machi
 
 // TestWarmStepsOnlyKnownMisses pins the line counts of two dataset warms,
 // and that every line they step lies above every line stepped before it,
-// so each takes the known-miss walk: the key-value store at the generator's
-// size, and the ResNet-50 target's weights. An app change that breaks the
-// ascending order fails here rather than quietly slowing the warm.
+// so each takes the known-miss walk and goes on the warm's tape: the
+// key-value store at the generator's size, and the ResNet-50 target's
+// weights. An app change that breaks the ascending order, or probes a lane
+// and so ends the tape early, fails here rather than quietly slowing the
+// warm.
 func TestWarmStepsOnlyKnownMisses(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -53,9 +55,9 @@ func TestWarmStepsOnlyKnownMisses(t *testing.T) {
 		{"kvstore-110000", generatorStore(), 1_268_036},
 		{"resnet50", nn.New(nn.ResNet50Target(), trace.NewCodeLayout(), 1), 306_028},
 	} {
-		lines, known := warmed(tc.w, quickLanes).StepCounts()
-		if lines != tc.want || known != tc.want {
-			t.Errorf("%s warm: %d lines stepped, %d known misses; want %d of each", tc.name, lines, known, tc.want)
+		lines, known, taped := warmed(tc.w, quickLanes).StepCounts()
+		if lines != tc.want || known != tc.want || taped != tc.want {
+			t.Errorf("%s warm: %d lines stepped, %d known misses, %d taped; want %d of each", tc.name, lines, known, taped, tc.want)
 		}
 	}
 }
@@ -63,7 +65,8 @@ func TestWarmStepsOnlyKnownMisses(t *testing.T) {
 // BenchmarkWarm measures one dataset warm of the generator-size key-value
 // store on Broadwell: into the main lane alone, and into a machine carrying
 // quickLanes, as a profile's pass warms it. It reports the lines a warm
-// steps and how many of them take the known-miss walk.
+// steps, how many of them take the known-miss walk, and how many of those
+// the tape takes.
 func BenchmarkWarm(b *testing.B) {
 	srv := generatorStore()
 	for _, bc := range []struct {
@@ -84,9 +87,10 @@ func BenchmarkWarm(b *testing.B) {
 				}
 				m.Warm(srv)
 			}
-			lines, known := m.StepCounts()
+			lines, known, taped := m.StepCounts()
 			b.ReportMetric(float64(lines), "lines/op")
 			b.ReportMetric(float64(known), "known-miss/op")
+			b.ReportMetric(float64(taped), "taped/op")
 		})
 	}
 }
